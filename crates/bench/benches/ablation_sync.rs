@@ -10,11 +10,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
-use zapc::ablation::{checkpoint_with_policy, mean_blocked_ms};
 use zapc::agent::SyncPolicy;
-use zapc::manager::CheckpointTarget;
+use zapc::manager::{checkpoint_with, CheckpointOptions, CheckpointTarget};
 use zapc_apps::launch::{launch_app, AppKind, AppParams};
-use zapc_bench::figures::cluster_for;
+use zapc_bench::figures::{cluster_for, mean_blocked_ms};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_sync");
@@ -36,7 +35,8 @@ fn bench(c: &mut Criterion) {
         let targets: Vec<CheckpointTarget> =
             app.pods.iter().map(|p| CheckpointTarget::snapshot(p)).collect();
 
-        let report = checkpoint_with_policy(&cluster, &targets, policy).expect("checkpoint");
+        let opts = CheckpointOptions { policy, ..Default::default() };
+        let report = checkpoint_with(&cluster, &targets, &opts).expect("checkpoint");
         eprintln!(
             "[ablation] {name}: mean network-blocked time {:.3} ms (wall {:.3} ms)",
             mean_blocked_ms(&report),
@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
         );
 
         g.bench_function(name, |b| {
-            b.iter(|| checkpoint_with_policy(&cluster, &targets, policy).expect("checkpoint"))
+            b.iter(|| checkpoint_with(&cluster, &targets, &opts).expect("checkpoint"))
         });
         app.destroy(&cluster);
     }

@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 use zapc::agent::Finalize;
-use zapc::manager::{CheckpointTarget, RestartTarget};
+use zapc::manager::{CheckpointReport, CheckpointTarget, RestartTarget};
 use zapc::{checkpoint, restart, Cluster, Uri};
 use zapc_apps::launch::{full_registry, launch_app, AppKind, AppParams, Launched};
 
@@ -45,6 +45,16 @@ pub fn node_counts(kind: AppKind) -> &'static [usize] {
         AppKind::Bt => &BT_NODE_COUNTS,
         _ => &NODE_COUNTS,
     }
+}
+
+/// Mean network-blocked time across pods, in milliseconds — the quantity
+/// the paper's single synchronization minimizes and the `ablation_sync`
+/// bench compares against the global-barrier strawman (§4).
+pub fn mean_blocked_ms(report: &CheckpointReport) -> f64 {
+    if report.pods.is_empty() {
+        return 0.0;
+    }
+    report.pods.iter().map(|p| p.blocked_ms).sum::<f64>() / report.pods.len() as f64
 }
 
 /// Builds the cluster for a given endpoint count: up to 8 uniprocessor

@@ -89,15 +89,13 @@ impl NetStack {
     /// All sockets whose local address (or default IP) is `vip` — the set a
     /// pod's network checkpoint must cover.
     pub fn sockets_for_ip(&self, vip: u32) -> Vec<Arc<Socket>> {
-        let inner = self.inner.read();
-        let mut out: Vec<Arc<Socket>> = inner
-            .sockets
-            .values()
-            .filter(|s| {
-                s.with_inner(|i| i.local.map(|l| l.ip == vip).unwrap_or(i.default_ip == vip))
-            })
-            .cloned()
-            .collect();
+        // Lock order is socket → stack (`Socket::connect` binds its port
+        // while holding the socket lock), so no socket may be locked under
+        // the stack lock: copy the list out first, then look inside.
+        let mut out: Vec<Arc<Socket>> = self.inner.read().sockets.values().cloned().collect();
+        out.retain(|s| {
+            s.with_inner(|i| i.local.map(|l| l.ip == vip).unwrap_or(i.default_ip == vip))
+        });
         out.sort_by_key(|s| s.id);
         out
     }

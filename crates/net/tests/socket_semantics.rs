@@ -215,3 +215,50 @@ fn stats_track_filter_drops() {
     assert!(r.net.stats().filtered.load(std::sync::atomic::Ordering::Relaxed) > 0);
     r.net.filter().clear();
 }
+
+#[test]
+fn connect_does_not_deadlock_against_sockets_for_ip() {
+    // `connect` takes socket → stack (it binds an ephemeral port while
+    // holding the socket lock); a scan that locked sockets *under* the
+    // stack lock would wedge both threads. A watchdog bounds the run: a
+    // deadlocked thread can never be joined, only timed out.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const ROUNDS: usize = 10_000;
+    let r = rig();
+    let stop = Arc::new(AtomicBool::new(false));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let connectors: Vec<_> = (0..2)
+        .map(|_| {
+            let (s1, done) = (Arc::clone(&r.s1), done_tx.clone());
+            std::thread::spawn(move || {
+                for _ in 0..ROUNDS {
+                    let c = s1.socket(Transport::Tcp, ep(1, 0).ip, 6);
+                    c.connect(ep(2, 9)).unwrap(); // nobody listens; refused later
+                    c.close();
+                }
+                let _ = done.send(());
+            })
+        })
+        .collect();
+    let scanners: Vec<_> = (0..2)
+        .map(|_| {
+            let (s1, stop) = (Arc::clone(&r.s1), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    std::hint::black_box(s1.sockets_for_ip(ep(1, 0).ip));
+                }
+            })
+        })
+        .collect();
+    for _ in &connectors {
+        if done_rx.recv_timeout(Duration::from_secs(60)).is_err() {
+            // Tearing the rig down would block on the wedged stack lock.
+            std::mem::forget(r);
+            panic!("connect wedged against a concurrent sockets_for_ip");
+        }
+    }
+    stop.store(true, Ordering::SeqCst);
+    for t in connectors.into_iter().chain(scanners) {
+        t.join().unwrap();
+    }
+}

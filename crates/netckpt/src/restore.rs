@@ -303,26 +303,41 @@ pub fn restore_network(
             s.set_recv_peeked();
         }
 
-        // Reinstate congestion/flow pacing *before* the send-queue resend,
-        // so the replay honours the checkpointed windows: a restart must
-        // not blast a congested path, and a zero-window stall resumes as a
-        // stall driven by persist-timer probes (the peer's restored reader
-        // re-opens the window with its first ack).
-        if let Some(cc) = &rec.cc {
-            s.with_inner(|inner| {
-                if let Some(tcb) = &mut inner.tcb {
-                    tcb.cc_apply(cc);
-                }
-            });
-        }
-
-        // Send side: discard the overlap the peer already received, then
-        // re-send through the ordinary write path.
+        // Send side: the overlap the peer already received is discarded
+        // from the saved queue before the rest is re-sent.
         let peer_recv = entry
             .dst
             .and_then(|dst| lookup_peer_recv(plan.all_meta, entry.src, dst))
             .unwrap_or(pcb.acked);
         let discard = peer_recv.saturating_sub(pcb.acked);
+
+        // Reinstate congestion/flow pacing *before* the send-queue resend,
+        // so the replay honours the checkpointed windows: a restart must
+        // not blast a congested path, and a zero-window stall resumes as a
+        // stall driven by persist-timer probes (the peer's restored reader
+        // re-opens the window with its first ack). The fast-recovery exit
+        // point is an offset from the *old* `snd.una`; the discard moves
+        // `snd.una` forward, so the offset is re-based by it. A recovery
+        // point at or behind the new `snd.una` has been fully acked: the
+        // connection comes back outside recovery, deflated as a full ack
+        // would have left it.
+        if let Some(mut cc) = rec.cc {
+            match cc.recover_off.map(|off| off.saturating_sub(discard)) {
+                Some(0) => {
+                    cc.recover_off = None;
+                    cc.dup_acks = 0;
+                    cc.cwnd = cc.ssthresh;
+                }
+                off => cc.recover_off = off,
+            }
+            s.with_inner(|inner| {
+                if let Some(tcb) = &mut inner.tcb {
+                    tcb.cc_apply(&cc);
+                }
+            });
+        }
+
+        // Re-send through the ordinary write path.
         let snap = SendSnapshot {
             una: pcb.acked,
             nxt: pcb.sent,

@@ -215,6 +215,48 @@ fn overlap_between_send_and_receive_queue_discarded() {
 }
 
 #[test]
+fn checkpoint_in_fast_recovery_survives_restore_and_a_second_checkpoint() {
+    // The Figure 4 overlap again, with the sender in fast recovery: the
+    // recovery point sits at the end of a send queue that the restore
+    // discards entirely (the peer already holds every byte). The restored
+    // connection must not carry a recovery point beyond its — now empty —
+    // send queue, or its *next* checkpoint is rejected at restore.
+    let r = rig(4);
+    let a = make_pod(&r, "A", 3, 0);
+    let b = make_pod(&r, "B", 4, 1);
+    let (client, _listener, server) = connect_pods(&a, &b, 5002);
+
+    r.net.filter().block_link(pod_vip(4), pod_vip(3)); // acks b→a die
+    client.write_all_wait(b"overlap-bytes", TIMEOUT).unwrap();
+    let dl = std::time::Instant::now() + TIMEOUT;
+    while server.with_inner(|i| i.tcb.as_ref().map_or(0, |t| t.recv.readable())) != 13 {
+        assert!(std::time::Instant::now() < dl, "data never delivered");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    client.with_inner(|i| {
+        let t = i.tcb.as_mut().unwrap();
+        t.cc.dup_acks = 3;
+        t.cc.recover = Some(t.send.nxt());
+        assert!(t.cc.in_recovery());
+    });
+
+    let (pods, socks) = migrate_network(&r, vec![a, b], vec![2, 3]);
+    let client2 = socks[0][0].clone().unwrap();
+    assert!(
+        !client2.with_inner(|i| i.tcb.as_ref().unwrap().cc.in_recovery()),
+        "everything up to the recovery point was already received"
+    );
+
+    // Checkpoint → restore once more, straight away.
+    let (pods, socks) = migrate_network(&r, pods, vec![0, 1]);
+    let server3 = socks[1][1].clone().unwrap();
+    assert_eq!(drain(&server3, 13), b"overlap-bytes");
+    for p in pods {
+        p.destroy();
+    }
+}
+
+#[test]
 fn urgent_data_survives_checkpoint() {
     let r = rig(4);
     let a = make_pod(&r, "A", 5, 0);

@@ -9,18 +9,19 @@
 //! execution.
 
 use crate::cluster::{CheckpointOpts, Cluster, Lineage};
+use crate::coord::{Ctl, Reply};
 use crate::uri::Uri;
 use crate::{ZapcError, ZapcResult};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use zapc_faults::{FaultAction, MANAGER};
 use std::time::{Duration, Instant};
+use zapc_faults::{FaultAction, MANAGER};
 use zapc_ckpt::{checkpoint_standalone_with, restore_standalone_obs, ParentRecord,
     RestoredSockets, SaveOpts};
 use zapc_netckpt::{checkpoint_network_obs, restore_network, NetworkRestorePlan};
 use zapc_pod::Pod;
 use zapc_proto::image::Header;
-use zapc_proto::{Encode, ImageReader, ImageWriter, MetaData, SectionTag};
+use zapc_proto::{Decode, Encode, ImageReader, ImageWriter, MetaData, SectionTag};
 
 /// What happens to the pod after its checkpoint completes (§4 step 4):
 /// resume locally (snapshot) or destroy (the pod migrates away).
@@ -51,7 +52,7 @@ pub enum SyncPolicy {
 
 /// Control messages from the Manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CtlMsg {
+pub(crate) enum CtlMsg {
     /// Proceed (the Manager has everyone's meta-data / everyone is done).
     /// Carries the Manager epoch the operation runs under: an Agent that
     /// has witnessed a newer epoch treats the message as stale and rolls
@@ -59,6 +60,12 @@ pub enum CtlMsg {
     Continue(u64),
     /// Abort the operation; resume the application.
     Abort,
+}
+
+impl Ctl for CtlMsg {
+    fn abort() -> Self {
+        CtlMsg::Abort
+    }
 }
 
 /// Per-pod statistics reported with `done`.
@@ -99,15 +106,11 @@ pub struct PodStats {
 
 /// Messages from an Agent to the Manager.
 #[derive(Debug)]
-pub enum AgentReply {
+pub(crate) enum AgentReply {
     /// Checkpoint step 2a: network state saved; here is the meta-data.
     Meta {
-        /// Reporting pod.
-        pod: String,
-        /// The connection table.
+        /// The reporting pod's connection table.
         meta: MetaData,
-        /// Network-checkpoint latency (µs).
-        net_us: u64,
     },
     /// Operation finished (or failed) on this Agent.
     Done {
@@ -125,6 +128,15 @@ pub enum AgentReply {
     },
 }
 
+impl Reply for AgentReply {
+    fn done(&self) -> Option<(&str, u64)> {
+        match self {
+            AgentReply::Done { pod, epoch, .. } => Some((pod, *epoch)),
+            AgentReply::Meta { .. } => None,
+        }
+    }
+}
+
 /// Sends one Agent→Manager control-path message unless a partition eats
 /// it. The scripted/seeded `ctl.partition` site fires first (keyed by
 /// pod; `Drop` eats the message, `Delay` postpones it), then the
@@ -138,19 +150,57 @@ pub(crate) fn ctl_reply(
     reply: &Sender<AgentReply>,
     msg: AgentReply,
 ) -> Result<(), ()> {
-    match cluster.faults.hit("ctl.partition", pod_key) {
-        Some(FaultAction::Drop) => return Ok(()),
-        Some(a) => {
-            if let Some(d) = a.delay() {
-                std::thread::sleep(d);
-            }
-        }
-        None => {}
+    if matches!(cluster.faults.hit_and_sleep("ctl.partition", pod_key), Some(FaultAction::Drop)) {
+        return Ok(());
     }
     if cluster.partition.is_cut(node, MANAGER) {
         return Ok(());
     }
+    // A reply that got through is also the node's lease heartbeat.
+    cluster.health.beat(node);
     reply.send(msg).map_err(|_| ())
+}
+
+/// Everything one Agent needs to checkpoint one pod: the `«pod, URI»`
+/// tuple, the operation's knobs, and its connection to the Manager.
+pub(crate) struct CheckpointJob<'a> {
+    /// Pod to checkpoint.
+    pub pod: &'a str,
+    /// Destination for the image.
+    pub dest: &'a Uri,
+    /// Resume or destroy afterwards.
+    pub finalize: Finalize,
+    /// Coordination policy.
+    pub policy: SyncPolicy,
+    /// Capture the pod's chroot subtree on shared storage into the image
+    /// (§3/§4: "ZapC can be used with already available file system
+    /// snapshot functionality to also provide a checkpointed file system
+    /// image").
+    pub fs_snapshot: bool,
+    /// Checkpoint-engine knobs.
+    pub ckpt: CheckpointOpts,
+    /// Manager epoch the operation is stamped with.
+    pub epoch: u64,
+    /// Bound on the wait for the Manager's `continue`.
+    pub ctl_timeout: Duration,
+    /// Agent→Manager replies.
+    pub reply: Sender<AgentReply>,
+    /// Manager→Agent control messages.
+    pub ctl: Receiver<CtlMsg>,
+}
+
+/// Step 1 of Figure 1: suspend the pod, then block its network.
+pub(crate) fn quiesce(cluster: &Cluster, pod: &Pod) -> Result<(), String> {
+    pod.suspend().map_err(|e| format!("suspend failed: {e}"))?;
+    cluster.filter().block_ip(pod.vip());
+    Ok(())
+}
+
+/// The rollback half of every abort (§4): lift the block and let the
+/// application resume execution.
+pub(crate) fn unquiesce(cluster: &Cluster, pod: &Pod) {
+    cluster.filter().unblock_ip(pod.vip());
+    let _ = pod.resume();
 }
 
 /// Runs the local checkpoint procedure of Figure 1 for one pod.
@@ -159,43 +209,11 @@ pub(crate) fn ctl_reply(
 /// standalone checkpoint → wait `continue` → unblock network → finalize →
 /// report done. A broken Manager connection (channel disconnect) or an
 /// `Abort` rolls everything back and resumes the pod.
-#[allow(clippy::too_many_arguments)]
-pub fn agent_checkpoint(
-    cluster: &Cluster,
-    pod_name: &str,
-    dest: &Uri,
-    finalize: Finalize,
-    policy: SyncPolicy,
-    epoch: u64,
-    ctl_timeout: Duration,
-    reply: &Sender<AgentReply>,
-    ctl: &Receiver<CtlMsg>,
-) {
-    let ckpt = cluster.ckpt;
-    agent_checkpoint_ext(
-        cluster, pod_name, dest, finalize, policy, false, ckpt, epoch, ctl_timeout, reply, ctl,
-    )
-}
-
-/// [`agent_checkpoint`] with the optional file-system snapshot of §3/§4:
-/// when `fs_snapshot` is set, the pod's chroot subtree on shared storage
-/// is captured into the image ("ZapC can be used with already available
-/// file system snapshot functionality to also provide a checkpointed file
-/// system image").
-#[allow(clippy::too_many_arguments)]
-pub fn agent_checkpoint_ext(
-    cluster: &Cluster,
-    pod_name: &str,
-    dest: &Uri,
-    finalize: Finalize,
-    policy: SyncPolicy,
-    fs_snapshot: bool,
-    ckpt: CheckpointOpts,
-    epoch: u64,
-    ctl_timeout: Duration,
-    reply: &Sender<AgentReply>,
-    ctl: &Receiver<CtlMsg>,
-) {
+pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
+    let CheckpointJob {
+        pod: pod_name, dest, finalize, policy, fs_snapshot, ckpt, epoch, ctl_timeout, reply, ctl,
+    } = job;
+    let reply = &reply;
     let Some(pod) = cluster.pod(pod_name) else {
         // No pod, no hosting node: this failure reply bypasses the
         // partition model (nothing node-local ever ran).
@@ -232,18 +250,37 @@ pub fn agent_checkpoint_ext(
     let t0 = Instant::now();
     // Step 1: suspend the pod; block its network.
     let quiesce_span = obs.span(pod_name, "ckpt.quiesce");
-    if let Err(e) = pod.suspend() {
-        send_done(Err(format!("suspend failed: {e}")), None);
+    if let Err(why) = quiesce(cluster, &pod) {
+        send_done(Err(why), None);
         return;
     }
-    cluster.filter().block_ip(pod.vip());
     let quiesce_us = quiesce_span.end();
     let blocked_at = Instant::now();
 
     let rollback = |why: &str| {
-        cluster.filter().unblock_ip(pod.vip());
-        let _ = pod.resume();
+        unquiesce(cluster, &pod);
         send_done(Err(why.to_owned()), None);
+    };
+    // Steps 3a/4a: the Agent only finishes after it received `continue`.
+    // Bounded wait: a lost `continue` must not wedge the Agent forever.
+    // Returns the time spent waiting (µs), or the reason to roll back.
+    let await_continue = |at: &str| -> Result<u64, String> {
+        let sync_span = obs.span(pod_name, "ckpt.sync");
+        let waited = ctl.recv_timeout(ctl_timeout);
+        let sync_us = sync_span.end();
+        match waited {
+            Ok(CtlMsg::Continue(e)) if e >= cluster.epoch() => Ok(sync_us),
+            // The `continue` came from a Manager that has since been
+            // superseded (a recovery bumped the epoch while this op was in
+            // flight): finishing the op would let a dead incarnation
+            // mutate post-recovery state.
+            Ok(CtlMsg::Continue(e)) => {
+                Err(format!("fenced: stale continue epoch {e} (cluster at {})", cluster.epoch()))
+            }
+            Ok(CtlMsg::Abort) => Err(format!("aborted {at}")),
+            Err(RecvTimeoutError::Timeout) => Err(format!("timed out {at}")),
+            Err(RecvTimeoutError::Disconnected) => Err(format!("manager connection broken {at}")),
+        }
     };
 
     // Fault sites: a crash here models the Agent process dying before it
@@ -266,7 +303,7 @@ pub fn agent_checkpoint_ext(
         node_id,
         pod_name,
         reply,
-        AgentReply::Meta { pod: pod_name.to_owned(), meta: meta.clone(), net_us },
+        AgentReply::Meta { meta: meta.clone() },
     )
     .is_err()
     {
@@ -284,30 +321,9 @@ pub fn agent_checkpoint_ext(
     // Strawman policy: hold everything until the Manager's barrier.
     let mut sync_us = 0u64;
     if policy == SyncPolicy::GlobalBarrier {
-        let sync_span = obs.span(pod_name, "ckpt.sync");
-        let waited = ctl.recv_timeout(ctl_timeout);
-        sync_us = sync_span.end();
-        match waited {
-            Ok(CtlMsg::Continue(e)) if e >= cluster.epoch() => {}
-            Ok(CtlMsg::Continue(e)) => {
-                rollback(&format!(
-                    "fenced: stale continue epoch {e} (cluster at {})",
-                    cluster.epoch()
-                ));
-                return;
-            }
-            Ok(CtlMsg::Abort) => {
-                rollback("aborted at barrier");
-                return;
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                rollback("timed out at barrier");
-                return;
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                rollback("manager connection broken at barrier");
-                return;
-            }
+        match await_continue("at barrier") {
+            Ok(us) => sync_us = us,
+            Err(why) => return rollback(&why),
         }
     }
 
@@ -377,37 +393,10 @@ pub fn agent_checkpoint_ext(
         rollback("fault: agent crashed awaiting continue");
         return;
     }
-    // Steps 3a/4a: the Agent only finishes after it received `continue`.
-    // Bounded wait: a lost `continue` must not wedge the Agent forever.
     if policy == SyncPolicy::SingleSync {
-        let sync_span = obs.span(pod_name, "ckpt.sync");
-        let waited = ctl.recv_timeout(ctl_timeout);
-        sync_us = sync_span.end();
-        match waited {
-            Ok(CtlMsg::Continue(e)) if e >= cluster.epoch() => {}
-            Ok(CtlMsg::Continue(e)) => {
-                // The `continue` came from a Manager that has since been
-                // superseded (a recovery bumped the epoch while this op
-                // was in flight): finishing the op would let a dead
-                // incarnation mutate post-recovery state.
-                rollback(&format!(
-                    "fenced: stale continue epoch {e} (cluster at {})",
-                    cluster.epoch()
-                ));
-                return;
-            }
-            Ok(CtlMsg::Abort) => {
-                rollback("aborted while awaiting continue");
-                return;
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                rollback("timed out awaiting continue");
-                return;
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                rollback("manager connection broken awaiting continue");
-                return;
-            }
+        match await_continue("awaiting continue") {
+            Ok(us) => sync_us = us,
+            Err(why) => return rollback(&why),
         }
     }
     // Step 4 + 3a: finalize, then unblock. A snapshot resumes and
@@ -472,7 +461,7 @@ pub fn agent_checkpoint_ext(
             }
             None
         }
-        Uri::Agent { .. } | Uri::Stream { .. } => Some(Arc::clone(&image)),
+        Uri::Agent { .. } => Some(Arc::clone(&image)),
         Uri::Store { ckpt: ckpt_id } => {
             // Durable staging. These fault sites are consulted ONLY on the
             // store path so every pre-existing seeded trace is unchanged.
@@ -491,12 +480,6 @@ pub fn agent_checkpoint_ext(
             if cluster.faults.hit("agent.stage", pod_name).is_some() {
                 send_done(Err("fault: agent crashed while staging image".to_owned()), None);
                 return;
-            }
-            // Heartbeats only cross a working link: a partitioned node is
-            // alive but unheard, so its lease lapses exactly like a dead
-            // node's — which is all the Manager can ever observe.
-            if !cluster.partition.is_cut(node_id, MANAGER) {
-                cluster.health.beat(node_id);
             }
             // Epoch fence before staging: a newer Manager may have
             // recovered (and GC'd this checkpoint's directory) while this
@@ -550,7 +533,7 @@ pub fn agent_checkpoint_ext(
 }
 
 /// Decoded image parts an Agent restart needs.
-pub struct RestartInputs {
+pub(crate) struct RestartInputs {
     /// The raw image.
     pub image: Arc<Vec<u8>>,
     /// This pod's meta-data with Manager-assigned roles.
@@ -567,7 +550,7 @@ pub struct RestartInputs {
 /// Runs the local restart procedure of Figure 3 for one pod: create the
 /// pod → restore connectivity and network state → standalone restart →
 /// resume → report done.
-pub fn agent_restart(
+pub(crate) fn agent_restart(
     cluster: &Cluster,
     inputs: RestartInputs,
     timeout: Duration,
@@ -604,63 +587,37 @@ fn agent_restart_inner(
     let rd = ImageReader::open(&inputs.image)?;
     let sections = rd.sections()?;
 
-    // Step 1: create a new (empty) pod from the image's namespace; route
-    // its virtual address to this node before reconnection begins.
-    let create_span = obs.span(&inputs.my_meta.pod, "rst.create");
-    let ns_payload = sections
-        .iter()
-        .find(|s| s.tag == SectionTag::Namespace)
-        .ok_or_else(|| ZapcError::NotFound("namespace section".into()))?
-        .payload;
-    let ns = zapc_ckpt::restore::decode_namespace(ns_payload)?;
-    let pod: Arc<Pod> = Pod::from_namespace(
-        ns,
-        cluster.node(inputs.node),
-        &cluster.clock,
-        cluster.virt_overhead_ns,
-    );
-    cluster.register_restarted_pod(&pod, inputs.node);
-    // A migration source leaves its virtual IP blocked; lift the rule now
-    // that the address routes to this node.
-    cluster.filter().unblock_ip(pod.vip());
+    let section = |tag: SectionTag, what: &str| {
+        sections
+            .iter()
+            .find(|s| s.tag == tag)
+            .map(|s| s.payload)
+            .ok_or_else(|| ZapcError::NotFound(format!("{what} section")))
+    };
 
-    // Optional file-system snapshot: reinstate the chroot subtree before
-    // anything reads from it.
-    if let Some(s) = sections.iter().find(|s| s.tag == SectionTag::FsSnapshot) {
-        let mut r = zapc_proto::RecordReader::new(s.payload);
-        use zapc_proto::Decode;
-        let snap = zapc_sim::fs::FsSnapshot::decode(&mut r).map_err(ZapcError::Decode)?;
-        cluster.fs.restore(&snap);
-    }
+    // Step 1: create the pod.
+    let create_span = obs.span(&inputs.my_meta.pod, "rst.create");
+    let fs_snap = section(SectionTag::FsSnapshot, "fs snapshot").ok();
+    let namespace = section(SectionTag::Namespace, "namespace")?;
+    let pod = create_pod(cluster, inputs.node, namespace, fs_snap)?;
     let quiesce_us = create_span.end();
 
     // Steps 2–3: restore network connectivity, then network state.
     let reconnect_span = obs.span(&inputs.my_meta.pod, "rst.reconnect");
     let tnet = Instant::now();
-    let net_payload = sections
-        .iter()
-        .find(|s| s.tag == SectionTag::NetState)
-        .ok_or_else(|| ZapcError::NotFound("netstate section".into()))?
-        .payload;
+    let net_payload = section(SectionTag::NetState, "netstate")?;
     let records = match &inputs.records {
         Some(r) => r.clone(),
         None => zapc_netckpt::records::decode_records(net_payload)?,
     };
-    let plan = NetworkRestorePlan {
-        my_meta: &inputs.my_meta,
-        all_meta: &inputs.all_meta,
-        records: &records,
-        timeout,
-        obs: obs.clone(),
-    };
-    let socks = restore_network(&pod, &plan)?;
+    let restored =
+        reconnect(cluster, &pod, &inputs.my_meta, &inputs.all_meta, &records, timeout)?;
     reconnect_span.end();
     let net_us = tnet.elapsed().as_micros() as u64;
 
     // Step 4: standalone restart.
     let tsa = Instant::now();
     let restore_span = obs.span(&inputs.my_meta.pod, "rst.restore");
-    let restored = RestoredSockets { by_ordinal: socks };
     restore_standalone_obs(&sections, &pod, &cluster.registry, &restored, obs)?;
     restore_span.end();
     let standalone_us = tsa.elapsed().as_micros() as u64;
@@ -686,4 +643,42 @@ fn agent_restart_inner(
         image_ref: String::new(),
         digest: 0,
     })
+}
+
+/// Figure 3, step 1: creates a new (empty) pod from an image's namespace
+/// and routes its virtual address to `node` before reconnection begins.
+/// A migration source leaves its virtual IP blocked; the rule is lifted
+/// now that the address routes here. The optional file-system snapshot is
+/// reinstated before anything reads from the chroot subtree.
+pub(crate) fn create_pod(
+    cluster: &Cluster,
+    node: usize,
+    namespace: &[u8],
+    fs_snapshot: Option<&[u8]>,
+) -> ZapcResult<Arc<Pod>> {
+    let ns = zapc_ckpt::restore::decode_namespace(namespace)?;
+    let pod =
+        Pod::from_namespace(ns, cluster.node(node), &cluster.clock, cluster.virt_overhead_ns);
+    cluster.register_restarted_pod(&pod, node);
+    cluster.filter().unblock_ip(pod.vip());
+    if let Some(payload) = fs_snapshot {
+        let mut r = zapc_proto::RecordReader::new(payload);
+        let snap = zapc_sim::fs::FsSnapshot::decode(&mut r).map_err(ZapcError::Decode)?;
+        cluster.fs.restore(&snap);
+    }
+    Ok(pod)
+}
+
+/// Figure 3, steps 2–3: restores the pod's network connectivity, then its
+/// network state; returns the sockets by checkpoint ordinal.
+pub(crate) fn reconnect(
+    cluster: &Cluster,
+    pod: &Arc<Pod>,
+    my_meta: &MetaData,
+    all_meta: &[MetaData],
+    records: &[zapc_netckpt::SockRecord],
+    timeout: Duration,
+) -> ZapcResult<RestoredSockets> {
+    let plan = NetworkRestorePlan { my_meta, all_meta, records, timeout, obs: cluster.obs.clone() };
+    Ok(RestoredSockets { by_ordinal: restore_network(pod, &plan)? })
 }

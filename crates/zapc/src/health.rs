@@ -5,15 +5,16 @@
 //! that silently dies mid-operation never breaks its channel in a way the
 //! Manager can distinguish from slowness. The durable-commit protocol
 //! (`crates/zapc/src/commit.rs`) needs a sharper signal, so the cluster
-//! carries a lease table: Agents heartbeat while they work, the Manager
-//! polls the table while it waits, and a node whose lease lapses (or that
-//! is [`HealthMonitor::kill`]ed by the fault layer) is treated as dead —
-//! the checkpoint aborts and drains survivors, a restart reschedules the
-//! dead node's pods onto live nodes.
+//! carries a lease table: the protocol's own traffic is the heartbeat (a
+//! command an Agent accepts, a reply that gets through — see the
+//! coordination core, `coord.rs`), the Manager polls the table while it
+//! waits, and a node whose lease lapses (or that is
+//! [`HealthMonitor::kill`]ed by the fault layer) is treated as dead — the
+//! operation aborts and drains survivors, a restart reschedules the dead
+//! node's pods onto live nodes.
 //!
-//! Nodes that have never beaten are presumed alive: leases are an opt-in
-//! liveness *refinement*, not a boot-time gate, so clusters that never use
-//! the durable path pay nothing.
+//! Nodes that have never beaten are presumed alive: leases are a liveness
+//! *refinement*, not a boot-time gate.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;

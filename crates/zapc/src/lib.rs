@@ -22,9 +22,8 @@
 //!   Agent failures and aborts gracefully.
 //! * [`uri`] — checkpoint destinations: a file, an in-memory store, or a
 //!   *receiving Agent* for direct migration without intermediate storage.
-//! * [`ablation`] — the global-barrier coordination policy used by the
-//!   `ablation_sync` benchmark to quantify what the paper's single-sync
-//!   design buys.
+//! * `coord` (crate-private) — the one wait/abort/drain loop every
+//!   coordinated operation shares between its phases.
 //!
 //! The crate-level API is intentionally the paper's: `checkpoint`,
 //! `restart`, and `migrate` over a set of pods, with per-pod reports of
@@ -58,10 +57,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablation;
 pub mod agent;
 pub mod cluster;
 pub mod commit;
+mod coord;
 pub mod health;
 pub mod live;
 pub mod manager;

@@ -3,8 +3,8 @@
 //! The paper's migration is stop-and-copy: quiesce, dump, ship, restore —
 //! downtime scales with image size. This module adds the classic fix
 //! (iterative pre-copy, as in VM live migration): the source Agent
-//! streams a full base image over a [`crate::Uri::Stream`]-style frame
-//! channel *while the pod keeps running*, then iterates dirty-region
+//! streams a full base image over a bounded frame channel *while the pod
+//! keeps running*, then iterates dirty-region
 //! delta rounds (the v2 delta engine's per-region generation counters)
 //! until the residual dirty set drops under a threshold — or a round/byte
 //! cap forces the issue — and only then quiesces for one final delta plus
@@ -64,20 +64,19 @@
 //! cutover whose downtime is at worst the stop-and-copy downtime (one
 //! working-set-sized delta) plus round bookkeeping.
 
+use crate::agent::{create_pod, quiesce, reconnect, unquiesce};
 use crate::cluster::Cluster;
+use crate::coord::{heartbeat, Coord, Ctl, Reply, ROLE_SEP};
 use crate::manager::MigrateOptions;
 use crate::retry::RetryPolicy;
 use crate::{ZapcError, ZapcResult};
-use zapc_faults::FaultAction;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use zapc_ckpt::{
-    capture_memory_round, checkpoint_standalone_with, DecodedPod, RestoredSockets, SaveOpts,
-};
-use zapc_netckpt::{checkpoint_network_obs, restore_network, NetworkRestorePlan};
-use zapc_pod::Pod;
+use zapc_ckpt::{capture_memory_round, checkpoint_standalone_with, DecodedPod, SaveOpts};
+use zapc_faults::{FaultAction, MANAGER};
+use zapc_netckpt::checkpoint_network_obs;
 use zapc_proto::image::Header;
 use zapc_proto::rw::RecordStream;
 use zapc_proto::{
@@ -102,27 +101,31 @@ const STREAM_DEPTH: usize = 64;
 /// How often a blocked receiver polls its control channel.
 const CTL_POLL: Duration = Duration::from_millis(5);
 
-/// Control messages to a live-migration source Agent.
-enum SrcCtl {
-    /// All pods finished pre-copy: suspend and take the final cut.
+/// Control messages to the per-pod source and receiver Agents.
+enum LiveCtl {
+    /// To a source: all pods finished pre-copy — suspend and take the
+    /// final cut.
     Cutover,
-    /// Commit: destroy the source pod (the receiver has everything).
-    Commit,
-    /// Abort: resume (or keep running) and bail out.
-    Abort,
-}
-
-/// Control messages to a live-migration receiver Agent.
-enum RcvCtl {
-    /// Commit: create the pod from the accumulated state and resume it.
-    Commit {
+    /// To a source: commit — destroy the pod (the receiver has
+    /// everything).
+    CommitSource,
+    /// To a receiver: commit — create the pod from the accumulated state
+    /// and resume it.
+    CommitReceiver {
         /// This pod's meta-data with Manager-assigned reconnection roles.
         my_meta: Box<MetaData>,
         /// The merged cluster meta-data.
         all_meta: Arc<Vec<MetaData>>,
     },
-    /// Abort: discard everything; no pod is created.
+    /// Abort: a source resumes (or keeps running), a receiver discards
+    /// everything; no pod is created.
     Abort,
+}
+
+impl Ctl for LiveCtl {
+    fn abort() -> Self {
+        LiveCtl::Abort
+    }
 }
 
 /// Replies from the per-pod source and receiver Agents to the Manager.
@@ -133,10 +136,24 @@ enum LiveReply {
     Meta { pod: String, meta: Box<MetaData>, suspended_at: Instant },
     /// Receiver: every frame decoded and applied; ready to commit.
     Applied { pod: String },
-    /// Source finished (pod destroyed) or failed.
-    SourceDone { pod: String, result: Result<SourceOutcome, String> },
-    /// Receiver finished (pod resumed) or failed.
-    ReceiverDone { pod: String, result: Result<ReceiverOutcome, String> },
+    /// A participant finished (source: pod destroyed; receiver: pod
+    /// resumed) or failed. `key` is its [`src_key`] / [`rcv_key`].
+    Done { key: String, epoch: u64, result: Result<Outcome, String> },
+}
+
+impl Reply for LiveReply {
+    fn done(&self) -> Option<(&str, u64)> {
+        match self {
+            LiveReply::Done { key, epoch, .. } => Some((key, *epoch)),
+            _ => None,
+        }
+    }
+}
+
+/// What a committed participant reports.
+enum Outcome {
+    Source(SourceOutcome),
+    Receiver(ReceiverOutcome),
 }
 
 /// What a committed source reports.
@@ -226,73 +243,43 @@ pub fn migrate_live_with(
         }
     }
 
-    let (reply_tx, reply_rx) = unbounded::<LiveReply>();
-    let mut src_ctls: HashMap<String, Sender<SrcCtl>> = HashMap::new();
-    let mut rcv_ctls: HashMap<String, Sender<RcvCtl>> = HashMap::new();
-
-    // Health watch: every participant (source and receiver side of every
-    // pod) mapped to the node whose lease keeps it alive. A participant
-    // leaves the watch once its `done` arrives.
-    let mut watch: HashMap<String, u32> = HashMap::new();
-    for (pod, node) in moves {
-        if let Some(n) = cluster.pod_node(pod) {
-            watch.insert(src_key(pod), n as u32);
-        }
-        watch.insert(rcv_key(pod), *node as u32);
-    }
+    // Every pod has two participants — its source and its receiver side —
+    // each watched through the node whose lease keeps it alive until its
+    // `done` arrives.
+    let mut co: Coord<'_, LiveCtl, LiveReply> = Coord::new(cluster, opts.timeout);
 
     std::thread::scope(|scope| {
         for (pod, node) in moves {
             let (stream_tx, stream_rx) = bounded::<Vec<u8>>(STREAM_DEPTH);
-            let (sctl_tx, sctl_rx) = bounded::<SrcCtl>(2);
-            let (rctl_tx, rctl_rx) = bounded::<RcvCtl>(1);
-            src_ctls.insert(pod.clone(), sctl_tx);
-            rcv_ctls.insert(pod.clone(), rctl_tx);
-            let (src_reply, rcv_reply) = (reply_tx.clone(), reply_tx.clone());
+            let (src_reply, src_ctl) = co.register(&src_key(pod), cluster.pod_node(pod));
+            let (rcv_reply, rcv_ctl) = co.register(&rcv_key(pod), Some(*node));
             let node = *node;
-            scope.spawn(move || live_source(cluster, pod, node, opts, stream_tx, src_reply, sctl_rx));
             scope.spawn(move || {
-                live_receiver(cluster, pod, node, stream_rx, rcv_reply, rctl_rx, opts.timeout)
+                live_source(cluster, pod, node, opts, stream_tx, src_reply, src_ctl)
+            });
+            scope.spawn(move || {
+                live_receiver(cluster, pod, node, stream_rx, rcv_reply, rcv_ctl, opts.timeout)
             });
         }
 
         let n = moves.len();
-        let mut st = LiveState {
-            cluster,
-            rx: &reply_rx,
-            src_ctls: &src_ctls,
-            rcv_ctls: &rcv_ctls,
-            watch,
-            timeout: opts.timeout,
-            precopy: HashMap::new(),
-            suspended: HashMap::new(),
-            applied: HashSet::new(),
-            source_out: HashMap::new(),
-            receiver_out: HashMap::new(),
-            failure: None,
-        };
+        let mut st = LiveState::default();
 
         // Phase A: pre-copy. The application keeps running; wait until
         // every source reports that it converged or hit its cap.
-        while st.precopy.len() < n && st.failure.is_none() {
-            st.step();
-        }
-        if let Some(why) = st.failure.take() {
-            return st.abort(why);
+        while st.precopy.len() < n {
+            st.step(&mut co)?;
         }
         let t_precopy = Instant::now();
 
         // Phase B: coordinated cutover. Every source suspends, cuts its
         // network state, ships the final delta; every receiver finishes
         // decoding and acknowledges. Nothing is destroyed or created yet.
-        for ctl in src_ctls.values() {
-            let _ = ctl.send(SrcCtl::Cutover);
+        for (pod, _) in moves {
+            co.send(&src_key(pod), LiveCtl::Cutover);
         }
-        while (st.suspended.len() < n || st.applied.len() < n) && st.failure.is_none() {
-            st.step();
-        }
-        if let Some(why) = st.failure.take() {
-            return st.abort(why);
+        while st.suspended.len() < n || st.applied.len() < n {
+            st.step(&mut co)?;
         }
 
         // ── Commit point: every meta collected, every stream applied. ──
@@ -305,34 +292,28 @@ pub fn migrate_live_with(
 
         // Commit the sources first: destroy + forget must complete before
         // any receiver registers the pod's new home, or the teardown
-        // would clobber the fresh routing entry.
-        for ctl in src_ctls.values() {
-            let _ = ctl.send(SrcCtl::Commit);
+        // would clobber the fresh routing entry. Past the commit point a
+        // failure still aborts the receivers (no pod was created yet),
+        // but sources may already be gone — final.
+        for (pod, _) in moves {
+            co.send(&src_key(pod), LiveCtl::CommitSource);
         }
-        while st.source_out.len() < n && st.failure.is_none() {
-            st.step();
-        }
-        if let Some(why) = st.failure.take() {
-            // Past the commit point: receivers are aborted (no pod was
-            // created yet), but sources may already be gone — final.
-            return st.abort(why);
+        while st.source_out.len() < n {
+            st.step(&mut co)?;
         }
 
         // Commit the receivers: create pods, reconnect, reinstate, resume.
+        // Receiver failures after the commit point are final, exactly
+        // like stop-and-copy phase 2.
         for (i, (pod, _)) in moves.iter().enumerate() {
-            let ctl = rcv_ctls.get(pod).expect("receiver ctl");
-            let _ = ctl.send(RcvCtl::Commit {
+            let commit = LiveCtl::CommitReceiver {
                 my_meta: Box::new(all_meta[i].clone()),
                 all_meta: Arc::clone(&all_meta),
-            });
+            };
+            co.send(&rcv_key(pod), commit);
         }
-        while st.receiver_out.len() < n && st.failure.is_none() {
-            st.step();
-        }
-        if let Some(why) = st.failure.take() {
-            // Receiver failures after the commit point are final, exactly
-            // like stop-and-copy phase 2.
-            return Err(ZapcError::Aborted(why));
+        while st.receiver_out.len() < n {
+            st.step(&mut co)?;
         }
         let t_end = Instant::now();
 
@@ -372,134 +353,58 @@ pub fn migrate_live_with(
 }
 
 fn src_key(pod: &str) -> String {
-    format!("{pod}\u{1}src")
+    format!("{pod}{ROLE_SEP}source")
 }
 fn rcv_key(pod: &str) -> String {
-    format!("{pod}\u{1}rcv")
+    format!("{pod}{ROLE_SEP}receiver")
 }
 
 /// Manager-side bookkeeping shared by every phase of the live-migration
-/// state machine: one `step()` consumes one reply (or a health/timeout
-/// event) and files it; phases just wait for their completion predicate.
-struct LiveState<'a> {
-    cluster: &'a Cluster,
-    rx: &'a Receiver<LiveReply>,
-    src_ctls: &'a HashMap<String, Sender<SrcCtl>>,
-    rcv_ctls: &'a HashMap<String, Sender<RcvCtl>>,
-    /// participant key → node whose lease keeps it alive.
-    watch: HashMap<String, u32>,
-    timeout: Duration,
+/// state machine: one `step()` consumes one reply and files it; phases
+/// just wait for their completion predicate.
+#[derive(Default)]
+struct LiveState {
     precopy: HashMap<String, (u32, u64, u64, bool)>,
     suspended: HashMap<String, (MetaData, Instant)>,
     applied: HashSet<String>,
     source_out: HashMap<String, SourceOutcome>,
     receiver_out: HashMap<String, ReceiverOutcome>,
-    failure: Option<String>,
 }
 
-impl LiveState<'_> {
-    /// Receives and files one reply; sets `failure` on an error reply, a
-    /// dead participant node, or a timeout.
-    fn step(&mut self) {
-        match self.recv_watching_health() {
-            Ok(LiveReply::Precopy { pod, rounds, precopy_bytes, residual_bytes, converged }) => {
+impl LiveState {
+    /// Receives and files one reply. An error reply, a dead participant
+    /// node and a timeout all abort the operation (the core drains the
+    /// participants that still owe a `done`) and surface the typed error.
+    fn step(&mut self, co: &mut Coord<'_, LiveCtl, LiveReply>) -> ZapcResult<()> {
+        match co.recv("a live-migration reply")? {
+            LiveReply::Precopy { pod, rounds, precopy_bytes, residual_bytes, converged } => {
                 self.precopy.insert(pod, (rounds, precopy_bytes, residual_bytes, converged));
             }
-            Ok(LiveReply::Meta { pod, meta, suspended_at }) => {
+            LiveReply::Meta { pod, meta, suspended_at } => {
                 self.suspended.insert(pod, (*meta, suspended_at));
             }
-            Ok(LiveReply::Applied { pod }) => {
+            LiveReply::Applied { pod } => {
                 self.applied.insert(pod);
             }
-            Ok(LiveReply::SourceDone { pod, result }) => {
-                self.watch.remove(&src_key(&pod));
+            LiveReply::Done { key, result, .. } => {
+                let (pod, role) = key.split_once(ROLE_SEP).unwrap_or((&key, "live"));
                 match result {
-                    Ok(out) => {
-                        self.source_out.insert(pod, out);
+                    Ok(Outcome::Source(out)) => {
+                        self.source_out.insert(pod.to_owned(), out);
                     }
-                    Err(why) => self.failure = Some(format!("source agent for {pod}: {why}")),
-                }
-            }
-            Ok(LiveReply::ReceiverDone { pod, result }) => {
-                self.watch.remove(&rcv_key(&pod));
-                match result {
-                    Ok(out) => {
-                        self.receiver_out.insert(pod, out);
+                    Ok(Outcome::Receiver(out)) => {
+                        self.receiver_out.insert(pod.to_owned(), out);
                     }
-                    Err(why) => self.failure = Some(format!("receiver agent for {pod}: {why}")),
-                }
-            }
-            Err(Some(why)) => self.failure = Some(why),
-            Err(None) => self.failure = Some("live migration reply timeout".into()),
-        }
-    }
-
-    /// Bounded receive that also polls the health table: a participant on
-    /// a dead node will never reply, so waiting out the full timeout
-    /// would just stall the abort.
-    fn recv_watching_health(&mut self) -> Result<LiveReply, Option<String>> {
-        let deadline = Instant::now() + self.timeout;
-        loop {
-            let slice = CTL_POLL.min(deadline.saturating_duration_since(Instant::now()));
-            match self.rx.recv_timeout(slice) {
-                Ok(r) => return Ok(r),
-                Err(RecvTimeoutError::Disconnected) => return Err(None),
-                Err(RecvTimeoutError::Timeout) => {
-                    for (who, &node) in &self.watch {
-                        if !self.cluster.health.is_alive(node) {
-                            let pod = who.split('\u{1}').next().unwrap_or(who);
-                            return Err(Some(format!(
-                                "node {node} hosting pod {pod:?} died mid-migration"
-                            )));
-                        }
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(None);
-                    }
+                    Err(why) => return Err(co.abort(format!("{role} agent for {pod}: {why}"))),
                 }
             }
         }
-    }
-
-    /// Tells every participant to abort, waits out their `done` replies
-    /// (participants on dead nodes will never send one), and surfaces the
-    /// typed abort.
-    fn abort(mut self, why: String) -> ZapcResult<LiveMigrateReport> {
-        for ctl in self.src_ctls.values() {
-            let _ = ctl.try_send(SrcCtl::Abort);
-        }
-        for ctl in self.rcv_ctls.values() {
-            let _ = ctl.try_send(RcvCtl::Abort);
-        }
-        // Every participant still on the watch list owes exactly one
-        // `done`, except those whose node died.
-        let mut pending = self
-            .watch
-            .iter()
-            .filter(|(_, &node)| self.cluster.health.is_alive(node))
-            .count();
-        let deadline = Instant::now() + self.timeout;
-        while pending > 0 {
-            match self.rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                Ok(LiveReply::SourceDone { pod, .. }) => {
-                    self.watch.remove(&src_key(&pod));
-                    pending -= 1;
-                }
-                Ok(LiveReply::ReceiverDone { pod, .. }) => {
-                    self.watch.remove(&rcv_key(&pod));
-                    pending -= 1;
-                }
-                Ok(_) => {}
-                Err(_) => break,
-            }
-        }
-        Err(ZapcError::Aborted(why))
+        Ok(())
     }
 }
 
 /// The source Agent of one live-migrated pod: pre-copy rounds while the
 /// pod runs, then the quiesced cutover. See the module docs.
-#[allow(clippy::too_many_arguments)]
 fn live_source(
     cluster: &Cluster,
     pod_name: &str,
@@ -507,10 +412,12 @@ fn live_source(
     opts: &MigrateOptions,
     stream: Sender<Vec<u8>>,
     reply: Sender<LiveReply>,
-    ctl: Receiver<SrcCtl>,
+    ctl: Receiver<LiveCtl>,
 ) {
+    let key = src_key(pod_name);
     let send_done = |result: Result<SourceOutcome, String>| {
-        let _ = reply.send(LiveReply::SourceDone { pod: pod_name.to_owned(), result });
+        let result = result.map(Outcome::Source);
+        let _ = reply.send(LiveReply::Done { key: key.clone(), epoch: cluster.epoch(), result });
     };
     let Some(pod) = cluster.pod(pod_name) else {
         send_done(Err(format!("unknown pod {pod_name:?}")));
@@ -536,7 +443,7 @@ fn live_source(
     let mut converged = false;
     loop {
         match ctl.try_recv() {
-            Ok(SrcCtl::Abort) => {
+            Ok(LiveCtl::Abort) => {
                 send_done(Err("aborted during pre-copy".into()));
                 return;
             }
@@ -633,7 +540,7 @@ fn live_source(
         converged,
     });
     match ctl.recv_timeout(opts.timeout) {
-        Ok(SrcCtl::Cutover) => {}
+        Ok(LiveCtl::Cutover) => {}
         Ok(_) | Err(_) => {
             // Abort, timeout, or a broken Manager connection: the pod is
             // still running untouched — just walk away.
@@ -651,14 +558,12 @@ fn live_source(
     // ── Cutover: suspend, block, cut network state, ship the residual. ──
     let suspended_at = Instant::now();
     let cut_span = obs.span(pod_name, "mig.cutover");
-    if let Err(e) = pod.suspend() {
-        send_done(Err(format!("suspend failed: {e}")));
+    if let Err(why) = quiesce(cluster, &pod) {
+        send_done(Err(why));
         return;
     }
-    cluster.filter().block_ip(pod.vip());
     let rollback = |why: String| {
-        cluster.filter().unblock_ip(pod.vip());
-        let _ = pod.resume();
+        unquiesce(cluster, &pod);
         send_done(Err(why));
     };
 
@@ -721,7 +626,7 @@ fn live_source(
     // Hold the pod suspended (vip still blocked) until the Manager's
     // commit point. An abort here rolls back: the receiver discards.
     match ctl.recv_timeout(opts.timeout) {
-        Ok(SrcCtl::Commit) => {
+        Ok(LiveCtl::CommitSource) => {
             pod.destroy();
             cluster.forget_pod(pod_name);
             send_done(Ok(SourceOutcome { cut_bytes }));
@@ -749,14 +654,8 @@ fn send_frame(
     if let Some(a) = cluster.faults.hit("net.stream_torn", pod_name) {
         zapc_faults::FaultPlan::mangle(a, &mut frame);
     }
-    match cluster.faults.hit("net.partition", pod_name) {
-        Some(FaultAction::Drop) => return Ok(()),
-        Some(a) => {
-            if let Some(d) = a.delay() {
-                std::thread::sleep(d);
-            }
-        }
-        None => {}
+    if matches!(cluster.faults.hit_and_sleep("net.partition", pod_name), Some(FaultAction::Drop)) {
+        return Ok(());
     }
     if cluster.partition.is_cut(link.0, link.1) {
         let policy = RetryPolicy::new(20, Duration::from_millis(5));
@@ -774,39 +673,50 @@ fn send_frame(
             return Err(format!("stream link {} → {} stayed cut", link.0, link.1));
         }
     }
-    stream.send(frame).map_err(|_| "stream receiver gone".to_string())
+    stream.send(frame).map_err(|_| "stream receiver gone".to_string())?;
+    // Likewise on the sending side (see `live_receiver`).
+    heartbeat(cluster, link.0, MANAGER);
+    Ok(())
+}
+
+/// What a receiver has accumulated from the stream: the squashed
+/// standalone state plus the sections its commit consumes whole.
+#[derive(Default)]
+struct Received {
+    parts: DecodedPod,
+    namespace: Option<Vec<u8>>,
+    net_state: Option<Vec<u8>>,
+    fs_snapshot: Option<Vec<u8>>,
 }
 
 /// The receiver Agent of one live-migrated pod: decodes frames as they
 /// arrive, squashing deltas onto the accumulated state, and creates the
 /// destination pod only at the Manager's commit.
-#[allow(clippy::too_many_arguments)]
 fn live_receiver(
     cluster: &Cluster,
     pod_name: &str,
     node: usize,
     stream: Receiver<Vec<u8>>,
     reply: Sender<LiveReply>,
-    ctl: Receiver<RcvCtl>,
+    ctl: Receiver<LiveCtl>,
     timeout: Duration,
 ) {
+    let key = rcv_key(pod_name);
     let send_done = |result: Result<ReceiverOutcome, String>| {
-        let _ = reply.send(LiveReply::ReceiverDone { pod: pod_name.to_owned(), result });
+        let result = result.map(Outcome::Receiver);
+        let _ = reply.send(LiveReply::Done { key: key.clone(), epoch: cluster.epoch(), result });
     };
 
-    let mut parts = DecodedPod::new();
-    let mut ns_payload: Option<Vec<u8>> = None;
-    let mut net_state: Option<Vec<u8>> = None;
-    let mut fs_snap: Option<Vec<u8>> = None;
+    let mut got = Received::default();
     let mut first_frame = true;
     let mut deadline = Instant::now() + timeout;
     loop {
         match ctl.try_recv() {
-            Ok(RcvCtl::Abort) => {
+            Ok(LiveCtl::Abort) => {
                 send_done(Err("aborted".into()));
                 return;
             }
-            Ok(RcvCtl::Commit { .. }) => {
+            Ok(_) => {
                 send_done(Err("protocol error: commit before stream end".into()));
                 return;
             }
@@ -819,6 +729,10 @@ fn live_receiver(
         let frame = match stream.recv_timeout(CTL_POLL) {
             Ok(f) => {
                 deadline = Instant::now() + timeout;
+                // A frame off the wire is this node's sign of life:
+                // pre-copy can outlast any lease, and the Manager hears
+                // nothing else meanwhile.
+                heartbeat(cluster, node as u32, MANAGER);
                 f
             }
             Err(RecvTimeoutError::Timeout) => {
@@ -869,12 +783,12 @@ fn live_receiver(
                         send_done(Err(format!("torn stream: unknown section tag {raw:#06x}")));
                         return;
                     }
-                    Some(SectionTag::Namespace) => ns_payload = Some(bytes.to_vec()),
-                    Some(SectionTag::NetState) => net_state = Some(bytes.to_vec()),
-                    Some(SectionTag::FsSnapshot) => fs_snap = Some(bytes.to_vec()),
+                    Some(SectionTag::Namespace) => got.namespace = Some(bytes.to_vec()),
+                    Some(SectionTag::NetState) => got.net_state = Some(bytes.to_vec()),
+                    Some(SectionTag::FsSnapshot) => got.fs_snapshot = Some(bytes.to_vec()),
                     Some(SectionTag::NetMeta) => {} // the Manager merges metas
                     Some(tag) => {
-                        if let Err(e) = parts.apply_section(tag, bytes) {
+                        if let Err(e) = got.parts.apply_section(tag, bytes) {
                             send_done(Err(format!("stream apply failed: {e}")));
                             return;
                         }
@@ -892,67 +806,41 @@ fn live_receiver(
     // Manager's verdict. Nothing exists on this node yet.
     let _ = reply.send(LiveReply::Applied { pod: pod_name.to_owned() });
     match ctl.recv_timeout(timeout) {
-        Ok(RcvCtl::Commit { my_meta, all_meta }) => {
-            let out = receiver_commit(
-                cluster, pod_name, node, parts, ns_payload, net_state, fs_snap, &my_meta,
-                &all_meta, timeout,
-            );
+        Ok(LiveCtl::CommitReceiver { my_meta, all_meta }) => {
+            let out = receiver_commit(cluster, pod_name, node, got, &my_meta, &all_meta, timeout);
             send_done(out.map_err(|e| e.to_string()));
         }
-        Ok(RcvCtl::Abort) | Err(_) => send_done(Err("aborted before commit".into())),
+        Ok(_) | Err(_) => send_done(Err("aborted before commit".into())),
     }
 }
 
 /// The receiver's commit: create the pod from the accumulated namespace,
 /// restore connectivity and network state, reinstate the already-squashed
 /// standalone state, and resume — Figure 3 with the decode pipelined away.
-#[allow(clippy::too_many_arguments)]
 fn receiver_commit(
     cluster: &Cluster,
     pod_name: &str,
     node: usize,
-    parts: DecodedPod,
-    ns_payload: Option<Vec<u8>>,
-    net_state: Option<Vec<u8>>,
-    fs_snap: Option<Vec<u8>>,
+    got: Received,
     my_meta: &MetaData,
     all_meta: &[MetaData],
     timeout: Duration,
 ) -> ZapcResult<ReceiverOutcome> {
-    let obs = &cluster.obs;
-    let ns_payload = ns_payload.ok_or_else(|| ZapcError::NotFound("namespace section".into()))?;
-    let ns = zapc_ckpt::restore::decode_namespace(&ns_payload)?;
-    let pod: Arc<Pod> =
-        Pod::from_namespace(ns, cluster.node(node), &cluster.clock, cluster.virt_overhead_ns);
-    cluster.register_restarted_pod(&pod, node);
-    // The source left the virtual IP blocked; lift the rule now that the
-    // address routes here.
-    cluster.filter().unblock_ip(pod.vip());
-    if let Some(snap) = fs_snap {
-        let mut r = RecordReader::new(&snap);
-        use zapc_proto::Decode;
-        let snap = zapc_sim::fs::FsSnapshot::decode(&mut r).map_err(ZapcError::Decode)?;
-        cluster.fs.restore(&snap);
-    }
+    let namespace =
+        got.namespace.ok_or_else(|| ZapcError::NotFound("namespace section".into()))?;
+    let pod = create_pod(cluster, node, &namespace, got.fs_snapshot.as_deref())?;
 
-    let net_payload = net_state.ok_or_else(|| ZapcError::NotFound("netstate section".into()))?;
+    let net_payload =
+        got.net_state.ok_or_else(|| ZapcError::NotFound("netstate section".into()))?;
     let records = zapc_netckpt::records::decode_records(&net_payload)?;
     let tnet = Instant::now();
-    let plan = NetworkRestorePlan {
-        my_meta,
-        all_meta,
-        records: &records,
-        timeout,
-        obs: obs.clone(),
-    };
-    let socks = restore_network(&pod, &plan)?;
+    let restored = reconnect(cluster, &pod, my_meta, all_meta, &records, timeout)?;
     let net_us = tnet.elapsed().as_micros() as u64;
-    let restored = RestoredSockets { by_ordinal: socks };
 
     // The pipelined decode already squashed every round; reinstatement is
     // a straight move of materialized state into the new pod.
-    let span = obs.span(pod_name, "mig.reinstate");
-    parts.reinstate(&pod, &cluster.registry, &restored)?;
+    let span = cluster.obs.span(pod_name, "mig.reinstate");
+    got.parts.reinstate(&pod, &cluster.registry, &restored)?;
     span.end();
     pod.resume()?;
     Ok(ReceiverOutcome { resumed_at: Instant::now(), net_us })

@@ -17,16 +17,15 @@
 //! application resumes execution (§4).
 
 use crate::agent::{
-    agent_checkpoint, agent_restart, AgentReply, CtlMsg, Finalize, PodStats, RestartInputs,
-    SyncPolicy,
+    agent_checkpoint, agent_restart, AgentReply, CheckpointJob, CtlMsg, Finalize, PodStats,
+    RestartInputs, SyncPolicy,
 };
 use crate::cluster::{CheckpointOpts, Cluster};
+use crate::coord::Coord;
 use crate::retry::RetryPolicy;
 use crate::uri::Uri;
 use crate::{ZapcError, ZapcResult};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use std::collections::{HashMap, HashSet};
-use zapc_faults::{FaultAction, MANAGER};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zapc_netckpt::assign_roles;
@@ -196,9 +195,6 @@ pub struct CheckpointOptions {
     /// file-system snapshot; off by default — the cluster assumes shared
     /// storage).
     pub fs_snapshot: bool,
-    /// Test hook: simulate a Manager crash after collecting meta-data
-    /// (drops every control connection instead of sending `continue`).
-    pub fail_manager_after_meta: bool,
     /// Retry an aborted checkpoint up to this many more times. Safe:
     /// every abort rolls the pods back to running, so a retry starts
     /// from clean state.
@@ -223,7 +219,6 @@ impl Default for CheckpointOptions {
             policy: SyncPolicy::SingleSync,
             timeout: DEFAULT_TIMEOUT,
             fs_snapshot: false,
-            fail_manager_after_meta: false,
             retries: 0,
             backoff: Duration::from_millis(50),
             ckpt: None,
@@ -248,8 +243,8 @@ pub fn checkpoint_with(
 ) -> ZapcResult<CheckpointReport> {
     let mut late = 0u64;
     let policy = RetryPolicy { retries: opts.retries, backoff: opts.backoff, ..RetryPolicy::default() };
-    let mut report = policy.run(
-        |_| checkpoint_once(cluster, targets, opts, &mut late),
+    let (mut report, _) = policy.run(
+        |_| checkpoint_once(cluster, targets, opts, "manager", &mut late),
         |e| {
             // A failed attempt may have advanced *some* pods' incremental
             // lineage (an Agent that delivered its image before the abort
@@ -270,13 +265,46 @@ pub fn checkpoint_with(
     Ok(report)
 }
 
-/// One coordinated-checkpoint attempt.
+/// Images that came back through the `done` replies (the streaming
+/// rendezvous of `Uri::Agent` targets), by pod.
+type StreamedImages = HashMap<String, Arc<Vec<u8>>>;
+
+/// What a checkpoint's Agents have reported so far.
+#[derive(Default)]
+struct Gathered {
+    meta: Vec<MetaData>,
+    pods: Vec<PodReport>,
+    images: StreamedImages,
+}
+
+impl Gathered {
+    /// Files one reply; an Agent's failure report is the `Err`.
+    fn file(&mut self, reply: AgentReply) -> Result<(), String> {
+        match reply {
+            AgentReply::Meta { meta } => self.meta.push(meta),
+            AgentReply::Done { pod, result, image, .. } => {
+                let stats = result.map_err(|why| format!("agent for {pod} failed: {why}"))?;
+                self.pods.push(stats.into());
+                if let Some(image) = image {
+                    self.images.insert(pod, image);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One coordinated-checkpoint attempt. `who` keys the Manager-crash fault
+/// sites (`"manager"` for checkpoints, `"migrate"` for a migration's
+/// phase 1). Every error path aborts the surviving Agents and drains
+/// their rollback replies, so no pod is left suspended.
 fn checkpoint_once(
     cluster: &Cluster,
     targets: &[CheckpointTarget],
     opts: &CheckpointOptions,
+    who: &str,
     late: &mut u64,
-) -> ZapcResult<CheckpointReport> {
+) -> ZapcResult<(CheckpointReport, StreamedImages)> {
     let t0 = Instant::now();
     // The epoch every Agent op and the eventual `continue` are stamped
     // with. `checkpoint_commit` pins its entry snapshot here; ad-hoc
@@ -285,8 +313,7 @@ fn checkpoint_once(
     // fence and the attempt aborts instead of committing for a Manager
     // the cluster already declared dead.
     let op_epoch = opts.epoch.unwrap_or_else(|| cluster.epoch());
-    let (reply_tx, reply_rx) = unbounded::<AgentReply>();
-    let mut ctls: HashMap<String, Sender<CtlMsg>> = HashMap::new();
+    let mut co: Coord<'_, CtlMsg, AgentReply> = Coord::new(cluster, opts.timeout);
 
     let result = std::thread::scope(|scope| {
         // Manager-side phase partition: broadcast + meta collection, the
@@ -295,98 +322,31 @@ fn checkpoint_once(
         let meta_span = cluster.obs.span("manager", "mgr.meta");
         // 1. Broadcast `checkpoint` to all participating Agents.
         for t in targets {
-            let (ctl_tx, ctl_rx) = bounded::<CtlMsg>(1);
-            ctls.insert(t.pod.clone(), ctl_tx);
-            let reply_tx = reply_tx.clone();
-            let policy = opts.policy;
-            let fs_snapshot = opts.fs_snapshot;
-            let ctl_timeout = opts.timeout;
-            let ckpt = opts.ckpt.unwrap_or(cluster.ckpt);
-            scope.spawn(move || {
-                crate::agent::agent_checkpoint_ext(
-                    cluster, &t.pod, &t.uri, t.finalize, policy, fs_snapshot, ckpt, op_epoch,
-                    ctl_timeout, &reply_tx, &ctl_rx,
-                );
-            });
+            let (reply, ctl) = co.register(&t.pod, cluster.pod_node(&t.pod));
+            let job = CheckpointJob {
+                pod: &t.pod,
+                dest: &t.uri,
+                finalize: t.finalize,
+                policy: opts.policy,
+                fs_snapshot: opts.fs_snapshot,
+                ckpt: opts.ckpt.unwrap_or(cluster.ckpt),
+                epoch: op_epoch,
+                ctl_timeout: opts.timeout,
+                reply,
+                ctl,
+            };
+            scope.spawn(move || agent_checkpoint(cluster, job));
         }
-
-        // Hosting node of every target at entry, for the health watch: a
-        // pod whose node's lease lapses mid-wait will never reply, so the
-        // Manager aborts and drains only the survivors.
-        let nodes: HashMap<String, u32> = targets
-            .iter()
-            .filter_map(|t| cluster.pod_node(&t.pod).map(|n| (t.pod.clone(), n as u32)))
-            .collect();
-        // Pods that still owe the Manager a `done` reply.
-        let mut awaiting_done: HashSet<String> =
-            targets.iter().map(|t| t.pod.clone()).collect();
 
         // 2. Receive meta-data from every Agent.
-        let mut meta: Vec<MetaData> = Vec::with_capacity(targets.len());
-        let mut net_times: HashMap<String, u64> = HashMap::new();
-        let mut early_done: Vec<AgentReply> = Vec::new();
-        let mut awaiting_meta: HashSet<String> =
-            targets.iter().map(|t| t.pod.clone()).collect();
-        while meta.len() < targets.len() {
-            match recv_watching_health(cluster, &reply_rx, &nodes, &awaiting_meta, opts.timeout) {
-                Ok(AgentReply::Meta { meta: m, net_us, pod }) => {
-                    awaiting_meta.remove(&pod);
-                    net_times.insert(pod, net_us);
-                    meta.push(m);
-                }
-                // Hard epoch check: a `done` stamped with an epoch the
-                // cluster has since moved past is a stale Agent speaking
-                // across a healed partition (or a recovery raced this
-                // attempt). It must not count as progress — the attempt
-                // aborts and the reply is only tallied.
-                Ok(AgentReply::Done { pod, epoch, .. }) if epoch < cluster.epoch() => {
-                    cluster.note_fenced_reply(&pod);
-                    awaiting_done.remove(&pod);
-                    abort_all(&ctls);
-                    *late += drain_done(cluster, &reply_rx, awaiting_done.len(), opts.timeout);
-                    return Err(ZapcError::Aborted(format!(
-                        "agent for {pod} replied at fenced epoch {epoch}"
-                    )));
-                }
-                Ok(done @ AgentReply::Done { .. }) => {
-                    // An Agent failed before reporting meta-data.
-                    if let AgentReply::Done { result: Err(why), pod, .. } = &done {
-                        let why = format!("agent for {pod} failed: {why}");
-                        abort_all(&ctls);
-                        *late += drain_done(cluster, &reply_rx, targets.len() - 1, opts.timeout);
-                        return Err(ZapcError::Aborted(why));
-                    }
-                    if let AgentReply::Done { pod, .. } = &done {
-                        awaiting_done.remove(pod);
-                    }
-                    early_done.push(done);
-                }
-                Err(dead) => {
-                    abort_all(&ctls);
-                    let silent = count_dead_pending(cluster, &nodes, &awaiting_done);
-                    *late += drain_done(
-                        cluster,
-                        &reply_rx,
-                        awaiting_done.len() - silent,
-                        opts.timeout,
-                    );
-                    return Err(ZapcError::Aborted(match dead {
-                        Some(why) => why,
-                        None => "timed out waiting for meta-data".into(),
-                    }));
-                }
-            }
+        let mut got = Gathered::default();
+        while got.meta.len() < targets.len() {
+            got.file(co.recv("meta-data")?).map_err(|why| co.abort(why))?;
         }
 
-        // Fault site / test hook: the Manager dies here. Dropping the
-        // control channels breaks every Agent's connection; they must
-        // abort and resume.
-        if opts.fail_manager_after_meta
-            || cluster.faults.hit("manager.post_meta", "manager").is_some()
-        {
-            ctls.clear();
-            *late += drain_done(cluster, &reply_rx, targets.len(), opts.timeout);
-            return Err(ZapcError::Aborted("manager crashed after meta-data".into()));
+        // Fault site: the Manager dies here.
+        if cluster.faults.hit("manager.post_meta", who).is_some() {
+            return Err(co.manager_died("manager crashed after meta-data"));
         }
         meta_span.end();
         let t_meta = Instant::now();
@@ -395,72 +355,21 @@ fn checkpoint_once(
         // `ctl.continue` fault site loses or delays individual messages;
         // the Agent's bounded wait turns a loss into a rollback.
         let sync_span = cluster.obs.span("manager", "mgr.sync");
-        send_continue(cluster, &ctls, op_epoch);
+        co.send_continue(op_epoch);
         sync_span.end();
         let t_sync = Instant::now();
         let commit_span = cluster.obs.span("manager", "mgr.commit");
 
         // Fault site: the Manager dies before collecting `done` replies.
-        if cluster.faults.hit("manager.pre_done", "manager").is_some() {
-            ctls.clear();
-            *late +=
-                drain_done(cluster, &reply_rx, targets.len() - early_done.len(), opts.timeout);
-            return Err(ZapcError::Aborted("manager crashed collecting done".into()));
+        if cluster.faults.hit("manager.pre_done", who).is_some() {
+            return Err(co.manager_died("manager crashed collecting done"));
         }
 
         // 4. Receive status from every Agent.
-        let mut pods: Vec<PodReport> = Vec::with_capacity(targets.len());
-        let mut failure: Option<String> = None;
-        for done in early_done {
-            if let AgentReply::Done { result, .. } = done {
-                match result {
-                    Ok(stats) => pods.push(stats.into()),
-                    Err(why) => failure = Some(why),
-                }
-            }
+        while got.pods.len() < targets.len() {
+            got.file(co.recv("done")?).map_err(|why| co.abort(why))?;
         }
-        while !awaiting_done.is_empty() {
-            match recv_watching_health(cluster, &reply_rx, &nodes, &awaiting_done, opts.timeout) {
-                // Hard epoch check (see the meta loop): stale-epoch
-                // replies never mutate state — the attempt fails instead
-                // of quietly accepting a fenced Agent's report.
-                Ok(AgentReply::Done { pod, epoch, .. }) if epoch < cluster.epoch() => {
-                    cluster.note_fenced_reply(&pod);
-                    awaiting_done.remove(&pod);
-                    failure = Some(format!("{pod} replied at fenced epoch {epoch}"));
-                }
-                Ok(AgentReply::Done { pod, result, .. }) => {
-                    awaiting_done.remove(&pod);
-                    match result {
-                        Ok(stats) => pods.push(stats.into()),
-                        Err(why) => failure = Some(why),
-                    }
-                }
-                Ok(AgentReply::Meta { .. }) => {}
-                Err(dead) => {
-                    // Same discipline as the meta-data phase: tell every
-                    // Agent to abort and wait out their rollbacks so no
-                    // pod is left suspended when we return. Pods on dead
-                    // nodes will never reply — drain survivors only.
-                    abort_all(&ctls);
-                    let silent = count_dead_pending(cluster, &nodes, &awaiting_done);
-                    *late += drain_done(
-                        cluster,
-                        &reply_rx,
-                        awaiting_done.len() - silent,
-                        opts.timeout,
-                    );
-                    failure = Some(match dead {
-                        Some(why) => why,
-                        None => "timed out waiting for done".into(),
-                    });
-                    break;
-                }
-            }
-        }
-        if let Some(why) = failure {
-            return Err(ZapcError::Aborted(why));
-        }
+        let Gathered { meta, mut pods, images } = got;
         commit_span.end();
         let t_end = Instant::now();
         pods.sort_by(|a, b| a.pod.cmp(&b.pod));
@@ -471,144 +380,11 @@ fn checkpoint_once(
                 Phase { name: "mgr.commit", ms: (t_end - t_sync).as_secs_f64() * 1000.0 },
             ],
         };
-        Ok(CheckpointReport {
-            pods,
-            wall_ms: (t_end - t0).as_secs_f64() * 1000.0,
-            phases,
-            late_replies: 0,
-            meta,
-        })
+        let wall_ms = (t_end - t0).as_secs_f64() * 1000.0;
+        Ok((CheckpointReport { pods, wall_ms, phases, late_replies: 0, meta }, images))
     });
+    *late += co.late;
     result
-}
-
-/// Sends `continue` (stamped with the operation epoch) to every Agent,
-/// subject to the `ctl.continue` fault site (keyed by pod; `Drop` loses
-/// the message, `Delay` postpones it), then the seeded `ctl.partition`
-/// site, then the time-driven partition schedule for the
-/// `MANAGER → hosting node` link. A partitioned send is invisible to the
-/// Manager — the Agent's bounded wait turns the loss into a rollback.
-fn send_continue(cluster: &Cluster, ctls: &HashMap<String, Sender<CtlMsg>>, epoch: u64) {
-    for (pod, ctl) in ctls {
-        match cluster.faults.hit("ctl.continue", pod) {
-            Some(FaultAction::Drop) => continue,
-            Some(a) => {
-                if let Some(d) = a.delay() {
-                    std::thread::sleep(d);
-                }
-            }
-            None => {}
-        }
-        match cluster.faults.hit("ctl.partition", pod) {
-            Some(FaultAction::Drop) => continue,
-            Some(a) => {
-                if let Some(d) = a.delay() {
-                    std::thread::sleep(d);
-                }
-            }
-            None => {}
-        }
-        if let Some(node) = cluster.pod_node(pod) {
-            if cluster.partition.is_cut(MANAGER, node as u32) {
-                continue;
-            }
-        }
-        let _ = ctl.send(CtlMsg::Continue(epoch));
-    }
-}
-
-/// How often a waiting Manager polls the node-health table.
-const HEALTH_POLL: Duration = Duration::from_millis(5);
-
-/// Bounded receive that also watches the cluster health table: returns a
-/// reply, or `Err(Some(reason))` as soon as a pending pod's node is found
-/// dead (its Agent will never reply — waiting out the full timeout would
-/// just stall the abort), or `Err(None)` on a plain timeout.
-fn recv_watching_health(
-    cluster: &Cluster,
-    rx: &Receiver<AgentReply>,
-    nodes: &HashMap<String, u32>,
-    pending: &HashSet<String>,
-    timeout: Duration,
-) -> Result<AgentReply, Option<String>> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let slice = HEALTH_POLL.min(deadline.saturating_duration_since(Instant::now()));
-        match rx.recv_timeout(slice) {
-            Ok(r) => return Ok(r),
-            Err(RecvTimeoutError::Disconnected) => return Err(None),
-            Err(RecvTimeoutError::Timeout) => {
-                for pod in pending {
-                    if let Some(&n) = nodes.get(pod) {
-                        if !cluster.health.is_alive(n) {
-                            return Err(Some(format!(
-                                "node {n} hosting pod {pod:?} died mid-operation"
-                            )));
-                        }
-                    }
-                }
-                if Instant::now() >= deadline {
-                    return Err(None);
-                }
-            }
-        }
-    }
-}
-
-/// How many pending pods sit on dead nodes (and so will never reply).
-fn count_dead_pending(
-    cluster: &Cluster,
-    nodes: &HashMap<String, u32>,
-    pending: &HashSet<String>,
-) -> usize {
-    pending
-        .iter()
-        .filter(|p| nodes.get(*p).is_some_and(|&n| !cluster.health.is_alive(n)))
-        .count()
-}
-
-fn abort_all(ctls: &HashMap<String, Sender<CtlMsg>>) {
-    // try_send: a control channel may still hold an unconsumed `continue`
-    // (the Agent died before reading it) — never block on it.
-    for ctl in ctls.values() {
-        let _ = ctl.try_send(CtlMsg::Abort);
-    }
-}
-
-/// Waits out up to `pending` rollback (`done`) replies after an abort so
-/// no Agent thread is left blocked on a full channel. Returns how many
-/// replies actually arrived: these are Agent reports the operation
-/// consumed without surfacing (the bug this fixed silently discarded
-/// them), so callers accumulate the count into the report's
-/// `late_replies` and emit one `mgr.late_reply` counter per reply.
-#[must_use]
-fn drain_done(
-    cluster: &Cluster,
-    rx: &Receiver<AgentReply>,
-    mut pending: usize,
-    timeout: Duration,
-) -> u64 {
-    let mut late = 0u64;
-    while pending > 0 {
-        match rx.recv_timeout(timeout) {
-            Ok(AgentReply::Done { pod, epoch, .. }) => {
-                pending -= 1;
-                late += 1;
-                if epoch < cluster.epoch() {
-                    // Drained *and* fenced: the reply crossed an epoch
-                    // bump (recovery raced the abort). Tally it so tests
-                    // can assert stale Agents were heard but ignored.
-                    cluster.note_fenced_reply(&pod);
-                }
-                if cluster.obs.enabled() {
-                    cluster.obs.counter(&pod, "mgr.late_reply", 1);
-                }
-            }
-            Ok(_) => {}
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    late
 }
 
 /// Coordinated restart (Figure 3, Manager side) with the default timeout.
@@ -634,7 +410,7 @@ pub fn restart_with(
                 .store
                 .get(label)
                 .ok_or_else(|| ZapcError::NotFound(format!("image {label:?}")))?,
-            Uri::Agent { .. } | Uri::Stream { .. } => {
+            Uri::Agent { .. } => {
                 return Err(ZapcError::NotFound(
                     "streamed images are consumed by migrate()".into(),
                 ))
@@ -664,13 +440,10 @@ pub fn restart_with(
         images.push(image);
     }
 
-    restart_from_parts(cluster, targets, images, metas, timeout, t0, false, 0)
+    restart_from_parts(cluster, targets, images, metas, timeout, t0, false)
 }
 
 /// Shared tail of `restart`/`migrate`: schedule + per-Agent restart.
-/// `late` carries `done` replies already drained by the caller's aborted
-/// checkpoint attempts (migrations), surfaced on the final report.
-#[allow(clippy::too_many_arguments)]
 fn restart_from_parts(
     cluster: &Cluster,
     targets: &[RestartTarget],
@@ -679,7 +452,6 @@ fn restart_from_parts(
     timeout: Duration,
     t0: Instant,
     sendq_merge: bool,
-    late: u64,
 ) -> ZapcResult<RestartReport> {
     // `mgr.prepare` covers everything before the schedule: image fetch
     // and squash for a restart, the whole checkpoint phase 1 for a
@@ -715,7 +487,10 @@ fn restart_from_parts(
 
     // 1. Send `restart` + modified meta-data to each Agent.
     let restore_span = cluster.obs.span("manager", "mgr.restore");
-    let (reply_tx, reply_rx) = unbounded::<AgentReply>();
+    // The Agents bound their own reconnection by `timeout`; the Manager
+    // leaves them room to report that failure themselves.
+    let mut co: Coord<'_, CtlMsg, AgentReply> =
+        Coord::new(cluster, timeout + Duration::from_secs(5));
     std::thread::scope(|scope| {
         for (i, t) in targets.iter().enumerate() {
             let inputs = RestartInputs {
@@ -725,23 +500,17 @@ fn restart_from_parts(
                 node: t.node,
                 records: merged_records[i].take(),
             };
-            let reply_tx = reply_tx.clone();
-            scope.spawn(move || agent_restart(cluster, inputs, timeout, &reply_tx));
+            let (reply, _no_ctl) = co.register(&t.pod, Some(t.node));
+            scope.spawn(move || agent_restart(cluster, inputs, timeout, &reply));
         }
 
         // 2. Receive status from every Agent.
-        let mut pods = Vec::with_capacity(targets.len());
-        for _ in 0..targets.len() {
-            match reply_rx.recv_timeout(timeout + Duration::from_secs(5)) {
-                Ok(AgentReply::Done { result: Ok(stats), .. }) => pods.push(stats.into()),
-                Ok(AgentReply::Done { result: Err(why), .. }) => {
-                    return Err(ZapcError::Aborted(why))
-                }
-                Ok(_) => {}
-                Err(_) => return Err(ZapcError::Aborted("restart reply timeout".into())),
-            }
+        let mut got = Gathered::default();
+        while got.pods.len() < targets.len() {
+            got.file(co.recv("restart done")?).map_err(|why| co.abort(why))?;
         }
-        pods.sort_by(|a: &PodReport, b: &PodReport| a.pod.cmp(&b.pod));
+        let mut pods = got.pods;
+        pods.sort_by(|a, b| a.pod.cmp(&b.pod));
         restore_span.end();
         let t_end = Instant::now();
         let phases = PhaseBreakdown {
@@ -758,7 +527,7 @@ fn restart_from_parts(
             pods,
             wall_ms: (t_end - t0).as_secs_f64() * 1000.0,
             phases,
-            late_replies: late,
+            late_replies: 0,
         })
     })
 }
@@ -856,10 +625,16 @@ pub fn migrate_with(
         })
         .collect();
 
+    // Phase 1 *is* a coordinated checkpoint whose images come back through
+    // the `done` replies (the streaming rendezvous) instead of storage.
+    // Migrations always run under the live epoch: there is no durable
+    // commit to pin, and a recovery racing phase 1 should fence it the
+    // moment the bump lands.
+    let ck_opts = CheckpointOptions { timeout: opts.timeout, ..CheckpointOptions::default() };
     let mut late = 0u64;
     let policy = RetryPolicy { retries: opts.retries, backoff: opts.backoff, ..RetryPolicy::default() };
-    let (images, metas) = policy.run(
-        |_| migrate_checkpoint_phase(cluster, &targets, opts, &mut late),
+    let (ckpt, images) = policy.run(
+        |_| checkpoint_once(cluster, &targets, &ck_opts, "migrate", &mut late),
         // Retry only when every source pod survived the abort; a fault
         // that struck after some Agents passed the sync point (and
         // destroyed their pods) is final.
@@ -870,17 +645,20 @@ pub fn migrate_with(
     )?;
 
     // Phase 2: restart at the destinations from the streamed images.
-    let restart_targets: Vec<RestartTarget> = moves
-        .iter()
-        .map(|(pod, node)| RestartTarget { pod: pod.clone(), uri: Uri::Agent { node: *node }, node: *node })
-        .collect();
-    let ordered_images: Vec<Arc<Vec<u8>>> = moves
-        .iter()
-        .map(|(pod, _)| Arc::clone(images.get(pod).expect("image collected")))
-        .collect();
-    let ordered_metas: Vec<MetaData> =
-        moves.iter().map(|(pod, _)| metas.get(pod).expect("meta collected").clone()).collect();
-    restart_from_parts(
+    let mut restart_targets = Vec::with_capacity(moves.len());
+    let mut ordered_images = Vec::with_capacity(moves.len());
+    let mut ordered_metas = Vec::with_capacity(moves.len());
+    for (pod, node) in moves {
+        restart_targets.push(RestartTarget {
+            pod: pod.clone(),
+            uri: Uri::Agent { node: *node },
+            node: *node,
+        });
+        ordered_images.push(Arc::clone(images.get(pod).expect("image collected")));
+        ordered_metas
+            .push(ckpt.meta.iter().find(|m| m.pod == *pod).expect("meta collected").clone());
+    }
+    let mut report = restart_from_parts(
         cluster,
         &restart_targets,
         ordered_images,
@@ -888,130 +666,7 @@ pub fn migrate_with(
         opts.timeout,
         t0,
         opts.sendq_merge,
-        late,
-    )
-}
-
-type StreamedParts = (HashMap<String, Arc<Vec<u8>>>, HashMap<String, MetaData>);
-
-/// Phase 1 of a migration: coordinated checkpoint of the sources; images
-/// come back through the `done` replies (the streaming rendezvous)
-/// instead of storage. Every error path aborts the surviving Agents and
-/// drains their rollback replies, so no pod is left suspended.
-fn migrate_checkpoint_phase(
-    cluster: &Cluster,
-    targets: &[CheckpointTarget],
-    opts: &MigrateOptions,
-    late: &mut u64,
-) -> ZapcResult<StreamedParts> {
-    // Migrations always run under the live epoch: there is no durable
-    // commit to pin, and a recovery racing phase 1 should fence it the
-    // moment the bump lands.
-    let op_epoch = cluster.epoch();
-    let (reply_tx, reply_rx) = unbounded::<AgentReply>();
-    let mut ctls: HashMap<String, Sender<CtlMsg>> = HashMap::new();
-    std::thread::scope(|scope| {
-        for t in targets {
-            let (ctl_tx, ctl_rx) = bounded::<CtlMsg>(1);
-            ctls.insert(t.pod.clone(), ctl_tx);
-            let reply_tx = reply_tx.clone();
-            let ctl_timeout = opts.timeout;
-            scope.spawn(move || {
-                agent_checkpoint(
-                    cluster,
-                    &t.pod,
-                    &t.uri,
-                    t.finalize,
-                    SyncPolicy::SingleSync,
-                    op_epoch,
-                    ctl_timeout,
-                    &reply_tx,
-                    &ctl_rx,
-                );
-            });
-        }
-        let mut metas: HashMap<String, MetaData> = HashMap::new();
-        while metas.len() < targets.len() {
-            match reply_rx.recv_timeout(opts.timeout) {
-                Ok(AgentReply::Meta { pod, meta, .. }) => {
-                    metas.insert(pod, meta);
-                }
-                Ok(AgentReply::Done { pod, epoch, .. }) if epoch < cluster.epoch() => {
-                    cluster.note_fenced_reply(&pod);
-                    abort_all(&ctls);
-                    *late += drain_done(cluster, &reply_rx, targets.len() - 1, opts.timeout);
-                    return Err(ZapcError::Aborted(format!(
-                        "{pod} replied at fenced epoch {epoch}"
-                    )));
-                }
-                Ok(AgentReply::Done { result: Err(why), .. }) => {
-                    abort_all(&ctls);
-                    *late += drain_done(cluster, &reply_rx, targets.len() - 1, opts.timeout);
-                    return Err(ZapcError::Aborted(why));
-                }
-                Ok(_) => {}
-                Err(_) => {
-                    abort_all(&ctls);
-                    *late += drain_done(cluster, &reply_rx, targets.len(), opts.timeout);
-                    return Err(ZapcError::Aborted("migrate: meta-data timeout".into()));
-                }
-            }
-        }
-
-        if cluster.faults.hit("manager.post_meta", "migrate").is_some() {
-            ctls.clear();
-            *late += drain_done(cluster, &reply_rx, targets.len(), opts.timeout);
-            return Err(ZapcError::Aborted("manager crashed after meta-data".into()));
-        }
-
-        send_continue(cluster, &ctls, op_epoch);
-
-        if cluster.faults.hit("manager.pre_done", "migrate").is_some() {
-            ctls.clear();
-            *late += drain_done(cluster, &reply_rx, targets.len(), opts.timeout);
-            return Err(ZapcError::Aborted("manager crashed collecting done".into()));
-        }
-
-        let mut images: HashMap<String, Arc<Vec<u8>>> = HashMap::new();
-        let mut pending = targets.len();
-        while pending > 0 {
-            match reply_rx.recv_timeout(opts.timeout) {
-                Ok(AgentReply::Done { pod, epoch, .. }) if epoch < cluster.epoch() => {
-                    pending -= 1;
-                    cluster.note_fenced_reply(&pod);
-                    abort_all(&ctls);
-                    *late += drain_done(cluster, &reply_rx, pending, opts.timeout);
-                    return Err(ZapcError::Aborted(format!(
-                        "{pod} replied at fenced epoch {epoch}"
-                    )));
-                }
-                Ok(AgentReply::Done { pod, result: Ok(_), image, .. }) => {
-                    pending -= 1;
-                    match image {
-                        Some(img) => {
-                            images.insert(pod, img);
-                        }
-                        None => {
-                            abort_all(&ctls);
-                            *late += drain_done(cluster, &reply_rx, pending, opts.timeout);
-                            return Err(ZapcError::Aborted(format!("{pod}: no streamed image")));
-                        }
-                    }
-                }
-                Ok(AgentReply::Done { result: Err(why), .. }) => {
-                    pending -= 1;
-                    abort_all(&ctls);
-                    *late += drain_done(cluster, &reply_rx, pending, opts.timeout);
-                    return Err(ZapcError::Aborted(why));
-                }
-                Ok(_) => {}
-                Err(_) => {
-                    abort_all(&ctls);
-                    *late += drain_done(cluster, &reply_rx, pending, opts.timeout);
-                    return Err(ZapcError::Aborted("migrate: done timeout".into()));
-                }
-            }
-        }
-        Ok((images, metas))
-    })
+    )?;
+    report.late_replies = late;
+    Ok(report)
 }

@@ -24,15 +24,6 @@ pub enum Uri {
         /// Destination node index.
         node: usize,
     },
-    /// An open frame stream to the Agent on the given destination node:
-    /// the live-migration rendezvous (`migrate_live`), where the image
-    /// arrives as a sequence of pre-copy rounds rather than one blob. As
-    /// a one-shot checkpoint destination it behaves like [`Uri::Agent`]
-    /// (the image rides back in the `done` reply).
-    Stream {
-        /// Destination node index.
-        node: usize,
-    },
     /// A slot in the cluster's *durable* image store: the image is staged
     /// under checkpoint id `ckpt` (write-to-temp → fsync → atomic rename)
     /// and becomes part of an application checkpoint only once the

@@ -11,7 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use zapc::agent::Finalize;
 use zapc::manager::{checkpoint_with, CheckpointOptions, CheckpointTarget, RestartTarget};
-use zapc::{checkpoint, migrate, restart, Cluster, Uri, ZapcError};
+use zapc::manager::{migrate_with, MigrateOptions};
+use zapc::{checkpoint, migrate, restart, Cluster, FaultAction, FaultPlan, Uri, ZapcError};
 use zapc_net::RecvFlags;
 use zapc_proto::{Endpoint, RecordReader, RecordWriter, Transport};
 use zapc_sim::{ProcessCtx, Program, ProgramRegistry, StepOutcome};
@@ -180,7 +181,17 @@ fn registry() -> ProgramRegistry {
 /// Builds a cluster with `nodes` nodes and launches an `n`-rank ring,
 /// one pod per rank, round-robin over the nodes.
 fn launch_ring(nodes: usize, n: usize, rounds: u64) -> (Cluster, Vec<String>) {
-    let cluster = Cluster::builder().nodes(nodes).registry(registry()).build();
+    launch_ring_under(FaultPlan::none(), nodes, n, rounds)
+}
+
+/// [`launch_ring`] on a cluster with a fault plan installed.
+fn launch_ring_under(
+    plan: FaultPlan,
+    nodes: usize,
+    n: usize,
+    rounds: u64,
+) -> (Cluster, Vec<String>) {
+    let cluster = Cluster::builder().nodes(nodes).registry(registry()).faults(plan).build();
     let pods: Vec<Arc<zapc_pod::Pod>> =
         (0..n).map(|i| cluster.create_pod(&format!("ring-{i}"), i % nodes)).collect();
     for (i, pod) in pods.iter().enumerate() {
@@ -336,15 +347,60 @@ fn agent_failure_aborts_gracefully_and_application_resumes() {
 #[test]
 fn manager_failure_after_meta_data_aborts_gracefully() {
     let expected = reference_codes(2, 400);
-    let (cluster, names) = launch_ring(2, 2, 400);
+    // The Manager dies after collecting meta-data: every control
+    // connection drops instead of carrying `continue`.
+    let plan = FaultPlan::script()
+        .inject("manager.post_meta", Some("manager"), 0, FaultAction::Crash)
+        .build();
+    let (cluster, names) = launch_ring_under(plan, 2, 2, 400);
     std::thread::sleep(Duration::from_millis(10));
 
     let targets: Vec<CheckpointTarget> =
         names.iter().map(|n| CheckpointTarget::snapshot(n)).collect();
-    let opts = CheckpointOptions { fail_manager_after_meta: true, ..Default::default() };
-    match checkpoint_with(&cluster, &targets, &opts) {
+    match checkpoint_with(&cluster, &targets, &CheckpointOptions::default()) {
         Err(ZapcError::Aborted(_)) => {}
         other => panic!("expected abort, got {other:?}"),
+    }
+    assert_eq!(cluster.faults.fired(), 1, "the Manager crash site must have fired");
+    assert_eq!(wait_codes(&cluster, &names), expected);
+}
+
+#[test]
+fn migrate_aborts_within_a_lease_when_a_source_node_dies_in_phase_1() {
+    let expected = reference_codes(2, 400);
+    // ring-1's Agent is held inside phase 1 (pod suspended, meta-data not
+    // yet reported) long enough for its node to be declared dead.
+    let plan = FaultPlan::script()
+        .inject("agent.slow", Some("ring-1"), 0, FaultAction::Delay { micros: 150_000 })
+        .build();
+    let (cluster, names) = launch_ring_under(plan, 2, 2, 400);
+    std::thread::sleep(Duration::from_millis(10));
+
+    let moves: Vec<(String, usize)> =
+        names.iter().enumerate().map(|(i, n)| (n.clone(), 1 - i % 2)).collect();
+    let opts = MigrateOptions { timeout: Duration::from_secs(5), ..Default::default() };
+    let t0 = std::time::Instant::now();
+    let err = std::thread::scope(|s| {
+        let op = s.spawn(|| migrate_with(&cluster, &moves, &opts));
+        while cluster.faults.fired() == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(20), "phase 1 never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        cluster.health.kill(1);
+        op.join().unwrap().unwrap_err()
+    });
+    // The health watch, not the 5 s reply timeout, ended the wait.
+    match &err {
+        ZapcError::Aborted(why) => assert!(why.contains("died"), "why = {why}"),
+        other => panic!("expected a node-death abort, got {other:?}"),
+    }
+    assert!(t0.elapsed() < Duration::from_secs(1), "abort took {:?}", t0.elapsed());
+
+    // Every source pod was rolled back: still home, network unblocked,
+    // and resumed — the ring only completes if all of its ranks run.
+    for (i, n) in names.iter().enumerate() {
+        assert_eq!(cluster.pod_node(n), Some(i % 2));
+        assert!(!cluster.filter().is_blocked(cluster.pod(n).unwrap().vip()));
     }
     assert_eq!(wait_codes(&cluster, &names), expected);
 }

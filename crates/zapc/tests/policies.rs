@@ -1,12 +1,20 @@
 //! Coordination-policy and miscellaneous manager-level coverage.
 
 use std::time::Duration;
-use zapc::ablation::{checkpoint_with_policy, mean_blocked_ms};
 use zapc::agent::SyncPolicy;
-use zapc::manager::CheckpointTarget;
+use zapc::manager::{checkpoint_with, CheckpointOptions, CheckpointReport, CheckpointTarget};
 use zapc::Cluster;
 use zapc_proto::{Endpoint, RecordReader, RecordWriter, Transport};
 use zapc_sim::{ProcessCtx, Program, ProgramRegistry, StepOutcome};
+
+fn with_policy(policy: SyncPolicy) -> CheckpointOptions {
+    CheckpointOptions { policy, ..Default::default() }
+}
+
+/// Mean network-blocked time across pods, in milliseconds.
+fn mean_blocked_ms(report: &CheckpointReport) -> f64 {
+    report.pods.iter().map(|p| p.blocked_ms).sum::<f64>() / report.pods.len().max(1) as f64
+}
 
 /// Minimal two-pod chatter app (serializable).
 struct Chatter {
@@ -171,7 +179,7 @@ fn global_barrier_policy_is_still_correct() {
     let targets: Vec<CheckpointTarget> =
         names.iter().map(|n| CheckpointTarget::snapshot(n)).collect();
     let report =
-        checkpoint_with_policy(&cluster, &targets, SyncPolicy::GlobalBarrier).unwrap();
+        checkpoint_with(&cluster, &targets, &with_policy(SyncPolicy::GlobalBarrier)).unwrap();
     assert!(mean_blocked_ms(&report) > 0.0);
     assert_eq!(wait_codes(&cluster, &names), expected);
 }
@@ -181,8 +189,8 @@ fn barrier_blocks_network_at_least_as_long_as_single_sync() {
     let (c1, n1) = launch(1_000_000); // effectively endless
     std::thread::sleep(Duration::from_millis(15));
     let t1: Vec<CheckpointTarget> = n1.iter().map(|n| CheckpointTarget::snapshot(n)).collect();
-    let single = checkpoint_with_policy(&c1, &t1, SyncPolicy::SingleSync).unwrap();
-    let barrier = checkpoint_with_policy(&c1, &t1, SyncPolicy::GlobalBarrier).unwrap();
+    let single = checkpoint_with(&c1, &t1, &with_policy(SyncPolicy::SingleSync)).unwrap();
+    let barrier = checkpoint_with(&c1, &t1, &with_policy(SyncPolicy::GlobalBarrier)).unwrap();
     // The barrier cannot be *shorter*: it contains everything the single
     // sync does plus the idle wait. (Averaged over pods; generous slack
     // for scheduler noise on a loaded host.)
