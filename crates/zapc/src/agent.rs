@@ -12,7 +12,7 @@ use crate::cluster::{CheckpointOpts, Cluster, Lineage};
 use crate::coord::{Ctl, Reply};
 use crate::uri::Uri;
 use crate::{ZapcError, ZapcResult};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zapc_faults::{FaultAction, MANAGER};
@@ -549,38 +549,38 @@ pub(crate) struct RestartInputs {
 
 /// Runs the local restart procedure of Figure 3 for one pod: create the
 /// pod → restore connectivity and network state → standalone restart →
-/// resume → report done.
+/// resume → report done. The Agent looks at its control connection between
+/// steps: an `Abort` (or a broken Manager connection) rolls back, and so
+/// does any failure of its own — the pod it created is destroyed, so an
+/// aborted restart leaves nothing half-restored behind on this node.
 pub(crate) fn agent_restart(
     cluster: &Cluster,
     inputs: RestartInputs,
     timeout: Duration,
     reply: &Sender<AgentReply>,
+    ctl: &Receiver<CtlMsg>,
 ) {
-    let pod_name = inputs.my_meta.pod.clone();
-    let send_done = |result: Result<PodStats, String>| {
-        let _ = ctl_reply(
-            cluster,
-            inputs.node as u32,
-            &pod_name,
-            reply,
-            AgentReply::Done {
-                pod: pod_name.clone(),
-                result,
-                image: None,
-                epoch: cluster.epoch(),
-            },
-        );
-    };
-    match agent_restart_inner(cluster, &inputs, timeout) {
-        Ok(stats) => send_done(Ok(stats)),
-        Err(e) => send_done(Err(e.to_string())),
-    }
+    let pod_name = &inputs.my_meta.pod;
+    let result = agent_restart_inner(cluster, &inputs, timeout, ctl);
+    let _ = ctl_reply(
+        cluster,
+        inputs.node as u32,
+        pod_name,
+        reply,
+        AgentReply::Done {
+            pod: pod_name.clone(),
+            result: result.map_err(|e| e.to_string()),
+            image: None,
+            epoch: cluster.epoch(),
+        },
+    );
 }
 
 fn agent_restart_inner(
     cluster: &Cluster,
     inputs: &RestartInputs,
     timeout: Duration,
+    ctl: &Receiver<CtlMsg>,
 ) -> ZapcResult<PodStats> {
     let obs = &cluster.obs;
     let t0 = Instant::now();
@@ -602,47 +602,65 @@ fn agent_restart_inner(
     let pod = create_pod(cluster, inputs.node, namespace, fs_snap)?;
     let quiesce_us = create_span.end();
 
-    // Steps 2–3: restore network connectivity, then network state.
-    let reconnect_span = obs.span(&inputs.my_meta.pod, "rst.reconnect");
-    let tnet = Instant::now();
-    let net_payload = section(SectionTag::NetState, "netstate")?;
-    let records = match &inputs.records {
-        Some(r) => r.clone(),
-        None => zapc_netckpt::records::decode_records(net_payload)?,
-    };
-    let restored =
-        reconnect(cluster, &pod, &inputs.my_meta, &inputs.all_meta, &records, timeout)?;
-    reconnect_span.end();
-    let net_us = tnet.elapsed().as_micros() as u64;
+    // Everything past creation either resumes the pod or destroys it.
+    let restored = (|| {
+        let proceed = || match ctl.try_recv() {
+            Err(TryRecvError::Empty) => Ok(()),
+            Ok(_) => Err(ZapcError::Aborted("restart aborted by the manager".into())),
+            Err(TryRecvError::Disconnected) => {
+                Err(ZapcError::Aborted("manager connection broken during restart".into()))
+            }
+        };
 
-    // Step 4: standalone restart.
-    let tsa = Instant::now();
-    let restore_span = obs.span(&inputs.my_meta.pod, "rst.restore");
-    restore_standalone_obs(&sections, &pod, &cluster.registry, &restored, obs)?;
-    restore_span.end();
-    let standalone_us = tsa.elapsed().as_micros() as u64;
+        // Steps 2–3: restore network connectivity, then network state.
+        proceed()?;
+        let reconnect_span = obs.span(&inputs.my_meta.pod, "rst.reconnect");
+        let tnet = Instant::now();
+        let net_payload = section(SectionTag::NetState, "netstate")?;
+        let records = match &inputs.records {
+            Some(r) => r.clone(),
+            None => zapc_netckpt::records::decode_records(net_payload)?,
+        };
+        let restored =
+            reconnect(cluster, &pod, &inputs.my_meta, &inputs.all_meta, &records, timeout)?;
+        reconnect_span.end();
+        let net_us = tnet.elapsed().as_micros() as u64;
 
-    // Resume execution without further delay (§4).
-    let resume_span = obs.span(&inputs.my_meta.pod, "rst.resume");
-    pod.resume()?;
-    let resume_us = resume_span.end();
+        // Step 4: standalone restart.
+        proceed()?;
+        let tsa = Instant::now();
+        let restore_span = obs.span(&inputs.my_meta.pod, "rst.restore");
+        restore_standalone_obs(&sections, &pod, &cluster.registry, &restored, obs)?;
+        restore_span.end();
+        let standalone_us = tsa.elapsed().as_micros() as u64;
 
-    Ok(PodStats {
-        pod: pod.name(),
-        total_us: t0.elapsed().as_micros() as u64,
-        net_us,
-        standalone_us,
-        blocked_us: 0,
-        quiesce_us,
-        sync_us: 0,
-        commit_us: 0,
-        resume_us,
-        image_bytes: inputs.image.len(),
-        network_bytes: net_payload.len(),
-        incremental: false,
-        image_ref: String::new(),
-        digest: 0,
-    })
+        // Resume execution without further delay (§4).
+        proceed()?;
+        let resume_span = obs.span(&inputs.my_meta.pod, "rst.resume");
+        pod.resume()?;
+        let resume_us = resume_span.end();
+
+        Ok(PodStats {
+            pod: pod.name(),
+            total_us: t0.elapsed().as_micros() as u64,
+            net_us,
+            standalone_us,
+            blocked_us: 0,
+            quiesce_us,
+            sync_us: 0,
+            commit_us: 0,
+            resume_us,
+            image_bytes: inputs.image.len(),
+            network_bytes: net_payload.len(),
+            incremental: false,
+            image_ref: String::new(),
+            digest: 0,
+        })
+    })();
+    if restored.is_err() {
+        cluster.destroy_pod(&pod.name());
+    }
+    restored
 }
 
 /// Figure 3, step 1: creates a new (empty) pod from an image's namespace
@@ -681,4 +699,45 @@ pub(crate) fn reconnect(
 ) -> ZapcResult<RestoredSockets> {
     let plan = NetworkRestorePlan { my_meta, all_meta, records, timeout, obs: cluster.obs.clone() };
     Ok(RestoredSockets { by_ordinal: restore_network(pod, &plan)? })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::manager::{checkpoint, CheckpointTarget};
+    use crossbeam::channel::{bounded, unbounded};
+
+    #[test]
+    fn an_aborted_restart_destroys_the_pod_it_created() {
+        let cluster = Cluster::builder().nodes(1).build();
+        cluster.create_pod("p", 0);
+        let target = CheckpointTarget {
+            pod: "p".into(),
+            uri: Uri::mem("img/p"),
+            finalize: Finalize::Destroy,
+        };
+        let report = checkpoint(&cluster, &[target]).unwrap();
+        let inputs = RestartInputs {
+            image: cluster.store.get("img/p").unwrap(),
+            my_meta: report.meta[0].clone(),
+            all_meta: Arc::new(report.meta),
+            node: 0,
+            records: None,
+        };
+
+        // The Manager's abort is already waiting when the Agent first
+        // looks at its control connection, right after creating the pod.
+        let (reply, replies) = unbounded();
+        let (abort, ctl) = bounded(1);
+        abort.send(CtlMsg::Abort).unwrap();
+        agent_restart(&cluster, inputs, Duration::from_secs(1), &reply, &ctl);
+
+        match replies.try_recv() {
+            Ok(AgentReply::Done { result: Err(why), .. }) => {
+                assert!(why.contains("aborted"), "why = {why}")
+            }
+            other => panic!("expected a rollback report, got {other:?}"),
+        }
+        assert!(cluster.pod("p").is_none(), "nothing half-restored stays behind");
+    }
 }

@@ -33,6 +33,7 @@
 
 use crate::agent::Finalize;
 use crate::cluster::Cluster;
+use crate::coord::node_alive;
 use crate::manager::{
     checkpoint_with, restart_with, CheckpointOptions, CheckpointReport, CheckpointTarget,
     RestartReport, RestartTarget, DEFAULT_TIMEOUT,
@@ -341,8 +342,9 @@ pub fn restart_from_manifest(
     }
 
     // One retry with freshly computed placement: a partial restart may
-    // have left some pods half-created, and images are immutable, so
-    // tearing everything down and re-running is safe. An empty live set
+    // have left some pods up (those that finished before the abort), and
+    // images are immutable, so tearing everything down and re-running is
+    // safe. An empty live set
     // is terminal (a retry cannot conjure nodes). The exhaustion wrapper
     // is unwrapped back to the raw error — this path's single retry is
     // an internal detail, and callers predate the typed `Exhausted`.
@@ -351,7 +353,12 @@ pub fn restart_from_manifest(
     policy
         .run(
             |_| {
-                let live = cluster.health.live_nodes(cluster.node_count());
+                // Listen for every node first: one that sat idle past its
+                // lease is heard from again, a killed or partitioned one is
+                // not.
+                let live: Vec<usize> = (0..cluster.node_count())
+                    .filter(|&n| node_alive(cluster, n as u32))
+                    .collect();
                 if live.is_empty() {
                     return Err(ZapcError::Aborted(NO_NODES.into()));
                 }
@@ -362,7 +369,7 @@ pub fn restart_from_manifest(
                     .map(|(i, e)| RestartTarget {
                         pod: e.pod.clone(),
                         uri: Uri::Store { ckpt: id },
-                        node: if cluster.health.is_alive(e.node) {
+                        node: if live.contains(&(e.node as usize)) {
                             e.node as usize
                         } else {
                             // Dead home node: spread displaced pods

@@ -20,9 +20,14 @@
 //!   still owed by participants on live nodes, count them as late) and
 //!   its **Manager-died variant** (drop the control connections instead).
 //!
-//! It is also where the lease [`heartbeat`] lives: a command delivered
-//! over an un-cut Manager→node link renews the node's lease here, and a
-//! reply that gets through renews it in [`crate::agent::ctl_reply`].
+//! It is also where the lease [`heartbeat`] lives. A node's lease is
+//! renewed by whatever the Manager hears of it over an un-cut link: a
+//! command its Agent accepts ([`Coord::send`], [`Coord::register`]), a
+//! reply that gets through ([`crate::agent::ctl_reply`]), and — because a
+//! busy Agent may say nothing for far longer than a lease — the node's
+//! periodic heartbeat, which the waiting Manager collects at every health
+//! poll ([`node_alive`]). Only a killed node or a cut `node → Manager`
+//! link lets a lease lapse; a slow Agent never does.
 
 use crate::agent::CtlMsg;
 use crate::cluster::Cluster;
@@ -39,10 +44,6 @@ const HEALTH_POLL: Duration = Duration::from_millis(5);
 /// that overtakes it.
 const CTL_DEPTH: usize = 2;
 
-/// Separates the pod name from the role in keys of operations that run
-/// two participants per pod (live migration's source and receiver).
-pub(crate) const ROLE_SEP: char = '\u{1}';
-
 /// A Manager→Agent message type. The core only ever originates one kind
 /// of message itself.
 pub(crate) trait Ctl {
@@ -55,6 +56,12 @@ pub(crate) trait Reply {
     /// For a participant's *final* reply: its key and the Manager epoch
     /// the reply is stamped with. `None` for progress reports.
     fn done(&self) -> Option<(&str, u64)>;
+
+    /// The pod a participant key names. Operations that run several
+    /// participants per pod put more than the pod name into their keys.
+    fn pod_of(key: &str) -> &str {
+        key
+    }
 }
 
 struct Participant<C> {
@@ -77,19 +84,26 @@ pub(crate) struct Coord<'a, C, R> {
     pub(crate) late: u64,
 }
 
-/// The lease heartbeat: a control message that crosses the `from → to`
-/// link (one end is [`MANAGER`]) renews the lease of the node at the
-/// other end. Heartbeats only cross a working link: a partitioned node is
-/// alive but unheard, so its lease lapses exactly like a dead node's —
-/// which is all the Manager can ever observe.
+/// The lease heartbeat: anything that crosses the `from → to` link (one
+/// end is [`MANAGER`]) renews the lease of the node at the other end.
+/// Heartbeats only cross a working link: a partitioned node is alive but
+/// unheard, so its lease lapses exactly like a dead node's — which is all
+/// the Manager can ever observe.
 pub(crate) fn heartbeat(cluster: &Cluster, from: u32, to: u32) {
     if !cluster.partition.is_cut(from, to) {
         cluster.health.beat(if from == MANAGER { to } else { from });
     }
 }
 
-fn pod_of(key: &str) -> &str {
-    key.split(ROLE_SEP).next().unwrap_or(key)
+/// Whether the Manager can hear `node` right now. The simulation runs no
+/// per-node daemon, so the node's periodic heartbeat is evaluated here, at
+/// the moment the Manager looks: it arrives iff the `node → Manager` link
+/// is un-cut (and is ignored for a killed node). A node the Manager cannot
+/// hear keeps the lease of whatever it was last heard saying, and reads as
+/// not alive once that lapses.
+pub(crate) fn node_alive(cluster: &Cluster, node: u32) -> bool {
+    heartbeat(cluster, node, MANAGER);
+    cluster.health.is_alive(node)
 }
 
 impl<'a, C: Ctl, R: Reply> Coord<'a, C, R> {
@@ -117,17 +131,12 @@ impl<'a, C: Ctl, R: Reply> Coord<'a, C, R> {
         }
     }
 
-    fn deliver(&self, p: &Participant<C>, msg: C) {
+    /// Sends one command to one participant.
+    pub(crate) fn send(&self, key: &str, msg: C) {
+        let Some(p) = self.parts.get(key) else { return };
         self.accepted(p);
         if let Some(ctl) = &p.ctl {
             let _ = ctl.send(msg);
-        }
-    }
-
-    /// Sends one command to one participant.
-    pub(crate) fn send(&self, key: &str, msg: C) {
-        if let Some(p) = self.parts.get(key) {
-            self.deliver(p, msg);
         }
     }
 
@@ -146,7 +155,7 @@ impl<'a, C: Ctl, R: Reply> Coord<'a, C, R> {
             }
             for (key, p) in &self.parts {
                 if let (true, Some(n)) = (p.owes_done, p.node) {
-                    if !self.cluster.health.is_alive(n) {
+                    if !node_alive(self.cluster, n) {
                         return Err(Some((key.clone(), n)));
                     }
                 }
@@ -166,7 +175,7 @@ impl<'a, C: Ctl, R: Reply> Coord<'a, C, R> {
         match self.next(Instant::now() + self.timeout) {
             Ok(r) => match r.done().filter(|&(_, epoch)| epoch < self.cluster.epoch()) {
                 Some((key, epoch)) => {
-                    let pod = pod_of(key).to_owned();
+                    let pod = R::pod_of(key).to_owned();
                     self.cluster.note_fenced_reply(&pod);
                     Err(self.abort(format!("agent for {pod} replied at fenced epoch {epoch}")))
                 }
@@ -174,7 +183,7 @@ impl<'a, C: Ctl, R: Reply> Coord<'a, C, R> {
             },
             Err(Some((key, node))) => Err(self.abort(format!(
                 "node {node} hosting pod {:?} died mid-operation",
-                pod_of(&key)
+                R::pod_of(&key)
             ))),
             Err(None) => Err(self.abort(format!("timed out waiting for {what}"))),
         }
@@ -219,10 +228,10 @@ impl<'a, C: Ctl, R: Reply> Coord<'a, C, R> {
                         // bump (recovery raced the abort). Tally it so
                         // tests can assert stale Agents were heard but
                         // ignored.
-                        self.cluster.note_fenced_reply(pod_of(key));
+                        self.cluster.note_fenced_reply(R::pod_of(key));
                     }
                     if self.cluster.obs.enabled() {
-                        self.cluster.obs.counter(pod_of(key), "mgr.late_reply", 1);
+                        self.cluster.obs.counter(R::pod_of(key), "mgr.late_reply", 1);
                     }
                 }
                 // On a dead node: will never reply.
@@ -256,7 +265,7 @@ impl<R: Reply> Coord<'_, CtlMsg, R> {
             if p.node.is_some_and(|n| self.cluster.partition.is_cut(MANAGER, n)) {
                 continue;
             }
-            self.deliver(p, CtlMsg::Continue(epoch));
+            self.send(pod, CtlMsg::Continue(epoch));
         }
     }
 }

@@ -5,13 +5,14 @@
 //! that silently dies mid-operation never breaks its channel in a way the
 //! Manager can distinguish from slowness. The durable-commit protocol
 //! (`crates/zapc/src/commit.rs`) needs a sharper signal, so the cluster
-//! carries a lease table: the protocol's own traffic is the heartbeat (a
-//! command an Agent accepts, a reply that gets through — see the
-//! coordination core, `coord.rs`), the Manager polls the table while it
-//! waits, and a node whose lease lapses (or that is
-//! [`HealthMonitor::kill`]ed by the fault layer) is treated as dead — the
-//! operation aborts and drains survivors, a restart reschedules the dead
-//! node's pods onto live nodes.
+//! carries a lease table: whatever the Manager hears of a node over an
+//! un-cut link is its heartbeat (a command its Agent accepts, a reply that
+//! gets through, and the node's periodic beat the waiting Manager collects
+//! each time it polls the table — see the coordination core, `coord.rs`).
+//! A node whose lease lapses because nothing of it gets through (or that
+//! is [`HealthMonitor::kill`]ed by the fault layer) is treated as dead —
+//! the operation aborts and drains survivors, a restart reschedules the
+//! dead node's pods onto live nodes. A merely slow Agent never lapses.
 //!
 //! Nodes that have never beaten are presumed alive: leases are a liveness
 //! *refinement*, not a boot-time gate.
@@ -108,11 +109,6 @@ impl HealthMonitor {
         }
     }
 
-    /// Indices of live nodes among `0..count`.
-    pub fn live_nodes(&self, count: usize) -> Vec<usize> {
-        (0..count).filter(|&n| self.is_alive(n as u32)).collect()
-    }
-
     /// The three-way status of `node` (see [`NodeStatus`]).
     pub fn status(&self, node: u32) -> NodeStatus {
         match self.state.lock().get(&node) {
@@ -143,8 +139,7 @@ mod tests {
     #[test]
     fn unknown_nodes_default_alive() {
         let h = HealthMonitor::new(ClusterClock::new(), 50);
-        assert!(h.is_alive(0));
-        assert_eq!(h.live_nodes(3), vec![0, 1, 2]);
+        assert!((0..3).all(|n| h.is_alive(n)));
     }
 
     #[test]

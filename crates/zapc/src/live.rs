@@ -66,7 +66,7 @@
 
 use crate::agent::{create_pod, quiesce, reconnect, unquiesce};
 use crate::cluster::Cluster;
-use crate::coord::{heartbeat, Coord, Ctl, Reply, ROLE_SEP};
+use crate::coord::{Coord, Ctl, Reply};
 use crate::manager::MigrateOptions;
 use crate::retry::RetryPolicy;
 use crate::{ZapcError, ZapcResult};
@@ -75,7 +75,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zapc_ckpt::{capture_memory_round, checkpoint_standalone_with, DecodedPod, SaveOpts};
-use zapc_faults::{FaultAction, MANAGER};
+use zapc_faults::FaultAction;
 use zapc_netckpt::checkpoint_network_obs;
 use zapc_proto::image::Header;
 use zapc_proto::rw::RecordStream;
@@ -147,6 +147,10 @@ impl Reply for LiveReply {
             LiveReply::Done { key, epoch, .. } => Some((key, *epoch)),
             _ => None,
         }
+    }
+
+    fn pod_of(key: &str) -> &str {
+        key.split(ROLE_SEP).next().unwrap_or(key)
     }
 }
 
@@ -254,11 +258,18 @@ pub fn migrate_live_with(
             let (src_reply, src_ctl) = co.register(&src_key(pod), cluster.pod_node(pod));
             let (rcv_reply, rcv_ctl) = co.register(&rcv_key(pod), Some(*node));
             let node = *node;
+            // Each side reports before its end of the stream closes, so the
+            // peer's "stream gone" can never overtake the root cause.
             scope.spawn(move || {
-                live_source(cluster, pod, node, opts, stream_tx, src_reply, src_ctl)
+                let out = live_source(cluster, pod, node, opts, &stream_tx, &src_reply, src_ctl);
+                send_done(cluster, &src_reply, src_key(pod), out.map(Outcome::Source));
             });
             scope.spawn(move || {
-                live_receiver(cluster, pod, node, stream_rx, rcv_reply, rcv_ctl, opts.timeout)
+                let (rx, timeout) = (&stream_rx, opts.timeout);
+                let out = live_receiver(cluster, pod, node, rx, &rcv_reply, rcv_ctl, timeout);
+                if let Some(out) = out.transpose() {
+                    send_done(cluster, &rcv_reply, rcv_key(pod), out.map(Outcome::Receiver));
+                }
             });
         }
 
@@ -352,6 +363,20 @@ pub fn migrate_live_with(
     })
 }
 
+/// A participant's final reply, stamped with the epoch it is sent under.
+fn send_done(
+    cluster: &Cluster,
+    reply: &Sender<LiveReply>,
+    key: String,
+    result: Result<Outcome, String>,
+) {
+    let _ = reply.send(LiveReply::Done { key, epoch: cluster.epoch(), result });
+}
+
+/// Separates the pod name from the role in participant keys: every pod
+/// has a source and a receiver side.
+const ROLE_SEP: char = '\u{1}';
+
 fn src_key(pod: &str) -> String {
     format!("{pod}{ROLE_SEP}source")
 }
@@ -404,25 +429,18 @@ impl LiveState {
 }
 
 /// The source Agent of one live-migrated pod: pre-copy rounds while the
-/// pod runs, then the quiesced cutover. See the module docs.
+/// pod runs, then the quiesced cutover. See the module docs. Returns what
+/// the source's `done` reports; every `Err` leaves the pod running.
 fn live_source(
     cluster: &Cluster,
     pod_name: &str,
     dst_node: usize,
     opts: &MigrateOptions,
-    stream: Sender<Vec<u8>>,
-    reply: Sender<LiveReply>,
+    stream: &Sender<Vec<u8>>,
+    reply: &Sender<LiveReply>,
     ctl: Receiver<LiveCtl>,
-) {
-    let key = src_key(pod_name);
-    let send_done = |result: Result<SourceOutcome, String>| {
-        let result = result.map(Outcome::Source);
-        let _ = reply.send(LiveReply::Done { key: key.clone(), epoch: cluster.epoch(), result });
-    };
-    let Some(pod) = cluster.pod(pod_name) else {
-        send_done(Err(format!("unknown pod {pod_name:?}")));
-        return;
-    };
+) -> Result<SourceOutcome, String> {
+    let pod = cluster.pod(pod_name).ok_or_else(|| format!("unknown pod {pod_name:?}"))?;
     // The Agent→Agent stream link this migration rides: consulted per
     // frame against the cluster's partition schedule.
     let link = (pod.node().id.0, dst_node as u32);
@@ -434,6 +452,12 @@ fn live_source(
     // runs many serialization rounds, so allocating per cut would re-pay
     // buffer regrowth dozens of times (ROADMAP item 5).
     let mut fw = RecordWriter::with_capacity(64 * 1024);
+    // Frames and ships what `fw` holds; a frame that cannot be sent fails
+    // the phase it belongs to.
+    let ship = |fw: &mut RecordWriter, kind: u16, phase: &str| {
+        send_frame(cluster, pod_name, link, stream, finish_frame(fw, kind))
+            .map_err(|why| format!("{why} {phase}"))
+    };
 
     // ── Pre-copy loop: the pod keeps running throughout. ──
     let mut gens: Option<HashMap<u32, u64>> = None;
@@ -443,44 +467,27 @@ fn live_source(
     let mut converged = false;
     loop {
         match ctl.try_recv() {
-            Ok(LiveCtl::Abort) => {
-                send_done(Err("aborted during pre-copy".into()));
-                return;
-            }
-            Ok(_) => {
-                send_done(Err("protocol error: cutover before precopy report".into()));
-                return;
-            }
+            Ok(LiveCtl::Abort) => return Err("aborted during pre-copy".into()),
+            Ok(_) => return Err("protocol error: cutover before precopy report".into()),
             Err(TryRecvError::Empty) => {}
             Err(TryRecvError::Disconnected) => {
-                send_done(Err("manager connection broken during pre-copy".into()));
-                return;
+                return Err("manager connection broken during pre-copy".into())
             }
         }
         // Fault site: the Agent dies between rounds. The pod was never
         // suspended here, so it simply keeps running — no state lost.
         if cluster.faults.hit("agent.precopy_round", pod_name).is_some() {
-            send_done(Err("fault: agent crashed during pre-copy round".into()));
-            return;
+            return Err("fault: agent crashed during pre-copy round".into());
         }
 
         let round_span = obs.span(pod_name, "mig.round");
-        let payloads = match capture_memory_round(&pod, gens.as_ref()) {
-            Ok(p) => p,
-            Err(e) => {
-                send_done(Err(format!("pre-copy capture failed: {e}")));
-                return;
-            }
-        };
+        let payloads = capture_memory_round(&pod, gens.as_ref())
+            .map_err(|e| format!("pre-copy capture failed: {e}"))?;
         rounds += 1;
 
         fw.reset();
         fw.put_u32(rounds);
-        let start = finish_frame(&mut fw, FRAME_ROUND_START);
-        if let Err(why) = send_frame(cluster, pod_name, link, &stream, start) {
-            send_done(Err(format!("{why} during pre-copy")));
-            return;
-        }
+        ship(&mut fw, FRAME_ROUND_START, "during pre-copy")?;
         let mut shipped = 0usize;
         let mut next_gens: HashMap<u32, u64> = HashMap::new();
         for p in payloads {
@@ -492,22 +499,12 @@ fn live_source(
             // The frame writer copied the payload; hand its buffer back
             // so the next round's capture reuses the allocation.
             p.recycle();
-            if let Err(why) =
-                send_frame(cluster, pod_name, link, &stream, finish_frame(&mut fw, FRAME_SECTION))
-            {
-                send_done(Err(format!("{why} during pre-copy")));
-                return;
-            }
+            ship(&mut fw, FRAME_SECTION, "during pre-copy")?;
         }
         fw.reset();
         fw.put_u32(rounds);
         fw.put_u64(shipped as u64);
-        if let Err(why) =
-            send_frame(cluster, pod_name, link, &stream, finish_frame(&mut fw, FRAME_ROUND_END))
-        {
-            send_done(Err(format!("{why} during pre-copy")));
-            return;
-        }
+        ship(&mut fw, FRAME_ROUND_END, "during pre-copy")?;
         round_span.end();
 
         let delta_round = gens.is_some();
@@ -539,99 +536,76 @@ fn live_source(
         residual_bytes: last_shipped as u64,
         converged,
     });
-    match ctl.recv_timeout(opts.timeout) {
-        Ok(LiveCtl::Cutover) => {}
-        Ok(_) | Err(_) => {
-            // Abort, timeout, or a broken Manager connection: the pod is
-            // still running untouched — just walk away.
-            send_done(Err("aborted awaiting cutover".into()));
-            return;
-        }
+    // Abort, timeout, or a broken Manager connection: the pod is still
+    // running untouched — just walk away.
+    if !matches!(ctl.recv_timeout(opts.timeout), Ok(LiveCtl::Cutover)) {
+        return Err("aborted awaiting cutover".into());
     }
     // Fault site: the Agent dies at the cutover command, before touching
     // the pod. The source keeps running; the Manager aborts.
     if cluster.faults.hit("agent.cutover", pod_name).is_some() {
-        send_done(Err("fault: agent crashed at cutover".into()));
-        return;
+        return Err("fault: agent crashed at cutover".into());
     }
 
     // ── Cutover: suspend, block, cut network state, ship the residual. ──
     let suspended_at = Instant::now();
     let cut_span = obs.span(pod_name, "mig.cutover");
-    if let Err(why) = quiesce(cluster, &pod) {
-        send_done(Err(why));
-        return;
-    }
-    let rollback = |why: String| {
-        unquiesce(cluster, &pod);
-        send_done(Err(why));
-    };
+    quiesce(cluster, &pod)?;
+    let cut = (|| -> Result<usize, String> {
+        let (meta, records) = checkpoint_network_obs(&pod, obs);
+        let meta_box = Box::new(meta.clone());
+        reply
+            .send(LiveReply::Meta { pod: pod_name.to_owned(), meta: meta_box, suspended_at })
+            .map_err(|_| "manager connection broken at cutover".to_string())?;
 
-    let (meta, records) = checkpoint_network_obs(&pod, obs);
-    if reply
-        .send(LiveReply::Meta {
+        let header = Header {
             pod: pod_name.to_owned(),
-            meta: Box::new(meta.clone()),
-            suspended_at,
-        })
-        .is_err()
-    {
-        rollback("manager connection broken at cutover".into());
-        return;
-    }
+            host: format!("node-{}", pod.node().id),
+            wall_ms: cluster.clock.now_ms(),
+            flags: 0,
+        };
+        // The final cut is a delta against the last pre-copy round, so it
+        // is residual-sized, not image-sized.
+        let mut w = ImageWriter::with_capacity(&header, last_shipped + 16 * 1024);
+        w.section(SectionTag::NetMeta, |r| meta.encode(r));
+        let net_payload = zapc_netckpt::records::encode_records(&records);
+        w.section_bytes(SectionTag::NetState, net_payload.bytes());
+        let save_opts =
+            SaveOpts { workers: cluster.ckpt.workers, base_gens: gens.clone(), obs: obs.clone() };
+        checkpoint_standalone_with(&pod, &mut w, &save_opts)
+            .map_err(|e| format!("final cut failed: {e}"))?;
+        let image = w.finish();
 
-    let header = Header {
-        pod: pod_name.to_owned(),
-        host: format!("node-{}", pod.node().id),
-        wall_ms: cluster.clock.now_ms(),
-        flags: 0,
-    };
-    // The final cut is a delta against the last pre-copy round, so it is
-    // residual-sized, not image-sized.
-    let mut w = ImageWriter::with_capacity(&header, last_shipped + 16 * 1024);
-    w.section(SectionTag::NetMeta, |r| meta.encode(r));
-    let net_payload = zapc_netckpt::records::encode_records(&records);
-    w.section_bytes(SectionTag::NetState, net_payload.bytes());
-    let save_opts =
-        SaveOpts { workers: cluster.ckpt.workers, base_gens: gens.clone(), obs: obs.clone() };
-    if let Err(e) = checkpoint_standalone_with(&pod, &mut w, &save_opts) {
-        rollback(format!("final cut failed: {e}"));
-        return;
-    }
-    let image = w.finish();
-    let cut_bytes = image.len();
-
-    // Ship the final image section by section over the same stream, then
-    // the end-of-stream marker.
-    let shipped: Result<(), String> = (|| {
+        // Ship the final image section by section over the same stream,
+        // then the end-of-stream marker.
         let rd = ImageReader::open(&image).map_err(|e| format!("final cut unreadable: {e}"))?;
-        let sections = rd.sections().map_err(|e| format!("final cut unreadable: {e}"))?;
-        for s in sections {
+        for s in rd.sections().map_err(|e| format!("final cut unreadable: {e}"))? {
             fw.reset();
             fw.put_u16(s.tag as u16);
             fw.put_bytes(s.payload);
-            send_frame(cluster, pod_name, link, &stream, finish_frame(&mut fw, FRAME_SECTION))
-                .map_err(|why| format!("{why} at cutover"))?;
+            ship(&mut fw, FRAME_SECTION, "at cutover")?;
         }
         fw.reset();
-        send_frame(cluster, pod_name, link, &stream, finish_frame(&mut fw, FRAME_COMMIT))
-            .map_err(|why| format!("{why} at cutover"))
-    })();
-    if let Err(why) = shipped {
-        rollback(why);
-        return;
-    }
-    cut_span.end();
+        ship(&mut fw, FRAME_COMMIT, "at cutover")?;
+        cut_span.end();
 
-    // Hold the pod suspended (vip still blocked) until the Manager's
-    // commit point. An abort here rolls back: the receiver discards.
-    match ctl.recv_timeout(opts.timeout) {
-        Ok(LiveCtl::CommitSource) => {
+        // Hold the pod suspended (vip still blocked) until the Manager's
+        // commit point. An abort here rolls back: the receiver discards.
+        match ctl.recv_timeout(opts.timeout) {
+            Ok(LiveCtl::CommitSource) => Ok(image.len()),
+            Ok(_) | Err(_) => Err("aborted awaiting cutover commit".into()),
+        }
+    })();
+    match cut {
+        Ok(cut_bytes) => {
             pod.destroy();
             cluster.forget_pod(pod_name);
-            send_done(Ok(SourceOutcome { cut_bytes }));
+            Ok(SourceOutcome { cut_bytes })
         }
-        Ok(_) | Err(_) => rollback("aborted awaiting cutover commit".into()),
+        Err(why) => {
+            unquiesce(cluster, &pod);
+            Err(why)
+        }
     }
 }
 
@@ -673,10 +647,7 @@ fn send_frame(
             return Err(format!("stream link {} → {} stayed cut", link.0, link.1));
         }
     }
-    stream.send(frame).map_err(|_| "stream receiver gone".to_string())?;
-    // Likewise on the sending side (see `live_receiver`).
-    heartbeat(cluster, link.0, MANAGER);
-    Ok(())
+    stream.send(frame).map_err(|_| "stream receiver gone".to_string())
 }
 
 /// What a receiver has accumulated from the stream: the squashed
@@ -691,60 +662,37 @@ struct Received {
 
 /// The receiver Agent of one live-migrated pod: decodes frames as they
 /// arrive, squashing deltas onto the accumulated state, and creates the
-/// destination pod only at the Manager's commit.
+/// destination pod only at the Manager's commit. Returns what the
+/// receiver's `done` reports — `Ok(None)` if its node died, which reports
+/// nothing at all.
 fn live_receiver(
     cluster: &Cluster,
     pod_name: &str,
     node: usize,
-    stream: Receiver<Vec<u8>>,
-    reply: Sender<LiveReply>,
+    stream: &Receiver<Vec<u8>>,
+    reply: &Sender<LiveReply>,
     ctl: Receiver<LiveCtl>,
     timeout: Duration,
-) {
-    let key = rcv_key(pod_name);
-    let send_done = |result: Result<ReceiverOutcome, String>| {
-        let result = result.map(Outcome::Receiver);
-        let _ = reply.send(LiveReply::Done { key: key.clone(), epoch: cluster.epoch(), result });
-    };
-
+) -> Result<Option<ReceiverOutcome>, String> {
     let mut got = Received::default();
     let mut first_frame = true;
     let mut deadline = Instant::now() + timeout;
     loop {
         match ctl.try_recv() {
-            Ok(LiveCtl::Abort) => {
-                send_done(Err("aborted".into()));
-                return;
-            }
-            Ok(_) => {
-                send_done(Err("protocol error: commit before stream end".into()));
-                return;
-            }
+            Ok(LiveCtl::Abort) => return Err("aborted".into()),
+            Ok(_) => return Err("protocol error: commit before stream end".into()),
             Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => {
-                send_done(Err("manager connection broken".into()));
-                return;
-            }
+            Err(TryRecvError::Disconnected) => return Err("manager connection broken".into()),
         }
         let frame = match stream.recv_timeout(CTL_POLL) {
             Ok(f) => {
                 deadline = Instant::now() + timeout;
-                // A frame off the wire is this node's sign of life:
-                // pre-copy can outlast any lease, and the Manager hears
-                // nothing else meanwhile.
-                heartbeat(cluster, node as u32, MANAGER);
                 f
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if Instant::now() >= deadline {
-                    send_done(Err("stream timeout".into()));
-                    return;
-                }
-                continue;
-            }
+            Err(RecvTimeoutError::Timeout) if Instant::now() < deadline => continue,
+            Err(RecvTimeoutError::Timeout) => return Err("stream timeout".into()),
             Err(RecvTimeoutError::Disconnected) => {
-                send_done(Err("stream disconnected before commit".into()));
-                return;
+                return Err("stream disconnected before commit".into())
             }
         };
         if first_frame {
@@ -755,50 +703,11 @@ fn live_receiver(
             // pod is never touched.
             if cluster.faults.hit("agent.node_dead", pod_name).is_some() {
                 cluster.health.kill(node as u32);
-                return;
+                return Ok(None);
             }
         }
-        // Frames share the CRC-framed record layout: a torn or corrupted
-        // frame fails here with a typed decode error, never a misparse.
-        let mut s = RecordStream::new(&frame);
-        match s.next_record() {
-            Err(e) => {
-                send_done(Err(format!("torn stream: {e}")));
-                return;
-            }
-            Ok((FRAME_ROUND_START, _)) | Ok((FRAME_ROUND_END, _)) => {}
-            Ok((FRAME_COMMIT, _)) => break,
-            Ok((FRAME_SECTION, payload)) => {
-                let mut r = RecordReader::new(payload);
-                let decoded = r.get_u16().and_then(|raw| r.get_bytes().map(|b| (raw, b)));
-                let (raw, bytes) = match decoded {
-                    Ok(p) => p,
-                    Err(e) => {
-                        send_done(Err(format!("torn stream: {e}")));
-                        return;
-                    }
-                };
-                match SectionTag::from_u16(raw) {
-                    None => {
-                        send_done(Err(format!("torn stream: unknown section tag {raw:#06x}")));
-                        return;
-                    }
-                    Some(SectionTag::Namespace) => got.namespace = Some(bytes.to_vec()),
-                    Some(SectionTag::NetState) => got.net_state = Some(bytes.to_vec()),
-                    Some(SectionTag::FsSnapshot) => got.fs_snapshot = Some(bytes.to_vec()),
-                    Some(SectionTag::NetMeta) => {} // the Manager merges metas
-                    Some(tag) => {
-                        if let Err(e) = got.parts.apply_section(tag, bytes) {
-                            send_done(Err(format!("stream apply failed: {e}")));
-                            return;
-                        }
-                    }
-                }
-            }
-            Ok((other, _)) => {
-                send_done(Err(format!("torn stream: unknown frame kind {other:#06x}")));
-                return;
-            }
+        if apply_frame(&mut got, &frame)? {
+            break;
         }
     }
 
@@ -807,11 +716,42 @@ fn live_receiver(
     let _ = reply.send(LiveReply::Applied { pod: pod_name.to_owned() });
     match ctl.recv_timeout(timeout) {
         Ok(LiveCtl::CommitReceiver { my_meta, all_meta }) => {
-            let out = receiver_commit(cluster, pod_name, node, got, &my_meta, &all_meta, timeout);
-            send_done(out.map_err(|e| e.to_string()));
+            receiver_commit(cluster, pod_name, node, got, &my_meta, &all_meta, timeout)
+                .map(Some)
+                .map_err(|e| e.to_string())
         }
-        Ok(_) | Err(_) => send_done(Err("aborted before commit".into())),
+        Ok(_) | Err(_) => Err("aborted before commit".into()),
     }
+}
+
+/// Decodes one stream frame onto the accumulated state; `Ok(true)` at the
+/// end-of-stream marker. Frames share the CRC-framed record layout: a torn
+/// or corrupted frame fails here with a typed decode error, never a
+/// misparse.
+fn apply_frame(got: &mut Received, frame: &[u8]) -> Result<bool, String> {
+    let torn = |e: zapc_proto::DecodeError| format!("torn stream: {e}");
+    match RecordStream::new(frame).next_record().map_err(torn)? {
+        (FRAME_ROUND_START, _) | (FRAME_ROUND_END, _) => {}
+        (FRAME_COMMIT, _) => return Ok(true),
+        (FRAME_SECTION, payload) => {
+            let mut r = RecordReader::new(payload);
+            let raw = r.get_u16().map_err(torn)?;
+            let bytes = r.get_bytes().map_err(torn)?;
+            match SectionTag::from_u16(raw) {
+                None => return Err(format!("torn stream: unknown section tag {raw:#06x}")),
+                Some(SectionTag::Namespace) => got.namespace = Some(bytes.to_vec()),
+                Some(SectionTag::NetState) => got.net_state = Some(bytes.to_vec()),
+                Some(SectionTag::FsSnapshot) => got.fs_snapshot = Some(bytes.to_vec()),
+                Some(SectionTag::NetMeta) => {} // the Manager merges metas
+                Some(tag) => got
+                    .parts
+                    .apply_section(tag, bytes)
+                    .map_err(|e| format!("stream apply failed: {e}"))?,
+            }
+        }
+        (other, _) => return Err(format!("torn stream: unknown frame kind {other:#06x}")),
+    }
+    Ok(false)
 }
 
 /// The receiver's commit: create the pod from the accumulated namespace,

@@ -178,8 +178,8 @@ pub struct RestartReport {
     pub wall_ms: f64,
     /// Manager-side phase partition of `wall_ms`.
     pub phases: PhaseBreakdown,
-    /// Late Agent replies drained after aborted attempts (migrations
-    /// only; plain restarts have no abort-drain path).
+    /// Late Agent replies drained after aborted attempts of a migration's
+    /// phase 1 (a plain restart never retries, so it reports 0).
     pub late_replies: u64,
 }
 
@@ -500,11 +500,12 @@ fn restart_from_parts(
                 node: t.node,
                 records: merged_records[i].take(),
             };
-            let (reply, _no_ctl) = co.register(&t.pod, Some(t.node));
-            scope.spawn(move || agent_restart(cluster, inputs, timeout, &reply));
+            let (reply, ctl) = co.register(&t.pod, Some(t.node));
+            scope.spawn(move || agent_restart(cluster, inputs, timeout, &reply, &ctl));
         }
 
-        // 2. Receive status from every Agent.
+        // 2. Receive status from every Agent. On any failure the abort
+        // tells the Agents still at work to destroy what they created.
         let mut got = Gathered::default();
         while got.pods.len() < targets.len() {
             got.file(co.recv("restart done")?).map_err(|why| co.abort(why))?;

@@ -12,7 +12,8 @@ use std::time::Duration;
 use zapc::agent::Finalize;
 use zapc::manager::{checkpoint_with, CheckpointOptions, CheckpointTarget, RestartTarget};
 use zapc::manager::{migrate_with, MigrateOptions};
-use zapc::{checkpoint, migrate, restart, Cluster, FaultAction, FaultPlan, Uri, ZapcError};
+use zapc::{checkpoint, migrate, migrate_live, restart, Cluster, ClusterBuilder, Uri, ZapcError};
+use zapc::{FaultAction, FaultPlan};
 use zapc_net::RecvFlags;
 use zapc_proto::{Endpoint, RecordReader, RecordWriter, Transport};
 use zapc_sim::{ProcessCtx, Program, ProgramRegistry, StepOutcome};
@@ -181,17 +182,18 @@ fn registry() -> ProgramRegistry {
 /// Builds a cluster with `nodes` nodes and launches an `n`-rank ring,
 /// one pod per rank, round-robin over the nodes.
 fn launch_ring(nodes: usize, n: usize, rounds: u64) -> (Cluster, Vec<String>) {
-    launch_ring_under(FaultPlan::none(), nodes, n, rounds)
+    launch_ring_on(Cluster::builder(), nodes, n, rounds)
 }
 
-/// [`launch_ring`] on a cluster with a fault plan installed.
-fn launch_ring_under(
-    plan: FaultPlan,
+/// [`launch_ring`] on a cluster the caller has started configuring (fault
+/// plan, lease).
+fn launch_ring_on(
+    builder: ClusterBuilder,
     nodes: usize,
     n: usize,
     rounds: u64,
 ) -> (Cluster, Vec<String>) {
-    let cluster = Cluster::builder().nodes(nodes).registry(registry()).faults(plan).build();
+    let cluster = builder.nodes(nodes).registry(registry()).build();
     let pods: Vec<Arc<zapc_pod::Pod>> =
         (0..n).map(|i| cluster.create_pod(&format!("ring-{i}"), i % nodes)).collect();
     for (i, pod) in pods.iter().enumerate() {
@@ -352,7 +354,7 @@ fn manager_failure_after_meta_data_aborts_gracefully() {
     let plan = FaultPlan::script()
         .inject("manager.post_meta", Some("manager"), 0, FaultAction::Crash)
         .build();
-    let (cluster, names) = launch_ring_under(plan, 2, 2, 400);
+    let (cluster, names) = launch_ring_on(Cluster::builder().faults(plan), 2, 2, 400);
     std::thread::sleep(Duration::from_millis(10));
 
     let targets: Vec<CheckpointTarget> =
@@ -366,6 +368,52 @@ fn manager_failure_after_meta_data_aborts_gracefully() {
 }
 
 #[test]
+fn a_slow_agent_is_not_a_dead_node() {
+    // A lease far shorter than any Agent step, and ring-1's Agent sits
+    // silent for 100 ms in every checkpoint on top: a lease may only lapse
+    // on a killed node or a cut link, never because an Agent is busy.
+    // Plain checkpoint, restart, migration and live migration all run to
+    // completion.
+    let expected = reference_codes(2, 600);
+    let plan = FaultPlan::script()
+        .always("agent.slow", Some("ring-1"), FaultAction::Delay { micros: 100_000 })
+        .build();
+    let (cluster, names) =
+        launch_ring_on(Cluster::builder().faults(plan).lease_ms(1), 2, 2, 600);
+    std::thread::sleep(Duration::from_millis(10));
+
+    let snapshots: Vec<CheckpointTarget> =
+        names.iter().map(|n| CheckpointTarget::snapshot(n)).collect();
+    checkpoint(&cluster, &snapshots).unwrap();
+
+    let to_images: Vec<CheckpointTarget> = names
+        .iter()
+        .map(|n| CheckpointTarget {
+            pod: n.clone(),
+            uri: Uri::mem(format!("img/{n}")),
+            finalize: Finalize::Destroy,
+        })
+        .collect();
+    checkpoint(&cluster, &to_images).unwrap();
+    let from_images: Vec<RestartTarget> = names
+        .iter()
+        .enumerate()
+        .map(|(i, n)| RestartTarget { pod: n.clone(), uri: Uri::mem(format!("img/{n}")), node: i })
+        .collect();
+    restart(&cluster, &from_images).unwrap();
+
+    let swapped: Vec<(String, usize)> =
+        names.iter().enumerate().map(|(i, n)| (n.clone(), 1 - i)).collect();
+    migrate(&cluster, &swapped).unwrap();
+    let home: Vec<(String, usize)> =
+        names.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect();
+    migrate_live(&cluster, &home).unwrap();
+
+    assert_eq!(cluster.pod_node("ring-1"), Some(1));
+    assert_eq!(wait_codes(&cluster, &names), expected);
+}
+
+#[test]
 fn migrate_aborts_within_a_lease_when_a_source_node_dies_in_phase_1() {
     let expected = reference_codes(2, 400);
     // ring-1's Agent is held inside phase 1 (pod suspended, meta-data not
@@ -373,7 +421,7 @@ fn migrate_aborts_within_a_lease_when_a_source_node_dies_in_phase_1() {
     let plan = FaultPlan::script()
         .inject("agent.slow", Some("ring-1"), 0, FaultAction::Delay { micros: 150_000 })
         .build();
-    let (cluster, names) = launch_ring_under(plan, 2, 2, 400);
+    let (cluster, names) = launch_ring_on(Cluster::builder().faults(plan), 2, 2, 400);
     std::thread::sleep(Duration::from_millis(10));
 
     let moves: Vec<(String, usize)> =

@@ -329,22 +329,19 @@ fn node_death_mid_stage_aborts_then_restart_reschedules() {
 
 #[test]
 fn back_to_back_commits_outlive_the_lease_between_them() {
-    // Leases are renewed by the protocol's own traffic (a command the
-    // Agent accepts, a reply that gets through), so a node that sat idle
-    // for several leases is heard from again the moment the next
-    // operation reaches it. w0's Agent is slow enough that the Manager
-    // looks at the lease table while it waits; retries absorb a host
-    // that stalls a whole Agent for longer than the (tiny) lease.
+    // A node that sat idle for several leases is heard from again the
+    // moment the next operation reaches it, and w0's Agent — silent for
+    // longer than the whole lease while the Manager polls the lease table
+    // — is slow, not dead.
     let plan = FaultPlan::script()
-        .always("agent.slow", Some("w0"), FaultAction::Delay { micros: 20_000 })
+        .always("agent.slow", Some("w0"), FaultAction::Delay { micros: 120_000 })
         .build();
     let c = Cluster::builder().nodes(2).registry(registry()).faults(plan).lease_ms(50).build();
     let expected = launch(&c);
-    let opts = CommitOptions { retries: 3, ..CommitOptions::default() };
 
-    checkpoint_commit(&c, &["w0", "w1"], &opts).unwrap();
+    checkpoint_commit(&c, &["w0", "w1"], &CommitOptions::default()).unwrap();
     std::thread::sleep(Duration::from_millis(200));
-    checkpoint_commit(&c, &["w0", "w1"], &opts).unwrap();
+    checkpoint_commit(&c, &["w0", "w1"], &CommitOptions::default()).unwrap();
     assert_eq!(c.istore.manifest_ids().len(), 2);
     assert_eq!(wait_codes(&c), expected);
 }
