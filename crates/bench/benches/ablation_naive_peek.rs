@@ -2,14 +2,15 @@
 //!
 //! The naive path is *cheaper* — and wrong: it silently misses urgent/OOB
 //! bytes and all backlog state. The bench reports both costs; the
-//! correctness gap is printed once (and enforced by tests in
-//! `zapc-netckpt`).
+//! correctness gap is printed once (and enforced by the test beside
+//! `zapc_bench::naive`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use std::time::Duration;
+use zapc_bench::naive;
 use zapc_net::{Network, NetworkConfig};
-use zapc_netckpt::{checkpoint_network, naive};
+use zapc_netckpt::checkpoint_network;
 use zapc_pod::{pod_vip, Pod, PodConfig};
 use zapc_sim::{ClusterClock, Node, NodeConfig, SimFs};
 

@@ -1,45 +1,19 @@
 //! Regenerates the paper's figures as text tables.
 //!
 //! ```sh
-//! cargo run --release -p zapc-bench --bin reproduce -- [--quick] [fig5|fig6a|fig6b|fig6c|inc|phases|mig|speed|storm|dedup|serve|all]
+//! cargo run --release -p zapc-bench --bin reproduce -- [--quick] [fig5|fig6a|fig6b|fig6c|all]
 //! ```
 //!
 //! `--quick` uses miniature problem sizes (seconds); the default uses the
 //! ÷10-of-paper sizes documented in DESIGN.md (minutes on one core).
-//! `inc` (also part of `all`) runs the incremental-checkpoint ablation
-//! and writes its machine-readable results to `BENCH_2.json`; `phases`
-//! runs the per-phase cost decomposition under an enabled observer and
-//! writes `BENCH_4.json`; `speed` runs the hot-path speed ablation
-//! (observer overhead, worker scaling, base capture, allocations per
-//! checkpoint) and writes `BENCH_7.json`; `storm` runs the
-//! restart-storm recovery experiment (partition/kill mid-checkpoint,
-//! recover the fleet from manifests under background faults) and writes
-//! `BENCH_8.json`; `dedup` runs the content-addressed store ablation
-//! (bytes written and restore time for full vs incr vs dedup vs
-//! dedup+compress, each durable arm crash-recovered and digest-verified)
-//! and writes `BENCH_9.json`; `serve` runs the checkpoint-under-fire
-//! server-load experiment (throughput vs connection count, client-visible
-//! stall under checkpoint / stop-and-copy / live migration, zero-loss
-//! verification in every arm) and writes `BENCH_10.json`.
+//! Performance numbers beyond the paper's figures come from `benchmark/`
+//! (see `benchmark/README.md`), not from this binary.
 
 use zapc_apps::launch::AppKind;
 use zapc_bench::figures::{
     fmt_bytes, node_counts, run_checkpoints, run_completion, run_restart, RunCfg,
     ZAPC_OVERHEAD_NS,
 };
-use zapc_bench::incremental::{run_ablation, run_parallel, to_json, AblationRow, ParallelRow, MODES};
-use zapc_bench::migration::{mig_to_json, run_adversarial, run_curve, run_headline, MigRow};
-use zapc_bench::phases::{phases_to_json, run_phases, OpBreakdown, PhasesReport};
-use zapc_bench::speed::{baseline, run_speed, speed_to_json};
-use zapc_bench::dedup::{dedup_to_json, ratio_vs_full, run_dedup};
-use zapc_bench::serve::{run_serve, serve_to_json, ServeRow};
-use zapc_bench::storm::{run_storm, storm_to_json};
-
-/// Counting allocator: powers the allocations-per-checkpoint ablation of
-/// `speed` (two relaxed atomic adds per allocation — negligible for the
-/// other modes, and uniform across every arm they compare).
-#[global_allocator]
-static ALLOC: zapc_bench::alloc::CountingAlloc = zapc_bench::alloc::CountingAlloc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -61,399 +35,16 @@ fn main() {
         "fig6a" => fig6a(&cfg),
         "fig6b" => fig6b(&cfg),
         "fig6c" => fig6c(&cfg),
-        "inc" => inc(&cfg, quick),
-        "phases" => phases(&cfg, quick),
-        "mig" => mig(&cfg, quick),
-        "speed" => speed(&cfg, quick),
-        "storm" => storm(quick),
-        "dedup" => dedup(quick),
-        "serve" => serve(quick),
         "all" => {
             fig5(&cfg);
             fig6a(&cfg);
             fig6b(&cfg);
             fig6c(&cfg);
-            inc(&cfg, quick);
-            phases(&cfg, quick);
-            mig(&cfg, quick);
-            speed(&cfg, quick);
-            storm(quick);
-            dedup(quick);
-            serve(quick);
         }
         other => {
-            eprintln!("unknown figure {other:?}; use fig5|fig6a|fig6b|fig6c|inc|phases|mig|speed|storm|dedup|serve|all");
+            eprintln!("unknown figure {other:?}; use fig5|fig6a|fig6b|fig6c|all");
             std::process::exit(2);
         }
-    }
-}
-
-fn inc(cfg: &RunCfg, quick: bool) {
-    println!("== Incremental ablation: full vs incremental vs incr+parallel ==");
-    println!("   (hot = mid-run chained checkpoints; cold = after quiescence —");
-    println!("    dirty tracking is per region, so hot sweeps re-dump their arrays)\n");
-    println!(
-        "{:<9} {:>5} {:>6} {:<14} | {:>12} | {:>9} {:>12} | {:>9} {:>12}",
-        "app", "ranks", "scale", "mode", "base img", "hot ckpt", "hot img", "cold ckpt", "cold img"
-    );
-    let sizes: &[f64] = if quick { &[0.05, 0.2] } else { &[0.5, 1.0] };
-    let mut rows: Vec<AblationRow> = Vec::new();
-    for (kind, ranks) in [(AppKind::Bratu, 2), (AppKind::Bt, 4)] {
-        for &scale in sizes {
-            for mode in &MODES {
-                let r = run_ablation(kind, ranks, scale, cfg, mode);
-                println!(
-                    "{:<9} {:>5} {:>6} {:<14} | {:>12} | {:>6.2} ms {:>12} | {:>6.2} ms {:>12}",
-                    r.app,
-                    r.ranks,
-                    r.scale,
-                    r.mode,
-                    fmt_bytes(r.base.image_bytes),
-                    r.hot.ckpt_ms,
-                    fmt_bytes(r.hot.image_bytes),
-                    r.cold.ckpt_ms,
-                    fmt_bytes(r.cold.image_bytes),
-                );
-                rows.push(r);
-            }
-        }
-        println!();
-    }
-
-    println!("-- intra-pod parallel serialization (one pod, N memhog processes) --\n");
-    println!("{:>6} {:>12} {:>8} | {:>10}", "procs", "bytes/proc", "workers", "full ckpt");
-    let (procs, per_proc, trials) =
-        if quick { (6, 512 * 1024, 3) } else { (8, 4 * 1024 * 1024, 5) };
-    let mut par: Vec<ParallelRow> = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let r = run_parallel(procs, per_proc, workers, trials);
-        println!(
-            "{:>6} {:>12} {:>8} | {:>7.2} ms",
-            r.procs, r.bytes_per_proc, r.workers, r.ckpt_ms
-        );
-        par.push(r);
-    }
-
-    let json = to_json(quick, &rows, &par);
-    match std::fs::write("BENCH_2.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_2.json ({} bytes)", json.len()),
-        Err(e) => eprintln!("\nfailed to write BENCH_2.json: {e}"),
-    }
-}
-
-fn mig_row(r: &MigRow) {
-    println!(
-        "{:<24} {:>5} {:>9} {:>12} {:>12} | {:>9.2} ms {:>9.2} ms {:>7.1}%",
-        r.label,
-        r.rounds,
-        if r.converged { "yes" } else { "capped" },
-        fmt_bytes(r.precopy_bytes as f64),
-        fmt_bytes(r.cut_bytes as f64),
-        r.live_downtime_ms,
-        r.stop_outage_ms,
-        r.ratio() * 100.0
-    );
-}
-
-fn mig(cfg: &RunCfg, quick: bool) {
-    println!("== Live migration: pre-copy downtime vs stop-and-copy outage ==");
-    println!("   (every pod moved to a fresh node; stop-and-copy's whole wall");
-    println!("    time is outage, live pays only the quiesced final cut)\n");
-    println!(
-        "{:<24} {:>5} {:>9} {:>12} {:>12} | {:>12} {:>12} {:>8}",
-        "scenario", "rnds", "converged", "precopy", "cut", "live down", "stop out", "ratio"
-    );
-    let headline = run_headline(cfg, quick);
-    mig_row(&headline);
-    println!("\n-- downtime vs dirty rate (2 writer pods, 8 hot regions) --\n");
-    let curve = run_curve(cfg, quick);
-    for r in &curve {
-        mig_row(r);
-    }
-    println!("\n-- adversarial writer: round cap bounds a non-converging pre-copy --\n");
-    let (adv, cap) = run_adversarial(cfg, quick);
-    mig_row(&adv);
-    println!("   (cap = {cap} rounds; residual each round = whole hot set)");
-
-    if headline.ratio() < 0.25 {
-        println!(
-            "\nheadline: live downtime is {:.1}% of the stop-and-copy outage (< 25% target)",
-            headline.ratio() * 100.0
-        );
-    } else {
-        println!(
-            "\nheadline: live downtime is {:.1}% of the stop-and-copy outage (MISSES 25% target)",
-            headline.ratio() * 100.0
-        );
-    }
-
-    let json = mig_to_json(quick, &headline, &curve, &adv, cap);
-    match std::fs::write("BENCH_6.json", &json) {
-        Ok(()) => println!("wrote BENCH_6.json ({} bytes)", json.len()),
-        Err(e) => eprintln!("failed to write BENCH_6.json: {e}"),
-    }
-}
-
-fn speed(cfg: &RunCfg, quick: bool) {
-    println!("== Hot-path speed ablation (PR 7): before/after vs committed baselines ==\n");
-    let r = run_speed(cfg, quick);
-
-    println!("-- observer overhead (PETSc; modeled = events/ckpt × ns/event ÷ ckpt time) --");
-    println!(
-        "   modeled {:+.2}%: {:.1} events/ckpt × {:.0} ns/event over {:.3} ms  (baseline {:+.2}%, target < 2%)",
-        r.overhead.modeled_pct(),
-        r.overhead.events_per_ckpt,
-        r.overhead.event_ns,
-        r.overhead.disabled_ms,
-        baseline::OVERHEAD_PCT
-    );
-    println!(
-        "   measured arms (min-of-trials, steal-noisy): disabled {:.3} ms → enabled {:.3} ms ({:+.2}%)",
-        r.overhead.disabled_ms,
-        r.overhead.enabled_ms,
-        r.overhead.measured_pct()
-    );
-
-    println!(
-        "\n-- worker scaling ({} memhog procs × {} B, arms interleaved, min per arm) --",
-        r.procs, r.bytes_per_proc
-    );
-    println!(
-        "{:>8} | {:>10} | {:>12} | {:>13}",
-        "workers", "engine_ms", "cluster_ms", "baseline_ms"
-    );
-    for (i, row) in r.scaling.iter().enumerate() {
-        let eng = r.engine.get(i).map(|e| e.engine_ms).unwrap_or(0.0);
-        println!(
-            "{:>8} | {:>7.2} ms | {:>9.2} ms | {:>10.2} ms",
-            row.workers,
-            eng,
-            row.ckpt_ms,
-            baseline::WORKER_MS.get(i).copied().unwrap_or(0.0)
-        );
-    }
-    let engine_ms: Vec<f64> = r.engine.iter().map(|e| e.engine_ms).collect();
-    let monotonic = zapc_bench::speed::monotonic_non_increasing(&engine_ms);
-    println!(
-        "   1→2→4 worker engine_ms {} within {:.0}% tolerance (baseline wall regressed 2→4: {:.2} → {:.2} ms)",
-        if monotonic { "monotonically non-increasing" } else { "NOT monotonic" },
-        zapc_bench::speed::MONOTONIC_TOLERANCE_PCT,
-        baseline::WORKER_MS[1],
-        baseline::WORKER_MS[2]
-    );
-
-    println!("\n-- base capture (fresh pod, first full checkpoint, paired serial/parallel trials) --");
-    println!(
-        "   serial min {:.3} ms, 4-worker min {:.3} ms, median per-pair ratio {:.2}× (baseline {:.2} vs {:.2} ms = {:.2}×)",
-        r.base.serial_ms,
-        r.base.parallel_ms,
-        r.base.median_ratio,
-        baseline::BASE_SERIAL_MS,
-        baseline::BASE_PARALLEL_MS,
-        baseline::BASE_PARALLEL_MS / baseline::BASE_SERIAL_MS
-    );
-
-    println!("\n-- allocations per checkpoint (counting global allocator) --");
-    if r.allocs.counted {
-        println!(
-            "   cold (first) checkpoint: {} allocs; steady state: {:.1} allocs / {:.0} B per checkpoint",
-            r.allocs.cold_allocs, r.allocs.steady_allocs, r.allocs.steady_bytes
-        );
-    } else {
-        println!("   (counting allocator not installed in this binary)");
-    }
-
-    let json = speed_to_json(quick, &r);
-    match std::fs::write("BENCH_7.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_7.json ({} bytes)", json.len()),
-        Err(e) => eprintln!("\nfailed to write BENCH_7.json: {e}"),
-    }
-}
-
-fn storm(quick: bool) {
-    println!("== Restart storm (PR 8): partition/kill mid-checkpoint, recover from manifests ==");
-    println!("   (⌈N/3⌉ nodes partitioned + ⌈N/6⌉ killed during a durable checkpoint;");
-    println!("    recovery = heal → recover() → rejoin → restart_from_manifest → fresh commit,");
-    println!("    all under a sustained seeded ctl.partition fault plan)\n");
-    let seed = 8;
-    let rows = run_storm(quick, seed);
-    println!(
-        "{:>5} {:>5} {:>6} | {:>7} {:>6} | {:>11} {:>8} {:>7} | {:>5} {:>5} {:>7}",
-        "nodes", "part", "killed", "aborted", "commits", "recovery", "retried", "fenced", "lost", "dup", "orphans"
-    );
-    for r in &rows {
-        println!(
-            "{:>5} {:>5} {:>6} | {:>7} {:>3}→{:<2} | {:>8.2} ms {:>8} {:>7} | {:>5} {:>5} {:>7}",
-            r.nodes,
-            r.partitioned,
-            r.killed,
-            if r.storm_ckpt_aborted { "yes" } else { "no" },
-            r.commits_before,
-            r.commits_after,
-            r.recovery_ms,
-            r.ops_retried,
-            r.fenced_replies,
-            r.lost,
-            r.duplicated,
-            r.orphans,
-        );
-    }
-    let clean = rows.iter().all(|r| r.lost == 0 && r.duplicated == 0 && r.orphans == 0);
-    println!(
-        "\ninvariants: {} (zero lost / duplicated committed checkpoints, zero store orphans)",
-        if clean { "CLEAN" } else { "VIOLATED" }
-    );
-
-    let json = storm_to_json(quick, seed, &rows);
-    match std::fs::write("BENCH_8.json", &json) {
-        Ok(()) => println!("wrote BENCH_8.json ({} bytes)", json.len()),
-        Err(e) => eprintln!("failed to write BENCH_8.json: {e}"),
-    }
-}
-
-fn dedup(quick: bool) {
-    println!("== Content-addressed store (PR 9): bytes written + restore, 4 arms ==");
-    println!("   (rank-symmetric writers; durable arms run crash → recover →");
-    println!("    digest-verified restart_from_manifest; incr is the in-memory");
-    println!("    PR 2 engine — cheap deltas, but nothing durable and no sharing)\n");
-    let rows = run_dedup(quick);
-    println!(
-        "{:>5} {:<14} | {:>12} {:>12} | {:>9} {:>9} {:>9} | {:>8} {:>7} {:>7}",
-        "ranks", "mode", "ckpt1 bytes", "ckpt2 bytes", "ckpt1", "ckpt2", "restore", "verified",
-        "new", "hit"
-    );
-    for r in &rows {
-        println!(
-            "{:>5} {:<14} | {:>12} {:>12} | {:>6.2} ms {:>6.2} ms {:>6.2} ms | {:>8} {:>7} {:>7}",
-            r.ranks,
-            r.mode,
-            fmt_bytes(r.ckpt1_bytes as f64),
-            fmt_bytes(r.ckpt2_bytes as f64),
-            r.ckpt1_ms,
-            r.ckpt2_ms,
-            r.restore_ms,
-            if r.restore_verified { "yes" } else { "NO" },
-            r.chunks_new,
-            r.chunks_hit,
-        );
-    }
-    let mut ranks: Vec<usize> = rows.iter().map(|r| r.ranks).collect();
-    ranks.dedup();
-    println!();
-    for &n in &ranks {
-        println!(
-            "headline @ {n} ranks: dedup = {:.1}% of full bytes, dedup+compress = {:.1}% (target ≤ 60%)",
-            ratio_vs_full(&rows, n, "dedup") * 100.0,
-            ratio_vs_full(&rows, n, "dedup+compress") * 100.0
-        );
-    }
-
-    let json = dedup_to_json(quick, &rows);
-    match std::fs::write("BENCH_9.json", &json) {
-        Ok(()) => println!("wrote BENCH_9.json ({} bytes)", json.len()),
-        Err(e) => eprintln!("failed to write BENCH_9.json: {e}"),
-    }
-}
-
-fn serve_row(r: &ServeRow) {
-    println!(
-        "{:<15} {:>7} {:>5} | {:>9.1} {:>8.2} ms | {:>4} {:>7} {:>4} | {:>6} {:>6} {:>6}",
-        r.disturbance,
-        r.connections,
-        r.clients,
-        r.ops_per_sec,
-        r.disturb_ms,
-        r.lost_streams,
-        r.corrupt_streams,
-        r.conn_failures,
-        r.p50_stall_ms,
-        r.p99_stall_ms,
-        r.max_stall_ms,
-    );
-}
-
-fn serve(quick: bool) {
-    println!("== Checkpoint under fire (PR 10): live KV fleet, zero-loss under disturbance ==");
-    println!("   (every client predicts its full response stream and digest-verifies it;");
-    println!("    stall = max response gap per client against the unvirtualized clock)\n");
-    let (curve, arms) = run_serve(quick);
-    println!(
-        "{:<15} {:>7} {:>5} | {:>9} {:>11} | {:>4} {:>7} {:>4} | {:>6} {:>6} {:>6}",
-        "disturbance", "conns", "cli", "ops/s", "disturb", "lost", "corrupt", "conn", "p50", "p99", "max"
-    );
-    println!("-- throughput vs connection count (fault-free) --");
-    for r in &curve {
-        serve_row(r);
-    }
-    println!("-- stall under disturbance @ largest fleet --");
-    for r in &arms {
-        serve_row(r);
-    }
-    let zero = curve.iter().chain(&arms).all(ServeRow::zero_loss);
-    println!(
-        "\nzero-loss contract: {} (every stream digest-exact, server op count exact)",
-        if zero { "HELD in every arm" } else { "VIOLATED" }
-    );
-
-    let json = serve_to_json(quick, &curve, &arms);
-    match std::fs::write("BENCH_10.json", &json) {
-        Ok(()) => println!("wrote BENCH_10.json ({} bytes)", json.len()),
-        Err(e) => eprintln!("failed to write BENCH_10.json: {e}"),
-    }
-}
-
-fn print_op(label: &str, op: &OpBreakdown) {
-    if op.count == 0 {
-        println!("  {label}: (no successful sample)");
-        return;
-    }
-    println!(
-        "  {label}: wall {:.3} ms over {} sample(s), late replies {}",
-        op.wall_ms, op.count, op.late_replies
-    );
-    println!("    manager partition (tiles the wall):");
-    for p in &op.mgr {
-        println!(
-            "      {:<14} {:>9.3} ms  {:>5.1}%",
-            p.name,
-            p.total_ms,
-            p.total_ms / op.wall_ms.max(1e-9) * 100.0
-        );
-    }
-    println!("      {:<14} {:>9.3} ms  (sum)", "", op.mgr_sum_ms());
-    println!("    agent spans (overlapping across pods):");
-    for p in &op.agent {
-        println!("      {:<20} ×{:<4} {:>9.3} ms", p.name, p.count, p.total_ms);
-    }
-}
-
-fn phases(cfg: &RunCfg, quick: bool) {
-    println!("== Per-phase cost decomposition (observer enabled) ==");
-    println!("   (manager phases partition wall_ms; agent spans overlap across pods)\n");
-    let mut reports: Vec<PhasesReport> = Vec::new();
-    for (kind, ranks) in [(AppKind::Bratu, 2), (AppKind::Bt, 4)] {
-        let r = run_phases(kind, ranks, cfg);
-        println!("{} × {} endpoints:", r.app, r.ranks);
-        print_op("checkpoint", &r.ckpt);
-        print_op("restart", &r.rst);
-        if !r.counters.is_empty() {
-            println!("  counters:");
-            for c in &r.counters {
-                println!("      {:<22} {:>12.0}", c.name, c.total_ms);
-            }
-        }
-        println!(
-            "  observer overhead: disabled {:.3} ms → enabled {:.3} ms ({:+.1}%)\n",
-            r.overhead.disabled_ms,
-            r.overhead.enabled_ms,
-            r.overhead.pct()
-        );
-        reports.push(r);
-    }
-    let json = phases_to_json(quick, &reports);
-    match std::fs::write("BENCH_4.json", &json) {
-        Ok(()) => println!("wrote BENCH_4.json ({} bytes)", json.len()),
-        Err(e) => eprintln!("failed to write BENCH_4.json: {e}"),
     }
 }
 

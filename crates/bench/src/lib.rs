@@ -1,61 +1,18 @@
-//! # zapc-bench — harness regenerating every table and figure of §6
+//! # zapc-bench — the paper's evaluation (§6) and its ablations
 //!
 //! * [`figures`] — shared measurement machinery: Base-vs-ZapC completion
 //!   runs (Figure 5, wall-clock and virtual time), the 10-checkpoint
 //!   methodology (Figure 6a), mid-run restarts from memory-preloaded
 //!   images (Figure 6b), and byte-accurate image accounting (Figure 6c).
 //!
-//! * [`incremental`] — the PR 2 incremental-checkpoint ablation: full vs
-//!   incremental vs incremental+parallel engines over bratu/bt working
-//!   sets, plus intra-pod parallel-serialization scaling, emitted as
-//!   `BENCH_2.json`.
-//!
-//! * [`phases`] — the PR 4 per-phase cost decomposition: Manager- and
-//!   Agent-side span breakdowns of checkpoint and restart under an
-//!   enabled observer, plus the disabled-observer overhead contract,
-//!   emitted as `BENCH_4.json`.
-//!
-//! * [`migration`] — the PR 6 live-migration experiment: iterative
-//!   pre-copy downtime vs the stop-and-copy outage, the
-//!   downtime-vs-dirty-rate curve, and the round-cap bound on an
-//!   adversarial writer, emitted as `BENCH_6.json`.
-//!
-//! * [`speed`] — the PR 7 hot-path speed ablation: observer overhead
-//!   (interleaved disabled/enabled arms), worker-scaling monotonicity on
-//!   the persistent pool, the base-capture anomaly, and allocations per
-//!   checkpoint (via [`alloc`]'s counting global allocator when the
-//!   binary installs it), emitted as `BENCH_7.json` with the pre-PR-7
-//!   baselines embedded for before/after comparison.
-//!
-//! * [`storm`] — the PR 8 restart-storm experiment: partition/kill a
-//!   large fraction of the fleet mid-checkpoint, recover everything from
-//!   committed manifests under a sustained background fault plan, and
-//!   verify zero lost/duplicated committed checkpoints and zero store
-//!   orphans, emitted as `BENCH_8.json`.
-//!
-//! * [`serve`] — the PR 10 "checkpoint under fire" experiment: a
-//!   live-traffic KV server fleet (hundreds of connections, slow and
-//!   half-open clients) checkpointed and migrated under load, reporting
-//!   throughput vs connection count and client-visible stall percentiles
-//!   per disturbance arm, with the end-to-end zero-loss contract
-//!   re-verified in every arm, emitted as `BENCH_10.json`.
-//!
-//! * [`dedup`] — the PR 9 content-addressed store ablation: bytes written
-//!   and restore time for full vs incremental vs dedup vs dedup+compress
-//!   checkpoints of a rank-symmetric writer fleet, each durable arm
-//!   driven through the crash → recover → digest-verified restart cycle,
-//!   emitted as `BENCH_9.json`.
+//! * [`naive`] — the Cruz-style peek-only network capture, kept as the
+//!   reference the `ablation_naive_peek` bench and its test compare the
+//!   real mechanism against.
 //!
 //! Criterion benches under `benches/` and the `reproduce` binary both
-//! drive this module; `reproduce` prints the paper-style tables recorded
-//! in EXPERIMENTS.md.
+//! drive [`figures`]; `reproduce` prints the paper-style tables recorded
+//! in EXPERIMENTS.md. Every performance number outside the paper's
+//! figures comes from the repository's one benchmark, `benchmark/`.
 
-pub mod alloc;
-pub mod dedup;
 pub mod figures;
-pub mod incremental;
-pub mod migration;
-pub mod phases;
-pub mod serve;
-pub mod speed;
-pub mod storm;
+pub mod naive;

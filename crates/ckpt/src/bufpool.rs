@@ -5,8 +5,8 @@
 //! into the image by `ImageWriter::section_bytes` (or framed onto a
 //! migration stream), and then dies. Allocating those vectors fresh per
 //! checkpoint made allocation the dominant non-memcpy cost once the
-//! observer and worker-spawn overheads were gone. This pool recycles the
-//! allocations across checkpoint invocations:
+//! observer overhead was gone. This pool recycles the allocations across
+//! checkpoint invocations:
 //!
 //! * [`take`] hands out a **cleared** buffer (len 0) with at least the
 //!   requested capacity, reusing a pooled allocation when one is big

@@ -23,7 +23,6 @@
 
 pub mod bufpool;
 pub mod delta;
-mod pool;
 pub mod records;
 pub mod restore;
 pub mod save;

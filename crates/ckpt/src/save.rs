@@ -2,10 +2,9 @@
 
 use crate::delta::MemoryDeltaRecord;
 use crate::records::{ClockRecord, FdRecord, PipeTable, ProcRecord, ProcStateRecord};
-use crate::{bufpool, pool, CkptError, CkptResult};
+use crate::{bufpool, CkptError, CkptResult};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use zapc_pod::Pod;
 use zapc_proto::{Encode, ImageWriter, RecordWriter, SectionTag};
 use zapc_sim::fdtable::FdKind;
@@ -15,22 +14,15 @@ use zapc_sim::{Pid, ProcState};
 /// Options for [`checkpoint_standalone_with`].
 #[derive(Debug, Clone, Default)]
 pub struct SaveOpts {
-    /// Worker threads for encoding process payloads; `0`/`1` = serial.
-    /// Processes are suspended, so their locks are uncontended and the
-    /// encodes are embarrassingly parallel (§6.1: the memory dump
-    /// dominates checkpoint latency). Workers come from a persistent
-    /// process-wide pool; the calling thread always participates, so a
-    /// worker count never costs a thread spawn and degrades to serial
-    /// speed when the pool is busy.
-    pub workers: usize,
     /// Per-vpid address-space generation of the parent image. When set,
     /// a vpid present in the map gets a [`SectionTag::MemoryDelta`]
     /// section with only the regions dirtied since; vpids not in the map
     /// (e.g. forked after the parent) are written in full.
     pub base_gens: Option<HashMap<u32, u64>>,
-    /// Event observer: per-worker `ckpt.worker` spans, a `ckpt.merge`
-    /// span, and `ckpt.full_bytes`/`ckpt.delta_bytes` counters. Disabled
-    /// by default (one branch per site).
+    /// Event observer: a `ckpt.encode` span around the per-process
+    /// encodes, a `ckpt.merge` span, and `ckpt.full_bytes`/
+    /// `ckpt.delta_bytes` counters. Disabled by default (one branch per
+    /// site).
     pub obs: zapc_obs::Observer,
 }
 
@@ -58,8 +50,7 @@ pub fn checkpoint_standalone(pod: &Pod, w: &mut ImageWriter) -> CkptResult<()> {
     checkpoint_standalone_with(pod, w, &SaveOpts::default()).map(|_| ())
 }
 
-/// One process's encoded payloads, produced (possibly off-thread) while
-/// the main thread owns the image writer. Payload buffers come from (and
+/// One process's encoded payloads. Payload buffers come from (and
 /// return to) the [`bufpool`] once the merge has copied them out.
 struct ProcPayload {
     proc_bytes: Vec<u8>,
@@ -67,23 +58,21 @@ struct ProcPayload {
     mem_bytes: Vec<u8>,
     gen: u64,
     vpid: u32,
-    /// Pipes this process references, deduplicated per worker only; the
-    /// merge step deduplicates across workers in vpid order.
+    /// Pipes this process references, deduplicated per process only; the
+    /// merge step deduplicates across processes in vpid order.
     pipes: Vec<(u64, Vec<u8>, bool, bool)>,
 }
 
 /// Serializes a pod's non-network state into `w`, optionally incremental
-/// (`opts.base_gens`) and with intra-pod parallel payload encoding
-/// (`opts.workers`). Section order is deterministic and identical to the
-/// serial path: Namespace, Timers, FdTable, then per process (in vpid
-/// order) Process followed by its Memory/MemoryDelta — regardless of
-/// worker count or which worker encoded which process.
+/// (`opts.base_gens`). Section order is deterministic: Namespace, Timers,
+/// FdTable, then per process (in vpid order) Process followed by its
+/// Memory/MemoryDelta.
 pub fn checkpoint_standalone_with(
     pod: &Pod,
     w: &mut ImageWriter,
     opts: &SaveOpts,
 ) -> CkptResult<SaveOutcome> {
-    let ordinals = Arc::new(socket_ordinals(pod));
+    let ordinals = socket_ordinals(pod);
 
     // Namespace.
     let ns = pod.namespace();
@@ -97,21 +86,20 @@ pub fn checkpoint_standalone_with(
     w.section(SectionTag::Timers, |r| clock.encode(r));
 
     let vpids: Vec<(u32, Pid)> = pod.vpid_pids();
-    let workers = opts.workers.max(1).min(vpids.len().max(1));
     let obs = &opts.obs;
     let key = pod.name();
 
-    let mut payloads: Vec<ProcPayload> = if workers <= 1 {
-        let _span = obs.span(&key, "ckpt.worker");
-        let mut out = Vec::with_capacity(vpids.len());
+    let mut payloads: Vec<ProcPayload> = Vec::with_capacity(vpids.len());
+    {
+        let _span = obs.span(&key, "ckpt.encode");
         for &(vpid, pid) in &vpids {
-            let parc = resolve_process(pod, pid)?;
-            out.push(encode_process(vpid, &parc, &ordinals, opts.base_gens.as_ref())?);
+            let parc = pod
+                .node()
+                .process(pid)
+                .ok_or(CkptError::Inconsistent("process vanished during checkpoint"))?;
+            payloads.push(encode_process(vpid, &parc, &ordinals, opts.base_gens.as_ref())?);
         }
-        out
-    } else {
-        encode_parallel(pod, &vpids, workers, &ordinals, opts, &key)?
-    };
+    }
 
     // Merge: pod-wide pipe table deduplicated in vpid order, then the
     // per-process sections stitched deterministically. Pipe payloads are
@@ -154,108 +142,6 @@ pub fn checkpoint_standalone_with(
         bufpool::give(p.mem_bytes);
     }
     Ok(outcome)
-}
-
-/// Shared state of one parallel encode: the resolved work items and the
-/// claim cursor. Owned (`'static`) so jobs can run on the persistent
-/// pool without scoped-thread lifetime tricks.
-struct ParCtx {
-    items: Vec<(u32, Arc<parking_lot::Mutex<Process>>)>,
-    next: AtomicUsize,
-    ordinals: Arc<HashMap<zapc_net::SocketId, u32>>,
-    base_gens: Option<HashMap<u32, u64>>,
-    obs: zapc_obs::Observer,
-    key: String,
-}
-
-/// Fans the per-process encodes out over the persistent worker pool with
-/// per-item work stealing: every participant (pool workers *and* the
-/// calling thread) repeatedly claims the next unclaimed item, so load
-/// balances at process granularity — no static chunking, no stranded
-/// workers, no per-call thread spawn.
-fn encode_parallel(
-    pod: &Pod,
-    vpids: &[(u32, Pid)],
-    workers: usize,
-    ordinals: &Arc<HashMap<zapc_net::SocketId, u32>>,
-    opts: &SaveOpts,
-    key: &str,
-) -> CkptResult<Vec<ProcPayload>> {
-    // Resolve every process handle up front: work items must own their
-    // target process so the jobs are 'static.
-    let mut items = Vec::with_capacity(vpids.len());
-    for &(vpid, pid) in vpids {
-        items.push((vpid, resolve_process(pod, pid)?));
-    }
-    let n = items.len();
-    let ctx = Arc::new(ParCtx {
-        items,
-        next: AtomicUsize::new(0),
-        ordinals: Arc::clone(ordinals),
-        base_gens: opts.base_gens.clone(),
-        obs: opts.obs.clone(),
-        key: key.to_owned(),
-    });
-
-    let (tx, rx) = mpsc::channel::<(usize, CkptResult<ProcPayload>)>();
-    for _ in 1..workers {
-        let ctx = Arc::clone(&ctx);
-        let tx = tx.clone();
-        pool::pool().submit(Box::new(move || {
-            let _span = ctx.obs.span(&ctx.key, "ckpt.worker");
-            loop {
-                let i = ctx.next.fetch_add(1, Ordering::Relaxed);
-                if i >= ctx.items.len() {
-                    break;
-                }
-                let res = encode_item(&ctx, i);
-                let _ = tx.send((i, res));
-            }
-        }));
-    }
-    drop(tx);
-
-    // The caller is always a worker too: claim items until the cursor is
-    // exhausted, then wait for whatever the pool claimed.
-    let mut results: Vec<Option<CkptResult<ProcPayload>>> = Vec::new();
-    results.resize_with(n, || None);
-    let mut mine = 0usize;
-    {
-        let _span = ctx.obs.span(&ctx.key, "ckpt.worker");
-        loop {
-            let i = ctx.next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            results[i] = Some(encode_item(&ctx, i));
-            mine += 1;
-        }
-    }
-    for _ in 0..n - mine {
-        let (i, res) = rx.recv().expect("checkpoint pool worker died");
-        results[i] = Some(res);
-    }
-
-    // Deterministic assembly and error selection: vpid (= item) order.
-    let mut out = Vec::with_capacity(n);
-    for r in results {
-        out.push(r.expect("every item claimed exactly once")?);
-    }
-    Ok(out)
-}
-
-/// One work item, panic-isolated so a worker panic surfaces as a typed
-/// error on the caller instead of wedging the channel wait.
-fn encode_item(ctx: &ParCtx, i: usize) -> CkptResult<ProcPayload> {
-    let (vpid, parc) = &ctx.items[i];
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        encode_process(*vpid, parc, &ctx.ordinals, ctx.base_gens.as_ref())
-    }))
-    .unwrap_or(Err(CkptError::Inconsistent("checkpoint worker panicked")))
-}
-
-fn resolve_process(pod: &Pod, pid: Pid) -> CkptResult<Arc<parking_lot::Mutex<Process>>> {
-    pod.node().process(pid).ok_or(CkptError::Inconsistent("process vanished during checkpoint"))
 }
 
 /// One process's memory payload captured by a live pre-copy round.

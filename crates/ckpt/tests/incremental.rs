@@ -167,7 +167,7 @@ fn incremental_writes_far_fewer_bytes_and_squash_matches_full() {
 
     // Same suspended instant: a reference full image and an incremental.
     let (full2, of) = checkpoint(&pod, &SaveOpts::default(), None);
-    let inc_opts = SaveOpts { workers: 1, base_gens: Some(o1.gens.clone()), ..Default::default() };
+    let inc_opts = SaveOpts { base_gens: Some(o1.gens.clone()), ..Default::default() };
     let (inc2, oi) = checkpoint(&pod, &inc_opts, Some(("inc1#base", &full1)));
     assert!(oi.delta_sections >= 1);
     assert!(
@@ -194,26 +194,6 @@ fn incremental_writes_far_fewer_bytes_and_squash_matches_full() {
 }
 
 #[test]
-fn parallel_encoding_is_deterministic() {
-    let r = rig();
-    let pod = Pod::create(PodConfig::new("inc2", zapc_pod::pod_vip(32)), &r.node, &r.clock);
-    for i in 0..4 {
-        pod.spawn(&format!("w{i}"), Box::new(SkewWriter::fresh(100_000)));
-    }
-    std::thread::sleep(Duration::from_millis(15));
-    pod.suspend().unwrap();
-
-    let (serial, _) = checkpoint(&pod, &SaveOpts { workers: 1, base_gens: None, ..Default::default() }, None);
-    let (parallel, _) = checkpoint(&pod, &SaveOpts { workers: 4, base_gens: None, ..Default::default() }, None);
-    assert_eq!(
-        stable_sections(&serial),
-        stable_sections(&parallel),
-        "worker count must not change the image"
-    );
-    pod.destroy();
-}
-
-#[test]
 fn restore_rejects_unsquashed_incremental() {
     let r = rig();
     let pod = Pod::create(PodConfig::new("inc3", zapc_pod::pod_vip(33)), &r.node, &r.clock);
@@ -224,7 +204,7 @@ fn restore_rejects_unsquashed_incremental() {
     pod.resume().unwrap();
     std::thread::sleep(Duration::from_millis(5));
     pod.suspend().unwrap();
-    let inc_opts = SaveOpts { workers: 1, base_gens: Some(o1.gens), ..Default::default() };
+    let inc_opts = SaveOpts { base_gens: Some(o1.gens), ..Default::default() };
     let (inc, _) = checkpoint(&pod, &inc_opts, Some(("inc3#base", &full1)));
     pod.destroy();
 
@@ -253,7 +233,7 @@ fn new_process_after_base_still_checkpoints_in_full() {
     pod.spawn("w1", Box::new(SkewWriter::fresh(100_000)));
     std::thread::sleep(Duration::from_millis(10));
     pod.suspend().unwrap();
-    let inc_opts = SaveOpts { workers: 2, base_gens: Some(o1.gens), ..Default::default() };
+    let inc_opts = SaveOpts { base_gens: Some(o1.gens), ..Default::default() };
     let (inc, oi) = checkpoint(&pod, &inc_opts, Some(("inc4#base", &full1)));
     pod.destroy();
     assert_eq!(oi.delta_sections, 1, "only the pre-existing process is delta-encoded");

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use std::time::Duration;
-use zapc_ckpt::{checkpoint_standalone_with, DecodedPod, MemoryDeltaRecord, SaveOpts};
+use zapc_ckpt::{checkpoint_standalone, DecodedPod, MemoryDeltaRecord};
 use zapc_net::{Network, NetworkConfig};
 use zapc_pod::{Pod, PodConfig};
 use zapc_proto::crc::fnv1a64;
@@ -221,16 +221,15 @@ fn stable_sections(bytes: &[u8]) -> Vec<(SectionTag, Vec<u8>)> {
 
 proptest! {
     // Each case spins up a real pod (scheduler threads + settle sleeps),
-    // so keep the case count small; the worker/buffer matrix inside each
-    // case does the combinatorial work.
+    // so keep the case count small; the buffer-reuse rounds inside each
+    // case do the repetition.
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// Property: the checkpoint image is a pure function of pod state —
-    /// neither the worker count (1/2/4/8, including workers > procs)
-    /// nor recycling a pooled image buffer may change a byte of any
+    /// recycling a pooled image buffer may not change a byte of any
     /// section, in content or in order.
     #[test]
-    fn image_bytes_invariant_under_workers_and_buffer_reuse(
+    fn image_bytes_invariant_under_buffer_reuse(
         procs in 1usize..5,
         regions in 1u32..4,
         len in 1u32..64,
@@ -258,29 +257,18 @@ proptest! {
 
         let header =
             Header { pod: pod.name(), host: "prop-node".into(), wall_ms: 0, flags: 0 };
-        let checkpoint = |workers: usize, buffer: Option<Vec<u8>>| {
-            let opts = SaveOpts { workers, ..Default::default() };
+        let checkpoint = |buffer: Option<Vec<u8>>| {
             let mut w = match buffer {
                 Some(buf) => ImageWriter::with_buffer(&header, buf),
                 None => ImageWriter::new(&header),
             };
-            checkpoint_standalone_with(&pod, &mut w, &opts).unwrap();
+            checkpoint_standalone(&pod, &mut w).unwrap();
             w.finish()
         };
 
-        // Reference: serial encode into a fresh buffer.
-        let reference = checkpoint(1, None);
+        // Reference: encode into a fresh buffer.
+        let reference = checkpoint(None);
         let want = stable_sections(&reference);
-
-        // Worker counts, including more workers than processes.
-        for workers in [2usize, 4, 8] {
-            let image = checkpoint(workers, None);
-            prop_assert!(
-                want == stable_sections(&image),
-                "image changed with {} workers",
-                workers
-            );
-        }
 
         // Pooled-buffer reuse: recycle one image allocation through
         // repeated checkpoints (the steady-state dump path) and poison
@@ -289,7 +277,7 @@ proptest! {
         for round in 0..3usize {
             buf.clear();
             buf.resize(64, 0xA5); // poison: must be fully overwritten
-            let image = checkpoint(4, Some(std::mem::take(&mut buf)));
+            let image = checkpoint(Some(std::mem::take(&mut buf)));
             prop_assert!(
                 want == stable_sections(&image),
                 "image changed on pooled-buffer round {}",

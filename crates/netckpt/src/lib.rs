@@ -37,16 +37,11 @@
 //! the listener. Two threads per Agent (one accepting, one connecting)
 //! make the schedule trivially deadlock-free for any topology, including
 //! rings (§4).
-//!
-//! [`naive`] implements the peek-based capture that Cruz-style systems use,
-//! as an ablation: tests demonstrate it silently loses urgent/out-of-band
-//! data and backlog state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod merge;
-pub mod naive;
 pub mod records;
 pub mod restore;
 pub mod save;

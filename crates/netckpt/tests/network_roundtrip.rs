@@ -342,39 +342,6 @@ fn urgent_data_byte_exact_under_both_oob_inline_settings() {
 }
 
 #[test]
-fn naive_peek_capture_loses_urgent_data() {
-    // The ablation: Cruz-style peek misses the urgent byte that the real
-    // mechanism preserves.
-    let r = rig(2);
-    let a = make_pod(&r, "A", 7, 0);
-    let b = make_pod(&r, "B", 8, 1);
-    let (client, _l, server) = connect_pods(&a, &b, 5003);
-    client.write_all_wait(b"normal", TIMEOUT).unwrap();
-    client.send_oob(b"U").unwrap();
-    let dl = std::time::Instant::now() + TIMEOUT;
-    while !server.poll().oob {
-        assert!(std::time::Instant::now() < dl);
-        std::thread::sleep(Duration::from_micros(200));
-    }
-
-    r.net.filter().block_ip(a.vip());
-    r.net.filter().block_ip(b.vip());
-    let naive = zapc_netckpt::naive::naive_peek_capture(&b);
-    let (urgent_missed, _, _) = zapc_netckpt::naive::naive_loss(&b);
-    let (_, full) = checkpoint_network(&b);
-
-    // The naive capture of the server child sees only the normal stream.
-    let child_naive = naive.iter().find(|n| n.ordinal == 1).unwrap();
-    assert_eq!(child_naive.stream, b"normal");
-    assert_eq!(urgent_missed, 1, "one urgent byte invisible to peek");
-    // The full mechanism captured it.
-    assert_eq!(full[1].recv_urgent, b"U");
-    r.net.filter().clear();
-    a.destroy();
-    b.destroy();
-}
-
-#[test]
 fn closed_connection_with_unread_data() {
     let r = rig(4);
     let a = make_pod(&r, "A", 9, 0);

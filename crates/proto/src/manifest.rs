@@ -3,10 +3,10 @@
 //!
 //! A coordinated checkpoint stages one image per pod into the durable
 //! store and then publishes exactly one [`Manifest`] naming every staged
-//! image with its FNV-1a 64 digest, byte count, placement, and incremental
-//! lineage. Until the manifest file lands at its final path the checkpoint
-//! does not exist: a crash leaves only unreferenced staged images, which
-//! recovery garbage-collects. After the rename the checkpoint is fully
+//! image with its FNV-1a 64 digest, byte count and placement. Until the
+//! manifest file lands at its final path the checkpoint does not exist: a
+//! crash leaves only unreferenced staged images, which recovery
+//! garbage-collects. After the rename the checkpoint is fully
 //! described by durable state: recovery re-validates each referenced image
 //! against its recorded digest and either resumes from the manifest or
 //! rolls back to the previous one — a half-written checkpoint can never be
@@ -26,7 +26,7 @@ use std::collections::HashSet;
 pub const MANIFEST_MAGIC: &[u8; 8] = b"ZAPCMAN\0";
 
 /// Current manifest format version.
-pub const MANIFEST_VERSION: u32 = 1;
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// Record tag of the manifest body (disjoint from image section tags).
 pub const MANIFEST_TAG: u16 = 0x0100;
@@ -45,12 +45,6 @@ pub struct ManifestEntry {
     pub bytes: u64,
     /// Node the pod lived on at checkpoint time (restart placement hint).
     pub node: u32,
-    /// Store reference of the parent image when this entry is an
-    /// incremental delta (empty for standalone images). Recovery GC keeps
-    /// the transitive parent closure of every retained manifest alive.
-    pub parent: String,
-    /// Incremental chain depth (0 = standalone base).
-    pub depth: u32,
 }
 
 impl Encode for ManifestEntry {
@@ -60,8 +54,6 @@ impl Encode for ManifestEntry {
         w.put_u64(self.digest);
         w.put_u64(self.bytes);
         w.put_u32(self.node);
-        w.put_str(&self.parent);
-        w.put_u32(self.depth);
     }
 }
 
@@ -73,8 +65,6 @@ impl Decode for ManifestEntry {
             digest: r.get_u64()?,
             bytes: r.get_u64()?,
             node: r.get_u32()?,
-            parent: r.get_str()?,
-            depth: r.get_u32()?,
         })
     }
 }
@@ -181,8 +171,6 @@ mod tests {
                     digest: 0xDEAD_BEEF,
                     bytes: 4096,
                     node: 0,
-                    parent: String::new(),
-                    depth: 0,
                 },
                 ManifestEntry {
                     pod: "w1".into(),
@@ -190,8 +178,6 @@ mod tests {
                     digest: 0xFEED_FACE,
                     bytes: 2048,
                     node: 1,
-                    parent: "images/6/w1".into(),
-                    depth: 1,
                 },
             ],
         }
@@ -202,7 +188,7 @@ mod tests {
         let m = sample();
         let bytes = m.to_bytes();
         assert_eq!(Manifest::from_bytes(&bytes).unwrap(), m);
-        assert_eq!(m.entry("w1").unwrap().depth, 1);
+        assert_eq!(m.entry("w1").unwrap().node, 1);
         assert!(m.entry("nope").is_none());
     }
 
@@ -214,12 +200,15 @@ mod tests {
 
     #[test]
     fn bad_version_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes[8] = 0xFE;
-        assert!(matches!(
-            Manifest::from_bytes(&bytes),
-            Err(DecodeError::UnsupportedVersion { .. })
-        ));
+        // 1 is the retired layout that carried per-entry lineage fields.
+        for ver in [1u8, 0xFE] {
+            let mut bytes = sample().to_bytes();
+            bytes[8] = ver;
+            assert_eq!(
+                Manifest::from_bytes(&bytes),
+                Err(DecodeError::UnsupportedVersion { found: ver as u32 })
+            );
+        }
     }
 
     #[test]

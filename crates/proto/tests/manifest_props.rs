@@ -18,21 +18,13 @@ fn arb_entry() -> impl Strategy<Value = ManifestEntry> {
         any::<u64>(),           // digest
         any::<u64>(),           // bytes
         0u32..64,               // node
-        0u32..4,                // depth
-        any::<bool>(),          // incremental?
     )
-        .prop_map(|(pod, ckpt, digest, bytes, node, depth, has_parent)| ManifestEntry {
+        .prop_map(|(pod, ckpt, digest, bytes, node)| ManifestEntry {
             image_ref: format!("images/{ckpt}/{pod}"),
-            parent: if has_parent {
-                format!("images/{}/{pod}", ckpt.saturating_sub(1).max(1))
-            } else {
-                String::new()
-            },
             pod,
             digest,
             bytes,
             node,
-            depth: if has_parent { depth.max(1) } else { 0 },
         })
 }
 

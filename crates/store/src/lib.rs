@@ -838,8 +838,8 @@ impl ImageStore {
     }
 
     /// Garbage-collects the store: deletes every abandoned tmp file, every
-    /// image/recipe not in `live` (the union of image refs and transitive
-    /// parent refs of all retained manifests), and every chunk no retained
+    /// image/recipe not in `live` (the image refs of all retained
+    /// manifests), and every chunk no retained
     /// recipe references — except anything grace-listed by an unfenced
     /// in-flight checkpoint (see [`ImageStore::begin_stage`]). Never
     /// touches manifests — pruning those is a policy decision made by the
@@ -894,8 +894,6 @@ mod tests {
                     digest,
                     bytes: bytes.len() as u64,
                     node: 0,
-                    parent: String::new(),
-                    depth: 0,
                 }
             })
             .collect();

@@ -368,7 +368,6 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     w.section_bytes(SectionTag::NetState, net_payload.bytes());
     let network_bytes = net_payload.len() + meta.encoded_len();
     let save_opts = SaveOpts {
-        workers: ckpt.workers,
         base_gens: lineage.as_ref().map(|l| l.gens.clone()),
         obs: obs.clone(),
     };

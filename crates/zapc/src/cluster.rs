@@ -17,18 +17,14 @@ use zapc_net::{Netfilter, Network, NetworkConfig};
 use zapc_pod::{pod_vip, Pod, PodConfig};
 use zapc_sim::{ClusterClock, Node, NodeConfig, ProgramRegistry, SimFs};
 
-/// Checkpoint-engine knobs (PR 2): incremental images and intra-pod
-/// parallel serialization. Defaults are the paper's baseline — full
-/// images, serial encoding.
+/// Checkpoint-engine knob (PR 2): incremental images. The default is the
+/// paper's baseline — full images.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointOpts {
     /// Write incremental images (parent reference + dirty regions only)
     /// when a usable parent exists. Only `Uri::Mem` destinations chain;
     /// file and streamed destinations always get standalone images.
     pub incremental: bool,
-    /// Worker threads encoding process payloads inside one pod
-    /// (`0`/`1` = serial).
-    pub workers: usize,
 }
 
 /// Per-pod incremental-checkpoint lineage: what the latest image in the
@@ -101,9 +97,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Cluster-wide checkpoint-engine defaults (incremental images,
-    /// parallel serialization); individual operations can override via
-    /// `CheckpointOptions::ckpt`.
+    /// Cluster-wide checkpoint-engine default (incremental images);
+    /// individual operations can override via `CheckpointOptions::ckpt`.
     pub fn checkpoint_opts(mut self, opts: CheckpointOpts) -> Self {
         self.ckpt = opts;
         self

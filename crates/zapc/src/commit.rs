@@ -189,8 +189,6 @@ pub fn checkpoint_commit(
             digest: pr.digest,
             bytes: pr.image_bytes as u64,
             node: *nodes.get(&pr.pod).expect("placement captured at entry"),
-            parent: String::new(),
-            depth: 0,
         });
     }
     let manifest = Manifest {
@@ -425,14 +423,11 @@ fn rollback_staged(store: &ImageStore, ckpt: u64, epoch: u64) {
     store.gc(&live_refs(store, &store.manifest_ids()));
 }
 
-/// Whether manifest `id` parses and every image it references (including
-/// incremental parents) is present and digest-clean.
+/// Whether manifest `id` parses and every image it references is present
+/// and digest-clean.
 fn manifest_is_sound(store: &ImageStore, id: u64) -> bool {
     let Ok(m) = store.manifest(id) else { return false };
-    m.entries.iter().all(|e| {
-        store.fetch_verified(&e.image_ref, e.digest).is_ok()
-            && (e.parent.is_empty() || store.fetch(&e.parent).is_ok())
-    })
+    m.entries.iter().all(|e| store.fetch_verified(&e.image_ref, e.digest).is_ok())
 }
 
 /// Checkpoint ids that have staged image directories.
@@ -447,37 +442,12 @@ fn staged_ids(store: &ImageStore) -> Vec<u64> {
     ids
 }
 
-/// The live set: every image referenced by a manifest in `ids`, plus the
-/// transitive closure of incremental parents (a retained delta must keep
-/// its whole ancestry fetchable).
+/// The live set: every image referenced by a manifest in `ids`.
 fn live_refs(store: &ImageStore, ids: &[u64]) -> HashSet<String> {
-    let mut parent_of: HashMap<String, String> = HashMap::new();
-    let mut retained: Vec<Manifest> = Vec::new();
-    for id in store.manifest_ids() {
-        if let Ok(m) = store.manifest(id) {
-            for e in &m.entries {
-                if !e.parent.is_empty() {
-                    parent_of.insert(e.image_ref.clone(), e.parent.clone());
-                }
-            }
-            if ids.contains(&m.ckpt_id) {
-                retained.push(m);
-            }
-        }
-    }
-    let mut live: HashSet<String> = HashSet::new();
-    for m in &retained {
-        for e in &m.entries {
-            let mut cur = e.image_ref.clone();
-            while live.insert(cur.clone()) {
-                match parent_of.get(&cur) {
-                    Some(p) => cur = p.clone(),
-                    None => break,
-                }
-            }
-        }
-    }
-    live
+    ids.iter()
+        .filter_map(|&id| store.manifest(id).ok())
+        .flat_map(|m| m.entries.into_iter().map(|e| e.image_ref))
+        .collect()
 }
 
 /// Prunes all but the newest `keep` manifests, then garbage-collects.

@@ -570,8 +570,7 @@ fn live_source(
         w.section(SectionTag::NetMeta, |r| meta.encode(r));
         let net_payload = zapc_netckpt::records::encode_records(&records);
         w.section_bytes(SectionTag::NetState, net_payload.bytes());
-        let save_opts =
-            SaveOpts { workers: cluster.ckpt.workers, base_gens: gens.clone(), obs: obs.clone() };
+        let save_opts = SaveOpts { base_gens: gens.clone(), obs: obs.clone() };
         checkpoint_standalone_with(&pod, &mut w, &save_opts)
             .map_err(|e| format!("final cut failed: {e}"))?;
         let image = w.finish();

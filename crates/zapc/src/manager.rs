@@ -201,9 +201,9 @@ pub struct CheckpointOptions {
     pub retries: u32,
     /// Base delay between retries (attempt `n` waits `n * backoff`).
     pub backoff: Duration,
-    /// Checkpoint-engine knobs for this operation (incremental images,
-    /// parallel serialization); `None` uses the cluster-wide defaults set
-    /// via [`crate::ClusterBuilder::checkpoint_opts`].
+    /// Checkpoint-engine knob for this operation (incremental images);
+    /// `None` uses the cluster-wide default set via
+    /// [`crate::ClusterBuilder::checkpoint_opts`].
     pub ckpt: Option<CheckpointOpts>,
     /// Manager epoch to stamp the operation with. `None` reads the
     /// current epoch at each attempt's start; [`crate::checkpoint_commit`]

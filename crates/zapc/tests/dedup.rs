@@ -53,12 +53,12 @@ fn full_cycle_checkpoint_crash_recover_restart_is_byte_identical() {
     let r2 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
 
     // Rank symmetry pays: the four pods' images share their ballast, so
-    // the store holds far fewer bytes than the logical image total.
+    // both generations together take at most 0.6× the logical bytes of one.
     let logical: u64 = r2.report.pods.iter().map(|p| p.image_bytes as u64).sum();
     let on_disk = c.istore.disk_usage();
     assert!(
-        on_disk < logical,
-        "dedup+compress must beat raw logical bytes: {on_disk} vs {logical}"
+        on_disk * 10 <= logical * 6,
+        "dedup+compress must stay within 0.6x of raw logical bytes: {on_disk} vs {logical}"
     );
     assert!(!c.istore.chunk_refs().is_empty(), "content-addressed mode is on");
 

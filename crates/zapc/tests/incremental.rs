@@ -92,7 +92,7 @@ fn incremental_cluster() -> Cluster {
         .nodes(2)
         .cpus(2)
         .registry(registry())
-        .checkpoint_opts(CheckpointOpts { incremental: true, workers: 2 })
+        .checkpoint_opts(CheckpointOpts { incremental: true })
         .build()
 }
 
@@ -168,7 +168,7 @@ fn per_operation_opt_out_forces_full_image() {
 
     // Override per operation: full image even though a parent exists.
     let opts = CheckpointOptions {
-        ckpt: Some(CheckpointOpts { incremental: false, workers: 2 }),
+        ckpt: Some(CheckpointOpts { incremental: false }),
         ..Default::default()
     };
     let r = checkpoint_with(&cluster, &targets, &opts).unwrap();
@@ -216,35 +216,4 @@ fn destroy_finalize_breaks_the_chain() {
     let r2 = checkpoint(&cluster, &snap).unwrap();
     assert!(!r2.pods[0].incremental, "lineage must reset across restart");
     cluster.destroy_pod("mig");
-}
-
-#[test]
-fn parallel_workers_preserve_image_equivalence_end_to_end() {
-    // Same pod state, serial vs parallel encoding through the full
-    // Manager path: both restore to the same result.
-    let expected = reference_code(150_000);
-    for workers in [1usize, 4] {
-        let cluster = Cluster::builder()
-            .nodes(2)
-            .cpus(2)
-            .registry(registry())
-            .checkpoint_opts(CheckpointOpts { incremental: false, workers })
-            .build();
-        let pod = cluster.create_pod("par", 0);
-        for i in 0..3 {
-            pod.spawn(&format!("w{i}"), Box::new(Skew::fresh(150_000)));
-        }
-        std::thread::sleep(Duration::from_millis(15));
-        checkpoint(&cluster, &[CheckpointTarget::snapshot("par")]).unwrap();
-        cluster.destroy_pod("par");
-        restart(
-            &cluster,
-            &[RestartTarget { pod: "par".into(), uri: Uri::mem("ckpt/par"), node: 1 }],
-        )
-        .unwrap();
-        let pod = cluster.pod("par").unwrap();
-        let codes = pod.wait_all(Duration::from_secs(60)).unwrap();
-        assert_eq!(codes, vec![expected; 3], "workers={workers}");
-        cluster.destroy_pod("par");
-    }
 }

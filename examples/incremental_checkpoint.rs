@@ -3,9 +3,9 @@
 //!
 //! The cluster is built with [`CheckpointOpts`] so every coordinated
 //! checkpoint after the first emits only the memory regions written since
-//! the previous one (per-region generation counters in the simulator),
-//! serialized by a pool of intra-pod workers. The Manager squashes the
-//! parent chain at restart, so callers never see delta images.
+//! the previous one (per-region generation counters in the simulator).
+//! The Manager squashes the parent chain at restart, so callers never see
+//! delta images.
 //!
 //! ```sh
 //! cargo run --release --example incremental_checkpoint
@@ -17,12 +17,12 @@ use zapc::{checkpoint, restart, CheckpointOpts, Cluster, Uri};
 use zapc_apps::launch::{full_registry, launch_app, AppKind, AppParams};
 
 fn main() {
-    // Cluster-wide default: incremental images, 4 serialization workers
-    // per pod. Individual operations can still override (see below).
+    // Cluster-wide default: incremental images. Individual operations can
+    // still override (see below).
     let cluster = Cluster::builder()
         .nodes(2)
         .registry(full_registry())
-        .checkpoint_opts(CheckpointOpts { incremental: true, workers: 4 })
+        .checkpoint_opts(CheckpointOpts { incremental: true })
         .build();
 
     // Bratu (PETSc-style nonlinear solver): a couple of large grid arrays
@@ -58,7 +58,7 @@ fn main() {
     // Per-operation opt-out: force one full self-contained image (e.g. for
     // off-cluster archival) without touching the cluster default.
     let full_opts = CheckpointOptions {
-        ckpt: Some(CheckpointOpts { incremental: false, workers: 4 }),
+        ckpt: Some(CheckpointOpts { incremental: false }),
         ..Default::default()
     };
     let report = checkpoint_with(&cluster, &targets, &full_opts).expect("full checkpoint");

@@ -348,7 +348,7 @@ fn incremental_cluster(plan: FaultPlan) -> Cluster {
         .nodes(2)
         .registry(full_registry())
         .faults(plan)
-        .checkpoint_opts(CheckpointOpts { incremental: true, workers: 2 })
+        .checkpoint_opts(CheckpointOpts { incremental: true })
         .build()
 }
 

@@ -127,8 +127,9 @@ fn live_downtime_beats_stop_and_copy_outage() {
     app2.destroy(&c2);
 
     // Generous slack (2×) keeps the assertion meaningful but immune to
-    // scheduler noise on loaded CI machines; BENCH_6 measures the real
-    // ratio, which is far below 1.
+    // scheduler noise on loaded CI machines; the benchmark's
+    // `live_downtime_ms_p50` / `migrate_outage_ms_p50` pair measures the
+    // real ratio.
     assert!(
         report.max_downtime_ms < stop_and_copy_ms * 2.0,
         "live downtime {:.2}ms must not exceed stop-and-copy outage {:.2}ms (2x slack)",
