@@ -15,9 +15,9 @@
 //!   previous checkpoint can never leak into an image (pinned by the
 //!   `pooled_buffers_leak_no_stale_bytes` property test).
 //! * [`give`] returns a buffer to the pool. Oversized buffers
-//!   (> [`MAX_RETAINED_CAP`]) are dropped so one huge pod can't pin its
+//!   (> `MAX_RETAINED_CAP`) are dropped so one huge pod can't pin its
 //!   peak footprint forever; the pool itself holds at most
-//!   [`MAX_POOLED`] buffers.
+//!   `MAX_POOLED` buffers.
 //!
 //! Ownership rule (see DESIGN.md "Hot path & allocation discipline"):
 //! whoever last touches the bytes gives the buffer back. The dump path

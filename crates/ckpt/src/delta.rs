@@ -1,64 +1,30 @@
-//! Incremental checkpoint records and chain materialization.
+//! Memory delta records: one process's address-space changes since an
+//! earlier capture of the same process.
 //!
-//! A v2 incremental image replaces each `Memory` section by a
-//! [`MemoryDeltaRecord`] ([`SectionTag::MemoryDelta`]) carrying only the
-//! regions dirtied since the parent checkpoint, and names that parent in a
-//! [`ParentRecord`] ([`SectionTag::ParentRef`]) written right after the
-//! header. Restore never consumes deltas directly: [`squash_image`]
-//! materializes a standalone image first by walking the parent chain and
-//! composing the deltas — the checkpoint-time analogue of DMTCP-style
-//! incremental dumps where the restart path only ever sees a full image.
+//! A [`MemoryDeltaRecord`] ([`zapc_proto::SectionTag::MemoryDelta`])
+//! carries only the regions dirtied since its base generation. It is only
+//! ever resolved against a base that arrived earlier on the same stream:
+//! live migration's pre-copy rounds and cutover feed
+//! [`crate::DecodedPod::apply_section`], which applies each delta onto the
+//! `Memory` section it already holds for that vpid. Stored images always
+//! stand alone — [`crate::restore_standalone`] refuses a `MemoryDelta`.
 
-use crate::{CkptError, CkptResult};
-use std::collections::HashMap;
-use zapc_proto::{Decode, DecodeResult, Encode, ImageReader, ImageWriter, RecordReader,
-    RecordWriter, SectionTag};
+use zapc_proto::{Decode, DecodeResult, Encode, RecordReader, RecordWriter};
 use zapc_sim::memory::{AddressSpace, Region};
 
-/// Longest parent chain [`squash_image`] will walk before assuming a cycle.
-pub const MAX_CHAIN_DEPTH: u32 = 64;
-
-/// Payload of a [`SectionTag::ParentRef`] section: which image this
-/// incremental checkpoint is a delta against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParentRecord {
-    /// Storage label of the parent image (a `MemStore` key).
-    pub parent: String,
-    /// FNV-1a 64 digest of the complete parent image bytes — detects a
-    /// swapped or clobbered parent before deltas are applied to the wrong
-    /// base. (CRC-32 is unusable here: see `zapc_proto::crc::fnv1a64`.)
-    pub parent_digest: u64,
-    /// Chain depth: 1 for the first incremental after a full image.
-    pub depth: u32,
-}
-
-impl Encode for ParentRecord {
-    fn encode(&self, w: &mut RecordWriter) {
-        w.put_str(&self.parent);
-        w.put_u64(self.parent_digest);
-        w.put_u32(self.depth);
-    }
-}
-
-impl Decode for ParentRecord {
-    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        Ok(ParentRecord { parent: r.get_str()?, parent_digest: r.get_u64()?, depth: r.get_u32()? })
-    }
-}
-
-/// Payload of a [`SectionTag::MemoryDelta`] section: one process's
-/// address-space changes since the parent image.
+/// Payload of a [`zapc_proto::SectionTag::MemoryDelta`] section: one
+/// process's address-space changes since its base capture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryDeltaRecord {
     /// Virtual PID this delta belongs to.
     pub vpid: u32,
-    /// Address-space generation the parent image was taken at.
+    /// Address-space generation the base was captured at.
     pub base_gen: u64,
-    /// Address-space generation at this checkpoint (the next delta's base).
+    /// Address-space generation at this capture (the next delta's base).
     pub new_gen: u64,
-    /// Allocator watermark at this checkpoint.
+    /// Allocator watermark at this capture.
     pub next_base: u64,
-    /// Bases of *all* live regions — regions of the parent absent from this
+    /// Bases of *all* live regions — regions of the base absent from this
     /// set were unmapped and must be dropped when the delta is applied.
     pub live: Vec<u64>,
     /// Full contents of every region written since `base_gen`.
@@ -78,7 +44,7 @@ impl MemoryDeltaRecord {
         }
     }
 
-    /// Applies this delta on top of the parent's address space.
+    /// Applies this delta on top of the base address space.
     pub fn apply(self, mem: &mut AddressSpace) {
         mem.apply_delta(&self.live, self.dirty, self.next_base);
     }
@@ -108,143 +74,9 @@ impl Decode for MemoryDeltaRecord {
     }
 }
 
-/// Returns the [`ParentRecord`] of an incremental image, or `None` for a
-/// standalone one. Cheap: scans sections without decoding payloads.
-pub fn parent_ref(bytes: &[u8]) -> CkptResult<Option<ParentRecord>> {
-    let mut rd = ImageReader::open(bytes)?;
-    while let Some(s) = rd.next_section()? {
-        if s.tag == SectionTag::ParentRef {
-            let mut r = RecordReader::new(s.payload);
-            return Ok(Some(ParentRecord::decode(&mut r)?));
-        }
-    }
-    Ok(None)
-}
-
-/// Materializes a standalone image from an incremental chain.
-///
-/// `fetch` resolves a parent label to its stored image bytes (normally a
-/// `MemStore` lookup). A standalone input is returned verbatim; otherwise
-/// the parent is squashed recursively, its `Memory` sections decoded, each
-/// child `MemoryDelta` applied on top, and the result re-encoded as plain
-/// `Memory` sections in the child's section order — byte-identical to the
-/// full checkpoint the child would have written. The parent's digest is
-/// verified before composition so deltas can never land on the wrong base.
-pub fn squash_image<F>(bytes: &[u8], fetch: &F) -> CkptResult<Vec<u8>>
-where
-    F: Fn(&str) -> Option<Vec<u8>>,
-{
-    squash_inner(bytes, fetch, MAX_CHAIN_DEPTH)
-}
-
-fn squash_inner<F>(bytes: &[u8], fetch: &F, budget: u32) -> CkptResult<Vec<u8>>
-where
-    F: Fn(&str) -> Option<Vec<u8>>,
-{
-    let Some(parent_rec) = parent_ref(bytes)? else {
-        return Ok(bytes.to_vec());
-    };
-    if budget == 0 {
-        return Err(CkptError::ChainTooDeep(MAX_CHAIN_DEPTH));
-    }
-
-    let parent_bytes = fetch(&parent_rec.parent)
-        .ok_or_else(|| CkptError::MissingParent(parent_rec.parent.clone()))?;
-    let found = zapc_proto::crc::fnv1a64(&parent_bytes);
-    if found != parent_rec.parent_digest {
-        return Err(CkptError::ParentMismatch {
-            label: parent_rec.parent,
-            expected: parent_rec.parent_digest,
-            found,
-        });
-    }
-    let parent_full = squash_inner(&parent_bytes, fetch, budget - 1)?;
-
-    // Parent address spaces by vpid (the composition base).
-    let mut base_mems: HashMap<u32, AddressSpace> = HashMap::new();
-    let mut prd = ImageReader::open(&parent_full)?;
-    while let Some(s) = prd.next_section()? {
-        if s.tag == SectionTag::Memory {
-            let mut r = RecordReader::new(s.payload);
-            let vpid = r.get_u32()?;
-            base_mems.insert(vpid, AddressSpace::decode(&mut r)?);
-        }
-    }
-
-    // Rewrite the child: deltas composed into full Memory sections, all
-    // other sections (network, namespace, processes, …) copied verbatim —
-    // an incremental image always carries those in full.
-    let mut rd = ImageReader::open(bytes)?;
-    let mut w = ImageWriter::with_capacity(rd.header(), parent_full.len() + bytes.len());
-    while let Some(s) = rd.next_section()? {
-        match s.tag {
-            SectionTag::ParentRef => {}
-            SectionTag::MemoryDelta => {
-                let mut r = RecordReader::new(s.payload);
-                let delta = MemoryDeltaRecord::decode(&mut r)?;
-                let mut mem = base_mems
-                    .remove(&delta.vpid)
-                    .ok_or(CkptError::Inconsistent("delta without parent memory"))?;
-                let vpid = delta.vpid;
-                delta.apply(&mut mem);
-                let mut mw = RecordWriter::with_capacity(mem.total_bytes() + 64);
-                mw.put_u32(vpid);
-                mem.encode(&mut mw);
-                w.section_bytes(SectionTag::Memory, mw.bytes());
-            }
-            tag => w.section_bytes(tag, s.payload),
-        }
-    }
-    Ok(w.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zapc_proto::crc::fnv1a64;
-    use zapc_proto::image::Header;
-
-    fn header() -> Header {
-        Header { pod: "p".into(), host: "h".into(), wall_ms: 1, flags: 0 }
-    }
-
-    fn mem_payload(vpid: u32, mem: &AddressSpace) -> Vec<u8> {
-        let mut mw = RecordWriter::new();
-        mw.put_u32(vpid);
-        mem.encode(&mut mw);
-        mw.into_bytes()
-    }
-
-    fn full_image(vpid: u32, mem: &AddressSpace) -> Vec<u8> {
-        let mut w = ImageWriter::new(&header());
-        w.section_bytes(SectionTag::Memory, &mem_payload(vpid, mem));
-        w.finish()
-    }
-
-    fn delta_image(parent: &str, parent_bytes: &[u8], depth: u32, d: &MemoryDeltaRecord) -> Vec<u8> {
-        let mut w = ImageWriter::new(&header());
-        let pr = ParentRecord {
-            parent: parent.to_owned(),
-            parent_digest: fnv1a64(parent_bytes),
-            depth,
-        };
-        w.section(SectionTag::ParentRef, |r| pr.encode(r));
-        let mut dw = RecordWriter::new();
-        d.encode(&mut dw);
-        w.section_bytes(SectionTag::MemoryDelta, dw.bytes());
-        w.finish()
-    }
-
-    fn memory_payloads(bytes: &[u8]) -> Vec<Vec<u8>> {
-        let mut rd = ImageReader::open(bytes).unwrap();
-        let mut out = Vec::new();
-        while let Some(s) = rd.next_section().unwrap() {
-            if s.tag == SectionTag::Memory {
-                out.push(s.payload.to_vec());
-            }
-        }
-        out
-    }
 
     #[test]
     fn record_round_trips() {
@@ -260,120 +92,4 @@ mod tests {
         let back = MemoryDeltaRecord::decode(&mut RecordReader::new(&bytes)).unwrap();
         assert_eq!(back, d);
     }
-
-    #[test]
-    fn squash_reproduces_full_memory_payload() {
-        let mut mem = AddressSpace::new();
-        let cold = mem.map_bytes("cold", 4096);
-        let hot = mem.map_bytes("hot", 64);
-        mem.bytes_mut(cold).unwrap()[100] = 1;
-        let snap = mem.generation();
-        let parent = full_image(1, &mem);
-
-        // Touch only the hot region, then unmap nothing.
-        mem.bytes_mut(hot).unwrap()[3] = 42;
-        let d = MemoryDeltaRecord::capture(1, snap, &mem);
-        assert_eq!(d.dirty.len(), 1, "only the hot region is dirty");
-        let child = delta_image("p0", &parent, 1, &d);
-
-        let expected = full_image(1, &mem);
-        let fetch = |label: &str| (label == "p0").then(|| parent.clone());
-        let squashed = squash_image(&child, &fetch).unwrap();
-        assert_eq!(memory_payloads(&squashed), memory_payloads(&expected));
-        assert!(parent_ref(&squashed).unwrap().is_none(), "squashed image is standalone");
-    }
-
-    #[test]
-    fn squash_drops_unmapped_regions() {
-        let mut mem = AddressSpace::new();
-        let cold = mem.map_bytes("cold", 512);
-        let _hot = mem.map_bytes("hot", 32);
-        let snap = mem.generation();
-        let parent = full_image(1, &mem);
-
-        mem.unmap(cold);
-        let d = MemoryDeltaRecord::capture(1, snap, &mem);
-        let child = delta_image("p0", &parent, 1, &d);
-        let fetch = |label: &str| (label == "p0").then(|| parent.clone());
-        let squashed = squash_image(&child, &fetch).unwrap();
-        assert_eq!(memory_payloads(&squashed), memory_payloads(&full_image(1, &mem)));
-    }
-
-    #[test]
-    fn squash_chain_of_two() {
-        let mut mem = AddressSpace::new();
-        let a = mem.map_bytes("a", 256);
-        let b = mem.map_bytes("b", 256);
-        let snap0 = mem.generation();
-        let img0 = full_image(1, &mem);
-
-        mem.bytes_mut(a).unwrap()[0] = 1;
-        let snap1 = mem.generation();
-        let img1 = delta_image("c0", &img0, 1, &MemoryDeltaRecord::capture(1, snap0, &mem));
-
-        mem.bytes_mut(b).unwrap()[0] = 2;
-        let img2 = delta_image("c1", &img1, 2, &MemoryDeltaRecord::capture(1, snap1, &mem));
-
-        let fetch = |label: &str| match label {
-            "c0" => Some(img0.clone()),
-            "c1" => Some(img1.clone()),
-            _ => None,
-        };
-        let squashed = squash_image(&img2, &fetch).unwrap();
-        assert_eq!(memory_payloads(&squashed), memory_payloads(&full_image(1, &mem)));
-    }
-
-    #[test]
-    fn missing_parent_is_typed_error() {
-        let mut mem = AddressSpace::new();
-        mem.map_bytes("x", 8);
-        let parent = full_image(1, &mem);
-        let child = delta_image("gone", &parent, 1, &MemoryDeltaRecord::capture(1, 0, &mem));
-        let fetch = |_: &str| None;
-        assert!(matches!(squash_image(&child, &fetch), Err(CkptError::MissingParent(_))));
-    }
-
-    #[test]
-    fn clobbered_parent_detected_by_crc() {
-        let mut mem = AddressSpace::new();
-        let r = mem.map_bytes("x", 8);
-        let snap = mem.generation();
-        let parent = full_image(1, &mem);
-        mem.bytes_mut(r).unwrap()[0] = 5;
-        let child = delta_image("p0", &parent, 1, &MemoryDeltaRecord::capture(1, snap, &mem));
-        // Storage hands back a *different* image under the same label.
-        let imposter = full_image(1, &mem);
-        let fetch = |_: &str| Some(imposter.clone());
-        assert!(matches!(
-            squash_image(&child, &fetch),
-            Err(CkptError::ParentMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn over_deep_chain_rejected() {
-        let mut mem = AddressSpace::new();
-        let r = mem.map_bytes("x", 8);
-        let mut images = vec![full_image(1, &mem)];
-        for i in 0..=MAX_CHAIN_DEPTH {
-            mem.bytes_mut(r).unwrap()[0] = i as u8;
-            let snap = mem.generation() - 1;
-            let parent = images.last().unwrap().clone();
-            images.push(delta_image(
-                &format!("c{i}"),
-                &parent,
-                i + 1,
-                &MemoryDeltaRecord::capture(1, snap, &mem),
-            ));
-        }
-        let fetch = |label: &str| {
-            let idx: usize = label.strip_prefix('c')?.parse().ok()?;
-            images.get(idx).cloned()
-        };
-        assert!(matches!(
-            squash_image(images.last().unwrap(), &fetch),
-            Err(CkptError::ChainTooDeep(_))
-        ));
-    }
 }
-

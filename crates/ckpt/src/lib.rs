@@ -27,14 +27,12 @@ pub mod records;
 pub mod restore;
 pub mod save;
 
-pub use delta::{parent_ref, squash_image, MemoryDeltaRecord, ParentRecord};
+pub use delta::MemoryDeltaRecord;
 pub use records::{FdRecord, ProcRecord};
-pub use restore::{
-    restore_standalone, restore_standalone_obs, DecodedPod, RestoredPod, RestoredSockets,
-};
+pub use restore::{restore_standalone, DecodedPod, RestoredPod, RestoredSockets};
 pub use save::{
     capture_memory_round, checkpoint_standalone, checkpoint_standalone_with, RoundPayload,
-    SaveOpts, SaveOutcome,
+    SaveOpts,
 };
 
 /// Errors of the standalone checkpoint-restart paths.
@@ -53,20 +51,6 @@ pub enum CkptError {
     MissingPipe(u64),
     /// Image sections were inconsistent (e.g. memory without its process).
     Inconsistent(&'static str),
-    /// An incremental image's parent was not found in storage.
-    MissingParent(String),
-    /// The stored parent image does not match the digest the child recorded.
-    ParentMismatch {
-        /// Storage label of the parent.
-        label: String,
-        /// Digest the child's `ParentRef` recorded.
-        expected: u64,
-        /// Digest of the bytes actually in storage.
-        found: u64,
-    },
-    /// The parent chain exceeded [`delta::MAX_CHAIN_DEPTH`] links
-    /// (almost certainly a cycle).
-    ChainTooDeep(u32),
 }
 
 impl std::fmt::Display for CkptError {
@@ -78,16 +62,6 @@ impl std::fmt::Display for CkptError {
             CkptError::MissingSocket(ord) => write!(f, "socket ordinal {ord} not restored"),
             CkptError::MissingPipe(id) => write!(f, "pipe {id} missing from pipe table"),
             CkptError::Inconsistent(why) => write!(f, "inconsistent image: {why}"),
-            CkptError::MissingParent(label) => {
-                write!(f, "parent image {label:?} not found in storage")
-            }
-            CkptError::ParentMismatch { label, expected, found } => write!(
-                f,
-                "parent image {label:?} digest mismatch: expected {expected:#018x}, found {found:#018x}"
-            ),
-            CkptError::ChainTooDeep(max) => {
-                write!(f, "incremental chain deeper than {max} links")
-            }
         }
     }
 }

@@ -45,10 +45,16 @@ pub fn decode_namespace(payload: &[u8]) -> CkptResult<Namespace> {
     Ok(ns)
 }
 
-/// [`restore_standalone`] with observability: the whole reinstatement runs
-/// under a `ckpt.restore` span and the reinstated process count lands on
-/// the `ckpt.restore_procs` counter.
-pub fn restore_standalone_obs(
+/// Reinstates the standalone state carried by `sections` into `pod`
+/// (created beforehand from the image's namespace). Network sections are
+/// ignored here — `zapc-netckpt` consumes them. Restored processes are
+/// left `Stopped`; the Agent resumes the pod once the whole restart
+/// concludes (Figure 3).
+///
+/// The reinstatement runs under a `ckpt.restore` span of `obs` and the
+/// reinstated process count lands on its `ckpt.restore_procs` counter (a
+/// disabled observer costs one branch).
+pub fn restore_standalone(
     sections: &[Section<'_>],
     pod: &Arc<Pod>,
     registry: &ProgramRegistry,
@@ -57,47 +63,35 @@ pub fn restore_standalone_obs(
 ) -> CkptResult<RestoredPod> {
     let key = pod.name();
     let _span = obs.span(&key, "ckpt.restore");
-    let out = restore_standalone(sections, pod, registry, sockets)?;
+    let mut parts = DecodedPod::new();
+    for s in sections {
+        match s.tag {
+            // A stored image stands alone. A `MemoryDelta` only means
+            // something after its base on the same live-migration stream
+            // (`DecodedPod::apply_section`); applied here it would silently
+            // lose every clean region. `ParentRef` is the retired
+            // parent-chain tag: no writer emits it, so an image carrying
+            // one is stale or hostile.
+            SectionTag::ParentRef | SectionTag::MemoryDelta => {
+                return Err(CkptError::Inconsistent(
+                    "stored image is not standalone (parent reference or memory delta)",
+                ))
+            }
+            tag => parts.apply_section(tag, s.payload)?,
+        }
+    }
+    let out = parts.reinstate(pod, registry, sockets)?;
     if obs.enabled() {
         obs.counter(&key, "ckpt.restore_procs", out.processes as u64);
     }
     Ok(out)
 }
 
-/// Reinstates the standalone state carried by `sections` into `pod`
-/// (created beforehand from the image's namespace). Network sections are
-/// ignored here — `zapc-netckpt` consumes them. Restored processes are
-/// left `Stopped`; the Agent resumes the pod once the whole restart
-/// concludes (Figure 3).
-pub fn restore_standalone(
-    sections: &[Section<'_>],
-    pod: &Arc<Pod>,
-    registry: &ProgramRegistry,
-    sockets: &RestoredSockets,
-) -> CkptResult<RestoredPod> {
-    let mut parts = DecodedPod::new();
-    for s in sections {
-        match s.tag {
-            // Incremental images must be materialized (`delta::squash_image`)
-            // before a one-shot restore; applying a delta without its parent
-            // would silently lose every clean region. (The pipelined live
-            // path feeds deltas through `DecodedPod::apply_section` directly
-            // because there the base arrived over the same stream.)
-            SectionTag::ParentRef | SectionTag::MemoryDelta => {
-                return Err(CkptError::Inconsistent(
-                    "incremental image not squashed before restore",
-                ))
-            }
-            tag => parts.apply_section(tag, s.payload)?,
-        }
-    }
-    parts.reinstate(pod, registry, sockets)
-}
-
 /// Incrementally decoded standalone state: the receiving half of the
-/// pipelined live-migration restore. Sections are applied as frames
-/// arrive — a [`SectionTag::MemoryDelta`] squashes onto the previously
-/// received base in place — so the chain is never buffered whole and the
+/// pipelined live-migration restore, and the one place a
+/// [`SectionTag::MemoryDelta`] is ever resolved. Sections are applied as
+/// frames arrive — a delta lands in place on the base the same stream
+/// delivered earlier — so the rounds are never buffered whole and the
 /// final [`DecodedPod::reinstate`] works from already-materialized state.
 #[derive(Debug, Default)]
 pub struct DecodedPod {
@@ -117,9 +111,9 @@ impl DecodedPod {
     /// address space; `MemoryDelta` squashes onto the vpid's base (which
     /// must have arrived first); `Process` records replace earlier ones
     /// for the same vpid (later rounds carry fresher control state).
-    /// `ParentRef` is rejected — a streamed chain carries its deltas
-    /// inline, never by storage reference. Unknown/network sections are
-    /// ignored, as in [`restore_standalone`].
+    /// `ParentRef` (the retired parent-chain tag) is rejected — a stream
+    /// carries its deltas inline, never by storage reference.
+    /// Unknown/network sections are ignored, as in [`restore_standalone`].
     pub fn apply_section(&mut self, tag: SectionTag, payload: &[u8]) -> CkptResult<()> {
         match tag {
             SectionTag::Timers => {
@@ -157,7 +151,7 @@ impl DecodedPod {
             }
             SectionTag::ParentRef => {
                 return Err(CkptError::Inconsistent(
-                    "parent reference in a streamed section chain",
+                    "parent reference in a streamed section sequence",
                 ))
             }
             _ => {} // namespace handled by the caller; network by netckpt

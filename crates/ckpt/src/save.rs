@@ -14,10 +14,11 @@ use zapc_sim::{Pid, ProcState};
 /// Options for [`checkpoint_standalone_with`].
 #[derive(Debug, Clone, Default)]
 pub struct SaveOpts {
-    /// Per-vpid address-space generation of the parent image. When set,
-    /// a vpid present in the map gets a [`SectionTag::MemoryDelta`]
-    /// section with only the regions dirtied since; vpids not in the map
-    /// (e.g. forked after the parent) are written in full.
+    /// Per-vpid address-space generation of the last pre-copy round the
+    /// receiver already holds (live migration's final cut). When set, a
+    /// vpid present in the map gets a [`SectionTag::MemoryDelta`] section
+    /// with only the regions dirtied since; vpids not in the map (e.g.
+    /// forked after that round) are written in full.
     pub base_gens: Option<HashMap<u32, u64>>,
     /// Event observer: a `ckpt.encode` span around the per-process
     /// encodes, a `ckpt.merge` span, and `ckpt.full_bytes`/
@@ -26,28 +27,15 @@ pub struct SaveOpts {
     pub obs: zapc_obs::Observer,
 }
 
-/// What a checkpoint actually wrote, fed back into the caller's lineage
-/// bookkeeping for the next incremental.
-#[derive(Debug, Clone, Default)]
-pub struct SaveOutcome {
-    /// Address-space generation per vpid at checkpoint time (the base
-    /// generations of the *next* incremental).
-    pub gens: HashMap<u32, u64>,
-    /// Payload bytes of the `Memory`/`MemoryDelta` sections written.
-    pub memory_payload_bytes: usize,
-    /// Number of `MemoryDelta` sections written (0 ⇒ fully standalone).
-    pub delta_sections: usize,
-}
-
 /// Serializes a pod's non-network state into `w`.
 ///
 /// Preconditions (enforced): the pod is suspended — every live process is
 /// `Stopped` — and quiescent (no in-flight system call). This is Agent step
 /// 3 of Figure 1; the caller has already written the network sections.
 ///
-/// Serial, full-image wrapper around [`checkpoint_standalone_with`].
+/// Full-image wrapper around [`checkpoint_standalone_with`].
 pub fn checkpoint_standalone(pod: &Pod, w: &mut ImageWriter) -> CkptResult<()> {
-    checkpoint_standalone_with(pod, w, &SaveOpts::default()).map(|_| ())
+    checkpoint_standalone_with(pod, w, &SaveOpts::default())
 }
 
 /// One process's encoded payloads. Payload buffers come from (and
@@ -56,22 +44,20 @@ struct ProcPayload {
     proc_bytes: Vec<u8>,
     mem_tag: SectionTag,
     mem_bytes: Vec<u8>,
-    gen: u64,
-    vpid: u32,
     /// Pipes this process references, deduplicated per process only; the
     /// merge step deduplicates across processes in vpid order.
     pipes: Vec<(u64, Vec<u8>, bool, bool)>,
 }
 
-/// Serializes a pod's non-network state into `w`, optionally incremental
-/// (`opts.base_gens`). Section order is deterministic: Namespace, Timers,
-/// FdTable, then per process (in vpid order) Process followed by its
-/// Memory/MemoryDelta.
+/// Serializes a pod's non-network state into `w`, optionally as deltas
+/// against an earlier round of the same stream (`opts.base_gens`).
+/// Section order is deterministic: Namespace, Timers, FdTable, then per
+/// process (in vpid order) Process followed by its Memory/MemoryDelta.
 pub fn checkpoint_standalone_with(
     pod: &Pod,
     w: &mut ImageWriter,
     opts: &SaveOpts,
-) -> CkptResult<SaveOutcome> {
+) -> CkptResult<()> {
     let ordinals = socket_ordinals(pod);
 
     // Namespace.
@@ -117,17 +103,11 @@ pub fn checkpoint_standalone_with(
         }
     }
 
-    let mut outcome = SaveOutcome::default();
     w.section(SectionTag::FdTable, |r| pipe_table.encode(r));
     for (_, data, _, _) in pipe_table.pipes.drain(..) {
         bufpool::give(data);
     }
     for p in payloads {
-        outcome.gens.insert(p.vpid, p.gen);
-        outcome.memory_payload_bytes += p.mem_bytes.len();
-        if p.mem_tag == SectionTag::MemoryDelta {
-            outcome.delta_sections += 1;
-        }
         if obs.enabled() {
             let name = if p.mem_tag == SectionTag::MemoryDelta {
                 "ckpt.delta_bytes"
@@ -141,7 +121,7 @@ pub fn checkpoint_standalone_with(
         bufpool::give(p.proc_bytes);
         bufpool::give(p.mem_bytes);
     }
-    Ok(outcome)
+    Ok(())
 }
 
 /// One process's memory payload captured by a live pre-copy round.
@@ -287,7 +267,6 @@ fn encode_process(
     rec.encode(&mut pw);
     bufpool::give(rec.program_state);
 
-    let gen = proc.mem.generation();
     let (mem_tag, mem_bytes) = match base_gens.and_then(|b| b.get(&vpid).copied()) {
         Some(base_gen) => {
             let delta = MemoryDeltaRecord::capture(vpid, base_gen, &proc.mem);
@@ -303,7 +282,7 @@ fn encode_process(
         }
     };
 
-    Ok(ProcPayload { proc_bytes: pw.into_bytes(), mem_tag, mem_bytes, gen, vpid, pipes })
+    Ok(ProcPayload { proc_bytes: pw.into_bytes(), mem_tag, mem_bytes, pipes })
 }
 
 /// The pod's stable socket enumeration: socket id → checkpoint ordinal.

@@ -6,6 +6,7 @@
 use std::time::Duration;
 use zapc_ckpt::{checkpoint_standalone, restore_standalone, RestoredSockets};
 use zapc_net::{Network, NetworkConfig};
+use zapc_obs::Observer;
 use zapc_pod::{Pod, PodConfig};
 use zapc_proto::image::Header;
 use zapc_proto::{ImageReader, ImageWriter, RecordReader, RecordWriter, SectionTag};
@@ -95,7 +96,14 @@ fn run_with_downtime(virtualize: bool, downtime: Duration) -> i32 {
     let ns = zapc_ckpt::restore::decode_namespace(ns_payload).unwrap();
     assert_eq!(ns.virtualize_time, virtualize, "policy travels in the image");
     let pod2 = Pod::from_namespace(ns, &node, &clock, 150);
-    restore_standalone(&sections, &pod2, &registry(), &RestoredSockets::default()).unwrap();
+    restore_standalone(
+        &sections,
+        &pod2,
+        &registry(),
+        &RestoredSockets::default(),
+        &Observer::disabled(),
+    )
+    .unwrap();
     pod2.resume().unwrap();
     let code = pod2.wait_all(Duration::from_secs(10)).unwrap()[0];
     pod2.destroy();
@@ -195,7 +203,8 @@ fn timer_order_preserved_across_restore() {
     let pod2 = Pod::from_namespace(ns, &node, &clock, 150);
     let mut reg = ProgramRegistry::new();
     reg.register("test.timer-ladder", load_ladder);
-    restore_standalone(&sections, &pod2, &reg, &RestoredSockets::default()).unwrap();
+    restore_standalone(&sections, &pod2, &reg, &RestoredSockets::default(), &Observer::disabled())
+        .unwrap();
     pod2.resume().unwrap();
     assert_eq!(pod2.wait_all(Duration::from_secs(10)).unwrap()[0], 0, "order preserved");
     pod2.destroy();

@@ -1,25 +1,26 @@
-//! Incremental and parallel standalone checkpoints: delta capture against a
-//! parent image, chain squash, and serial/parallel equivalence.
+//! Memory deltas at the standalone layer: a delta round resolves only
+//! against the base the same stream delivered (`DecodedPod`), and a stored
+//! image carrying one — or the retired `ParentRef` tag — is refused.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use zapc_ckpt::{
-    checkpoint_standalone_with, restore_standalone, squash_image, MemoryDeltaRecord, ParentRecord,
-    RestoredSockets, SaveOpts,
+    capture_memory_round, checkpoint_standalone, checkpoint_standalone_with, restore_standalone,
+    CkptError, DecodedPod, RestoredSockets, RoundPayload, SaveOpts,
 };
 use zapc_net::{Network, NetworkConfig};
+use zapc_obs::Observer;
 use zapc_pod::{Pod, PodConfig};
-use zapc_proto::crc::fnv1a64;
 use zapc_proto::image::Header;
-use zapc_proto::{Encode, ImageReader, ImageWriter, RecordReader, RecordWriter, SectionTag};
+use zapc_proto::{ImageReader, ImageWriter, RecordWriter, SectionTag};
 use zapc_sim::{
     ClusterClock, Node, NodeConfig, ProcessCtx, Program, ProgramRegistry, SimFs, StepOutcome,
 };
 
 /// A program with a deliberately skewed write profile: a large cold region
 /// written only at init and a small hot region written every iteration —
-/// the shape that makes incremental checkpoints win (§6.2).
+/// the shape that makes delta rounds small.
 struct SkewWriter {
     phase: u8,
     iter: u64,
@@ -110,171 +111,113 @@ fn header(pod: &Pod) -> Header {
     Header { pod: pod.name(), host: "test-node".into(), wall_ms: 0, flags: 0 }
 }
 
-/// Checkpoints `pod` with `opts`; when `parent` is given the image carries
-/// a `ParentRef` to it, mirroring what the Agent writes.
-fn checkpoint(pod: &Pod, opts: &SaveOpts, parent: Option<(&str, &[u8])>) -> (Vec<u8>, zapc_ckpt::SaveOutcome) {
-    let mut w = ImageWriter::new(&header(pod));
-    if let Some((label, bytes)) = parent {
-        let pr = ParentRecord {
-            parent: label.to_owned(),
-            parent_digest: fnv1a64(bytes),
-            depth: 1,
-        };
-        w.section(SectionTag::ParentRef, |r| pr.encode(r));
+/// Ships one round to the receiver and returns the generations it
+/// captured — the next round's base.
+fn ship(round: &[RoundPayload], parts: &mut DecodedPod) -> HashMap<u32, u64> {
+    for p in round {
+        parts.apply_section(p.tag, &p.payload).unwrap();
     }
-    let outcome = checkpoint_standalone_with(pod, &mut w, opts).unwrap();
-    (w.finish(), outcome)
+    round.iter().map(|p| (p.vpid, p.gen)).collect()
 }
 
-/// Payloads of every section except `Timers` (whose `real_ms` advances
-/// between two back-to-back checkpoints of the same suspended pod).
-fn stable_sections(bytes: &[u8]) -> Vec<(SectionTag, Vec<u8>)> {
-    let mut rd = ImageReader::open(bytes).unwrap();
-    let mut out = Vec::new();
-    while let Some(s) = rd.next_section().unwrap() {
-        if s.tag != SectionTag::Timers {
-            out.push((s.tag, s.payload.to_vec()));
-        }
-    }
-    out
-}
-
-fn restore(bytes: &[u8], r: &Rig) -> Arc<Pod> {
-    let sections = ImageReader::open(bytes).unwrap().sections().unwrap();
+/// `restore_standalone` of `image` into a fresh pod built from its
+/// namespace; the pod is destroyed before returning.
+fn try_restore(image: &[u8], r: &Rig) -> Result<(), CkptError> {
+    let sections = ImageReader::open(image).unwrap().sections().unwrap();
     let ns_payload =
         sections.iter().find(|s| s.tag == SectionTag::Namespace).expect("namespace").payload;
     let ns = zapc_ckpt::restore::decode_namespace(ns_payload).unwrap();
     let pod = Pod::from_namespace(ns, &r.node, &r.clock, 150);
-    restore_standalone(&sections, &pod, &registry(), &RestoredSockets::default()).unwrap();
-    pod
-}
-
-#[test]
-fn incremental_writes_far_fewer_bytes_and_squash_matches_full() {
-    let r = rig();
-    let pod = Pod::create(PodConfig::new("inc1", zapc_pod::pod_vip(31)), &r.node, &r.clock);
-    pod.spawn("w", Box::new(SkewWriter::fresh(100_000)));
-    std::thread::sleep(Duration::from_millis(15));
-    pod.suspend().unwrap();
-
-    // Warm full checkpoint: the incremental base.
-    let (full1, o1) = checkpoint(&pod, &SaveOpts::default(), None);
-    assert_eq!(o1.delta_sections, 0);
-
-    pod.resume().unwrap();
-    std::thread::sleep(Duration::from_millis(10));
-    pod.suspend().unwrap();
-
-    // Same suspended instant: a reference full image and an incremental.
-    let (full2, of) = checkpoint(&pod, &SaveOpts::default(), None);
-    let inc_opts = SaveOpts { base_gens: Some(o1.gens.clone()), ..Default::default() };
-    let (inc2, oi) = checkpoint(&pod, &inc_opts, Some(("inc1#base", &full1)));
-    assert!(oi.delta_sections >= 1);
-    assert!(
-        oi.memory_payload_bytes * 5 <= of.memory_payload_bytes,
-        "mostly-clean pod: delta {} bytes must be ≥5× under full {} bytes",
-        oi.memory_payload_bytes,
-        of.memory_payload_bytes
+    let out = restore_standalone(
+        &sections,
+        &pod,
+        &registry(),
+        &RestoredSockets::default(),
+        &Observer::disabled(),
     );
-
-    // Squashing the chain reproduces the standalone image's sections.
-    let fetch = |label: &str| (label == "inc1#base").then(|| full1.clone());
-    let squashed = squash_image(&inc2, &fetch).unwrap();
-    assert_eq!(stable_sections(&squashed), stable_sections(&full2));
-
-    // And the restored pod finishes with the reference result.
-    pod.resume().unwrap();
-    let expected = pod.wait_all(Duration::from_secs(30)).unwrap();
     pod.destroy();
-    let pod2 = restore(&squashed, &r);
-    pod2.resume().unwrap();
-    let codes = pod2.wait_all(Duration::from_secs(30)).unwrap();
-    assert_eq!(codes, expected);
-    pod2.destroy();
+    out.map(|_| ())
 }
 
 #[test]
 fn restore_rejects_unsquashed_incremental() {
+    // Both shapes a non-standalone stored image can take, hand-built: a
+    // `MemoryDelta` where the `Memory` section belongs (what the live
+    // cutover's final cut looks like off its stream), and a well-formed
+    // full image prefixed with the retired `ParentRef` section.
     let r = rig();
     let pod = Pod::create(PodConfig::new("inc3", zapc_pod::pod_vip(33)), &r.node, &r.clock);
     pod.spawn("w", Box::new(SkewWriter::fresh(100_000)));
     std::thread::sleep(Duration::from_millis(10));
-    pod.suspend().unwrap();
-    let (full1, o1) = checkpoint(&pod, &SaveOpts::default(), None);
-    pod.resume().unwrap();
+    let gens = ship(&capture_memory_round(&pod, None).unwrap(), &mut DecodedPod::new());
     std::thread::sleep(Duration::from_millis(5));
     pod.suspend().unwrap();
-    let inc_opts = SaveOpts { base_gens: Some(o1.gens), ..Default::default() };
-    let (inc, _) = checkpoint(&pod, &inc_opts, Some(("inc3#base", &full1)));
+
+    let mut w = ImageWriter::new(&header(&pod));
+    let opts = SaveOpts { base_gens: Some(gens), ..Default::default() };
+    checkpoint_standalone_with(&pod, &mut w, &opts).unwrap();
+    let bare_delta = w.finish();
+
+    let mut w = ImageWriter::new(&header(&pod));
+    // The retired `ParentRef` payload layout: label, FNV-1a 64 digest of
+    // the parent image, chain depth.
+    w.section(SectionTag::ParentRef, |p| {
+        p.put_str("inc3#base");
+        p.put_u64(0x9e37_79b9_7f4a_7c15);
+        p.put_u32(1);
+    });
+    checkpoint_standalone(&pod, &mut w).unwrap();
+    let stale_parent_tag = w.finish();
     pod.destroy();
 
-    let sections = ImageReader::open(&inc).unwrap().sections().unwrap();
-    let ns_payload =
-        sections.iter().find(|s| s.tag == SectionTag::Namespace).expect("namespace").payload;
-    let ns = zapc_ckpt::restore::decode_namespace(ns_payload).unwrap();
-    let pod2 = Pod::from_namespace(ns, &r.node, &r.clock, 150);
-    let err = restore_standalone(&sections, &pod2, &registry(), &RestoredSockets::default())
-        .unwrap_err();
-    assert!(matches!(err, zapc_ckpt::CkptError::Inconsistent(_)));
-    pod2.destroy();
+    for (what, image) in [("memory delta", bare_delta), ("parent reference", stale_parent_tag)] {
+        let err = try_restore(&image, &r).unwrap_err();
+        assert!(matches!(err, CkptError::Inconsistent(_)), "{what}: got {err:?}");
+    }
 }
 
 #[test]
 fn new_process_after_base_still_checkpoints_in_full() {
-    // A vpid absent from the base map (spawned after the parent image)
-    // must get a full Memory section even in an incremental checkpoint.
+    // A vpid absent from the base map (spawned after the base round) must
+    // be captured in full by a delta round, the pre-existing process as a
+    // small delta, and the receiver's accumulated state must equal a
+    // stop-and-copy image of the same instant.
     let r = rig();
     let pod = Pod::create(PodConfig::new("inc4", zapc_pod::pod_vip(34)), &r.node, &r.clock);
     pod.spawn("w0", Box::new(SkewWriter::fresh(100_000)));
     std::thread::sleep(Duration::from_millis(10));
-    pod.suspend().unwrap();
-    let (full1, o1) = checkpoint(&pod, &SaveOpts::default(), None);
-    pod.resume().unwrap();
+
+    let mut parts = DecodedPod::new();
+    let base = capture_memory_round(&pod, None).unwrap();
+    assert!(base.iter().all(|p| p.tag == SectionTag::Memory));
+    let base_bytes = base[0].region_bytes;
+    let gens = ship(&base, &mut parts);
+
     pod.spawn("w1", Box::new(SkewWriter::fresh(100_000)));
     std::thread::sleep(Duration::from_millis(10));
     pod.suspend().unwrap();
-    let inc_opts = SaveOpts { base_gens: Some(o1.gens), ..Default::default() };
-    let (inc, oi) = checkpoint(&pod, &inc_opts, Some(("inc4#base", &full1)));
+    let round = capture_memory_round(&pod, Some(&gens)).unwrap();
+    let deltas: Vec<&RoundPayload> =
+        round.iter().filter(|p| p.tag == SectionTag::MemoryDelta).collect();
+    assert_eq!(deltas.len(), 1, "only the pre-existing process is delta-encoded");
+    assert!(gens.contains_key(&deltas[0].vpid));
+    assert!(
+        deltas[0].region_bytes * 5 <= base_bytes,
+        "mostly-clean process: delta {} bytes must be ≥5× under its base {} bytes",
+        deltas[0].region_bytes,
+        base_bytes
+    );
+    assert_eq!(round.iter().filter(|p| p.tag == SectionTag::Memory).count(), 1);
+    ship(&round, &mut parts);
+
+    // Ground truth: a full image of the same suspended instant.
+    let mut w = ImageWriter::new(&header(&pod));
+    checkpoint_standalone(&pod, &mut w).unwrap();
+    let full = w.finish();
     pod.destroy();
-    assert_eq!(oi.delta_sections, 1, "only the pre-existing process is delta-encoded");
-
-    let mut tags: HashMap<SectionTag, usize> = HashMap::new();
-    let mut rd = ImageReader::open(&inc).unwrap();
-    while let Some(s) = rd.next_section().unwrap() {
-        *tags.entry(s.tag).or_default() += 1;
+    let mut truth = DecodedPod::new();
+    for s in ImageReader::open(&full).unwrap().sections().unwrap() {
+        truth.apply_section(s.tag, s.payload).unwrap();
     }
-    assert_eq!(tags.get(&SectionTag::MemoryDelta), Some(&1));
-    assert_eq!(tags.get(&SectionTag::Memory), Some(&1));
-
-    // The mixed image still squashes and decodes cleanly.
-    let fetch = |label: &str| (label == "inc4#base").then(|| full1.clone());
-    let squashed = squash_image(&inc, &fetch).unwrap();
-    let delta_left = ImageReader::open(&squashed)
-        .unwrap()
-        .sections()
-        .unwrap()
-        .iter()
-        .any(|s| s.tag == SectionTag::MemoryDelta);
-    assert!(!delta_left);
-
-    // One MemoryDeltaRecord sanity check on the raw image.
-    let mut rd = ImageReader::open(&inc).unwrap();
-    while let Some(s) = rd.next_section().unwrap() {
-        if s.tag == SectionTag::MemoryDelta {
-            let rec = MemoryDeltaRecord::decode_from(s.payload);
-            assert!(rec.new_gen >= rec.base_gen);
-        }
-    }
-}
-
-trait DecodeFrom {
-    fn decode_from(payload: &[u8]) -> Self;
-}
-
-impl DecodeFrom for MemoryDeltaRecord {
-    fn decode_from(payload: &[u8]) -> Self {
-        use zapc_proto::Decode;
-        let mut r = RecordReader::new(payload);
-        MemoryDeltaRecord::decode(&mut r).unwrap()
-    }
+    assert_eq!(parts.memory_digest(), truth.memory_digest());
 }

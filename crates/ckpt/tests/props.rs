@@ -27,26 +27,31 @@ enum WriteOp {
     Rewrite { region: usize, v: u64 },
     /// Map a fresh region of `len` f64s and fill it from `v`.
     Map { len: usize, v: u64 },
+    /// Unmap region `region % live_count`: the next delta must drop it at
+    /// the receiver.
+    Unmap { region: usize },
 }
 
 fn write_ops() -> impl Strategy<Value = WriteOp> {
     (any::<u8>(), any::<usize>(), 1usize..32, any::<u64>()).prop_map(|(sel, region, len, v)| {
-        // ~1 in 5 ops maps a fresh region; the rest rewrite existing ones.
-        if sel % 5 == 0 {
-            WriteOp::Map { len, v }
-        } else {
-            WriteOp::Rewrite { region, v }
+        // ~1 in 5 ops maps a fresh region, ~1 in 5 unmaps one; the rest
+        // rewrite existing ones.
+        match sel % 5 {
+            0 => WriteOp::Map { len, v },
+            1 => WriteOp::Unmap { region },
+            _ => WriteOp::Rewrite { region, v },
         }
     })
 }
 
 fn apply_op(mem: &mut AddressSpace, op: &WriteOp, uniq: &mut u32) {
+    let bases: Vec<u64> = mem.regions().map(|r| r.base).collect();
     match op {
+        WriteOp::Rewrite { .. } | WriteOp::Unmap { .. } if bases.is_empty() => {}
+        WriteOp::Unmap { region } => {
+            mem.unmap(bases[region % bases.len()]);
+        }
         WriteOp::Rewrite { region, v } => {
-            let bases: Vec<u64> = mem.regions().map(|r| r.base).collect();
-            if bases.is_empty() {
-                return;
-            }
             let base = bases[region % bases.len()];
             if let Some(data) = mem.f64_mut(base) {
                 for (i, x) in data.iter_mut().enumerate() {

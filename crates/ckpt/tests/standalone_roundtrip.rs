@@ -4,6 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use zapc_ckpt::{checkpoint_standalone, restore_standalone, RestoredSockets};
 use zapc_net::{Network, NetworkConfig};
+use zapc_obs::Observer;
 use zapc_pod::{Pod, PodConfig};
 use zapc_proto::image::Header;
 use zapc_proto::{ImageReader, ImageWriter, RecordReader, RecordWriter, SectionTag};
@@ -169,7 +170,14 @@ fn restore_from_bytes(bytes: &[u8], node: &Arc<Node>, clock: &Arc<ClusterClock>)
         .payload;
     let ns = zapc_ckpt::restore::decode_namespace(ns_payload).unwrap();
     let pod = Pod::from_namespace(ns, node, clock, 150);
-    restore_standalone(&sections, &pod, &registry(), &RestoredSockets::default()).unwrap();
+    restore_standalone(
+        &sections,
+        &pod,
+        &registry(),
+        &RestoredSockets::default(),
+        &Observer::disabled(),
+    )
+    .unwrap();
     pod
 }
 

@@ -29,6 +29,12 @@ pub fn checkpoint_network(pod: &Pod) -> (MetaData, Vec<SockRecord>) {
 /// [`checkpoint_network`] with observability: one `netckpt.sock_save` span
 /// per socket (keyed by pod name) and `netckpt.recv_bytes` /
 /// `netckpt.send_bytes` counters for the captured queue contents.
+///
+/// The twin is deliberate, not an oversight: a disabled `Observer` is one
+/// branch, so the two would fold into one `checkpoint_network(pod, obs)`
+/// (as `restore_standalone` did) except that `benchmark/src/ops.rs` calls
+/// the plain `checkpoint_network(pod)` and `benchmark/` is frozen between
+/// benchmark PRs.
 pub fn checkpoint_network_obs(
     pod: &Pod,
     obs: &zapc_obs::Observer,

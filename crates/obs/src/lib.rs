@@ -27,7 +27,7 @@
 //! **Enabled-path cost model** (the hot-path speed pass): subject keys
 //! are interned to `Arc<str>` through a per-thread cache, so the steady
 //! state allocates nothing per event; span/counter aggregation goes
-//! through interned [`AggCell`]s — plain relaxed atomics resolved through
+//! through interned `AggCell`s — plain relaxed atomics resolved through
 //! the same per-thread cache — so the aggregate path takes **no lock and
 //! performs no hashing of owned strings** once a `(key, name)` pair has
 //! been seen by a thread. The only per-event lock is the ring buffer's,

@@ -82,7 +82,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Two images differing only in section payloads therefore share one
 /// CRC-32. FNV-1a multiplies by a prime each step, which is non-linear in
 /// GF(2) and has no such cancellation, making it a sound (non-adversarial)
-/// identity check for parent images in incremental chains.
+/// identity check for stored images and chunks.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -19,9 +19,11 @@ use crate::rw::{RecordReader, RecordStream, RecordWriter};
 /// Magic bytes that start every ZapC checkpoint image.
 pub const MAGIC: &[u8; 8] = b"ZAPCIMG\0";
 
-/// Current image format version. Version 2 adds incremental images:
-/// a [`SectionTag::ParentRef`] section naming the parent image plus
-/// [`SectionTag::MemoryDelta`] sections carrying only dirty regions.
+/// Current image format version. Version 2 adds
+/// [`SectionTag::MemoryDelta`] sections carrying only dirty regions; they
+/// travel on live-migration streams, after the base they apply to, and
+/// never appear in a stored image. (v2 also introduced the since-retired
+/// [`SectionTag::ParentRef`].)
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Oldest format version this reader still restores.
@@ -33,8 +35,9 @@ pub const MIN_FORMAT_VERSION: u32 = 1;
 pub enum SectionTag {
     /// Image header: pod name, source host, wall-clock time, flags.
     Header = 0x0001,
-    /// Reference to the parent image of an incremental checkpoint
-    /// (v2; written immediately after the header when present).
+    /// Retired (v2): named the stored parent image of a delta image. No
+    /// writer emits it; the tag stays recognised so an image carrying one
+    /// is refused as non-standalone rather than as an unknown tag.
     ParentRef = 0x0002,
     /// Network meta-data table (`zapc_proto::meta::MetaData`).
     NetMeta = 0x0010,
@@ -50,8 +53,9 @@ pub enum SectionTag {
     FdTable = 0x0032,
     /// Pending timers and the virtual clock bias.
     Timers = 0x0033,
-    /// Incremental replacement for [`SectionTag::Memory`] (v2): only the
-    /// regions dirtied since the parent image, plus the live-region set.
+    /// Delta replacement for [`SectionTag::Memory`] (v2): only the
+    /// regions dirtied since the base the same stream delivered earlier,
+    /// plus the live-region set.
     MemoryDelta = 0x0034,
     /// File-system snapshot (optional; ZapC normally relies on shared
     /// storage and skips this, paper §3).
@@ -200,7 +204,7 @@ pub struct ImageReader<'a> {
 impl<'a> ImageReader<'a> {
     /// Opens an image, validating magic, version, CRCs of the header.
     /// Every version in `MIN_FORMAT_VERSION..=FORMAT_VERSION` is
-    /// accepted; v1 images (no incremental sections) still restore.
+    /// accepted; v1 images (no delta sections) still restore.
     pub fn open(bytes: &'a [u8]) -> DecodeResult<Self> {
         if bytes.len() < MAGIC.len() + 4 || &bytes[..MAGIC.len()] != MAGIC {
             return Err(DecodeError::BadMagic);

@@ -278,7 +278,7 @@ impl AddressSpace {
             .filter(move |r| self.gens.get(&r.base).copied().unwrap_or(0) > since)
     }
 
-    /// Delta-apply path for incremental restore/squash: keeps only the
+    /// Delta-apply path of the live-migration receiver: keeps only the
     /// regions whose bases appear in `live`, overlays the `dirty` regions,
     /// and adopts the recorded allocator watermark.
     pub fn apply_delta(&mut self, live: &[u64], dirty: Vec<Region>, next_base: u64) {

@@ -51,9 +51,8 @@
 //! `put_image` renames an image to its final path as soon as it is staged,
 //! but a staged image is not yet part of any checkpoint: nothing references
 //! it until a manifest naming it commits. Recovery treats every image not
-//! reachable from a retained manifest (including transitive incremental
-//! parents) as garbage. This avoids a separate promotion step — and the
-//! extra crash window it would add.
+//! reachable from a retained manifest as garbage. This avoids a separate
+//! promotion step — and the extra crash window it would add.
 //!
 //! ## Fault sites
 //!

@@ -8,7 +8,7 @@
 //! sides, triggering a graceful abort in which the application resumes
 //! execution.
 
-use crate::cluster::{CheckpointOpts, Cluster, Lineage};
+use crate::cluster::Cluster;
 use crate::coord::{Ctl, Reply};
 use crate::uri::Uri;
 use crate::{ZapcError, ZapcResult};
@@ -16,8 +16,7 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zapc_faults::{FaultAction, MANAGER};
-use zapc_ckpt::{checkpoint_standalone_with, restore_standalone_obs, ParentRecord,
-    RestoredSockets, SaveOpts};
+use zapc_ckpt::{checkpoint_standalone_with, restore_standalone, RestoredSockets, SaveOpts};
 use zapc_netckpt::{checkpoint_network_obs, restore_network, NetworkRestorePlan};
 use zapc_pod::Pod;
 use zapc_proto::image::Header;
@@ -94,8 +93,6 @@ pub struct PodStats {
     pub image_bytes: usize,
     /// Bytes of the image attributable to network state.
     pub network_bytes: usize,
-    /// Whether this image is an incremental delta against a parent.
-    pub incremental: bool,
     /// Store-relative reference of the staged image (durable-store
     /// destinations only; empty otherwise).
     pub image_ref: String,
@@ -177,8 +174,6 @@ pub(crate) struct CheckpointJob<'a> {
     /// snapshot functionality to also provide a checkpointed file system
     /// image").
     pub fs_snapshot: bool,
-    /// Checkpoint-engine knobs.
-    pub ckpt: CheckpointOpts,
     /// Manager epoch the operation is stamped with.
     pub epoch: u64,
     /// Bound on the wait for the Manager's `continue`.
@@ -211,7 +206,7 @@ pub(crate) fn unquiesce(cluster: &Cluster, pod: &Pod) {
 /// `Abort` rolls everything back and resumes the pod.
 pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     let CheckpointJob {
-        pod: pod_name, dest, finalize, policy, fs_snapshot, ckpt, epoch, ctl_timeout, reply, ctl,
+        pod: pod_name, dest, finalize, policy, fs_snapshot, epoch, ctl_timeout, reply, ctl,
     } = job;
     let reply = &reply;
     let Some(pod) = cluster.pod(pod_name) else {
@@ -337,27 +332,7 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
         wall_ms: cluster.clock.now_ms(),
         flags: if fs_snapshot { FLAG_FS_SNAPSHOT } else { 0 },
     };
-    // Incremental only chains against in-memory destinations: file and
-    // streamed images must stand alone. A chain nearing the squash-depth
-    // budget falls back to a fresh full base.
-    let lineage: Option<Lineage> = if ckpt.incremental && matches!(dest, Uri::Mem(_)) {
-        cluster
-            .lineage(pod_name)
-            .filter(|l| l.depth + 1 < zapc_ckpt::delta::MAX_CHAIN_DEPTH)
-    } else {
-        None
-    };
-    let cap_hint =
-        if lineage.is_some() { 16 * 1024 } else { pod.total_mem_bytes() + 4096 };
-    let mut w = ImageWriter::with_capacity(&header, cap_hint);
-    if let Some(l) = &lineage {
-        let parent = ParentRecord {
-            parent: l.label.clone(),
-            parent_digest: l.digest,
-            depth: l.depth + 1,
-        };
-        w.section(SectionTag::ParentRef, |r| parent.encode(r));
-    }
+    let mut w = ImageWriter::with_capacity(&header, pod.total_mem_bytes() + 4096);
     w.section(SectionTag::NetMeta, |r| meta.encode(r));
     if fs_snapshot {
         // Snapshot the pod's chroot subtree on shared storage.
@@ -367,17 +342,11 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     let net_payload = zapc_netckpt::records::encode_records(&records);
     w.section_bytes(SectionTag::NetState, net_payload.bytes());
     let network_bytes = net_payload.len() + meta.encoded_len();
-    let save_opts = SaveOpts {
-        base_gens: lineage.as_ref().map(|l| l.gens.clone()),
-        obs: obs.clone(),
-    };
-    let outcome = match checkpoint_standalone_with(&pod, &mut w, &save_opts) {
-        Ok(o) => o,
-        Err(e) => {
-            rollback(&format!("standalone checkpoint failed: {e}"));
-            return;
-        }
-    };
+    let save_opts = SaveOpts { base_gens: None, obs: obs.clone() };
+    if let Err(e) = checkpoint_standalone_with(&pod, &mut w, &save_opts) {
+        rollback(&format!("standalone checkpoint failed: {e}"));
+        return;
+    }
     let mut image = w.finish();
     // Fault site: image bytes damaged on their way out (bad disk, torn
     // write). Sections are CRC-framed, so the damage surfaces as a typed
@@ -433,31 +402,7 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
             }
         },
         Uri::Mem(label) => {
-            if ckpt.incremental {
-                // File the image under an immutable chain label as well as
-                // the user's label, so later deltas can still resolve this
-                // parent after the user label is overwritten.
-                let seq = lineage.as_ref().map(|l| l.seq + 1).unwrap_or(0);
-                let chain_label = format!("{label}#g{seq}");
-                cluster.store.put_arc(label, Arc::clone(&image));
-                cluster.store.put_arc(&chain_label, Arc::clone(&image));
-                // Lineage is Manager-epoch state: a stale op must not
-                // re-seed a chain a newer Manager's recovery just reset.
-                if finalize == Finalize::Resume && epoch >= cluster.epoch() {
-                    cluster.set_lineage(
-                        pod_name,
-                        Lineage {
-                            label: chain_label,
-                            digest: zapc_proto::crc::fnv1a64(&image),
-                            gens: outcome.gens.clone(),
-                            depth: lineage.as_ref().map_or(0, |l| l.depth + 1),
-                            seq,
-                        },
-                    );
-                }
-            } else {
-                cluster.store.put_arc(label, Arc::clone(&image));
-            }
+            cluster.store.put(label, Arc::clone(&image));
             None
         }
         Uri::Agent { .. } => Some(Arc::clone(&image)),
@@ -523,7 +468,6 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
             resume_us,
             image_bytes,
             network_bytes,
-            incremental: lineage.is_some(),
             image_ref,
             digest,
         }),
@@ -629,7 +573,7 @@ fn agent_restart_inner(
         proceed()?;
         let tsa = Instant::now();
         let restore_span = obs.span(&inputs.my_meta.pod, "rst.restore");
-        restore_standalone_obs(&sections, &pod, &cluster.registry, &restored, obs)?;
+        restore_standalone(&sections, &pod, &cluster.registry, &restored, obs)?;
         restore_span.end();
         let standalone_us = tsa.elapsed().as_micros() as u64;
 
@@ -651,7 +595,6 @@ fn agent_restart_inner(
             resume_us,
             image_bytes: inputs.image.len(),
             network_bytes: net_payload.len(),
-            incremental: false,
             image_ref: String::new(),
             digest: 0,
         })
@@ -674,6 +617,15 @@ pub(crate) fn create_pod(
     fs_snapshot: Option<&[u8]>,
 ) -> ZapcResult<Arc<Pod>> {
     let ns = zapc_ckpt::restore::decode_namespace(namespace)?;
+    // The Manager refuses targets that name a live pod; the name that gets
+    // registered is the image's, which a stale or hostile image can set
+    // to anything.
+    if cluster.pod(&ns.name).is_some() {
+        return Err(ZapcError::Aborted(format!(
+            "restart refused: image names pod {:?}, which is still live",
+            ns.name
+        )));
+    }
     let pod =
         Pod::from_namespace(ns, cluster.node(node), &cluster.clock, cluster.virt_overhead_ns);
     cluster.register_restarted_pod(&pod, node);

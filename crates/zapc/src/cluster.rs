@@ -17,32 +17,6 @@ use zapc_net::{Netfilter, Network, NetworkConfig};
 use zapc_pod::{pod_vip, Pod, PodConfig};
 use zapc_sim::{ClusterClock, Node, NodeConfig, ProgramRegistry, SimFs};
 
-/// Checkpoint-engine knob (PR 2): incremental images. The default is the
-/// paper's baseline — full images.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckpointOpts {
-    /// Write incremental images (parent reference + dirty regions only)
-    /// when a usable parent exists. Only `Uri::Mem` destinations chain;
-    /// file and streamed destinations always get standalone images.
-    pub incremental: bool,
-}
-
-/// Per-pod incremental-checkpoint lineage: what the latest image in the
-/// chain is and which address-space generations it captured.
-#[derive(Debug, Clone)]
-pub(crate) struct Lineage {
-    /// Immutable chain label of the latest image (`<user-label>#g<seq>`).
-    pub label: String,
-    /// FNV-1a 64 digest of those image bytes.
-    pub digest: u64,
-    /// Address-space generation per vpid at that checkpoint.
-    pub gens: HashMap<u32, u64>,
-    /// Chain depth of that image (0 = standalone base).
-    pub depth: u32,
-    /// Monotonic per-pod sequence for unique chain labels.
-    pub seq: u64,
-}
-
 /// Builder for [`Cluster`].
 pub struct ClusterBuilder {
     nodes: usize,
@@ -51,7 +25,6 @@ pub struct ClusterBuilder {
     virt_overhead_ns: u64,
     registry: ProgramRegistry,
     faults: Arc<FaultPlan>,
-    ckpt: CheckpointOpts,
     obs: zapc_obs::Observer,
     lease_ms: u64,
     store_chunking: Option<zapc_store::ChunkingConfig>,
@@ -94,13 +67,6 @@ impl ClusterBuilder {
     /// and the checkpoint/restart protocol (default: inert).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Arc::new(plan);
-        self
-    }
-
-    /// Cluster-wide checkpoint-engine default (incremental images);
-    /// individual operations can override via `CheckpointOptions::ckpt`.
-    pub fn checkpoint_opts(mut self, opts: CheckpointOpts) -> Self {
-        self.ckpt = opts;
         self
     }
 
@@ -179,8 +145,6 @@ impl ClusterBuilder {
             virt_overhead_ns: self.virt_overhead_ns,
             faults: self.faults,
             next_vip: AtomicU16::new(1),
-            ckpt: self.ckpt,
-            lineage: Mutex::new(HashMap::new()),
             epoch: AtomicU64::new(1),
             agent_epochs: Mutex::new(HashMap::new()),
             fenced_replies: AtomicU64::new(0),
@@ -220,13 +184,6 @@ pub struct Cluster {
     /// The fault-injection plan every layer consults (inert by default).
     pub faults: Arc<FaultPlan>,
     next_vip: AtomicU16,
-    /// Cluster-wide checkpoint-engine defaults.
-    pub ckpt: CheckpointOpts,
-    /// Per-pod incremental lineage (keyed by pod name). Cleared whenever a
-    /// pod is destroyed, forgotten, or restarted — a restored address
-    /// space restarts its generation counters, so stale lineage would
-    /// mis-classify dirty regions as clean.
-    lineage: Mutex<HashMap<String, Lineage>>,
     /// Manager epoch: bumped by every recovery so manifests record which
     /// incarnation of the Manager committed them.
     epoch: AtomicU64,
@@ -260,7 +217,6 @@ impl Cluster {
             virt_overhead_ns: 150,
             registry: ProgramRegistry::new(),
             faults: Arc::new(FaultPlan::none()),
-            ckpt: CheckpointOpts::default(),
             obs: zapc_obs::Observer::disabled(),
             lease_ms: DEFAULT_LEASE_MS,
             store_chunking: None,
@@ -304,14 +260,20 @@ impl Cluster {
         pod
     }
 
-    /// Registers a restarted pod (Agent restart path). Replaces any stale
-    /// entry with the same name. The pod's incremental lineage is reset:
-    /// restored address spaces restart their generation counters at zero.
+    /// Registers a restarted pod (Agent restart path) and routes its
+    /// virtual address to `node`. The name must be free: every restart
+    /// path forgets or destroys the previous incarnation first, and
+    /// [`crate::manager::restart_with`] refuses a name that is still live.
+    /// Replacing a live entry would steal its route and leave it running
+    /// unreachable by name, so a taken name panics.
     pub fn register_restarted_pod(&self, pod: &Arc<Pod>, node: usize) {
+        let prev = self
+            .pods
+            .lock()
+            .insert(pod.name(), PodEntry { node, pod: Arc::clone(pod) });
+        assert!(prev.is_none(), "pod name {:?} already in use", pod.name());
         self.net.set_route(pod.vip(), &self.nodes[node].stack);
         self.filter().set_node_of(pod.vip(), node as u32);
-        self.lineage.lock().remove(&pod.name());
-        self.pods.lock().insert(pod.name(), PodEntry { node, pod: Arc::clone(pod) });
     }
 
     /// Looks a pod up by name.
@@ -324,9 +286,8 @@ impl Cluster {
         self.pods.lock().get(name).map(|e| e.node)
     }
 
-    /// Destroys a pod and forgets it (including its incremental lineage).
+    /// Destroys a pod and forgets it.
     pub fn destroy_pod(&self, name: &str) {
-        self.lineage.lock().remove(name);
         if let Some(entry) = self.pods.lock().remove(name) {
             self.net.clear_route(entry.pod.vip());
             entry.pod.destroy();
@@ -336,34 +297,7 @@ impl Cluster {
     /// Drops a pod entry without destroying it (checkpoint-side bookkeeping
     /// when the Agent has already destroyed it locally).
     pub fn forget_pod(&self, name: &str) {
-        self.lineage.lock().remove(name);
         self.pods.lock().remove(name);
-    }
-
-    /// The pod's current incremental lineage, if any.
-    pub(crate) fn lineage(&self, pod: &str) -> Option<Lineage> {
-        self.lineage.lock().get(pod).cloned()
-    }
-
-    /// Records the latest image of a pod's incremental chain.
-    pub(crate) fn set_lineage(&self, pod: &str, l: Lineage) {
-        self.lineage.lock().insert(pod.to_owned(), l);
-    }
-
-    /// Forgets one pod's incremental lineage: its next checkpoint writes
-    /// a full base. Called whenever a coordinated checkpoint fails to
-    /// commit — an aborted attempt may already have advanced some pods'
-    /// chains, and restarting from such a mixed cut would be
-    /// inconsistent.
-    pub(crate) fn reset_lineage(&self, pod: &str) {
-        self.lineage.lock().remove(pod);
-    }
-
-    /// Forgets all incremental lineage. Recovery calls this: generation
-    /// counters live only in Manager memory, so a restarted Manager
-    /// cannot trust any chain state it didn't just write.
-    pub(crate) fn reset_all_lineage(&self) {
-        self.lineage.lock().clear();
     }
 
     /// The current Manager epoch.
@@ -405,20 +339,6 @@ impl Cluster {
     /// mutated Manager state.
     pub fn fenced_replies(&self) -> u64 {
         self.fenced_replies.load(Ordering::Relaxed)
-    }
-
-    /// Materializes a standalone image from a (possibly incremental) image:
-    /// walks the parent chain through the in-memory store, verifies each
-    /// parent's digest, and squashes the deltas. Standalone inputs are
-    /// returned unchanged.
-    pub fn materialize_image(&self, bytes: &[u8]) -> Result<Vec<u8>, zapc_ckpt::CkptError> {
-        let fetch = |label: &str| {
-            self.store
-                .get(label)
-                .map(|a| a.as_ref().clone())
-                .or_else(|| self.istore.fetch(label).ok())
-        };
-        zapc_ckpt::squash_image(bytes, &fetch)
     }
 
     /// Names of all live pods, sorted.

@@ -20,10 +20,8 @@
 //! manifest that parses and whose images all verify against their
 //! recorded digests is a committed checkpoint; everything else — torn
 //! manifests, staged images with no manifest, tmp files — is rolled back
-//! and garbage-collected. Recovery is idempotent (it only removes things
-//! a second pass would also classify as garbage) and deliberately resets
-//! all incremental lineage: generation counters live in Manager memory
-//! only, so the next checkpoint after a recovery writes full bases.
+//! and garbage-collected. Recovery is idempotent: it only removes things
+//! a second pass would also classify as garbage.
 //!
 //! **Node death** mid-protocol is covered by the cluster's lease table
 //! ([`crate::health`]): a checkpoint whose Agent's node dies aborts and
@@ -262,9 +260,9 @@ pub fn checkpoint_commit(
 
 /// Scans the durable store after a Manager restart: validates every
 /// manifest and its images, rolls back everything that never committed
-/// (or committed torn), garbage-collects orphans, resets incremental
-/// lineage, and bumps the Manager epoch. Idempotent: a second pass finds
-/// a clean store and removes nothing.
+/// (or committed torn), garbage-collects orphans, and bumps the Manager
+/// epoch. Idempotent: a second pass finds a clean store and removes
+/// nothing.
 pub fn recover(cluster: &Cluster) -> RecoveryReport {
     let span = cluster.obs.span("manager", "mgr.recover");
     let epoch = cluster.bump_epoch();
@@ -273,10 +271,6 @@ pub fn recover(cluster: &Cluster) -> RecoveryReport {
     // manifest rename loses at the store no matter how its threads are
     // scheduled — split-brain resolves to exactly one committed writer.
     cluster.istore.set_fence(epoch);
-    // Generation counters lived only in the dead Manager's memory; any
-    // chain state is untrustworthy, so the next checkpoint of every pod
-    // writes a full base.
-    cluster.reset_all_lineage();
 
     let store = &cluster.istore;
     let mut committed: Vec<u64> = Vec::new();

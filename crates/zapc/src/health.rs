@@ -30,7 +30,7 @@ pub const DEFAULT_LEASE_MS: u64 = 1_000;
 /// is *leaseless* — very possibly alive on the far side of a partition.
 /// The Manager treats leaseless like dead for progress (it cannot wait on
 /// a node it cannot hear), but the distinction matters after a heal: a
-/// leaseless node holds live pods and stale lineage and must be
+/// leaseless node holds live pods and a stale epoch and must be
 /// [`crate::rejoin_node`]ed, not restarted over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeStatus {

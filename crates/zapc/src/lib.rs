@@ -68,7 +68,7 @@ pub mod rejoin;
 pub mod retry;
 pub mod uri;
 
-pub use cluster::{CheckpointOpts, Cluster, ClusterBuilder};
+pub use cluster::{Cluster, ClusterBuilder};
 pub use commit::{
     checkpoint_commit, recover, restart_from_manifest, CommitOptions, CommitReport,
     RecoveryReport,

@@ -20,12 +20,12 @@ use crate::agent::{
     agent_checkpoint, agent_restart, AgentReply, CheckpointJob, CtlMsg, Finalize, PodStats,
     RestartInputs, SyncPolicy,
 };
-use crate::cluster::{CheckpointOpts, Cluster};
+use crate::cluster::Cluster;
 use crate::coord::Coord;
 use crate::retry::RetryPolicy;
 use crate::uri::Uri;
 use crate::{ZapcError, ZapcResult};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zapc_netckpt::assign_roles;
@@ -94,9 +94,6 @@ pub struct PodReport {
     pub image_bytes: usize,
     /// Network-state share of the image (bytes).
     pub network_bytes: usize,
-    /// Whether the image is an incremental delta against a parent
-    /// (checkpoint only; always `false` for restarts).
-    pub incremental: bool,
     /// Store-relative reference of the staged image (durable-store
     /// checkpoints only; empty otherwise).
     pub image_ref: String,
@@ -118,7 +115,6 @@ impl From<PodStats> for PodReport {
             resume_ms: s.resume_us as f64 / 1000.0,
             image_bytes: s.image_bytes,
             network_bytes: s.network_bytes,
-            incremental: s.incremental,
             image_ref: s.image_ref,
             digest: s.digest,
         }
@@ -201,10 +197,6 @@ pub struct CheckpointOptions {
     pub retries: u32,
     /// Base delay between retries (attempt `n` waits `n * backoff`).
     pub backoff: Duration,
-    /// Checkpoint-engine knob for this operation (incremental images);
-    /// `None` uses the cluster-wide default set via
-    /// [`crate::ClusterBuilder::checkpoint_opts`].
-    pub ckpt: Option<CheckpointOpts>,
     /// Manager epoch to stamp the operation with. `None` reads the
     /// current epoch at each attempt's start; [`crate::checkpoint_commit`]
     /// pins the epoch it snapshotted at entry so a recovery racing the
@@ -221,7 +213,6 @@ impl Default for CheckpointOptions {
             fs_snapshot: false,
             retries: 0,
             backoff: Duration::from_millis(50),
-            ckpt: None,
             epoch: None,
         }
     }
@@ -245,18 +236,9 @@ pub fn checkpoint_with(
     let policy = RetryPolicy { retries: opts.retries, backoff: opts.backoff, ..RetryPolicy::default() };
     let (mut report, _) = policy.run(
         |_| checkpoint_once(cluster, targets, opts, "manager", &mut late),
+        // Retry only when the abort rolled every target back to running — a
+        // partially-committed destroy cannot be re-run.
         |e| {
-            // A failed attempt may have advanced *some* pods' incremental
-            // lineage (an Agent that delivered its image before the abort
-            // reached it). A later delta chained on that cut would
-            // restore a state no coordinated checkpoint ever captured —
-            // reset every target's lineage so the next attempt writes
-            // full bases. This runs for every failure, retried or not.
-            for t in targets {
-                cluster.reset_lineage(&t.pod);
-            }
-            // Retry only when the abort rolled every target back to
-            // running — a partially-committed destroy cannot be re-run.
             matches!(e, ZapcError::Aborted(_))
                 && targets.iter().all(|t| cluster.pod(&t.pod).is_some())
         },
@@ -329,7 +311,6 @@ fn checkpoint_once(
                 finalize: t.finalize,
                 policy: opts.policy,
                 fs_snapshot: opts.fs_snapshot,
-                ckpt: opts.ckpt.unwrap_or(cluster.ckpt),
                 epoch: op_epoch,
                 ctl_timeout: opts.timeout,
                 reply,
@@ -393,12 +374,32 @@ pub fn restart(cluster: &Cluster, targets: &[RestartTarget]) -> ZapcResult<Resta
 }
 
 /// Coordinated restart with an explicit timeout.
+///
+/// Refused — before any image is fetched or Agent started — when a target
+/// names a pod that is still live (or names one pod twice): restarting
+/// over a running pod would take its name and its virtual address's route
+/// and leave it running unreachable. Destroy or migrate it away first.
 pub fn restart_with(
     cluster: &Cluster,
     targets: &[RestartTarget],
     timeout: Duration,
 ) -> ZapcResult<RestartReport> {
     let t0 = Instant::now();
+    let mut names = HashSet::with_capacity(targets.len());
+    for t in targets {
+        if let Some(node) = cluster.pod_node(&t.pod) {
+            return Err(ZapcError::Aborted(format!(
+                "restart refused: pod {:?} is still live on node {node}",
+                t.pod
+            )));
+        }
+        if !names.insert(t.pod.as_str()) {
+            return Err(ZapcError::Aborted(format!(
+                "restart refused: pod {:?} is targeted twice",
+                t.pod
+            )));
+        }
+    }
 
     // Fetch images and lift each pod's meta-data out of its image.
     let mut images: Vec<Arc<Vec<u8>>> = Vec::with_capacity(targets.len());
@@ -427,16 +428,14 @@ pub fn restart_with(
                 Arc::new(cluster.istore.fetch_verified(&entry.image_ref, entry.digest)?)
             }
         };
-        // Incremental images carry a parent reference: squash the chain
-        // through the store into a standalone image before restart. An
-        // unreadable image falls through to the plain restore path, which
-        // owns the canonical decode-error surface.
-        let image = if matches!(zapc_ckpt::parent_ref(&image), Ok(Some(_))) {
-            Arc::new(cluster.materialize_image(&image)?)
-        } else {
-            image
-        };
-        metas.push(extract_meta(&image)?);
+        let meta = extract_meta(&image)?;
+        if meta.pod != t.pod {
+            return Err(ZapcError::NotFound(format!(
+                "pod {:?} in the image at {:?} (it holds pod {:?})",
+                t.pod, t.uri, meta.pod
+            )));
+        }
+        metas.push(meta);
         images.push(image);
     }
 
@@ -454,8 +453,7 @@ fn restart_from_parts(
     sendq_merge: bool,
 ) -> ZapcResult<RestartReport> {
     // `mgr.prepare` covers everything before the schedule: image fetch
-    // and squash for a restart, the whole checkpoint phase 1 for a
-    // migration.
+    // for a restart, the whole checkpoint phase 1 for a migration.
     let t_prepare = Instant::now();
     let schedule_span = cluster.obs.span("manager", "mgr.schedule");
     // Derive the connectivity map and the connect/accept schedule.

@@ -2,7 +2,7 @@
 //!
 //! A partition leaves a node *leaseless* ([`crate::NodeStatus`]): its
 //! Agent is very possibly alive, still hosting pods, and still holding
-//! whatever incremental lineage and epoch it last saw. When the link
+//! whatever epoch it last saw. When the link
 //! heals, that node cannot simply resume serving — the cluster may have
 //! moved on (a recovery bumped the epoch, checkpoints committed without
 //! it, its pods may have been restarted elsewhere from a manifest). The
@@ -15,14 +15,12 @@
 //! 2. **Compare epochs.** The cluster records the highest Manager epoch
 //!    each Agent has served ([`crate::cluster::Cluster::agent_epoch`]).
 //!    A node whose witnessed epoch trails the current one slept through
-//!    at least one recovery: every incremental chain it participated in
-//!    is untrustworthy (the recovery reset Manager-side lineage, and
-//!    checkpoints may have committed or been rolled back without it).
-//! 3. **Reconcile.** For a stale node, the lineage of every pod it hosts
-//!    is reset (next checkpoint writes a full base) and the node adopts
-//!    the current epoch; a current node needs no reconciliation. Either
-//!    way its lease is revived, so the health table reports it `Alive`
-//!    again and coordinated operations may include its pods.
+//!    at least one recovery: checkpoints may have committed or been
+//!    rolled back without it.
+//! 3. **Reconcile.** A stale node adopts the current epoch; a current
+//!    node needs no reconciliation. Either way its lease is revived, so
+//!    the health table reports it `Alive` again and coordinated
+//!    operations may include its pods.
 //!
 //! Rejoin is idempotent: a second call finds the node current and merely
 //! renews its lease.
@@ -44,9 +42,6 @@ pub struct RejoinReport {
     /// Whether the node was stale (witnessed < current) and needed
     /// reconciliation, not just a lease renewal.
     pub stale: bool,
-    /// Pods hosted on the node whose incremental lineage was reset
-    /// (sorted; empty when the node was current).
-    pub lineage_reset: Vec<String>,
 }
 
 /// Re-admits `node` after a partition heals (see the module docs for the
@@ -62,26 +57,14 @@ pub fn rejoin_node(cluster: &Cluster, node: u32) -> ZapcResult<RejoinReport> {
     let witnessed = cluster.agent_epoch(node);
     let epoch = cluster.epoch();
     let stale = witnessed < epoch;
-    let mut lineage_reset = Vec::new();
     if stale {
-        // The node slept through at least one epoch bump: every chain its
-        // pods were part of is suspect, so their next checkpoints must be
-        // full bases. Pod membership is read under the cluster's pod
-        // table, so pods restarted elsewhere while the node was away are
-        // (correctly) not attributed to it.
-        for pod in cluster.pod_names() {
-            if cluster.pod_node(&pod) == Some(node as usize) {
-                cluster.reset_lineage(&pod);
-                lineage_reset.push(pod);
-            }
-        }
         cluster.witness_epoch(node, epoch);
     }
     cluster.health.revive(node);
     if cluster.obs.enabled() {
         cluster.obs.counter("manager", "mgr.rejoin", 1);
     }
-    Ok(RejoinReport { node, witnessed_epoch: witnessed, epoch, stale, lineage_reset })
+    Ok(RejoinReport { node, witnessed_epoch: witnessed, epoch, stale })
 }
 
 #[cfg(test)]
@@ -109,13 +92,11 @@ mod tests {
         assert!(report.stale);
         assert_eq!(report.witnessed_epoch, 0);
         assert_eq!(report.epoch, cluster.epoch());
-        assert_eq!(report.lineage_reset, vec!["web".to_string()]);
         assert_eq!(cluster.agent_epoch(1), cluster.epoch());
         assert_eq!(cluster.health.status(1), NodeStatus::Alive);
 
         // Idempotent: a second rejoin is a plain lease renewal.
         let again = rejoin_node(&cluster, 1).unwrap();
         assert!(!again.stale);
-        assert!(again.lineage_reset.is_empty());
     }
 }

@@ -55,16 +55,10 @@ impl MemStore {
         Arc::new(MemStore::default())
     }
 
-    /// Stores an image.
-    pub fn put(&self, label: &str, image: Vec<u8>) {
-        self.slots.lock().insert(label.to_owned(), Arc::new(image));
-    }
-
-    /// Stores an already-shared image without copying — incremental chains
-    /// file one image under both the user's label and its immutable chain
-    /// label.
-    pub fn put_arc(&self, label: &str, image: Arc<Vec<u8>>) {
-        self.slots.lock().insert(label.to_owned(), image);
+    /// Stores an image: an owned `Vec<u8>`, or an already-shared
+    /// `Arc<Vec<u8>>` without copying.
+    pub fn put(&self, label: &str, image: impl Into<Arc<Vec<u8>>>) {
+        self.slots.lock().insert(label.to_owned(), image.into());
     }
 
     /// Fetches an image.

@@ -2,11 +2,15 @@
 //! sources — every failure must surface as a typed error, never a wedge
 //! or a silent mis-restore.
 
+use std::sync::Arc;
 use std::time::Duration;
 use zapc::agent::Finalize;
 use zapc::manager::{CheckpointTarget, RestartTarget};
 use zapc::{checkpoint, restart, Cluster, Uri, ZapcError};
 use zapc_apps::launch::{full_registry, launch_app, AppKind, AppParams};
+use zapc_ckpt::MemoryDeltaRecord;
+use zapc_proto::{Decode, Encode, ImageReader, ImageWriter, RecordReader, RecordWriter, SectionTag};
+use zapc_sim::memory::AddressSpace;
 use zapc_sim::ProgramRegistry;
 
 fn small(kind: AppKind, ranks: usize) -> AppParams {
@@ -142,4 +146,157 @@ fn truncated_image_detected() {
         ZapcError::Decode(_) | ZapcError::Aborted(_) => {}
         other => panic!("expected decode failure, got {other:?}"),
     }
+}
+
+/// Rebuilds `image` section by section: `rewrite` returns the replacement
+/// `(tag, payload)` for a section, or `None` to copy it verbatim.
+fn rewrite_sections(
+    image: &[u8],
+    mut rewrite: impl FnMut(SectionTag, &[u8]) -> Option<(SectionTag, Vec<u8>)>,
+) -> Vec<u8> {
+    let rd = ImageReader::open(image).unwrap();
+    let mut w = ImageWriter::new(rd.header());
+    for s in rd.sections().unwrap() {
+        match rewrite(s.tag, s.payload) {
+            Some((tag, payload)) => w.section_bytes(tag, &payload),
+            None => w.section_bytes(s.tag, s.payload),
+        }
+    }
+    w.finish()
+}
+
+#[test]
+fn restart_over_a_live_pod_is_refused_and_leaves_it_running() {
+    let reference = {
+        let c = Cluster::builder().nodes(2).registry(full_registry()).build();
+        let app = launch_app(&c, "cpi", &small(AppKind::Cpi, 2));
+        let codes = app.wait(&c, Duration::from_secs(60)).unwrap();
+        app.destroy(&c);
+        codes
+    };
+
+    let c = Cluster::builder().nodes(2).registry(full_registry()).build();
+    let app = launch_app(&c, "cpi", &small(AppKind::Cpi, 2));
+    std::thread::sleep(Duration::from_millis(5));
+    let snapshots: Vec<CheckpointTarget> =
+        app.pods.iter().map(|p| CheckpointTarget::snapshot(p)).collect();
+    checkpoint(&c, &snapshots).unwrap();
+    let before: Vec<_> =
+        app.pods.iter().map(|p| (c.pod(p).unwrap(), c.pod_node(p).unwrap())).collect();
+
+    // Every pod is still running; restart them onto the *other* node.
+    let rts: Vec<RestartTarget> = app
+        .pods
+        .iter()
+        .zip(&before)
+        .map(|(p, (_, home))| RestartTarget {
+            pod: p.clone(),
+            uri: Uri::mem(format!("ckpt/{p}")),
+            node: 1 - home,
+        })
+        .collect();
+    let err = restart(&c, &rts).unwrap_err();
+    assert!(
+        matches!(&err, ZapcError::Aborted(why) if why.contains("\"cpi-0\"") && why.contains("still live")),
+        "got {err:?}"
+    );
+
+    // The same image under a free target name: the name it would register
+    // is still the live pod's.
+    c.store.put("img/ghost", c.store.get("ckpt/cpi-1").unwrap());
+    let ghost =
+        [RestartTarget { pod: "ghost".into(), uri: Uri::mem("img/ghost"), node: 1 - before[1].1 }];
+    let err = restart(&c, &ghost).unwrap_err();
+    assert!(matches!(&err, ZapcError::NotFound(why) if why.contains("\"cpi-1\"")), "got {err:?}");
+
+    // …and with its meta-data renamed to match the target, so only the
+    // namespace still names the live pod: the Agent refuses.
+    let renamed = rewrite_sections(&c.store.get("ckpt/cpi-1").unwrap(), |tag, payload| {
+        (tag == SectionTag::NetMeta).then(|| {
+            let mut meta = zapc_proto::MetaData::decode(&mut RecordReader::new(payload)).unwrap();
+            meta.pod = "ghost".into();
+            let mut w = RecordWriter::new();
+            meta.encode(&mut w);
+            (tag, w.into_bytes())
+        })
+    });
+    c.store.put("img/ghost", renamed);
+    let err = restart(&c, &ghost).unwrap_err();
+    assert!(
+        matches!(&err, ZapcError::Aborted(why) if why.contains("\"cpi-1\"") && why.contains("still live")),
+        "got {err:?}"
+    );
+    assert!(c.pod("ghost").is_none());
+
+    // The originals are still registered, still routed to their home
+    // nodes, and run to the fault-free result.
+    for (p, (pod, home)) in app.pods.iter().zip(&before) {
+        assert!(Arc::ptr_eq(&c.pod(p).unwrap(), pod), "{p}: table entry replaced");
+        assert_eq!(c.pod_node(p), Some(*home), "{p}");
+        let routed = c.net.handle().route(pod.vip()).expect("route");
+        assert!(Arc::ptr_eq(&routed, &c.node(*home).stack), "{p}: route stolen");
+    }
+    assert_eq!(app.wait(&c, Duration::from_secs(60)).unwrap(), reference);
+    app.destroy(&c);
+}
+
+#[test]
+fn restart_from_non_standalone_image_fails_typed_and_rolls_back() {
+    // A `Uri::Mem` slot is outside input. Two images no writer produces —
+    // one carrying the retired `ParentRef` section, one whose only memory
+    // section is a `MemoryDelta` — must fail typed, and the Agent's
+    // create-then-destroy rollback must leave nothing behind.
+    let c = Cluster::builder().nodes(2).registry(full_registry()).build();
+    let app = launch_app(&c, "cpi", &small(AppKind::Cpi, 1));
+    std::thread::sleep(Duration::from_millis(10));
+    let name = app.pods[0].clone();
+    let vip = c.pod(&name).unwrap().vip();
+    checkpoint(
+        &c,
+        &[CheckpointTarget { pod: name.clone(), uri: Uri::mem("img/good"), finalize: Finalize::Destroy }],
+    )
+    .unwrap();
+    let good = c.store.get("img/good").unwrap();
+
+    let stale_parent_tag = {
+        let rd = ImageReader::open(&good).unwrap();
+        let mut w = ImageWriter::new(rd.header());
+        // The retired payload layout: parent label, its digest, depth.
+        w.section(SectionTag::ParentRef, |p| {
+            p.put_str("img/good#g0");
+            p.put_u64(zapc_proto::crc::fnv1a64(&good));
+            p.put_u32(1);
+        });
+        for s in rd.sections().unwrap() {
+            w.section_bytes(s.tag, s.payload);
+        }
+        w.finish()
+    };
+    let bare_delta = rewrite_sections(&good, |tag, payload| {
+        (tag == SectionTag::Memory).then(|| {
+            let mut r = RecordReader::new(payload);
+            let vpid = r.get_u32().unwrap();
+            let mem = AddressSpace::decode(&mut r).unwrap();
+            let mut w = RecordWriter::new();
+            MemoryDeltaRecord::capture(vpid, 0, &mem).encode(&mut w);
+            (SectionTag::MemoryDelta, w.into_bytes())
+        })
+    });
+
+    for (what, image) in [("parent reference", stale_parent_tag), ("bare memory delta", bare_delta)] {
+        c.store.put("img/hostile", image);
+        let rt = RestartTarget { pod: name.clone(), uri: Uri::mem("img/hostile"), node: 1 };
+        let err = restart(&c, &[rt]).unwrap_err();
+        assert!(
+            matches!(&err, ZapcError::Aborted(why) if why.contains("not standalone")),
+            "{what}: got {err:?}"
+        );
+        assert!(c.pod(&name).is_none(), "{what}: half-restored pod left registered");
+        assert!(c.net.handle().route(vip).is_none(), "{what}: route left behind");
+    }
+
+    // The untouched image still restarts.
+    restart(&c, &[RestartTarget { pod: name.clone(), uri: Uri::mem("img/good"), node: 1 }]).unwrap();
+    app.wait(&c, Duration::from_secs(60)).unwrap();
+    app.destroy(&c);
 }
