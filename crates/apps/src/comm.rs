@@ -90,11 +90,6 @@ impl MpiComm {
         }
     }
 
-    /// True once every link is up.
-    pub fn is_up(&self) -> bool {
-        self.phase == Phase::Up
-    }
-
     /// Drives communicator setup; returns `Ready` once the mesh is wired.
     pub fn poll_init(&mut self, ctx: &mut ProcessCtx<'_>) -> SysResult<Poll<()>> {
         match self.phase {

@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bufpool;
 pub mod delta;
 pub mod records;
 pub mod restore;

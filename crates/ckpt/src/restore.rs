@@ -173,16 +173,12 @@ impl DecodedPod {
         let mut vpids: Vec<u32> = self.mems.keys().copied().collect();
         vpids.sort_unstable();
         let total: usize = self.mems.values().map(|m| m.total_bytes() + 64).sum();
-        // The canonical encoding buffer is pooled: per-round digests in a
-        // pipelined restore reuse one allocation instead of regrowing it.
-        let mut w = zapc_proto::RecordWriter::with_buffer(crate::bufpool::take(total));
+        let mut w = zapc_proto::RecordWriter::with_capacity(total);
         for vpid in vpids {
             w.put_u32(vpid);
             self.mems[&vpid].encode(&mut w);
         }
-        let digest = zapc_proto::crc::fnv1a64(w.bytes());
-        crate::bufpool::give(w.into_bytes());
-        digest
+        zapc_proto::crc::fnv1a64(w.bytes())
     }
 
     /// Reinstates the accumulated state into `pod` (created beforehand

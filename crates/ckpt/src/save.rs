@@ -2,14 +2,15 @@
 
 use crate::delta::MemoryDeltaRecord;
 use crate::records::{ClockRecord, FdRecord, PipeTable, ProcRecord, ProcStateRecord};
-use crate::{bufpool, CkptError, CkptResult};
+use crate::{CkptError, CkptResult};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use zapc_pod::Pod;
 use zapc_proto::{Encode, ImageWriter, RecordWriter, SectionTag};
 use zapc_sim::fdtable::FdKind;
+use zapc_sim::memory::AddressSpace;
 use zapc_sim::process::Process;
-use zapc_sim::{Pid, ProcState};
+use zapc_sim::ProcState;
 
 /// Options for [`checkpoint_standalone_with`].
 #[derive(Debug, Clone, Default)]
@@ -21,9 +22,8 @@ pub struct SaveOpts {
     /// forked after that round) are written in full.
     pub base_gens: Option<HashMap<u32, u64>>,
     /// Event observer: a `ckpt.encode` span around the per-process
-    /// encodes, a `ckpt.merge` span, and `ckpt.full_bytes`/
-    /// `ckpt.delta_bytes` counters. Disabled by default (one branch per
-    /// site).
+    /// encodes and `ckpt.full_bytes`/`ckpt.delta_bytes` counters.
+    /// Disabled by default (one branch per site).
     pub obs: zapc_obs::Observer,
 }
 
@@ -38,21 +38,15 @@ pub fn checkpoint_standalone(pod: &Pod, w: &mut ImageWriter) -> CkptResult<()> {
     checkpoint_standalone_with(pod, w, &SaveOpts::default())
 }
 
-/// One process's encoded payloads. Payload buffers come from (and
-/// return to) the [`bufpool`] once the merge has copied them out.
-struct ProcPayload {
-    proc_bytes: Vec<u8>,
-    mem_tag: SectionTag,
-    mem_bytes: Vec<u8>,
-    /// Pipes this process references, deduplicated per process only; the
-    /// merge step deduplicates across processes in vpid order.
-    pipes: Vec<(u64, Vec<u8>, bool, bool)>,
-}
-
 /// Serializes a pod's non-network state into `w`, optionally as deltas
 /// against an earlier round of the same stream (`opts.base_gens`).
 /// Section order is deterministic: Namespace, Timers, FdTable, then per
 /// process (in vpid order) Process followed by its Memory/MemoryDelta.
+///
+/// The pod-wide pipe table precedes the first process section, so this
+/// makes two passes over the suspended (hence stable) processes: the first
+/// builds each small process record and collects the pipes, the second
+/// encodes each record and its memory straight into the image.
 pub fn checkpoint_standalone_with(
     pod: &Pod,
     w: &mut ImageWriter,
@@ -71,60 +65,44 @@ pub fn checkpoint_standalone_with(
     };
     w.section(SectionTag::Timers, |r| clock.encode(r));
 
-    let vpids: Vec<(u32, Pid)> = pod.vpid_pids();
     let obs = &opts.obs;
     let key = pod.name();
+    let _span = obs.span(&key, "ckpt.encode");
 
-    let mut payloads: Vec<ProcPayload> = Vec::with_capacity(vpids.len());
-    {
-        let _span = obs.span(&key, "ckpt.encode");
-        for &(vpid, pid) in &vpids {
-            let parc = pod
-                .node()
-                .process(pid)
-                .ok_or(CkptError::Inconsistent("process vanished during checkpoint"))?;
-            payloads.push(encode_process(vpid, &parc, &ordinals, opts.base_gens.as_ref())?);
-        }
-    }
-
-    // Merge: pod-wide pipe table deduplicated in vpid order, then the
-    // per-process sections stitched deterministically. Pipe payloads are
-    // moved, not cloned; duplicates go back to the buffer pool.
-    let _merge_span = obs.span(&key, "ckpt.merge");
+    // Pass 1: process records, and the pipe table deduplicated pod-wide
+    // in vpid order.
     let mut pipe_table = PipeTable::default();
     let mut seen_pipes: HashSet<u64> = HashSet::new();
-    for p in &mut payloads {
-        for (id, data, rc, wc) in p.pipes.drain(..) {
-            if seen_pipes.insert(id) {
-                pipe_table.pipes.push((id, data, rc, wc));
-            } else {
-                bufpool::give(data);
-            }
-        }
+    let mut procs = Vec::new();
+    for (vpid, pid) in pod.vpid_pids() {
+        let parc = pod
+            .node()
+            .process(pid)
+            .ok_or(CkptError::Inconsistent("process vanished during checkpoint"))?;
+        let rec = proc_record(vpid, &parc.lock(), &ordinals, &mut pipe_table, &mut seen_pipes)?;
+        procs.push((rec, parc));
     }
-
     w.section(SectionTag::FdTable, |r| pipe_table.encode(r));
-    for (_, data, _, _) in pipe_table.pipes.drain(..) {
-        bufpool::give(data);
-    }
-    for p in payloads {
+
+    // Pass 2: each process record, then its memory under the process lock.
+    for (rec, parc) in procs {
+        w.section(SectionTag::Process, |r| rec.encode(r));
+        let base_gen = base_gen_of(opts.base_gens.as_ref(), rec.vpid);
+        let mut payload_bytes = 0;
+        w.section(memory_tag(base_gen), |r| {
+            let at = r.len();
+            encode_memory(rec.vpid, &parc.lock().mem, base_gen, r);
+            payload_bytes = r.len() - at;
+        });
         if obs.enabled() {
-            let name = if p.mem_tag == SectionTag::MemoryDelta {
-                "ckpt.delta_bytes"
-            } else {
-                "ckpt.full_bytes"
-            };
-            obs.counter(&key, name, p.mem_bytes.len() as u64);
+            let name = if base_gen.is_some() { "ckpt.delta_bytes" } else { "ckpt.full_bytes" };
+            obs.counter(&key, name, payload_bytes as u64);
         }
-        w.section_bytes(SectionTag::Process, &p.proc_bytes);
-        w.section_bytes(p.mem_tag, &p.mem_bytes);
-        bufpool::give(p.proc_bytes);
-        bufpool::give(p.mem_bytes);
     }
     Ok(())
 }
 
-/// One process's memory payload captured by a live pre-copy round.
+/// One process's memory section captured by a live pre-copy round.
 #[derive(Debug)]
 pub struct RoundPayload {
     /// Virtual PID the payload belongs to.
@@ -132,10 +110,9 @@ pub struct RoundPayload {
     /// [`SectionTag::Memory`] (base round, or a process new since the
     /// base) or [`SectionTag::MemoryDelta`].
     pub tag: SectionTag,
-    /// Encoded section payload, ready to frame and ship. Drawn from the
-    /// checkpoint buffer pool; hand it back with [`RoundPayload::recycle`]
-    /// once framed so long pre-copies stop allocating per round.
-    pub payload: Vec<u8>,
+    /// The section as the framed, CRC'd record an image would hold —
+    /// what goes down the migration stream as it is.
+    pub record: Vec<u8>,
     /// Address-space generation at capture time — the next round's base.
     pub gen: u64,
     /// Region-content bytes the payload carries (the residual dirty set
@@ -144,13 +121,13 @@ pub struct RoundPayload {
 }
 
 impl RoundPayload {
-    /// Returns the payload's allocation to the checkpoint buffer pool.
-    pub fn recycle(self) {
-        bufpool::give(self.payload);
-    }
+    /// Does nothing but consume the payload. It used to return the
+    /// buffer to a pool; it stays because `benchmark/src/ops.rs` calls it
+    /// (ROADMAP item 7(a) drops those calls).
+    pub fn recycle(self) {}
 }
 
-/// Captures one pre-copy round of memory payloads *without* suspending the
+/// Captures one pre-copy round of memory sections *without* suspending the
 /// pod. Each process is captured under its own process lock, so every
 /// payload is internally consistent (the scheduler steps a process while
 /// holding the same lock); processes keep running between captures, which
@@ -160,10 +137,7 @@ impl RoundPayload {
 /// last round) closes the window.
 ///
 /// `base_gens` selects full vs delta payloads exactly as in [`SaveOpts`].
-/// Payload buffers come from the checkpoint buffer pool and are encoded
-/// in place (no intermediate scratch-then-copy), so a long pre-copy's
-/// steady state allocates nothing per round — provided the caller
-/// [`RoundPayload::recycle`]s payloads after shipping them.
+/// Each payload is encoded and framed once, in the buffer that is shipped.
 pub fn capture_memory_round(
     pod: &Pod,
     base_gens: Option<&HashMap<u32, u64>>,
@@ -176,38 +150,66 @@ pub fn capture_memory_round(
             .ok_or(CkptError::Inconsistent("process vanished during pre-copy round"))?;
         let proc = parc.lock();
         let gen = proc.mem.generation();
-        let (tag, region_bytes, payload) = match base_gens.and_then(|b| b.get(&vpid).copied()) {
-            Some(base_gen) => {
-                let delta = MemoryDeltaRecord::capture(vpid, base_gen, &proc.mem);
-                let bytes = delta.dirty.iter().map(|r| r.data.byte_len()).sum();
-                let mut pw = RecordWriter::with_buffer(bufpool::take(1024));
-                delta.encode(&mut pw);
-                (SectionTag::MemoryDelta, bytes, pw.into_bytes())
-            }
-            None => {
-                let mut pw =
-                    RecordWriter::with_buffer(bufpool::take(proc.mem.total_bytes() + 64));
-                pw.put_u32(vpid);
-                proc.mem.encode(&mut pw);
-                (SectionTag::Memory, proc.mem.total_bytes(), pw.into_bytes())
-            }
-        };
-        out.push(RoundPayload { vpid, tag, payload, gen, region_bytes });
+        let base_gen = base_gen_of(base_gens, vpid);
+        let tag = memory_tag(base_gen);
+        let hint = if base_gen.is_some() { 1024 } else { proc.mem.total_bytes() + 64 };
+        let mut w = RecordWriter::with_capacity(hint);
+        let mark = w.begin_record(tag as u16);
+        let region_bytes = encode_memory(vpid, &proc.mem, base_gen, &mut w);
+        // The running process waits on this lock: CRC after letting go.
+        drop(proc);
+        w.end_record(mark);
+        out.push(RoundPayload { vpid, tag, record: w.into_bytes(), gen, region_bytes });
     }
     Ok(out)
 }
 
-/// Encodes one suspended process: control block, descriptor records, and
-/// its memory payload (full, or a delta against `base_gens[vpid]`). All
-/// scratch buffers are drawn from the checkpoint buffer pool; the caller
-/// returns the produced payload buffers after copying them into the image.
-fn encode_process(
+/// The generation `vpid`'s memory is a delta against, if the receiver
+/// already holds a base for it.
+fn base_gen_of(base_gens: Option<&HashMap<u32, u64>>, vpid: u32) -> Option<u64> {
+    base_gens.and_then(|b| b.get(&vpid).copied())
+}
+
+fn memory_tag(base_gen: Option<u64>) -> SectionTag {
+    if base_gen.is_some() {
+        SectionTag::MemoryDelta
+    } else {
+        SectionTag::Memory
+    }
+}
+
+/// Encodes one process's memory payload into `w` — in full, or as the
+/// delta since `base_gen` — and returns the region-content bytes it
+/// carries.
+fn encode_memory(
     vpid: u32,
-    parc: &Arc<parking_lot::Mutex<Process>>,
+    mem: &AddressSpace,
+    base_gen: Option<u64>,
+    w: &mut RecordWriter,
+) -> usize {
+    match base_gen {
+        Some(base_gen) => {
+            let delta = MemoryDeltaRecord::capture(vpid, base_gen, mem);
+            delta.encode(w);
+            delta.dirty.iter().map(|r| r.data.byte_len()).sum()
+        }
+        None => {
+            w.put_u32(vpid);
+            mem.encode(w);
+            mem.total_bytes()
+        }
+    }
+}
+
+/// Builds one suspended process's control-block record, adding the pipes
+/// it references to the pod-wide `pipe_table` (first reference wins).
+fn proc_record(
+    vpid: u32,
+    proc: &Process,
     ordinals: &HashMap<zapc_net::SocketId, u32>,
-    base_gens: Option<&HashMap<u32, u64>>,
-) -> CkptResult<ProcPayload> {
-    let proc = parc.lock();
+    pipe_table: &mut PipeTable,
+    seen_pipes: &mut HashSet<u64>,
+) -> CkptResult<ProcRecord> {
     let state = match proc.state {
         ProcState::Stopped => ProcStateRecord::Live,
         ProcState::Exited(code) => ProcStateRecord::Exited(code),
@@ -217,17 +219,19 @@ fn encode_process(
     // Program control state.
     let (program_type, program_state) = match &proc.program {
         Some(prog) => {
-            let mut pw = RecordWriter::with_buffer(bufpool::take(64));
+            let mut pw = RecordWriter::new();
             prog.save(&mut pw);
             (prog.type_name().to_owned(), pw.into_bytes())
         }
         None => (String::new(), Vec::new()),
     };
 
-    // Descriptor records; pipes are recorded once per process here and
-    // deduplicated pod-wide during the merge.
-    let mut pipes: Vec<(u64, Vec<u8>, bool, bool)> = Vec::new();
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut record_pipe = |pipe: &Arc<zapc_sim::pipe::Pipe>| {
+        if seen_pipes.insert(pipe.id) {
+            let (data, rc, wc) = pipe.snapshot();
+            pipe_table.pipes.push((pipe.id, data, rc, wc));
+        }
+    };
     let mut fds = Vec::new();
     for (fd, entry) in proc.fds.iter() {
         let rec = match &entry.kind {
@@ -235,11 +239,11 @@ fn encode_process(
                 FdRecord::File { path: f.path.clone(), offset: f.offset, append: f.append }
             }
             FdKind::PipeRead(p) => {
-                record_pipe(&mut pipes, &mut seen, p);
+                record_pipe(p);
                 FdRecord::PipeRead { pipe: p.id }
             }
             FdKind::PipeWrite(p) => {
-                record_pipe(&mut pipes, &mut seen, p);
+                record_pipe(p);
                 FdRecord::PipeWrite { pipe: p.id }
             }
             FdKind::Socket(s) => {
@@ -252,7 +256,7 @@ fn encode_process(
         fds.push((fd, rec));
     }
 
-    let rec = ProcRecord {
+    Ok(ProcRecord {
         vpid,
         name: proc.name.clone(),
         state,
@@ -262,42 +266,11 @@ fn encode_process(
         program_type,
         program_state,
         fds,
-    };
-    let mut pw = RecordWriter::with_buffer(bufpool::take(256));
-    rec.encode(&mut pw);
-    bufpool::give(rec.program_state);
-
-    let (mem_tag, mem_bytes) = match base_gens.and_then(|b| b.get(&vpid).copied()) {
-        Some(base_gen) => {
-            let delta = MemoryDeltaRecord::capture(vpid, base_gen, &proc.mem);
-            let mut mw = RecordWriter::with_buffer(bufpool::take(1024));
-            delta.encode(&mut mw);
-            (SectionTag::MemoryDelta, mw.into_bytes())
-        }
-        None => {
-            let mut mw = RecordWriter::with_buffer(bufpool::take(proc.mem.total_bytes() + 64));
-            mw.put_u32(vpid);
-            proc.mem.encode(&mut mw);
-            (SectionTag::Memory, mw.into_bytes())
-        }
-    };
-
-    Ok(ProcPayload { proc_bytes: pw.into_bytes(), mem_tag, mem_bytes, pipes })
+    })
 }
 
 /// The pod's stable socket enumeration: socket id → checkpoint ordinal.
 /// Both the network checkpoint and the descriptor records use this order.
 pub fn socket_ordinals(pod: &Pod) -> HashMap<zapc_net::SocketId, u32> {
     pod.sockets().iter().enumerate().map(|(i, s)| (s.id, i as u32)).collect()
-}
-
-fn record_pipe(
-    out: &mut Vec<(u64, Vec<u8>, bool, bool)>,
-    seen: &mut HashSet<u64>,
-    pipe: &std::sync::Arc<zapc_sim::pipe::Pipe>,
-) {
-    if seen.insert(pipe.id) {
-        let (data, rc, wc) = pipe.snapshot();
-        out.push((pipe.id, data, rc, wc));
-    }
 }

@@ -13,6 +13,7 @@ use zapc_net::{Network, NetworkConfig};
 use zapc_obs::Observer;
 use zapc_pod::{Pod, PodConfig};
 use zapc_proto::image::Header;
+use zapc_proto::rw::RecordStream;
 use zapc_proto::{ImageReader, ImageWriter, RecordWriter, SectionTag};
 use zapc_sim::{
     ClusterClock, Node, NodeConfig, ProcessCtx, Program, ProgramRegistry, SimFs, StepOutcome,
@@ -115,7 +116,10 @@ fn header(pod: &Pod) -> Header {
 /// captured — the next round's base.
 fn ship(round: &[RoundPayload], parts: &mut DecodedPod) -> HashMap<u32, u64> {
     for p in round {
-        parts.apply_section(p.tag, &p.payload).unwrap();
+        let mut framed = RecordStream::new(&p.record);
+        let payload = framed.expect_record(p.tag as u16).unwrap();
+        assert!(framed.is_empty(), "one record per round payload");
+        parts.apply_section(p.tag, payload).unwrap();
     }
     round.iter().map(|p| (p.vpid, p.gen)).collect()
 }

@@ -10,13 +10,19 @@
 //! and compares FNV-1a digests of the canonical `Memory` encoding.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::time::Duration;
-use zapc_ckpt::{checkpoint_standalone, DecodedPod, MemoryDeltaRecord};
+use zapc_ckpt::{
+    capture_memory_round, checkpoint_standalone_with, DecodedPod, MemoryDeltaRecord, SaveOpts,
+};
 use zapc_net::{Network, NetworkConfig};
 use zapc_pod::{Pod, PodConfig};
 use zapc_proto::crc::fnv1a64;
 use zapc_proto::image::Header;
-use zapc_proto::{Encode, ImageReader, ImageWriter, RecordWriter, SectionTag};
+use zapc_proto::rw::frame_record;
+use zapc_proto::{
+    Encode, ImageReader, ImageWriter, RecordWriter, SectionTag, FORMAT_VERSION, MAGIC,
+};
 use zapc_sim::memory::AddressSpace;
 use zapc_sim::{ClusterClock, Node, NodeConfig, ProcessCtx, Program, SimFs, StepOutcome};
 
@@ -211,30 +217,41 @@ impl Program for PropWriter {
     }
 }
 
-/// Payloads of every section except `Timers`, whose `real_ms` advances
-/// between back-to-back checkpoints of the same suspended pod.
-fn stable_sections(bytes: &[u8]) -> Vec<(SectionTag, Vec<u8>)> {
-    let mut rd = ImageReader::open(bytes).unwrap();
-    let mut out = Vec::new();
-    while let Some(s) = rd.next_section().unwrap() {
-        if s.tag != SectionTag::Timers {
-            out.push((s.tag, s.payload.to_vec()));
-        }
+/// Every section of an image as `(tag, payload)`, in order.
+fn sections(bytes: &[u8]) -> Vec<(SectionTag, Vec<u8>)> {
+    let rd = ImageReader::open(bytes).unwrap();
+    rd.sections().unwrap().iter().map(|s| (s.tag, s.payload.to_vec())).collect()
+}
+
+/// The framing reference: `MAGIC ‖ version ‖` the copy-then-CRC
+/// `frame_record` of the header, of each section, and of the end marker.
+fn reference_image(header: &Header, sections: &[(SectionTag, Vec<u8>)]) -> Vec<u8> {
+    let mut hw = RecordWriter::new();
+    hw.put_str(&header.pod);
+    hw.put_str(&header.host);
+    hw.put_u64(header.wall_ms);
+    hw.put_u32(header.flags);
+    let mut out = [&MAGIC[..], &FORMAT_VERSION.to_le_bytes()].concat();
+    out.extend(frame_record(SectionTag::Header as u16, hw.bytes()));
+    for (tag, payload) in sections {
+        out.extend(frame_record(*tag as u16, payload));
     }
+    out.extend(frame_record(SectionTag::End as u16, &[]));
     out
 }
 
 proptest! {
     // Each case spins up a real pod (scheduler threads + settle sleeps),
-    // so keep the case count small; the buffer-reuse rounds inside each
-    // case do the repetition.
+    // so keep the case count small.
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// Property: the checkpoint image is a pure function of pod state —
-    /// recycling a pooled image buffer may not change a byte of any
-    /// section, in content or in order.
+    /// Property: sections are framed in place in the image buffer, and the
+    /// bytes that come out are exactly what framing each payload on its
+    /// own would give — for a full image and for a cut whose memory goes
+    /// down as `MemoryDelta`s — with every memory payload equal to an
+    /// independent encode of the process's address space.
     #[test]
-    fn image_bytes_invariant_under_buffer_reuse(
+    fn image_equals_framing_reference(
         procs in 1usize..5,
         regions in 1u32..4,
         len in 1u32..64,
@@ -258,38 +275,67 @@ proptest! {
             );
         }
         std::thread::sleep(Duration::from_millis(15));
+        // A base round taken while the pod runs: what the delta cut below
+        // is a delta against.
+        let base_gens: HashMap<u32, u64> = capture_memory_round(&pod, None)
+            .unwrap()
+            .iter()
+            .map(|p| (p.vpid, p.gen))
+            .collect();
         pod.suspend().unwrap();
 
         let header =
             Header { pod: pod.name(), host: "prop-node".into(), wall_ms: 0, flags: 0 };
-        let checkpoint = |buffer: Option<Vec<u8>>| {
-            let mut w = match buffer {
-                Some(buf) => ImageWriter::with_buffer(&header, buf),
-                None => ImageWriter::new(&header),
-            };
-            checkpoint_standalone(&pod, &mut w).unwrap();
+        let checkpoint = |base_gens: Option<HashMap<u32, u64>>| {
+            let mut w = ImageWriter::new(&header);
+            let opts = SaveOpts { base_gens, ..Default::default() };
+            checkpoint_standalone_with(&pod, &mut w, &opts).unwrap();
             w.finish()
         };
+        // The independent encode of each process's memory section.
+        let memory_payloads = |base_gens: Option<&HashMap<u32, u64>>| -> Vec<Vec<u8>> {
+            pod.vpid_pids()
+                .into_iter()
+                .map(|(vpid, pid)| {
+                    let parc = pod.node().process(pid).unwrap();
+                    let mem = &parc.lock().mem;
+                    match base_gens {
+                        None => full_payload(vpid, mem),
+                        Some(gens) => {
+                            let mut w = RecordWriter::new();
+                            MemoryDeltaRecord::capture(vpid, gens[&vpid], mem).encode(&mut w);
+                            w.into_bytes()
+                        }
+                    }
+                })
+                .collect()
+        };
+        let payloads_of = |secs: &[(SectionTag, Vec<u8>)], tag: SectionTag| -> Vec<Vec<u8>> {
+            secs.iter().filter(|s| s.0 == tag).map(|s| s.1.clone()).collect()
+        };
 
-        // Reference: encode into a fresh buffer.
-        let reference = checkpoint(None);
-        let want = stable_sections(&reference);
+        let full = checkpoint(None);
+        let full_secs = sections(&full);
+        prop_assert!(full == reference_image(&header, &full_secs), "full image is not its framing");
+        prop_assert_eq!(payloads_of(&full_secs, SectionTag::Memory), memory_payloads(None));
+        prop_assert!(payloads_of(&full_secs, SectionTag::MemoryDelta).is_empty());
 
-        // Pooled-buffer reuse: recycle one image allocation through
-        // repeated checkpoints (the steady-state dump path) and poison
-        // the buffer between rounds to catch stale-byte leaks.
-        let mut buf = Vec::new();
-        for round in 0..3usize {
-            buf.clear();
-            buf.resize(64, 0xA5); // poison: must be fully overwritten
-            let image = checkpoint(Some(std::mem::take(&mut buf)));
-            prop_assert!(
-                want == stable_sections(&image),
-                "image changed on pooled-buffer round {}",
-                round
-            );
-            buf = image;
-        }
+        let cut = checkpoint(Some(base_gens.clone()));
+        let cut_secs = sections(&cut);
+        prop_assert!(cut == reference_image(&header, &cut_secs), "delta cut is not its framing");
+        prop_assert_eq!(
+            payloads_of(&cut_secs, SectionTag::MemoryDelta),
+            memory_payloads(Some(&base_gens))
+        );
+        prop_assert!(payloads_of(&cut_secs, SectionTag::Memory).is_empty());
+
+        // The image is a pure function of pod state: a second checkpoint of
+        // the same suspended pod agrees on everything but `Timers`, whose
+        // `real_ms` advances.
+        let stable = |secs: Vec<(SectionTag, Vec<u8>)>| -> Vec<(SectionTag, Vec<u8>)> {
+            secs.into_iter().filter(|s| s.0 != SectionTag::Timers).collect()
+        };
+        prop_assert!(stable(full_secs) == stable(sections(&checkpoint(None))));
 
         pod.destroy();
         node.shutdown();

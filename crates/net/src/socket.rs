@@ -830,11 +830,6 @@ impl Socket {
         }
     }
 
-    /// Bytes pending in the alternate receive queue.
-    pub fn alt_queue_len(&self) -> usize {
-        self.inner.lock().alt_recv.len()
-    }
-
     /// Whether the interposed dispatch vector is currently installed.
     pub fn is_interposed(&self) -> bool {
         std::ptr::fn_addr_eq(self.inner.lock().vtable.recvmsg, interposed_recvmsg as RecvMsgFn)

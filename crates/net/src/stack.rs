@@ -81,11 +81,6 @@ impl NetStack {
         self.inner.read().sockets.len()
     }
 
-    /// Looks a socket up by id.
-    pub fn socket_by_id(&self, id: SocketId) -> Option<Arc<Socket>> {
-        self.inner.read().sockets.get(&id).cloned()
-    }
-
     /// All sockets whose local address (or default IP) is `vip` — the set a
     /// pod's network checkpoint must cover.
     pub fn sockets_for_ip(&self, vip: u32) -> Vec<Arc<Socket>> {

@@ -20,7 +20,7 @@
 //! surface as [`DecodeError::Inconsistent`].
 
 use crate::error::{DecodeError, DecodeResult};
-use crate::rw::{frame_record_into, Decode, Encode, RecordReader, RecordStream, RecordWriter};
+use crate::rw::{Decode, Encode, RecordReader, RecordStream, RecordWriter};
 
 /// Magic bytes that start every serialized chunk index.
 pub const CHUNK_INDEX_MAGIC: &[u8; 8] = b"ZAPCCHX\0";
@@ -74,12 +74,12 @@ impl ChunkIndex {
     /// Serializes the index: magic, version, one CRC-framed record.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = RecordWriter::new();
+        w.put_raw(CHUNK_INDEX_MAGIC);
+        w.put_u32(CHUNK_INDEX_VERSION);
+        let mark = w.begin_record(CHUNK_INDEX_TAG);
         self.encode(&mut w);
-        let mut out = Vec::with_capacity(w.len() + 24);
-        out.extend_from_slice(CHUNK_INDEX_MAGIC);
-        out.extend_from_slice(&CHUNK_INDEX_VERSION.to_le_bytes());
-        frame_record_into(CHUNK_INDEX_TAG, w.bytes(), &mut out);
-        out
+        w.end_record(mark);
+        w.into_bytes()
     }
 
     /// Parses and validates a serialized chunk index: magic, version,

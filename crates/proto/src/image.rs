@@ -109,12 +109,11 @@ pub struct Header {
     pub flags: u32,
 }
 
-/// Builds a checkpoint image section by section.
+/// Builds a checkpoint image section by section: one appending writer,
+/// every section framed in place in the image buffer itself.
 #[derive(Debug)]
 pub struct ImageWriter {
-    out: Vec<u8>,
-    scratch: RecordWriter,
-    finished: bool,
+    out: RecordWriter,
 }
 
 impl ImageWriter {
@@ -129,39 +128,30 @@ impl ImageWriter {
     /// should pass it here: a multi-MB image then allocates once instead
     /// of paying repeated `Vec` regrowth memcpys on the hot path.
     pub fn with_capacity(header: &Header, capacity_hint: usize) -> Self {
-        ImageWriter::with_buffer(header, Vec::with_capacity(capacity_hint.max(256)))
+        let mut out = RecordWriter::with_capacity(capacity_hint.max(256));
+        out.put_raw(MAGIC);
+        out.put_u32(FORMAT_VERSION);
+        let mark = out.begin_record(SectionTag::Header as u16);
+        out.put_str(&header.pod);
+        out.put_str(&header.host);
+        out.put_u64(header.wall_ms);
+        out.put_u32(header.flags);
+        out.end_record(mark);
+        ImageWriter { out }
     }
 
-    /// Starts a new image inside a caller-provided buffer, reusing its
-    /// allocation. Iterative checkpointing (live migration rounds) calls
-    /// this with the previous round's buffer so each cut after the first
-    /// allocates nothing for the image body.
-    pub fn with_buffer(header: &Header, mut out: Vec<u8>) -> Self {
-        out.clear();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        let mut scratch = RecordWriter::new();
-        scratch.put_str(&header.pod);
-        scratch.put_str(&header.host);
-        scratch.put_u64(header.wall_ms);
-        scratch.put_u32(header.flags);
-        scratch.finish_record_into(SectionTag::Header as u16, &mut out);
-        ImageWriter { out, scratch, finished: false }
-    }
-
-    /// Appends a section with payload built by `f`.
+    /// Appends a section whose payload `f` encodes straight into the image.
     pub fn section(&mut self, tag: SectionTag, f: impl FnOnce(&mut RecordWriter)) {
-        assert!(!self.finished, "image already finished");
         assert!(tag != SectionTag::Header && tag != SectionTag::End, "reserved tag");
-        f(&mut self.scratch);
-        self.scratch.finish_record_into(tag as u16, &mut self.out);
+        let mark = self.out.begin_record(tag as u16);
+        f(&mut self.out);
+        self.out.end_record(mark);
     }
 
-    /// Appends a section from pre-encoded payload bytes.
+    /// Appends a section from payload bytes the caller already holds
+    /// encoded.
     pub fn section_bytes(&mut self, tag: SectionTag, payload: &[u8]) {
-        assert!(!self.finished, "image already finished");
-        assert!(tag != SectionTag::Header && tag != SectionTag::End, "reserved tag");
-        crate::rw::frame_record_into(tag as u16, payload, &mut self.out);
+        self.section(tag, |w| w.put_raw(payload));
     }
 
     /// Bytes emitted so far (without the end marker).
@@ -176,9 +166,9 @@ impl ImageWriter {
 
     /// Terminates the image and returns its bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        self.finished = true;
-        self.scratch.finish_record_into(SectionTag::End as u16, &mut self.out);
-        self.out
+        let mark = self.out.begin_record(SectionTag::End as u16);
+        self.out.end_record(mark);
+        self.out.into_bytes()
     }
 }
 
@@ -247,6 +237,26 @@ impl<'a> ImageReader<'a> {
             return Ok(None);
         }
         let (raw, payload) = self.stream.next_record()?;
+        Ok(self.admit(raw)?.map(|tag| Section { tag, payload }))
+    }
+
+    /// Returns the next section as the framed record it is in the image
+    /// (tag, length, payload, CRC), or `None` at the end marker. The CRC
+    /// is *not* checked: this is for a writer forwarding sections it has
+    /// just framed to a reader that verifies them (live migration's
+    /// cutover), not for bytes that came from anywhere else.
+    #[doc(hidden)]
+    pub fn next_framed_unverified(&mut self) -> DecodeResult<Option<&'a [u8]>> {
+        if self.done {
+            return Ok(None);
+        }
+        let (raw, record) = self.stream.next_raw()?;
+        Ok(self.admit(raw)?.map(|_| record))
+    }
+
+    /// The section-order rules both iterators share; `None` at the end
+    /// marker.
+    fn admit(&mut self, raw: u16) -> DecodeResult<Option<SectionTag>> {
         let tag = SectionTag::from_u16(raw)
             .ok_or(DecodeError::InvalidEnum { what: "SectionTag", value: raw as u64 })?;
         if tag == SectionTag::End {
@@ -260,7 +270,7 @@ impl<'a> ImageReader<'a> {
         if tag.introduced_in() > self.version {
             return Err(DecodeError::TagVersionMismatch { tag: raw, version: self.version });
         }
-        Ok(Some(Section { tag, payload }))
+        Ok(Some(tag))
     }
 
     /// Collects all sections (for random-access restore paths).
@@ -308,6 +318,7 @@ pub fn image_stats(bytes: &[u8]) -> DecodeResult<ImageStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rw::frame_record;
 
     fn header() -> Header {
         Header { pod: "pod-1".into(), host: "node-a".into(), wall_ms: 123_456, flags: 0 }
@@ -406,6 +417,26 @@ mod tests {
     }
 
     #[test]
+    fn framed_sections_are_the_image_records_as_they_lie() {
+        let mut w = ImageWriter::new(&header());
+        w.section(SectionTag::NetMeta, |r| r.put_str("meta"));
+        w.section(SectionTag::Memory, |r| r.put_bytes(&[9u8; 100]));
+        let bytes = w.finish();
+
+        let mut framed = ImageReader::open(&bytes).unwrap();
+        let mut plain = ImageReader::open(&bytes).unwrap();
+        let mut lying = Vec::new();
+        while let Some(record) = framed.next_framed_unverified().unwrap() {
+            let want = plain.next_section().unwrap().unwrap();
+            assert_eq!(record, frame_record(want.tag as u16, want.payload));
+            lying.extend_from_slice(record);
+        }
+        assert!(plain.next_section().unwrap().is_none());
+        let end = frame_record(SectionTag::End as u16, &[]);
+        assert!(bytes.ends_with(&[lying, end].concat()));
+    }
+
+    #[test]
     #[should_panic(expected = "reserved tag")]
     fn header_tag_is_reserved() {
         let mut w = ImageWriter::new(&header());
@@ -423,11 +454,11 @@ mod tests {
         hw.put_str("node-z");
         hw.put_u64(7);
         hw.put_u32(0);
-        hw.finish_record_into(SectionTag::Header as u16, &mut out);
+        out.extend(frame_record(SectionTag::Header as u16, hw.bytes()));
         for (tag, payload) in body_tags {
-            crate::rw::frame_record_into(*tag, payload, &mut out);
+            out.extend(frame_record(*tag, payload));
         }
-        crate::rw::frame_record_into(SectionTag::End as u16, &[], &mut out);
+        out.extend(frame_record(SectionTag::End as u16, &[]));
         out
     }
 
@@ -466,8 +497,7 @@ mod tests {
         hw.put_str("evil");
         hw.put_u64(0);
         hw.put_u32(0);
-        let mut dup = Vec::new();
-        hw.finish_record_into(SectionTag::Header as u16, &mut dup);
+        let dup = frame_record(SectionTag::Header as u16, hw.bytes());
         let end_len = 2 + 4 + 4; // empty End record framing
         let at = bytes.len() - end_len;
         bytes.splice(at..at, dup);

@@ -19,7 +19,7 @@
 //! typed [`DecodeError`] — exactly like a damaged image — never a misparse.
 
 use crate::error::{DecodeError, DecodeResult};
-use crate::rw::{frame_record_into, Decode, Encode, RecordReader, RecordStream, RecordWriter};
+use crate::rw::{Decode, Encode, RecordReader, RecordStream, RecordWriter};
 use std::collections::HashSet;
 
 /// Magic bytes that start every serialized manifest.
@@ -91,12 +91,12 @@ impl Manifest {
     /// Serializes the manifest: magic, version, one CRC-framed record.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = RecordWriter::new();
+        w.put_raw(MANIFEST_MAGIC);
+        w.put_u32(MANIFEST_VERSION);
+        let mark = w.begin_record(MANIFEST_TAG);
         self.encode(&mut w);
-        let mut out = Vec::with_capacity(w.len() + 24);
-        out.extend_from_slice(MANIFEST_MAGIC);
-        out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        frame_record_into(MANIFEST_TAG, w.bytes(), &mut out);
-        out
+        w.end_record(mark);
+        w.into_bytes()
     }
 
     /// Parses and validates a serialized manifest: magic, version, record

@@ -14,6 +14,12 @@
 //! written with the typed primitives of [`RecordWriter`] and read back with
 //! the mirror-image [`RecordReader`]; a record must be consumed exactly,
 //! otherwise [`DecodeError::TrailingBytes`] flags a schema mismatch.
+//!
+//! The layout is written in place, once per payload, by one pair:
+//! [`RecordWriter::begin_record`] opens a record where the writer stands
+//! and [`RecordWriter::end_record`] closes it around whatever was encoded
+//! in between. Nothing stages a payload in a second buffer in order to
+//! frame it, and nothing re-frames bytes that are already framed.
 
 use crate::crc::crc32;
 use crate::error::{DecodeError, DecodeResult};
@@ -30,8 +36,16 @@ pub trait Decode: Sized {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self>;
 }
 
-/// Append-only typed writer for a single record payload (or a raw byte
-/// stream when used without framing).
+/// Field widths of the record layout in the module docs.
+const TAG_BYTES: usize = 2;
+const LEN_BYTES: usize = 4;
+const CRC_BYTES: usize = 4;
+/// Bytes before the payload: tag, then length.
+const HEAD_BYTES: usize = TAG_BYTES + LEN_BYTES;
+
+/// Append-only typed writer: a bare payload, or any number of framed
+/// records ([`RecordWriter::begin_record`] / [`RecordWriter::end_record`])
+/// one after another in the same buffer.
 #[derive(Debug, Default, Clone)]
 pub struct RecordWriter {
     buf: Vec<u8>,
@@ -49,15 +63,6 @@ impl RecordWriter {
         RecordWriter { buf: Vec::with_capacity(cap) }
     }
 
-    /// Creates a writer that reuses `buf`'s allocation (contents are
-    /// cleared, capacity kept). The checkpoint hot path feeds this from a
-    /// buffer pool so steady-state encodes allocate nothing; pairs with
-    /// [`RecordWriter::into_bytes`] to hand the allocation back.
-    pub fn with_buffer(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        RecordWriter { buf }
-    }
-
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -71,14 +76,6 @@ impl RecordWriter {
     /// Consumes the writer, returning the raw bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Clears the accumulated payload while keeping the allocation, so
-    /// one writer can serve many encode rounds (pre-copy migration emits
-    /// dozens of payloads per pod; rebuilding the buffer each time would
-    /// pay the regrowth memcpys over and over).
-    pub fn reset(&mut self) {
-        self.buf.clear();
     }
 
     /// Borrows the bytes written so far.
@@ -119,6 +116,11 @@ impl RecordWriter {
     /// Writes an `f64` as its IEEE-754 bit pattern.
     pub fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+
+    /// Appends `v` as it is, with no length prefix (format preambles).
+    pub(crate) fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
     }
 
     /// Writes a length-prefixed byte slice.
@@ -164,32 +166,42 @@ impl RecordWriter {
         }
     }
 
-    /// Frames the accumulated payload as a complete record with `tag`,
-    /// appending it to `out` and clearing this writer for reuse.
-    pub fn finish_record_into(&mut self, tag: u16, out: &mut Vec<u8>) {
-        frame_record_into(tag, &self.buf, out);
-        self.buf.clear();
+    /// Opens a record with `tag` where the writer stands: writes the tag
+    /// and a length placeholder and returns the mark to hand to
+    /// [`RecordWriter::end_record`]. Everything written until then is the
+    /// record's payload. Records do not nest.
+    pub fn begin_record(&mut self, tag: u16) -> usize {
+        let mark = self.buf.len();
+        self.buf.extend_from_slice(&tag.to_le_bytes());
+        self.buf.extend_from_slice(&[0; LEN_BYTES]);
+        mark
+    }
+
+    /// Closes the record opened at `mark`: patches the length, computes
+    /// the CRC over the payload where it lies, and appends it. With
+    /// [`RecordWriter::begin_record`] this is the single definition of the
+    /// tag/len/payload/crc wire layout on the write side.
+    ///
+    /// # Panics
+    /// If the payload exceeds the format's `u32` length field (a silently
+    /// wrapped length would frame an unreadable record).
+    pub fn end_record(&mut self, mark: usize) {
+        let payload_at = mark + HEAD_BYTES;
+        let len = u32::try_from(self.buf.len() - payload_at).expect("record payload over 4 GiB");
+        self.buf[mark + TAG_BYTES..payload_at].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&self.buf[payload_at..]);
+        self.buf.extend_from_slice(&crc.to_le_bytes());
     }
 }
 
-/// Appends `payload` framed as a complete record to `out`. This is the
-/// single definition of the tag/len/payload/crc wire layout; every framing
-/// path ([`RecordWriter::finish_record_into`], [`frame_record`], the image
-/// writer's pre-encoded section path) goes through it so the layout and
-/// its CRC cannot drift apart.
-pub fn frame_record_into(tag: u16, payload: &[u8], out: &mut Vec<u8>) {
-    out.reserve(payload.len() + 10);
-    out.extend_from_slice(&tag.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-}
-
-/// Frames `payload` as a single record.
+/// Frames `payload`, which the caller already holds encoded, as a single
+/// record. The copy-then-CRC form tests use as their reference.
 pub fn frame_record(tag: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 10);
-    frame_record_into(tag, payload, &mut out);
-    out
+    let mut w = RecordWriter::with_capacity(HEAD_BYTES + payload.len() + CRC_BYTES);
+    let mark = w.begin_record(tag);
+    w.put_raw(payload);
+    w.end_record(mark);
+    w.into_bytes()
 }
 
 /// Cursor-based typed reader over a record payload (or raw byte stream).
@@ -376,29 +388,36 @@ impl<'a> RecordStream<'a> {
         self.pos >= self.buf.len()
     }
 
-    /// Reads the next record, verifying its CRC; returns `(tag, payload)`.
-    pub fn next_record(&mut self) -> DecodeResult<(u16, &'a [u8])> {
+    /// Splits off the next record without verifying its CRC; returns its
+    /// tag and the whole record as it lies (tag, length, payload, CRC).
+    /// For bytes this process framed itself and is about to hand to a
+    /// verifying reader.
+    pub(crate) fn next_raw(&mut self) -> DecodeResult<(u16, &'a [u8])> {
         let rem = &self.buf[self.pos..];
-        if rem.len() < 6 {
+        if rem.len() < HEAD_BYTES {
             return Err(DecodeError::UnexpectedEof { wanted: "record header" });
         }
         let tag = u16::from_le_bytes([rem[0], rem[1]]);
         let len = u32::from_le_bytes([rem[2], rem[3], rem[4], rem[5]]) as usize;
-        if rem.len() < 6 + len + 4 {
+        let Some(record) = rem.get(..HEAD_BYTES + len + CRC_BYTES) else {
             return Err(DecodeError::LengthOverflow { declared: len as u64 });
-        }
-        let payload = &rem[6..6 + len];
-        let stored = u32::from_le_bytes([
-            rem[6 + len],
-            rem[6 + len + 1],
-            rem[6 + len + 2],
-            rem[6 + len + 3],
-        ]);
+        };
+        self.pos += record.len();
+        Ok((tag, record))
+    }
+
+    /// Reads the next record, verifying its CRC; returns `(tag, payload)`.
+    pub fn next_record(&mut self) -> DecodeResult<(u16, &'a [u8])> {
+        let start = self.pos;
+        let (tag, record) = self.next_raw()?;
+        let body = &record[HEAD_BYTES..];
+        let (payload, crc) = body.split_at(body.len() - CRC_BYTES);
+        let stored = u32::from_le_bytes(crc.try_into().expect("4 CRC bytes"));
         let computed = crc32(payload);
         if stored != computed {
+            self.pos = start;
             return Err(DecodeError::CrcMismatch { tag, stored, computed });
         }
-        self.pos += 6 + len + 4;
         Ok((tag, payload))
     }
 
@@ -409,15 +428,6 @@ impl<'a> RecordStream<'a> {
             return Err(DecodeError::UnexpectedTag { found: tag, expected });
         }
         Ok(payload)
-    }
-
-    /// Peeks at the next record's tag without consuming it.
-    pub fn peek_tag(&self) -> DecodeResult<u16> {
-        let rem = &self.buf[self.pos..];
-        if rem.len() < 2 {
-            return Err(DecodeError::UnexpectedEof { wanted: "record tag" });
-        }
-        Ok(u16::from_le_bytes([rem[0], rem[1]]))
     }
 }
 
@@ -470,33 +480,64 @@ mod tests {
         assert!(r.is_empty());
     }
 
+    /// One record framed in place around `f`'s payload.
+    fn framed(tag: u16, f: impl FnOnce(&mut RecordWriter)) -> Vec<u8> {
+        let mut w = RecordWriter::new();
+        let mark = w.begin_record(tag);
+        f(&mut w);
+        w.end_record(mark);
+        w.into_bytes()
+    }
+
     #[test]
     fn record_framing_round_trip() {
-        let mut out = Vec::new();
-        let mut w = RecordWriter::new();
-        w.put_str("first");
-        w.finish_record_into(0x0101, &mut out);
-        w.put_u64(99);
-        w.finish_record_into(0x0202, &mut out);
-
+        let out = framed(0x0101, |w| w.put_str("first"));
         let mut s = RecordStream::new(&out);
         let (tag, payload) = s.next_record().unwrap();
         assert_eq!(tag, 0x0101);
         let mut r = RecordReader::new(payload);
         assert_eq!(r.get_str().unwrap(), "first");
+        assert!(r.is_empty() && s.is_empty());
+    }
 
-        let payload = s.expect_record(0x0202).unwrap();
-        let mut r = RecordReader::new(payload);
+    #[test]
+    fn back_to_back_records_in_one_buffer_parse_as_two() {
+        let mut w = RecordWriter::new();
+        let mark = w.begin_record(0x0101);
+        w.put_str("first");
+        w.end_record(mark);
+        let mark = w.begin_record(0x0202);
+        w.end_record(mark); // empty payload
+        let mark = w.begin_record(0x0303);
+        w.put_u64(99);
+        w.end_record(mark);
+        let out = w.into_bytes();
+
+        // The layout, spelled out independently of the writer.
+        let mut want = Vec::new();
+        for (tag, payload) in [
+            (0x0101u16, [&5u64.to_le_bytes()[..], b"first"].concat()),
+            (0x0202, Vec::new()),
+            (0x0303, 99u64.to_le_bytes().to_vec()),
+        ] {
+            want.extend_from_slice(&tag.to_le_bytes());
+            want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            want.extend_from_slice(&payload);
+            want.extend_from_slice(&crc32(&payload).to_le_bytes());
+        }
+        assert_eq!(out, want);
+
+        let mut s = RecordStream::new(&out);
+        assert_eq!(s.expect_record(0x0101).unwrap().len(), 13);
+        assert!(s.expect_record(0x0202).unwrap().is_empty());
+        let mut r = RecordReader::new(s.expect_record(0x0303).unwrap());
         assert_eq!(r.get_u64().unwrap(), 99);
         assert!(s.is_empty());
     }
 
     #[test]
     fn crc_corruption_detected() {
-        let mut out = Vec::new();
-        let mut w = RecordWriter::new();
-        w.put_str("payload");
-        w.finish_record_into(1, &mut out);
+        let mut out = framed(1, |w| w.put_str("payload"));
         // Flip a payload bit.
         out[8] ^= 0x01;
         let mut s = RecordStream::new(&out);
@@ -504,14 +545,12 @@ mod tests {
             Err(DecodeError::CrcMismatch { .. }) => {}
             other => panic!("expected CrcMismatch, got {other:?}"),
         }
+        assert_eq!(s.position(), 0, "a refused record is not consumed");
     }
 
     #[test]
     fn truncated_record_detected() {
-        let mut out = Vec::new();
-        let mut w = RecordWriter::new();
-        w.put_bytes(&[0u8; 64]);
-        w.finish_record_into(1, &mut out);
+        let mut out = framed(1, |w| w.put_bytes(&[0u8; 64]));
         out.truncate(out.len() - 5);
         let mut s = RecordStream::new(&out);
         assert!(s.next_record().is_err());

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use zapc_proto::image::Header;
-use zapc_proto::rw::frame_record_into;
+use zapc_proto::rw::frame_record;
 use zapc_proto::{
     seq_capacity, Decode, DecodeError, DecodeResult, ImageReader, ImageWriter, RecordReader,
     RecordWriter, SectionTag, FORMAT_VERSION, MAGIC, MAX_PREALLOC_BYTES,
@@ -84,8 +84,7 @@ proptest! {
         hw.put_str("forged");
         hw.put_u64(0);
         hw.put_u32(0);
-        let mut dup = Vec::new();
-        hw.finish_record_into(SectionTag::Header as u16, &mut dup);
+        let dup = frame_record(SectionTag::Header as u16, hw.bytes());
 
         // Splice the forged header at a record boundary: walk the framed
         // records to collect boundaries after the genuine header.
@@ -123,8 +122,7 @@ proptest! {
         let bytes = build_image(&sizes);
         // Insert the unknown record just before the end marker.
         let at = bytes.len() - 10;
-        let mut evil = Vec::new();
-        frame_record_into(raw_tag, &payload, &mut evil);
+        let evil = frame_record(raw_tag, &payload);
         let mut forged = bytes.clone();
         forged.splice(at..at, evil);
         let out = drain(&forged);

@@ -110,7 +110,7 @@ proptest! {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MANIFEST_MAGIC);
         bytes.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        zapc_proto::rw::frame_record_into(zapc_proto::MANIFEST_TAG, w.bytes(), &mut bytes);
+        bytes.extend(zapc_proto::rw::frame_record(zapc_proto::MANIFEST_TAG, w.bytes()));
         // Reaching a typed result at all is the property (no abort from an
         // unclamped `Vec::with_capacity(declared)`).
         let out = Manifest::from_bytes(&bytes);

@@ -90,11 +90,6 @@ impl VirtualClock {
     pub fn is_virtualized(&self) -> bool {
         self.virtualize.load(Ordering::Relaxed)
     }
-
-    /// Enables or disables virtualization (per-application policy, §5).
-    pub fn set_virtualized(&self, on: bool) {
-        self.virtualize.store(on, Ordering::Relaxed);
-    }
 }
 
 /// One application timer (POSIX-timer-like), kept in pod-virtual time so

@@ -113,15 +113,6 @@ impl FdTable {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// The descriptor currently mapped to a given socket id, if any
-    /// (network restore needs the reverse mapping).
-    pub fn fd_of_socket(&self, sock_id: zapc_net::SocketId) -> Option<Fd> {
-        self.iter().find_map(|(fd, e)| match &e.kind {
-            FdKind::Socket(s) if s.id == sock_id => Some(fd),
-            _ => None,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -202,11 +202,6 @@ impl SimFs {
             .collect()
     }
 
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.files.read().len()
-    }
-
     /// Total stored bytes.
     pub fn total_bytes(&self) -> usize {
         self.files.read().values().map(|f| f.data.len()).sum()

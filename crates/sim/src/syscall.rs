@@ -273,11 +273,6 @@ impl<'a> ProcessCtx<'a> {
         self.sock(fd)?.local_addr().ok_or(Errno::EINVAL)
     }
 
-    /// Remote address of a connected socket.
-    pub fn getpeername(&mut self, fd: Fd) -> SysResult<Endpoint> {
-        self.sock(fd)?.peer_addr().ok_or(Errno::ENOTCONN)
-    }
-
     // ---- files (cluster-shared storage, chrooted per pod) ---------------
 
     fn full_path(&self, path: &str) -> String {

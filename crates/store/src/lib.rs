@@ -401,7 +401,7 @@ impl ImageStore {
     fn put_durable(
         &self,
         final_rel: &str,
-        mut bytes: Vec<u8>,
+        bytes: &[u8],
         site_key: &str,
         fence_epoch: Option<u64>,
     ) -> StoreResult<()> {
@@ -409,15 +409,17 @@ impl ImageStore {
         let name = final_rel.rsplit('/').next().unwrap_or(final_rel);
         let tmp = self.abs(&format!("tmp/{seq}-{name}"));
 
-        // Torn-manifest / torn-image modeling: mangle *before* the write so
-        // the damaged bytes are what becomes durable.
-        if let Some(a) = self.faults.hit_and_sleep("store.manifest", site_key) {
-            if final_rel.starts_with("manifests/") {
-                FaultPlan::mangle(a, &mut bytes);
+        // Torn-manifest modeling: mangle *before* the write so the damaged
+        // bytes are what becomes durable. Only a manifest is ever mangled,
+        // so only a manifest is ever copied here.
+        match self.faults.hit_and_sleep("store.manifest", site_key) {
+            Some(a) if final_rel.starts_with("manifests/") => {
+                let mut torn = bytes.to_vec();
+                FaultPlan::mangle(a, &mut torn);
+                self.fs.write(&tmp, &torn);
             }
+            _ => self.fs.write(&tmp, bytes),
         }
-
-        self.fs.write(&tmp, &bytes);
         match self.faults.hit_and_sleep("store.fsync", site_key) {
             Some(FaultAction::Drop) => {
                 // The fsync is silently lost: the rename still happens, but
@@ -456,7 +458,7 @@ impl ImageStore {
         let digest = fnv1a64(bytes);
         let rel = Self::image_ref(ckpt, pod);
         match self.chunking() {
-            None => self.put_durable(&rel, bytes.to_vec(), pod, None)?,
+            None => self.put_durable(&rel, bytes, pod, None)?,
             Some(cfg) => {
                 let mut refs = Vec::new();
                 for r in chunk::split(bytes, &cfg.params) {
@@ -464,7 +466,7 @@ impl ImageStore {
                 }
                 let ix =
                     ChunkIndex { logical_len: bytes.len() as u64, digest, chunks: refs };
-                self.put_durable(&rel, ix.to_bytes(), pod, None)?;
+                self.put_durable(&rel, &ix.to_bytes(), pod, None)?;
             }
         }
         self.obs.counter("store", "store.put_bytes", bytes.len() as u64);
@@ -553,7 +555,7 @@ impl ImageStore {
             file.extend_from_slice(raw);
         }
         let stored_len = file.len() as u64;
-        self.put_durable(&rel, file, site_key, None)?;
+        self.put_durable(&rel, &file, site_key, None)?;
         self.note_staged_chunk(ckpt, (digest, len));
         self.obs.counter("store", "store.chunks_new", 1);
         self.obs.counter("store", "store.chunk_stored_bytes", stored_len);
@@ -608,7 +610,7 @@ impl ImageStore {
         }
         let span = self.obs.span("store", "store.commit");
         let rel = Self::manifest_ref(m.ckpt_id);
-        self.put_durable(&rel, m.to_bytes(), &m.ckpt_id.to_string(), Some(m.epoch))?;
+        self.put_durable(&rel, &m.to_bytes(), &m.ckpt_id.to_string(), Some(m.epoch))?;
         self.obs.counter("store", "store.commits", 1);
         span.end();
         Ok(rel)
@@ -737,15 +739,6 @@ impl ImageStore {
     /// Deletes one image file by store-relative reference (idempotent).
     pub fn delete_image(&self, image_ref: &str) {
         let _ = self.fs.unlink(&self.abs(image_ref));
-    }
-
-    /// Removes every abandoned tmp file. Returns how many.
-    pub fn clear_tmp(&self) -> usize {
-        let tmps = self.tmp_files();
-        for t in &tmps {
-            let _ = self.fs.unlink(t);
-        }
-        tmps.len()
     }
 
     /// Snapshot of the in-flight grace set: image-prefixes and chunk keys

@@ -340,13 +340,6 @@ impl Cluster {
     pub fn fenced_replies(&self) -> u64 {
         self.fenced_replies.load(Ordering::Relaxed)
     }
-
-    /// Names of all live pods, sorted.
-    pub fn pod_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.pods.lock().keys().cloned().collect();
-        v.sort();
-        v
-    }
 }
 
 impl std::fmt::Debug for Cluster {

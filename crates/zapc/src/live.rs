@@ -35,6 +35,13 @@
 //!                                                             resume
 //! ```
 //!
+//! A `Section` travels as the image's own record — tag, length, payload
+//! and CRC exactly as [`ImageWriter`] frames them — not inside an envelope:
+//! section tags are all ≤ `0x00FF` and the control kinds sit above them.
+//! A pre-copy payload is encoded and CRC'd once, in the buffer that goes
+//! down the channel; the cutover ships the final cut's records as they
+//! lie in the image it just built.
+//!
 //! ## Cutover commit point
 //!
 //! The point of no return is reached only when *every* source has
@@ -79,16 +86,15 @@ use zapc_faults::FaultAction;
 use zapc_netckpt::checkpoint_network_obs;
 use zapc_proto::image::Header;
 use zapc_proto::rw::RecordStream;
-use zapc_proto::{
-    Encode, ImageReader, ImageWriter, MetaData, RecordReader, RecordWriter, SectionTag,
-};
+use zapc_proto::{Encode, ImageReader, ImageWriter, MetaData, RecordWriter, SectionTag};
 
-/// Stream frame kinds. Frames share the CRC-framed record layout of image
-/// sections (`frame_record`), so any corruption or truncation on the wire
-/// surfaces as a typed decode error at the receiver — never a misparse.
+/// Control frame kinds. Every frame is one CRC-framed record, so any
+/// corruption or truncation on the wire surfaces as a typed decode error
+/// at the receiver — never a misparse. A record whose tag is a
+/// [`SectionTag`] is that image section; the kinds below (above every
+/// section tag; `0x0102` is retired) are the stream's own punctuation.
+/// Start of a pre-copy round: round ordinal.
 const FRAME_ROUND_START: u16 = 0x0101;
-/// One image section: `u16` section tag + length-prefixed payload.
-const FRAME_SECTION: u16 = 0x0102;
 /// End of a pre-copy round: round ordinal + bytes shipped.
 const FRAME_ROUND_END: u16 = 0x0103;
 /// End of stream: the final quiesced cut is complete.
@@ -446,17 +452,9 @@ fn live_source(
     let link = (pod.node().id.0, dst_node as u32);
     let obs = &cluster.obs;
 
-    // Reused across every round and the final cut: the frame writer is
-    // cleared (capacity kept) per frame, and round payload buffers are
-    // recycled through the checkpoint buffer pool after framing. Pre-copy
-    // runs many serialization rounds, so allocating per cut would re-pay
-    // buffer regrowth dozens of times (ROADMAP item 5).
-    let mut fw = RecordWriter::with_capacity(64 * 1024);
-    // Frames and ships what `fw` holds; a frame that cannot be sent fails
-    // the phase it belongs to.
-    let ship = |fw: &mut RecordWriter, kind: u16, phase: &str| {
-        send_frame(cluster, pod_name, link, stream, finish_frame(fw, kind))
-            .map_err(|why| format!("{why} {phase}"))
+    // A frame that cannot be sent fails the phase it belongs to.
+    let ship = |frame: Vec<u8>, phase: &str| {
+        send_frame(cluster, pod_name, link, stream, frame).map_err(|why| format!("{why} {phase}"))
     };
 
     // ── Pre-copy loop: the pod keeps running throughout. ──
@@ -485,26 +483,19 @@ fn live_source(
             .map_err(|e| format!("pre-copy capture failed: {e}"))?;
         rounds += 1;
 
-        fw.reset();
-        fw.put_u32(rounds);
-        ship(&mut fw, FRAME_ROUND_START, "during pre-copy")?;
+        ship(control_frame(FRAME_ROUND_START, |w| w.put_u32(rounds)), "during pre-copy")?;
         let mut shipped = 0usize;
         let mut next_gens: HashMap<u32, u64> = HashMap::new();
         for p in payloads {
             next_gens.insert(p.vpid, p.gen);
             shipped += p.region_bytes;
-            fw.reset();
-            fw.put_u16(p.tag as u16);
-            fw.put_bytes(&p.payload);
-            // The frame writer copied the payload; hand its buffer back
-            // so the next round's capture reuses the allocation.
-            p.recycle();
-            ship(&mut fw, FRAME_SECTION, "during pre-copy")?;
+            ship(p.record, "during pre-copy")?;
         }
-        fw.reset();
-        fw.put_u32(rounds);
-        fw.put_u64(shipped as u64);
-        ship(&mut fw, FRAME_ROUND_END, "during pre-copy")?;
+        let round_end = control_frame(FRAME_ROUND_END, |w| {
+            w.put_u32(rounds);
+            w.put_u64(shipped as u64);
+        });
+        ship(round_end, "during pre-copy")?;
         round_span.end();
 
         let delta_round = gens.is_some();
@@ -575,17 +566,14 @@ fn live_source(
             .map_err(|e| format!("final cut failed: {e}"))?;
         let image = w.finish();
 
-        // Ship the final image section by section over the same stream,
-        // then the end-of-stream marker.
-        let rd = ImageReader::open(&image).map_err(|e| format!("final cut unreadable: {e}"))?;
-        for s in rd.sections().map_err(|e| format!("final cut unreadable: {e}"))? {
-            fw.reset();
-            fw.put_u16(s.tag as u16);
-            fw.put_bytes(s.payload);
-            ship(&mut fw, FRAME_SECTION, "at cutover")?;
+        // Ship the final image's section records, as they lie, over the
+        // same stream, then the end-of-stream marker.
+        let unreadable = |e| format!("final cut unreadable: {e}");
+        let mut rd = ImageReader::open(&image).map_err(unreadable)?;
+        while let Some(record) = rd.next_framed_unverified().map_err(unreadable)? {
+            ship(record.to_vec(), "at cutover")?;
         }
-        fw.reset();
-        ship(&mut fw, FRAME_COMMIT, "at cutover")?;
+        ship(control_frame(FRAME_COMMIT, |_| {}), "at cutover")?;
         cut_span.end();
 
         // Hold the pod suspended (vip still blocked) until the Manager's
@@ -656,7 +644,6 @@ struct Received {
     parts: DecodedPod,
     namespace: Option<Vec<u8>>,
     net_state: Option<Vec<u8>>,
-    fs_snapshot: Option<Vec<u8>>,
 }
 
 /// The receiver Agent of one live-migrated pod: decodes frames as they
@@ -724,31 +711,29 @@ fn live_receiver(
 }
 
 /// Decodes one stream frame onto the accumulated state; `Ok(true)` at the
-/// end-of-stream marker. Frames share the CRC-framed record layout: a torn
-/// or corrupted frame fails here with a typed decode error, never a
-/// misparse.
+/// end-of-stream marker. A frame is one CRC-framed record: a torn or
+/// corrupted frame fails here with a typed decode error, never a misparse,
+/// and so does a record that has no place on a stream.
 fn apply_frame(got: &mut Received, frame: &[u8]) -> Result<bool, String> {
-    let torn = |e: zapc_proto::DecodeError| format!("torn stream: {e}");
-    match RecordStream::new(frame).next_record().map_err(torn)? {
-        (FRAME_ROUND_START, _) | (FRAME_ROUND_END, _) => {}
-        (FRAME_COMMIT, _) => return Ok(true),
-        (FRAME_SECTION, payload) => {
-            let mut r = RecordReader::new(payload);
-            let raw = r.get_u16().map_err(torn)?;
-            let bytes = r.get_bytes().map_err(torn)?;
-            match SectionTag::from_u16(raw) {
-                None => return Err(format!("torn stream: unknown section tag {raw:#06x}")),
-                Some(SectionTag::Namespace) => got.namespace = Some(bytes.to_vec()),
-                Some(SectionTag::NetState) => got.net_state = Some(bytes.to_vec()),
-                Some(SectionTag::FsSnapshot) => got.fs_snapshot = Some(bytes.to_vec()),
-                Some(SectionTag::NetMeta) => {} // the Manager merges metas
-                Some(tag) => got
-                    .parts
-                    .apply_section(tag, bytes)
-                    .map_err(|e| format!("stream apply failed: {e}"))?,
-            }
+    let (raw, payload) =
+        RecordStream::new(frame).next_record().map_err(|e| format!("torn stream: {e}"))?;
+    let tag = match raw {
+        FRAME_ROUND_START | FRAME_ROUND_END => return Ok(false),
+        FRAME_COMMIT => return Ok(true),
+        _ => SectionTag::from_u16(raw)
+            .ok_or_else(|| format!("torn stream: unknown frame kind {raw:#06x}"))?,
+    };
+    match tag {
+        SectionTag::Header | SectionTag::End => {
+            return Err(format!("torn stream: image {tag:?} record on the stream"))
         }
-        (other, _) => return Err(format!("torn stream: unknown frame kind {other:#06x}")),
+        SectionTag::Namespace => got.namespace = Some(payload.to_vec()),
+        SectionTag::NetState => got.net_state = Some(payload.to_vec()),
+        SectionTag::NetMeta => {} // the Manager merges metas
+        tag => got
+            .parts
+            .apply_section(tag, payload)
+            .map_err(|e| format!("stream apply failed: {e}"))?,
     }
     Ok(false)
 }
@@ -767,7 +752,7 @@ fn receiver_commit(
 ) -> ZapcResult<ReceiverOutcome> {
     let namespace =
         got.namespace.ok_or_else(|| ZapcError::NotFound("namespace section".into()))?;
-    let pod = create_pod(cluster, node, &namespace, got.fs_snapshot.as_deref())?;
+    let pod = create_pod(cluster, node, &namespace, None)?;
 
     let net_payload =
         got.net_state.ok_or_else(|| ZapcError::NotFound("netstate section".into()))?;
@@ -785,11 +770,77 @@ fn receiver_commit(
     Ok(ReceiverOutcome { resumed_at: Instant::now(), net_us })
 }
 
-/// Frames the writer's accumulated payload as one stream frame (the same
-/// tag/len/payload/crc record layout as image sections), clearing the
-/// writer for the next frame while keeping its allocation.
-fn finish_frame(fw: &mut RecordWriter, kind: u16) -> Vec<u8> {
-    let mut out = Vec::with_capacity(fw.len() + 10);
-    fw.finish_record_into(kind, &mut out);
-    out
+/// One control frame: `kind` framed in place around what `f` encodes.
+fn control_frame(kind: u16, f: impl FnOnce(&mut RecordWriter)) -> Vec<u8> {
+    let mut w = RecordWriter::with_capacity(32);
+    let mark = w.begin_record(kind);
+    f(&mut w);
+    w.end_record(mark);
+    w.into_bytes()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zapc_ckpt::MemoryDeltaRecord;
+    use zapc_proto::rw::frame_record;
+    use zapc_sim::memory::AddressSpace;
+
+    /// A `Memory` section record for `vpid` with one small region.
+    fn memory_record(vpid: u32) -> (AddressSpace, Vec<u8>) {
+        let mut mem = AddressSpace::new();
+        let base = mem.map_bytes("r", 32);
+        mem.bytes_mut(base).unwrap().fill(7);
+        let mut w = RecordWriter::new();
+        w.put_u32(vpid);
+        mem.encode(&mut w);
+        (mem, frame_record(SectionTag::Memory as u16, w.bytes()))
+    }
+
+    /// What a refused frame must leave untouched.
+    fn fingerprint(got: &Received) -> (u64, usize, bool, bool) {
+        let (ns, net) = (got.namespace.is_some(), got.net_state.is_some());
+        (got.parts.memory_digest(), got.parts.process_count(), ns, net)
+    }
+
+    #[test]
+    fn hostile_frames_are_typed_errors_and_leave_the_accumulator_alone() {
+        // The grammar has no envelope, so a section tag that collided with
+        // a control kind would be dropped as punctuation.
+        for kind in [FRAME_ROUND_START, FRAME_ROUND_END, FRAME_COMMIT] {
+            assert!(SectionTag::from_u16(kind).is_none(), "{kind:#06x} is a section tag");
+        }
+
+        // A base for vpid 3 is in place; every hostile frame below must
+        // bounce off it.
+        let mut got = Received::default();
+        let (mem, base) = memory_record(3);
+        apply_frame(&mut got, &base).unwrap();
+        let before = fingerprint(&got);
+
+        let mut flipped = memory_record(3).1;
+        flipped[20] ^= 0x10;
+        // A delta for vpid 9, whose base never arrived.
+        let mut dw = RecordWriter::new();
+        MemoryDeltaRecord::capture(9, 0, &mem).encode(&mut dw);
+
+        let hostile: [(&str, Vec<u8>, &str); 7] = [
+            ("header", frame_record(SectionTag::Header as u16, b"x"), "torn stream"),
+            ("end", frame_record(SectionTag::End as u16, &[]), "torn stream"),
+            ("parent ref", frame_record(SectionTag::ParentRef as u16, b"x"), "stream apply"),
+            ("unassigned tag", frame_record(0x0077, b"x"), "torn stream: unknown frame kind"),
+            ("retired envelope", frame_record(0x0102, b"x"), "torn stream: unknown frame kind"),
+            ("flipped payload byte", flipped, "torn stream"),
+            (
+                "delta before its base",
+                frame_record(SectionTag::MemoryDelta as u16, dw.bytes()),
+                "stream apply failed",
+            ),
+        ];
+        for (what, frame, why) in hostile {
+            let err = apply_frame(&mut got, &frame).expect_err(what);
+            assert!(err.contains(why), "{what}: {err}");
+            assert_eq!(fingerprint(&got), before, "{what} changed the accumulator");
+        }
+    }
 }
