@@ -136,22 +136,20 @@ fn bt_survives_migration_with_sendq_merge() {
 }
 
 #[test]
-fn bt_checkpoint_to_file_restart_later() {
-    // Fault-recovery flow: image on (real) disk, original torn down,
-    // restarted from the file.
+fn bt_checkpoint_destroy_restart_later() {
+    // Fault-recovery flow: image in the store, original torn down,
+    // restarted from the image.
     let expected = reference(AppKind::Bt, 4, 2);
     let c = cluster(2);
     let app = launch_app(&c, "bt", &small_params(AppKind::Bt, 4));
     std::thread::sleep(Duration::from_millis(30));
 
-    let dir = std::env::temp_dir().join("zapc-test-images");
-    std::fs::create_dir_all(&dir).unwrap();
     let targets: Vec<CheckpointTarget> = app
         .pods
         .iter()
         .map(|p| CheckpointTarget {
             pod: p.clone(),
-            uri: Uri::File(dir.join(format!("{p}.img"))),
+            uri: Uri::mem(format!("later/{p}")),
             finalize: zapc::agent::Finalize::Destroy,
         })
         .collect();
@@ -165,7 +163,7 @@ fn bt_checkpoint_to_file_restart_later() {
         .enumerate()
         .map(|(i, p)| RestartTarget {
             pod: p.clone(),
-            uri: Uri::File(dir.join(format!("{p}.img"))),
+            uri: Uri::mem(format!("later/{p}")),
             node: (i + 1) % 2,
         })
         .collect();
@@ -174,9 +172,6 @@ fn bt_checkpoint_to_file_restart_later() {
     let got = app.wait(&c, TIMEOUT).unwrap();
     assert_eq!(got, expected);
     app.destroy(&c);
-    for p in &app.pods {
-        let _ = std::fs::remove_file(dir.join(format!("{p}.img")));
-    }
 }
 
 #[test]

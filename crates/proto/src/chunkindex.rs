@@ -20,7 +20,7 @@
 //! surface as [`DecodeError::Inconsistent`].
 
 use crate::error::{DecodeError, DecodeResult};
-use crate::rw::{Decode, Encode, RecordReader, RecordStream, RecordWriter};
+use crate::rw::{decode_exact, Decode, Encode, RecordReader, RecordStream, RecordWriter};
 
 /// Magic bytes that start every serialized chunk index.
 pub const CHUNK_INDEX_MAGIC: &[u8; 8] = b"ZAPCCHX\0";
@@ -99,14 +99,7 @@ impl ChunkIndex {
         }
         let mut stream = RecordStream::new(&bytes[12..]);
         let payload = stream.expect_record(CHUNK_INDEX_TAG)?;
-        let mut r = RecordReader::new(payload);
-        let ix = ChunkIndex::decode(&mut r)?;
-        if !r.is_empty() {
-            return Err(DecodeError::TrailingBytes {
-                tag: CHUNK_INDEX_TAG,
-                remaining: r.remaining(),
-            });
-        }
+        let ix = decode_exact(CHUNK_INDEX_TAG, payload, ChunkIndex::decode)?;
         if !stream.is_empty() {
             return Err(DecodeError::TrailingBytes { tag: CHUNK_INDEX_TAG, remaining: 1 });
         }

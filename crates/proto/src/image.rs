@@ -14,7 +14,7 @@
 //! restore consumes sections in write order.
 
 use crate::error::{DecodeError, DecodeResult};
-use crate::rw::{RecordReader, RecordStream, RecordWriter};
+use crate::rw::{decode_exact, RecordStream, RecordWriter};
 
 /// Magic bytes that start every ZapC checkpoint image.
 pub const MAGIC: &[u8; 8] = b"ZAPCIMG\0";
@@ -154,16 +154,6 @@ impl ImageWriter {
         self.section(tag, |w| w.put_raw(payload));
     }
 
-    /// Bytes emitted so far (without the end marker).
-    pub fn len(&self) -> usize {
-        self.out.len()
-    }
-
-    /// True if only the preamble and header have been written.
-    pub fn is_empty(&self) -> bool {
-        self.out.len() <= MAGIC.len() + 4
-    }
-
     /// Terminates the image and returns its bytes.
     pub fn finish(mut self) -> Vec<u8> {
         let mark = self.out.begin_record(SectionTag::End as u16);
@@ -205,19 +195,14 @@ impl<'a> ImageReader<'a> {
         }
         let mut stream = RecordStream::new(&bytes[12..]);
         let payload = stream.expect_record(SectionTag::Header as u16)?;
-        let mut r = RecordReader::new(payload);
-        let header = Header {
-            pod: r.get_str()?,
-            host: r.get_str()?,
-            wall_ms: r.get_u64()?,
-            flags: r.get_u32()?,
-        };
-        if !r.is_empty() {
-            return Err(DecodeError::TrailingBytes {
-                tag: SectionTag::Header as u16,
-                remaining: r.remaining(),
-            });
-        }
+        let header = decode_exact(SectionTag::Header as u16, payload, |r| {
+            Ok(Header {
+                pod: r.get_str()?,
+                host: r.get_str()?,
+                wall_ms: r.get_u64()?,
+                flags: r.get_u32()?,
+            })
+        })?;
         Ok(ImageReader { header, version: ver, stream, done: false })
     }
 
@@ -283,38 +268,6 @@ impl<'a> ImageReader<'a> {
     }
 }
 
-/// Per-tag byte accounting of an image, used by the Figure 6c harness to
-/// report how much of a checkpoint is network state versus application state.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ImageStats {
-    /// Total image size in bytes, including framing.
-    pub total_bytes: usize,
-    /// Payload bytes of the network sections (`NetMeta` + `NetState`).
-    pub network_bytes: usize,
-    /// Payload bytes of `Memory` sections.
-    pub memory_bytes: usize,
-    /// Payload bytes of `Process` sections.
-    pub process_bytes: usize,
-    /// Number of sections (excluding header and end marker).
-    pub sections: usize,
-}
-
-/// Computes [`ImageStats`] for an encoded image.
-pub fn image_stats(bytes: &[u8]) -> DecodeResult<ImageStats> {
-    let mut rd = ImageReader::open(bytes)?;
-    let mut st = ImageStats { total_bytes: bytes.len(), ..Default::default() };
-    while let Some(sec) = rd.next_section()? {
-        st.sections += 1;
-        match sec.tag {
-            SectionTag::NetMeta | SectionTag::NetState => st.network_bytes += sec.payload.len(),
-            SectionTag::Memory | SectionTag::MemoryDelta => st.memory_bytes += sec.payload.len(),
-            SectionTag::Process => st.process_bytes += sec.payload.len(),
-            _ => {}
-        }
-    }
-    Ok(st)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,24 +331,6 @@ mod tests {
         let mut rd = ImageReader::open(cut).unwrap();
         let _ = rd.next_section().unwrap().unwrap();
         assert!(rd.next_section().is_err());
-    }
-
-    #[test]
-    fn stats_attribute_bytes_to_right_buckets() {
-        let mut w = ImageWriter::new(&header());
-        w.section(SectionTag::NetMeta, |r| r.put_bytes(&[0u8; 50]));
-        w.section(SectionTag::NetState, |r| r.put_bytes(&[0u8; 150]));
-        w.section(SectionTag::Memory, |r| r.put_bytes(&[0u8; 1000]));
-        w.section(SectionTag::Process, |r| r.put_bytes(&[0u8; 30]));
-        let bytes = w.finish();
-        let st = image_stats(&bytes).unwrap();
-        assert_eq!(st.sections, 4);
-        // put_bytes adds an 8-byte length prefix to each payload.
-        assert_eq!(st.network_bytes, 50 + 150 + 16);
-        assert_eq!(st.memory_bytes, 1008);
-        assert_eq!(st.process_bytes, 38);
-        assert_eq!(st.total_bytes, bytes.len());
-        assert!(st.memory_bytes > st.network_bytes, "application state must dominate");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! typed [`DecodeError`] — exactly like a damaged image — never a misparse.
 
 use crate::error::{DecodeError, DecodeResult};
-use crate::rw::{Decode, Encode, RecordReader, RecordStream, RecordWriter};
+use crate::rw::{decode_exact, Decode, Encode, RecordReader, RecordStream, RecordWriter};
 use std::collections::HashSet;
 
 /// Magic bytes that start every serialized manifest.
@@ -114,14 +114,7 @@ impl Manifest {
         }
         let mut stream = RecordStream::new(&bytes[12..]);
         let payload = stream.expect_record(MANIFEST_TAG)?;
-        let mut r = RecordReader::new(payload);
-        let m = Manifest::decode(&mut r)?;
-        if !r.is_empty() {
-            return Err(DecodeError::TrailingBytes {
-                tag: MANIFEST_TAG,
-                remaining: r.remaining(),
-            });
-        }
+        let m = decode_exact(MANIFEST_TAG, payload, Manifest::decode)?;
         if !stream.is_empty() {
             return Err(DecodeError::TrailingBytes { tag: MANIFEST_TAG, remaining: 1 });
         }

@@ -249,7 +249,8 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
         send_done(Err(why), None);
         return;
     }
-    let quiesce_us = quiesce_span.end();
+    quiesce_span.end();
+    let quiesce_us = t0.elapsed().as_micros() as u64;
     let blocked_at = Instant::now();
 
     let rollback = |why: &str| {
@@ -260,9 +261,11 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     // Bounded wait: a lost `continue` must not wedge the Agent forever.
     // Returns the time spent waiting (µs), or the reason to roll back.
     let await_continue = |at: &str| -> Result<u64, String> {
+        let tsync = Instant::now();
         let sync_span = obs.span(pod_name, "ckpt.sync");
         let waited = ctl.recv_timeout(ctl_timeout);
-        let sync_us = sync_span.end();
+        sync_span.end();
+        let sync_us = tsync.elapsed().as_micros() as u64;
         match waited {
             Ok(CtlMsg::Continue(e)) if e >= cluster.epoch() => Ok(sync_us),
             // The `continue` came from a Manager that has since been
@@ -372,6 +375,7 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     // its teardown segments (RST/FIN) can never chase the pod to its new
     // home — the restart Agent lifts the block once the pod is re-routed.
     let blocked_us;
+    let tresume = Instant::now();
     let resume_span = obs.span(pod_name, "ckpt.resume");
     match finalize {
         Finalize::Resume => {
@@ -385,22 +389,17 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
             blocked_us = blocked_at.elapsed().as_micros() as u64;
         }
     }
-    let resume_us = resume_span.end();
+    resume_span.end();
+    let resume_us = tresume.elapsed().as_micros() as u64;
 
     // Deliver the image to its destination.
+    let tcommit = Instant::now();
     let commit_span = obs.span(pod_name, "ckpt.commit");
     let image_bytes = image.len();
     let image = Arc::new(image);
     let mut image_ref = String::new();
     let mut digest = 0u64;
     let streamed = match dest {
-        Uri::File(path) => match std::fs::write(path, image.as_slice()) {
-            Ok(()) => None,
-            Err(e) => {
-                send_done(Err(format!("image write failed: {e}")), None);
-                return;
-            }
-        },
         Uri::Mem(label) => {
             cluster.store.put(label, Arc::clone(&image));
             None
@@ -453,7 +452,8 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
             }
         }
     };
-    let commit_us = commit_span.end();
+    commit_span.end();
+    let commit_us = tcommit.elapsed().as_micros() as u64;
 
     send_done(
         Ok(PodStats {
@@ -539,11 +539,13 @@ fn agent_restart_inner(
     };
 
     // Step 1: create the pod.
+    let tcreate = Instant::now();
     let create_span = obs.span(&inputs.my_meta.pod, "rst.create");
     let fs_snap = section(SectionTag::FsSnapshot, "fs snapshot").ok();
     let namespace = section(SectionTag::Namespace, "namespace")?;
     let pod = create_pod(cluster, inputs.node, namespace, fs_snap)?;
-    let quiesce_us = create_span.end();
+    create_span.end();
+    let quiesce_us = tcreate.elapsed().as_micros() as u64;
 
     // Everything past creation either resumes the pod or destroys it.
     let restored = (|| {
@@ -579,9 +581,11 @@ fn agent_restart_inner(
 
         // Resume execution without further delay (§4).
         proceed()?;
+        let tresume = Instant::now();
         let resume_span = obs.span(&inputs.my_meta.pod, "rst.resume");
         pod.resume()?;
-        let resume_us = resume_span.end();
+        resume_span.end();
+        let resume_us = tresume.elapsed().as_micros() as u64;
 
         Ok(PodStats {
             pod: pod.name(),

@@ -97,8 +97,6 @@ pub enum ZapcError {
     Ckpt(zapc_ckpt::CkptError),
     /// The network mechanism failed.
     NetCkpt(zapc_netckpt::NetCkptError),
-    /// Image I/O failed.
-    Io(std::io::Error),
     /// The image is malformed.
     Decode(zapc_proto::DecodeError),
     /// Simulated-kernel failure.
@@ -132,7 +130,6 @@ impl std::fmt::Display for ZapcError {
             ZapcError::NotFound(what) => write!(f, "not found: {what}"),
             ZapcError::Ckpt(e) => write!(f, "standalone checkpoint: {e}"),
             ZapcError::NetCkpt(e) => write!(f, "network checkpoint-restart: {e}"),
-            ZapcError::Io(e) => write!(f, "image i/o: {e}"),
             ZapcError::Decode(e) => write!(f, "image decode: {e}"),
             ZapcError::Sys(e) => write!(f, "kernel: {e}"),
             ZapcError::Store(e) => write!(f, "durable store: {e}"),
@@ -156,11 +153,6 @@ impl From<zapc_ckpt::CkptError> for ZapcError {
 impl From<zapc_netckpt::NetCkptError> for ZapcError {
     fn from(e: zapc_netckpt::NetCkptError) -> Self {
         ZapcError::NetCkpt(e)
-    }
-}
-impl From<std::io::Error> for ZapcError {
-    fn from(e: std::io::Error) -> Self {
-        ZapcError::Io(e)
     }
 }
 impl From<zapc_proto::DecodeError> for ZapcError {

@@ -67,7 +67,7 @@
 //! converged, cut over. Workloads that re-dirty their working set faster
 //! than the wire drains it never converge; the round cap
 //! ([`MigrateOptions::max_rounds`]) and the total pre-copy byte budget
-//! ([`MigrateOptions::max_precopy_bytes`]) bound the damage, forcing a
+//! (`MAX_PRECOPY_BYTES`) bound the damage, forcing a
 //! cutover whose downtime is at worst the stop-and-copy downtime (one
 //! working-set-sized delta) plus round bookkeeping.
 
@@ -103,6 +103,11 @@ const FRAME_COMMIT: u16 = 0x0104;
 /// How deep the per-pod frame channel buffers before the source blocks
 /// (backpressure towards the pre-copy loop, like a TCP window).
 const STREAM_DEPTH: usize = 64;
+
+/// Total pre-copy byte budget of one pod across all rounds; exceeding it
+/// forces cutover (protects the wire from a fast writer that keeps
+/// re-dirtying large regions).
+const MAX_PRECOPY_BYTES: u64 = 1 << 30;
 
 /// How often a blocked receiver polls its control channel.
 const CTL_POLL: Duration = Duration::from_millis(5);
@@ -512,7 +517,7 @@ fn live_source(
             converged = true;
             break;
         }
-        if rounds >= opts.max_rounds || total_bytes >= opts.max_precopy_bytes {
+        if rounds >= opts.max_rounds || total_bytes >= MAX_PRECOPY_BYTES {
             break;
         }
         if !opts.round_delay.is_zero() {

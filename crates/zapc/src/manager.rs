@@ -406,7 +406,6 @@ pub fn restart_with(
     let mut metas: Vec<MetaData> = Vec::with_capacity(targets.len());
     for t in targets {
         let image: Arc<Vec<u8>> = match &t.uri {
-            Uri::File(p) => Arc::new(std::fs::read(p)?),
             Uri::Mem(label) => cluster
                 .store
                 .get(label)
@@ -567,10 +566,6 @@ pub struct MigrateOptions {
     /// Live migration: a delta round that ships at most this many
     /// region-content bytes is considered converged and triggers cutover.
     pub residual_threshold: usize,
-    /// Live migration: total pre-copy byte budget across all rounds;
-    /// exceeding it forces cutover (protects the wire from a fast writer
-    /// that keeps re-dirtying large regions).
-    pub max_precopy_bytes: u64,
     /// Live migration: pause between pre-copy rounds. Zero means
     /// back-to-back rounds; benchmarks and tests use a small pause to
     /// model wire drain time and give the application a scheduling
@@ -587,7 +582,6 @@ impl Default for MigrateOptions {
             backoff: Duration::from_millis(50),
             max_rounds: 8,
             residual_threshold: 4096,
-            max_precopy_bytes: 1 << 30,
             round_delay: Duration::ZERO,
         }
     }

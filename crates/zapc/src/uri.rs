@@ -6,14 +6,11 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Where a pod's checkpoint image goes (or comes from).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Uri {
-    /// A file on (real, host-side) storage.
-    File(PathBuf),
     /// A named slot in the cluster's in-memory image store — the paper's
     /// measurement configuration ("the time to write the checkpoint image
     /// of each pod to memory", §6.2).

@@ -185,6 +185,50 @@ fn default_observer_is_disabled_and_reports_still_carry_phases() {
 }
 
 #[test]
+fn pod_reports_carry_agent_phases_without_an_observer() {
+    // `PodReport`'s phase fields come from the Agents' own clocks, not from
+    // the trace: a cluster built without `.observer(..)` still reports them.
+    // `continue` is held back so that every Agent provably waits for it.
+    use zapc::{FaultAction, FaultPlan};
+    let plan = FaultPlan::script()
+        .inject_range("ctl.continue", None, 0, 2, FaultAction::Delay { micros: 5_000 })
+        .build();
+    let cluster = Cluster::builder().nodes(2).registry(registry()).faults(plan).build();
+    let names = spawn_pods(&cluster, 2);
+    let targets: Vec<CheckpointTarget> = names
+        .iter()
+        .map(|p| CheckpointTarget {
+            pod: p.clone(),
+            uri: Uri::mem(format!("noobs/{p}")),
+            finalize: Finalize::Destroy,
+        })
+        .collect();
+    let ckpt = checkpoint(&cluster, &targets).expect("checkpoint");
+    let rts: Vec<RestartTarget> = names
+        .iter()
+        .enumerate()
+        .map(|(i, p)| RestartTarget {
+            pod: p.clone(),
+            uri: Uri::mem(format!("noobs/{p}")),
+            node: (i + 1) % cluster.node_count(),
+        })
+        .collect();
+    let rst = restart(&cluster, &rts).expect("restart");
+
+    for p in &ckpt.pods {
+        assert!(p.sync_ms > 0.0, "{}: no wait for `continue` reported", p.pod);
+    }
+    for p in ckpt.pods.iter().chain(&rst.pods) {
+        let phases = p.quiesce_ms + p.sync_ms + p.commit_ms + p.resume_ms;
+        assert!(phases > 0.0, "{}: agent phases all read zero", p.pod);
+        assert!(phases <= p.total_ms + 1.0, "per-pod phases exceed total for {}", p.pod);
+    }
+    for n in names {
+        cluster.destroy_pod(&n);
+    }
+}
+
+#[test]
 fn late_replies_are_counted_and_surfaced() {
     use zapc::manager::{checkpoint_with, CheckpointOptions};
     use zapc::{FaultAction, FaultPlan};

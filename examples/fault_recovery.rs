@@ -1,4 +1,4 @@
-//! Fault recovery: periodic coordinated checkpoints to (real) files; a
+//! Fault recovery: periodic coordinated checkpoints to the image store; a
 //! "node failure" destroys the application mid-run; the last checkpoint
 //! restarts it on the surviving nodes and the computation finishes with
 //! exactly the result an undisturbed run produces.
@@ -28,8 +28,6 @@ fn main() {
 
     let cluster = Cluster::builder().nodes(3).registry(full_registry()).build();
     let app = launch_app(&cluster, "bratu", &params);
-    let dir = std::env::temp_dir().join("zapc-fault-recovery");
-    std::fs::create_dir_all(&dir).expect("mkdir");
 
     // Take periodic snapshots while the application runs.
     let targets: Vec<CheckpointTarget> = app
@@ -37,7 +35,7 @@ fn main() {
         .iter()
         .map(|p| CheckpointTarget {
             pod: p.clone(),
-            uri: Uri::File(dir.join(format!("{p}.img"))),
+            uri: Uri::mem(format!("recovery/{p}")),
             finalize: Finalize::Resume,
         })
         .collect();
@@ -52,7 +50,7 @@ fn main() {
         println!("periodic checkpoint #{snapshots} taken");
     }
 
-    // Disaster: the pods' nodes "fail". Everything in memory is lost.
+    // Disaster: the pods' nodes "fail". Every pod's memory is lost.
     for p in &app.pods {
         cluster.destroy_pod(p);
     }
@@ -65,7 +63,7 @@ fn main() {
         .enumerate()
         .map(|(i, p)| RestartTarget {
             pod: p.clone(),
-            uri: Uri::File(dir.join(format!("{p}.img"))),
+            uri: Uri::mem(format!("recovery/{p}")),
             node: i % 2,
         })
         .collect();
@@ -77,7 +75,4 @@ fn main() {
     assert_eq!(codes[0], reference, "recovered run must match the reference bit-for-bit");
     println!("fault recovery verified ✓");
     app.destroy(&cluster);
-    for p in &app.pods {
-        let _ = std::fs::remove_file(dir.join(format!("{p}.img")));
-    }
 }
