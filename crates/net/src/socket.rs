@@ -583,6 +583,20 @@ impl Socket {
         }
     }
 
+    /// Restore path: sends this connecting socket's SYN once more — same
+    /// socket, same ISN, retransmission timer and backoff untouched. A SYN
+    /// to an address not routed yet or still blocked is dropped unanswered;
+    /// a restore connector whose peer pod is merely created later re-sends
+    /// instead of waiting out the RTO. No-op once out of `SynSent`.
+    pub fn resend_syn(&self) {
+        let inner = self.inner.lock();
+        let Some(tcb) = inner.tcb.as_ref().filter(|t| t.state == TcpState::SynSent) else { return };
+        let mut syn = tcb.make_syn();
+        syn.vt = inner.tx_vt;
+        drop(inner);
+        self.net.send(syn);
+    }
+
     /// Sends stream data; returns bytes queued, or `WouldBlock` when the
     /// send buffer is full.
     pub fn send(self: &Arc<Self>, data: &[u8]) -> NetResult<usize> {

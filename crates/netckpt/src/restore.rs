@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zapc_net::udp::Datagram;
-use zapc_net::{buf::SendSnapshot, NetError, Shutdown, Socket, SocketState};
+use zapc_net::{buf::SendSnapshot, NetError, Shutdown, Socket};
 use zapc_pod::Pod;
 use zapc_proto::{ConnState, Endpoint, MetaData, RestartRole, Transport};
 
@@ -441,6 +441,13 @@ fn lookup_peer_recv(all: &[MetaData], src: Endpoint, dst: Endpoint) -> Option<u6
     })
 }
 
+/// How long a restore connector waits for an answer before it re-sends
+/// its SYN. An unanswered SYN most likely reached a peer pod its Agent has
+/// not created yet (no route, or the address still blocked) and was
+/// dropped; which Agent runs first is host scheduling, so the connector
+/// does not sit out the wire's RTO for it.
+const SYN_RESEND: Duration = Duration::from_millis(1);
+
 /// Establishes one outgoing connection, retrying while the peer's listener
 /// is still coming up (its Agent may be slower than ours — the only
 /// synchronization restart needs is the implicit one induced by connection
@@ -466,15 +473,15 @@ fn establish_outgoing(
         // handshake.
         let _ = entry;
         let waited = loop {
-            match s.connect_wait(Duration::from_millis(50)) {
-                // Still dialing (SYN retransmission in progress): keep
-                // *this* socket. Closing and redialing from the same
-                // bound port can wedge against the peer's stale
-                // half-open child, which keeps re-answering with a
-                // SYN-ACK for the abandoned incarnation.
-                Err(NetError::TimedOut)
-                    if matches!(s.state(), SocketState::Connecting)
-                        && Instant::now() < deadline => {}
+            match s.connect_wait(SYN_RESEND) {
+                // Still dialing: keep *this* socket and re-send its SYN
+                // (a no-op if the handshake completed or failed since the
+                // wait gave up; the next wait returns that at once).
+                // Closing and redialing from the same bound port can
+                // wedge against the peer's stale child, which answers a
+                // new SYN with a SYN-ACK for the abandoned incarnation or,
+                // once established, not at all.
+                Err(NetError::TimedOut) if Instant::now() < deadline => s.resend_syn(),
                 other => break other,
             }
         };

@@ -22,10 +22,14 @@ struct Rig {
 }
 
 fn rig(n: u32) -> Rig {
+    rig_with_rto(n, Duration::from_millis(5))
+}
+
+fn rig_with_rto(n: u32, rto: Duration) -> Rig {
     let net = Network::new(NetworkConfig {
         latency: Duration::from_micros(30),
         jitter: Duration::from_micros(10),
-        rto: Duration::from_millis(5),
+        rto,
         ..Default::default()
     });
     let fs = SimFs::new();
@@ -470,6 +474,73 @@ fn closed_connection_restore_tolerates_late_acceptor() {
     let server2 = socks[1][1].clone().unwrap();
     assert_eq!(drain(&server2, 10), b"last-words");
     for p in new_pods {
+        p.destroy();
+    }
+}
+
+#[test]
+fn restore_connector_does_not_wait_out_the_rto_for_a_late_peer_pod() {
+    use zapc_proto::RestartRole;
+    // Which Agent creates its pod first is host scheduling. A connector
+    // whose SYN finds the peer's address not routed yet gets no answer at
+    // all; it must re-send, not sit out the wire's RTO (500 ms here).
+    let r = rig_with_rto(4, Duration::from_millis(500));
+    let a = make_pod(&r, "A", 19, 0);
+    let b = make_pod(&r, "B", 20, 1);
+    let (client, _l, _server) = connect_pods(&a, &b, 5008);
+    client.write_all_wait(b"in flight", TIMEOUT).unwrap();
+
+    for p in [&a, &b] {
+        r.net.filter().block_ip(p.vip());
+    }
+    let (ma, ra) = checkpoint_network(&a);
+    let (mb, rb) = checkpoint_network(&b);
+    let cfgs = [PodConfig::new(a.name(), a.vip()), PodConfig::new(b.name(), b.vip())];
+    for p in [a, b] {
+        p.destroy();
+        r.net.clear_route(p.vip());
+    }
+    let mut metas = vec![ma, mb];
+    assign_roles(&mut metas);
+    let accept_side = metas
+        .iter()
+        .position(|m| m.entries.iter().any(|e| !e.listening && e.role == RestartRole::Accept))
+        .expect("one side must re-accept the connection");
+    r.net.filter().clear();
+
+    let recs = [ra, rb];
+    let t0 = std::time::Instant::now();
+    let pods: Vec<Arc<Pod>> = std::thread::scope(|s| {
+        let handles: Vec<_> = cfgs
+            .into_iter()
+            .enumerate()
+            .map(|(i, cfg)| {
+                let (r, all, rcs) = (&r, &metas, &recs[i]);
+                s.spawn(move || {
+                    if i == accept_side {
+                        // The peer Agent is merely slower: its pod exists,
+                        // routed and listening, 5 ms late.
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    let pod = Pod::create(cfg, &r.nodes[i + 2], &r.clock);
+                    r.net.set_route(pod.vip(), &r.nodes[i + 2].stack);
+                    let plan = NetworkRestorePlan {
+                        my_meta: &all[i],
+                        all_meta: all,
+                        records: rcs,
+                        timeout: TIMEOUT,
+                        obs: zapc_obs::Observer::disabled(),
+                    };
+                    restore_network(&pod, &plan).unwrap();
+                    pod
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(100), "restore waited out an RTO: {took:?}");
+    for p in pods {
         p.destroy();
     }
 }

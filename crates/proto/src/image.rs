@@ -222,26 +222,6 @@ impl<'a> ImageReader<'a> {
             return Ok(None);
         }
         let (raw, payload) = self.stream.next_record()?;
-        Ok(self.admit(raw)?.map(|tag| Section { tag, payload }))
-    }
-
-    /// Returns the next section as the framed record it is in the image
-    /// (tag, length, payload, CRC), or `None` at the end marker. The CRC
-    /// is *not* checked: this is for a writer forwarding sections it has
-    /// just framed to a reader that verifies them (live migration's
-    /// cutover), not for bytes that came from anywhere else.
-    #[doc(hidden)]
-    pub fn next_framed_unverified(&mut self) -> DecodeResult<Option<&'a [u8]>> {
-        if self.done {
-            return Ok(None);
-        }
-        let (raw, record) = self.stream.next_raw()?;
-        Ok(self.admit(raw)?.map(|_| record))
-    }
-
-    /// The section-order rules both iterators share; `None` at the end
-    /// marker.
-    fn admit(&mut self, raw: u16) -> DecodeResult<Option<SectionTag>> {
         let tag = SectionTag::from_u16(raw)
             .ok_or(DecodeError::InvalidEnum { what: "SectionTag", value: raw as u64 })?;
         if tag == SectionTag::End {
@@ -255,7 +235,7 @@ impl<'a> ImageReader<'a> {
         if tag.introduced_in() > self.version {
             return Err(DecodeError::TagVersionMismatch { tag: raw, version: self.version });
         }
-        Ok(Some(tag))
+        Ok(Some(Section { tag, payload }))
     }
 
     /// Collects all sections (for random-access restore paths).
@@ -349,26 +329,6 @@ mod tests {
         w2.section_bytes(SectionTag::NetState, pre.bytes());
         let b2 = w2.finish();
         assert_eq!(b1, b2);
-    }
-
-    #[test]
-    fn framed_sections_are_the_image_records_as_they_lie() {
-        let mut w = ImageWriter::new(&header());
-        w.section(SectionTag::NetMeta, |r| r.put_str("meta"));
-        w.section(SectionTag::Memory, |r| r.put_bytes(&[9u8; 100]));
-        let bytes = w.finish();
-
-        let mut framed = ImageReader::open(&bytes).unwrap();
-        let mut plain = ImageReader::open(&bytes).unwrap();
-        let mut lying = Vec::new();
-        while let Some(record) = framed.next_framed_unverified().unwrap() {
-            let want = plain.next_section().unwrap().unwrap();
-            assert_eq!(record, frame_record(want.tag as u16, want.payload));
-            lying.extend_from_slice(record);
-        }
-        assert!(plain.next_section().unwrap().is_none());
-        let end = frame_record(SectionTag::End as u16, &[]);
-        assert!(bytes.ends_with(&[lying, end].concat()));
     }
 
     #[test]

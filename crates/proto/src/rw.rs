@@ -388,36 +388,24 @@ impl<'a> RecordStream<'a> {
         self.pos >= self.buf.len()
     }
 
-    /// Splits off the next record without verifying its CRC; returns its
-    /// tag and the whole record as it lies (tag, length, payload, CRC).
-    /// For bytes this process framed itself and is about to hand to a
-    /// verifying reader.
-    pub(crate) fn next_raw(&mut self) -> DecodeResult<(u16, &'a [u8])> {
+    /// Reads the next record, verifying its CRC; returns `(tag, payload)`.
+    pub fn next_record(&mut self) -> DecodeResult<(u16, &'a [u8])> {
         let rem = &self.buf[self.pos..];
         if rem.len() < HEAD_BYTES {
             return Err(DecodeError::UnexpectedEof { wanted: "record header" });
         }
         let tag = u16::from_le_bytes([rem[0], rem[1]]);
         let len = u32::from_le_bytes([rem[2], rem[3], rem[4], rem[5]]) as usize;
-        let Some(record) = rem.get(..HEAD_BYTES + len + CRC_BYTES) else {
+        let Some(body) = rem.get(HEAD_BYTES..HEAD_BYTES + len + CRC_BYTES) else {
             return Err(DecodeError::LengthOverflow { declared: len as u64 });
         };
-        self.pos += record.len();
-        Ok((tag, record))
-    }
-
-    /// Reads the next record, verifying its CRC; returns `(tag, payload)`.
-    pub fn next_record(&mut self) -> DecodeResult<(u16, &'a [u8])> {
-        let start = self.pos;
-        let (tag, record) = self.next_raw()?;
-        let body = &record[HEAD_BYTES..];
-        let (payload, crc) = body.split_at(body.len() - CRC_BYTES);
+        let (payload, crc) = body.split_at(len);
         let stored = u32::from_le_bytes(crc.try_into().expect("4 CRC bytes"));
         let computed = crc32(payload);
         if stored != computed {
-            self.pos = start;
             return Err(DecodeError::CrcMismatch { tag, stored, computed });
         }
+        self.pos += HEAD_BYTES + body.len();
         Ok((tag, payload))
     }
 

@@ -10,16 +10,21 @@
 
 use crate::cluster::Cluster;
 use crate::coord::{Ctl, Reply};
+use crate::manager::PodReport;
 use crate::uri::Uri;
 use crate::{ZapcError, ZapcResult};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use zapc_ckpt::{
+    checkpoint_standalone_with, restore_standalone, CkptResult, RestoredPod, RestoredSockets,
+    SaveOpts,
+};
 use zapc_faults::{FaultAction, MANAGER};
-use zapc_ckpt::{checkpoint_standalone_with, restore_standalone, RestoredSockets, SaveOpts};
-use zapc_netckpt::{checkpoint_network_obs, restore_network, NetworkRestorePlan};
+use zapc_netckpt::{checkpoint_network_obs, restore_network, NetworkRestorePlan, SockRecord};
 use zapc_pod::Pod;
-use zapc_proto::image::Header;
+use zapc_proto::image::{Header, Section};
 use zapc_proto::{Decode, Encode, ImageReader, ImageWriter, MetaData, SectionTag};
 
 /// What happens to the pod after its checkpoint completes (§4 step 4):
@@ -67,40 +72,6 @@ impl Ctl for CtlMsg {
     }
 }
 
-/// Per-pod statistics reported with `done`.
-#[derive(Debug, Clone, Default)]
-pub struct PodStats {
-    /// Pod name.
-    pub pod: String,
-    /// Total local operation time (µs).
-    pub total_us: u64,
-    /// Network-state phase time (µs).
-    pub net_us: u64,
-    /// Standalone phase time (µs).
-    pub standalone_us: u64,
-    /// Time the pod's network stayed blocked (µs; checkpoint only).
-    pub blocked_us: u64,
-    /// Suspend + network-block phase (checkpoint) or pod-creation phase
-    /// (restart), in µs.
-    pub quiesce_us: u64,
-    /// Time spent waiting on the Manager's `continue` (µs).
-    pub sync_us: u64,
-    /// Image-delivery (commit) phase time (µs).
-    pub commit_us: u64,
-    /// Resume (or destroy) phase time (µs).
-    pub resume_us: u64,
-    /// Encoded image size in bytes.
-    pub image_bytes: usize,
-    /// Bytes of the image attributable to network state.
-    pub network_bytes: usize,
-    /// Store-relative reference of the staged image (durable-store
-    /// destinations only; empty otherwise).
-    pub image_ref: String,
-    /// FNV-1a 64 digest of the image bytes (durable-store destinations
-    /// only; `0` otherwise).
-    pub digest: u64,
-}
-
 /// Messages from an Agent to the Manager.
 #[derive(Debug)]
 pub(crate) enum AgentReply {
@@ -114,7 +85,7 @@ pub(crate) enum AgentReply {
         /// Reporting pod.
         pod: String,
         /// Statistics, or the failure message.
-        result: Result<PodStats, String>,
+        result: Result<PodReport, String>,
         /// The encoded image (streaming-migration rendezvous; `None` when
         /// the image went to a file or the memory store).
         image: Option<Arc<Vec<u8>>>,
@@ -198,6 +169,69 @@ pub(crate) fn unquiesce(cluster: &Cluster, pod: &Pod) {
     let _ = pod.resume();
 }
 
+/// Milliseconds since `t`.
+fn ms(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1000.0
+}
+
+/// Figure 1, steps 2–3, on a pod its caller has quiesced: the
+/// network-state checkpoint, the meta-data report, then the standalone
+/// checkpoint — everything into one image. `report_meta` is step 2a,
+/// whatever the caller owes its Manager between the two; its `Err`
+/// abandons the cut (rolling the pod back is the caller's). `base_gens`
+/// makes the memory sections deltas against a base the image's consumer
+/// already holds, and `capacity` sizes the writer for what that leaves.
+/// The cut fills in the phase times and sizes of `report` it alone knows.
+pub(crate) fn checkpoint_cut(
+    cluster: &Cluster,
+    pod: &Arc<Pod>,
+    fs_snapshot: bool,
+    base_gens: Option<HashMap<u32, u64>>,
+    capacity: usize,
+    report: &mut PodReport,
+    report_meta: impl FnOnce(&MetaData) -> Result<(), String>,
+) -> Result<Vec<u8>, String> {
+    let obs = &cluster.obs;
+    let pod_name = pod.name();
+
+    // Step 2: network-state checkpoint; 2a: report meta-data.
+    let tnet = Instant::now();
+    let net_span = obs.span(&pod_name, "ckpt.net_save");
+    let (meta, records) = checkpoint_network_obs(pod, obs);
+    net_span.end();
+    report.net_ms = ms(tnet);
+    report_meta(&meta)?;
+
+    // Step 3: standalone checkpoint (concurrent with the Manager sync in
+    // the paper's policy).
+    let tsa = Instant::now();
+    let dump_span = obs.span(&pod_name, "ckpt.dump");
+    let header = Header {
+        host: format!("node-{}", pod.node().id),
+        wall_ms: cluster.clock.now_ms(),
+        flags: if fs_snapshot { FLAG_FS_SNAPSHOT } else { 0 },
+        pod: pod_name,
+    };
+    let mut w = ImageWriter::with_capacity(&header, capacity);
+    w.section(SectionTag::NetMeta, |r| meta.encode(r));
+    if fs_snapshot {
+        // Snapshot the pod's chroot subtree on shared storage.
+        let snap = cluster.fs.snapshot(&pod.env.fs_root);
+        w.section(SectionTag::FsSnapshot, |r| snap.encode(r));
+    }
+    let net_payload = zapc_netckpt::records::encode_records(&records);
+    w.section_bytes(SectionTag::NetState, net_payload.bytes());
+    report.network_bytes = net_payload.len() + meta.encoded_len();
+    let save_opts = SaveOpts { base_gens, obs: obs.clone() };
+    checkpoint_standalone_with(pod, &mut w, &save_opts)
+        .map_err(|e| format!("standalone checkpoint failed: {e}"))?;
+    let image = w.finish();
+    dump_span.end();
+    report.standalone_ms = ms(tsa);
+    report.image_bytes = image.len();
+    Ok(image)
+}
+
 /// Runs the local checkpoint procedure of Figure 1 for one pod.
 ///
 /// Steps: suspend + block network → network checkpoint → report meta-data →
@@ -221,7 +255,7 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
         return;
     };
     let node_id = pod.node().id.0;
-    let send_done = |result: Result<PodStats, String>, image: Option<Arc<Vec<u8>>>| {
+    let send_done = |result: Result<PodReport, String>, image: Option<Arc<Vec<u8>>>| {
         let _ = ctl_reply(
             cluster,
             node_id,
@@ -243,6 +277,7 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
 
     let obs = &cluster.obs;
     let t0 = Instant::now();
+    let mut report = PodReport { pod: pod_name.to_owned(), ..PodReport::default() };
     // Step 1: suspend the pod; block its network.
     let quiesce_span = obs.span(pod_name, "ckpt.quiesce");
     if let Err(why) = quiesce(cluster, &pod) {
@@ -250,7 +285,7 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
         return;
     }
     quiesce_span.end();
-    let quiesce_us = t0.elapsed().as_micros() as u64;
+    report.quiesce_ms = ms(t0);
     let blocked_at = Instant::now();
 
     let rollback = |why: &str| {
@@ -259,15 +294,14 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     };
     // Steps 3a/4a: the Agent only finishes after it received `continue`.
     // Bounded wait: a lost `continue` must not wedge the Agent forever.
-    // Returns the time spent waiting (µs), or the reason to roll back.
-    let await_continue = |at: &str| -> Result<u64, String> {
+    // Returns the time spent waiting (ms), or the reason to roll back.
+    let await_continue = |at: &str| -> Result<f64, String> {
         let tsync = Instant::now();
         let sync_span = obs.span(pod_name, "ckpt.sync");
         let waited = ctl.recv_timeout(ctl_timeout);
         sync_span.end();
-        let sync_us = tsync.elapsed().as_micros() as u64;
         match waited {
-            Ok(CtlMsg::Continue(e)) if e >= cluster.epoch() => Ok(sync_us),
+            Ok(CtlMsg::Continue(e)) if e >= cluster.epoch() => Ok(ms(tsync)),
             // The `continue` came from a Manager that has since been
             // superseded (a recovery bumped the epoch while this op was in
             // flight): finishing the op would let a dead incarnation
@@ -290,75 +324,37 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
         return;
     }
 
-    // Step 2: network-state checkpoint; 2a: report meta-data.
-    let tnet = Instant::now();
-    let net_span = obs.span(pod_name, "ckpt.net_save");
-    let (meta, records) = checkpoint_network_obs(&pod, obs);
-    net_span.end();
-    let net_us = tnet.elapsed().as_micros() as u64;
-    if ctl_reply(
-        cluster,
-        node_id,
-        pod_name,
-        reply,
-        AgentReply::Meta { meta: meta.clone() },
-    )
-    .is_err()
-    {
-        // Manager gone: graceful abort (§4). (A *partitioned* meta send
-        // is not an error here — the loss is invisible to the Agent, so
-        // it proceeds and its bounded `continue` wait does the rollback.)
-        rollback("manager connection broken before meta-data");
-        return;
-    }
-    if cluster.faults.hit("agent.post_meta", pod_name).is_some() {
-        rollback("fault: agent crashed after meta-data");
-        return;
-    }
-
-    // Strawman policy: hold everything until the Manager's barrier.
-    let mut sync_us = 0u64;
-    if policy == SyncPolicy::GlobalBarrier {
-        match await_continue("at barrier") {
-            Ok(us) => sync_us = us,
-            Err(why) => return rollback(&why),
+    // Steps 2–3: the cut, with what this Agent owes its Manager at 2a.
+    let mut sync_ms = 0.0;
+    let capacity = pod.total_mem_bytes() + 4096;
+    let cut = checkpoint_cut(cluster, &pod, fs_snapshot, None, capacity, &mut report, |meta| {
+        let meta = AgentReply::Meta { meta: meta.clone() };
+        if ctl_reply(cluster, node_id, pod_name, reply, meta).is_err() {
+            // Manager gone: graceful abort (§4). (A *partitioned* meta send
+            // is not an error here — the loss is invisible to the Agent, so
+            // it proceeds and its bounded `continue` wait does the rollback.)
+            return Err("manager connection broken before meta-data".into());
         }
-    }
-
-    // Step 3: standalone checkpoint (concurrent with the Manager sync in
-    // the paper's policy).
-    let tsa = Instant::now();
-    let dump_span = obs.span(pod_name, "ckpt.dump");
-    let header = Header {
-        pod: pod_name.to_owned(),
-        host: format!("node-{}", pod.node().id),
-        wall_ms: cluster.clock.now_ms(),
-        flags: if fs_snapshot { FLAG_FS_SNAPSHOT } else { 0 },
+        if cluster.faults.hit("agent.post_meta", pod_name).is_some() {
+            return Err("fault: agent crashed after meta-data".into());
+        }
+        // Strawman policy: hold everything until the Manager's barrier.
+        if policy == SyncPolicy::GlobalBarrier {
+            sync_ms = await_continue("at barrier")?;
+        }
+        Ok(())
+    });
+    let mut image = match cut {
+        Ok(image) => image,
+        Err(why) => return rollback(&why),
     };
-    let mut w = ImageWriter::with_capacity(&header, pod.total_mem_bytes() + 4096);
-    w.section(SectionTag::NetMeta, |r| meta.encode(r));
-    if fs_snapshot {
-        // Snapshot the pod's chroot subtree on shared storage.
-        let snap = cluster.fs.snapshot(&pod.env.fs_root);
-        w.section(SectionTag::FsSnapshot, |r| snap.encode(r));
-    }
-    let net_payload = zapc_netckpt::records::encode_records(&records);
-    w.section_bytes(SectionTag::NetState, net_payload.bytes());
-    let network_bytes = net_payload.len() + meta.encoded_len();
-    let save_opts = SaveOpts { base_gens: None, obs: obs.clone() };
-    if let Err(e) = checkpoint_standalone_with(&pod, &mut w, &save_opts) {
-        rollback(&format!("standalone checkpoint failed: {e}"));
-        return;
-    }
-    let mut image = w.finish();
     // Fault site: image bytes damaged on their way out (bad disk, torn
     // write). Sections are CRC-framed, so the damage surfaces as a typed
     // decode error at restart, never a silent mis-restore.
     if let Some(a) = cluster.faults.hit("agent.image", pod_name) {
         zapc_faults::FaultPlan::mangle(a, &mut image);
+        report.image_bytes = image.len();
     }
-    dump_span.end();
-    let standalone_us = tsa.elapsed().as_micros() as u64;
 
     if cluster.faults.hit("agent.pre_continue", pod_name).is_some() {
         rollback("fault: agent crashed awaiting continue");
@@ -366,39 +362,38 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     }
     if policy == SyncPolicy::SingleSync {
         match await_continue("awaiting continue") {
-            Ok(us) => sync_us = us,
+            Ok(waited) => sync_ms = waited,
             Err(why) => return rollback(&why),
         }
     }
+    report.sync_ms = sync_ms;
     // Step 4 + 3a: finalize, then unblock. A snapshot resumes and
     // unblocks; a migration source is destroyed *while still blocked* so
     // its teardown segments (RST/FIN) can never chase the pod to its new
     // home — the restart Agent lifts the block once the pod is re-routed.
-    let blocked_us;
     let tresume = Instant::now();
     let resume_span = obs.span(pod_name, "ckpt.resume");
     match finalize {
         Finalize::Resume => {
             cluster.filter().unblock_ip(pod.vip());
-            blocked_us = blocked_at.elapsed().as_micros() as u64;
+            report.blocked_ms = ms(blocked_at);
             let _ = pod.resume();
         }
         Finalize::Destroy => {
-            pod.destroy();
-            cluster.forget_pod(pod_name);
-            blocked_us = blocked_at.elapsed().as_micros() as u64;
+            // Clears the address's route with the pod. Nothing can have
+            // re-routed it yet: `migrate` finishes this phase for every
+            // source before its restart phase creates a single pod.
+            cluster.destroy_pod(pod_name);
+            report.blocked_ms = ms(blocked_at);
         }
     }
     resume_span.end();
-    let resume_us = tresume.elapsed().as_micros() as u64;
+    report.resume_ms = ms(tresume);
 
     // Deliver the image to its destination.
     let tcommit = Instant::now();
     let commit_span = obs.span(pod_name, "ckpt.commit");
-    let image_bytes = image.len();
     let image = Arc::new(image);
-    let mut image_ref = String::new();
-    let mut digest = 0u64;
     let streamed = match dest {
         Uri::Mem(label) => {
             cluster.store.put(label, Arc::clone(&image));
@@ -439,10 +434,9 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
                 return;
             }
             match cluster.istore.put_image(*ckpt_id, pod_name, &image) {
-                Ok((r, d)) => {
+                Ok((image_ref, digest)) => {
                     cluster.witness_epoch(node_id, epoch);
-                    image_ref = r;
-                    digest = d;
+                    (report.image_ref, report.digest) = (image_ref, digest);
                     None
                 }
                 Err(e) => {
@@ -453,83 +447,72 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
         }
     };
     commit_span.end();
-    let commit_us = tcommit.elapsed().as_micros() as u64;
-
-    send_done(
-        Ok(PodStats {
-            pod: pod_name.to_owned(),
-            total_us: t0.elapsed().as_micros() as u64,
-            net_us,
-            standalone_us,
-            blocked_us,
-            quiesce_us,
-            sync_us,
-            commit_us,
-            resume_us,
-            image_bytes,
-            network_bytes,
-            image_ref,
-            digest,
-        }),
-        streamed,
-    );
+    report.commit_ms = ms(tcommit);
+    report.total_ms = ms(t0);
+    send_done(Ok(report), streamed);
 }
 
-/// Decoded image parts an Agent restart needs.
-pub(crate) struct RestartInputs {
-    /// The raw image.
-    pub image: Arc<Vec<u8>>,
+/// What an Agent restarts one pod from, besides the image's sections.
+pub(crate) struct RestartInputs<'a> {
     /// This pod's meta-data with Manager-assigned roles.
-    pub my_meta: MetaData,
+    pub my_meta: &'a MetaData,
     /// The merged cluster meta-data.
-    pub all_meta: Arc<Vec<MetaData>>,
+    pub all_meta: &'a [MetaData],
     /// Destination node.
     pub node: usize,
     /// Manager-transformed socket records (the §5 send-queue merge);
     /// `None` decodes them from the image.
-    pub records: Option<Vec<zapc_netckpt::SockRecord>>,
+    pub records: Option<Vec<SockRecord>>,
+    /// Bound on the reconnection.
+    pub timeout: Duration,
 }
 
-/// Runs the local restart procedure of Figure 3 for one pod: create the
-/// pod → restore connectivity and network state → standalone restart →
-/// resume → report done. The Agent looks at its control connection between
-/// steps: an `Abort` (or a broken Manager connection) rolls back, and so
-/// does any failure of its own — the pod it created is destroyed, so an
-/// aborted restart leaves nothing half-restored behind on this node.
+/// Runs the local restart procedure of Figure 3 for one pod from a whole
+/// stored or streamed image and reports done.
 pub(crate) fn agent_restart(
     cluster: &Cluster,
-    inputs: RestartInputs,
-    timeout: Duration,
+    image: &[u8],
+    inputs: RestartInputs<'_>,
     reply: &Sender<AgentReply>,
     ctl: &Receiver<CtlMsg>,
 ) {
-    let pod_name = &inputs.my_meta.pod;
-    let result = agent_restart_inner(cluster, &inputs, timeout, ctl);
-    let _ = ctl_reply(
-        cluster,
-        inputs.node as u32,
-        pod_name,
-        reply,
-        AgentReply::Done {
-            pod: pod_name.clone(),
-            result: result.map_err(|e| e.to_string()),
-            image: None,
-            epoch: cluster.epoch(),
-        },
-    );
+    let (pod_name, node) = (inputs.my_meta.pod.clone(), inputs.node as u32);
+    let result = (|| {
+        let sections = ImageReader::open(image)?.sections()?;
+        let spans = ["rst.create", "rst.reconnect", "rst.restore", "rst.resume"];
+        let mut report = restart_tail(cluster, &sections, inputs, ctl, spans, |pod, sockets| {
+            restore_standalone(&sections, pod, &cluster.registry, sockets, &cluster.obs)
+        })?;
+        report.image_bytes = image.len();
+        Ok(report)
+    })();
+    let result = result.map_err(|e: ZapcError| e.to_string());
+    let done = AgentReply::Done { pod: pod_name.clone(), result, image: None, epoch: cluster.epoch() };
+    let _ = ctl_reply(cluster, node, &pod_name, reply, done);
 }
 
-fn agent_restart_inner(
+/// Figure 3 from the sections of one image: create the pod → restore
+/// connectivity and network state → `reinstate` the standalone state →
+/// resume, each step under its name in `spans`. `reinstate` is what the
+/// callers differ in: a stored image is decoded whole, a live-migration
+/// stream was decoded as it arrived. The Agent looks at its control
+/// connection between steps: any message on it (the only one a Manager
+/// sends a restarting Agent is the abort) or a broken connection rolls
+/// back, and so does any failure of its own — the pod it created is
+/// destroyed, so a failed restart leaves nothing half-restored behind on
+/// this node.
+pub(crate) fn restart_tail<C>(
     cluster: &Cluster,
-    inputs: &RestartInputs,
-    timeout: Duration,
-    ctl: &Receiver<CtlMsg>,
-) -> ZapcResult<PodStats> {
-    let obs = &cluster.obs;
+    sections: &[Section<'_>],
+    inputs: RestartInputs<'_>,
+    ctl: &Receiver<C>,
+    spans: [&'static str; 4],
+    reinstate: impl FnOnce(&Arc<Pod>, &RestoredSockets) -> CkptResult<RestoredPod>,
+) -> ZapcResult<PodReport> {
+    let RestartInputs { my_meta, all_meta, node, records, timeout } = inputs;
+    let [create, connect, restore, resume] = spans;
+    let (obs, key) = (&cluster.obs, my_meta.pod.as_str());
     let t0 = Instant::now();
-    let rd = ImageReader::open(&inputs.image)?;
-    let sections = rd.sections()?;
-
     let section = |tag: SectionTag, what: &str| {
         sections
             .iter()
@@ -539,13 +522,12 @@ fn agent_restart_inner(
     };
 
     // Step 1: create the pod.
-    let tcreate = Instant::now();
-    let create_span = obs.span(&inputs.my_meta.pod, "rst.create");
+    let create_span = obs.span(key, create);
     let fs_snap = section(SectionTag::FsSnapshot, "fs snapshot").ok();
     let namespace = section(SectionTag::Namespace, "namespace")?;
-    let pod = create_pod(cluster, inputs.node, namespace, fs_snap)?;
+    let pod = create_pod(cluster, node, namespace, fs_snap)?;
     create_span.end();
-    let quiesce_us = tcreate.elapsed().as_micros() as u64;
+    let mut report = PodReport { pod: pod.name(), quiesce_ms: ms(t0), ..PodReport::default() };
 
     // Everything past creation either resumes the pod or destroys it.
     let restored = (|| {
@@ -559,49 +541,35 @@ fn agent_restart_inner(
 
         // Steps 2–3: restore network connectivity, then network state.
         proceed()?;
-        let reconnect_span = obs.span(&inputs.my_meta.pod, "rst.reconnect");
+        let connect_span = obs.span(key, connect);
         let tnet = Instant::now();
         let net_payload = section(SectionTag::NetState, "netstate")?;
-        let records = match &inputs.records {
-            Some(r) => r.clone(),
+        let records = match records {
+            Some(r) => r,
             None => zapc_netckpt::records::decode_records(net_payload)?,
         };
-        let restored =
-            reconnect(cluster, &pod, &inputs.my_meta, &inputs.all_meta, &records, timeout)?;
-        reconnect_span.end();
-        let net_us = tnet.elapsed().as_micros() as u64;
+        let sockets = reconnect(cluster, &pod, my_meta, all_meta, &records, timeout)?;
+        connect_span.end();
+        report.net_ms = ms(tnet);
+        report.network_bytes = net_payload.len();
 
         // Step 4: standalone restart.
         proceed()?;
         let tsa = Instant::now();
-        let restore_span = obs.span(&inputs.my_meta.pod, "rst.restore");
-        restore_standalone(&sections, &pod, &cluster.registry, &restored, obs)?;
+        let restore_span = obs.span(key, restore);
+        reinstate(&pod, &sockets)?;
         restore_span.end();
-        let standalone_us = tsa.elapsed().as_micros() as u64;
+        report.standalone_ms = ms(tsa);
 
         // Resume execution without further delay (§4).
         proceed()?;
         let tresume = Instant::now();
-        let resume_span = obs.span(&inputs.my_meta.pod, "rst.resume");
+        let resume_span = obs.span(key, resume);
         pod.resume()?;
         resume_span.end();
-        let resume_us = tresume.elapsed().as_micros() as u64;
-
-        Ok(PodStats {
-            pod: pod.name(),
-            total_us: t0.elapsed().as_micros() as u64,
-            net_us,
-            standalone_us,
-            blocked_us: 0,
-            quiesce_us,
-            sync_us: 0,
-            commit_us: 0,
-            resume_us,
-            image_bytes: inputs.image.len(),
-            network_bytes: net_payload.len(),
-            image_ref: String::new(),
-            digest: 0,
-        })
+        report.resume_ms = ms(tresume);
+        report.total_ms = ms(t0);
+        Ok(report)
     })();
     if restored.is_err() {
         cluster.destroy_pod(&pod.name());
@@ -614,7 +582,7 @@ fn agent_restart_inner(
 /// A migration source leaves its virtual IP blocked; the rule is lifted
 /// now that the address routes here. The optional file-system snapshot is
 /// reinstated before anything reads from the chroot subtree.
-pub(crate) fn create_pod(
+fn create_pod(
     cluster: &Cluster,
     node: usize,
     namespace: &[u8],
@@ -644,12 +612,12 @@ pub(crate) fn create_pod(
 
 /// Figure 3, steps 2–3: restores the pod's network connectivity, then its
 /// network state; returns the sockets by checkpoint ordinal.
-pub(crate) fn reconnect(
+fn reconnect(
     cluster: &Cluster,
     pod: &Arc<Pod>,
     my_meta: &MetaData,
     all_meta: &[MetaData],
-    records: &[zapc_netckpt::SockRecord],
+    records: &[SockRecord],
     timeout: Duration,
 ) -> ZapcResult<RestoredSockets> {
     let plan = NetworkRestorePlan { my_meta, all_meta, records, timeout, obs: cluster.obs.clone() };
@@ -672,12 +640,13 @@ mod tests {
             finalize: Finalize::Destroy,
         };
         let report = checkpoint(&cluster, &[target]).unwrap();
+        let image = cluster.store.get("img/p").unwrap();
         let inputs = RestartInputs {
-            image: cluster.store.get("img/p").unwrap(),
-            my_meta: report.meta[0].clone(),
-            all_meta: Arc::new(report.meta),
+            my_meta: &report.meta[0],
+            all_meta: &report.meta,
             node: 0,
             records: None,
+            timeout: Duration::from_secs(1),
         };
 
         // The Manager's abort is already waiting when the Agent first
@@ -685,7 +654,7 @@ mod tests {
         let (reply, replies) = unbounded();
         let (abort, ctl) = bounded(1);
         abort.send(CtlMsg::Abort).unwrap();
-        agent_restart(&cluster, inputs, Duration::from_secs(1), &reply, &ctl);
+        agent_restart(&cluster, &image, inputs, &reply, &ctl);
 
         match replies.try_recv() {
             Ok(AgentReply::Done { result: Err(why), .. }) => {

@@ -262,7 +262,7 @@ impl Cluster {
 
     /// Registers a restarted pod (Agent restart path) and routes its
     /// virtual address to `node`. The name must be free: every restart
-    /// path forgets or destroys the previous incarnation first, and
+    /// path destroys the previous incarnation first, and
     /// [`crate::manager::restart_with`] refuses a name that is still live.
     /// Replacing a live entry would steal its route and leave it running
     /// unreachable by name, so a taken name panics.
@@ -286,18 +286,14 @@ impl Cluster {
         self.pods.lock().get(name).map(|e| e.node)
     }
 
-    /// Destroys a pod and forgets it.
+    /// Destroys a pod, forgets it and clears its address's route — the
+    /// one teardown. A pod that moves is torn down at its source *before*
+    /// its destination registers it, or this would clear the new route.
     pub fn destroy_pod(&self, name: &str) {
         if let Some(entry) = self.pods.lock().remove(name) {
             self.net.clear_route(entry.pod.vip());
             entry.pod.destroy();
         }
-    }
-
-    /// Drops a pod entry without destroying it (checkpoint-side bookkeeping
-    /// when the Agent has already destroyed it locally).
-    pub fn forget_pod(&self, name: &str) {
-        self.pods.lock().remove(name);
     }
 
     /// The current Manager epoch.

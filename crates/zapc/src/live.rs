@@ -25,22 +25,30 @@
 //!   ◄── `cutover` ─────────────────────── Manager (all pods ready)
 //! suspend + block vip
 //! network cut; report `meta` ────────────► Manager
-//! final quiesced image ──────► Section*, Commit               apply/squash
+//! final quiesced image ──────► Image (one frame)              verify, apply/squash
 //!                                                             report `applied`
 //! ──────────── commit point: all metas collected, all applied ───────────
-//!   ◄── `commit` ──── destroy + forget ── Manager
+//!   ◄── `commit` ──── destroy pod ─────── Manager
 //!                                         Manager ── `commit{roles}` ──►
 //!                                                             create pod, restore
 //!                                                             network, reinstate,
 //!                                                             resume
 //! ```
 //!
-//! A `Section` travels as the image's own record — tag, length, payload
-//! and CRC exactly as [`ImageWriter`] frames them — not inside an envelope:
-//! section tags are all ≤ `0x00FF` and the control kinds sit above them.
-//! A pre-copy payload is encoded and CRC'd once, in the buffer that goes
-//! down the channel; the cutover ships the final cut's records as they
-//! lie in the image it just built.
+//! A frame is one of three things. A pre-copy `Section` travels as the
+//! image's own record — tag, length, payload and CRC exactly as
+//! [`ImageWriter`](zapc_proto::ImageWriter) frames them — not inside an
+//! envelope: section tags are all ≤ `0x00FF` and the control kinds
+//! (`RoundStart`, `RoundEnd`) sit above them. A pre-copy payload is
+//! encoded and CRC'd once, in the buffer that goes down the channel. The
+//! cutover is the Agent's own checkpoint cut (Figure 1 steps 2–3,
+//! `agent::checkpoint_cut`) taken as a delta against the last round, and the
+//! finished image goes down the stream whole, as the last frame: it
+//! starts with the image magic, which read as a record tag is neither a
+//! section nor a control kind, and its `End` record is the end of the
+//! stream. The receiver walks it with the ordinary CRC-verifying
+//! [`ImageReader`] and, at commit, hands its sections to the Agent's own
+//! restart tail (Figure 3, `agent::restart_tail`).
 //!
 //! ## Cutover commit point
 //!
@@ -53,9 +61,10 @@
 //! [`ZapcError::Aborted`]: sources unblock and resume (or were never
 //! suspended at all), receivers discard their accumulated state, and no
 //! destination pod ever exists. After the commit point the sources are
-//! destroyed *first* (so their stale routing entries are gone before the
+//! destroyed *first* (so their routing entries are gone before the
 //! destinations register) and receiver failures are final, exactly like
-//! stop-and-copy phase 2. The virtual IP stays blocked from source
+//! stop-and-copy phase 2: a receiver that fails past its pod's creation
+//! destroys what it created. The virtual IP stays blocked from source
 //! suspend until the receiver re-routes it, so no segment can chase a pod
 //! across the move.
 //!
@@ -71,34 +80,32 @@
 //! cutover whose downtime is at worst the stop-and-copy downtime (one
 //! working-set-sized delta) plus round bookkeeping.
 
-use crate::agent::{create_pod, quiesce, reconnect, unquiesce};
+use crate::agent::{checkpoint_cut, quiesce, restart_tail, unquiesce, RestartInputs};
 use crate::cluster::Cluster;
 use crate::coord::{Coord, Ctl, Reply};
-use crate::manager::MigrateOptions;
+use crate::manager::{MigrateOptions, PodReport};
 use crate::retry::RetryPolicy;
 use crate::{ZapcError, ZapcResult};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use zapc_ckpt::{capture_memory_round, checkpoint_standalone_with, DecodedPod, SaveOpts};
+use zapc_ckpt::{capture_memory_round, DecodedPod};
 use zapc_faults::FaultAction;
-use zapc_netckpt::checkpoint_network_obs;
-use zapc_proto::image::Header;
+use zapc_proto::image::{Section, MAGIC};
 use zapc_proto::rw::RecordStream;
-use zapc_proto::{Encode, ImageReader, ImageWriter, MetaData, RecordWriter, SectionTag};
+use zapc_proto::{ImageReader, MetaData, RecordWriter, SectionTag};
 
-/// Control frame kinds. Every frame is one CRC-framed record, so any
+/// Control frame kinds. A pre-copy frame is one CRC-framed record, so any
 /// corruption or truncation on the wire surfaces as a typed decode error
 /// at the receiver — never a misparse. A record whose tag is a
 /// [`SectionTag`] is that image section; the kinds below (above every
-/// section tag; `0x0102` is retired) are the stream's own punctuation.
+/// section tag; `0x0102` and `0x0104` are retired) are the stream's own
+/// punctuation.
 /// Start of a pre-copy round: round ordinal.
 const FRAME_ROUND_START: u16 = 0x0101;
 /// End of a pre-copy round: round ordinal + bytes shipped.
 const FRAME_ROUND_END: u16 = 0x0103;
-/// End of stream: the final quiesced cut is complete.
-const FRAME_COMMIT: u16 = 0x0104;
 
 /// How deep the per-pod frame channel buffers before the source blocks
 /// (backpressure towards the pre-copy loop, like a TCP window).
@@ -123,10 +130,11 @@ enum LiveCtl {
     /// To a receiver: commit — create the pod from the accumulated state
     /// and resume it.
     CommitReceiver {
-        /// This pod's meta-data with Manager-assigned reconnection roles.
-        my_meta: Box<MetaData>,
-        /// The merged cluster meta-data.
+        /// The merged cluster meta-data, with Manager-assigned
+        /// reconnection roles.
         all_meta: Arc<Vec<MetaData>>,
+        /// Which of them is this pod's.
+        me: usize,
     },
     /// Abort: a source resumes (or keeps running), a receiver discards
     /// everything; no pod is created.
@@ -147,9 +155,11 @@ enum LiveReply {
     Meta { pod: String, meta: Box<MetaData>, suspended_at: Instant },
     /// Receiver: every frame decoded and applied; ready to commit.
     Applied { pod: String },
-    /// A participant finished (source: pod destroyed; receiver: pod
-    /// resumed) or failed. `key` is its [`src_key`] / [`rcv_key`].
-    Done { key: String, epoch: u64, result: Result<Outcome, String> },
+    /// A participant finished — when, and its Agent's report (a source
+    /// has destroyed its pod and reports its cut; a receiver has resumed
+    /// its pod and reports its restart) — or failed. `key` is its
+    /// [`src_key`] / [`rcv_key`].
+    Done { key: String, epoch: u64, result: Result<(Instant, PodReport), String> },
 }
 
 impl Reply for LiveReply {
@@ -163,26 +173,6 @@ impl Reply for LiveReply {
     fn pod_of(key: &str) -> &str {
         key.split(ROLE_SEP).next().unwrap_or(key)
     }
-}
-
-/// What a committed participant reports.
-enum Outcome {
-    Source(SourceOutcome),
-    Receiver(ReceiverOutcome),
-}
-
-/// What a committed source reports.
-struct SourceOutcome {
-    /// Final quiesced image size (bytes).
-    cut_bytes: usize,
-}
-
-/// What a committed receiver reports.
-struct ReceiverOutcome {
-    /// When the destination pod resumed execution.
-    resumed_at: Instant,
-    /// Network-restore latency (µs).
-    net_us: u64,
 }
 
 /// Per-pod outcome of a live migration.
@@ -273,13 +263,13 @@ pub fn migrate_live_with(
             // peer's "stream gone" can never overtake the root cause.
             scope.spawn(move || {
                 let out = live_source(cluster, pod, node, opts, &stream_tx, &src_reply, src_ctl);
-                send_done(cluster, &src_reply, src_key(pod), out.map(Outcome::Source));
+                send_done(cluster, &src_reply, src_key(pod), out);
             });
             scope.spawn(move || {
                 let (rx, timeout) = (&stream_rx, opts.timeout);
                 let out = live_receiver(cluster, pod, node, rx, &rcv_reply, rcv_ctl, timeout);
                 if let Some(out) = out.transpose() {
-                    send_done(cluster, &rcv_reply, rcv_key(pod), out.map(Outcome::Receiver));
+                    send_done(cluster, &rcv_reply, rcv_key(pod), out);
                 }
             });
         }
@@ -312,29 +302,25 @@ pub fn migrate_live_with(
         zapc_netckpt::assign_roles(&mut metas);
         let all_meta = Arc::new(metas);
 
-        // Commit the sources first: destroy + forget must complete before
+        // Commit the sources first: `destroy_pod` must complete before
         // any receiver registers the pod's new home, or the teardown
-        // would clobber the fresh routing entry. Past the commit point a
+        // would clear the fresh routing entry. Past the commit point a
         // failure still aborts the receivers (no pod was created yet),
         // but sources may already be gone — final.
         for (pod, _) in moves {
             co.send(&src_key(pod), LiveCtl::CommitSource);
         }
-        while st.source_out.len() < n {
+        while st.done.len() < n {
             st.step(&mut co)?;
         }
 
         // Commit the receivers: create pods, reconnect, reinstate, resume.
         // Receiver failures after the commit point are final, exactly
         // like stop-and-copy phase 2.
-        for (i, (pod, _)) in moves.iter().enumerate() {
-            let commit = LiveCtl::CommitReceiver {
-                my_meta: Box::new(all_meta[i].clone()),
-                all_meta: Arc::clone(&all_meta),
-            };
-            co.send(&rcv_key(pod), commit);
+        for (me, (pod, _)) in moves.iter().enumerate() {
+            co.send(&rcv_key(pod), LiveCtl::CommitReceiver { all_meta: Arc::clone(&all_meta), me });
         }
-        while st.receiver_out.len() < n {
+        while st.done.len() < 2 * n {
             st.step(&mut co)?;
         }
         let t_end = Instant::now();
@@ -345,9 +331,9 @@ pub fn migrate_live_with(
             let (_, suspended_at) = st.suspended.get(pod).expect("meta");
             let (rounds, precopy_bytes, residual_bytes, converged) =
                 *st.precopy.get(pod).expect("precopy");
-            let src = st.source_out.get(pod).expect("source outcome");
-            let rcv = st.receiver_out.get(pod).expect("receiver outcome");
-            let downtime = rcv.resumed_at.saturating_duration_since(*suspended_at);
+            let (_, src) = st.done.get(&src_key(pod)).expect("source outcome");
+            let (resumed_at, rcv) = st.done.get(&rcv_key(pod)).expect("receiver outcome");
+            let downtime = resumed_at.saturating_duration_since(*suspended_at);
             let downtime_ms = downtime.as_secs_f64() * 1000.0;
             max_downtime_ms = max_downtime_ms.max(downtime_ms);
             if cluster.obs.enabled() {
@@ -358,10 +344,10 @@ pub fn migrate_live_with(
                 rounds,
                 precopy_bytes,
                 residual_bytes,
-                cut_bytes: src.cut_bytes,
+                cut_bytes: src.image_bytes,
                 converged,
                 downtime_ms,
-                net_ms: rcv.net_us as f64 / 1000.0,
+                net_ms: rcv.net_ms,
             });
         }
         Ok(LiveMigrateReport {
@@ -374,13 +360,15 @@ pub fn migrate_live_with(
     })
 }
 
-/// A participant's final reply, stamped with the epoch it is sent under.
+/// A participant's final reply, stamped with the instant and the epoch it
+/// is sent under.
 fn send_done(
     cluster: &Cluster,
     reply: &Sender<LiveReply>,
     key: String,
-    result: Result<Outcome, String>,
+    result: Result<PodReport, String>,
 ) {
+    let result = result.map(|report| (Instant::now(), report));
     let _ = reply.send(LiveReply::Done { key, epoch: cluster.epoch(), result });
 }
 
@@ -403,8 +391,8 @@ struct LiveState {
     precopy: HashMap<String, (u32, u64, u64, bool)>,
     suspended: HashMap<String, (MetaData, Instant)>,
     applied: HashSet<String>,
-    source_out: HashMap<String, SourceOutcome>,
-    receiver_out: HashMap<String, ReceiverOutcome>,
+    /// Committed participants by key.
+    done: HashMap<String, (Instant, PodReport)>,
 }
 
 impl LiveState {
@@ -422,18 +410,15 @@ impl LiveState {
             LiveReply::Applied { pod } => {
                 self.applied.insert(pod);
             }
-            LiveReply::Done { key, result, .. } => {
-                let (pod, role) = key.split_once(ROLE_SEP).unwrap_or((&key, "live"));
-                match result {
-                    Ok(Outcome::Source(out)) => {
-                        self.source_out.insert(pod.to_owned(), out);
-                    }
-                    Ok(Outcome::Receiver(out)) => {
-                        self.receiver_out.insert(pod.to_owned(), out);
-                    }
-                    Err(why) => return Err(co.abort(format!("{role} agent for {pod}: {why}"))),
+            LiveReply::Done { key, result, .. } => match result {
+                Ok(out) => {
+                    self.done.insert(key, out);
                 }
-            }
+                Err(why) => {
+                    let (pod, role) = key.split_once(ROLE_SEP).unwrap_or((&key, "live"));
+                    return Err(co.abort(format!("{role} agent for {pod}: {why}")));
+                }
+            },
         }
         Ok(())
     }
@@ -450,7 +435,7 @@ fn live_source(
     stream: &Sender<Vec<u8>>,
     reply: &Sender<LiveReply>,
     ctl: Receiver<LiveCtl>,
-) -> Result<SourceOutcome, String> {
+) -> Result<PodReport, String> {
     let pod = cluster.pod(pod_name).ok_or_else(|| format!("unknown pod {pod_name:?}"))?;
     // The Agent→Agent stream link this migration rides: consulted per
     // frame against the cluster's partition schedule.
@@ -543,56 +528,38 @@ fn live_source(
         return Err("fault: agent crashed at cutover".into());
     }
 
-    // ── Cutover: suspend, block, cut network state, ship the residual. ──
+    // ── Cutover: suspend, block, take the Agent's checkpoint cut, ship it. ──
     let suspended_at = Instant::now();
     let cut_span = obs.span(pod_name, "mig.cutover");
     quiesce(cluster, &pod)?;
-    let cut = (|| -> Result<usize, String> {
-        let (meta, records) = checkpoint_network_obs(&pod, obs);
-        let meta_box = Box::new(meta.clone());
-        reply
-            .send(LiveReply::Meta { pod: pod_name.to_owned(), meta: meta_box, suspended_at })
-            .map_err(|_| "manager connection broken at cutover".to_string())?;
-
-        let header = Header {
-            pod: pod_name.to_owned(),
-            host: format!("node-{}", pod.node().id),
-            wall_ms: cluster.clock.now_ms(),
-            flags: 0,
-        };
+    let mut report = PodReport { pod: pod_name.to_owned(), ..PodReport::default() };
+    let cut = (|| {
         // The final cut is a delta against the last pre-copy round, so it
         // is residual-sized, not image-sized.
-        let mut w = ImageWriter::with_capacity(&header, last_shipped + 16 * 1024);
-        w.section(SectionTag::NetMeta, |r| meta.encode(r));
-        let net_payload = zapc_netckpt::records::encode_records(&records);
-        w.section_bytes(SectionTag::NetState, net_payload.bytes());
-        let save_opts = SaveOpts { base_gens: gens.clone(), obs: obs.clone() };
-        checkpoint_standalone_with(&pod, &mut w, &save_opts)
-            .map_err(|e| format!("final cut failed: {e}"))?;
-        let image = w.finish();
-
-        // Ship the final image's section records, as they lie, over the
-        // same stream, then the end-of-stream marker.
-        let unreadable = |e| format!("final cut unreadable: {e}");
-        let mut rd = ImageReader::open(&image).map_err(unreadable)?;
-        while let Some(record) = rd.next_framed_unverified().map_err(unreadable)? {
-            ship(record.to_vec(), "at cutover")?;
-        }
-        ship(control_frame(FRAME_COMMIT, |_| {}), "at cutover")?;
+        let capacity = last_shipped + 16 * 1024;
+        let image = checkpoint_cut(cluster, &pod, false, gens, capacity, &mut report, |meta| {
+            let meta = Box::new(meta.clone());
+            reply
+                .send(LiveReply::Meta { pod: pod_name.to_owned(), meta, suspended_at })
+                .map_err(|_| "manager connection broken at cutover".to_string())
+        })?;
+        // The finished image is the stream's last frame.
+        ship(image, "at cutover")?;
         cut_span.end();
 
         // Hold the pod suspended (vip still blocked) until the Manager's
         // commit point. An abort here rolls back: the receiver discards.
         match ctl.recv_timeout(opts.timeout) {
-            Ok(LiveCtl::CommitSource) => Ok(image.len()),
-            Ok(_) | Err(_) => Err("aborted awaiting cutover commit".into()),
+            Ok(LiveCtl::CommitSource) => Ok(()),
+            Ok(_) | Err(_) => Err("aborted awaiting cutover commit".to_string()),
         }
     })();
     match cut {
-        Ok(cut_bytes) => {
-            pod.destroy();
-            cluster.forget_pod(pod_name);
-            Ok(SourceOutcome { cut_bytes })
+        Ok(()) => {
+            // Clears the address's route with the pod: the Manager commits
+            // no receiver until every source has reported this done.
+            cluster.destroy_pod(pod_name);
+            Ok(report)
         }
         Err(why) => {
             unquiesce(cluster, &pod);
@@ -642,19 +609,11 @@ fn send_frame(
     stream.send(frame).map_err(|_| "stream receiver gone".to_string())
 }
 
-/// What a receiver has accumulated from the stream: the squashed
-/// standalone state plus the sections its commit consumes whole.
-#[derive(Default)]
-struct Received {
-    parts: DecodedPod,
-    namespace: Option<Vec<u8>>,
-    net_state: Option<Vec<u8>>,
-}
-
 /// The receiver Agent of one live-migrated pod: decodes frames as they
 /// arrive, squashing deltas onto the accumulated state, and creates the
 /// destination pod only at the Manager's commit. Returns what the
-/// receiver's `done` reports — `Ok(None)` if its node died, which reports
+/// receiver's `done` reports, the restart tail's report on the pod it
+/// has just resumed — or `Ok(None)` if its node died, which reports
 /// nothing at all.
 fn live_receiver(
     cluster: &Cluster,
@@ -664,11 +623,12 @@ fn live_receiver(
     reply: &Sender<LiveReply>,
     ctl: Receiver<LiveCtl>,
     timeout: Duration,
-) -> Result<Option<ReceiverOutcome>, String> {
-    let mut got = Received::default();
+) -> Result<Option<PodReport>, String> {
+    let mut parts = DecodedPod::new();
     let mut first_frame = true;
     let mut deadline = Instant::now() + timeout;
-    loop {
+    // Pre-copy records until the cut image, the stream's last frame.
+    let cut = loop {
         match ctl.try_recv() {
             Ok(LiveCtl::Abort) => return Err("aborted".into()),
             Ok(_) => return Err("protocol error: commit before stream end".into()),
@@ -697,82 +657,69 @@ fn live_receiver(
                 return Ok(None);
             }
         }
-        if apply_frame(&mut got, &frame)? {
-            break;
+        if frame.starts_with(MAGIC) {
+            break frame;
         }
-    }
+        apply_frame(&mut parts, &frame)?;
+    };
+    let sections = apply_cut(&mut parts, &cut)?;
 
     // Whole stream decoded and squashed; acknowledge and await the
     // Manager's verdict. Nothing exists on this node yet.
     let _ = reply.send(LiveReply::Applied { pod: pod_name.to_owned() });
     match ctl.recv_timeout(timeout) {
-        Ok(LiveCtl::CommitReceiver { my_meta, all_meta }) => {
-            receiver_commit(cluster, pod_name, node, got, &my_meta, &all_meta, timeout)
-                .map(Some)
-                .map_err(|e| e.to_string())
+        Ok(LiveCtl::CommitReceiver { all_meta, me }) => {
+            // Figure 3 with the decode pipelined away: every round is
+            // already squashed, so reinstatement is a straight move of
+            // materialized state into the new pod.
+            let inputs = RestartInputs {
+                my_meta: &all_meta[me],
+                all_meta: &all_meta,
+                node,
+                records: None,
+                timeout,
+            };
+            let spans = ["mig.create", "mig.reconnect", "mig.reinstate", "mig.resume"];
+            restart_tail(cluster, &sections, inputs, &ctl, spans, |pod, sockets| {
+                parts.reinstate(pod, &cluster.registry, sockets)
+            })
+            .map(Some)
+            .map_err(|e| e.to_string())
         }
         Ok(_) | Err(_) => Err("aborted before commit".into()),
     }
 }
 
-/// Decodes one stream frame onto the accumulated state; `Ok(true)` at the
-/// end-of-stream marker. A frame is one CRC-framed record: a torn or
-/// corrupted frame fails here with a typed decode error, never a misparse,
-/// and so does a record that has no place on a stream.
-fn apply_frame(got: &mut Received, frame: &[u8]) -> Result<bool, String> {
+/// Decodes one pre-copy frame onto the accumulated state. A frame is one
+/// CRC-framed record: a torn or corrupted frame fails here with a typed
+/// decode error, never a misparse, and so does a record that has no place
+/// on a stream.
+fn apply_frame(parts: &mut DecodedPod, frame: &[u8]) -> Result<(), String> {
     let (raw, payload) =
         RecordStream::new(frame).next_record().map_err(|e| format!("torn stream: {e}"))?;
     let tag = match raw {
-        FRAME_ROUND_START | FRAME_ROUND_END => return Ok(false),
-        FRAME_COMMIT => return Ok(true),
+        FRAME_ROUND_START | FRAME_ROUND_END => return Ok(()),
         _ => SectionTag::from_u16(raw)
             .ok_or_else(|| format!("torn stream: unknown frame kind {raw:#06x}"))?,
     };
-    match tag {
-        SectionTag::Header | SectionTag::End => {
-            return Err(format!("torn stream: image {tag:?} record on the stream"))
-        }
-        SectionTag::Namespace => got.namespace = Some(payload.to_vec()),
-        SectionTag::NetState => got.net_state = Some(payload.to_vec()),
-        SectionTag::NetMeta => {} // the Manager merges metas
-        tag => got
-            .parts
-            .apply_section(tag, payload)
-            .map_err(|e| format!("stream apply failed: {e}"))?,
+    if matches!(tag, SectionTag::Header | SectionTag::End) {
+        return Err(format!("torn stream: image {tag:?} record on the stream"));
     }
-    Ok(false)
+    parts.apply_section(tag, payload).map_err(|e| format!("stream apply failed: {e}"))
 }
 
-/// The receiver's commit: create the pod from the accumulated namespace,
-/// restore connectivity and network state, reinstate the already-squashed
-/// standalone state, and resume — Figure 3 with the decode pipelined away.
-fn receiver_commit(
-    cluster: &Cluster,
-    pod_name: &str,
-    node: usize,
-    got: Received,
-    my_meta: &MetaData,
-    all_meta: &[MetaData],
-    timeout: Duration,
-) -> ZapcResult<ReceiverOutcome> {
-    let namespace =
-        got.namespace.ok_or_else(|| ZapcError::NotFound("namespace section".into()))?;
-    let pod = create_pod(cluster, node, &namespace, None)?;
-
-    let net_payload =
-        got.net_state.ok_or_else(|| ZapcError::NotFound("netstate section".into()))?;
-    let records = zapc_netckpt::records::decode_records(&net_payload)?;
-    let tnet = Instant::now();
-    let restored = reconnect(cluster, &pod, my_meta, all_meta, &records, timeout)?;
-    let net_us = tnet.elapsed().as_micros() as u64;
-
-    // The pipelined decode already squashed every round; reinstatement is
-    // a straight move of materialized state into the new pod.
-    let span = cluster.obs.span(pod_name, "mig.reinstate");
-    got.parts.reinstate(&pod, &cluster.registry, &restored)?;
-    span.end();
-    pod.resume()?;
-    Ok(ReceiverOutcome { resumed_at: Instant::now(), net_us })
+/// Verifies the cut image — every record's CRC, the preamble, the `End`
+/// marker — then squashes its standalone sections onto the accumulated
+/// state; returns the sections for the commit. Nothing is applied unless
+/// the whole image verifies.
+fn apply_cut<'a>(parts: &mut DecodedPod, image: &'a [u8]) -> Result<Vec<Section<'a>>, String> {
+    let sections = ImageReader::open(image)
+        .and_then(ImageReader::sections)
+        .map_err(|e| format!("torn stream: {e}"))?;
+    for s in &sections {
+        parts.apply_section(s.tag, s.payload).map_err(|e| format!("stream apply failed: {e}"))?;
+    }
+    Ok(sections)
 }
 
 /// One control frame: `kind` framed in place around what `f` encodes.
@@ -788,7 +735,9 @@ fn control_frame(kind: u16, f: impl FnOnce(&mut RecordWriter)) -> Vec<u8> {
 mod tests {
     use super::*;
     use zapc_ckpt::MemoryDeltaRecord;
+    use zapc_proto::image::Header;
     use zapc_proto::rw::frame_record;
+    use zapc_proto::{Encode, ImageWriter};
     use zapc_sim::memory::AddressSpace;
 
     /// A `Memory` section record for `vpid` with one small region.
@@ -802,34 +751,49 @@ mod tests {
         (mem, frame_record(SectionTag::Memory as u16, w.bytes()))
     }
 
+    /// A cut image whose one standalone section is `mem`'s delta for `vpid`.
+    fn cut_image(vpid: u32, mem: &AddressSpace) -> Vec<u8> {
+        let header = Header { pod: "p".into(), host: "node-0".into(), wall_ms: 0, flags: 0 };
+        let mut w = ImageWriter::new(&header);
+        w.section(SectionTag::MemoryDelta, |r| MemoryDeltaRecord::capture(vpid, 0, mem).encode(r));
+        w.finish()
+    }
+
     /// What a refused frame must leave untouched.
-    fn fingerprint(got: &Received) -> (u64, usize, bool, bool) {
-        let (ns, net) = (got.namespace.is_some(), got.net_state.is_some());
-        (got.parts.memory_digest(), got.parts.process_count(), ns, net)
+    fn fingerprint(parts: &DecodedPod) -> (u64, usize) {
+        (parts.memory_digest(), parts.process_count())
     }
 
     #[test]
     fn hostile_frames_are_typed_errors_and_leave_the_accumulator_alone() {
         // The grammar has no envelope, so a section tag that collided with
-        // a control kind would be dropped as punctuation.
-        for kind in [FRAME_ROUND_START, FRAME_ROUND_END, FRAME_COMMIT] {
+        // a control kind would be dropped as punctuation, and an image
+        // whose first two bytes read as either would be taken for a record.
+        let magic = u16::from_le_bytes([MAGIC[0], MAGIC[1]]);
+        for kind in [FRAME_ROUND_START, FRAME_ROUND_END, magic] {
             assert!(SectionTag::from_u16(kind).is_none(), "{kind:#06x} is a section tag");
         }
+        assert!(![FRAME_ROUND_START, FRAME_ROUND_END].contains(&magic));
 
         // A base for vpid 3 is in place; every hostile frame below must
         // bounce off it.
-        let mut got = Received::default();
+        let mut parts = DecodedPod::new();
         let (mem, base) = memory_record(3);
-        apply_frame(&mut got, &base).unwrap();
-        let before = fingerprint(&got);
+        apply_frame(&mut parts, &base).unwrap();
+        let before = fingerprint(&parts);
+        let refused = |parts: &DecodedPod, what: &str, err: String, why: &str| {
+            assert!(err.contains(why), "{what}: {err}");
+            assert_eq!(fingerprint(parts), before, "{what} changed the accumulator");
+        };
 
         let mut flipped = memory_record(3).1;
         flipped[20] ^= 0x10;
         // A delta for vpid 9, whose base never arrived.
         let mut dw = RecordWriter::new();
         MemoryDeltaRecord::capture(9, 0, &mem).encode(&mut dw);
+        let good_cut = cut_image(3, &mem);
 
-        let hostile: [(&str, Vec<u8>, &str); 7] = [
+        let records: [(&str, Vec<u8>, &str); 8] = [
             ("header", frame_record(SectionTag::Header as u16, b"x"), "torn stream"),
             ("end", frame_record(SectionTag::End as u16, &[]), "torn stream"),
             ("parent ref", frame_record(SectionTag::ParentRef as u16, b"x"), "stream apply"),
@@ -841,11 +805,55 @@ mod tests {
                 frame_record(SectionTag::MemoryDelta as u16, dw.bytes()),
                 "stream apply failed",
             ),
+            ("image where a record belongs", good_cut.clone(), "torn stream"),
         ];
-        for (what, frame, why) in hostile {
-            let err = apply_frame(&mut got, &frame).expect_err(what);
-            assert!(err.contains(why), "{what}: {err}");
-            assert_eq!(fingerprint(&got), before, "{what} changed the accumulator");
+        for (what, frame, why) in records {
+            let err = apply_frame(&mut parts, &frame).expect_err(what);
+            refused(&parts, what, err, why);
         }
+
+        let mut flipped_cut = good_cut.clone();
+        let at = flipped_cut.len() - 20; // inside the delta's payload
+        flipped_cut[at] ^= 0x10;
+        let end_len = 2 + 4 + 4; // empty End record framing
+        let cuts: [(&str, Vec<u8>, &str); 4] = [
+            ("cut with a flipped payload byte", flipped_cut, "torn stream"),
+            ("cut truncated before End", good_cut[..good_cut.len() - end_len].to_vec(), "torn stream"),
+            ("cut whose delta has no base", cut_image(9, &mem), "stream apply failed"),
+            ("record where the image belongs", base, "torn stream"),
+        ];
+        for (what, image, why) in cuts {
+            let err = apply_cut(&mut parts, &image).map(|_| ()).expect_err(what);
+            refused(&parts, what, err, why);
+        }
+        apply_cut(&mut parts, &good_cut).expect("the untouched cut applies");
+    }
+
+    #[test]
+    fn the_cut_image_ends_the_stream() {
+        // A frame arriving after the image has no state to corrupt: the
+        // image's `End` is the end of the stream, the receiver
+        // acknowledges and never reads past it.
+        let cluster = Cluster::builder().nodes(1).build();
+        let (mem, base) = memory_record(3);
+        let (frames, stream) = bounded(STREAM_DEPTH);
+        for frame in [base.clone(), cut_image(3, &mem), base.clone()] {
+            frames.send(frame).unwrap();
+        }
+        let (reply, replies) = bounded(4);
+        let (verdict, ctl) = bounded(1);
+        let timeout = Duration::from_secs(5);
+        let (out, stream) = std::thread::scope(|s| {
+            let cluster = &cluster;
+            let receiver = s.spawn(move || {
+                (live_receiver(cluster, "p", 0, &stream, &reply, ctl, timeout), stream)
+            });
+            assert!(matches!(replies.recv_timeout(timeout), Ok(LiveReply::Applied { .. })));
+            verdict.send(LiveCtl::Abort).unwrap();
+            receiver.join().unwrap()
+        });
+        assert_eq!(out.unwrap_err(), "aborted before commit");
+        assert_eq!(stream.try_recv(), Ok(base), "the frame after the image was never read");
+        assert!(cluster.pod("p").is_none());
     }
 }

@@ -17,8 +17,8 @@
 //! application resumes execution (§4).
 
 use crate::agent::{
-    agent_checkpoint, agent_restart, AgentReply, CheckpointJob, CtlMsg, Finalize, PodStats,
-    RestartInputs, SyncPolicy,
+    agent_checkpoint, agent_restart, AgentReply, CheckpointJob, CtlMsg, Finalize, RestartInputs,
+    SyncPolicy,
 };
 use crate::cluster::Cluster;
 use crate::coord::Coord;
@@ -69,8 +69,9 @@ pub struct RestartTarget {
     pub node: usize,
 }
 
-/// Per-pod outcome of a coordinated operation.
-#[derive(Debug, Clone)]
+/// Per-pod outcome of a coordinated operation, filled in by the pod's
+/// Agent from its own clocks.
+#[derive(Debug, Clone, Default)]
 pub struct PodReport {
     /// Pod name.
     pub pod: String,
@@ -99,26 +100,6 @@ pub struct PodReport {
     pub image_ref: String,
     /// FNV-1a 64 digest of the image (durable-store checkpoints only).
     pub digest: u64,
-}
-
-impl From<PodStats> for PodReport {
-    fn from(s: PodStats) -> Self {
-        PodReport {
-            pod: s.pod,
-            total_ms: s.total_us as f64 / 1000.0,
-            net_ms: s.net_us as f64 / 1000.0,
-            standalone_ms: s.standalone_us as f64 / 1000.0,
-            blocked_ms: s.blocked_us as f64 / 1000.0,
-            quiesce_ms: s.quiesce_us as f64 / 1000.0,
-            sync_ms: s.sync_us as f64 / 1000.0,
-            commit_ms: s.commit_us as f64 / 1000.0,
-            resume_ms: s.resume_us as f64 / 1000.0,
-            image_bytes: s.image_bytes,
-            network_bytes: s.network_bytes,
-            image_ref: s.image_ref,
-            digest: s.digest,
-        }
-    }
 }
 
 /// One named slice of a Manager-observed operation.
@@ -233,7 +214,7 @@ pub fn checkpoint_with(
     opts: &CheckpointOptions,
 ) -> ZapcResult<CheckpointReport> {
     let mut late = 0u64;
-    let policy = RetryPolicy { retries: opts.retries, backoff: opts.backoff, ..RetryPolicy::default() };
+    let policy = RetryPolicy::new(opts.retries, opts.backoff);
     let (mut report, _) = policy.run(
         |_| checkpoint_once(cluster, targets, opts, "manager", &mut late),
         // Retry only when the abort rolled every target back to running — a
@@ -265,8 +246,7 @@ impl Gathered {
         match reply {
             AgentReply::Meta { meta } => self.meta.push(meta),
             AgentReply::Done { pod, result, image, .. } => {
-                let stats = result.map_err(|why| format!("agent for {pod} failed: {why}"))?;
-                self.pods.push(stats.into());
+                self.pods.push(result.map_err(|why| format!("agent for {pod} failed: {why}"))?);
                 if let Some(image) = image {
                     self.images.insert(pod, image);
                 }
@@ -478,7 +458,6 @@ fn restart_from_parts(
         zapc_netckpt::merge_send_queues(&metas, &mut all_records);
         merged_records = all_records.into_iter().map(Some).collect();
     }
-    let all_meta = Arc::new(metas);
     schedule_span.end();
     let t_schedule = Instant::now();
 
@@ -491,14 +470,14 @@ fn restart_from_parts(
     std::thread::scope(|scope| {
         for (i, t) in targets.iter().enumerate() {
             let inputs = RestartInputs {
-                image: Arc::clone(&images[i]),
-                my_meta: all_meta[i].clone(),
-                all_meta: Arc::clone(&all_meta),
+                my_meta: &metas[i],
+                all_meta: &metas,
                 node: t.node,
                 records: merged_records[i].take(),
+                timeout,
             };
-            let (reply, ctl) = co.register(&t.pod, Some(t.node));
-            scope.spawn(move || agent_restart(cluster, inputs, timeout, &reply, &ctl));
+            let (image, (reply, ctl)) = (&images[i], co.register(&t.pod, Some(t.node)));
+            scope.spawn(move || agent_restart(cluster, image, inputs, &reply, &ctl));
         }
 
         // 2. Receive status from every Agent. On any failure the abort
@@ -625,7 +604,7 @@ pub fn migrate_with(
     // moment the bump lands.
     let ck_opts = CheckpointOptions { timeout: opts.timeout, ..CheckpointOptions::default() };
     let mut late = 0u64;
-    let policy = RetryPolicy { retries: opts.retries, backoff: opts.backoff, ..RetryPolicy::default() };
+    let policy = RetryPolicy::new(opts.retries, opts.backoff);
     let (ckpt, images) = policy.run(
         |_| checkpoint_once(cluster, &targets, &ck_opts, "migrate", &mut late),
         // Retry only when every source pod survived the abort; a fault

@@ -9,7 +9,7 @@
 //!
 //! Semantics every caller relies on:
 //!
-//! * attempt `n` (1-based) sleeps `min(backoff * n, max_backoff)` plus a
+//! * attempt `n` (1-based) sleeps `min(backoff * n, MAX_BACKOFF)` plus a
 //!   deterministic jitter of at most `backoff / 2` **before retrying**;
 //!   the first attempt runs immediately;
 //! * only errors the caller's `retryable` predicate accepts are retried —
@@ -22,6 +22,12 @@
 use crate::{ZapcError, ZapcResult};
 use std::time::Duration;
 
+/// Hard cap on any single sleep (pre-jitter).
+const MAX_BACKOFF: Duration = Duration::from_secs(2);
+
+/// Seed of the deterministic jitter sequence.
+const JITTER_SEED: u64 = 0;
+
 /// A bounded retry-with-backoff policy.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
@@ -29,48 +35,25 @@ pub struct RetryPolicy {
     pub retries: u32,
     /// Base delay; attempt `n` waits about `backoff * n`.
     pub backoff: Duration,
-    /// Hard cap on any single sleep (pre-jitter).
-    pub max_backoff: Duration,
-    /// Seed for the deterministic jitter sequence.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            retries: 0,
-            backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
-            jitter_seed: 0,
-        }
-    }
 }
 
 impl RetryPolicy {
-    /// A policy with `retries` extra attempts and the given base backoff
-    /// (cap and jitter at their defaults).
+    /// A policy with `retries` extra attempts and the given base backoff.
     pub fn new(retries: u32, backoff: Duration) -> RetryPolicy {
-        RetryPolicy { retries, backoff, ..RetryPolicy::default() }
+        RetryPolicy { retries, backoff }
     }
 
     /// The sleep before retry `attempt` (1-based): linear backoff, capped,
     /// plus a deterministic jitter in `[0, backoff/2)` derived from
-    /// `(jitter_seed, attempt)`. Pure, so chaos traces replay bit-exactly.
+    /// `attempt`. Pure, so chaos traces replay bit-exactly.
     pub fn delay_for(&self, attempt: u32) -> Duration {
-        let base = self
-            .backoff
-            .checked_mul(attempt)
-            .unwrap_or(self.max_backoff)
-            .min(self.max_backoff);
+        let base = self.backoff.checked_mul(attempt).unwrap_or(MAX_BACKOFF).min(MAX_BACKOFF);
         let half = (self.backoff / 2).as_micros() as u64;
         if half == 0 {
             return base;
         }
         // splitmix64 over (seed, attempt): cheap, stateless, deterministic.
-        let mut z = self
-            .jitter_seed
-            .wrapping_add(attempt as u64)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = JITTER_SEED.wrapping_add(attempt as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
@@ -193,23 +176,13 @@ mod tests {
 
     #[test]
     fn delay_is_capped_jittered_and_deterministic() {
-        let p = RetryPolicy {
-            retries: 10,
-            backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_millis(250),
-            jitter_seed: 42,
-        };
-        for attempt in 1..=10 {
+        let p = RetryPolicy::new(30, Duration::from_millis(100));
+        for attempt in 1..=30 {
             let d = p.delay_for(attempt);
-            assert!(d >= Duration::from_millis(100).min(Duration::from_millis(250)));
-            assert!(d < Duration::from_millis(300), "cap + jitter bound: {d:?}");
-            assert_eq!(d, p.delay_for(attempt), "jitter is pure in (seed, attempt)");
+            assert!(d >= Duration::from_millis(100));
+            assert!(d < MAX_BACKOFF + Duration::from_millis(50), "cap + jitter bound: {d:?}");
+            assert_eq!(d, p.delay_for(attempt), "jitter is pure in the attempt");
         }
-        let other = RetryPolicy { jitter_seed: 43, ..p };
-        assert_ne!(
-            (1..=10).map(|a| p.delay_for(a)).collect::<Vec<_>>(),
-            (1..=10).map(|a| other.delay_for(a)).collect::<Vec<_>>(),
-            "different seeds give different jitter schedules"
-        );
+        assert!(p.delay_for(30) >= MAX_BACKOFF, "attempt 30 sleeps the cap, not 3 s");
     }
 }

@@ -3,8 +3,8 @@
 //! rounds, and downtime no worse than stop-and-copy's full outage.
 
 use std::time::Duration;
-use zapc::manager::{migrate_with, MigrateOptions};
-use zapc::{migrate_live, migrate_live_with, Cluster, ZapcError};
+use zapc::manager::{migrate_with, CheckpointTarget, MigrateOptions, RestartTarget};
+use zapc::{checkpoint, migrate_live, migrate_live_with, restart, Cluster, ZapcError};
 use zapc_apps::launch::{full_registry, launch_app, AppKind, AppParams};
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -136,4 +136,40 @@ fn live_downtime_beats_stop_and_copy_outage() {
         report.max_downtime_ms,
         stop_and_copy_ms
     );
+}
+
+#[test]
+fn live_receiver_failure_past_commit_leaves_no_pod_behind() {
+    // No loader is registered, so every receiver fails at reinstatement —
+    // past the commit point, after it created its pod. It must destroy
+    // what it created: a pod left behind keeps the name and the route of
+    // one that no longer runs anywhere.
+    let c = Cluster::builder().nodes(3).build();
+    let params = AppParams { kind: AppKind::Bt, ranks: 2, scale: 0.02, work: 50.0 };
+    let app = launch_app(&c, "leak", &params);
+    std::thread::sleep(Duration::from_millis(5));
+    let snapshot: Vec<CheckpointTarget> =
+        app.pods.iter().map(|p| CheckpointTarget::snapshot(p)).collect();
+    checkpoint(&c, &snapshot).unwrap();
+    let moves: Vec<(String, usize)> = app.pods.iter().map(|p| (p.clone(), 2)).collect();
+
+    match migrate_live(&c, &moves).unwrap_err() {
+        ZapcError::Aborted(why) => assert!(why.contains("no loader registered"), "why = {why}"),
+        other => panic!("expected a typed abort, got {other:?}"),
+    }
+    for p in &app.pods {
+        assert!(c.pod(p).is_none(), "{p} was left behind on the target node");
+    }
+
+    // The names are free again: a restart from the earlier snapshot gets
+    // as far as the missing loader, not the "still live" refusal.
+    let targets: Vec<RestartTarget> = snapshot
+        .iter()
+        .map(|t| RestartTarget { pod: t.pod.clone(), uri: t.uri.clone(), node: 1 })
+        .collect();
+    let err = restart(&c, &targets).unwrap_err().to_string();
+    assert!(err.contains("no loader registered") && !err.contains("still live"), "err = {err}");
+    for p in &app.pods {
+        assert!(c.pod(p).is_none(), "{p} survived its failed restart");
+    }
 }
