@@ -20,7 +20,7 @@ use crate::opts::{OptValue, SockOpt, SockOpts};
 use crate::seg::Segment;
 use crate::stack::NetStack;
 use crate::tcp::{Tcb, TcpState};
-use crate::udp::{Datagram, RawState, UdpState};
+use crate::udp::{Datagram, DgramState};
 use crate::wire::NetShared;
 use crate::{NetError, NetResult};
 use parking_lot::Mutex;
@@ -156,10 +156,8 @@ pub struct SocketInner {
     pub default_ip: u32,
     /// TCP connection state.
     pub tcb: Option<Tcb>,
-    /// UDP state.
-    pub udp: Option<UdpState>,
-    /// Raw-IP state.
-    pub raw: Option<RawState>,
+    /// Datagram (UDP / raw-IP) state.
+    pub dgram: Option<DgramState>,
     /// Listener state.
     pub listen: Option<ListenState>,
     /// Listener that spawned this socket (accept notification).
@@ -214,7 +212,7 @@ impl SocketInner {
         if let Some(tcb) = &self.tcb {
             return Some(tcb.remote);
         }
-        self.udp.as_ref().and_then(|u| u.peer)
+        self.dgram.as_ref().and_then(|d| d.peer)
     }
 
     /// Meta-data connection state for the checkpoint table.
@@ -262,23 +260,14 @@ fn default_recvmsg(
             }
             Ok((d, None))
         }
-        Transport::Udp => {
-            let u = inner.udp.as_mut().ok_or(NetError::Invalid)?;
-            let dg = if flags.peek {
-                u.queue.peek().cloned()
-            } else {
-                u.queue.pop()
-            };
+        Transport::Udp | Transport::RawIp => {
+            let q = &mut inner.dgram.as_mut().ok_or(NetError::Invalid)?.queue;
+            let dg = if flags.peek { q.peek().cloned() } else { q.pop() };
             match dg {
-                Some(d) => Ok((d.data.into_iter().take(n.max(1)).collect(), Some(d.src))),
-                None => Err(NetError::WouldBlock),
-            }
-        }
-        Transport::RawIp => {
-            let r = inner.raw.as_mut().ok_or(NetError::Invalid)?;
-            let dg = if flags.peek { r.queue.peek().cloned() } else { r.queue.pop() };
-            match dg {
-                Some(d) => Ok((d.data, Some(d.src))),
+                Some(mut d) => {
+                    d.data.truncate(n.max(1));
+                    Ok((d.data, Some(d.src)))
+                }
                 None => Err(NetError::WouldBlock),
             }
         }
@@ -303,15 +292,9 @@ fn default_poll(inner: &SocketInner) -> PollMask {
                     && !tcb.fin_pending;
             }
         }
-        Transport::Udp => {
-            if let Some(u) = &inner.udp {
-                m.readable = !u.queue.is_empty();
-                m.writable = true;
-            }
-        }
-        Transport::RawIp => {
-            if let Some(r) = &inner.raw {
-                m.readable = !r.queue.is_empty();
+        Transport::Udp | Transport::RawIp => {
+            if let Some(d) = &inner.dgram {
+                m.readable = !d.queue.is_empty();
                 m.writable = true;
             }
         }
@@ -388,9 +371,8 @@ impl Socket {
         ip_proto: u8,
     ) -> Arc<Socket> {
         let opts = SockOpts::default();
-        let udp = (transport == Transport::Udp).then(|| UdpState::new(opts.rcv_buf as usize));
-        let raw = (transport == Transport::RawIp)
-            .then(|| RawState::new(ip_proto, opts.rcv_buf as usize));
+        let dgram = (transport != Transport::Tcp)
+            .then(|| DgramState::new(ip_proto, opts.rcv_buf as usize));
         Arc::new(Socket {
             id: NEXT_SOCKET_ID.fetch_add(1, Ordering::Relaxed),
             net,
@@ -401,8 +383,7 @@ impl Socket {
                 local: None,
                 default_ip,
                 tcb: None,
-                udp,
-                raw,
+                dgram,
                 listen: None,
                 parent: None,
                 vtable: default_vtable(),
@@ -499,7 +480,7 @@ impl Socket {
         }
         let transport = inner.transport;
         let reuse = inner.opts.reuse_addr;
-        let ip_proto = inner.raw.as_ref().map(|r| r.ip_proto);
+        let ip_proto = inner.dgram.as_ref().map(|d| d.ip_proto);
         let bound = stack.bind_port(self.id, addr, transport, reuse, ip_proto)?;
         inner.local = Some(bound);
         inner.phase = SocketState::Bound;
@@ -535,8 +516,7 @@ impl Socket {
         let mut inner = self.inner.lock();
         match inner.transport {
             Transport::Udp => {
-                let u = inner.udp.as_mut().ok_or(NetError::Invalid)?;
-                u.peer = Some(dst);
+                inner.dgram.as_mut().ok_or(NetError::Invalid)?.peer = Some(dst);
                 if inner.local.is_none() {
                     let ip = inner.default_ip;
                     drop(inner);
@@ -627,43 +607,38 @@ impl Socket {
                 self.ensure_rtx();
                 Ok(n)
             }
-            Transport::Udp => {
-                let peer = inner.udp.as_ref().and_then(|u| u.peer).ok_or(NetError::NotConnected)?;
+            Transport::Udp | Transport::RawIp => {
+                let peer = inner.peer().ok_or(NetError::NotConnected)?;
                 drop(inner);
                 self.sendto(peer, data)
             }
-            Transport::RawIp => Err(NetError::NotConnected),
         }
     }
 
     /// Sends a datagram to `dst` (UDP / raw IP).
     pub fn sendto(self: &Arc<Self>, dst: Endpoint, data: &[u8]) -> NetResult<usize> {
         let mut inner = self.inner.lock();
+        let ip_proto = inner.dgram.as_ref().ok_or(NetError::Unsupported)?.ip_proto;
         if inner.local.is_none() {
             let ip = inner.default_ip;
             let transport = inner.transport;
             let reuse = inner.opts.reuse_addr;
-            let ip_proto = inner.raw.as_ref().map(|r| r.ip_proto);
             let stack = self.stack()?;
-            let bound =
-                stack.bind_port(self.id, Endpoint { ip, port: 0 }, transport, reuse, ip_proto)?;
+            let bound = stack.bind_port(
+                self.id,
+                Endpoint { ip, port: 0 },
+                transport,
+                reuse,
+                Some(ip_proto),
+            )?;
             inner.local = Some(bound);
         }
         let local = inner.local.expect("bound above");
-        let seg = match inner.transport {
-            Transport::Udp => {
-                let mut s = Segment::udp(local, dst, data.to_vec());
-                s.vt = inner.tx_vt;
-                s
-            }
-            Transport::RawIp => {
-                let proto = inner.raw.as_ref().map(|r| r.ip_proto).unwrap_or(255);
-                let mut s = Segment::raw(local, dst, proto, data.to_vec());
-                s.vt = inner.tx_vt;
-                s
-            }
-            Transport::Tcp => return Err(NetError::Unsupported),
+        let mut seg = match inner.transport {
+            Transport::RawIp => Segment::raw(local, dst, ip_proto, data.to_vec()),
+            _ => Segment::udp(local, dst, data.to_vec()),
         };
+        seg.vt = inner.tx_vt;
         drop(inner);
         self.net.send(seg);
         Ok(data.len())
@@ -727,8 +702,7 @@ impl Socket {
         if let Some(l) = inner.listen.take() {
             pending = Some(l.pending);
         }
-        let local = inner.local;
-        let transport = inner.transport;
+        let bound = inner.local.is_some();
         if inner.tcb.is_none() {
             inner.phase = SocketState::Closed;
         }
@@ -744,8 +718,8 @@ impl Socket {
                 child.abort();
             }
         }
-        if let (Some(stack), Some(local)) = (self.stack.upgrade(), local) {
-            stack.unbind_port(self.id, local, transport);
+        if let Some(stack) = self.stack.upgrade().filter(|_| bound) {
+            stack.unbind_port(self.id);
         }
         if reap {
             if let Some(stack) = self.stack.upgrade() {
@@ -803,14 +777,9 @@ impl Socket {
                     tcb.recv.peek(0);
                 }
             }
-            Transport::Udp => {
-                if let Some(u) = &mut inner.udp {
-                    u.queue.restore(Vec::new(), true);
-                }
-            }
-            Transport::RawIp => {
-                if let Some(r) = &mut inner.raw {
-                    r.queue.restore(Vec::new(), true);
+            Transport::Udp | Transport::RawIp => {
+                if let Some(d) = &mut inner.dgram {
+                    d.queue.restore(Vec::new(), true);
                 }
             }
         }
@@ -827,20 +796,9 @@ impl Socket {
     }
 
     /// Restore path: refills a datagram receive queue (UDP / raw IP).
-    pub fn restore_datagrams(&self, dgrams: Vec<crate::udp::Datagram>, peeked: bool) {
-        let mut inner = self.inner.lock();
-        match inner.transport {
-            Transport::Udp => {
-                if let Some(u) = &mut inner.udp {
-                    u.queue.restore(dgrams, peeked);
-                }
-            }
-            Transport::RawIp => {
-                if let Some(r) = &mut inner.raw {
-                    r.queue.restore(dgrams, peeked);
-                }
-            }
-            Transport::Tcp => {}
+    pub fn restore_datagrams(&self, dgrams: Vec<Datagram>, peeked: bool) {
+        if let Some(d) = &mut self.inner.lock().dgram {
+            d.queue.restore(dgrams, peeked);
         }
     }
 
@@ -934,7 +892,6 @@ impl Socket {
         let vt_lat = self.net.cfg.vt_latency_ns;
         inner.rx_vt = inner.rx_vt.max(seg.vt + vt_lat);
         let Some(tcb) = &mut inner.tcb else { return };
-        tcb.rx_vt = tcb.rx_vt.max(seg.vt + vt_lat);
         let mut out = Vec::new();
         let pre_backlog = tcb.recv.backlog_segments();
         let fast_rtx_before = tcb.cc.fast_retransmits;
@@ -1010,29 +967,13 @@ impl Socket {
         }
     }
 
-    /// Delivers a datagram (UDP / raw) into the receive queue.
+    /// Delivers a datagram (UDP / raw) into the receive queue. The stack has
+    /// already matched a raw segment's protocol number to this socket.
     pub(crate) fn handle_datagram(self: &Arc<Self>, seg: Segment) {
         let mut inner = self.inner.lock();
-        let vt_lat = self.net.cfg.vt_latency_ns;
-        inner.rx_vt = inner.rx_vt.max(seg.vt + vt_lat);
-        match seg.transport {
-            Transport::Udp => {
-                if let Some(u) = &mut inner.udp {
-                    if u.accepts_from(seg.src) {
-                        u.rx_vt = u.rx_vt.max(seg.vt + vt_lat);
-                        u.queue.push(Datagram { src: seg.src, data: seg.payload });
-                    }
-                }
-            }
-            Transport::RawIp => {
-                if let Some(r) = &mut inner.raw {
-                    if r.ip_proto == seg.ip_proto {
-                        r.rx_vt = r.rx_vt.max(seg.vt + vt_lat);
-                        r.queue.push(Datagram { src: seg.src, data: seg.payload });
-                    }
-                }
-            }
-            Transport::Tcp => {}
+        inner.rx_vt = inner.rx_vt.max(seg.vt + self.net.cfg.vt_latency_ns);
+        if let Some(d) = inner.dgram.as_mut().filter(|d| d.accepts_from(seg.src)) {
+            d.queue.push(Datagram { src: seg.src, data: seg.payload });
         }
     }
 

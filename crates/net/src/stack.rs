@@ -5,7 +5,8 @@
 //! network layer. The wire delivers segments here; the stack demultiplexes
 //! to established connections, listeners (spawning handshake children that
 //! inherit the listening port — the source-port inheritance §4's restart
-//! schedule must respect), UDP binds, or raw-IP binds.
+//! schedule must respect), or datagram binds: UDP by port, raw IP by
+//! protocol number.
 
 use crate::seg::Segment;
 use crate::socket::{Socket, SocketId};
@@ -23,12 +24,11 @@ const EPHEMERAL_BASE: u16 = 49152;
 #[derive(Debug, Default)]
 struct StackInner {
     sockets: HashMap<SocketId, Arc<Socket>>,
-    /// Bound ports: `(ip, port, transport) → socket`.
+    /// Bound ports: `(ip, port, transport) → socket`. A raw-IP capture has
+    /// no port; its protocol number takes the port's place.
     ports: HashMap<(u32, u16, Transport), SocketId>,
     /// Established (and in-handshake) connections: `(local, remote) → socket`.
     est: HashMap<(Endpoint, Endpoint), SocketId>,
-    /// Raw-IP binds: `(ip, protocol) → socket`.
-    raw_binds: HashMap<(u32, u8), SocketId>,
     next_ephemeral: u16,
 }
 
@@ -95,8 +95,9 @@ impl NetStack {
         out
     }
 
-    /// Claims a port binding. Port 0 selects an ephemeral port. For raw
-    /// sockets, registers the `(ip, protocol)` capture instead.
+    /// Claims a port binding. Port 0 selects an ephemeral port. A raw
+    /// socket claims its protocol number `ip_proto` in the port's place and
+    /// gets back the address it was given.
     pub(crate) fn bind_port(
         &self,
         sock: SocketId,
@@ -106,15 +107,9 @@ impl NetStack {
         ip_proto: Option<u8>,
     ) -> NetResult<Endpoint> {
         let mut inner = self.inner.write();
-        if transport == Transport::RawIp {
-            let proto = ip_proto.ok_or(NetError::Invalid)?;
-            if inner.raw_binds.contains_key(&(addr.ip, proto)) {
-                return Err(NetError::AddrInUse);
-            }
-            inner.raw_binds.insert((addr.ip, proto), sock);
-            return Ok(addr);
-        }
-        let port = if addr.port == 0 {
+        let port = if transport == Transport::RawIp {
+            ip_proto.ok_or(NetError::Invalid)? as u16
+        } else if addr.port == 0 {
             let mut candidate = inner.next_ephemeral;
             let mut found = None;
             for _ in 0..=(u16::MAX - EPHEMERAL_BASE) {
@@ -128,26 +123,19 @@ impl NetStack {
             inner.next_ephemeral = if p == u16::MAX { EPHEMERAL_BASE } else { p + 1 };
             p
         } else {
-            if inner.ports.contains_key(&(addr.ip, addr.port, transport)) {
-                return Err(NetError::AddrInUse);
-            }
             addr.port
         };
-        let bound = Endpoint { ip: addr.ip, port };
-        inner.ports.insert((bound.ip, bound.port, transport), sock);
-        Ok(bound)
+        let key = (addr.ip, port, transport);
+        if inner.ports.contains_key(&key) {
+            return Err(NetError::AddrInUse);
+        }
+        inner.ports.insert(key, sock);
+        Ok(if transport == Transport::RawIp { addr } else { Endpoint { ip: addr.ip, port } })
     }
 
-    /// Releases a port binding (only if still owned by `sock`).
-    pub(crate) fn unbind_port(&self, sock: SocketId, addr: Endpoint, transport: Transport) {
-        let mut inner = self.inner.write();
-        if transport == Transport::RawIp {
-            inner.raw_binds.retain(|_, &mut v| v != sock);
-            return;
-        }
-        if inner.ports.get(&(addr.ip, addr.port, transport)) == Some(&sock) {
-            inner.ports.remove(&(addr.ip, addr.port, transport));
-        }
+    /// Releases the port binding `sock` holds, if any.
+    pub(crate) fn unbind_port(&self, sock: SocketId) {
+        self.inner.write().ports.retain(|_, &mut v| v != sock);
     }
 
     /// Registers a connection four-tuple for demultiplexing.
@@ -161,7 +149,6 @@ impl NetStack {
         inner.sockets.remove(&id);
         inner.ports.retain(|_, &mut v| v != id);
         inner.est.retain(|_, &mut v| v != id);
-        inner.raw_binds.retain(|_, &mut v| v != id);
     }
 
     /// One-line diagnostic dump of the demux tables, for restore-path
@@ -202,27 +189,15 @@ impl NetStack {
     pub fn deliver(self: &Arc<Self>, seg: Segment) {
         match seg.transport {
             Transport::Tcp => self.deliver_tcp(seg),
-            Transport::Udp => {
+            Transport::Udp | Transport::RawIp => {
+                let t = seg.transport;
+                let port = if t == Transport::RawIp { seg.ip_proto as u16 } else { seg.dst.port };
                 let sock = {
                     let inner = self.inner.read();
                     inner
                         .ports
-                        .get(&(seg.dst.ip, seg.dst.port, Transport::Udp))
-                        .or_else(|| inner.ports.get(&(0, seg.dst.port, Transport::Udp)))
-                        .and_then(|id| inner.sockets.get(id))
-                        .cloned()
-                };
-                if let Some(s) = sock {
-                    s.handle_datagram(seg);
-                }
-            }
-            Transport::RawIp => {
-                let sock = {
-                    let inner = self.inner.read();
-                    inner
-                        .raw_binds
-                        .get(&(seg.dst.ip, seg.ip_proto))
-                        .or_else(|| inner.raw_binds.get(&(0, seg.ip_proto)))
+                        .get(&(seg.dst.ip, port, t))
+                        .or_else(|| inner.ports.get(&(0, port, t)))
                         .and_then(|id| inner.sockets.get(id))
                         .cloned()
                 };

@@ -125,8 +125,6 @@ pub struct Tcb {
     pub rx_window_trimmed: u64,
     /// Virtual clock attached to outgoing segments (timing model only).
     pub tx_vt: u64,
-    /// Largest `segment.vt + wire latency` seen (timing model only).
-    pub rx_vt: u64,
     /// Configured `SO_RCVBUF` (survives the SYN-time `RecvBuf` re-seed).
     rcv_buf_limit: usize,
     /// Configured `SO_OOBINLINE` (survives the re-seed).
@@ -154,7 +152,6 @@ impl Tcb {
             rtx_backoff: 0,
             rx_window_trimmed: 0,
             tx_vt: 0,
-            rx_vt: 0,
             rcv_buf_limit: rcv_buf,
             oob_inline,
         }
@@ -181,7 +178,6 @@ impl Tcb {
             rtx_backoff: 0,
             rx_window_trimmed: 0,
             tx_vt: 0,
-            rx_vt: 0,
             rcv_buf_limit: rcv_buf,
             oob_inline,
         }

@@ -106,21 +106,25 @@ impl DgramQueue {
     }
 }
 
-/// Protocol state of a UDP socket.
+/// Protocol state of a datagram socket, UDP or raw IP alike: the two differ
+/// only in how the stack demultiplexes to them, how `sendto` frames a
+/// segment, and whether `connect` is allowed.
 #[derive(Debug, Clone)]
-pub struct UdpState {
+pub struct DgramState {
     /// Receive queue.
     pub queue: DgramQueue,
-    /// Default peer set by `connect` (filters inbound, allows `send`).
+    /// Default peer set by UDP `connect` (filters inbound, allows `send`);
+    /// always `None` on a raw socket.
     pub peer: Option<Endpoint>,
-    /// Virtual-clock merge value (timing model only).
-    pub rx_vt: u64,
+    /// IP protocol number a raw socket captures (0 on UDP).
+    pub ip_proto: u8,
 }
 
-impl UdpState {
-    /// Creates UDP state with the given receive-buffer limit.
-    pub fn new(rcv_buf: usize) -> Self {
-        UdpState { queue: DgramQueue::new(rcv_buf), peer: None, rx_vt: 0 }
+impl DgramState {
+    /// Creates datagram state for protocol number `ip_proto` with the given
+    /// receive-buffer limit.
+    pub fn new(ip_proto: u8, rcv_buf: usize) -> Self {
+        DgramState { queue: DgramQueue::new(rcv_buf), peer: None, ip_proto }
     }
 
     /// Whether an inbound datagram from `src` should be accepted
@@ -130,24 +134,6 @@ impl UdpState {
             Some(p) => p == src,
             None => true,
         }
-    }
-}
-
-/// Protocol state of a raw-IP socket.
-#[derive(Debug, Clone)]
-pub struct RawState {
-    /// Receive queue.
-    pub queue: DgramQueue,
-    /// IP protocol number this socket captures.
-    pub ip_proto: u8,
-    /// Virtual-clock merge value (timing model only).
-    pub rx_vt: u64,
-}
-
-impl RawState {
-    /// Creates raw-IP state for protocol number `ip_proto`.
-    pub fn new(ip_proto: u8, rcv_buf: usize) -> Self {
-        RawState { queue: DgramQueue::new(rcv_buf), ip_proto, rx_vt: 0 }
     }
 }
 
@@ -213,7 +199,7 @@ mod tests {
 
     #[test]
     fn connected_udp_filters() {
-        let mut u = UdpState::new(1024);
+        let mut u = DgramState::new(0, 1024);
         assert!(u.accepts_from(ep(3, 3)));
         u.peer = Some(ep(1, 1));
         assert!(u.accepts_from(ep(1, 1)));

@@ -178,7 +178,7 @@ fn udp_datagrams_and_peek() {
     assert_eq!(d1, b"dgram-1");
     let d2 = rx.read_datagram_wait(TIMEOUT).unwrap();
     assert_eq!(d2.0, b"dgram-2");
-    assert!(rx.with_inner(|i| i.udp.as_ref().unwrap().queue.was_peeked()));
+    assert!(rx.with_inner(|i| i.dgram.as_ref().unwrap().queue.was_peeked()));
 }
 
 #[test]
@@ -197,6 +197,15 @@ fn raw_ip_by_protocol_number() {
     tx2.sendto(ep(2, 0), b"other-proto").unwrap();
     std::thread::sleep(Duration::from_millis(5));
     assert!(!rx.poll().readable);
+
+    // A short read truncates the datagram, as on UDP.
+    tx.sendto(ep(2, 0), b"8-bytes!").unwrap();
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    while !rx.poll().readable {
+        assert!(std::time::Instant::now() < deadline);
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    assert_eq!(rx.recvfrom(4, RecvFlags::default()).unwrap().0, b"8-by");
 }
 
 #[test]

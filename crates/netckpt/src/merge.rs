@@ -19,12 +19,11 @@
 use crate::records::SockRecord;
 use std::collections::HashMap;
 use zapc_net::buf::SendSnapshot;
-use zapc_proto::{Endpoint, MetaData, Transport};
+use zapc_proto::{Endpoint, Transport};
 
-/// Applies the merge across all pods' records; `metas[i]` describes
-/// `records[i]`. Returns the number of payload bytes rerouted from send
-/// queues into peer receive streams.
-pub fn merge_send_queues(metas: &[MetaData], records: &mut [Vec<SockRecord>]) -> usize {
+/// Applies the merge across all pods' records. Returns the number of
+/// payload bytes rerouted from send queues into peer receive streams.
+pub fn merge_send_queues(records: &mut [Vec<SockRecord>]) -> usize {
     // Index every TCP connection record by its (src, dst) pair.
     let mut index: HashMap<(Endpoint, Endpoint), (usize, usize)> = HashMap::new();
     for (p, recs) in records.iter().enumerate() {
@@ -81,7 +80,6 @@ pub fn merge_send_queues(metas: &[MetaData], records: &mut [Vec<SockRecord>]) ->
         s.send_data.clear();
         s.send_urgent_marks.clear();
     }
-    let _ = metas;
     moved
 }
 
@@ -112,9 +110,8 @@ mod tests {
         let mut b = conn(b_ep, a_ep, PcbExtract { sent: 100, recv: 4, acked: 100 });
         b.recv_stream = vec![0, 1, 2, 3];
 
-        let metas = vec![MetaData::new("a"), MetaData::new("b")];
         let mut records = vec![vec![a], vec![b]];
-        let moved = merge_send_queues(&metas, &mut records);
+        let moved = merge_send_queues(&mut records);
         assert_eq!(moved, 6, "bytes beyond the receiver's recv pointer");
         assert_eq!(records[1][0].recv_stream, (0u8..10).collect::<Vec<_>>());
         assert!(records[0][0].send_data.is_empty(), "nothing left to resend");
@@ -128,9 +125,8 @@ mod tests {
         a.send_data = vec![9, 9, 9];
         a.send_urgent_marks = vec![(0, 1)];
         let b = conn(b_ep, a_ep, PcbExtract { sent: 0, recv: 0, acked: 0 });
-        let metas = vec![MetaData::new("a"), MetaData::new("b")];
         let mut records = vec![vec![a], vec![b]];
-        assert_eq!(merge_send_queues(&metas, &mut records), 0);
+        assert_eq!(merge_send_queues(&mut records), 0);
         assert_eq!(records[0][0].send_data, vec![9, 9, 9]);
     }
 
@@ -138,9 +134,8 @@ mod tests {
     fn one_sided_connection_skipped() {
         // Peer record missing (external endpoint): nothing moves.
         let a = conn(ep(1, 1), ep(9, 9), PcbExtract { sent: 5, recv: 0, acked: 0 });
-        let metas = vec![MetaData::new("a")];
         let mut records = vec![vec![a]];
         records[0][0].send_data = vec![1, 2, 3];
-        assert_eq!(merge_send_queues(&metas, &mut records), 0);
+        assert_eq!(merge_send_queues(&mut records), 0);
     }
 }

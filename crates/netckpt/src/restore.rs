@@ -80,23 +80,15 @@ pub fn restore_network(
     // ---- Phase 1: listeners, datagram sockets, plain sockets ------------
     for (i, rec) in records.iter().enumerate() {
         match rec.transport {
-            Transport::Udp => {
-                let s = stack.socket(Transport::Udp, vip, 0);
+            Transport::Udp | Transport::RawIp => {
+                let s = stack.socket(rec.transport, vip, rec.ip_proto);
                 apply_opts(&s, rec);
                 if let Some(local) = rec.local {
                     s.bind(local)?;
                 }
+                // Only UDP saves a peer; a raw socket cannot connect.
                 if let Some(peer) = rec.peer {
                     s.connect(peer)?;
-                }
-                s.restore_datagrams(to_dgrams(&rec.dgrams), rec.recv_peeked);
-                out.lock()[i] = Some(s);
-            }
-            Transport::RawIp => {
-                let s = stack.socket(Transport::RawIp, vip, rec.ip_proto);
-                apply_opts(&s, rec);
-                if let Some(local) = rec.local {
-                    s.bind(local)?;
                 }
                 s.restore_datagrams(to_dgrams(&rec.dgrams), rec.recv_peeked);
                 out.lock()[i] = Some(s);
@@ -133,7 +125,10 @@ pub fn restore_network(
                     // works and the application sees the dead socket it
                     // already had.
                     if entries[i].state == ConnState::Closed
-                        && !peer_entry_exists(plan.all_meta, entries[i].src, rec.peer)
+                        && rec
+                            .peer
+                            .and_then(|dst| lookup_peer_recv(plan.all_meta, entries[i].src, dst))
+                            .is_none()
                     {
                         let s = stack.socket(Transport::Tcp, vip, 6);
                         apply_opts(&s, rec);
@@ -427,13 +422,7 @@ fn apply_opts(s: &Arc<Socket>, rec: &SockRecord) {
     }
 }
 
-fn peer_entry_exists(all: &[MetaData], src: Endpoint, dst: Option<Endpoint>) -> bool {
-    let Some(dst) = dst else { return false };
-    all.iter().flat_map(|m| m.entries.iter()).any(|e| {
-        e.transport == Transport::Tcp && !e.listening && e.src == dst && e.dst == Some(src)
-    })
-}
-
+/// `pcb_recv` of the peer half of TCP connection `src → dst`, if recorded.
 fn lookup_peer_recv(all: &[MetaData], src: Endpoint, dst: Endpoint) -> Option<u64> {
     all.iter().flat_map(|m| m.entries.iter()).find_map(|e| {
         (e.transport == Transport::Tcp && !e.listening && e.src == dst && e.dst == Some(src))

@@ -108,18 +108,11 @@ pub fn checkpoint_network_obs(
                         rec.cc = Some(tcb.cc_extract());
                     }
                 }
-                Transport::Udp => {
-                    if let Some(u) = &inner.udp {
-                        rec.peer = u.peer;
-                        let (dgrams, peeked) = u.queue.snapshot();
-                        rec.dgrams = dgrams.into_iter().map(|d| (d.src, d.data)).collect();
-                        rec.recv_peeked = peeked;
-                    }
-                }
-                Transport::RawIp => {
-                    if let Some(rr) = &inner.raw {
-                        rec.ip_proto = rr.ip_proto;
-                        let (dgrams, peeked) = rr.queue.snapshot();
+                Transport::Udp | Transport::RawIp => {
+                    if let Some(ds) = &inner.dgram {
+                        rec.peer = ds.peer;
+                        rec.ip_proto = ds.ip_proto;
+                        let (dgrams, peeked) = ds.queue.snapshot();
                         rec.dgrams = dgrams.into_iter().map(|d| (d.src, d.data)).collect();
                         rec.recv_peeked = peeked;
                     }

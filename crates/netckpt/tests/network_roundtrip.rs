@@ -571,38 +571,50 @@ fn pending_unaccepted_child_requeued() {
 }
 
 #[test]
-fn udp_queue_and_peek_flag_survive() {
-    let r = rig(4);
-    let a = make_pod(&r, "A", 13, 0);
-    let b = make_pod(&r, "B", 14, 1);
-    let rx = b.node().stack.socket(Transport::Udp, b.vip(), 0);
-    rx.bind(ep(14, 9000)).unwrap();
-    let tx = a.node().stack.socket(Transport::Udp, a.vip(), 0);
-    tx.bind(ep(13, 9001)).unwrap();
-    tx.sendto(ep(14, 9000), b"dgram-a").unwrap();
-    tx.sendto(ep(14, 9000), b"dgram-b").unwrap();
-    let dl = std::time::Instant::now() + TIMEOUT;
-    while rx.with_inner(|i| i.udp.as_ref().unwrap().queue.len()) < 2 {
-        assert!(std::time::Instant::now() < dl);
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    // Application peeked: queue must be preserved even for UDP (§5).
-    let _ = rx.recvfrom(64, RecvFlags { peek: true, oob: false }).unwrap();
+fn datagram_queue_and_peek_flag_survive() {
+    // UDP and raw IP are one case for the checkpoint; the raw socket
+    // captures protocol 89 and its bind keeps the address it was given.
+    for (transport, proto) in [(Transport::Udp, 0), (Transport::RawIp, 89)] {
+        let r = rig(4);
+        let a = make_pod(&r, "A", 13, 0);
+        let b = make_pod(&r, "B", 14, 1);
+        let rx = b.node().stack.socket(transport, b.vip(), proto);
+        rx.bind(ep(14, 9000)).unwrap();
+        let tx = a.node().stack.socket(transport, a.vip(), proto);
+        tx.bind(ep(13, 9001)).unwrap();
+        tx.sendto(ep(14, 9000), b"dgram-a").unwrap();
+        tx.sendto(ep(14, 9000), b"dgram-b").unwrap();
+        let dl = std::time::Instant::now() + TIMEOUT;
+        while rx.with_inner(|i| i.dgram.as_ref().unwrap().queue.len()) < 2 {
+            assert!(std::time::Instant::now() < dl, "{transport:?}");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        // Application peeked: queue must be preserved even for unreliable
+        // transports (§5).
+        let _ = rx.recvfrom(64, RecvFlags { peek: true, oob: false }).unwrap();
 
-    let (pods, socks) = migrate_network(&r, vec![a, b], vec![2, 3]);
-    let rx2 = socks[1][0].clone().unwrap();
-    let (d1, src1) = rx2.read_datagram_wait(TIMEOUT).unwrap();
-    assert_eq!(d1, b"dgram-a");
-    assert_eq!(src1, ep(13, 9001), "virtual source address preserved");
-    let (d2, _) = rx2.read_datagram_wait(TIMEOUT).unwrap();
-    assert_eq!(d2, b"dgram-b");
-    assert!(rx2.with_inner(|i| i.udp.as_ref().unwrap().queue.was_peeked()));
-    // The sender still reaches the receiver at its new home.
-    let tx2 = socks[0][0].clone().unwrap();
-    tx2.sendto(ep(14, 9000), b"fresh").unwrap();
-    assert_eq!(rx2.read_datagram_wait(TIMEOUT).unwrap().0, b"fresh");
-    for p in pods {
-        p.destroy();
+        let (pods, socks) = migrate_network(&r, vec![a, b], vec![2, 3]);
+        let rx2 = socks[1][0].clone().unwrap();
+        let (d1, src1) = rx2.read_datagram_wait(TIMEOUT).unwrap();
+        assert_eq!(d1, b"dgram-a", "{transport:?}");
+        assert_eq!(src1, ep(13, 9001), "{transport:?}: virtual source address preserved");
+        let (d2, _) = rx2.read_datagram_wait(TIMEOUT).unwrap();
+        assert_eq!(d2, b"dgram-b", "{transport:?}");
+        assert!(rx2.with_inner(|i| i.dgram.as_ref().unwrap().queue.was_peeked()));
+        // The sender still reaches the receiver at its new home.
+        let tx2 = socks[0][0].clone().unwrap();
+        tx2.sendto(ep(14, 9000), b"fresh").unwrap();
+        assert_eq!(rx2.read_datagram_wait(TIMEOUT).unwrap().0, b"fresh", "{transport:?}");
+        if transport == Transport::RawIp {
+            // The restored capture still takes only its own protocol.
+            let other = pods[0].node().stack.socket(Transport::RawIp, pods[0].vip(), 90);
+            other.sendto(ep(14, 9000), b"other-proto").unwrap();
+            std::thread::sleep(Duration::from_millis(5));
+            assert!(!rx2.poll().readable, "protocol 90 reached a protocol-89 capture");
+        }
+        for p in pods {
+            p.destroy();
+        }
     }
 }
 

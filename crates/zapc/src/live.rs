@@ -216,13 +216,6 @@ pub struct LiveMigrateReport {
     pub max_downtime_ms: f64,
 }
 
-impl LiveMigrateReport {
-    /// Largest per-pod downtime, recomputed from the pod reports.
-    pub fn worst_downtime_ms(&self) -> f64 {
-        self.pods.iter().map(|p| p.downtime_ms).fold(0.0, f64::max)
-    }
-}
-
 /// Live migration with default options.
 pub fn migrate_live(cluster: &Cluster, moves: &[(String, usize)]) -> ZapcResult<LiveMigrateReport> {
     migrate_live_with(cluster, moves, &MigrateOptions::default())

@@ -455,7 +455,7 @@ fn restart_from_parts(
                 .payload;
             all_records.push(zapc_netckpt::records::decode_records(payload)?);
         }
-        zapc_netckpt::merge_send_queues(&metas, &mut all_records);
+        zapc_netckpt::merge_send_queues(&mut all_records);
         merged_records = all_records.into_iter().map(Some).collect();
     }
     schedule_span.end();
