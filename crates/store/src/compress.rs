@@ -81,6 +81,15 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// produced so far, zero offset, or a final length other than `expect`.
 pub fn decompress(input: &[u8], expect: usize) -> Option<Vec<u8>> {
     let mut out = Vec::with_capacity(expect);
+    decompress_into(input, expect, &mut out).then_some(out)
+}
+
+/// [`decompress`] appending to `out`: offsets reach back only into the
+/// bytes this call produced, so a reassembled image decodes each chunk
+/// straight into place. Returns `false` on any malformation, leaving
+/// `out` holding a partial chunk the caller must discard.
+pub fn decompress_into(input: &[u8], expect: usize, out: &mut Vec<u8>) -> bool {
+    let base = out.len();
     let mut i = 0usize;
     while i < input.len() {
         let c = input[i];
@@ -88,35 +97,36 @@ pub fn decompress(input: &[u8], expect: usize) -> Option<Vec<u8>> {
         if c < 0x80 {
             let run = c as usize + 1;
             if i + run > input.len() {
-                return None;
+                return false;
             }
             out.extend_from_slice(&input[i..i + run]);
             i += run;
         } else {
             let len = (c & 0x7F) as usize + MIN_MATCH;
             if i + 2 > input.len() {
-                return None;
+                return false;
             }
             let offset = u16::from_le_bytes([input[i], input[i + 1]]) as usize;
             i += 2;
-            if offset == 0 || offset > out.len() {
-                return None;
+            if offset == 0 || offset > out.len() - base {
+                return false;
             }
-            // Byte-by-byte: matches may overlap the write head (RLE).
             let start = out.len() - offset;
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
+            if offset >= len {
+                out.extend_from_within(start..start + len);
+            } else {
+                // Byte-by-byte: the match overlaps the write head (RLE).
+                for k in 0..len {
+                    let b = out[start + k];
+                    out.push(b);
+                }
             }
         }
-        if out.len() > expect {
-            return None;
+        if out.len() - base > expect {
+            return false;
         }
     }
-    if out.len() != expect {
-        return None;
-    }
-    Some(out)
+    out.len() - base == expect
 }
 
 #[cfg(test)]
@@ -188,6 +198,20 @@ mod tests {
         let c = compress(&data);
         assert!(decompress(&c, 999).is_none());
         assert!(decompress(&c, 1001).is_none());
+    }
+
+    #[test]
+    fn decompress_into_appends_and_never_reaches_before_its_chunk() {
+        let data = vec![9u8; 500];
+        let c = compress(&data);
+        let mut out = b"prefix".to_vec();
+        assert!(decompress_into(&c, data.len(), &mut out));
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(&out[6..], &data[..]);
+        // A match into bytes the call did not produce is malformed, even
+        // though the output buffer holds them.
+        let mut out = b"prefix".to_vec();
+        assert!(!decompress_into(&[0x80, 1, 0], 4, &mut out));
     }
 
     #[test]

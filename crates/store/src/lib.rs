@@ -79,7 +79,9 @@ use std::sync::{Arc, Mutex};
 use zapc_faults::{FaultAction, FaultPlan};
 use zapc_obs::Observer;
 use zapc_proto::crc::fnv1a64;
-use zapc_proto::{is_chunk_index, ChunkIndex, ChunkRef, DecodeError, Manifest};
+use zapc_proto::{
+    is_chunk_index, ChunkIndex, ChunkRef, DecodeError, Manifest, ManifestEntry, CHUNK_INDEX_MAGIC,
+};
 use zapc_sim::{Errno, SimFs};
 
 pub use chunk::ChunkParams;
@@ -519,26 +521,24 @@ impl ImageStore {
         let rel = Self::chunk_ref(digest, len);
         let abs = self.abs(&rel);
         if let Ok(stored) = self.fs.read(&abs) {
-            match Self::decode_chunk_file(&stored, raw.len()) {
-                Some(existing) if existing == raw => {
-                    // Dedup hit. Re-fsync: if the original writer's fsync
-                    // was dropped, this hit must not launder the chunk
-                    // into a committed manifest while it is still volatile.
-                    self.fs.fsync(&abs)?;
-                    self.note_staged_chunk(ckpt, (digest, len));
-                    self.obs.counter("store", "store.chunks_hit", 1);
-                    self.obs.counter("store", "store.dedup_saved_bytes", len);
-                    return Ok(cref);
-                }
-                Some(existing) if digest_fn(&existing) == digest => {
-                    return Err(StoreError::DigestCollision { digest, len });
-                }
-                _ => {
-                    // Half-written or bit-rotted resident: evict and
-                    // re-stage rather than dedup against damage.
-                    let _ = self.fs.unlink(&abs);
-                }
+            let mut existing = Vec::with_capacity(raw.len());
+            let decoded = Self::decode_chunk_into(&stored, raw.len(), &mut existing);
+            if decoded && existing == raw {
+                // Dedup hit. Re-fsync: if the original writer's fsync
+                // was dropped, this hit must not launder the chunk
+                // into a committed manifest while it is still volatile.
+                self.fs.fsync(&abs)?;
+                self.note_staged_chunk(ckpt, (digest, len));
+                self.obs.counter("store", "store.chunks_hit", 1);
+                self.obs.counter("store", "store.dedup_saved_bytes", len);
+                return Ok(cref);
             }
+            if decoded && digest_fn(&existing) == digest {
+                return Err(StoreError::DigestCollision { digest, len });
+            }
+            // Half-written or bit-rotted resident: evict and re-stage
+            // rather than dedup against damage.
+            let _ = self.fs.unlink(&abs);
         }
         let mut file = Vec::with_capacity(raw.len() + 1);
         if compress {
@@ -562,38 +562,39 @@ impl ImageStore {
         Ok(cref)
     }
 
-    /// Decodes a stored chunk file (`[flag][payload]`) back to raw bytes.
-    /// Returns `None` on any malformation.
-    fn decode_chunk_file(stored: &[u8], raw_len: usize) -> Option<Vec<u8>> {
-        match stored.split_first()? {
-            (0, payload) if payload.len() == raw_len => Some(payload.to_vec()),
-            (1, payload) => compress::decompress(payload, raw_len),
-            _ => None,
+    /// Decodes a stored chunk file (`[flag][payload]`), appending its raw
+    /// bytes to `out`. Returns `false` on any malformation.
+    fn decode_chunk_into(stored: &[u8], raw_len: usize, out: &mut Vec<u8>) -> bool {
+        match stored.split_first() {
+            Some((0, payload)) if payload.len() == raw_len => {
+                out.extend_from_slice(payload);
+                true
+            }
+            Some((1, payload)) => compress::decompress_into(payload, raw_len, out),
+            _ => false,
         }
     }
 
-    /// Reads one chunk by key and verifies it: missing, undecodable, and
-    /// wrong-digest chunks are distinct typed errors. Every recipe open
-    /// goes through here — a chunk is *never* consumed unverified.
-    pub fn read_chunk(&self, cref: ChunkRef) -> StoreResult<Vec<u8>> {
-        let stored = match self.fs.read(&self.abs(&Self::chunk_ref(cref.digest, cref.len))) {
+    /// Reads one chunk by key, decodes it onto the end of `out` and
+    /// verifies it there: missing, undecodable, and wrong-digest chunks are
+    /// distinct typed errors. Every recipe open goes through here — a chunk
+    /// is *never* consumed unverified.
+    fn read_chunk_into(&self, cref: ChunkRef, out: &mut Vec<u8>) -> StoreResult<()> {
+        let (digest, len) = (cref.digest, cref.len);
+        let stored = match self.fs.read(&self.abs(&Self::chunk_ref(digest, len))) {
             Ok(b) => b,
-            Err(Errno::ENOENT) => {
-                return Err(StoreError::ChunkMissing { digest: cref.digest, len: cref.len })
-            }
+            Err(Errno::ENOENT) => return Err(StoreError::ChunkMissing { digest, len }),
             Err(e) => return Err(StoreError::Io(e)),
         };
-        let raw = Self::decode_chunk_file(&stored, cref.len as usize)
-            .ok_or(StoreError::ChunkCorrupt { digest: cref.digest, len: cref.len })?;
-        let got = fnv1a64(&raw);
-        if got != cref.digest {
-            return Err(StoreError::ChunkDigestMismatch {
-                digest: cref.digest,
-                len: cref.len,
-                got,
-            });
+        let start = out.len();
+        if !Self::decode_chunk_into(&stored, len as usize, out) {
+            return Err(StoreError::ChunkCorrupt { digest, len });
         }
-        Ok(raw)
+        let got = fnv1a64(&out[start..]);
+        if got != digest {
+            return Err(StoreError::ChunkDigestMismatch { digest, len, got });
+        }
+        Ok(())
     }
 
     /// Durably publishes a manifest. **The rename inside this call is the
@@ -637,12 +638,17 @@ impl ImageStore {
         if !is_chunk_index(&bytes) {
             return Ok(bytes);
         }
-        let ix = ChunkIndex::from_bytes(&bytes)?;
+        self.assemble(&ChunkIndex::from_bytes(&bytes)?)
+    }
+
+    /// Reassembles a recipe's logical image, each chunk decoded straight
+    /// into the output and verified against its own digest there.
+    fn assemble(&self, ix: &ChunkIndex) -> StoreResult<Vec<u8>> {
         let mut out = Vec::with_capacity(
             (ix.logical_len as usize).min(zapc_proto::MAX_PREALLOC_BYTES),
         );
         for c in &ix.chunks {
-            out.extend_from_slice(&self.read_chunk(*c)?);
+            self.read_chunk_into(*c, &mut out)?;
         }
         Ok(out)
     }
@@ -656,9 +662,23 @@ impl ImageStore {
     /// Reads image bytes and verifies them against the digest recorded in
     /// the committed manifest. Every restore path uses this: a partial or
     /// bit-rotted image is refused, never consumed.
+    ///
+    /// A plain image is hashed whole. A recipe pins its image instead: its
+    /// (CRC-framed) digest must be the one the manifest recorded, its
+    /// chunk lengths sum to its logical length, and every chunk is checked
+    /// against its own digest as it is reassembled — a second pass over
+    /// the whole image would find nothing those checks miss.
     pub fn fetch_verified(&self, image_ref: &str, want: u64) -> StoreResult<Vec<u8>> {
-        let bytes = self.fetch(image_ref)?;
-        let got = fnv1a64(&bytes);
+        let bytes = self.fs.read(&self.abs(image_ref))?;
+        let got = if is_chunk_index(&bytes) {
+            let ix = ChunkIndex::from_bytes(&bytes)?;
+            if ix.digest == want {
+                return self.assemble(&ix);
+            }
+            ix.digest
+        } else {
+            fnv1a64(&bytes)
+        };
         if got != want {
             return Err(StoreError::DigestMismatch {
                 image_ref: image_ref.to_string(),
@@ -667,6 +687,38 @@ impl ImageStore {
             });
         }
         Ok(bytes)
+    }
+
+    /// The recipe stored at `image_ref`, or `None` for a plain image — of
+    /// which only the magic is read.
+    fn recipe(&self, image_ref: &str) -> StoreResult<Option<ChunkIndex>> {
+        let path = self.abs(image_ref);
+        if !is_chunk_index(&self.fs.read_at(&path, 0, CHUNK_INDEX_MAGIC.len())?) {
+            return Ok(None);
+        }
+        Ok(Some(ChunkIndex::from_bytes(&self.fs.read(&path)?)?))
+    }
+
+    /// Whether a manifest entry's image is whole, answered from metadata
+    /// alone: a plain image exists at the recorded length; a recipe parses
+    /// (it is CRC-framed), pins the recorded length and digest, and names
+    /// only chunks that exist. No image byte is read. Under tmp → fsync →
+    /// rename a torn write is a missing or short file, which this sees;
+    /// bit rot inside a whole file is left to the read that consumes it
+    /// ([`ImageStore::fetch_verified`]).
+    pub fn entry_is_whole(&self, entry: &ManifestEntry) -> bool {
+        match self.recipe(&entry.image_ref) {
+            Ok(None) => self.fs.size(&self.abs(&entry.image_ref)) == Ok(entry.bytes),
+            Ok(Some(ix)) => {
+                ix.logical_len == entry.bytes
+                    && ix.digest == entry.digest
+                    && ix
+                        .chunks
+                        .iter()
+                        .all(|c| self.fs.exists(&self.abs(&Self::chunk_ref(c.digest, c.len))))
+            }
+            Err(_) => false,
+        }
     }
 
     /// Ids of every manifest present (committed checkpoints), ascending.
@@ -800,12 +852,9 @@ impl ImageStore {
                 orphans.push(self.abs(&r));
                 continue;
             }
-            match self.fs.read(&self.abs(&r)) {
-                Ok(bytes) if is_chunk_index(&bytes) => match ChunkIndex::from_bytes(&bytes) {
-                    Ok(ix) => mark.extend(ix.chunks.iter().map(|c| (c.digest, c.len))),
-                    Err(_) => sweep_ok = false,
-                },
-                Ok(_) => {}
+            match self.recipe(&r) {
+                Ok(Some(ix)) => mark.extend(ix.chunks.iter().map(|c| (c.digest, c.len))),
+                Ok(None) => {}
                 Err(_) => sweep_ok = false,
             }
         }
@@ -863,7 +912,6 @@ impl ImageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zapc_proto::ManifestEntry;
 
     fn store_with(faults: Arc<FaultPlan>) -> (Arc<SimFs>, ImageStore) {
         let fs = SimFs::new();
@@ -1268,6 +1316,34 @@ mod tests {
             bytes,
             "dedup hit must have made the shared chunks durable"
         );
+    }
+
+    #[test]
+    fn entry_is_whole_sees_tears_and_leaves_rot_to_the_consuming_read() {
+        for chunked in [false, true] {
+            let (fs, st) = if chunked { chunked_store(false) } else { store() };
+            let m = manifest_for(&st, 1, &[("w0", &payload(5000, 2))]);
+            let e = &m.entries[0];
+            assert!(st.entry_is_whole(e));
+            assert!(matches!(
+                st.fetch_verified(&e.image_ref, e.digest ^ 1),
+                Err(StoreError::DigestMismatch { .. })
+            ));
+
+            // Rot one byte (past a chunk's flag byte): still whole, but
+            // the read that consumes it refuses it.
+            let victim = if chunked { st.chunk_refs()[0].clone() } else { e.image_ref.clone() };
+            let path = st.abs(&victim);
+            let mut bytes = fs.read(&path).unwrap();
+            bytes[1] ^= 0x01;
+            fs.write(&path, &bytes);
+            assert!(st.entry_is_whole(e), "chunked={chunked}");
+            assert!(st.fetch_verified(&e.image_ref, e.digest).is_err(), "chunked={chunked}");
+
+            // Tear it away: no longer whole.
+            fs.unlink(&path).unwrap();
+            assert!(!st.entry_is_whole(e), "chunked={chunked}");
+        }
     }
 
     #[test]

@@ -16,12 +16,20 @@
 //!    [`recover`] rolls back; a crash anywhere after it leaves a fully
 //!    recoverable checkpoint.
 //!
-//! **Recovery** is pure scan-and-classify over durable state: every
-//! manifest that parses and whose images all verify against their
-//! recorded digests is a committed checkpoint; everything else — torn
-//! manifests, staged images with no manifest, tmp files — is rolled back
-//! and garbage-collected. Recovery is idempotent: it only removes things
-//! a second pass would also classify as garbage.
+//! **Recovery** is pure scan-and-classify over durable state, and reads
+//! no image bytes: every manifest that parses and whose images are all
+//! whole — a plain image present at its recorded length, a recipe that
+//! parses, pins the recorded length and digest and names only present
+//! chunks — is a committed checkpoint; everything else — torn manifests,
+//! manifests missing an image or a chunk, staged images with no manifest,
+//! tmp files — is rolled back and garbage-collected. Under tmp → fsync →
+//! rename that is every way a write can tear. Recovery is idempotent: it
+//! only removes things a second pass would also classify as garbage.
+//!
+//! **Bit rot** in a whole file is found by the read that consumes it:
+//! [`restart_from_manifest`] verifies every image against the digest its
+//! manifest pins, and when resuming from the newest checkpoint it rolls a
+//! damaged one back and falls back to the next-newest.
 //!
 //! **Node death** mid-protocol is covered by the cluster's lease table
 //! ([`crate::health`]): a checkpoint whose Agent's node dies aborts and
@@ -83,11 +91,15 @@ pub struct CommitReport {
 pub struct RecoveryReport {
     /// The Manager epoch after recovery (one bump per pass).
     pub epoch: u64,
-    /// Checkpoint ids whose manifests parsed and whose images all
-    /// verified, ascending — these survived the crash.
+    /// Checkpoint ids whose manifests parsed and whose images are all
+    /// whole (present, at their recorded length; recipes pinning the
+    /// recorded digest and naming only present chunks), ascending — these
+    /// survived the crash. Their bytes are verified when a restart reads
+    /// them.
     pub committed: Vec<u64>,
     /// Checkpoint ids rolled back: torn/corrupt manifests, manifests
-    /// referencing missing or digest-mismatched images, and in-flight
+    /// referencing a missing or short image, a recipe that fails to parse
+    /// or disagrees with its entry, or a missing chunk, and in-flight
     /// checkpoints that staged images but never committed.
     pub rolled_back: Vec<u64>,
     /// Files removed by the recovery garbage collection (abandoned tmp
@@ -167,7 +179,7 @@ pub fn checkpoint_commit(
             // rollback reaps via GC, and a still-graced stage would shield
             // its own litter.
             cluster.istore.end_stage(ckpt_id, epoch);
-            rollback_staged(&cluster.istore, ckpt_id, epoch);
+            rollback(&cluster.istore, ckpt_id, epoch);
             return Err(e);
         }
     };
@@ -178,7 +190,7 @@ pub fn checkpoint_commit(
     for pr in &report.pods {
         if pr.image_ref.is_empty() {
             cluster.istore.end_stage(ckpt_id, epoch);
-            rollback_staged(&cluster.istore, ckpt_id, epoch);
+            rollback(&cluster.istore, ckpt_id, epoch);
             return Err(ZapcError::Aborted(format!("pod {:?} staged no image", pr.pod)));
         }
         entries.push(ManifestEntry {
@@ -225,7 +237,7 @@ pub fn checkpoint_commit(
             // rolled this staging back (or will), and it may since have
             // reused this checkpoint id for its *own* committed images —
             // deleting `images/{ckpt_id}/` here would destroy the
-            // winner's checkpoint. `rollback_staged` re-checks the fence
+            // winner's checkpoint. `rollback` re-checks the fence
             // for exactly this reason; skip the call outright for
             // clarity.
             return Err(ZapcError::Fenced { have, fence });
@@ -258,11 +270,12 @@ pub fn checkpoint_commit(
     Ok(CommitReport { ckpt_id, manifest_ref, pruned, gc, report })
 }
 
-/// Scans the durable store after a Manager restart: validates every
-/// manifest and its images, rolls back everything that never committed
-/// (or committed torn), garbage-collects orphans, and bumps the Manager
-/// epoch. Idempotent: a second pass finds a clean store and removes
-/// nothing.
+/// Scans the durable store after a Manager restart: checks every manifest
+/// and the structure and presence of its images, rolls back everything
+/// that never committed (or committed torn), garbage-collects orphans, and
+/// bumps the Manager epoch. Reads no image bytes — bit rot inside a whole
+/// image is found by [`restart_from_manifest`], which falls back.
+/// Idempotent: a second pass finds a clean store and removes nothing.
 pub fn recover(cluster: &Cluster) -> RecoveryReport {
     let span = cluster.obs.span("manager", "mgr.recover");
     let epoch = cluster.bump_epoch();
@@ -273,16 +286,18 @@ pub fn recover(cluster: &Cluster) -> RecoveryReport {
     cluster.istore.set_fence(epoch);
 
     let store = &cluster.istore;
-    let mut committed: Vec<u64> = Vec::new();
+    let mut sound: Vec<Manifest> = Vec::new();
     let mut rolled_back: Vec<u64> = Vec::new();
     for id in store.manifest_ids() {
-        if manifest_is_sound(store, id) {
-            committed.push(id);
-        } else {
-            store.delete_manifest(id);
-            rolled_back.push(id);
+        match store.manifest(id) {
+            Ok(m) if m.entries.iter().all(|e| store.entry_is_whole(e)) => sound.push(m),
+            _ => {
+                store.delete_manifest(id);
+                rolled_back.push(id);
+            }
         }
     }
+    let committed: Vec<u64> = sound.iter().map(|m| m.ckpt_id).collect();
     // Staged image directories with no surviving manifest are checkpoints
     // that were in flight when the crash hit.
     for id in staged_ids(store) {
@@ -292,8 +307,7 @@ pub fn recover(cluster: &Cluster) -> RecoveryReport {
     }
     rolled_back.sort_unstable();
 
-    let live = live_refs(store, &committed);
-    let gc = store.gc(&live);
+    let gc = store.gc(&live_set(&sound));
     if cluster.obs.enabled() {
         cluster.obs.counter("manager", "mgr.recoveries", 1);
     }
@@ -314,21 +328,61 @@ pub fn recover(cluster: &Cluster) -> RecoveryReport {
 /// dead are rescheduled onto live nodes; if the first attempt fails, all
 /// pods are torn down and placement is recomputed for one retry — safe
 /// because committed images are immutable.
+///
+/// Every image is verified by the read that consumes it. With `None`, an
+/// integrity error — a digest mismatch, a missing, corrupt or mis-hashed
+/// chunk, an undecodable manifest, recipe or image, a missing file — rolls
+/// the failing checkpoint back (manifest deleted, store collected) and the
+/// restart falls back to the next-newest one; the first such error
+/// surfaces only when no checkpoint is left. A named `ckpt` surfaces it at
+/// once.
 pub fn restart_from_manifest(
     cluster: &Cluster,
     ckpt: Option<u64>,
     timeout: Duration,
 ) -> ZapcResult<RestartReport> {
+    if let Some(id) = ckpt {
+        return restart_checkpoint(cluster, id, timeout);
+    }
     let store = &cluster.istore;
-    let id = match ckpt {
-        Some(i) => i,
-        None => store
-            .manifest_ids()
-            .into_iter()
-            .max()
-            .ok_or_else(|| ZapcError::NotFound("a committed checkpoint".into()))?,
-    };
-    let m = store.manifest(id)?;
+    let epoch = cluster.epoch();
+    let mut first_err = None;
+    for id in store.manifest_ids().into_iter().rev() {
+        match restart_checkpoint(cluster, id, timeout) {
+            Err(e) if is_integrity_error(&e) => {
+                rollback(store, id, epoch);
+                if cluster.obs.enabled() {
+                    cluster.obs.counter("manager", "mgr.restart_fallbacks", 1);
+                }
+                first_err.get_or_insert(e);
+            }
+            done => return done,
+        }
+    }
+    Err(first_err.unwrap_or_else(|| ZapcError::NotFound("a committed checkpoint".into())))
+}
+
+/// Whether `e` says a checkpoint's stored bytes are damaged: what
+/// [`restart_from_manifest`] falls back on, and what no retry can cure.
+fn is_integrity_error(e: &ZapcError) -> bool {
+    use zapc_store::StoreError as S;
+    matches!(
+        e,
+        ZapcError::Decode(_)
+            | ZapcError::Store(
+                S::DigestMismatch { .. }
+                    | S::ChunkMissing { .. }
+                    | S::ChunkCorrupt { .. }
+                    | S::ChunkDigestMismatch { .. }
+                    | S::Decode(_)
+                    | S::Io(zapc_sim::Errno::ENOENT)
+            )
+    )
+}
+
+/// [`restart_from_manifest`] of one named checkpoint.
+fn restart_checkpoint(cluster: &Cluster, id: u64, timeout: Duration) -> ZapcResult<RestartReport> {
+    let m = cluster.istore.manifest(id)?;
     for e in &m.entries {
         cluster.destroy_pod(&e.pod);
     }
@@ -373,7 +427,8 @@ pub fn restart_from_manifest(
                 restart_with(cluster, &targets, timeout)
             },
             |e| {
-                if matches!(e, ZapcError::Aborted(why) if why == NO_NODES) {
+                if is_integrity_error(e) || matches!(e, ZapcError::Aborted(why) if why == NO_NODES)
+                {
                     return false;
                 }
                 for entry in &m.entries {
@@ -388,40 +443,35 @@ pub fn restart_from_manifest(
         })
 }
 
-/// Rolls back a stage phase that will never commit: deletes every image
-/// staged under checkpoint `ckpt`, abandoned tmp files, and — in
-/// content-addressed mode — every chunk no committed manifest's recipe
-/// references. The chunk half matters: the staged recipes are about to be
+/// Rolls back checkpoint `ckpt` — a stage phase that will never commit, or
+/// a committed checkpoint a restart found damaged: deletes its manifest
+/// (if any), every image under it, abandoned tmp files, and — in
+/// content-addressed mode — every chunk no remaining manifest's recipe
+/// references. The chunk half matters: the recipes are about to be
 /// deleted, and chunks they introduced would otherwise be permanent
 /// orphans (nothing reachable names them, but naive prefix deletion never
 /// visits `chunks/`). Running the store's mark-and-sweep GC against the
-/// committed live set handles both halves and keeps any *other* in-flight
+/// remaining live set handles both halves and keeps any *other* in-flight
 /// checkpoint's grace intact.
 ///
 /// Guarded by the fencing token: if the store's fence has moved past
-/// `epoch` (the epoch this Manager stamped the stage with), a recovery
-/// superseded us mid-flight. The new owner's recovery rolls our staging
-/// back, and it may legitimately *reuse* our checkpoint id — so a
-/// superseded Manager deleting by id here could destroy the winner's
-/// committed images. A fenced loser must not touch the store at all.
-fn rollback_staged(store: &ImageStore, ckpt: u64, epoch: u64) {
+/// `epoch` (the epoch this Manager worked under), a recovery superseded us
+/// mid-flight. The new owner's recovery rolls our staging back, and it may
+/// legitimately *reuse* our checkpoint id — so a superseded Manager
+/// deleting by id here could destroy the winner's committed images. A
+/// fenced loser must not touch the store at all.
+fn rollback(store: &ImageStore, ckpt: u64, epoch: u64) {
     if store.fence() > epoch {
         return;
     }
+    store.delete_manifest(ckpt);
     let prefix = format!("images/{ckpt}/");
     for r in store.image_refs() {
         if r.starts_with(&prefix) {
             store.delete_image(&r);
         }
     }
-    store.gc(&live_refs(store, &store.manifest_ids()));
-}
-
-/// Whether manifest `id` parses and every image it references is present
-/// and digest-clean.
-fn manifest_is_sound(store: &ImageStore, id: u64) -> bool {
-    let Ok(m) = store.manifest(id) else { return false };
-    m.entries.iter().all(|e| store.fetch_verified(&e.image_ref, e.digest).is_ok())
+    store.gc(&live_refs(store));
 }
 
 /// Checkpoint ids that have staged image directories.
@@ -436,12 +486,16 @@ fn staged_ids(store: &ImageStore) -> Vec<u64> {
     ids
 }
 
-/// The live set: every image referenced by a manifest in `ids`.
-fn live_refs(store: &ImageStore, ids: &[u64]) -> HashSet<String> {
-    ids.iter()
-        .filter_map(|&id| store.manifest(id).ok())
-        .flat_map(|m| m.entries.into_iter().map(|e| e.image_ref))
-        .collect()
+/// The live set: every image referenced by one of `manifests`.
+fn live_set(manifests: &[Manifest]) -> HashSet<String> {
+    manifests.iter().flat_map(|m| m.entries.iter().map(|e| e.image_ref.clone())).collect()
+}
+
+/// The live set of every manifest the store holds.
+fn live_refs(store: &ImageStore) -> HashSet<String> {
+    let held: Vec<Manifest> =
+        store.manifest_ids().into_iter().filter_map(|id| store.manifest(id).ok()).collect();
+    live_set(&held)
 }
 
 /// Prunes all but the newest `keep` manifests, then garbage-collects.
@@ -455,8 +509,6 @@ fn prune_and_gc(cluster: &Cluster, keep: usize) -> (Vec<u64>, GcReport) {
             pruned.push(id);
         }
     }
-    let retained = store.manifest_ids();
-    let live = live_refs(store, &retained);
-    let gc = store.gc(&live);
+    let gc = store.gc(&live_refs(store));
     (pruned, gc)
 }

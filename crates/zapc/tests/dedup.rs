@@ -7,9 +7,13 @@
 use std::collections::HashSet;
 use std::time::Duration;
 use zapc::commit::{checkpoint_commit, recover, restart_from_manifest, CommitOptions};
-use zapc::{ChunkParams, ChunkingConfig, Cluster, FaultAction, FaultPlan, StoreError, ZapcError};
+use zapc::{
+    ChunkParams, ChunkingConfig, Cluster, FaultAction, FaultPlan, ImageStore, StoreError,
+    ZapcError,
+};
 use zapc_apps::launch::{full_registry, launch_writers};
 use zapc_apps::writer::WriterConfig;
+use zapc_proto::{ChunkIndex, ChunkRef};
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -170,6 +174,63 @@ fn dropped_chunk_fsync_plus_power_loss_rolls_back_and_restages() {
     for p in &pods {
         assert_eq!(wait_code(&c, p), expected);
     }
+}
+
+/// Bit rot in a chunk only the newest checkpoint references: `recover`
+/// sees whole files and keeps both checkpoints, the restart that reads the
+/// chunk refuses it typed, and resuming from the newest checkpoint rolls
+/// it back and lands on the previous one.
+#[test]
+fn chunk_bit_rot_is_caught_at_restart_which_falls_back() {
+    let expected = control_code();
+    // Uncompressed, so the flipped byte is a payload byte: in a compressed
+    // chunk it may land in a match offset that decodes to the same bytes.
+    let c = chunked_cluster(2, false, FaultPlan::none());
+    let pods = launch_writers(&c, "dw", 2, &writer_cfg());
+    let names: Vec<&str> = pods.iter().map(String::as_str).collect();
+    std::thread::sleep(Duration::from_millis(20));
+    let r1 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
+    std::thread::sleep(Duration::from_millis(10));
+    let r2 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
+
+    // Flip one byte of a chunk checkpoint 2 introduced.
+    let recipe_chunks = |ckpt: u64| -> HashSet<ChunkRef> {
+        let m = c.istore.manifest(ckpt).unwrap();
+        m.entries
+            .iter()
+            .flat_map(|e| {
+                ChunkIndex::from_bytes(&c.istore.fetch_raw(&e.image_ref).unwrap()).unwrap().chunks
+            })
+            .collect()
+    };
+    let older = recipe_chunks(r1.ckpt_id);
+    let victim = *recipe_chunks(r2.ckpt_id)
+        .difference(&older)
+        .next()
+        .expect("checkpoint 2 introduced a chunk");
+    let path = format!("{}/{}", c.istore.root(), ImageStore::chunk_ref(victim.digest, victim.len));
+    let mut bytes = c.fs.read(&path).unwrap();
+    let at = bytes.len() / 2;
+    bytes[at] ^= 0x01;
+    c.fs.write(&path, &bytes);
+    c.fs.fsync(&path).unwrap();
+
+    c.istore.crash();
+    let rec = recover(&c);
+    assert_eq!(rec.committed, vec![r1.ckpt_id, r2.ckpt_id], "rot is not a torn write");
+
+    match restart_from_manifest(&c, Some(r2.ckpt_id), WAIT).unwrap_err() {
+        ZapcError::Store(StoreError::ChunkDigestMismatch { .. }) => {}
+        other => panic!("expected a typed chunk error, got {other}"),
+    }
+    restart_from_manifest(&c, None, WAIT).unwrap();
+    for p in &pods {
+        assert_eq!(wait_code(&c, p), expected, "{p} restarts from checkpoint 1");
+    }
+    assert_eq!(c.istore.manifest_ids(), vec![r1.ckpt_id], "checkpoint 2 rolled back");
+    let live: HashSet<String> =
+        c.istore.manifest(r1.ckpt_id).unwrap().entries.into_iter().map(|e| e.image_ref).collect();
+    assert_eq!(c.istore.audit(&live), Vec::<String>::new());
 }
 
 /// Restore must refuse a truncated chunk with a typed error — the chunk

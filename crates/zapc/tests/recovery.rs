@@ -8,10 +8,14 @@
 //! consumes a partial image — and recovery leaves zero orphaned store
 //! entries.
 
+use std::collections::HashSet;
 use std::time::Duration;
 use zapc::commit::{checkpoint_commit, recover, restart_from_manifest, CommitOptions};
-use zapc::{Cluster, FaultAction, FaultPlan, ZapcError};
-use zapc_proto::{RecordReader, RecordWriter};
+use zapc::{
+    ChunkParams, ChunkingConfig, Cluster, FaultAction, FaultPlan, ImageStore, StoreError,
+    ZapcError,
+};
+use zapc_proto::{ChunkIndex, ChunkRef, DecodeError, RecordReader, RecordWriter};
 use zapc_sim::{ProcessCtx, Program, ProgramRegistry, StepOutcome};
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -92,6 +96,20 @@ fn cluster_with(faults: FaultPlan) -> Cluster {
     Cluster::builder().nodes(2).registry(registry()).faults(faults).build()
 }
 
+/// A fault-free cluster on a plain or a content-addressed store. The
+/// chunks are small so the two pods' images split into many of them.
+fn store_cluster(chunked: bool) -> Cluster {
+    let b = Cluster::builder().nodes(2).registry(registry());
+    if !chunked {
+        return b.build();
+    }
+    b.store_chunking(ChunkingConfig {
+        compress: true,
+        params: ChunkParams { min: 64, mask_bits: 7, max: 1024 },
+    })
+    .build()
+}
+
 const LIMIT: u64 = 150_000;
 
 fn reference_code(salt: u64) -> i32 {
@@ -103,12 +121,16 @@ fn reference_code(salt: u64) -> i32 {
     code
 }
 
-fn launch(c: &Cluster) -> [i32; 2] {
+fn spawn_pods(c: &Cluster) {
     let p0 = c.create_pod("w0", 0);
     p0.spawn("w", Box::new(Acc::fresh(LIMIT, 7)));
     let p1 = c.create_pod("w1", 1);
     p1.spawn("w", Box::new(Acc::fresh(LIMIT, 11)));
     std::thread::sleep(Duration::from_millis(20));
+}
+
+fn launch(c: &Cluster) -> [i32; 2] {
+    spawn_pods(c);
     [reference_code(7), reference_code(11)]
 }
 
@@ -364,4 +386,134 @@ fn double_recovery_is_idempotent() {
     assert_eq!(second.latest, first.latest);
     assert!(second.rolled_back.is_empty(), "a second pass finds nothing to undo");
     assert_eq!(second.orphans_removed, 0);
+}
+
+// ---- damage behind the store's back ------------------------------------
+
+fn abs(c: &Cluster, rel: &str) -> String {
+    format!("{}/{}", c.istore.root(), rel)
+}
+
+/// Durably replaces a store file's bytes.
+fn overwrite(c: &Cluster, rel: &str, bytes: &[u8]) {
+    let path = abs(c, rel);
+    c.fs.write(&path, bytes);
+    c.fs.fsync(&path).unwrap();
+}
+
+fn recipe(c: &Cluster, ckpt: u64, pod: &str) -> ChunkIndex {
+    ChunkIndex::from_bytes(&c.istore.fetch_raw(&ImageStore::image_ref(ckpt, pod)).unwrap())
+        .unwrap()
+}
+
+/// A chunk that checkpoint 2 references and checkpoint 1 does not.
+fn chunk_only_in_2(c: &Cluster) -> ChunkRef {
+    let older: HashSet<ChunkRef> =
+        ["w0", "w1"].iter().flat_map(|p| recipe(c, 1, p).chunks).collect();
+    ["w0", "w1"]
+        .iter()
+        .flat_map(|p| recipe(c, 2, p).chunks)
+        .find(|k| !older.contains(k))
+        .expect("checkpoint 2 introduced a chunk")
+}
+
+/// Commits checkpoints 1 and 2 of the running two-pod application.
+fn commit_twice(c: &Cluster) {
+    for want in 1..=2 {
+        let r = checkpoint_commit(c, &["w0", "w1"], &CommitOptions::default()).unwrap();
+        assert_eq!(r.ckpt_id, want);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The live set of every manifest the store holds.
+fn live(c: &Cluster) -> HashSet<String> {
+    c.istore
+        .manifest_ids()
+        .into_iter()
+        .flat_map(|id| c.istore.manifest(id).unwrap().entries)
+        .map(|e| e.image_ref)
+        .collect()
+}
+
+/// Every torn shape a write can leave is rolled back by `recover` from
+/// metadata alone: a missing or short plain image, a missing recipe or
+/// chunk, a recipe that disagrees with its manifest entry, a manifest that
+/// fails its CRC.
+#[test]
+fn torn_shapes_are_rolled_back_from_metadata_alone() {
+    type Tear = fn(&Cluster);
+    let cases: [(&str, bool, Tear); 6] = [
+        ("missing plain image", false, |c| c.fs.unlink(&abs(c, "images/2/w0")).unwrap()),
+        ("plain image one byte short", false, |c| {
+            let bytes = c.fs.read(&abs(c, "images/2/w1")).unwrap();
+            overwrite(c, "images/2/w1", &bytes[..bytes.len() - 1]);
+        }),
+        ("missing recipe", true, |c| c.fs.unlink(&abs(c, "images/2/w1")).unwrap()),
+        ("missing chunk", true, |c| {
+            let k = chunk_only_in_2(c);
+            c.fs.unlink(&abs(c, &ImageStore::chunk_ref(k.digest, k.len))).unwrap();
+        }),
+        ("recipe digest differs from its entry", true, |c| {
+            let mut ix = recipe(c, 2, "w0");
+            ix.digest ^= 1;
+            overwrite(c, "images/2/w0", &ix.to_bytes());
+        }),
+        ("manifest fails its CRC", false, |c| {
+            let rel = ImageStore::manifest_ref(2);
+            let mut bytes = c.fs.read(&abs(c, &rel)).unwrap();
+            // The last payload byte: just before the record's CRC.
+            let at = bytes.len() - 5;
+            bytes[at] ^= 0xFF;
+            overwrite(c, &rel, &bytes);
+            assert!(matches!(
+                c.istore.manifest(2),
+                Err(StoreError::Decode(DecodeError::CrcMismatch { .. }))
+            ));
+        }),
+    ];
+    for (name, chunked, tear) in cases {
+        let c = store_cluster(chunked);
+        spawn_pods(&c);
+        commit_twice(&c);
+        tear(&c);
+
+        let rec = recover(&c);
+        assert_eq!(rec.rolled_back, vec![2], "{name}");
+        assert_eq!(rec.latest, Some(1), "{name}");
+        assert_eq!(c.istore.audit(&live(&c)), Vec::<String>::new(), "{name}: litter left");
+        for p in ["w0", "w1"] {
+            c.destroy_pod(p);
+        }
+    }
+}
+
+/// Bit rot inside a whole image is invisible to `recover` (the files are
+/// all there, at their lengths) and caught by the restart that reads it: a
+/// named restart refuses it typed, a restart from the newest checkpoint
+/// rolls it back and lands on the previous one.
+#[test]
+fn bit_rot_is_caught_at_restart_which_falls_back() {
+    let c = store_cluster(false);
+    let expected = launch(&c);
+    commit_twice(&c);
+    let rel = ImageStore::image_ref(2, "w0");
+    let mut bytes = c.fs.read(&abs(&c, &rel)).unwrap();
+    let at = bytes.len() / 2;
+    bytes[at] ^= 0x01;
+    overwrite(&c, &rel, &bytes);
+
+    c.istore.crash();
+    let rec = recover(&c);
+    assert_eq!(rec.committed, vec![1, 2], "rot is not a torn write");
+
+    let err = restart_from_manifest(&c, Some(2), WAIT).unwrap_err();
+    assert!(
+        matches!(err, ZapcError::Store(StoreError::DigestMismatch { .. })),
+        "named restart refuses the rotted image typed: {err:?}"
+    );
+    restart_from_manifest(&c, None, WAIT).unwrap();
+    assert_eq!(wait_codes(&c), expected, "restart lands on checkpoint 1");
+    assert_eq!(c.istore.manifest_ids(), vec![1], "checkpoint 2 rolled back");
+    assert_eq!(c.istore.audit(&live(&c)), Vec::<String>::new());
 }
