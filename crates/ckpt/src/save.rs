@@ -123,7 +123,7 @@ pub struct RoundPayload {
 impl RoundPayload {
     /// Does nothing but consume the payload. It used to return the
     /// buffer to a pool; it stays because `benchmark/src/ops.rs` calls it
-    /// (ROADMAP item 7(a) drops those calls).
+    /// (ROADMAP item 9(a) drops those calls).
     pub fn recycle(self) {}
 }
 

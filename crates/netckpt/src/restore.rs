@@ -177,9 +177,7 @@ pub fn restore_network(
         // Connector thread.
         let connector = scope.spawn(|| {
             for &i in &connects {
-                let rec = &records[i];
-                let entry = &entries[i];
-                match establish_outgoing(&stack, vip, rec, entry, deadline) {
+                match establish_outgoing(&stack, vip, &records[i], deadline) {
                     Ok(s) => out.lock()[i] = Some(s),
                     Err(e) => {
                         *conn_err.lock() = Some(e);
@@ -445,7 +443,6 @@ fn establish_outgoing(
     stack: &Arc<zapc_net::NetStack>,
     vip: u32,
     rec: &SockRecord,
-    entry: &zapc_proto::ConnEntry,
     deadline: Instant,
 ) -> NetCkptResult<Arc<Socket>> {
     let dst = rec.peer.ok_or(NetCkptError::Inconsistent("connect entry without peer"))?;
@@ -460,7 +457,6 @@ fn establish_outgoing(
         // waiting for establishment here is indistinguishable to the
         // application from a fast network completing the original
         // handshake.
-        let _ = entry;
         let waited = loop {
             match s.connect_wait(SYN_RESEND) {
                 // Still dialing: keep *this* socket and re-send its SYN

@@ -1,16 +1,19 @@
-//! Chunk-index recipes: how a content-addressed store describes an image.
+//! Chunk-index recipes: the one form in which the durable store keeps an
+//! image.
 //!
-//! When the durable store runs in content-addressed mode it no longer
-//! writes a pod's image bytes at `images/<ckpt>/<pod>`; it writes a small
-//! *recipe* there instead — a [`ChunkIndex`] listing the content-defined
-//! chunks (by digest and raw length) whose concatenation reproduces the
-//! logical image byte-for-byte. The chunks themselves live once each under
-//! `chunks/`, shared by every image that references them, which is where
-//! cross-checkpoint and cross-rank deduplication comes from.
+//! The store never writes a pod's image bytes at `images/<ckpt>/<pod>`; it
+//! writes a small *recipe* there — a [`ChunkIndex`] listing the chunks (by
+//! digest and raw length) whose concatenation reproduces the logical image
+//! byte-for-byte. The chunks themselves live once each under `chunks/`,
+//! shared by every image that references them. An unchunked image is a
+//! recipe with one chunk (none when the image is empty); a content-defined
+//! split yields many, which is where cross-checkpoint and cross-rank
+//! deduplication comes from.
 //!
-//! The recipe carries the whole-image FNV-1a 64 digest so restore can
-//! verify the *reassembled* bytes against the manifest exactly as it
-//! verifies a whole image — chunking is invisible above the store.
+//! The recipe carries the whole-image FNV-1a 64 digest, the one the
+//! manifest records, so restore checks the recipe against the manifest and
+//! each chunk against its own digest — chunking is invisible above the
+//! store.
 //!
 //! The wire form mirrors [`crate::manifest`]: its own magic + version
 //! preamble followed by one CRC-framed record, version-gated so an older
@@ -121,13 +124,6 @@ impl ChunkIndex {
     }
 }
 
-/// Returns true when `bytes` begin with the chunk-index magic — a cheap
-/// probe the store uses to tell a recipe from a whole image at the same
-/// path (the image magic differs, so the formats are disjoint).
-pub fn is_chunk_index(bytes: &[u8]) -> bool {
-    bytes.len() >= CHUNK_INDEX_MAGIC.len() && &bytes[..CHUNK_INDEX_MAGIC.len()] == CHUNK_INDEX_MAGIC
-}
-
 impl Encode for ChunkIndex {
     fn encode(&self, w: &mut RecordWriter) {
         w.put_u64(self.logical_len);
@@ -164,9 +160,7 @@ mod tests {
     #[test]
     fn chunk_index_round_trip() {
         let ix = sample();
-        let bytes = ix.to_bytes();
-        assert!(is_chunk_index(&bytes));
-        assert_eq!(ChunkIndex::from_bytes(&bytes).unwrap(), ix);
+        assert_eq!(ChunkIndex::from_bytes(&ix.to_bytes()).unwrap(), ix);
     }
 
     #[test]
@@ -179,7 +173,7 @@ mod tests {
     fn bad_magic_rejected() {
         assert_eq!(ChunkIndex::from_bytes(b"NOTACHX_____"), Err(DecodeError::BadMagic));
         assert_eq!(ChunkIndex::from_bytes(b"tiny"), Err(DecodeError::BadMagic));
-        assert!(!is_chunk_index(b"ZAPCMAN\0"));
+        assert_eq!(ChunkIndex::from_bytes(b"ZAPCMAN\0\x01\0\0\0"), Err(DecodeError::BadMagic));
     }
 
     #[test]

@@ -31,9 +31,7 @@ pub mod manifest;
 pub mod meta;
 pub mod rw;
 
-pub use chunkindex::{
-    is_chunk_index, ChunkIndex, ChunkRef, CHUNK_INDEX_MAGIC, CHUNK_INDEX_TAG, CHUNK_INDEX_VERSION,
-};
+pub use chunkindex::{ChunkIndex, ChunkRef, CHUNK_INDEX_MAGIC, CHUNK_INDEX_TAG, CHUNK_INDEX_VERSION};
 pub use error::{DecodeError, DecodeResult};
 pub use image::{ImageReader, ImageWriter, SectionTag, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION};
 pub use manifest::{Manifest, ManifestEntry, MANIFEST_MAGIC, MANIFEST_TAG, MANIFEST_VERSION};

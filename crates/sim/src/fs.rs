@@ -92,11 +92,14 @@ impl SimFs {
 
     /// Reads a whole file.
     pub fn read(&self, path: &str) -> Result<Vec<u8>, Errno> {
-        self.files
-            .read()
-            .get(&Self::norm(path))
-            .map(|f| f.data.clone())
-            .ok_or(Errno::ENOENT)
+        self.read_with(path, <[u8]>::to_vec)
+    }
+
+    /// Runs `f` over a whole file's bytes in place — a reader that decodes
+    /// them elsewhere copies them once, not twice. Writers wait until `f`
+    /// returns.
+    pub fn read_with<R>(&self, path: &str, f: impl FnOnce(&[u8]) -> R) -> Result<R, Errno> {
+        self.files.read().get(&Self::norm(path)).map(|e| f(&e.data)).ok_or(Errno::ENOENT)
     }
 
     /// Reads `len` bytes at `offset`; short reads at EOF.

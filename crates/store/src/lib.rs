@@ -22,29 +22,33 @@
 //!
 //! ```text
 //! <root>/tmp/<seq>-<name>         in-flight writes (crash orphans; GC fodder)
-//! <root>/images/<ckpt>/<pod>      staged/committed per-pod images (or recipes)
+//! <root>/images/<ckpt>/<pod>      staged/committed per-pod recipes
 //! <root>/manifests/<ckpt>         commit records (one per checkpoint)
-//! <root>/chunks/<digest>-<len>    content-addressed chunks (dedup mode)
+//! <root>/chunks/<digest>-<len>    content-addressed chunks
 //! ```
 //!
 //! References handed out by the store (`images/7/w0`) are *store-relative*
 //! so manifests stay valid if the store root moves.
 //!
-//! ## Content-addressed mode
+//! ## One format: a recipe over chunks
 //!
-//! With [`ImageStore::set_chunking`] the store becomes content-addressed:
-//! `put_image` splits the payload into content-defined chunks ([`chunk`]),
-//! stores each chunk once under `chunks/<digest>-<len>` (optionally
-//! [`compress`]ed), and writes a small [`zapc_proto::ChunkIndex`] *recipe*
-//! at the image path. `fetch` reassembles recipes transparently, verifying
-//! every chunk's digest on open, so everything above the store — manifests,
-//! recovery, restart — is oblivious to chunking. Chunks are keyed by the
-//! *(digest, length)* pair and byte-compared on a dedup hit, so a digest
-//! collision is a typed [`StoreError::DigestCollision`], never silent
-//! aliasing. Liveness is mark-and-sweep: [`ImageStore::gc`] marks every
-//! chunk referenced by a retained recipe (plus anything a registered
-//! in-flight checkpoint staged — see [`ImageStore::begin_stage`]) and
-//! sweeps the rest.
+//! An image path holds a [`zapc_proto::ChunkIndex`] *recipe*: the image's
+//! length, its FNV-1a 64 digest, and the chunks whose raw bytes concatenate
+//! to it, each stored once under `chunks/<digest>-<len>`. By default the
+//! whole image is one uncompressed chunk, keyed by the image digest itself.
+//! With [`ImageStore::set_chunking`] `put_image` splits it into
+//! content-defined chunks ([`chunk`]), optionally [`compress`]ed, and
+//! identical chunks across pods and checkpoints are stored once.
+//!
+//! Every reader has one path. [`ImageStore::fetch_verified`] reassembles a
+//! recipe, verifying every chunk's digest as it decodes it, so everything
+//! above the store — manifests, recovery, restart — is oblivious to
+//! chunking. Chunks are keyed by the *(digest, length)* pair and
+//! byte-compared on a dedup hit, so a digest collision is a typed
+//! [`StoreError::DigestCollision`], never silent aliasing. Liveness is
+//! mark-and-sweep: [`ImageStore::gc`] marks every chunk referenced by a
+//! retained recipe (plus anything a registered in-flight checkpoint staged
+//! — see [`ImageStore::begin_stage`]) and sweeps the rest.
 //!
 //! ## Reachability is the commit discipline
 //!
@@ -56,7 +60,7 @@
 //!
 //! ## Fault sites
 //!
-//! The store consults the cluster [`FaultPlan`] at four sites:
+//! The store consults the cluster [`FaultPlan`] at three sites:
 //! `store.fsync` (the fsync is silently lost — a later crash tears the
 //! file), `store.manifest` (manifest bytes are corrupted/truncated on
 //! write — a *torn manifest*), and `store.pre_rename` (the writer dies
@@ -79,9 +83,7 @@ use std::sync::{Arc, Mutex};
 use zapc_faults::{FaultAction, FaultPlan};
 use zapc_obs::Observer;
 use zapc_proto::crc::fnv1a64;
-use zapc_proto::{
-    is_chunk_index, ChunkIndex, ChunkRef, DecodeError, Manifest, ManifestEntry, CHUNK_INDEX_MAGIC,
-};
+use zapc_proto::{ChunkIndex, ChunkRef, DecodeError, Manifest, ManifestEntry};
 use zapc_sim::{Errno, SimFs};
 
 pub use chunk::ChunkParams;
@@ -232,7 +234,8 @@ impl GcReport {
     }
 }
 
-/// Configuration of the store's content-addressed mode.
+/// How `put_image` splits an image into chunks when it is not one chunk
+/// (see [`ImageStore::set_chunking`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkingConfig {
     /// Compress chunks on the staging path (transparently decompressed on
@@ -272,7 +275,8 @@ pub struct ImageStore {
     /// deterministically loses the commit race (the shared-storage fencing
     /// idiom — the token lives with the data the race is over).
     fence: AtomicU64,
-    /// Content-addressed mode; `None` stores whole images (the default).
+    /// How `put_image` chunks; `None` stores each image as one chunk (the
+    /// default).
     chunking: Mutex<Option<ChunkingConfig>>,
     /// In-flight checkpoint registry: staged-but-uncommitted work that GC
     /// must grace-list (keyed by checkpoint id).
@@ -294,17 +298,13 @@ impl ImageStore {
         }
     }
 
-    /// Switches the store into (or out of) content-addressed mode. Takes
-    /// effect for subsequent `put_image` calls; previously stored whole
-    /// images and recipes both stay readable — `fetch` dispatches on the
-    /// file's own magic, not on this setting.
+    /// Chooses how subsequent `put_image` calls chunk an image: `None`
+    /// (the default) stores it as one uncompressed chunk; a
+    /// [`ChunkingConfig`] splits it into content-defined, optionally
+    /// compressed chunks. Either way the image path holds a recipe, so
+    /// images stored under any setting stay readable.
     pub fn set_chunking(&self, cfg: Option<ChunkingConfig>) {
         *self.chunking.lock().expect("chunking lock") = cfg;
-    }
-
-    /// The current content-addressed-mode configuration.
-    pub fn chunking(&self) -> Option<ChunkingConfig> {
-        *self.chunking.lock().expect("chunking lock")
     }
 
     /// Raises the fencing token to `epoch` (monotonic; a lower value is
@@ -395,7 +395,8 @@ impl ImageStore {
         Some((u64::from_str_radix(d, 16).ok()?, l.parse().ok()?))
     }
 
-    /// Durably writes `bytes` to `final_rel` via tmp + fsync + rename.
+    /// Durably writes the concatenation of `parts` to `final_rel` via tmp +
+    /// fsync + rename; the parts are copied once, straight into the file.
     /// `site_key` scopes the fault sites consulted along the way. When
     /// `fence_epoch` is given, the fencing token is re-checked right
     /// before the rename: a recovery that raced past the writer's entry
@@ -403,7 +404,7 @@ impl ImageStore {
     fn put_durable(
         &self,
         final_rel: &str,
-        bytes: &[u8],
+        parts: &[&[u8]],
         site_key: &str,
         fence_epoch: Option<u64>,
     ) -> StoreResult<()> {
@@ -416,11 +417,16 @@ impl ImageStore {
         // so only a manifest is ever copied here.
         match self.faults.hit_and_sleep("store.manifest", site_key) {
             Some(a) if final_rel.starts_with("manifests/") => {
-                let mut torn = bytes.to_vec();
+                let mut torn = parts.concat();
                 FaultPlan::mangle(a, &mut torn);
                 self.fs.write(&tmp, &torn);
             }
-            _ => self.fs.write(&tmp, bytes),
+            _ => {
+                self.fs.write(&tmp, &[]);
+                for part in parts {
+                    self.fs.append(&tmp, part);
+                }
+            }
         }
         match self.faults.hit_and_sleep("store.fsync", site_key) {
             Some(FaultAction::Drop) => {
@@ -450,42 +456,28 @@ impl ImageStore {
     /// manifest. The image is durable but *unreachable* until a manifest
     /// naming it commits.
     ///
-    /// In content-addressed mode the payload is split into content-defined
-    /// chunks stored under `chunks/` and the image path receives a
-    /// [`ChunkIndex`] recipe instead; the returned digest is still the
-    /// digest of the *logical* image bytes, so manifests and restore
-    /// verification are identical in both modes.
+    /// The chunks are staged first, then the [`ChunkIndex`] recipe at the
+    /// image path. Without chunking the image is one uncompressed chunk
+    /// keyed by the digest returned here, so it is hashed once; an empty
+    /// image gets a recipe with no chunks.
     pub fn put_image(&self, ckpt: u64, pod: &str, bytes: &[u8]) -> StoreResult<(String, u64)> {
         let span = self.obs.span("store", "store.put");
         let digest = fnv1a64(bytes);
         let rel = Self::image_ref(ckpt, pod);
-        match self.chunking() {
-            None => self.put_durable(&rel, bytes, pod, None)?,
-            Some(cfg) => {
-                let mut refs = Vec::new();
-                for r in chunk::split(bytes, &cfg.params) {
-                    refs.push(self.put_chunk(ckpt, &bytes[r], cfg.compress, pod)?);
-                }
-                let ix =
-                    ChunkIndex { logical_len: bytes.len() as u64, digest, chunks: refs };
-                self.put_durable(&rel, &ix.to_bytes(), pod, None)?;
-            }
-        }
+        let chunking = *self.chunking.lock().expect("chunking lock");
+        let chunks = match chunking {
+            None if bytes.is_empty() => Vec::new(),
+            None => vec![self.put_chunk(ckpt, bytes, digest, false, pod, fnv1a64)?],
+            Some(cfg) => chunk::split(bytes, &cfg.params)
+                .into_iter()
+                .map(|r| self.put_chunk_digested(ckpt, &bytes[r], cfg.compress, pod, fnv1a64))
+                .collect::<StoreResult<_>>()?,
+        };
+        let ix = ChunkIndex { logical_len: bytes.len() as u64, digest, chunks };
+        self.put_durable(&rel, &[&ix.to_bytes()], pod, None)?;
         self.obs.counter("store", "store.put_bytes", bytes.len() as u64);
         span.end();
         Ok((rel, digest))
-    }
-
-    /// Stages one chunk keyed by the FNV-1a 64 digest of its raw bytes.
-    /// See [`ImageStore::put_chunk_digested`].
-    pub fn put_chunk(
-        &self,
-        ckpt: u64,
-        raw: &[u8],
-        compress: bool,
-        site_key: &str,
-    ) -> StoreResult<ChunkRef> {
-        self.put_chunk_digested(ckpt, raw, compress, site_key, fnv1a64)
     }
 
     /// Stages one chunk, keyed by `(digest_fn(raw), raw.len())`, with the
@@ -503,10 +495,9 @@ impl ImageStore {
     ///   it is unlinked and the chunk is staged fresh, so damage is never
     ///   counted as a dedup hit.
     ///
-    /// `digest_fn` is a seam for the collision path: production code uses
-    /// [`ImageStore::put_chunk`] (FNV-1a 64); tests inject a colliding
-    /// function because crafting real equal-length FNV collisions is
-    /// infeasible.
+    /// `digest_fn` is a seam for the collision path: `put_image` passes
+    /// FNV-1a 64; tests inject a colliding function because crafting real
+    /// equal-length FNV collisions is infeasible.
     pub fn put_chunk_digested(
         &self,
         ckpt: u64,
@@ -515,7 +506,21 @@ impl ImageStore {
         site_key: &str,
         digest_fn: fn(&[u8]) -> u64,
     ) -> StoreResult<ChunkRef> {
-        let digest = digest_fn(raw);
+        self.put_chunk(ckpt, raw, digest_fn(raw), compress, site_key, digest_fn)
+    }
+
+    /// [`ImageStore::put_chunk_digested`] for a caller that already holds
+    /// `digest == digest_fn(raw)`: a whole image is keyed by the digest
+    /// `put_image` computed for the manifest, not hashed a second time.
+    fn put_chunk(
+        &self,
+        ckpt: u64,
+        raw: &[u8],
+        digest: u64,
+        compress: bool,
+        site_key: &str,
+        digest_fn: fn(&[u8]) -> u64,
+    ) -> StoreResult<ChunkRef> {
         let len = raw.len() as u64;
         let cref = ChunkRef { digest, len };
         let rel = Self::chunk_ref(digest, len);
@@ -540,22 +545,13 @@ impl ImageStore {
             // rather than dedup against damage.
             let _ = self.fs.unlink(&abs);
         }
-        let mut file = Vec::with_capacity(raw.len() + 1);
-        if compress {
-            let packed = compress::compress(raw);
-            if packed.len() < raw.len() {
-                file.push(1);
-                file.extend_from_slice(&packed);
-            } else {
-                file.push(0);
-                file.extend_from_slice(raw);
-            }
-        } else {
-            file.push(0);
-            file.extend_from_slice(raw);
-        }
-        let stored_len = file.len() as u64;
-        self.put_durable(&rel, &file, site_key, None)?;
+        let packed = compress.then(|| compress::compress(raw)).filter(|p| p.len() < raw.len());
+        let (flag, payload): (u8, &[u8]) = match &packed {
+            Some(p) => (1, p),
+            None => (0, raw),
+        };
+        let stored_len = payload.len() as u64 + 1;
+        self.put_durable(&rel, &[&[flag], payload], site_key, None)?;
         self.note_staged_chunk(ckpt, (digest, len));
         self.obs.counter("store", "store.chunks_new", 1);
         self.obs.counter("store", "store.chunk_stored_bytes", stored_len);
@@ -577,18 +573,17 @@ impl ImageStore {
 
     /// Reads one chunk by key, decodes it onto the end of `out` and
     /// verifies it there: missing, undecodable, and wrong-digest chunks are
-    /// distinct typed errors. Every recipe open goes through here — a chunk
+    /// distinct typed errors. Every image read goes through here — a chunk
     /// is *never* consumed unverified.
     fn read_chunk_into(&self, cref: ChunkRef, out: &mut Vec<u8>) -> StoreResult<()> {
         let (digest, len) = (cref.digest, cref.len);
-        let stored = match self.fs.read(&self.abs(&Self::chunk_ref(digest, len))) {
-            Ok(b) => b,
+        let start = out.len();
+        let path = self.abs(&Self::chunk_ref(digest, len));
+        match self.fs.read_with(&path, |file| Self::decode_chunk_into(file, len as usize, out)) {
+            Ok(true) => {}
+            Ok(false) => return Err(StoreError::ChunkCorrupt { digest, len }),
             Err(Errno::ENOENT) => return Err(StoreError::ChunkMissing { digest, len }),
             Err(e) => return Err(StoreError::Io(e)),
-        };
-        let start = out.len();
-        if !Self::decode_chunk_into(&stored, len as usize, out) {
-            return Err(StoreError::ChunkCorrupt { digest, len });
         }
         let got = fnv1a64(&out[start..]);
         if got != digest {
@@ -611,7 +606,7 @@ impl ImageStore {
         }
         let span = self.obs.span("store", "store.commit");
         let rel = Self::manifest_ref(m.ckpt_id);
-        self.put_durable(&rel, &m.to_bytes(), &m.ckpt_id.to_string(), Some(m.epoch))?;
+        self.put_durable(&rel, &[&m.to_bytes()], &m.ckpt_id.to_string(), Some(m.epoch))?;
         self.obs.counter("store", "store.commits", 1);
         span.end();
         Ok(rel)
@@ -629,96 +624,55 @@ impl ImageStore {
         Ok(m)
     }
 
-    /// Reads logical image bytes by store-relative reference. When the
-    /// file is a [`ChunkIndex`] recipe it is transparently reassembled
-    /// from its chunks, verifying every chunk digest along the way —
-    /// callers see the same bytes they staged regardless of store mode.
-    pub fn fetch(&self, image_ref: &str) -> StoreResult<Vec<u8>> {
-        let bytes = self.fs.read(&self.abs(image_ref))?;
-        if !is_chunk_index(&bytes) {
-            return Ok(bytes);
-        }
-        self.assemble(&ChunkIndex::from_bytes(&bytes)?)
+    /// The recipe stored at `image_ref`: parsed and structurally validated
+    /// (CRC, chunk lengths summing to the image length), chunks unread.
+    pub fn recipe(&self, image_ref: &str) -> StoreResult<ChunkIndex> {
+        Ok(ChunkIndex::from_bytes(&self.fs.read(&self.abs(image_ref))?)?)
     }
 
-    /// Reassembles a recipe's logical image, each chunk decoded straight
-    /// into the output and verified against its own digest there.
-    fn assemble(&self, ix: &ChunkIndex) -> StoreResult<Vec<u8>> {
-        let mut out = Vec::with_capacity(
-            (ix.logical_len as usize).min(zapc_proto::MAX_PREALLOC_BYTES),
-        );
+    /// Reads an image and verifies it against the digest recorded in the
+    /// committed manifest. Every restore path uses this: a partial or
+    /// bit-rotted image is refused, never consumed.
+    ///
+    /// The recipe pins its image: its (CRC-framed) digest must be the one
+    /// the manifest recorded, its chunk lengths sum to its logical length,
+    /// and every chunk is checked against its own digest as it is decoded
+    /// into place. For a one-chunk recipe that chunk digest *is* the image
+    /// digest, so the image is hashed exactly once.
+    pub fn fetch_verified(&self, image_ref: &str, want: u64) -> StoreResult<Vec<u8>> {
+        let ix = self.recipe(image_ref)?;
+        if ix.digest != want {
+            return Err(StoreError::DigestMismatch {
+                image_ref: image_ref.to_string(),
+                want,
+                got: ix.digest,
+            });
+        }
+        let mut out =
+            Vec::with_capacity((ix.logical_len as usize).min(zapc_proto::MAX_PREALLOC_BYTES));
         for c in &ix.chunks {
             self.read_chunk_into(*c, &mut out)?;
         }
         Ok(out)
     }
 
-    /// Reads the raw file at a store-relative reference without recipe
-    /// resolution (a recipe comes back as its serialized form).
-    pub fn fetch_raw(&self, image_ref: &str) -> StoreResult<Vec<u8>> {
-        Ok(self.fs.read(&self.abs(image_ref))?)
-    }
-
-    /// Reads image bytes and verifies them against the digest recorded in
-    /// the committed manifest. Every restore path uses this: a partial or
-    /// bit-rotted image is refused, never consumed.
-    ///
-    /// A plain image is hashed whole. A recipe pins its image instead: its
-    /// (CRC-framed) digest must be the one the manifest recorded, its
-    /// chunk lengths sum to its logical length, and every chunk is checked
-    /// against its own digest as it is reassembled — a second pass over
-    /// the whole image would find nothing those checks miss.
-    pub fn fetch_verified(&self, image_ref: &str, want: u64) -> StoreResult<Vec<u8>> {
-        let bytes = self.fs.read(&self.abs(image_ref))?;
-        let got = if is_chunk_index(&bytes) {
-            let ix = ChunkIndex::from_bytes(&bytes)?;
-            if ix.digest == want {
-                return self.assemble(&ix);
-            }
-            ix.digest
-        } else {
-            fnv1a64(&bytes)
-        };
-        if got != want {
-            return Err(StoreError::DigestMismatch {
-                image_ref: image_ref.to_string(),
-                want,
-                got,
-            });
-        }
-        Ok(bytes)
-    }
-
-    /// The recipe stored at `image_ref`, or `None` for a plain image — of
-    /// which only the magic is read.
-    fn recipe(&self, image_ref: &str) -> StoreResult<Option<ChunkIndex>> {
-        let path = self.abs(image_ref);
-        if !is_chunk_index(&self.fs.read_at(&path, 0, CHUNK_INDEX_MAGIC.len())?) {
-            return Ok(None);
-        }
-        Ok(Some(ChunkIndex::from_bytes(&self.fs.read(&path)?)?))
-    }
-
     /// Whether a manifest entry's image is whole, answered from metadata
-    /// alone: a plain image exists at the recorded length; a recipe parses
-    /// (it is CRC-framed), pins the recorded length and digest, and names
-    /// only chunks that exist. No image byte is read. Under tmp → fsync →
-    /// rename a torn write is a missing or short file, which this sees;
-    /// bit rot inside a whole file is left to the read that consumes it
-    /// ([`ImageStore::fetch_verified`]).
+    /// alone: its recipe parses (it is CRC-framed), pins the recorded
+    /// length and digest, and names only chunks that exist. No chunk byte
+    /// is read. Under tmp → fsync → rename a torn write is a missing file,
+    /// which this sees — a crash truncates a file to its fsync watermark,
+    /// which the discipline leaves at the full length or at zero. Bit rot
+    /// inside a whole file, a short chunk included, is left to the read
+    /// that consumes it ([`ImageStore::fetch_verified`]).
     pub fn entry_is_whole(&self, entry: &ManifestEntry) -> bool {
-        match self.recipe(&entry.image_ref) {
-            Ok(None) => self.fs.size(&self.abs(&entry.image_ref)) == Ok(entry.bytes),
-            Ok(Some(ix)) => {
-                ix.logical_len == entry.bytes
-                    && ix.digest == entry.digest
-                    && ix
-                        .chunks
-                        .iter()
-                        .all(|c| self.fs.exists(&self.abs(&Self::chunk_ref(c.digest, c.len))))
-            }
-            Err(_) => false,
-        }
+        self.recipe(&entry.image_ref).is_ok_and(|ix| {
+            ix.logical_len == entry.bytes
+                && ix.digest == entry.digest
+                && ix
+                    .chunks
+                    .iter()
+                    .all(|c| self.fs.exists(&self.abs(&Self::chunk_ref(c.digest, c.len))))
+        })
     }
 
     /// Ids of every manifest present (committed checkpoints), ascending.
@@ -758,8 +712,8 @@ impl ImageStore {
     }
 
     /// Total bytes of every file under the store root — what the
-    /// checkpoint actually costs on disk (recipes + chunks + manifests in
-    /// content-addressed mode; the dedup benchmark charts deltas of this).
+    /// checkpoint actually costs on disk (recipes + chunks + manifests; the
+    /// dedup benchmark charts deltas of this).
     pub fn disk_usage(&self) -> u64 {
         self.fs
             .list(&self.root)
@@ -853,8 +807,7 @@ impl ImageStore {
                 continue;
             }
             match self.recipe(&r) {
-                Ok(Some(ix)) => mark.extend(ix.chunks.iter().map(|c| (c.digest, c.len))),
-                Ok(None) => {}
+                Ok(ix) => mark.extend(ix.chunks.iter().map(|c| (c.digest, c.len))),
                 Err(_) => sweep_ok = false,
             }
         }
@@ -879,9 +832,8 @@ impl ImageStore {
     }
 
     /// Garbage-collects the store: deletes every abandoned tmp file, every
-    /// image/recipe not in `live` (the image refs of all retained
-    /// manifests), and every chunk no retained
-    /// recipe references — except anything grace-listed by an unfenced
+    /// recipe not in `live` (the image refs of all retained manifests), and
+    /// every chunk no retained recipe references — except anything grace-listed by an unfenced
     /// in-flight checkpoint (see [`ImageStore::begin_stage`]). Never
     /// touches manifests — pruning those is a policy decision made by the
     /// recovery layer.
@@ -962,8 +914,8 @@ mod tests {
         st.commit_manifest(&m).unwrap();
         let e = &m.entries[0];
 
-        // Flip a byte behind the store's back.
-        let path = format!("{}/{}", st.root(), e.image_ref);
+        // Flip a byte of the image's one chunk behind the store's back.
+        let path = st.abs(&st.chunk_refs()[0]);
         let mut bytes = fs.read(&path).unwrap();
         bytes[3] ^= 0xFF;
         fs.write(&path, &bytes);
@@ -971,8 +923,24 @@ mod tests {
 
         assert!(matches!(
             st.fetch_verified(&e.image_ref, e.digest),
-            Err(StoreError::DigestMismatch { .. })
+            Err(StoreError::ChunkDigestMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn whole_image_put_stages_one_chunk_under_the_image_digest() {
+        let (_fs, st) = store();
+        let bytes = payload(5000, 1);
+        let (rel, digest) = st.put_image(1, "w0", &bytes).unwrap();
+        let ix = st.recipe(&rel).unwrap();
+        assert_eq!(ix.chunks, vec![ChunkRef { digest, len: bytes.len() as u64 }]);
+        assert_eq!(st.chunk_refs(), vec![ImageStore::chunk_ref(digest, bytes.len() as u64)]);
+
+        // An empty image has a recipe and no chunk.
+        let (rel, digest) = st.put_image(1, "w1", b"").unwrap();
+        assert_eq!(st.recipe(&rel).unwrap(), ChunkIndex { logical_len: 0, digest, chunks: vec![] });
+        assert_eq!(st.fetch_verified(&rel, digest).unwrap(), b"");
+        assert_eq!(st.chunk_refs().len(), 1);
     }
 
     #[test]
@@ -990,11 +958,11 @@ mod tests {
         let plan =
             FaultPlan::script().always("store.fsync", None, FaultAction::Drop).build();
         let (_fs, st) = store_with(Arc::new(plan));
-        let (image_ref, _) = st.put_image(3, "w0", b"never durable").unwrap();
-        assert!(st.fetch(&image_ref).is_ok(), "visible before the crash");
+        let (image_ref, digest) = st.put_image(3, "w0", b"never durable").unwrap();
+        assert!(st.fetch_verified(&image_ref, digest).is_ok(), "visible before the crash");
 
         st.crash();
-        assert_eq!(st.fetch(&image_ref), Err(StoreError::Io(Errno::ENOENT)));
+        assert_eq!(st.fetch_verified(&image_ref, digest), Err(StoreError::Io(Errno::ENOENT)));
     }
 
     #[test]
@@ -1045,11 +1013,12 @@ mod tests {
         st.put_image(2, "w1", b"also orphaned").unwrap();
 
         let live: HashSet<String> = m1.entries.iter().map(|e| e.image_ref.clone()).collect();
-        assert_eq!(st.audit(&live).len(), 2);
+        assert_eq!(st.audit(&live).len(), 4, "two recipes and their chunks");
         let report = st.gc(&live);
-        assert_eq!(report.images_removed, 2);
+        assert_eq!(report, GcReport { images_removed: 2, tmp_removed: 0, chunks_removed: 2 });
         assert!(st.audit(&live).is_empty());
-        assert_eq!(st.fetch(&m1.entries[0].image_ref).unwrap(), b"keep me");
+        let e = &m1.entries[0];
+        assert_eq!(st.fetch_verified(&e.image_ref, e.digest).unwrap(), b"keep me");
     }
 
     #[test]
@@ -1101,14 +1070,15 @@ mod tests {
         assert!(st.image_refs().is_empty());
     }
 
-    // ---- content-addressed mode -------------------------------------
+    // ---- content-defined chunking -------------------------------------
+
+    fn small_chunks(compress: bool) -> ChunkingConfig {
+        ChunkingConfig { compress, params: ChunkParams { min: 64, mask_bits: 7, max: 1024 } }
+    }
 
     fn chunked_store(compress: bool) -> (Arc<SimFs>, ImageStore) {
         let (fs, st) = store();
-        st.set_chunking(Some(ChunkingConfig {
-            compress,
-            params: ChunkParams { min: 64, mask_bits: 7, max: 1024 },
-        }));
+        st.set_chunking(Some(small_chunks(compress)));
         (fs, st)
     }
 
@@ -1126,15 +1096,23 @@ mod tests {
 
     #[test]
     fn chunked_put_fetch_round_trips_and_verifies() {
-        for compress in [false, true] {
-            let (_fs, st) = chunked_store(compress);
+        // Every setting leaves a parseable recipe at the image path.
+        let configs = [
+            None,
+            Some(ChunkingConfig::default()),
+            Some(small_chunks(false)),
+            Some(small_chunks(true)),
+        ];
+        for cfg in configs {
+            let (_fs, st) = store();
+            st.set_chunking(cfg);
             let bytes = payload(20_000, 3);
             let (rel, digest) = st.put_image(1, "w0", &bytes).unwrap();
             assert_eq!(digest, fnv1a64(&bytes));
-            assert!(zapc_proto::is_chunk_index(&st.fetch_raw(&rel).unwrap()));
-            assert_eq!(st.fetch(&rel).unwrap(), bytes);
+            let ix = st.recipe(&rel).unwrap();
+            assert_eq!((ix.logical_len, ix.digest), (bytes.len() as u64, digest), "{cfg:?}");
             assert_eq!(st.fetch_verified(&rel, digest).unwrap(), bytes);
-            assert!(!st.chunk_refs().is_empty());
+            assert_eq!(st.chunk_refs().len(), ix.chunks.len(), "{cfg:?}");
         }
     }
 
@@ -1151,13 +1129,13 @@ mod tests {
         st.put_image(1, "w0", &bytes).unwrap();
         let after_first = st.disk_usage();
         st.put_image(1, "w1", &bytes).unwrap();
-        st.put_image(2, "w0", &bytes).unwrap();
+        let (rel, digest) = st.put_image(2, "w0", &bytes).unwrap();
         let growth = st.disk_usage() - after_first;
         assert!(
             growth < after_first / 10,
             "dedup should elide nearly all bytes: grew {growth} after {after_first}"
         );
-        assert_eq!(st.fetch(&ImageStore::image_ref(2, "w0")).unwrap(), bytes);
+        assert_eq!(st.fetch_verified(&rel, digest).unwrap(), bytes);
     }
 
     #[test]
@@ -1202,13 +1180,13 @@ mod tests {
 
         // Checkpoint 2 is mid-stage (images written, manifest not yet).
         st.begin_stage(2, 1);
-        st.put_image(2, "w0", &payload(8000, 2)).unwrap();
+        let (rel, digest) = st.put_image(2, "w0", &payload(8000, 2)).unwrap();
 
         // The race from the satellite bug: GC runs between stage and
         // manifest commit. Nothing staged may be reaped.
         let report = st.gc(&live);
         assert_eq!(report, GcReport::default(), "in-flight stage must be graced");
-        assert_eq!(st.fetch(&ImageStore::image_ref(2, "w0")).unwrap(), payload(8000, 2));
+        assert_eq!(st.fetch_verified(&rel, digest).unwrap(), payload(8000, 2));
         assert!(st.audit(&live).is_empty());
 
         // Once retired without a commit, the same GC reaps it all.
@@ -1254,7 +1232,7 @@ mod tests {
 
         // Open refuses it typed...
         assert!(matches!(
-            st.fetch(&rel),
+            st.fetch_verified(&rel, digest),
             Err(StoreError::ChunkCorrupt { .. }) | Err(StoreError::ChunkDigestMismatch { .. })
         ));
         // ...and re-staging the same image repairs instead of dedup-hitting.
@@ -1269,10 +1247,7 @@ mod tests {
         // watermark is zero, so the crash vanishes them.
         let plan = FaultPlan::script().always("store.fsync", None, FaultAction::Drop).build();
         let (_fs, st) = store_with(Arc::new(plan));
-        st.set_chunking(Some(ChunkingConfig {
-            compress: false,
-            params: ChunkParams { min: 64, mask_bits: 7, max: 1024 },
-        }));
+        st.set_chunking(Some(small_chunks(false)));
         let bytes = payload(10_000, 7);
         let (rel, digest) = st.put_image(1, "w0", &bytes).unwrap();
         st.crash();
@@ -1289,7 +1264,7 @@ mod tests {
             Arc::new(FaultPlan::none()),
             Observer::disabled(),
         );
-        st2.set_chunking(st.chunking());
+        st2.set_chunking(Some(small_chunks(false)));
         let (rel2, digest2) = st2.put_image(2, "w0", &bytes).unwrap();
         assert_eq!(st2.fetch_verified(&rel2, digest2).unwrap(), bytes);
         st2.crash();
@@ -1303,10 +1278,7 @@ mod tests {
         // piggy-back on volatile bytes.
         let plan = FaultPlan::script().always("store.fsync", Some("w0"), FaultAction::Drop).build();
         let (_fs, st) = store_with(Arc::new(plan));
-        st.set_chunking(Some(ChunkingConfig {
-            compress: false,
-            params: ChunkParams { min: 64, mask_bits: 7, max: 1024 },
-        }));
+        st.set_chunking(Some(small_chunks(false)));
         let bytes = payload(6000, 8);
         st.put_image(1, "w0", &bytes).unwrap();
         let (rel2, digest2) = st.put_image(1, "w1", &bytes).unwrap();
@@ -1332,8 +1304,7 @@ mod tests {
 
             // Rot one byte (past a chunk's flag byte): still whole, but
             // the read that consumes it refuses it.
-            let victim = if chunked { st.chunk_refs()[0].clone() } else { e.image_ref.clone() };
-            let path = st.abs(&victim);
+            let path = st.abs(&st.chunk_refs()[0]);
             let mut bytes = fs.read(&path).unwrap();
             bytes[1] ^= 0x01;
             fs.write(&path, &bytes);
@@ -1354,9 +1325,6 @@ mod tests {
         let stored = fs.read(&abs).unwrap();
         fs.write(&abs, &stored[..stored.len() - 3]);
         fs.fsync(&abs).unwrap();
-        assert!(matches!(
-            st.fetch_verified(&rel, digest),
-            Err(StoreError::Decode(_)) | Err(StoreError::DigestMismatch { .. })
-        ));
+        assert!(matches!(st.fetch_verified(&rel, digest), Err(StoreError::Decode(_))));
     }
 }

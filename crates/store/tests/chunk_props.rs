@@ -2,9 +2,10 @@
 //!
 //! split → stage (with dedup against whatever is already resident) →
 //! recipe → fetch must reproduce the staged bytes exactly, for any
-//! payload shape, any chunking parameters, and with compression on or
-//! off. This is the property everything above the store leans on: if it
-//! held only for "nice" images, a single odd pod would restore corrupt.
+//! payload shape, with each image kept whole as one chunk or split under
+//! any chunking parameters, and with compression on or off. This is the
+//! property everything above the store leans on: if it held only for
+//! "nice" images, a single odd pod would restore corrupt.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -16,14 +17,14 @@ use zapc_store::chunk::{split, ChunkParams};
 use zapc_store::compress::{compress, decompress};
 use zapc_store::{ChunkingConfig, ImageStore};
 
-fn chunked_store(cfg: ChunkingConfig) -> ImageStore {
+fn store(cfg: Option<ChunkingConfig>) -> ImageStore {
     let st = ImageStore::new(
         SimFs::new(),
         "/zapc/store",
         Arc::new(FaultPlan::none()),
         Observer::disabled(),
     );
-    st.set_chunking(Some(cfg));
+    st.set_chunking(cfg);
     st
 }
 
@@ -78,11 +79,13 @@ proptest! {
     fn store_fetch_round_trips(
         images in proptest::collection::vec(payloads(), 1..5),
         p in params(),
-        compress_on in any::<bool>(),
+        layout in 0u8..3,
     ) {
         // Several images through one store, so later ones dedup against
         // earlier residents — the hit path is exercised, not just stage.
-        let st = chunked_store(ChunkingConfig { compress: compress_on, params: p });
+        // Layout 0 keeps each image whole, as one chunk.
+        let cfg = (layout > 0).then_some(ChunkingConfig { compress: layout == 2, params: p });
+        let st = store(cfg);
         let mut staged = Vec::new();
         for (i, bytes) in images.iter().enumerate() {
             let (rel, digest) = st.put_image(1, &format!("w{i}"), bytes).unwrap();

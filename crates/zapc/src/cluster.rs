@@ -85,10 +85,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Runs the durable store in content-addressed mode: images are split
-    /// into content-defined chunks deduplicated across pods and
-    /// checkpoints (optionally compressed), and image paths hold chunk
-    /// recipes. Restore, recovery, GC and audit are mode-oblivious.
+    /// Splits durable-store images into content-defined chunks,
+    /// deduplicated across pods and checkpoints (optionally compressed),
+    /// instead of one chunk per image. Image paths hold chunk recipes
+    /// either way, so restore, recovery, GC and audit cannot tell.
     pub fn store_chunking(mut self, cfg: zapc_store::ChunkingConfig) -> Self {
         self.store_chunking = Some(cfg);
         self

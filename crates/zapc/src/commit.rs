@@ -17,16 +17,18 @@
 //!    recoverable checkpoint.
 //!
 //! **Recovery** is pure scan-and-classify over durable state, and reads
-//! no image bytes: every manifest that parses and whose images are all
-//! whole — a plain image present at its recorded length, a recipe that
-//! parses, pins the recorded length and digest and names only present
-//! chunks — is a committed checkpoint; everything else — torn manifests,
-//! manifests missing an image or a chunk, staged images with no manifest,
-//! tmp files — is rolled back and garbage-collected. Under tmp → fsync →
-//! rename that is every way a write can tear. Recovery is idempotent: it
-//! only removes things a second pass would also classify as garbage.
+//! no chunk bytes: every manifest that parses and whose images are all
+//! whole — each image's recipe parses, pins the recorded length and
+//! digest and names only present chunks — is a committed checkpoint;
+//! everything else — torn manifests, manifests missing a recipe or a
+//! chunk, staged images with no manifest, tmp files — is rolled back and
+//! garbage-collected. Under tmp → fsync → rename that is every way a write
+//! can tear: a crash leaves a file whole or absent, never short. Recovery
+//! is idempotent: it only removes things a second pass would also classify
+//! as garbage.
 //!
-//! **Bit rot** in a whole file is found by the read that consumes it:
+//! **Bit rot** in a whole file, a file cut short included, is found by the
+//! read that consumes it:
 //! [`restart_from_manifest`] verifies every image against the digest its
 //! manifest pins, and when resuming from the newest checkpoint it rolls a
 //! damaged one back and falls back to the next-newest.
@@ -92,18 +94,17 @@ pub struct RecoveryReport {
     /// The Manager epoch after recovery (one bump per pass).
     pub epoch: u64,
     /// Checkpoint ids whose manifests parsed and whose images are all
-    /// whole (present, at their recorded length; recipes pinning the
-    /// recorded digest and naming only present chunks), ascending — these
-    /// survived the crash. Their bytes are verified when a restart reads
-    /// them.
+    /// whole (recipes that parse, pin the recorded length and digest and
+    /// name only present chunks), ascending — these survived the crash.
+    /// Their bytes are verified when a restart reads them.
     pub committed: Vec<u64>,
     /// Checkpoint ids rolled back: torn/corrupt manifests, manifests
-    /// referencing a missing or short image, a recipe that fails to parse
-    /// or disagrees with its entry, or a missing chunk, and in-flight
-    /// checkpoints that staged images but never committed.
+    /// whose image recipe is missing, fails to parse or disagrees with its
+    /// entry, or names a missing chunk, and in-flight checkpoints that
+    /// staged images but never committed.
     pub rolled_back: Vec<u64>,
     /// Files removed by the recovery garbage collection (abandoned tmp
-    /// files plus unreachable images).
+    /// files plus unreachable recipes and chunks).
     pub orphans_removed: usize,
     /// The newest committed checkpoint, if any — what
     /// [`restart_from_manifest`] resumes from by default.
@@ -445,9 +446,8 @@ fn restart_checkpoint(cluster: &Cluster, id: u64, timeout: Duration) -> ZapcResu
 
 /// Rolls back checkpoint `ckpt` — a stage phase that will never commit, or
 /// a committed checkpoint a restart found damaged: deletes its manifest
-/// (if any), every image under it, abandoned tmp files, and — in
-/// content-addressed mode — every chunk no remaining manifest's recipe
-/// references. The chunk half matters: the recipes are about to be
+/// (if any), every image under it, abandoned tmp files, and every chunk no
+/// remaining manifest's recipe references. The chunk half matters: the recipes are about to be
 /// deleted, and chunks they introduced would otherwise be permanent
 /// orphans (nothing reachable names them, but naive prefix deletion never
 /// visits `chunks/`). Running the store's mark-and-sweep GC against the

@@ -20,8 +20,9 @@
 //!   synchronization** the coordinated checkpoint needs (§4), merges the
 //!   meta-data, computes the reconnection schedule for restarts, detects
 //!   Agent failures and aborts gracefully.
-//! * [`uri`] — checkpoint destinations: a file, an in-memory store, or a
-//!   *receiving Agent* for direct migration without intermediate storage.
+//! * [`uri`] — checkpoint destinations: an in-memory store, the durable
+//!   image store (a [`commit`] staging target), or a *receiving Agent* for
+//!   direct migration without intermediate storage.
 //! * `coord` (crate-private) — the one wait/abort/drain loop every
 //!   coordinated operation shares between its phases.
 //!

@@ -13,7 +13,7 @@ use zapc::{
 };
 use zapc_apps::launch::{full_registry, launch_writers};
 use zapc_apps::writer::WriterConfig;
-use zapc_proto::{ChunkIndex, ChunkRef};
+use zapc_proto::ChunkRef;
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -198,9 +198,7 @@ fn chunk_bit_rot_is_caught_at_restart_which_falls_back() {
         let m = c.istore.manifest(ckpt).unwrap();
         m.entries
             .iter()
-            .flat_map(|e| {
-                ChunkIndex::from_bytes(&c.istore.fetch_raw(&e.image_ref).unwrap()).unwrap().chunks
-            })
+            .flat_map(|e| c.istore.recipe(&e.image_ref).unwrap().chunks)
             .collect()
     };
     let older = recipe_chunks(r1.ckpt_id);

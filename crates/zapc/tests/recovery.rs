@@ -16,7 +16,7 @@ use zapc::{
     ZapcError,
 };
 use zapc_proto::{ChunkIndex, ChunkRef, DecodeError, RecordReader, RecordWriter};
-use zapc_sim::{ProcessCtx, Program, ProgramRegistry, StepOutcome};
+use zapc_sim::{Errno, ProcessCtx, Program, ProgramRegistry, StepOutcome};
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -96,8 +96,8 @@ fn cluster_with(faults: FaultPlan) -> Cluster {
     Cluster::builder().nodes(2).registry(registry()).faults(faults).build()
 }
 
-/// A fault-free cluster on a plain or a content-addressed store. The
-/// chunks are small so the two pods' images split into many of them.
+/// A fault-free cluster whose store keeps each image as one chunk, or
+/// splits it into small content-defined chunks — many per pod image.
 fn store_cluster(chunked: bool) -> Cluster {
     let b = Cluster::builder().nodes(2).registry(registry());
     if !chunked {
@@ -176,8 +176,13 @@ fn retention_prunes_old_checkpoints_and_their_images() {
     }
     assert_eq!(c.istore.manifest_ids(), vec![3, 4], "keep=2 retains the newest two");
     // Pruned checkpoints' images are gone; retained ones are intact.
-    assert!(c.istore.fetch("images/1/w0").is_err());
-    assert!(c.istore.fetch("images/4/w0").is_ok());
+    let kept = c.istore.manifest(4).unwrap();
+    let e = kept.entry("w0").unwrap();
+    assert_eq!(
+        c.istore.fetch_verified("images/1/w0", e.digest),
+        Err(StoreError::Io(Errno::ENOENT))
+    );
+    assert!(c.istore.fetch_verified(&e.image_ref, e.digest).is_ok());
 
     c.destroy_pod("w0");
     c.destroy_pod("w1");
@@ -402,8 +407,7 @@ fn overwrite(c: &Cluster, rel: &str, bytes: &[u8]) {
 }
 
 fn recipe(c: &Cluster, ckpt: u64, pod: &str) -> ChunkIndex {
-    ChunkIndex::from_bytes(&c.istore.fetch_raw(&ImageStore::image_ref(ckpt, pod)).unwrap())
-        .unwrap()
+    c.istore.recipe(&ImageStore::image_ref(ckpt, pod)).unwrap()
 }
 
 /// A chunk that checkpoint 2 references and checkpoint 1 does not.
@@ -437,29 +441,24 @@ fn live(c: &Cluster) -> HashSet<String> {
 }
 
 /// Every torn shape a write can leave is rolled back by `recover` from
-/// metadata alone: a missing or short plain image, a missing recipe or
-/// chunk, a recipe that disagrees with its manifest entry, a manifest that
-/// fails its CRC.
+/// metadata alone, on the unchunked and the chunked store alike: a missing
+/// recipe or chunk, a recipe that disagrees with its manifest entry, a
+/// manifest that fails its CRC.
 #[test]
 fn torn_shapes_are_rolled_back_from_metadata_alone() {
     type Tear = fn(&Cluster);
-    let cases: [(&str, bool, Tear); 6] = [
-        ("missing plain image", false, |c| c.fs.unlink(&abs(c, "images/2/w0")).unwrap()),
-        ("plain image one byte short", false, |c| {
-            let bytes = c.fs.read(&abs(c, "images/2/w1")).unwrap();
-            overwrite(c, "images/2/w1", &bytes[..bytes.len() - 1]);
-        }),
-        ("missing recipe", true, |c| c.fs.unlink(&abs(c, "images/2/w1")).unwrap()),
-        ("missing chunk", true, |c| {
+    let cases: [(&str, Tear); 4] = [
+        ("missing recipe", |c| c.fs.unlink(&abs(c, "images/2/w1")).unwrap()),
+        ("missing chunk", |c| {
             let k = chunk_only_in_2(c);
             c.fs.unlink(&abs(c, &ImageStore::chunk_ref(k.digest, k.len))).unwrap();
         }),
-        ("recipe digest differs from its entry", true, |c| {
+        ("recipe digest differs from its entry", |c| {
             let mut ix = recipe(c, 2, "w0");
             ix.digest ^= 1;
             overwrite(c, "images/2/w0", &ix.to_bytes());
         }),
-        ("manifest fails its CRC", false, |c| {
+        ("manifest fails its CRC", |c| {
             let rel = ImageStore::manifest_ref(2);
             let mut bytes = c.fs.read(&abs(c, &rel)).unwrap();
             // The last payload byte: just before the record's CRC.
@@ -472,48 +471,75 @@ fn torn_shapes_are_rolled_back_from_metadata_alone() {
             ));
         }),
     ];
-    for (name, chunked, tear) in cases {
-        let c = store_cluster(chunked);
-        spawn_pods(&c);
-        commit_twice(&c);
-        tear(&c);
+    for (name, tear) in cases {
+        for chunked in [false, true] {
+            let c = store_cluster(chunked);
+            spawn_pods(&c);
+            commit_twice(&c);
+            tear(&c);
 
-        let rec = recover(&c);
-        assert_eq!(rec.rolled_back, vec![2], "{name}");
-        assert_eq!(rec.latest, Some(1), "{name}");
-        assert_eq!(c.istore.audit(&live(&c)), Vec::<String>::new(), "{name}: litter left");
-        for p in ["w0", "w1"] {
-            c.destroy_pod(p);
+            let rec = recover(&c);
+            assert_eq!(rec.rolled_back, vec![2], "{name}, chunked={chunked}");
+            assert_eq!(rec.latest, Some(1), "{name}, chunked={chunked}");
+            assert_eq!(
+                c.istore.audit(&live(&c)),
+                Vec::<String>::new(),
+                "{name}, chunked={chunked}: litter left"
+            );
+            for p in ["w0", "w1"] {
+                c.destroy_pod(p);
+            }
         }
     }
 }
 
-/// Bit rot inside a whole image is invisible to `recover` (the files are
-/// all there, at their lengths) and caught by the restart that reads it: a
-/// named restart refuses it typed, a restart from the newest checkpoint
+/// Bit rot inside a whole file — a flipped byte, or a chunk one byte short
+/// (which tmp → fsync → rename cannot leave behind) — is invisible to
+/// `recover` (every file is there) and caught by the restart that reads it:
+/// a named restart refuses it typed, a restart from the newest checkpoint
 /// rolls it back and lands on the previous one.
 #[test]
 fn bit_rot_is_caught_at_restart_which_falls_back() {
-    let c = store_cluster(false);
-    let expected = launch(&c);
-    commit_twice(&c);
-    let rel = ImageStore::image_ref(2, "w0");
-    let mut bytes = c.fs.read(&abs(&c, &rel)).unwrap();
-    let at = bytes.len() / 2;
-    bytes[at] ^= 0x01;
-    overwrite(&c, &rel, &bytes);
+    type Rot = fn(&mut Vec<u8>);
+    let cases: [(&str, Rot); 2] = [
+        ("flipped byte", |bytes| {
+            let at = bytes.len() / 2;
+            bytes[at] ^= 0x01;
+        }),
+        ("chunk one byte short", |bytes| {
+            bytes.pop();
+        }),
+    ];
+    for (name, rot) in cases {
+        let c = store_cluster(false);
+        let expected = launch(&c);
+        commit_twice(&c);
+        let k = chunk_only_in_2(&c);
+        let rel = ImageStore::chunk_ref(k.digest, k.len);
+        let mut bytes = c.fs.read(&abs(&c, &rel)).unwrap();
+        rot(&mut bytes);
+        overwrite(&c, &rel, &bytes);
 
-    c.istore.crash();
-    let rec = recover(&c);
-    assert_eq!(rec.committed, vec![1, 2], "rot is not a torn write");
+        c.istore.crash();
+        let rec = recover(&c);
+        assert_eq!(rec.committed, vec![1, 2], "{name}: rot is not a torn write");
 
-    let err = restart_from_manifest(&c, Some(2), WAIT).unwrap_err();
-    assert!(
-        matches!(err, ZapcError::Store(StoreError::DigestMismatch { .. })),
-        "named restart refuses the rotted image typed: {err:?}"
-    );
-    restart_from_manifest(&c, None, WAIT).unwrap();
-    assert_eq!(wait_codes(&c), expected, "restart lands on checkpoint 1");
-    assert_eq!(c.istore.manifest_ids(), vec![1], "checkpoint 2 rolled back");
-    assert_eq!(c.istore.audit(&live(&c)), Vec::<String>::new());
+        let err = restart_from_manifest(&c, Some(2), WAIT).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ZapcError::Store(
+                    StoreError::ChunkCorrupt { .. } | StoreError::ChunkDigestMismatch { .. }
+                )
+            ),
+            "{name}: named restart refuses the rotted image typed: {err:?}"
+        );
+        restart_from_manifest(&c, None, WAIT).unwrap();
+        assert_eq!(wait_codes(&c), expected, "{name}: restart lands on checkpoint 1");
+        assert_eq!(c.istore.manifest_ids(), vec![1], "{name}: checkpoint 2 rolled back");
+        assert_eq!(c.istore.audit(&live(&c)), Vec::<String>::new(), "{name}");
+        for p in ["w0", "w1"] {
+            c.destroy_pod(p);
+        }
+    }
 }
