@@ -3,9 +3,10 @@
 
 use std::time::Duration;
 use zapc::manager::{CheckpointTarget, RestartTarget};
-use zapc::{checkpoint, migrate, restart, Cluster, Uri};
+use zapc::{checkpoint, migrate, migrate_live_with, restart, Cluster, MigrateOptions, Uri};
 use zapc_apps::launch::{full_registry, launch_app, AppKind, AppParams};
 use zapc_apps::udpapps;
+use zapc_obs::Observer;
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -117,22 +118,37 @@ fn povray_survives_migration_mid_run() {
 #[test]
 fn bt_survives_migration_with_sendq_merge() {
     // The §5 send-queue merge optimization must be invisible to the
-    // application: identical results, no data resent over the wire.
-    let expected = reference(AppKind::Bt, 4, 4);
-    let c = cluster(4);
-    let app = launch_app(&c, "app", &small_params(AppKind::Bt, 4));
-    std::thread::sleep(Duration::from_millis(30));
-    let moves: Vec<(String, usize)> =
-        app.pods.iter().enumerate().map(|(i, p)| (p.clone(), (i + 1) % 4)).collect();
-    zapc::manager::migrate_with(
-        &c,
-        &moves,
-        &zapc::manager::MigrateOptions { sendq_merge: true, ..Default::default() },
-    )
-    .unwrap();
-    let got = app.wait(&c, TIMEOUT).unwrap();
-    app.destroy(&c);
-    assert_eq!(got, expected);
+    // application: identical results. Whether an established connection
+    // holds unacked bytes at the cut is host timing, so attempts repeat
+    // until one catches queued data and the merge moves it; the result is
+    // asserted on every attempt.
+    let params = AppParams { work: 8.0, ..small_params(AppKind::Bt, 4) };
+    let expected = {
+        let c = cluster(4);
+        let app = launch_app(&c, "app", &params);
+        let codes = app.wait(&c, TIMEOUT).unwrap();
+        app.destroy(&c);
+        codes
+    };
+    let opts = MigrateOptions { max_rounds: 0, sendq_merge: true, ..Default::default() };
+    let mut moved = 0;
+    for _ in 0..10 {
+        let (obs, ring) = Observer::ring(1 << 16);
+        let c = Cluster::builder().nodes(4).registry(full_registry()).observer(obs).build();
+        let app = launch_app(&c, "app", &params);
+        std::thread::sleep(Duration::from_millis(5));
+        let moves: Vec<(String, usize)> =
+            app.pods.iter().enumerate().map(|(i, p)| (p.clone(), (i + 1) % 4)).collect();
+        migrate_live_with(&c, &moves, &opts).unwrap();
+        let got = app.wait(&c, TIMEOUT).unwrap();
+        app.destroy(&c);
+        assert_eq!(got, expected);
+        moved = ring.counter_sum("mig.merged_bytes");
+        if moved > 0 {
+            break;
+        }
+    }
+    assert!(moved > 0, "no attempt caught a send queue to merge");
 }
 
 #[test]

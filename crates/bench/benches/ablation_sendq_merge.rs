@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
-use zapc::manager::{migrate_with, MigrateOptions};
+use zapc::{migrate_live_with, MigrateOptions};
 use zapc_apps::launch::{launch_app, AppKind, AppParams};
 use zapc_bench::figures::cluster_for;
 
@@ -24,7 +24,8 @@ fn migrate_once(sendq_merge: bool) -> u64 {
     let before = cluster.net.stats().delivered.load(Ordering::Relaxed);
     let moves: Vec<(String, usize)> =
         app.pods.iter().enumerate().map(|(i, p)| (p.clone(), (i + 1) % 4)).collect();
-    migrate_with(&cluster, &moves, &MigrateOptions { sendq_merge, ..Default::default() }).expect("migrate");
+    let opts = MigrateOptions { max_rounds: 0, sendq_merge, ..Default::default() };
+    migrate_live_with(&cluster, &moves, &opts).expect("migrate");
     let delivered = cluster.net.stats().delivered.load(Ordering::Relaxed) - before;
     app.destroy(&cluster);
     delivered

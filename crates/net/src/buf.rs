@@ -527,6 +527,12 @@ impl RecvBuf {
         self.in_order.iter().take(n).copied().collect()
     }
 
+    /// Peeks at up to `n` bytes of urgent data without consuming
+    /// (`MSG_OOB | MSG_PEEK`).
+    pub fn peek_urgent(&self, n: usize) -> Vec<u8> {
+        self.urgent.iter().take(n).copied().collect()
+    }
+
     /// Reads up to `n` bytes of urgent data (`MSG_OOB`).
     pub fn read_urgent(&mut self, n: usize) -> Vec<u8> {
         let take = n.min(self.urgent.len());
@@ -540,40 +546,6 @@ impl RecvBuf {
             self.urgent.insert(i, b);
         }
     }
-
-    /// Checkpoint extraction of the receive queues.
-    pub fn snapshot(&self) -> RecvSnapshot {
-        RecvSnapshot {
-            nxt: self.nxt,
-            in_order: self.in_order.iter().copied().collect(),
-            urgent: self.urgent.iter().copied().collect(),
-            backlog: self
-                .ooo
-                .iter()
-                .map(|(&s, (d, u))| (s, d.clone(), *u))
-                .collect(),
-            fin_reached: self.fin_reached,
-            peeked: self.peeked,
-        }
-    }
-}
-
-/// Checkpoint view of a receive queue.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecvSnapshot {
-    /// `recv` sequence number.
-    pub nxt: u64,
-    /// Unread in-order bytes.
-    pub in_order: Vec<u8>,
-    /// Unread urgent bytes.
-    pub urgent: Vec<u8>,
-    /// Out-of-order backlog `(seq, data, urgent)` — saved for completeness;
-    /// provably redundant with the peer's send queue under cumulative acks.
-    pub backlog: Vec<(u64, Vec<u8>, bool)>,
-    /// FIN already consumed.
-    pub fin_reached: bool,
-    /// Application had peeked.
-    pub peeked: bool,
 }
 
 #[cfg(test)]
@@ -863,21 +835,5 @@ mod tests {
         let r = b.input(4, b"ef", false, false);
         assert_eq!((r.newly_readable, r.window_trimmed), (2, 0));
         assert_eq!(b.read(100), b"ef");
-    }
-
-    #[test]
-    fn snapshot_captures_everything() {
-        let mut b = rb();
-        b.input(5000, b"seen", false, false);
-        b.input(5010, b"late", false, false);
-        b.input(5004, b"!", true, false);
-        b.peek(1);
-        let s = b.snapshot();
-        assert_eq!(s.nxt, 5005);
-        assert_eq!(s.in_order, b"seen");
-        assert_eq!(s.urgent, b"!");
-        assert_eq!(s.backlog, vec![(5010, b"late".to_vec(), false)]);
-        assert!(s.peeked);
-        assert!(!s.fin_reached);
     }
 }

@@ -236,13 +236,7 @@ fn default_recvmsg(
         Transport::Tcp => {
             let tcb = inner.tcb.as_mut().ok_or(NetError::NotConnected)?;
             if flags.oob {
-                let d = if flags.peek {
-                    // OOB peek: look without consuming.
-                    let snap = tcb.recv.snapshot().urgent;
-                    snap.into_iter().take(n).collect()
-                } else {
-                    tcb.recv.read_urgent(n)
-                };
+                let d = if flags.peek { tcb.recv.peek_urgent(n) } else { tcb.recv.read_urgent(n) };
                 if d.is_empty() {
                     return Err(NetError::WouldBlock);
                 }

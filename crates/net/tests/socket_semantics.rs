@@ -171,6 +171,25 @@ fn poll_reports_oob_and_hup() {
 }
 
 #[test]
+fn oob_peek_leaves_the_urgent_bytes_for_the_oob_read() {
+    let r = rig();
+    let (c, _l, s) = pair(&r, 5108);
+    c.write_all_wait(b"stream", TIMEOUT).unwrap();
+    c.send_oob(b"!").unwrap();
+    let dl = std::time::Instant::now() + TIMEOUT;
+    while !s.poll().oob {
+        assert!(std::time::Instant::now() < dl);
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let peek = RecvFlags { peek: true, oob: true };
+    assert_eq!(s.recv(16, peek).unwrap(), b"!");
+    assert_eq!(s.recv(16, peek).unwrap(), b"!", "a peek consumes nothing");
+    assert_eq!(s.recv(16, RecvFlags { peek: false, oob: true }).unwrap(), b"!");
+    assert!(matches!(s.recv(16, peek), Err(NetError::WouldBlock)), "the read consumed it");
+    assert_eq!(s.read_exact_wait(6, TIMEOUT).unwrap(), b"stream", "the stream is untouched");
+}
+
+#[test]
 fn double_bind_rejected_and_rebind_after_close() {
     let r = rig();
     let a = r.s1.socket(Transport::Tcp, ep(1, 0).ip, 6);

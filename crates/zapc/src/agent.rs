@@ -86,9 +86,6 @@ pub(crate) enum AgentReply {
         pod: String,
         /// Statistics, or the failure message.
         result: Result<PodReport, String>,
-        /// The encoded image (streaming-migration rendezvous; `None` when
-        /// the image went to a file or the memory store).
-        image: Option<Arc<Vec<u8>>>,
         /// Manager epoch the op ran under. A reply whose epoch trails the
         /// cluster's current epoch is a stale Agent speaking across a
         /// healed partition — the Manager counts it and ignores it.
@@ -249,29 +246,23 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
         let _ = reply.send(AgentReply::Done {
             pod: pod_name.to_owned(),
             result: Err(format!("unknown pod {pod_name:?}")),
-            image: None,
             epoch,
         });
         return;
     };
     let node_id = pod.node().id.0;
-    let send_done = |result: Result<PodReport, String>, image: Option<Arc<Vec<u8>>>| {
-        let _ = ctl_reply(
-            cluster,
-            node_id,
-            pod_name,
-            reply,
-            AgentReply::Done { pod: pod_name.to_owned(), result, image, epoch },
-        );
+    let send_done = |result: Result<PodReport, String>| {
+        let done = AgentReply::Done { pod: pod_name.to_owned(), result, epoch };
+        let _ = ctl_reply(cluster, node_id, pod_name, reply, done);
     };
     // Epoch fence at entry: an op stamped by a Manager incarnation older
     // than the one this cluster has already recovered to must not touch
     // the pod at all.
     if epoch < cluster.epoch() {
-        send_done(
-            Err(format!("fenced: op epoch {epoch} is stale (cluster at {})", cluster.epoch())),
-            None,
-        );
+        send_done(Err(format!(
+            "fenced: op epoch {epoch} is stale (cluster at {})",
+            cluster.epoch()
+        )));
         return;
     }
 
@@ -281,7 +272,7 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     // Step 1: suspend the pod; block its network.
     let quiesce_span = obs.span(pod_name, "ckpt.quiesce");
     if let Err(why) = quiesce(cluster, &pod) {
-        send_done(Err(why), None);
+        send_done(Err(why));
         return;
     }
     quiesce_span.end();
@@ -290,7 +281,7 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
 
     let rollback = |why: &str| {
         unquiesce(cluster, &pod);
-        send_done(Err(why.to_owned()), None);
+        send_done(Err(why.to_owned()));
     };
     // Steps 3a/4a: the Agent only finishes after it received `continue`.
     // Bounded wait: a lost `continue` must not wedge the Agent forever.
@@ -380,9 +371,8 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
             let _ = pod.resume();
         }
         Finalize::Destroy => {
-            // Clears the address's route with the pod. Nothing can have
-            // re-routed it yet: `migrate` finishes this phase for every
-            // source before its restart phase creates a single pod.
+            // Clears the address's route with the pod; a restart of the
+            // image lifts the block once the pod is re-routed.
             cluster.destroy_pod(pod_name);
             report.blocked_ms = ms(blocked_at);
         }
@@ -393,13 +383,8 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     // Deliver the image to its destination.
     let tcommit = Instant::now();
     let commit_span = obs.span(pod_name, "ckpt.commit");
-    let image = Arc::new(image);
-    let streamed = match dest {
-        Uri::Mem(label) => {
-            cluster.store.put(label, Arc::clone(&image));
-            None
-        }
-        Uri::Agent { .. } => Some(Arc::clone(&image)),
+    match dest {
+        Uri::Mem(label) => cluster.store.put(label, image),
         Uri::Store { ckpt: ckpt_id } => {
             // Durable staging. These fault sites are consulted ONLY on the
             // store path so every pre-existing seeded trace is unchanged.
@@ -416,7 +401,7 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
             // survives (it already resumed) and the Manager sees a failed
             // `done` — the checkpoint aborts before any manifest exists.
             if cluster.faults.hit("agent.stage", pod_name).is_some() {
-                send_done(Err("fault: agent crashed while staging image".to_owned()), None);
+                send_done(Err("fault: agent crashed while staging image".to_owned()));
                 return;
             }
             // Epoch fence before staging: a newer Manager may have
@@ -424,32 +409,28 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
             // op sat partitioned — its stale Agent must not re-litter the
             // store.
             if epoch < cluster.epoch() {
-                send_done(
-                    Err(format!(
-                        "fenced: staging refused, op epoch {epoch} is stale (cluster at {})",
-                        cluster.epoch()
-                    )),
-                    None,
-                );
+                send_done(Err(format!(
+                    "fenced: staging refused, op epoch {epoch} is stale (cluster at {})",
+                    cluster.epoch()
+                )));
                 return;
             }
             match cluster.istore.put_image(*ckpt_id, pod_name, &image) {
                 Ok((image_ref, digest)) => {
                     cluster.witness_epoch(node_id, epoch);
                     (report.image_ref, report.digest) = (image_ref, digest);
-                    None
                 }
                 Err(e) => {
-                    send_done(Err(format!("image staging failed: {e}")), None);
+                    send_done(Err(format!("image staging failed: {e}")));
                     return;
                 }
             }
         }
-    };
+    }
     commit_span.end();
     report.commit_ms = ms(tcommit);
     report.total_ms = ms(t0);
-    send_done(Ok(report), streamed);
+    send_done(Ok(report));
 }
 
 /// What an Agent restarts one pod from, besides the image's sections.
@@ -468,7 +449,7 @@ pub(crate) struct RestartInputs<'a> {
 }
 
 /// Runs the local restart procedure of Figure 3 for one pod from a whole
-/// stored or streamed image and reports done.
+/// stored image and reports done.
 pub(crate) fn agent_restart(
     cluster: &Cluster,
     image: &[u8],
@@ -487,7 +468,7 @@ pub(crate) fn agent_restart(
         Ok(report)
     })();
     let result = result.map_err(|e: ZapcError| e.to_string());
-    let done = AgentReply::Done { pod: pod_name.clone(), result, image: None, epoch: cluster.epoch() };
+    let done = AgentReply::Done { pod: pod_name.clone(), result, epoch: cluster.epoch() };
     let _ = ctl_reply(cluster, node, &pod_name, reply, done);
 }
 

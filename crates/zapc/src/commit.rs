@@ -43,7 +43,7 @@ use crate::agent::Finalize;
 use crate::cluster::Cluster;
 use crate::coord::node_alive;
 use crate::manager::{
-    checkpoint_with, restart_with, CheckpointOptions, CheckpointReport, CheckpointTarget,
+    checkpoint_at, restart_with, CheckpointOptions, CheckpointReport, CheckpointTarget,
     RestartReport, RestartTarget, DEFAULT_TIMEOUT,
 };
 use crate::uri::Uri;
@@ -170,10 +170,9 @@ pub fn checkpoint_commit(
     let ck_opts = CheckpointOptions {
         timeout: opts.timeout,
         retries: opts.retries,
-        epoch: Some(epoch),
         ..CheckpointOptions::default()
     };
-    let report = match checkpoint_with(cluster, &targets, &ck_opts) {
+    let report = match checkpoint_at(cluster, &targets, &ck_opts, Some(epoch)) {
         Ok(r) => r,
         Err(e) => {
             // Retire the stage registration *before* rolling back: the

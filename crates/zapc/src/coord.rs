@@ -3,9 +3,8 @@
 //!
 //! The paper has exactly one Manager/Agent protocol — broadcast a
 //! command, gather replies, issue one `continue`, gather `done`; abort =
-//! the application resumes. Checkpoint, stop-and-copy migration, live
-//! migration and restart are all phase code over this one module, which
-//! owns:
+//! the application resumes. Checkpoint, migration and restart are all
+//! phase code over this one module, which owns:
 //!
 //! * the **participants**: key → hosting node, control sender, and
 //!   whether the participant still owes its final `done`;
@@ -276,7 +275,7 @@ mod tests {
     use crate::agent::AgentReply;
 
     fn done(pod: &str, epoch: u64) -> AgentReply {
-        AgentReply::Done { pod: pod.into(), result: Err("rolled back".into()), image: None, epoch }
+        AgentReply::Done { pod: pod.into(), result: Err("rolled back".into()), epoch }
     }
 
     #[test]

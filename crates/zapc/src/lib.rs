@@ -20,9 +20,12 @@
 //!   synchronization** the coordinated checkpoint needs (§4), merges the
 //!   meta-data, computes the reconnection schedule for restarts, detects
 //!   Agent failures and aborts gracefully.
-//! * [`uri`] — checkpoint destinations: an in-memory store, the durable
-//!   image store (a [`commit`] staging target), or a *receiving Agent* for
-//!   direct migration without intermediate storage.
+//! * [`uri`] — checkpoint destinations: an in-memory store or the durable
+//!   image store (a [`commit`] staging target). Direct migration to a
+//!   *receiving Agent*, without intermediate storage, is [`live`]'s
+//!   Agent-to-Agent stream.
+//! * [`live`] — the one migration engine: `migrate` is its stop-and-copy
+//!   case (no pre-copy rounds), `migrate_live` adds iterative pre-copy.
 //! * `coord` (crate-private) — the one wait/abort/drain loop every
 //!   coordinated operation shares between its phases.
 //!
@@ -75,14 +78,14 @@ pub use commit::{
     RecoveryReport,
 };
 pub use health::{HealthMonitor, NodeStatus};
-pub use live::{migrate_live, migrate_live_with, LiveMigrateReport, LivePodReport};
+pub use live::{migrate_live, migrate_live_with, LiveMigrateReport, LivePodReport, MigrateOptions};
 pub use rejoin::{rejoin_node, RejoinReport};
 pub use retry::RetryPolicy;
 pub use zapc_faults::{FaultAction, FaultPlan, Partition, TraceEvent, MANAGER};
 pub use zapc_store::{ChunkParams, ChunkingConfig, ImageStore, StoreError};
 pub use manager::{
-    checkpoint, migrate, restart, CheckpointReport, CheckpointTarget, MigrateOptions, Phase,
-    PhaseBreakdown, PodReport, RestartReport, RestartTarget,
+    checkpoint, migrate, restart, CheckpointReport, CheckpointTarget, Phase, PhaseBreakdown,
+    PodReport, RestartReport, RestartTarget,
 };
 pub use uri::Uri;
 

@@ -1,26 +1,28 @@
-//! Live migration with iterative pre-copy and pipelined restore.
+//! Migration: the one engine behind [`crate::migrate`], [`migrate_live`]
+//! and [`migrate_live_with`].
 //!
 //! The paper's migration is stop-and-copy: quiesce, dump, ship, restore —
-//! downtime scales with image size. This module adds the classic fix
-//! (iterative pre-copy, as in VM live migration): the source Agent
-//! streams a full base image over a bounded frame channel *while the pod
-//! keeps running*, then iterates dirty-region
-//! delta rounds (the v2 delta engine's per-region generation counters)
-//! until the residual dirty set drops under a threshold — or a round/byte
-//! cap forces the issue — and only then quiesces for one final delta plus
-//! the network-state cut. The receiving Agent restores *pipelined*,
-//! decoding sections as frames arrive and squashing each delta onto the
-//! accumulated base ([`zapc_ckpt::DecodedPod`]) instead of buffering the
-//! whole chain.
+//! downtime scales with image size. This module runs it, and adds the
+//! classic fix (iterative pre-copy, as in VM live migration): the source
+//! Agent streams a full base image over a bounded frame channel *while the
+//! pod keeps running*, then iterates dirty-region delta rounds (the v2
+//! delta engine's per-region generation counters) until the residual dirty
+//! set drops under a threshold — or a round/byte cap forces the issue —
+//! and only then quiesces for one final delta plus the network-state cut.
+//! Stop-and-copy is the same protocol with zero pre-copy rounds
+//! ([`MigrateOptions::max_rounds`] `= 0`): the quiesced cut is the whole
+//! image. The receiving Agent restores *pipelined*, decoding sections as
+//! frames arrive and squashing each delta onto the accumulated base
+//! ([`zapc_ckpt::DecodedPod`]) instead of buffering the whole chain.
 //!
 //! ## Round protocol (per pod)
 //!
 //! ```text
 //! source                        wire (frames)            receiver
 //! ──────────────────────────────────────────────────────────────────
-//! capture round 1 (full) ────► RoundStart, Section*, RoundEnd
-//! capture round 2 (delta) ───► RoundStart, Section*, RoundEnd   apply/squash
-//!   …until converged/capped
+//! capture round 1 (full) ────► Section*                  apply
+//! capture round 2 (delta) ───► Section*                  apply/squash
+//!   …until converged/capped (no rounds at all for stop-and-copy)
 //! report `precopy` ──────────────────────► Manager
 //!   ◄── `cutover` ─────────────────────── Manager (all pods ready)
 //! suspend + block vip
@@ -35,20 +37,19 @@
 //!                                                             resume
 //! ```
 //!
-//! A frame is one of three things. A pre-copy `Section` travels as the
+//! A frame is one of two things. A pre-copy `Section` travels as the
 //! image's own record — tag, length, payload and CRC exactly as
 //! [`ImageWriter`](zapc_proto::ImageWriter) frames them — not inside an
-//! envelope: section tags are all ≤ `0x00FF` and the control kinds
-//! (`RoundStart`, `RoundEnd`) sit above them. A pre-copy payload is
-//! encoded and CRC'd once, in the buffer that goes down the channel. The
-//! cutover is the Agent's own checkpoint cut (Figure 1 steps 2–3,
-//! `agent::checkpoint_cut`) taken as a delta against the last round, and the
-//! finished image goes down the stream whole, as the last frame: it
-//! starts with the image magic, which read as a record tag is neither a
-//! section nor a control kind, and its `End` record is the end of the
-//! stream. The receiver walks it with the ordinary CRC-verifying
-//! [`ImageReader`] and, at commit, hands its sections to the Agent's own
-//! restart tail (Figure 3, `agent::restart_tail`).
+//! envelope. A pre-copy payload is encoded and CRC'd once, in the buffer
+//! that goes down the channel. The cutover is the Agent's own checkpoint
+//! cut (Figure 1 steps 2–3, `agent::checkpoint_cut`) taken as a delta
+//! against the last round — or whole, when there was none — and the
+//! finished image goes down the stream whole, as the last frame: it starts
+//! with the image magic, which read as a record tag is no section, and its
+//! `End` record is the end of the stream. The receiver walks it with the
+//! ordinary CRC-verifying [`ImageReader`] and, at commit, hands its
+//! sections to the Agent's own restart tail (Figure 3,
+//! `agent::restart_tail`).
 //!
 //! ## Cutover commit point
 //!
@@ -57,16 +58,21 @@
 //! the complete, decodable stream (`applied`). Any failure before that —
 //! an Agent crash between rounds (`agent.precopy_round`), at cutover
 //! (`agent.cutover`), a torn frame (`net.stream_torn`), a receiver node
-//! death — aborts the whole operation with a typed
+//! death — aborts the whole attempt with a typed
 //! [`ZapcError::Aborted`]: sources unblock and resume (or were never
 //! suspended at all), receivers discard their accumulated state, and no
-//! destination pod ever exists. After the commit point the sources are
+//! destination pod ever exists. Such an attempt is retried under
+//! [`MigrateOptions::retries`]. After the commit point the sources are
 //! destroyed *first* (so their routing entries are gone before the
-//! destinations register) and receiver failures are final, exactly like
-//! stop-and-copy phase 2: a receiver that fails past its pod's creation
-//! destroys what it created. The virtual IP stays blocked from source
-//! suspend until the receiver re-routes it, so no segment can chase a pod
-//! across the move.
+//! destinations register) and receiver failures are final and never
+//! retried: a receiver that fails past its pod's creation destroys what it
+//! created. The virtual IP stays blocked from source suspend until the
+//! receiver re-routes it, so no segment can chase a pod across the move.
+//!
+//! With [`MigrateOptions::sendq_merge`], each receiver also reports the
+//! socket records of its verified cut with `applied`; at the commit point
+//! the Manager runs the §5 send-queue merge over all of them and hands
+//! each receiver its pod's merged records with `commit`.
 //!
 //! ## Convergence policy
 //!
@@ -83,29 +89,67 @@
 use crate::agent::{checkpoint_cut, quiesce, restart_tail, unquiesce, RestartInputs};
 use crate::cluster::Cluster;
 use crate::coord::{Coord, Ctl, Reply};
-use crate::manager::{MigrateOptions, PodReport};
+use crate::manager::{Phase, PhaseBreakdown, PodReport, DEFAULT_TIMEOUT};
 use crate::retry::RetryPolicy;
 use crate::{ZapcError, ZapcResult};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zapc_ckpt::{capture_memory_round, DecodedPod};
 use zapc_faults::FaultAction;
+use zapc_netckpt::records::decode_records;
+use zapc_netckpt::{assign_roles, merge_send_queues, SockRecord};
 use zapc_proto::image::{Section, MAGIC};
 use zapc_proto::rw::RecordStream;
-use zapc_proto::{ImageReader, MetaData, RecordWriter, SectionTag};
+use zapc_proto::{ImageReader, MetaData, SectionTag};
 
-/// Control frame kinds. A pre-copy frame is one CRC-framed record, so any
-/// corruption or truncation on the wire surfaces as a typed decode error
-/// at the receiver — never a misparse. A record whose tag is a
-/// [`SectionTag`] is that image section; the kinds below (above every
-/// section tag; `0x0102` and `0x0104` are retired) are the stream's own
-/// punctuation.
-/// Start of a pre-copy round: round ordinal.
-const FRAME_ROUND_START: u16 = 0x0101;
-/// End of a pre-copy round: round ordinal + bytes shipped.
-const FRAME_ROUND_END: u16 = 0x0103;
+/// Knobs for [`migrate_live_with`]. The engine reads every one of them,
+/// so they are all in effect for [`crate::migrate`] too, which runs it
+/// with `max_rounds: 0`.
+#[derive(Debug, Clone)]
+pub struct MigrateOptions {
+    /// Apply the §5 send-queue merge optimization: saved send queues ride
+    /// inside the peers' checkpoint streams instead of being re-sent over
+    /// the new connections.
+    pub sendq_merge: bool,
+    /// Per-phase timeout: bounds the Manager's wait for each reply and
+    /// each Agent's wait for the Manager's next command or the next frame.
+    pub timeout: Duration,
+    /// Retry an attempt that aborted before the commit point — leaving
+    /// every source running at home — up to this many more times. A
+    /// failure past the commit point is final and never retried.
+    pub retries: u32,
+    /// Base delay between retries (attempt `n` waits `n * backoff`).
+    pub backoff: Duration,
+    /// Maximum pre-copy rounds (the base copy counts as round 1) before
+    /// cutover is forced. Bounds downtime for workloads whose dirty rate
+    /// never converges — the last round's residual is then shipped
+    /// quiesced. `0` runs no pre-copy at all: stop-and-copy, whose
+    /// quiesced cut is the whole image.
+    pub max_rounds: u32,
+    /// A delta round that ships at most this many region-content bytes is
+    /// considered converged and triggers cutover.
+    pub residual_threshold: usize,
+    /// Pause between pre-copy rounds. Zero means back-to-back rounds;
+    /// benchmarks and tests use a small pause to model wire drain time and
+    /// give the application a scheduling window between captures.
+    pub round_delay: Duration,
+}
+
+impl Default for MigrateOptions {
+    fn default() -> Self {
+        MigrateOptions {
+            sendq_merge: false,
+            timeout: DEFAULT_TIMEOUT,
+            retries: 0,
+            backoff: Duration::from_millis(50),
+            max_rounds: 8,
+            residual_threshold: 4096,
+            round_delay: Duration::ZERO,
+        }
+    }
+}
 
 /// How deep the per-pod frame channel buffers before the source blocks
 /// (backpressure towards the pre-copy loop, like a TCP window).
@@ -135,6 +179,9 @@ enum LiveCtl {
         all_meta: Arc<Vec<MetaData>>,
         /// Which of them is this pod's.
         me: usize,
+        /// This pod's socket records after the send-queue merge (`None`:
+        /// no merge, restore the cut's own).
+        records: Option<Vec<SockRecord>>,
     },
     /// Abort: a source resumes (or keeps running), a receiver discards
     /// everything; no pod is created.
@@ -153,8 +200,9 @@ enum LiveReply {
     Precopy { pod: String, rounds: u32, precopy_bytes: u64, residual_bytes: u64, converged: bool },
     /// Source: pod suspended and network state cut; meta-data attached.
     Meta { pod: String, meta: Box<MetaData>, suspended_at: Instant },
-    /// Receiver: every frame decoded and applied; ready to commit.
-    Applied { pod: String },
+    /// Receiver: every frame decoded and applied; ready to commit. Carries
+    /// the cut's socket records when the send-queue merge is on.
+    Applied { pod: String, records: Option<Vec<SockRecord>> },
     /// A participant finished — when, and its Agent's report (a source
     /// has destroyed its pod and reports its cut; a receiver has resumed
     /// its pod and reports its restart) — or failed. `key` is its
@@ -180,7 +228,8 @@ impl Reply for LiveReply {
 pub struct LivePodReport {
     /// Pod name.
     pub pod: String,
-    /// Pre-copy rounds run (the full base copy counts as round 1).
+    /// Pre-copy rounds run (the full base copy counts as round 1; 0 for
+    /// stop-and-copy).
     pub rounds: u32,
     /// Total bytes streamed while the pod was running.
     pub precopy_bytes: u64,
@@ -194,8 +243,9 @@ pub struct LivePodReport {
     pub converged: bool,
     /// Downtime: source suspend → destination resume (ms).
     pub downtime_ms: f64,
-    /// Network-restore latency at the destination (ms).
-    pub net_ms: f64,
+    /// The receiver's report of the restart it ran at the destination
+    /// (`net_ms` is the network-restore latency, `image_bytes` the cut).
+    pub restart: PodReport,
 }
 
 /// Outcome of a [`migrate_live`].
@@ -214,6 +264,12 @@ pub struct LiveMigrateReport {
     /// Largest per-pod downtime (ms) — the headline number live
     /// migration exists to shrink.
     pub max_downtime_ms: f64,
+    /// Manager-side partition of `wall_ms`: `mgr.precopy` (invocation,
+    /// including aborted attempts, → every pod converged or capped),
+    /// `mgr.cutover` (→ the commit point) and `mgr.commit` (→ last resume).
+    pub phases: PhaseBreakdown,
+    /// Replies drained after aborted attempts, accumulated across retries.
+    pub late_replies: u64,
 }
 
 /// Live migration with default options.
@@ -221,11 +277,11 @@ pub fn migrate_live(cluster: &Cluster, moves: &[(String, usize)]) -> ZapcResult<
     migrate_live_with(cluster, moves, &MigrateOptions::default())
 }
 
-/// Live migration: iterative pre-copy of every pod in `moves` to its
-/// destination node, then a coordinated cutover. See the module docs for
-/// the protocol, commit point, and convergence policy. Unlike
-/// [`crate::migrate`], there is no retry loop: an abort leaves every
-/// source pod running, so the caller can simply invoke again.
+/// Migration of every pod in `moves` to its destination node: pre-copy
+/// rounds (none when `opts.max_rounds` is 0), then a coordinated cutover.
+/// See the module docs for the protocol, commit point, retries and
+/// convergence policy. An unknown pod or node is [`ZapcError::NotFound`]
+/// before anything is touched.
 pub fn migrate_live_with(
     cluster: &Cluster,
     moves: &[(String, usize)],
@@ -240,13 +296,36 @@ pub fn migrate_live_with(
             return Err(ZapcError::NotFound(format!("node {node}")));
         }
     }
+    let mut late = 0u64;
+    let policy = RetryPolicy::new(opts.retries, opts.backoff);
+    let mut report = policy.run(
+        |_| migrate_once(cluster, moves, opts, t0, &mut late),
+        // Every source pod still exists only before the commit point: past
+        // it the sources are destroyed and the failure is final.
+        |e| {
+            matches!(e, ZapcError::Aborted(_))
+                && moves.iter().all(|(pod, _)| cluster.pod(pod).is_some())
+        },
+    )?;
+    report.late_replies = late;
+    Ok(report)
+}
 
+/// One migration attempt; its report's times run from `t0`, the
+/// invocation.
+fn migrate_once(
+    cluster: &Cluster,
+    moves: &[(String, usize)],
+    opts: &MigrateOptions,
+    t0: Instant,
+    late: &mut u64,
+) -> ZapcResult<LiveMigrateReport> {
     // Every pod has two participants — its source and its receiver side —
     // each watched through the node whose lease keeps it alive until its
     // `done` arrives.
     let mut co: Coord<'_, LiveCtl, LiveReply> = Coord::new(cluster, opts.timeout);
 
-    std::thread::scope(|scope| {
+    let result = std::thread::scope(|scope| {
         for (pod, node) in moves {
             let (stream_tx, stream_rx) = bounded::<Vec<u8>>(STREAM_DEPTH);
             let (src_reply, src_ctl) = co.register(&src_key(pod), cluster.pod_node(pod));
@@ -259,8 +338,7 @@ pub fn migrate_live_with(
                 send_done(cluster, &src_reply, src_key(pod), out);
             });
             scope.spawn(move || {
-                let (rx, timeout) = (&stream_rx, opts.timeout);
-                let out = live_receiver(cluster, pod, node, rx, &rcv_reply, rcv_ctl, timeout);
+                let out = live_receiver(cluster, pod, node, &stream_rx, &rcv_reply, rcv_ctl, opts);
                 if let Some(out) = out.transpose() {
                     send_done(cluster, &rcv_reply, rcv_key(pod), out);
                 }
@@ -286,13 +364,25 @@ pub fn migrate_live_with(
         while st.suspended.len() < n || st.applied.len() < n {
             st.step(&mut co)?;
         }
+        let t_commit = Instant::now();
 
         // ── Commit point: every meta collected, every stream applied. ──
         let mut metas: Vec<MetaData> = Vec::with_capacity(n);
+        let mut records = Vec::with_capacity(n);
         for (pod, _) in moves {
             metas.push(st.suspended.get(pod).expect("meta collected").0.clone());
+            records.push(st.applied.remove(pod).expect("stream applied"));
         }
-        zapc_netckpt::assign_roles(&mut metas);
+        assign_roles(&mut metas);
+        // The §5 send-queue merge, over every pod's records at once.
+        if opts.sendq_merge {
+            let mut all: Vec<_> = records.into_iter().map(Option::unwrap_or_default).collect();
+            let moved = merge_send_queues(&mut all, &metas);
+            if cluster.obs.enabled() {
+                cluster.obs.counter("manager", "mig.merged_bytes", moved as u64);
+            }
+            records = all.into_iter().map(Some).collect();
+        }
         let all_meta = Arc::new(metas);
 
         // Commit the sources first: `destroy_pod` must complete before
@@ -308,10 +398,10 @@ pub fn migrate_live_with(
         }
 
         // Commit the receivers: create pods, reconnect, reinstate, resume.
-        // Receiver failures after the commit point are final, exactly
-        // like stop-and-copy phase 2.
-        for (me, (pod, _)) in moves.iter().enumerate() {
-            co.send(&rcv_key(pod), LiveCtl::CommitReceiver { all_meta: Arc::clone(&all_meta), me });
+        // Receiver failures after the commit point are final.
+        for (me, ((pod, _), records)) in moves.iter().zip(records).enumerate() {
+            let all_meta = Arc::clone(&all_meta);
+            co.send(&rcv_key(pod), LiveCtl::CommitReceiver { all_meta, me, records });
         }
         while st.done.len() < 2 * n {
             st.step(&mut co)?;
@@ -324,8 +414,8 @@ pub fn migrate_live_with(
             let (_, suspended_at) = st.suspended.get(pod).expect("meta");
             let (rounds, precopy_bytes, residual_bytes, converged) =
                 *st.precopy.get(pod).expect("precopy");
-            let (_, src) = st.done.get(&src_key(pod)).expect("source outcome");
-            let (resumed_at, rcv) = st.done.get(&rcv_key(pod)).expect("receiver outcome");
+            let cut_bytes = st.done.get(&src_key(pod)).expect("source outcome").1.image_bytes;
+            let (resumed_at, restart) = st.done.remove(&rcv_key(pod)).expect("receiver outcome");
             let downtime = resumed_at.saturating_duration_since(*suspended_at);
             let downtime_ms = downtime.as_secs_f64() * 1000.0;
             max_downtime_ms = max_downtime_ms.max(downtime_ms);
@@ -337,20 +427,32 @@ pub fn migrate_live_with(
                 rounds,
                 precopy_bytes,
                 residual_bytes,
-                cut_bytes: src.image_bytes,
+                cut_bytes,
                 converged,
                 downtime_ms,
-                net_ms: rcv.net_ms,
+                restart,
             });
         }
+        let ms = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1000.0;
+        let phases = PhaseBreakdown {
+            phases: vec![
+                Phase { name: "mgr.precopy", ms: ms(t0, t_precopy) },
+                Phase { name: "mgr.cutover", ms: ms(t_precopy, t_commit) },
+                Phase { name: "mgr.commit", ms: ms(t_commit, t_end) },
+            ],
+        };
         Ok(LiveMigrateReport {
             pods,
-            wall_ms: (t_end - t0).as_secs_f64() * 1000.0,
-            precopy_ms: (t_precopy - t0).as_secs_f64() * 1000.0,
-            cutover_ms: (t_end - t_precopy).as_secs_f64() * 1000.0,
+            wall_ms: ms(t0, t_end),
+            precopy_ms: ms(t0, t_precopy),
+            cutover_ms: ms(t_precopy, t_end),
             max_downtime_ms,
+            phases,
+            late_replies: 0,
         })
-    })
+    });
+    *late += co.late;
+    result
 }
 
 /// A participant's final reply, stamped with the instant and the epoch it
@@ -383,7 +485,8 @@ fn rcv_key(pod: &str) -> String {
 struct LiveState {
     precopy: HashMap<String, (u32, u64, u64, bool)>,
     suspended: HashMap<String, (MetaData, Instant)>,
-    applied: HashSet<String>,
+    /// Receivers ready to commit, with the socket records they reported.
+    applied: HashMap<String, Option<Vec<SockRecord>>>,
     /// Committed participants by key.
     done: HashMap<String, (Instant, PodReport)>,
 }
@@ -400,8 +503,8 @@ impl LiveState {
             LiveReply::Meta { pod, meta, suspended_at } => {
                 self.suspended.insert(pod, (*meta, suspended_at));
             }
-            LiveReply::Applied { pod } => {
-                self.applied.insert(pod);
+            LiveReply::Applied { pod, records } => {
+                self.applied.insert(pod, records);
             }
             LiveReply::Done { key, result, .. } => match result {
                 Ok(out) => {
@@ -417,8 +520,8 @@ impl LiveState {
     }
 }
 
-/// The source Agent of one live-migrated pod: pre-copy rounds while the
-/// pod runs, then the quiesced cutover. See the module docs. Returns what
+/// The source Agent of one migrated pod: pre-copy rounds while the pod
+/// runs, then the quiesced cutover. See the module docs. Returns what
 /// the source's `done` reports; every `Err` leaves the pod running.
 fn live_source(
     cluster: &Cluster,
@@ -444,9 +547,12 @@ fn live_source(
     let mut gens: Option<HashMap<u32, u64>> = None;
     let mut rounds = 0u32;
     let mut total_bytes = 0u64;
-    let mut last_shipped;
+    let mut last_shipped = 0usize;
     let mut converged = false;
-    loop {
+    while rounds < opts.max_rounds && total_bytes < MAX_PRECOPY_BYTES && !converged {
+        if rounds > 0 && !opts.round_delay.is_zero() {
+            std::thread::sleep(opts.round_delay);
+        }
         match ctl.try_recv() {
             Ok(LiveCtl::Abort) => return Err("aborted during pre-copy".into()),
             Ok(_) => return Err("protocol error: cutover before precopy report".into()),
@@ -465,8 +571,6 @@ fn live_source(
         let payloads = capture_memory_round(&pod, gens.as_ref())
             .map_err(|e| format!("pre-copy capture failed: {e}"))?;
         rounds += 1;
-
-        ship(control_frame(FRAME_ROUND_START, |w| w.put_u32(rounds)), "during pre-copy")?;
         let mut shipped = 0usize;
         let mut next_gens: HashMap<u32, u64> = HashMap::new();
         for p in payloads {
@@ -474,11 +578,6 @@ fn live_source(
             shipped += p.region_bytes;
             ship(p.record, "during pre-copy")?;
         }
-        let round_end = control_frame(FRAME_ROUND_END, |w| {
-            w.put_u32(rounds);
-            w.put_u64(shipped as u64);
-        });
-        ship(round_end, "during pre-copy")?;
         round_span.end();
 
         let delta_round = gens.is_some();
@@ -491,16 +590,7 @@ fn live_source(
                 obs.counter(pod_name, "mig.residual", shipped as u64);
             }
         }
-        if delta_round && shipped <= opts.residual_threshold {
-            converged = true;
-            break;
-        }
-        if rounds >= opts.max_rounds || total_bytes >= MAX_PRECOPY_BYTES {
-            break;
-        }
-        if !opts.round_delay.is_zero() {
-            std::thread::sleep(opts.round_delay);
-        }
+        converged = delta_round && shipped <= opts.residual_threshold;
     }
 
     let _ = reply.send(LiveReply::Precopy {
@@ -528,8 +618,11 @@ fn live_source(
     let mut report = PodReport { pod: pod_name.to_owned(), ..PodReport::default() };
     let cut = (|| {
         // The final cut is a delta against the last pre-copy round, so it
-        // is residual-sized, not image-sized.
-        let capacity = last_shipped + 16 * 1024;
+        // is residual-sized; without pre-copy it is the whole image.
+        let capacity = match gens {
+            Some(_) => last_shipped + 16 * 1024,
+            None => pod.total_mem_bytes() + 4096,
+        };
         let image = checkpoint_cut(cluster, &pod, false, gens, capacity, &mut report, |meta| {
             let meta = Box::new(meta.clone());
             reply
@@ -602,7 +695,7 @@ fn send_frame(
     stream.send(frame).map_err(|_| "stream receiver gone".to_string())
 }
 
-/// The receiver Agent of one live-migrated pod: decodes frames as they
+/// The receiver Agent of one migrated pod: decodes frames as they
 /// arrive, squashing deltas onto the accumulated state, and creates the
 /// destination pod only at the Manager's commit. Returns what the
 /// receiver's `done` reports, the restart tail's report on the pod it
@@ -615,8 +708,9 @@ fn live_receiver(
     stream: &Receiver<Vec<u8>>,
     reply: &Sender<LiveReply>,
     ctl: Receiver<LiveCtl>,
-    timeout: Duration,
+    opts: &MigrateOptions,
 ) -> Result<Option<PodReport>, String> {
+    let timeout = opts.timeout;
     let mut parts = DecodedPod::new();
     let mut first_frame = true;
     let mut deadline = Instant::now() + timeout;
@@ -656,12 +750,17 @@ fn live_receiver(
         apply_frame(&mut parts, &frame)?;
     };
     let sections = apply_cut(&mut parts, &cut)?;
+    // The merge works on the verified cut's socket records.
+    let records = match opts.sendq_merge {
+        true => Some(cut_records(&sections)?),
+        false => None,
+    };
 
     // Whole stream decoded and squashed; acknowledge and await the
     // Manager's verdict. Nothing exists on this node yet.
-    let _ = reply.send(LiveReply::Applied { pod: pod_name.to_owned() });
+    let _ = reply.send(LiveReply::Applied { pod: pod_name.to_owned(), records });
     match ctl.recv_timeout(timeout) {
-        Ok(LiveCtl::CommitReceiver { all_meta, me }) => {
+        Ok(LiveCtl::CommitReceiver { all_meta, me, records }) => {
             // Figure 3 with the decode pipelined away: every round is
             // already squashed, so reinstatement is a straight move of
             // materialized state into the new pod.
@@ -669,32 +768,31 @@ fn live_receiver(
                 my_meta: &all_meta[me],
                 all_meta: &all_meta,
                 node,
-                records: None,
+                records,
                 timeout,
             };
             let spans = ["mig.create", "mig.reconnect", "mig.reinstate", "mig.resume"];
-            restart_tail(cluster, &sections, inputs, &ctl, spans, |pod, sockets| {
-                parts.reinstate(pod, &cluster.registry, sockets)
-            })
-            .map(Some)
-            .map_err(|e| e.to_string())
+            let mut report =
+                restart_tail(cluster, &sections, inputs, &ctl, spans, |pod, sockets| {
+                    parts.reinstate(pod, &cluster.registry, sockets)
+                })
+                .map_err(|e| e.to_string())?;
+            report.image_bytes = cut.len();
+            Ok(Some(report))
         }
         Ok(_) | Err(_) => Err("aborted before commit".into()),
     }
 }
 
 /// Decodes one pre-copy frame onto the accumulated state. A frame is one
-/// CRC-framed record: a torn or corrupted frame fails here with a typed
-/// decode error, never a misparse, and so does a record that has no place
-/// on a stream.
+/// CRC-framed section record: a torn or corrupted frame fails here with a
+/// typed decode error, never a misparse, and so does a record that has no
+/// place on a stream.
 fn apply_frame(parts: &mut DecodedPod, frame: &[u8]) -> Result<(), String> {
     let (raw, payload) =
         RecordStream::new(frame).next_record().map_err(|e| format!("torn stream: {e}"))?;
-    let tag = match raw {
-        FRAME_ROUND_START | FRAME_ROUND_END => return Ok(()),
-        _ => SectionTag::from_u16(raw)
-            .ok_or_else(|| format!("torn stream: unknown frame kind {raw:#06x}"))?,
-    };
+    let tag = SectionTag::from_u16(raw)
+        .ok_or_else(|| format!("torn stream: unknown frame kind {raw:#06x}"))?;
     if matches!(tag, SectionTag::Header | SectionTag::End) {
         return Err(format!("torn stream: image {tag:?} record on the stream"));
     }
@@ -715,13 +813,13 @@ fn apply_cut<'a>(parts: &mut DecodedPod, image: &'a [u8]) -> Result<Vec<Section<
     Ok(sections)
 }
 
-/// One control frame: `kind` framed in place around what `f` encodes.
-fn control_frame(kind: u16, f: impl FnOnce(&mut RecordWriter)) -> Vec<u8> {
-    let mut w = RecordWriter::with_capacity(32);
-    let mark = w.begin_record(kind);
-    f(&mut w);
-    w.end_record(mark);
-    w.into_bytes()
+/// The socket records of a verified cut, for the send-queue merge.
+fn cut_records(sections: &[Section<'_>]) -> Result<Vec<SockRecord>, String> {
+    let net = sections
+        .iter()
+        .find(|s| s.tag == SectionTag::NetState)
+        .ok_or("cut without a netstate section")?;
+    decode_records(net.payload).map_err(|e| format!("cut netstate: {e}"))
 }
 
 #[cfg(test)]
@@ -730,7 +828,7 @@ mod tests {
     use zapc_ckpt::MemoryDeltaRecord;
     use zapc_proto::image::Header;
     use zapc_proto::rw::frame_record;
-    use zapc_proto::{Encode, ImageWriter};
+    use zapc_proto::{Encode, ImageWriter, RecordWriter};
     use zapc_sim::memory::AddressSpace;
 
     /// A `Memory` section record for `vpid` with one small region.
@@ -759,14 +857,10 @@ mod tests {
 
     #[test]
     fn hostile_frames_are_typed_errors_and_leave_the_accumulator_alone() {
-        // The grammar has no envelope, so a section tag that collided with
-        // a control kind would be dropped as punctuation, and an image
-        // whose first two bytes read as either would be taken for a record.
+        // The grammar has no envelope, so an image whose first two bytes
+        // read as a section tag would be taken for a record.
         let magic = u16::from_le_bytes([MAGIC[0], MAGIC[1]]);
-        for kind in [FRAME_ROUND_START, FRAME_ROUND_END, magic] {
-            assert!(SectionTag::from_u16(kind).is_none(), "{kind:#06x} is a section tag");
-        }
-        assert!(![FRAME_ROUND_START, FRAME_ROUND_END].contains(&magic));
+        assert!(SectionTag::from_u16(magic).is_none(), "{magic:#06x} is a section tag");
 
         // A base for vpid 3 is in place; every hostile frame below must
         // bounce off it.
@@ -786,12 +880,14 @@ mod tests {
         MemoryDeltaRecord::capture(9, 0, &mem).encode(&mut dw);
         let good_cut = cut_image(3, &mem);
 
-        let records: [(&str, Vec<u8>, &str); 8] = [
+        let records: [(&str, Vec<u8>, &str); 10] = [
             ("header", frame_record(SectionTag::Header as u16, b"x"), "torn stream"),
             ("end", frame_record(SectionTag::End as u16, &[]), "torn stream"),
             ("parent ref", frame_record(SectionTag::ParentRef as u16, b"x"), "stream apply"),
             ("unassigned tag", frame_record(0x0077, b"x"), "torn stream: unknown frame kind"),
+            ("retired round start", frame_record(0x0101, b"x"), "torn stream: unknown frame kind"),
             ("retired envelope", frame_record(0x0102, b"x"), "torn stream: unknown frame kind"),
+            ("retired round end", frame_record(0x0103, b"x"), "torn stream: unknown frame kind"),
             ("flipped payload byte", flipped, "torn stream"),
             (
                 "delta before its base",
@@ -835,13 +931,13 @@ mod tests {
         }
         let (reply, replies) = bounded(4);
         let (verdict, ctl) = bounded(1);
-        let timeout = Duration::from_secs(5);
+        let opts = MigrateOptions { timeout: Duration::from_secs(5), ..Default::default() };
         let (out, stream) = std::thread::scope(|s| {
-            let cluster = &cluster;
+            let (cluster, opts) = (&cluster, &opts);
             let receiver = s.spawn(move || {
-                (live_receiver(cluster, "p", 0, &stream, &reply, ctl, timeout), stream)
+                (live_receiver(cluster, "p", 0, &stream, &reply, ctl, opts), stream)
             });
-            assert!(matches!(replies.recv_timeout(timeout), Ok(LiveReply::Applied { .. })));
+            assert!(matches!(replies.recv_timeout(opts.timeout), Ok(LiveReply::Applied { .. })));
             verdict.send(LiveCtl::Abort).unwrap();
             receiver.join().unwrap()
         });

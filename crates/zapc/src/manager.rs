@@ -22,10 +22,11 @@ use crate::agent::{
 };
 use crate::cluster::Cluster;
 use crate::coord::Coord;
+use crate::live::{migrate_live_with, MigrateOptions};
 use crate::retry::RetryPolicy;
 use crate::uri::Uri;
 use crate::{ZapcError, ZapcResult};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zapc_netckpt::assign_roles;
@@ -142,7 +143,7 @@ pub struct CheckpointReport {
     /// attempt (previously discarded silently), accumulated across
     /// retries.
     pub late_replies: u64,
-    /// The merged meta-data (for diagnostics and direct migration).
+    /// The merged meta-data (for diagnostics).
     pub meta: Vec<MetaData>,
 }
 
@@ -155,8 +156,8 @@ pub struct RestartReport {
     pub wall_ms: f64,
     /// Manager-side phase partition of `wall_ms`.
     pub phases: PhaseBreakdown,
-    /// Late Agent replies drained after aborted attempts of a migration's
-    /// phase 1 (a plain restart never retries, so it reports 0).
+    /// Late Agent replies drained after aborted attempts of a migration
+    /// (a plain restart never retries, so it reports 0).
     pub late_replies: u64,
 }
 
@@ -178,12 +179,6 @@ pub struct CheckpointOptions {
     pub retries: u32,
     /// Base delay between retries (attempt `n` waits `n * backoff`).
     pub backoff: Duration,
-    /// Manager epoch to stamp the operation with. `None` reads the
-    /// current epoch at each attempt's start; [`crate::checkpoint_commit`]
-    /// pins the epoch it snapshotted at entry so a recovery racing the
-    /// commit deterministically fences the whole pipeline, not just the
-    /// manifest rename.
-    pub epoch: Option<u64>,
 }
 
 impl Default for CheckpointOptions {
@@ -194,7 +189,6 @@ impl Default for CheckpointOptions {
             fs_snapshot: false,
             retries: 0,
             backoff: Duration::from_millis(50),
-            epoch: None,
         }
     }
 }
@@ -213,10 +207,24 @@ pub fn checkpoint_with(
     targets: &[CheckpointTarget],
     opts: &CheckpointOptions,
 ) -> ZapcResult<CheckpointReport> {
+    checkpoint_at(cluster, targets, opts, None)
+}
+
+/// [`checkpoint_with`] stamped with `epoch`. `None` reads the current
+/// epoch at each attempt's start; [`crate::checkpoint_commit`] pins the
+/// epoch it snapshotted at entry so a recovery racing the commit
+/// deterministically fences the whole pipeline, not just the manifest
+/// rename.
+pub(crate) fn checkpoint_at(
+    cluster: &Cluster,
+    targets: &[CheckpointTarget],
+    opts: &CheckpointOptions,
+    epoch: Option<u64>,
+) -> ZapcResult<CheckpointReport> {
     let mut late = 0u64;
     let policy = RetryPolicy::new(opts.retries, opts.backoff);
-    let (mut report, _) = policy.run(
-        |_| checkpoint_once(cluster, targets, opts, "manager", &mut late),
+    let mut report = policy.run(
+        |_| checkpoint_once(cluster, targets, opts, epoch, &mut late),
         // Retry only when the abort rolled every target back to running — a
         // partially-committed destroy cannot be re-run.
         |e| {
@@ -228,16 +236,11 @@ pub fn checkpoint_with(
     Ok(report)
 }
 
-/// Images that came back through the `done` replies (the streaming
-/// rendezvous of `Uri::Agent` targets), by pod.
-type StreamedImages = HashMap<String, Arc<Vec<u8>>>;
-
 /// What a checkpoint's Agents have reported so far.
 #[derive(Default)]
 struct Gathered {
     meta: Vec<MetaData>,
     pods: Vec<PodReport>,
-    images: StreamedImages,
 }
 
 impl Gathered {
@@ -245,28 +248,24 @@ impl Gathered {
     fn file(&mut self, reply: AgentReply) -> Result<(), String> {
         match reply {
             AgentReply::Meta { meta } => self.meta.push(meta),
-            AgentReply::Done { pod, result, image, .. } => {
+            AgentReply::Done { pod, result, .. } => {
                 self.pods.push(result.map_err(|why| format!("agent for {pod} failed: {why}"))?);
-                if let Some(image) = image {
-                    self.images.insert(pod, image);
-                }
             }
         }
         Ok(())
     }
 }
 
-/// One coordinated-checkpoint attempt. `who` keys the Manager-crash fault
-/// sites (`"manager"` for checkpoints, `"migrate"` for a migration's
-/// phase 1). Every error path aborts the surviving Agents and drains
-/// their rollback replies, so no pod is left suspended.
+/// One coordinated-checkpoint attempt. Every error path aborts the
+/// surviving Agents and drains their rollback replies, so no pod is left
+/// suspended.
 fn checkpoint_once(
     cluster: &Cluster,
     targets: &[CheckpointTarget],
     opts: &CheckpointOptions,
-    who: &str,
+    epoch: Option<u64>,
     late: &mut u64,
-) -> ZapcResult<(CheckpointReport, StreamedImages)> {
+) -> ZapcResult<CheckpointReport> {
     let t0 = Instant::now();
     // The epoch every Agent op and the eventual `continue` are stamped
     // with. `checkpoint_commit` pins its entry snapshot here; ad-hoc
@@ -274,7 +273,7 @@ fn checkpoint_once(
     // cluster epoch mid-flight makes every stamp stale, so the Agents
     // fence and the attempt aborts instead of committing for a Manager
     // the cluster already declared dead.
-    let op_epoch = opts.epoch.unwrap_or_else(|| cluster.epoch());
+    let op_epoch = epoch.unwrap_or_else(|| cluster.epoch());
     let mut co: Coord<'_, CtlMsg, AgentReply> = Coord::new(cluster, opts.timeout);
 
     let result = std::thread::scope(|scope| {
@@ -306,7 +305,7 @@ fn checkpoint_once(
         }
 
         // Fault site: the Manager dies here.
-        if cluster.faults.hit("manager.post_meta", who).is_some() {
+        if cluster.faults.hit("manager.post_meta", "manager").is_some() {
             return Err(co.manager_died("manager crashed after meta-data"));
         }
         meta_span.end();
@@ -322,7 +321,7 @@ fn checkpoint_once(
         let commit_span = cluster.obs.span("manager", "mgr.commit");
 
         // Fault site: the Manager dies before collecting `done` replies.
-        if cluster.faults.hit("manager.pre_done", who).is_some() {
+        if cluster.faults.hit("manager.pre_done", "manager").is_some() {
             return Err(co.manager_died("manager crashed collecting done"));
         }
 
@@ -330,7 +329,7 @@ fn checkpoint_once(
         while got.pods.len() < targets.len() {
             got.file(co.recv("done")?).map_err(|why| co.abort(why))?;
         }
-        let Gathered { meta, mut pods, images } = got;
+        let Gathered { meta, mut pods } = got;
         commit_span.end();
         let t_end = Instant::now();
         pods.sort_by(|a, b| a.pod.cmp(&b.pod));
@@ -342,7 +341,7 @@ fn checkpoint_once(
             ],
         };
         let wall_ms = (t_end - t0).as_secs_f64() * 1000.0;
-        Ok((CheckpointReport { pods, wall_ms, phases, late_replies: 0, meta }, images))
+        Ok(CheckpointReport { pods, wall_ms, phases, late_replies: 0, meta })
     });
     *late += co.late;
     result
@@ -358,7 +357,8 @@ pub fn restart(cluster: &Cluster, targets: &[RestartTarget]) -> ZapcResult<Resta
 /// Refused — before any image is fetched or Agent started — when a target
 /// names a pod that is still live (or names one pod twice): restarting
 /// over a running pod would take its name and its virtual address's route
-/// and leave it running unreachable. Destroy or migrate it away first.
+/// and leave it running unreachable. Destroy or migrate it away first. A
+/// target node that does not exist is [`ZapcError::NotFound`].
 pub fn restart_with(
     cluster: &Cluster,
     targets: &[RestartTarget],
@@ -379,6 +379,9 @@ pub fn restart_with(
                 t.pod
             )));
         }
+        if t.node >= cluster.node_count() {
+            return Err(ZapcError::NotFound(format!("node {}", t.node)));
+        }
     }
 
     // Fetch images and lift each pod's meta-data out of its image.
@@ -390,11 +393,6 @@ pub fn restart_with(
                 .store
                 .get(label)
                 .ok_or_else(|| ZapcError::NotFound(format!("image {label:?}")))?,
-            Uri::Agent { .. } => {
-                return Err(ZapcError::NotFound(
-                    "streamed images are consumed by migrate()".into(),
-                ))
-            }
             Uri::Store { ckpt } => {
                 // Durable source: resolve the pod through the committed
                 // manifest and re-verify the recorded digest — a torn or
@@ -418,46 +416,12 @@ pub fn restart_with(
         images.push(image);
     }
 
-    restart_from_parts(cluster, targets, images, metas, timeout, t0, false)
-}
-
-/// Shared tail of `restart`/`migrate`: schedule + per-Agent restart.
-fn restart_from_parts(
-    cluster: &Cluster,
-    targets: &[RestartTarget],
-    images: Vec<Arc<Vec<u8>>>,
-    mut metas: Vec<MetaData>,
-    timeout: Duration,
-    t0: Instant,
-    sendq_merge: bool,
-) -> ZapcResult<RestartReport> {
-    // `mgr.prepare` covers everything before the schedule: image fetch
-    // for a restart, the whole checkpoint phase 1 for a migration.
+    // `mgr.prepare` covers everything before the schedule: the image
+    // fetch.
     let t_prepare = Instant::now();
     let schedule_span = cluster.obs.span("manager", "mgr.schedule");
     // Derive the connectivity map and the connect/accept schedule.
     assign_roles(&mut metas);
-
-    // Optional §5 send-queue merge: decode every pod's socket records,
-    // reroute post-overlap send-queue bytes into the peers' checkpoint
-    // streams, and hand the transformed records to the Agents.
-    let mut merged_records: Vec<Option<Vec<zapc_netckpt::SockRecord>>> =
-        targets.iter().map(|_| None).collect();
-    if sendq_merge {
-        let mut all_records: Vec<Vec<zapc_netckpt::SockRecord>> = Vec::with_capacity(images.len());
-        for image in &images {
-            let rd = ImageReader::open(image)?;
-            let sections = rd.sections()?;
-            let payload = sections
-                .iter()
-                .find(|s| s.tag == SectionTag::NetState)
-                .ok_or_else(|| ZapcError::NotFound("netstate section".into()))?
-                .payload;
-            all_records.push(zapc_netckpt::records::decode_records(payload)?);
-        }
-        zapc_netckpt::merge_send_queues(&mut all_records);
-        merged_records = all_records.into_iter().map(Some).collect();
-    }
     schedule_span.end();
     let t_schedule = Instant::now();
 
@@ -473,7 +437,7 @@ fn restart_from_parts(
                 my_meta: &metas[i],
                 all_meta: &metas,
                 node: t.node,
-                records: merged_records[i].take(),
+                records: None,
                 timeout,
             };
             let (image, (reply, ctl)) = (&images[i], co.register(&t.pod, Some(t.node)));
@@ -521,124 +485,22 @@ fn extract_meta(image: &[u8]) -> ZapcResult<MetaData> {
     Err(ZapcError::NotFound("meta-data section".into()))
 }
 
-/// Options for [`migrate_with`].
-#[derive(Debug, Clone)]
-pub struct MigrateOptions {
-    /// Apply the §5 send-queue merge optimization: saved send queues ride
-    /// inside the peers' checkpoint streams instead of being re-sent over
-    /// the new connections.
-    pub sendq_merge: bool,
-    /// Per-phase timeout (Manager reply waits and Agent `continue` waits).
-    pub timeout: Duration,
-    /// Retry an aborted checkpoint phase up to this many more times. Only
-    /// phase 1 retries: its abort path resumes every source pod, so a
-    /// retry starts clean. Phase 2 never retries — by then the sources
-    /// are destroyed and a failure is final.
-    pub retries: u32,
-    /// Base delay between retries (attempt `n` waits `n * backoff`).
-    pub backoff: Duration,
-    /// Live migration ([`crate::live::migrate_live_with`]): maximum
-    /// pre-copy rounds (the base copy counts as round 1) before cutover
-    /// is forced. Bounds downtime for workloads whose dirty rate never
-    /// converges — the last round's residual is then shipped quiesced.
-    pub max_rounds: u32,
-    /// Live migration: a delta round that ships at most this many
-    /// region-content bytes is considered converged and triggers cutover.
-    pub residual_threshold: usize,
-    /// Live migration: pause between pre-copy rounds. Zero means
-    /// back-to-back rounds; benchmarks and tests use a small pause to
-    /// model wire drain time and give the application a scheduling
-    /// window between captures.
-    pub round_delay: Duration,
-}
-
-impl Default for MigrateOptions {
-    fn default() -> Self {
-        MigrateOptions {
-            sendq_merge: false,
-            timeout: DEFAULT_TIMEOUT,
-            retries: 0,
-            backoff: Duration::from_millis(50),
-            max_rounds: 8,
-            residual_threshold: 4096,
-            round_delay: Duration::ZERO,
-        }
-    }
-}
-
-/// Direct migration: checkpoint a set of pods and restart them on new
-/// nodes, streaming images Agent-to-Agent without intermediate storage
-/// (§4). `moves` maps each pod to its destination node; `N → M` mappings
-/// (several pods to one node, or one node's pods fanning out) are fine.
+/// Direct migration: stop-and-copy every pod in `moves` to its destination
+/// node, streaming each checkpoint Agent-to-Agent without intermediate
+/// storage (§4); `N → M` mappings (several pods to one node, or one node's
+/// pods fanning out) are fine. This is [`migrate_live_with`] with no
+/// pre-copy rounds: no source is destroyed before every receiver holds a
+/// verified, decoded cut. The report carries the receivers' restart
+/// reports and the Manager phases of that protocol.
 pub fn migrate(cluster: &Cluster, moves: &[(String, usize)]) -> ZapcResult<RestartReport> {
-    migrate_with(cluster, moves, &MigrateOptions::default())
-}
-
-/// [`migrate`] with options.
-///
-/// Phase 1 (coordinated checkpoint of the sources) retries like
-/// [`checkpoint_with`]: its abort path resumes every pod, so up to
-/// `opts.retries` aborted attempts are re-run after backoff. Phase 2
-/// (restart at the destinations) is past the point of no return — the
-/// sources were destroyed when phase 1 committed — so its failures
-/// surface immediately.
-pub fn migrate_with(
-    cluster: &Cluster,
-    moves: &[(String, usize)],
-    opts: &MigrateOptions,
-) -> ZapcResult<RestartReport> {
-    let t0 = Instant::now();
-    let targets: Vec<CheckpointTarget> = moves
-        .iter()
-        .map(|(pod, node)| CheckpointTarget {
-            pod: pod.clone(),
-            uri: Uri::Agent { node: *node },
-            finalize: Finalize::Destroy,
-        })
-        .collect();
-
-    // Phase 1 *is* a coordinated checkpoint whose images come back through
-    // the `done` replies (the streaming rendezvous) instead of storage.
-    // Migrations always run under the live epoch: there is no durable
-    // commit to pin, and a recovery racing phase 1 should fence it the
-    // moment the bump lands.
-    let ck_opts = CheckpointOptions { timeout: opts.timeout, ..CheckpointOptions::default() };
-    let mut late = 0u64;
-    let policy = RetryPolicy::new(opts.retries, opts.backoff);
-    let (ckpt, images) = policy.run(
-        |_| checkpoint_once(cluster, &targets, &ck_opts, "migrate", &mut late),
-        // Retry only when every source pod survived the abort; a fault
-        // that struck after some Agents passed the sync point (and
-        // destroyed their pods) is final.
-        |e| {
-            matches!(e, ZapcError::Aborted(_))
-                && targets.iter().all(|t| cluster.pod(&t.pod).is_some())
-        },
-    )?;
-
-    // Phase 2: restart at the destinations from the streamed images.
-    let mut restart_targets = Vec::with_capacity(moves.len());
-    let mut ordered_images = Vec::with_capacity(moves.len());
-    let mut ordered_metas = Vec::with_capacity(moves.len());
-    for (pod, node) in moves {
-        restart_targets.push(RestartTarget {
-            pod: pod.clone(),
-            uri: Uri::Agent { node: *node },
-            node: *node,
-        });
-        ordered_images.push(Arc::clone(images.get(pod).expect("image collected")));
-        ordered_metas
-            .push(ckpt.meta.iter().find(|m| m.pod == *pod).expect("meta collected").clone());
-    }
-    let mut report = restart_from_parts(
-        cluster,
-        &restart_targets,
-        ordered_images,
-        ordered_metas,
-        opts.timeout,
-        t0,
-        opts.sendq_merge,
-    )?;
-    report.late_replies = late;
-    Ok(report)
+    let opts = MigrateOptions { max_rounds: 0, ..MigrateOptions::default() };
+    let live = migrate_live_with(cluster, moves, &opts)?;
+    let mut pods: Vec<PodReport> = live.pods.into_iter().map(|p| p.restart).collect();
+    pods.sort_by(|a, b| a.pod.cmp(&b.pod));
+    Ok(RestartReport {
+        pods,
+        wall_ms: live.wall_ms,
+        phases: live.phases,
+        late_replies: live.late_replies,
+    })
 }

@@ -15,12 +15,6 @@ pub enum Uri {
     /// measurement configuration ("the time to write the checkpoint image
     /// of each pod to memory", §6.2).
     Mem(String),
-    /// Stream directly to the Agent on the given destination node, which
-    /// restarts the pod there without touching storage.
-    Agent {
-        /// Destination node index.
-        node: usize,
-    },
     /// A slot in the cluster's *durable* image store: the image is staged
     /// under checkpoint id `ckpt` (write-to-temp → fsync → atomic rename)
     /// and becomes part of an application checkpoint only once the
@@ -102,6 +96,5 @@ mod tests {
     #[test]
     fn uri_constructors() {
         assert_eq!(Uri::mem("x"), Uri::Mem("x".into()));
-        assert_eq!(Uri::Agent { node: 3 }, Uri::Agent { node: 3 });
     }
 }

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use zapc::agent::Finalize;
 use zapc::manager::{checkpoint_with, CheckpointOptions, CheckpointTarget, RestartTarget};
-use zapc::manager::{migrate_with, MigrateOptions};
 use zapc::{checkpoint, migrate, migrate_live, restart, Cluster, ClusterBuilder, Uri, ZapcError};
+use zapc::{migrate_live_with, MigrateOptions};
 use zapc::{FaultAction, FaultPlan};
 use zapc_net::RecvFlags;
 use zapc_proto::{Endpoint, RecordReader, RecordWriter, Transport};
@@ -416,20 +416,22 @@ fn a_slow_agent_is_not_a_dead_node() {
 #[test]
 fn migrate_aborts_within_a_lease_when_a_source_node_dies_in_phase_1() {
     let expected = reference_codes(2, 400);
-    // ring-1's Agent is held inside phase 1 (pod suspended, meta-data not
-    // yet reported) long enough for its node to be declared dead.
+    // ring-1's source Agent is held at its first frame — with no pre-copy
+    // rounds that is the cut, shipped while the pod is suspended — long
+    // enough for its node to be declared dead.
     let plan = FaultPlan::script()
-        .inject("agent.slow", Some("ring-1"), 0, FaultAction::Delay { micros: 150_000 })
+        .inject("net.partition", Some("ring-1"), 0, FaultAction::Delay { micros: 150_000 })
         .build();
     let (cluster, names) = launch_ring_on(Cluster::builder().faults(plan), 2, 2, 400);
     std::thread::sleep(Duration::from_millis(10));
 
     let moves: Vec<(String, usize)> =
         names.iter().enumerate().map(|(i, n)| (n.clone(), 1 - i % 2)).collect();
-    let opts = MigrateOptions { timeout: Duration::from_secs(5), ..Default::default() };
+    let opts =
+        MigrateOptions { max_rounds: 0, timeout: Duration::from_secs(5), ..Default::default() };
     let t0 = std::time::Instant::now();
     let err = std::thread::scope(|s| {
-        let op = s.spawn(|| migrate_with(&cluster, &moves, &opts));
+        let op = s.spawn(|| migrate_live_with(&cluster, &moves, &opts));
         while cluster.faults.fired() == 0 {
             assert!(t0.elapsed() < Duration::from_secs(20), "phase 1 never started");
             std::thread::sleep(Duration::from_millis(1));
@@ -450,6 +452,44 @@ fn migrate_aborts_within_a_lease_when_a_source_node_dies_in_phase_1() {
         assert_eq!(cluster.pod_node(n), Some(i % 2));
         assert!(!cluster.filter().is_blocked(cluster.pod(n).unwrap().vip()));
     }
+    assert_eq!(wait_codes(&cluster, &names), expected);
+}
+
+#[test]
+fn restart_to_a_missing_node_is_refused_before_anything_runs() {
+    let expected = reference_codes(2, 400);
+    let (cluster, names) = launch_ring(2, 2, 400);
+    std::thread::sleep(Duration::from_millis(10));
+    let to_images: Vec<CheckpointTarget> = names
+        .iter()
+        .map(|n| CheckpointTarget {
+            pod: n.clone(),
+            uri: Uri::mem(format!("img/{n}")),
+            finalize: Finalize::Destroy,
+        })
+        .collect();
+    checkpoint(&cluster, &to_images).unwrap();
+    let onto = |nodes: [usize; 2]| -> Vec<RestartTarget> {
+        names
+            .iter()
+            .zip(nodes)
+            .map(|(n, node)| RestartTarget {
+                pod: n.clone(),
+                uri: Uri::mem(format!("img/{n}")),
+                node,
+            })
+            .collect()
+    };
+
+    match restart(&cluster, &onto([0, 7])) {
+        Err(ZapcError::NotFound(what)) => assert!(what.contains("node 7"), "what = {what}"),
+        other => panic!("expected NotFound, got {other:?}"),
+    }
+    for n in &names {
+        assert!(cluster.pod(n).is_none(), "{n} was created by the refused restart");
+    }
+    // The stored images are untouched: a restart onto real nodes runs.
+    restart(&cluster, &onto([1, 0])).unwrap();
     assert_eq!(wait_codes(&cluster, &names), expected);
 }
 

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use zapc::agent::Finalize;
 use zapc::manager::{CheckpointTarget, RestartTarget};
-use zapc::{checkpoint, restart, Cluster, Uri};
+use zapc::{checkpoint, migrate, migrate_live, restart, Cluster, Uri};
 use zapc_obs::{Observer, RingCollector};
 use zapc_proto::{RecordReader, RecordWriter};
 use zapc_sim::{ProcessCtx, Program, ProgramRegistry, StepOutcome};
@@ -161,6 +161,32 @@ fn restart_phases_tile_wall_and_spans_flow() {
         assert_eq!(n, 2, "expected one {phase} span per pod");
     }
     assert_eq!(ring.counter_sum("ckpt.restore_procs"), 2);
+    for n in names {
+        cluster.destroy_pod(&n);
+    }
+}
+
+#[test]
+fn migration_phases_tile_wall_and_receivers_trace_as_migration() {
+    let (cluster, ring) = observed_cluster(2);
+    let names = spawn_pods(&cluster, 2);
+    let moves: Vec<(String, usize)> =
+        names.iter().enumerate().map(|(i, p)| (p.clone(), (i + 1) % 2)).collect();
+
+    // Stop-and-copy and pre-copy are one engine: both report its phases.
+    let stop_and_copy = migrate(&cluster, &moves).expect("migrate").phases;
+    let live = migrate_live(&cluster, &moves).expect("migrate_live");
+    assert!((live.phases.sum_ms() - live.wall_ms).abs() / live.wall_ms < 0.10);
+    for phases in [&stop_and_copy, &live.phases] {
+        let phase_names: Vec<&str> = phases.phases.iter().map(|p| p.name).collect();
+        assert_eq!(phase_names, ["mgr.precopy", "mgr.cutover", "mgr.commit"]);
+    }
+    // Every receiver ran the migration restart tail, none the stored-image one.
+    let count = |phase: &str| -> u64 {
+        ring.phase_totals().iter().filter(|((_, p), _)| *p == phase).map(|(_, t)| t.0).sum()
+    };
+    assert_eq!(count("mig.create"), 4, "two pods, two migrations");
+    assert_eq!(count("rst.create"), 0);
     for n in names {
         cluster.destroy_pod(&n);
     }

@@ -9,10 +9,8 @@
 
 use std::time::Duration;
 use zapc::agent::Finalize;
-use zapc::manager::{
-    checkpoint_with, migrate_with, CheckpointOptions, CheckpointTarget, MigrateOptions,
-};
-use zapc::{Cluster, FaultAction, FaultPlan, Uri, ZapcError};
+use zapc::manager::{checkpoint_with, CheckpointOptions, CheckpointTarget};
+use zapc::{migrate_live_with, Cluster, FaultAction, FaultPlan, MigrateOptions, Uri, ZapcError};
 use zapc_apps::launch::{full_registry, launch_app, AppKind, AppParams};
 
 const WAIT: Duration = Duration::from_secs(120);
@@ -95,16 +93,17 @@ fn main() {
     println!("survivors completed with reference output after the abort");
     app.destroy(&c);
 
-    // 3. Migrate with a pre-commit crash: rollback, then retry moves pods.
+    // 3. Stop-and-copy migration with a pre-commit crash: rollback, then
+    // retry moves pods.
     let plan = FaultPlan::script()
-        .inject("agent.pre_meta", Some("mig-0"), 0, FaultAction::Crash)
+        .inject("agent.cutover", Some("mig-0"), 0, FaultAction::Crash)
         .build();
     let c = Cluster::builder().nodes(3).registry(full_registry()).faults(plan).build();
     let app = launch_app(&c, "mig", &params);
     std::thread::sleep(Duration::from_millis(5));
     let moves: Vec<(String, usize)> = app.pods.iter().map(|p| (p.clone(), 2)).collect();
-    migrate_with(&c, &moves, &MigrateOptions { retries: 2, ..Default::default() })
-        .expect("retry should land the migration");
+    let opts = MigrateOptions { max_rounds: 0, retries: 2, ..Default::default() };
+    migrate_live_with(&c, &moves, &opts).expect("retry should land the migration");
     for p in &app.pods {
         assert_eq!(c.pod_node(p), Some(2), "{p} should live on node 2");
     }

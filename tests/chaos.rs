@@ -7,8 +7,7 @@
 use std::time::Duration;
 use zapc::agent::Finalize;
 use zapc::manager::{
-    checkpoint, checkpoint_with, migrate_with, restart, CheckpointOptions, CheckpointTarget,
-    MigrateOptions, RestartTarget,
+    checkpoint, checkpoint_with, restart, CheckpointOptions, CheckpointTarget, RestartTarget,
 };
 use zapc::{Cluster, FaultAction, FaultPlan, Uri, ZapcError};
 use zapc_apps::launch::{full_registry, launch_app, AppKind, AppParams};
@@ -178,11 +177,16 @@ fn mangled_images_fail_restart_with_typed_error() {
 
 // ---- migrate ----------------------------------------------------------
 
+/// Stop-and-copy: the one migration engine with no pre-copy rounds.
+fn stop_and_copy(retries: u32, timeout: Duration) -> LiveOpts {
+    LiveOpts { max_rounds: 0, retries, timeout, ..Default::default() }
+}
+
 #[test]
 fn migrate_precommit_crash_rolls_back_and_retry_moves_pods() {
     let reference = reference_codes(AppKind::Cpi, "mig", 2);
     let plan = FaultPlan::script()
-        .inject("agent.pre_meta", Some("mig-0"), 0, FaultAction::Crash)
+        .inject("agent.cutover", Some("mig-0"), 0, FaultAction::Crash)
         .build();
     let c = Cluster::builder().nodes(3).registry(full_registry()).faults(plan).build();
     let app = launch_app(&c, "mig", &small(AppKind::Cpi, 2));
@@ -190,8 +194,7 @@ fn migrate_precommit_crash_rolls_back_and_retry_moves_pods() {
     let moves: Vec<(String, usize)> = app.pods.iter().map(|p| (p.clone(), 2)).collect();
     // Attempt 1 aborts before the commit point — every source pod survives,
     // so the retry is safe and lands the pods on the new node.
-    let opts = MigrateOptions { retries: 2, ..Default::default() };
-    migrate_with(&c, &moves, &opts).unwrap();
+    migrate_live_with(&c, &moves, &stop_and_copy(2, Duration::from_secs(30))).unwrap();
     assert_eq!(c.faults.fired(), 1);
     for p in &app.pods {
         assert_eq!(c.pod_node(p), Some(2), "{p} must live on the target node");
@@ -203,22 +206,20 @@ fn migrate_precommit_crash_rolls_back_and_retry_moves_pods() {
 
 #[test]
 fn migrate_meta_timeout_aborts_resumes_all_and_retry_succeeds() {
-    // Regression for the meta-phase timeout path: it must abort_all +
-    // drain like the checkpoint path, leaving every source pod running.
+    // The timeout path must abort + drain like the checkpoint path,
+    // leaving every source pod running. With no pre-copy the first frame
+    // on migs-0's stream is its cut, sent while the pod is suspended;
+    // holding it past the receiver's stream timeout aborts the attempt.
     let reference = reference_codes(AppKind::Cpi, "migs", 2);
     let plan = FaultPlan::script()
-        .inject("agent.slow", Some("migs-0"), 0, FaultAction::Delay { micros: 2_000_000 })
+        .inject("net.partition", Some("migs-0"), 0, FaultAction::Delay { micros: 2_000_000 })
         .build();
     let c = Cluster::builder().nodes(3).registry(full_registry()).faults(plan).build();
     let app = launch_app(&c, "migs", &small(AppKind::Cpi, 2));
     std::thread::sleep(Duration::from_millis(5));
     let moves: Vec<(String, usize)> = app.pods.iter().map(|p| (p.clone(), 2)).collect();
-    let opts = MigrateOptions {
-        timeout: Duration::from_millis(400),
-        retries: 2,
-        ..Default::default()
-    };
-    migrate_with(&c, &moves, &opts).unwrap();
+    migrate_live_with(&c, &moves, &stop_and_copy(2, Duration::from_millis(400))).unwrap();
+    assert_eq!(c.faults.fired(), 1);
     for p in &app.pods {
         assert_eq!(c.pod_node(p), Some(2));
     }
@@ -228,36 +229,36 @@ fn migrate_meta_timeout_aborts_resumes_all_and_retry_succeeds() {
 }
 
 #[test]
-fn migrate_postcommit_fault_is_final_but_survivors_keep_running() {
-    // Regression for the done-collection paths: a reply collected after
-    // `continue` went out that reports failure must abort_all + drain_done
-    // (the old code returned without either). Two independent single-rank
-    // apps: one Agent never receives `continue` (dropped) and rolls back;
-    // the other passed the commit point, so its pod is gone for good.
+fn migrate_persistent_fault_exhausts_retries_and_every_source_stays_home() {
+    // No source is destroyed before every receiver holds a verified cut,
+    // so a fault that strikes one pod on every attempt can never leave a
+    // partial commit behind: each attempt rolls back, the retries run out
+    // typed, and both applications finish at home with fault-free output.
     let ref_a = reference_codes(AppKind::Cpi, "miga", 1);
+    let ref_b = reference_codes(AppKind::Cpi, "migb", 1);
     let plan = FaultPlan::script()
-        .always("ctl.continue", Some("miga-0"), FaultAction::Drop)
+        .always("agent.cutover", Some("miga-0"), FaultAction::Crash)
         .build();
     let c = Cluster::builder().nodes(3).registry(full_registry()).faults(plan).build();
     let app_a = launch_app(&c, "miga", &small(AppKind::Cpi, 1));
     let app_b = launch_app(&c, "migb", &small(AppKind::Cpi, 1));
     std::thread::sleep(Duration::from_millis(5));
+    let homes = home_nodes(&c, &["miga-0".to_string(), "migb-0".to_string()]);
     let moves = vec![("miga-0".to_string(), 2), ("migb-0".to_string(), 2)];
-    let opts = MigrateOptions {
-        timeout: Duration::from_millis(750),
-        retries: 3, // must NOT retry: a source pod was destroyed
-        ..Default::default()
-    };
-    let err = migrate_with(&c, &moves, &opts).unwrap_err();
-    assert!(matches!(err, ZapcError::Aborted(_)), "got {err:?}");
-    // Partial commit: the committed source is gone, and the faulted pod
-    // was rolled back — running, state intact.
-    assert!(c.pod("migb-0").is_none(), "committed source is destroyed");
-    assert!(c.pod("miga-0").is_some(), "faulted pod must survive the abort");
-    let codes = app_a.wait(&c, WAIT).unwrap();
-    assert_eq!(codes, ref_a, "survivor output must match the fault-free run");
+    let err = migrate_live_with(&c, &moves, &stop_and_copy(3, Duration::from_millis(750)))
+        .unwrap_err();
+    match &err {
+        ZapcError::Exhausted { attempts: 4, last } => {
+            assert!(matches!(**last, ZapcError::Aborted(_)), "last = {last:?}")
+        }
+        other => panic!("expected Exhausted over Aborted after 4 attempts, got {other:?}"),
+    }
+    assert_eq!(c.faults.fired(), 4, "one crash per attempt");
+    assert_eq!(home_nodes(&c, &["miga-0".to_string(), "migb-0".to_string()]), homes);
+    assert_eq!(app_a.wait(&c, WAIT).unwrap(), ref_a, "miga must match the fault-free run");
+    assert_eq!(app_b.wait(&c, WAIT).unwrap(), ref_b, "migb must match the fault-free run");
     app_a.destroy(&c);
-    let _ = app_b; // its pod was consumed by the aborted migration
+    app_b.destroy(&c);
 }
 
 // ---- restart reconnection under wire faults ---------------------------
@@ -1066,8 +1067,9 @@ fn same_seed_live_migration_yields_identical_trace_and_outcome() {
 
 #[test]
 fn seeded_live_migration_soak_never_corrupts_state() {
-    // Seed-driven sweep over every live-migration fault site. CI widens
-    // the matrix with `ZAPC_MIG_SOAK_BASE`; locally seeds 0..10. The
+    // Seed-driven sweep over every migration fault site, for both
+    // stop-and-copy and pre-copy. CI widens the matrix with
+    // `ZAPC_MIG_SOAK_BASE`; locally seeds 0..10. The
     // contract for every seed: the migration either lands the pods on the
     // destination or aborts typed with every source pod running in place
     // — and in both cases the application finishes with the fault-free
@@ -1094,7 +1096,9 @@ fn seeded_live_migration_soak_never_corrupts_state() {
         std::thread::sleep(Duration::from_millis(3));
         let homes = home_nodes(&c, &app.pods);
         let moves: Vec<(String, usize)> = app.pods.iter().map(|p| (p.clone(), 2)).collect();
-        let opts = LiveOpts { timeout: Duration::from_secs(5), ..Default::default() };
+        // Even seeds stop-and-copy, odd seeds pre-copy.
+        let max_rounds = if seed % 2 == 0 { 0 } else { LiveOpts::default().max_rounds };
+        let opts = LiveOpts { timeout: Duration::from_secs(5), max_rounds, ..Default::default() };
         match migrate_live_with(&c, &moves, &opts) {
             Ok(report) => {
                 assert_eq!(report.pods.len(), 2, "seed {seed}");

@@ -3,8 +3,11 @@
 //! rounds, and downtime no worse than stop-and-copy's full outage.
 
 use std::time::Duration;
-use zapc::manager::{migrate_with, CheckpointTarget, MigrateOptions, RestartTarget};
-use zapc::{checkpoint, migrate_live, migrate_live_with, restart, Cluster, ZapcError};
+use zapc::manager::{CheckpointTarget, RestartTarget};
+use zapc::{
+    checkpoint, migrate, migrate_live, migrate_live_with, restart, Cluster, MigrateOptions,
+    ZapcError,
+};
 use zapc_apps::launch::{full_registry, launch_app, AppKind, AppParams};
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -85,28 +88,39 @@ fn live_migration_round_cap_bounds_precopy() {
     app.destroy(&c);
 }
 
+/// Both entry points of the one migration engine, reduced to
+/// success/failure: stop-and-copy `migrate` and pre-copying
+/// `migrate_live`.
+type Entry = fn(&Cluster, &[(String, usize)]) -> Result<(), ZapcError>;
+const ENTRIES: [(&str, Entry); 2] = [
+    ("migrate", |c, moves| migrate(c, moves).map(drop)),
+    ("migrate_live", |c, moves| migrate_live(c, moves).map(drop)),
+];
+
 #[test]
 fn live_migration_unknown_pod_or_node_is_typed() {
-    let c = Cluster::builder().nodes(2).registry(full_registry()).build();
-    let err = migrate_live(&c, &[("ghost-0".into(), 1)]).unwrap_err();
-    assert!(matches!(err, ZapcError::NotFound(_)), "got {err:?}");
+    for (entry, run) in ENTRIES {
+        let c = Cluster::builder().nodes(2).registry(full_registry()).build();
+        let err = run(&c, &[("ghost-0".into(), 1)]).unwrap_err();
+        assert!(matches!(err, ZapcError::NotFound(_)), "{entry}: got {err:?}");
 
-    let app = launch_app(&c, "livebad", &small(AppKind::Cpi, 1));
-    std::thread::sleep(Duration::from_millis(5));
-    let err = migrate_live(&c, &[(app.pods[0].clone(), 9)]).unwrap_err();
-    assert!(matches!(err, ZapcError::NotFound(_)), "got {err:?}");
-    // The failed validation never touched the pod.
-    assert!(c.pod(&app.pods[0]).is_some());
-    app.wait(&c, WAIT).unwrap();
-    app.destroy(&c);
+        let app = launch_app(&c, "livebad", &small(AppKind::Cpi, 1));
+        std::thread::sleep(Duration::from_millis(5));
+        let err = run(&c, &[(app.pods[0].clone(), 9)]).unwrap_err();
+        assert!(matches!(err, ZapcError::NotFound(_)), "{entry}: got {err:?}");
+        // The failed validation never touched the pod.
+        assert!(c.pod(&app.pods[0]).is_some(), "{entry}");
+        app.wait(&c, WAIT).unwrap();
+        app.destroy(&c);
+    }
 }
 
 #[test]
 fn live_downtime_beats_stop_and_copy_outage() {
     // Same workload, same move, both mechanisms: live migration's
     // downtime (suspend → resume) must come in under stop-and-copy's
-    // full outage (its entire wall time is downtime, since the pods are
-    // suspended from phase-1 quiesce to phase-2 resume).
+    // full outage (its entire wall time is downtime bar the bookkeeping
+    // before the cutover, since it pre-copies nothing).
     let params = AppParams { kind: AppKind::Bt, ranks: 2, scale: 0.06, work: 4.0 };
 
     let c1 = Cluster::builder().nodes(3).registry(full_registry()).build();
@@ -114,7 +128,7 @@ fn live_downtime_beats_stop_and_copy_outage() {
     std::thread::sleep(Duration::from_millis(30));
     let moves1: Vec<(String, usize)> = app1.pods.iter().map(|p| (p.clone(), 2)).collect();
     let t0 = std::time::Instant::now();
-    migrate_with(&c1, &moves1, &MigrateOptions::default()).unwrap();
+    migrate(&c1, &moves1).unwrap();
     let stop_and_copy_ms = t0.elapsed().as_secs_f64() * 1000.0;
     app1.wait(&c1, WAIT).unwrap();
     app1.destroy(&c1);
@@ -145,32 +159,39 @@ fn live_receiver_failure_past_commit_leaves_no_pod_behind() {
     // past the commit point, after it created its pod. It must destroy
     // what it created: a pod left behind keeps the name and the route of
     // one that no longer runs anywhere.
-    let c = Cluster::builder().nodes(3).build();
-    let params = AppParams { kind: AppKind::Bt, ranks: 2, scale: 0.02, work: 50.0 };
-    let app = launch_app(&c, "leak", &params);
-    std::thread::sleep(Duration::from_millis(5));
-    let snapshot: Vec<CheckpointTarget> =
-        app.pods.iter().map(|p| CheckpointTarget::snapshot(p)).collect();
-    checkpoint(&c, &snapshot).unwrap();
-    let moves: Vec<(String, usize)> = app.pods.iter().map(|p| (p.clone(), 2)).collect();
+    for (entry, run) in ENTRIES {
+        let c = Cluster::builder().nodes(3).build();
+        let params = AppParams { kind: AppKind::Bt, ranks: 2, scale: 0.02, work: 50.0 };
+        let app = launch_app(&c, "leak", &params);
+        std::thread::sleep(Duration::from_millis(5));
+        let snapshot: Vec<CheckpointTarget> =
+            app.pods.iter().map(|p| CheckpointTarget::snapshot(p)).collect();
+        checkpoint(&c, &snapshot).unwrap();
+        let moves: Vec<(String, usize)> = app.pods.iter().map(|p| (p.clone(), 2)).collect();
 
-    match migrate_live(&c, &moves).unwrap_err() {
-        ZapcError::Aborted(why) => assert!(why.contains("no loader registered"), "why = {why}"),
-        other => panic!("expected a typed abort, got {other:?}"),
-    }
-    for p in &app.pods {
-        assert!(c.pod(p).is_none(), "{p} was left behind on the target node");
-    }
+        match run(&c, &moves).unwrap_err() {
+            ZapcError::Aborted(why) => {
+                assert!(why.contains("no loader registered"), "{entry}: why = {why}")
+            }
+            other => panic!("{entry}: expected a typed abort, got {other:?}"),
+        }
+        for p in &app.pods {
+            assert!(c.pod(p).is_none(), "{entry}: {p} was left behind on the target node");
+        }
 
-    // The names are free again: a restart from the earlier snapshot gets
-    // as far as the missing loader, not the "still live" refusal.
-    let targets: Vec<RestartTarget> = snapshot
-        .iter()
-        .map(|t| RestartTarget { pod: t.pod.clone(), uri: t.uri.clone(), node: 1 })
-        .collect();
-    let err = restart(&c, &targets).unwrap_err().to_string();
-    assert!(err.contains("no loader registered") && !err.contains("still live"), "err = {err}");
-    for p in &app.pods {
-        assert!(c.pod(p).is_none(), "{p} survived its failed restart");
+        // The names are free again: a restart from the earlier snapshot
+        // gets as far as the missing loader, not the "still live" refusal.
+        let targets: Vec<RestartTarget> = snapshot
+            .iter()
+            .map(|t| RestartTarget { pod: t.pod.clone(), uri: t.uri.clone(), node: 1 })
+            .collect();
+        let err = restart(&c, &targets).unwrap_err().to_string();
+        assert!(
+            err.contains("no loader registered") && !err.contains("still live"),
+            "{entry}: err = {err}"
+        );
+        for p in &app.pods {
+            assert!(c.pod(p).is_none(), "{entry}: {p} survived its failed restart");
+        }
     }
 }
