@@ -46,14 +46,9 @@ pub fn decode_namespace(payload: &[u8]) -> CkptResult<Namespace> {
 }
 
 /// Reinstates the standalone state carried by `sections` into `pod`
-/// (created beforehand from the image's namespace). Network sections are
-/// ignored here — `zapc-netckpt` consumes them. Restored processes are
-/// left `Stopped`; the Agent resumes the pod once the whole restart
-/// concludes (Figure 3).
-///
-/// The reinstatement runs under a `ckpt.restore` span of `obs` and the
-/// reinstated process count lands on its `ckpt.restore_procs` counter (a
-/// disabled observer costs one branch).
+/// (created beforehand from the image's namespace): [`DecodedPod`]'s
+/// `apply_standalone`, then its `reinstate`. Network sections are ignored
+/// here — `zapc-netckpt` consumes them.
 pub fn restore_standalone(
     sections: &[Section<'_>],
     pod: &Arc<Pod>,
@@ -61,38 +56,17 @@ pub fn restore_standalone(
     sockets: &RestoredSockets,
     obs: &zapc_obs::Observer,
 ) -> CkptResult<RestoredPod> {
-    let key = pod.name();
-    let _span = obs.span(&key, "ckpt.restore");
     let mut parts = DecodedPod::new();
-    for s in sections {
-        match s.tag {
-            // A stored image stands alone. A `MemoryDelta` only means
-            // something after its base on the same live-migration stream
-            // (`DecodedPod::apply_section`); applied here it would silently
-            // lose every clean region. `ParentRef` is the retired
-            // parent-chain tag: no writer emits it, so an image carrying
-            // one is stale or hostile.
-            SectionTag::ParentRef | SectionTag::MemoryDelta => {
-                return Err(CkptError::Inconsistent(
-                    "stored image is not standalone (parent reference or memory delta)",
-                ))
-            }
-            tag => parts.apply_section(tag, s.payload)?,
-        }
-    }
-    let out = parts.reinstate(pod, registry, sockets)?;
-    if obs.enabled() {
-        obs.counter(&key, "ckpt.restore_procs", out.processes as u64);
-    }
-    Ok(out)
+    parts.apply_standalone(sections)?;
+    parts.reinstate(pod, registry, sockets, obs)
 }
 
-/// Incrementally decoded standalone state: the receiving half of the
-/// pipelined live-migration restore, and the one place a
-/// [`SectionTag::MemoryDelta`] is ever resolved. Sections are applied as
-/// frames arrive — a delta lands in place on the base the same stream
-/// delivered earlier — so the rounds are never buffered whole and the
-/// final [`DecodedPod::reinstate`] works from already-materialized state.
+/// Incrementally decoded standalone state: what every restart decodes its
+/// image into before it creates a pod, and the one place a
+/// [`SectionTag::MemoryDelta`] is ever resolved. A migration stream is
+/// applied as frames arrive — a delta lands in place on the base the same
+/// stream delivered earlier — so the rounds are never buffered whole and
+/// the final [`DecodedPod::reinstate`] works from materialized state.
 #[derive(Debug, Default)]
 pub struct DecodedPod {
     clock: Option<ClockRecord>,
@@ -159,6 +133,22 @@ impl DecodedPod {
         Ok(())
     }
 
+    /// Applies the sections of a stored image, which stands alone: a
+    /// `MemoryDelta` means something only after its base on the same
+    /// stream (here it would silently lose every clean region), and no
+    /// writer emits `ParentRef`, the retired parent-chain tag.
+    pub fn apply_standalone(&mut self, sections: &[Section<'_>]) -> CkptResult<()> {
+        for s in sections {
+            if matches!(s.tag, SectionTag::ParentRef | SectionTag::MemoryDelta) {
+                return Err(CkptError::Inconsistent(
+                    "stored image is not standalone (parent reference or memory delta)",
+                ));
+            }
+            self.apply_section(s.tag, s.payload)?;
+        }
+        Ok(())
+    }
+
     /// Number of process records accumulated so far.
     pub fn process_count(&self) -> usize {
         self.procs.len()
@@ -182,13 +172,19 @@ impl DecodedPod {
     }
 
     /// Reinstates the accumulated state into `pod` (created beforehand
-    /// from the image's namespace), consuming the accumulator.
+    /// from the image's namespace), consuming the accumulator, under a
+    /// `ckpt.restore` span of `obs`; the process count lands on its
+    /// `ckpt.restore_procs` counter. Restored processes are left `Stopped`;
+    /// the Agent resumes the pod once the whole restart concludes (Figure 3).
     pub fn reinstate(
         self,
         pod: &Arc<Pod>,
         registry: &ProgramRegistry,
         sockets: &RestoredSockets,
+        obs: &zapc_obs::Observer,
     ) -> CkptResult<RestoredPod> {
+        let key = pod.name();
+        let _span = obs.span(&key, "ckpt.restore");
         let DecodedPod { clock, pipes, procs, mut mems } = self;
         let clock = clock.ok_or(CkptError::Inconsistent("missing clock section"))?;
 
@@ -268,6 +264,9 @@ impl DecodedPod {
             pod.adopt(rec.vpid, proc);
         }
 
+        if obs.enabled() {
+            obs.counter(&key, "ckpt.restore_procs", count as u64);
+        }
         Ok(RestoredPod { clock, processes: count })
     }
 }

@@ -320,9 +320,6 @@ fn interposed_recvmsg(
         }
         return Ok((data, None));
     }
-    if !flags.oob && flags.peek {
-        // Alternate queue is empty only transiently here; fall through.
-    }
     default_recvmsg(inner, n, flags)
 }
 

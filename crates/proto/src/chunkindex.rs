@@ -23,7 +23,7 @@
 //! surface as [`DecodeError::Inconsistent`].
 
 use crate::error::{DecodeError, DecodeResult};
-use crate::rw::{decode_exact, Decode, Encode, RecordReader, RecordStream, RecordWriter};
+use crate::rw::{preamble_decode, preamble_encode, Decode, Encode, RecordReader, RecordWriter};
 
 /// Magic bytes that start every serialized chunk index.
 pub const CHUNK_INDEX_MAGIC: &[u8; 8] = b"ZAPCCHX\0";
@@ -76,13 +76,7 @@ pub struct ChunkIndex {
 impl ChunkIndex {
     /// Serializes the index: magic, version, one CRC-framed record.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = RecordWriter::new();
-        w.put_raw(CHUNK_INDEX_MAGIC);
-        w.put_u32(CHUNK_INDEX_VERSION);
-        let mark = w.begin_record(CHUNK_INDEX_TAG);
-        self.encode(&mut w);
-        w.end_record(mark);
-        w.into_bytes()
+        preamble_encode(CHUNK_INDEX_MAGIC, CHUNK_INDEX_VERSION, CHUNK_INDEX_TAG, self)
     }
 
     /// Parses and validates a serialized chunk index: magic, version,
@@ -91,21 +85,8 @@ impl ChunkIndex {
     /// way a recipe can be torn, truncated, or forged surfaces as a typed
     /// [`DecodeError`].
     pub fn from_bytes(bytes: &[u8]) -> DecodeResult<ChunkIndex> {
-        if bytes.len() < CHUNK_INDEX_MAGIC.len() + 4
-            || &bytes[..CHUNK_INDEX_MAGIC.len()] != CHUNK_INDEX_MAGIC
-        {
-            return Err(DecodeError::BadMagic);
-        }
-        let ver = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if ver != CHUNK_INDEX_VERSION {
-            return Err(DecodeError::UnsupportedVersion { found: ver });
-        }
-        let mut stream = RecordStream::new(&bytes[12..]);
-        let payload = stream.expect_record(CHUNK_INDEX_TAG)?;
-        let ix = decode_exact(CHUNK_INDEX_TAG, payload, ChunkIndex::decode)?;
-        if !stream.is_empty() {
-            return Err(DecodeError::TrailingBytes { tag: CHUNK_INDEX_TAG, remaining: 1 });
-        }
+        let (magic, version, tag) = (CHUNK_INDEX_MAGIC, CHUNK_INDEX_VERSION, CHUNK_INDEX_TAG);
+        let ix: ChunkIndex = preamble_decode(magic, version, tag, bytes)?;
         let mut sum: u64 = 0;
         for c in &ix.chunks {
             if c.len == 0 {

@@ -19,7 +19,7 @@
 //! typed [`DecodeError`] — exactly like a damaged image — never a misparse.
 
 use crate::error::{DecodeError, DecodeResult};
-use crate::rw::{decode_exact, Decode, Encode, RecordReader, RecordStream, RecordWriter};
+use crate::rw::{preamble_decode, preamble_encode, Decode, Encode, RecordReader, RecordWriter};
 use std::collections::HashSet;
 
 /// Magic bytes that start every serialized manifest.
@@ -90,13 +90,7 @@ impl Manifest {
 
     /// Serializes the manifest: magic, version, one CRC-framed record.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = RecordWriter::new();
-        w.put_raw(MANIFEST_MAGIC);
-        w.put_u32(MANIFEST_VERSION);
-        let mark = w.begin_record(MANIFEST_TAG);
-        self.encode(&mut w);
-        w.end_record(mark);
-        w.into_bytes()
+        preamble_encode(MANIFEST_MAGIC, MANIFEST_VERSION, MANIFEST_TAG, self)
     }
 
     /// Parses and validates a serialized manifest: magic, version, record
@@ -104,20 +98,7 @@ impl Manifest {
     /// way a manifest can be torn, truncated, or forged surfaces as a
     /// typed [`DecodeError`].
     pub fn from_bytes(bytes: &[u8]) -> DecodeResult<Manifest> {
-        if bytes.len() < MANIFEST_MAGIC.len() + 4 || &bytes[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC
-        {
-            return Err(DecodeError::BadMagic);
-        }
-        let ver = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if ver != MANIFEST_VERSION {
-            return Err(DecodeError::UnsupportedVersion { found: ver });
-        }
-        let mut stream = RecordStream::new(&bytes[12..]);
-        let payload = stream.expect_record(MANIFEST_TAG)?;
-        let m = decode_exact(MANIFEST_TAG, payload, Manifest::decode)?;
-        if !stream.is_empty() {
-            return Err(DecodeError::TrailingBytes { tag: MANIFEST_TAG, remaining: 1 });
-        }
+        let m: Manifest = preamble_decode(MANIFEST_MAGIC, MANIFEST_VERSION, MANIFEST_TAG, bytes)?;
         let mut seen = HashSet::with_capacity(m.entries.len());
         for e in &m.entries {
             if !seen.insert(e.pod.as_str()) {

@@ -419,6 +419,48 @@ impl<'a> RecordStream<'a> {
     }
 }
 
+/// Frames `body` as a small standalone file — `magic`, a little-endian
+/// `u32` `version`, then exactly one CRC-framed record tagged `tag` — the
+/// shape of a checkpoint manifest and of a chunk recipe.
+pub(crate) fn preamble_encode(
+    magic: &[u8; 8],
+    version: u32,
+    tag: u16,
+    body: &impl Encode,
+) -> Vec<u8> {
+    let mut w = RecordWriter::new();
+    w.put_raw(magic);
+    w.put_u32(version);
+    let mark = w.begin_record(tag);
+    body.encode(&mut w);
+    w.end_record(mark);
+    w.into_bytes()
+}
+
+/// Parses what [`preamble_encode`] wrote: magic, version, record CRC,
+/// full payload consumption, no trailing bytes. Each format keeps only its
+/// own structural checks on top.
+pub(crate) fn preamble_decode<T: Decode>(
+    magic: &[u8; 8],
+    version: u32,
+    tag: u16,
+    bytes: &[u8],
+) -> DecodeResult<T> {
+    if bytes.len() < 12 || &bytes[..8] != magic {
+        return Err(DecodeError::BadMagic);
+    }
+    let ver = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    if ver != version {
+        return Err(DecodeError::UnsupportedVersion { found: ver });
+    }
+    let mut stream = RecordStream::new(&bytes[12..]);
+    let v = decode_exact(tag, stream.expect_record(tag)?, T::decode)?;
+    if !stream.is_empty() {
+        return Err(DecodeError::TrailingBytes { tag, remaining: 1 });
+    }
+    Ok(v)
+}
+
 /// Decodes a full record payload with `f`, requiring exact consumption.
 pub fn decode_exact<'a, T>(
     tag: u16,

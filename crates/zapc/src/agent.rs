@@ -10,6 +10,7 @@
 
 use crate::cluster::Cluster;
 use crate::coord::{Ctl, Reply};
+use crate::live::LiveCtl;
 use crate::manager::PodReport;
 use crate::uri::Uri;
 use crate::{ZapcError, ZapcResult};
@@ -17,15 +18,12 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use zapc_ckpt::{
-    checkpoint_standalone_with, restore_standalone, CkptResult, RestoredPod, RestoredSockets,
-    SaveOpts,
-};
+use zapc_ckpt::{checkpoint_standalone_with, DecodedPod, RestoredSockets, SaveOpts};
 use zapc_faults::{FaultAction, MANAGER};
 use zapc_netckpt::{checkpoint_network_obs, restore_network, NetworkRestorePlan, SockRecord};
 use zapc_pod::Pod;
 use zapc_proto::image::{Header, Section};
-use zapc_proto::{Decode, Encode, ImageReader, ImageWriter, MetaData, SectionTag};
+use zapc_proto::{Decode, Encode, ImageWriter, MetaData, SectionTag};
 
 /// What happens to the pod after its checkpoint completes (§4 step 4):
 /// resume locally (snapshot) or destroy (the pod migrates away).
@@ -433,7 +431,7 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     send_done(Ok(report));
 }
 
-/// What an Agent restarts one pod from, besides the image's sections.
+/// What an Agent restarts one pod from, besides its decoded cut.
 pub(crate) struct RestartInputs<'a> {
     /// This pod's meta-data with Manager-assigned roles.
     pub my_meta: &'a MetaData,
@@ -441,65 +439,34 @@ pub(crate) struct RestartInputs<'a> {
     pub all_meta: &'a [MetaData],
     /// Destination node.
     pub node: usize,
-    /// Manager-transformed socket records (the §5 send-queue merge);
-    /// `None` decodes them from the image.
-    pub records: Option<Vec<SockRecord>>,
+    /// The cut's socket records, after the §5 send-queue merge if any.
+    pub records: Vec<SockRecord>,
     /// Bound on the reconnection.
     pub timeout: Duration,
 }
 
-/// Runs the local restart procedure of Figure 3 for one pod from a whole
-/// stored image and reports done.
-pub(crate) fn agent_restart(
-    cluster: &Cluster,
-    image: &[u8],
-    inputs: RestartInputs<'_>,
-    reply: &Sender<AgentReply>,
-    ctl: &Receiver<CtlMsg>,
-) {
-    let (pod_name, node) = (inputs.my_meta.pod.clone(), inputs.node as u32);
-    let result = (|| {
-        let sections = ImageReader::open(image)?.sections()?;
-        let spans = ["rst.create", "rst.reconnect", "rst.restore", "rst.resume"];
-        let mut report = restart_tail(cluster, &sections, inputs, ctl, spans, |pod, sockets| {
-            restore_standalone(&sections, pod, &cluster.registry, sockets, &cluster.obs)
-        })?;
-        report.image_bytes = image.len();
-        Ok(report)
-    })();
-    let result = result.map_err(|e: ZapcError| e.to_string());
-    let done = AgentReply::Done { pod: pod_name.clone(), result, epoch: cluster.epoch() };
-    let _ = ctl_reply(cluster, node, &pod_name, reply, done);
-}
-
-/// Figure 3 from the sections of one image: create the pod → restore
-/// connectivity and network state → `reinstate` the standalone state →
-/// resume, each step under its name in `spans`. `reinstate` is what the
-/// callers differ in: a stored image is decoded whole, a live-migration
-/// stream was decoded as it arrived. The Agent looks at its control
-/// connection between steps: any message on it (the only one a Manager
-/// sends a restarting Agent is the abort) or a broken connection rolls
-/// back, and so does any failure of its own — the pod it created is
-/// destroyed, so a failed restart leaves nothing half-restored behind on
-/// this node.
-pub(crate) fn restart_tail<C>(
+/// Figure 3 from one verified, decoded cut, which the receive half of
+/// [`crate::live`] hands over at the Manager's commit: create the pod →
+/// restore connectivity and network state → reinstate `parts` → resume,
+/// each step under its name in `spans`. Between steps the Agent looks at
+/// its control connection: any message on it (the abort) or a broken
+/// connection rolls back, and so does any failure of its own — the pod it
+/// created is destroyed, so a failed restart leaves nothing half-restored.
+pub(crate) fn restart_tail(
     cluster: &Cluster,
     sections: &[Section<'_>],
+    parts: DecodedPod,
     inputs: RestartInputs<'_>,
-    ctl: &Receiver<C>,
+    ctl: &Receiver<LiveCtl>,
     spans: [&'static str; 4],
-    reinstate: impl FnOnce(&Arc<Pod>, &RestoredSockets) -> CkptResult<RestoredPod>,
 ) -> ZapcResult<PodReport> {
     let RestartInputs { my_meta, all_meta, node, records, timeout } = inputs;
     let [create, connect, restore, resume] = spans;
     let (obs, key) = (&cluster.obs, my_meta.pod.as_str());
     let t0 = Instant::now();
     let section = |tag: SectionTag, what: &str| {
-        sections
-            .iter()
-            .find(|s| s.tag == tag)
-            .map(|s| s.payload)
-            .ok_or_else(|| ZapcError::NotFound(format!("{what} section")))
+        let s = sections.iter().find(|s| s.tag == tag);
+        s.map(|s| s.payload).ok_or_else(|| ZapcError::NotFound(format!("{what} section")))
     };
 
     // Step 1: create the pod.
@@ -524,21 +491,18 @@ pub(crate) fn restart_tail<C>(
         proceed()?;
         let connect_span = obs.span(key, connect);
         let tnet = Instant::now();
-        let net_payload = section(SectionTag::NetState, "netstate")?;
-        let records = match records {
-            Some(r) => r,
-            None => zapc_netckpt::records::decode_records(net_payload)?,
-        };
-        let sockets = reconnect(cluster, &pod, my_meta, all_meta, &records, timeout)?;
+        let records = &records;
+        let plan = NetworkRestorePlan { my_meta, all_meta, records, timeout, obs: obs.clone() };
+        let sockets = RestoredSockets { by_ordinal: restore_network(&pod, &plan)? };
         connect_span.end();
         report.net_ms = ms(tnet);
-        report.network_bytes = net_payload.len();
+        report.network_bytes = section(SectionTag::NetState, "netstate")?.len();
 
         // Step 4: standalone restart.
         proceed()?;
         let tsa = Instant::now();
         let restore_span = obs.span(key, restore);
-        reinstate(&pod, &sockets)?;
+        parts.reinstate(&pod, &cluster.registry, &sockets, &cluster.obs)?;
         restore_span.end();
         report.standalone_ms = ms(tsa);
 
@@ -591,25 +555,12 @@ fn create_pod(
     Ok(pod)
 }
 
-/// Figure 3, steps 2–3: restores the pod's network connectivity, then its
-/// network state; returns the sockets by checkpoint ordinal.
-fn reconnect(
-    cluster: &Cluster,
-    pod: &Arc<Pod>,
-    my_meta: &MetaData,
-    all_meta: &[MetaData],
-    records: &[SockRecord],
-    timeout: Duration,
-) -> ZapcResult<RestoredSockets> {
-    let plan = NetworkRestorePlan { my_meta, all_meta, records, timeout, obs: cluster.obs.clone() };
-    Ok(RestoredSockets { by_ordinal: restore_network(pod, &plan)? })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::manager::{checkpoint, CheckpointTarget};
-    use crossbeam::channel::{bounded, unbounded};
+    use crossbeam::channel::bounded;
+    use zapc_proto::ImageReader;
 
     #[test]
     fn an_aborted_restart_destroys_the_pod_it_created() {
@@ -622,27 +573,24 @@ mod tests {
         };
         let report = checkpoint(&cluster, &[target]).unwrap();
         let image = cluster.store.get("img/p").unwrap();
+        let sections = ImageReader::open(&image).unwrap().sections().unwrap();
+        let mut parts = DecodedPod::new();
+        parts.apply_standalone(&sections).unwrap();
         let inputs = RestartInputs {
             my_meta: &report.meta[0],
             all_meta: &report.meta,
             node: 0,
-            records: None,
+            records: Vec::new(), // the pod has no sockets
             timeout: Duration::from_secs(1),
         };
 
         // The Manager's abort is already waiting when the Agent first
         // looks at its control connection, right after creating the pod.
-        let (reply, replies) = unbounded();
         let (abort, ctl) = bounded(1);
-        abort.send(CtlMsg::Abort).unwrap();
-        agent_restart(&cluster, &image, inputs, &reply, &ctl);
-
-        match replies.try_recv() {
-            Ok(AgentReply::Done { result: Err(why), .. }) => {
-                assert!(why.contains("aborted"), "why = {why}")
-            }
-            other => panic!("expected a rollback report, got {other:?}"),
-        }
+        abort.send(LiveCtl::Abort).unwrap();
+        let spans = ["rst.create", "rst.reconnect", "rst.restore", "rst.resume"];
+        let err = restart_tail(&cluster, &sections, parts, inputs, &ctl, spans);
+        assert!(matches!(&err, Err(ZapcError::Aborted(why)) if why.contains("aborted")), "{err:?}");
         assert!(cluster.pod("p").is_none(), "nothing half-restored stays behind");
     }
 }

@@ -260,12 +260,12 @@ impl Cluster {
         pod
     }
 
-    /// Registers a restarted pod (Agent restart path) and routes its
-    /// virtual address to `node`. The name must be free: every restart
-    /// path destroys the previous incarnation first, and
-    /// [`crate::manager::restart_with`] refuses a name that is still live.
-    /// Replacing a live entry would steal its route and leave it running
-    /// unreachable by name, so a taken name panics.
+    /// Registers a restarted pod and routes its virtual address to `node`:
+    /// the first step of the restart tail every [`crate::restart`] and
+    /// [`crate::migrate`] ends in. The name must be free — a migration
+    /// destroys its source first, a restart refuses a target or image that
+    /// names a live pod — because replacing a live entry would steal its
+    /// route and leave it running unreachable by name; a taken name panics.
     pub fn register_restarted_pod(&self, pod: &Arc<Pod>, node: usize) {
         let prev = self
             .pods

@@ -100,13 +100,7 @@ impl HealthMonitor {
     /// Whether `node` is currently considered alive. Unknown nodes are
     /// alive by default; a known node is alive while its lease holds.
     pub fn is_alive(&self, node: u32) -> bool {
-        match self.state.lock().get(&node) {
-            None => true,
-            Some(NodeHealth::Dead) => false,
-            Some(NodeHealth::Alive { last_beat_ms }) => {
-                self.clock.now_ms().saturating_sub(*last_beat_ms) <= self.lease_ms
-            }
-        }
+        self.status(node) == NodeStatus::Alive
     }
 
     /// The three-way status of `node` (see [`NodeStatus`]).

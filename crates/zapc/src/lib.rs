@@ -24,8 +24,10 @@
 //!   image store (a [`commit`] staging target). Direct migration to a
 //!   *receiving Agent*, without intermediate storage, is [`live`]'s
 //!   Agent-to-Agent stream.
-//! * [`live`] — the one migration engine: `migrate` is its stop-and-copy
-//!   case (no pre-copy rounds), `migrate_live` adds iterative pre-copy.
+//! * [`live`] — the one engine behind migration and restart: `migrate` is
+//!   its stop-and-copy case (no pre-copy rounds), `migrate_live` adds
+//!   iterative pre-copy, and `restart` runs its receive half on stored
+//!   images — every cut verified and decoded before any pod is created.
 //! * `coord` (crate-private) — the one wait/abort/drain loop every
 //!   coordinated operation shares between its phases.
 //!

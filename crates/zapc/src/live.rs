@@ -1,5 +1,6 @@
-//! Migration: the one engine behind [`crate::migrate`], [`migrate_live`]
-//! and [`migrate_live_with`].
+//! The one engine behind migration ([`crate::migrate`], [`migrate_live`],
+//! [`migrate_live_with`]) and restart ([`crate::restart`] and, through
+//! it, [`crate::restart_from_manifest`]).
 //!
 //! The paper's migration is stop-and-copy: quiesce, dump, ship, restore —
 //! downtime scales with image size. This module runs it, and adds the
@@ -13,9 +14,11 @@
 //! ([`MigrateOptions::max_rounds`] `= 0`): the quiesced cut is the whole
 //! image. The receiving Agent restores *pipelined*, decoding sections as
 //! frames arrive and squashing each delta onto the accumulated base
-//! ([`zapc_ckpt::DecodedPod`]) instead of buffering the whole chain.
+//! ([`zapc_ckpt::DecodedPod`]) instead of buffering the whole chain. A
+//! restart from stored images is the receive half alone: no source, no
+//! stream, its fetched image as the cut.
 //!
-//! ## Round protocol (per pod)
+//! ## Protocol (per pod)
 //!
 //! ```text
 //! source                        wire (frames)            receiver
@@ -25,16 +28,15 @@
 //!   …until converged/capped (no rounds at all for stop-and-copy)
 //! report `precopy` ──────────────────────► Manager
 //!   ◄── `cutover` ─────────────────────── Manager (all pods ready)
-//! suspend + block vip
-//! network cut; report `meta` ────────────► Manager
-//! final quiesced image ──────► Image (one frame)              verify, apply/squash
-//!                                                             report `applied`
-//! ──────────── commit point: all metas collected, all applied ───────────
-//!   ◄── `commit` ──── destroy pod ─────── Manager
+//! suspend + block vip, network cut; report `meta` ──────► Manager
+//! final quiesced image ──────► Image (one frame)   ─ ─ ─ a restart starts
+//!                                                  here, with a stored image
+//!                                 verify, apply/squash; report `applied`
+//!                                 with the cut's meta-data ──► Manager
+//! ─────── commit point: every source cut, every cut applied ───────
+//!   ◄── `commit` ──── destroy pod ─────── Manager assigns roles
 //!                                         Manager ── `commit{roles}` ──►
-//!                                                             create pod, restore
-//!                                                             network, reinstate,
-//!                                                             resume
+//!                                     create pod, reconnect, reinstate, resume
 //! ```
 //!
 //! A frame is one of two things. A pre-copy `Section` travels as the
@@ -46,33 +48,33 @@
 //! against the last round — or whole, when there was none — and the
 //! finished image goes down the stream whole, as the last frame: it starts
 //! with the image magic, which read as a record tag is no section, and its
-//! `End` record is the end of the stream. The receiver walks it with the
-//! ordinary CRC-verifying [`ImageReader`] and, at commit, hands its
-//! sections to the Agent's own restart tail (Figure 3,
+//! `End` record is the end of the stream. The receive half walks the cut
+//! with the ordinary CRC-verifying [`ImageReader`], decodes every section
+//! and reports the cut's meta-data and socket records; at commit it hands
+//! the decoded state to the Agent's restart tail (Figure 3,
 //! `agent::restart_tail`).
 //!
-//! ## Cutover commit point
+//! ## Commit point
 //!
-//! The point of no return is reached only when *every* source has
-//! reported its cutover meta-data AND *every* receiver has acknowledged
-//! the complete, decodable stream (`applied`). Any failure before that —
-//! an Agent crash between rounds (`agent.precopy_round`), at cutover
-//! (`agent.cutover`), a torn frame (`net.stream_torn`), a receiver node
-//! death — aborts the whole attempt with a typed
-//! [`ZapcError::Aborted`]: sources unblock and resume (or were never
-//! suspended at all), receivers discard their accumulated state, and no
-//! destination pod ever exists. Such an attempt is retried under
-//! [`MigrateOptions::retries`]. After the commit point the sources are
-//! destroyed *first* (so their routing entries are gone before the
-//! destinations register) and receiver failures are final and never
-//! retried: a receiver that fails past its pod's creation destroys what it
-//! created. The virtual IP stays blocked from source suspend until the
-//! receiver re-routes it, so no segment can chase a pod across the move.
-//!
-//! With [`MigrateOptions::sendq_merge`], each receiver also reports the
-//! socket records of its verified cut with `applied`; at the commit point
-//! the Manager runs the §5 send-queue merge over all of them and hands
-//! each receiver its pod's merged records with `commit`.
+//! The point of no return is reached only when *every* source has cut
+//! AND *every* receiver has verified and decoded its whole cut
+//! (`applied`). Only then does the Manager merge the meta-data the
+//! receivers reported and compute the connect/accept schedule (with
+//! [`MigrateOptions::sendq_merge`], also the §5 send-queue merge over
+//! their socket records). Any failure before that — an Agent crash between
+//! rounds (`agent.precopy_round`), at cutover (`agent.cutover`), a torn
+//! frame (`net.stream_torn`), a receiver node death, a stored image that
+//! fails verification — aborts the whole operation: sources unblock and
+//! resume (or were never suspended at all), receivers discard their
+//! decoded state, and no destination pod ever exists. A migration surfaces
+//! [`ZapcError::Aborted`] and is retried under [`MigrateOptions::retries`];
+//! a damaged stored image surfaces [`ZapcError::Decode`]. After the commit
+//! point the sources are destroyed *first* (so their routing entries are
+//! gone before the destinations register) and receiver failures are final
+//! and never retried: a receiver that fails past its pod's creation
+//! destroys what it created. The virtual IP stays blocked from source
+//! suspend until the receiver re-routes it, so no segment can chase a pod
+//! across the move.
 //!
 //! ## Convergence policy
 //!
@@ -89,20 +91,20 @@
 use crate::agent::{checkpoint_cut, quiesce, restart_tail, unquiesce, RestartInputs};
 use crate::cluster::Cluster;
 use crate::coord::{Coord, Ctl, Reply};
-use crate::manager::{Phase, PhaseBreakdown, PodReport, DEFAULT_TIMEOUT};
+use crate::manager::{ms, PhaseBreakdown, PodReport, RestartReport, RestartTarget, DEFAULT_TIMEOUT};
 use crate::retry::RetryPolicy;
 use crate::{ZapcError, ZapcResult};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use zapc_ckpt::{capture_memory_round, DecodedPod};
+use zapc_ckpt::{capture_memory_round, CkptError, DecodedPod};
 use zapc_faults::FaultAction;
 use zapc_netckpt::records::decode_records;
 use zapc_netckpt::{assign_roles, merge_send_queues, SockRecord};
 use zapc_proto::image::{Section, MAGIC};
 use zapc_proto::rw::RecordStream;
-use zapc_proto::{ImageReader, MetaData, SectionTag};
+use zapc_proto::{Decode, DecodeError, ImageReader, MetaData, RecordReader, SectionTag};
 
 /// Knobs for [`migrate_live_with`]. The engine reads every one of them,
 /// so they are all in effect for [`crate::migrate`] too, which runs it
@@ -164,7 +166,7 @@ const MAX_PRECOPY_BYTES: u64 = 1 << 30;
 const CTL_POLL: Duration = Duration::from_millis(5);
 
 /// Control messages to the per-pod source and receiver Agents.
-enum LiveCtl {
+pub(crate) enum LiveCtl {
     /// To a source: all pods finished pre-copy — suspend and take the
     /// final cut.
     Cutover,
@@ -179,9 +181,8 @@ enum LiveCtl {
         all_meta: Arc<Vec<MetaData>>,
         /// Which of them is this pod's.
         me: usize,
-        /// This pod's socket records after the send-queue merge (`None`:
-        /// no merge, restore the cut's own).
-        records: Option<Vec<SockRecord>>,
+        /// This pod's socket records, after the send-queue merge if any.
+        records: Vec<SockRecord>,
     },
     /// Abort: a source resumes (or keeps running), a receiver discards
     /// everything; no pod is created.
@@ -198,16 +199,16 @@ impl Ctl for LiveCtl {
 enum LiveReply {
     /// Source: pre-copy loop finished; summary of the rounds.
     Precopy { pod: String, rounds: u32, precopy_bytes: u64, residual_bytes: u64, converged: bool },
-    /// Source: pod suspended and network state cut; meta-data attached.
-    Meta { pod: String, meta: Box<MetaData>, suspended_at: Instant },
-    /// Receiver: every frame decoded and applied; ready to commit. Carries
-    /// the cut's socket records when the send-queue merge is on.
-    Applied { pod: String, records: Option<Vec<SockRecord>> },
+    /// Source: pod suspended and network state cut.
+    Meta { pod: String, suspended_at: Instant },
+    /// Receiver: the whole cut verified and decoded; ready to commit.
+    /// Carries the cut's meta-data and socket records.
+    Applied { pod: String, meta: Box<MetaData>, records: Vec<SockRecord> },
     /// A participant finished — when, and its Agent's report (a source
     /// has destroyed its pod and reports its cut; a receiver has resumed
     /// its pod and reports its restart) — or failed. `key` is its
     /// [`src_key`] / [`rcv_key`].
-    Done { key: String, epoch: u64, result: Result<(Instant, PodReport), String> },
+    Done { key: String, epoch: u64, result: ZapcResult<(Instant, PodReport)> },
 }
 
 impl Reply for LiveReply {
@@ -335,7 +336,7 @@ fn migrate_once(
             // peer's "stream gone" can never overtake the root cause.
             scope.spawn(move || {
                 let out = live_source(cluster, pod, node, opts, &stream_tx, &src_reply, src_ctl);
-                send_done(cluster, &src_reply, src_key(pod), out);
+                send_done(cluster, &src_reply, src_key(pod), out.map_err(ZapcError::Aborted));
             });
             scope.spawn(move || {
                 let out = live_receiver(cluster, pod, node, &stream_rx, &rcv_reply, rcv_ctl, opts);
@@ -366,24 +367,8 @@ fn migrate_once(
         }
         let t_commit = Instant::now();
 
-        // ── Commit point: every meta collected, every stream applied. ──
-        let mut metas: Vec<MetaData> = Vec::with_capacity(n);
-        let mut records = Vec::with_capacity(n);
-        for (pod, _) in moves {
-            metas.push(st.suspended.get(pod).expect("meta collected").0.clone());
-            records.push(st.applied.remove(pod).expect("stream applied"));
-        }
-        assign_roles(&mut metas);
-        // The §5 send-queue merge, over every pod's records at once.
-        if opts.sendq_merge {
-            let mut all: Vec<_> = records.into_iter().map(Option::unwrap_or_default).collect();
-            let moved = merge_send_queues(&mut all, &metas);
-            if cluster.obs.enabled() {
-                cluster.obs.counter("manager", "mig.merged_bytes", moved as u64);
-            }
-            records = all.into_iter().map(Some).collect();
-        }
-        let all_meta = Arc::new(metas);
+        // ── Commit point: every source cut, every stream applied. ──
+        let commits = st.commit_point(cluster, moves.iter().map(|(pod, _)| pod), opts.sendq_merge);
 
         // Commit the sources first: `destroy_pod` must complete before
         // any receiver registers the pod's new home, or the teardown
@@ -399,9 +384,8 @@ fn migrate_once(
 
         // Commit the receivers: create pods, reconnect, reinstate, resume.
         // Receiver failures after the commit point are final.
-        for (me, ((pod, _), records)) in moves.iter().zip(records).enumerate() {
-            let all_meta = Arc::clone(&all_meta);
-            co.send(&rcv_key(pod), LiveCtl::CommitReceiver { all_meta, me, records });
+        for ((pod, _), commit) in moves.iter().zip(commits) {
+            co.send(&rcv_key(pod), commit);
         }
         while st.done.len() < 2 * n {
             st.step(&mut co)?;
@@ -411,7 +395,7 @@ fn migrate_once(
         let mut pods = Vec::with_capacity(n);
         let mut max_downtime_ms = 0.0f64;
         for (pod, _) in moves {
-            let (_, suspended_at) = st.suspended.get(pod).expect("meta");
+            let suspended_at = st.suspended.get(pod).expect("source cut");
             let (rounds, precopy_bytes, residual_bytes, converged) =
                 *st.precopy.get(pod).expect("precopy");
             let cut_bytes = st.done.get(&src_key(pod)).expect("source outcome").1.image_bytes;
@@ -433,14 +417,8 @@ fn migrate_once(
                 restart,
             });
         }
-        let ms = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1000.0;
-        let phases = PhaseBreakdown {
-            phases: vec![
-                Phase { name: "mgr.precopy", ms: ms(t0, t_precopy) },
-                Phase { name: "mgr.cutover", ms: ms(t_precopy, t_commit) },
-                Phase { name: "mgr.commit", ms: ms(t_commit, t_end) },
-            ],
-        };
+        let names = ["mgr.precopy", "mgr.cutover", "mgr.commit"];
+        let phases = PhaseBreakdown::tile(&names, &[t0, t_precopy, t_commit, t_end]);
         Ok(LiveMigrateReport {
             pods,
             wall_ms: ms(t0, t_end),
@@ -455,16 +433,66 @@ fn migrate_once(
     result
 }
 
+/// Restart from stored images (Figure 3): one receive half per target, its
+/// image the cut, which [`crate::manager::restart_with`] has fetched after
+/// its invocation at `t0`. Phases: `mgr.prepare` (fetch and every
+/// receiver's verification), `mgr.schedule` (the roles), `mgr.restore`
+/// (commit → last resume).
+pub(crate) fn restart_stored(
+    cluster: &Cluster,
+    targets: &[RestartTarget],
+    images: &[Arc<Vec<u8>>],
+    timeout: Duration,
+    t0: Instant,
+) -> ZapcResult<RestartReport> {
+    // The receivers bound their own reconnection by `timeout`; the Manager
+    // leaves them room to report that failure themselves.
+    let mut co: Coord<'_, LiveCtl, LiveReply> =
+        Coord::new(cluster, timeout + Duration::from_secs(5));
+    std::thread::scope(|scope| {
+        for (t, image) in targets.iter().zip(images) {
+            let (reply, ctl) = co.register(&rcv_key(&t.pod), Some(t.node));
+            scope.spawn(move || {
+                let (from, parts) = (CutSource::Store, DecodedPod::new());
+                let out =
+                    receive_cut(cluster, &t.pod, t.node, from, parts, image, &reply, &ctl, timeout);
+                send_done(cluster, &reply, rcv_key(&t.pod), out);
+            });
+        }
+        let n = targets.len();
+        let mut st = LiveState::default();
+        while st.applied.len() < n {
+            st.step(&mut co)?;
+        }
+        let t_prepare = Instant::now();
+
+        let schedule_span = cluster.obs.span("manager", "mgr.schedule");
+        let commits = st.commit_point(cluster, targets.iter().map(|t| &t.pod), false);
+        schedule_span.end();
+        let t_schedule = Instant::now();
+
+        let restore_span = cluster.obs.span("manager", "mgr.restore");
+        for (t, commit) in targets.iter().zip(commits) {
+            co.send(&rcv_key(&t.pod), commit);
+        }
+        while st.done.len() < n {
+            st.step(&mut co)?;
+        }
+        restore_span.end();
+        let t_end = Instant::now();
+        let mut pods: Vec<PodReport> = st.done.into_values().map(|(_, report)| report).collect();
+        pods.sort_by(|a, b| a.pod.cmp(&b.pod));
+        let names = ["mgr.prepare", "mgr.schedule", "mgr.restore"];
+        let phases = PhaseBreakdown::tile(&names, &[t0, t_prepare, t_schedule, t_end]);
+        Ok(RestartReport { pods, wall_ms: ms(t0, t_end), phases, late_replies: 0 })
+    })
+}
+
 /// A participant's final reply, stamped with the instant and the epoch it
 /// is sent under.
-fn send_done(
-    cluster: &Cluster,
-    reply: &Sender<LiveReply>,
-    key: String,
-    result: Result<PodReport, String>,
-) {
-    let result = result.map(|report| (Instant::now(), report));
-    let _ = reply.send(LiveReply::Done { key, epoch: cluster.epoch(), result });
+fn send_done(cluster: &Cluster, to: &Sender<LiveReply>, key: String, out: ZapcResult<PodReport>) {
+    let result = out.map(|report| (Instant::now(), report));
+    let _ = to.send(LiveReply::Done { key, epoch: cluster.epoch(), result });
 }
 
 /// Separates the pod name from the role in participant keys: every pod
@@ -484,9 +512,11 @@ fn rcv_key(pod: &str) -> String {
 #[derive(Default)]
 struct LiveState {
     precopy: HashMap<String, (u32, u64, u64, bool)>,
-    suspended: HashMap<String, (MetaData, Instant)>,
-    /// Receivers ready to commit, with the socket records they reported.
-    applied: HashMap<String, Option<Vec<SockRecord>>>,
+    /// Sources that have cut, and when they suspended their pods.
+    suspended: HashMap<String, Instant>,
+    /// Receivers ready to commit, with the meta-data and socket records
+    /// of their cuts.
+    applied: HashMap<String, (MetaData, Vec<SockRecord>)>,
     /// Committed participants by key.
     done: HashMap<String, (Instant, PodReport)>,
 }
@@ -494,29 +524,68 @@ struct LiveState {
 impl LiveState {
     /// Receives and files one reply. An error reply, a dead participant
     /// node and a timeout all abort the operation (the core drains the
-    /// participants that still owe a `done`) and surface the typed error.
+    /// participants that still owe a `done`) and surface the typed error:
+    /// a receiver's own typed error — a stored cut that failed
+    /// verification, or holds another pod — as itself, every other failure
+    /// as [`ZapcError::Aborted`].
     fn step(&mut self, co: &mut Coord<'_, LiveCtl, LiveReply>) -> ZapcResult<()> {
         match co.recv("a live-migration reply")? {
             LiveReply::Precopy { pod, rounds, precopy_bytes, residual_bytes, converged } => {
                 self.precopy.insert(pod, (rounds, precopy_bytes, residual_bytes, converged));
             }
-            LiveReply::Meta { pod, meta, suspended_at } => {
-                self.suspended.insert(pod, (*meta, suspended_at));
+            LiveReply::Meta { pod, suspended_at } => {
+                self.suspended.insert(pod, suspended_at);
             }
-            LiveReply::Applied { pod, records } => {
-                self.applied.insert(pod, records);
+            LiveReply::Applied { pod, meta, records } => {
+                self.applied.insert(pod, (*meta, records));
             }
             LiveReply::Done { key, result, .. } => match result {
                 Ok(out) => {
                     self.done.insert(key, out);
                 }
-                Err(why) => {
+                Err(e) => {
                     let (pod, role) = key.split_once(ROLE_SEP).unwrap_or((&key, "live"));
-                    return Err(co.abort(format!("{role} agent for {pod}: {why}")));
+                    let aborted = co.abort(format!("{role} agent for {pod}: {}", reason(&e)));
+                    return Err(if matches!(e, ZapcError::Aborted(_)) { aborted } else { e });
                 }
             },
         }
         Ok(())
+    }
+
+    /// The commit point, once every receiver in `pods` has applied its
+    /// cut: derives the connectivity map and the connect/accept schedule
+    /// from the meta-data the receivers reported — with `sendq_merge`, also
+    /// runs the §5 send-queue merge over their socket records — and returns
+    /// each receiver's commit, in `pods` order.
+    fn commit_point<'p>(
+        &mut self,
+        cluster: &Cluster,
+        pods: impl Iterator<Item = &'p String>,
+        sendq_merge: bool,
+    ) -> Vec<LiveCtl> {
+        let (mut metas, mut records): (Vec<MetaData>, Vec<_>) =
+            pods.map(|pod| self.applied.remove(pod).expect("cut applied")).unzip();
+        assign_roles(&mut metas);
+        if sendq_merge {
+            let moved = merge_send_queues(&mut records, &metas);
+            if cluster.obs.enabled() {
+                cluster.obs.counter("manager", "mig.merged_bytes", moved as u64);
+            }
+        }
+        let all_meta = Arc::new(metas);
+        let commit = |(me, records)| {
+            LiveCtl::CommitReceiver { all_meta: Arc::clone(&all_meta), me, records }
+        };
+        records.into_iter().enumerate().map(commit).collect()
+    }
+}
+
+/// What an error says, as an abort passes it on.
+fn reason(e: &ZapcError) -> String {
+    match e {
+        ZapcError::Aborted(why) => why.clone(),
+        e => e.to_string(),
     }
 }
 
@@ -623,10 +692,9 @@ fn live_source(
             Some(_) => last_shipped + 16 * 1024,
             None => pod.total_mem_bytes() + 4096,
         };
-        let image = checkpoint_cut(cluster, &pod, false, gens, capacity, &mut report, |meta| {
-            let meta = Box::new(meta.clone());
+        let image = checkpoint_cut(cluster, &pod, false, gens, capacity, &mut report, |_| {
             reply
-                .send(LiveReply::Meta { pod: pod_name.to_owned(), meta, suspended_at })
+                .send(LiveReply::Meta { pod: pod_name.to_owned(), suspended_at })
                 .map_err(|_| "manager connection broken at cutover".to_string())
         })?;
         // The finished image is the stream's last frame.
@@ -695,12 +763,12 @@ fn send_frame(
     stream.send(frame).map_err(|_| "stream receiver gone".to_string())
 }
 
-/// The receiver Agent of one migrated pod: decodes frames as they
-/// arrive, squashing deltas onto the accumulated state, and creates the
-/// destination pod only at the Manager's commit. Returns what the
-/// receiver's `done` reports, the restart tail's report on the pod it
-/// has just resumed — or `Ok(None)` if its node died, which reports
-/// nothing at all.
+/// The receiver Agent of one migrated pod. Its stream half decodes the
+/// pre-copy frames as they arrive, squashing deltas onto the accumulated
+/// state, until the cut image, the stream's last frame; its receive half
+/// ([`receive_cut`]) takes it from there. Returns what the receiver's
+/// `done` reports — or `Ok(None)` if its node died, which reports nothing
+/// at all.
 fn live_receiver(
     cluster: &Cluster,
     pod_name: &str,
@@ -709,18 +777,19 @@ fn live_receiver(
     reply: &Sender<LiveReply>,
     ctl: Receiver<LiveCtl>,
     opts: &MigrateOptions,
-) -> Result<Option<PodReport>, String> {
+) -> ZapcResult<Option<PodReport>> {
     let timeout = opts.timeout;
+    let aborted = |why: &str| Err(ZapcError::Aborted(why.into()));
     let mut parts = DecodedPod::new();
     let mut first_frame = true;
     let mut deadline = Instant::now() + timeout;
     // Pre-copy records until the cut image, the stream's last frame.
     let cut = loop {
         match ctl.try_recv() {
-            Ok(LiveCtl::Abort) => return Err("aborted".into()),
-            Ok(_) => return Err("protocol error: commit before stream end".into()),
+            Ok(LiveCtl::Abort) => return aborted("aborted"),
+            Ok(_) => return aborted("protocol error: commit before stream end"),
             Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => return Err("manager connection broken".into()),
+            Err(TryRecvError::Disconnected) => return aborted("manager connection broken"),
         }
         let frame = match stream.recv_timeout(CTL_POLL) {
             Ok(f) => {
@@ -728,9 +797,9 @@ fn live_receiver(
                 f
             }
             Err(RecvTimeoutError::Timeout) if Instant::now() < deadline => continue,
-            Err(RecvTimeoutError::Timeout) => return Err("stream timeout".into()),
+            Err(RecvTimeoutError::Timeout) => return aborted("stream timeout"),
             Err(RecvTimeoutError::Disconnected) => {
-                return Err("stream disconnected before commit".into())
+                return aborted("stream disconnected before commit")
             }
         };
         if first_frame {
@@ -747,40 +816,81 @@ fn live_receiver(
         if frame.starts_with(MAGIC) {
             break frame;
         }
-        apply_frame(&mut parts, &frame)?;
+        apply_frame(&mut parts, &frame).map_err(ZapcError::Aborted)?;
     };
-    let sections = apply_cut(&mut parts, &cut)?;
-    // The merge works on the verified cut's socket records.
-    let records = match opts.sendq_merge {
-        true => Some(cut_records(&sections)?),
-        false => None,
-    };
+    receive_cut(cluster, pod_name, node, CutSource::Stream, parts, &cut, reply, &ctl, timeout)
+        .map(Some)
+}
 
-    // Whole stream decoded and squashed; acknowledge and await the
-    // Manager's verdict. Nothing exists on this node yet.
-    let _ = reply.send(LiveReply::Applied { pod: pod_name.to_owned(), records });
+/// Where a receiver's cut comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CutSource {
+    /// The last frame of a migration stream: a delta against the pre-copy
+    /// rounds before it (or the whole image, when there were none).
+    Stream,
+    /// A stored image, which stands alone.
+    Store,
+}
+
+impl CutSource {
+    /// The names the restart tail's four steps trace under.
+    fn spans(self) -> [&'static str; 4] {
+        match self {
+            CutSource::Stream => ["mig.create", "mig.reconnect", "mig.reinstate", "mig.resume"],
+            CutSource::Store => ["rst.create", "rst.reconnect", "rst.restore", "rst.resume"],
+        }
+    }
+
+    /// A cut that fails verification: a torn stream aborts the attempt
+    /// (and may be retried), a stored image is damaged data.
+    fn unverified(self, e: DecodeError) -> ZapcError {
+        match self {
+            CutSource::Stream => ZapcError::Aborted(format!("torn stream: {e}")),
+            CutSource::Store => ZapcError::Decode(e),
+        }
+    }
+}
+
+/// The receive half of one pod's restart, for a migration and a stored
+/// image alike: verifies and decodes the whole cut onto `parts` (the
+/// rounds a stream delivered before it, or nothing), reports `applied`
+/// with the cut's meta-data, awaits the Manager's commit with the
+/// reconnection roles, then runs the Agent's restart tail (Figure 3,
+/// `agent::restart_tail`). Nothing exists on this node before the commit.
+#[allow(clippy::too_many_arguments)]
+fn receive_cut(
+    cluster: &Cluster,
+    pod_name: &str,
+    node: usize,
+    from: CutSource,
+    mut parts: DecodedPod,
+    cut: &[u8],
+    reply: &Sender<LiveReply>,
+    ctl: &Receiver<LiveCtl>,
+    timeout: Duration,
+) -> ZapcResult<PodReport> {
+    let (sections, meta, records) = apply_cut(&mut parts, cut, from)?;
+    if meta.pod != pod_name {
+        let why = format!("pod {pod_name:?} in its cut (it holds {:?})", meta.pod);
+        return Err(ZapcError::NotFound(why));
+    }
+
+    // Whole cut decoded and squashed; acknowledge and await the Manager's
+    // verdict. Nothing exists on this node yet.
+    let meta = Box::new(meta);
+    let _ = reply.send(LiveReply::Applied { pod: pod_name.to_owned(), meta, records });
     match ctl.recv_timeout(timeout) {
         Ok(LiveCtl::CommitReceiver { all_meta, me, records }) => {
-            // Figure 3 with the decode pipelined away: every round is
-            // already squashed, so reinstatement is a straight move of
-            // materialized state into the new pod.
-            let inputs = RestartInputs {
-                my_meta: &all_meta[me],
-                all_meta: &all_meta,
-                node,
-                records,
-                timeout,
-            };
-            let spans = ["mig.create", "mig.reconnect", "mig.reinstate", "mig.resume"];
-            let mut report =
-                restart_tail(cluster, &sections, inputs, &ctl, spans, |pod, sockets| {
-                    parts.reinstate(pod, &cluster.registry, sockets)
-                })
-                .map_err(|e| e.to_string())?;
+            // Every section is already decoded, so reinstatement is a
+            // straight move of materialized state into the new pod.
+            let my_meta = &all_meta[me];
+            let inputs = RestartInputs { my_meta, all_meta: &all_meta, node, records, timeout };
+            let mut report = restart_tail(cluster, &sections, parts, inputs, ctl, from.spans())
+                .map_err(|e| ZapcError::Aborted(reason(&e)))?;
             report.image_bytes = cut.len();
-            Ok(Some(report))
+            Ok(report)
         }
-        Ok(_) | Err(_) => Err("aborted before commit".into()),
+        Ok(_) | Err(_) => Err(ZapcError::Aborted("aborted before commit".into())),
     }
 }
 
@@ -800,32 +910,48 @@ fn apply_frame(parts: &mut DecodedPod, frame: &[u8]) -> Result<(), String> {
 }
 
 /// Verifies the cut image — every record's CRC, the preamble, the `End`
-/// marker — then squashes its standalone sections onto the accumulated
-/// state; returns the sections for the commit. Nothing is applied unless
-/// the whole image verifies.
-fn apply_cut<'a>(parts: &mut DecodedPod, image: &'a [u8]) -> Result<Vec<Section<'a>>, String> {
+/// marker — then applies its sections onto the accumulated state: a
+/// stream's cut squashes onto the rounds before it, a stored image must
+/// stand alone. Returns the sections for the commit, and the meta-data and
+/// socket records the Manager schedules the reconnection (and merges send
+/// queues) over. Nothing is applied unless the whole image verifies.
+fn apply_cut<'a>(
+    parts: &mut DecodedPod,
+    image: &'a [u8],
+    from: CutSource,
+) -> ZapcResult<(Vec<Section<'a>>, MetaData, Vec<SockRecord>)> {
     let sections = ImageReader::open(image)
         .and_then(ImageReader::sections)
-        .map_err(|e| format!("torn stream: {e}"))?;
-    for s in &sections {
-        parts.apply_section(s.tag, s.payload).map_err(|e| format!("stream apply failed: {e}"))?;
-    }
-    Ok(sections)
-}
-
-/// The socket records of a verified cut, for the send-queue merge.
-fn cut_records(sections: &[Section<'_>]) -> Result<Vec<SockRecord>, String> {
-    let net = sections
-        .iter()
-        .find(|s| s.tag == SectionTag::NetState)
-        .ok_or("cut without a netstate section")?;
-    decode_records(net.payload).map_err(|e| format!("cut netstate: {e}"))
+        .map_err(|e| from.unverified(e))?;
+    let applied = match from {
+        CutSource::Stream => {
+            sections.iter().try_for_each(|s| parts.apply_section(s.tag, s.payload))
+        }
+        CutSource::Store => parts.apply_standalone(&sections),
+    };
+    applied.map_err(|e| match (from, e) {
+        (CutSource::Store, CkptError::Decode(e)) => ZapcError::Decode(e),
+        (CutSource::Store, e) => ZapcError::Aborted(format!("image apply failed: {e}")),
+        (CutSource::Stream, e) => ZapcError::Aborted(format!("stream apply failed: {e}")),
+    })?;
+    let payload = |tag, what| {
+        let s = sections.iter().find(|s| s.tag == tag);
+        s.map(|s| s.payload).ok_or(DecodeError::Inconsistent { what })
+    };
+    let net = (|| {
+        let meta = payload(SectionTag::NetMeta, "cut without a meta-data section")?;
+        let records = payload(SectionTag::NetState, "cut without a netstate section")?;
+        Ok((MetaData::decode(&mut RecordReader::new(meta))?, decode_records(records)?))
+    })();
+    let (meta, records) = net.map_err(|e| from.unverified(e))?;
+    Ok((sections, meta, records))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use zapc_ckpt::MemoryDeltaRecord;
+    use zapc_netckpt::records::encode_records;
     use zapc_proto::image::Header;
     use zapc_proto::rw::frame_record;
     use zapc_proto::{Encode, ImageWriter, RecordWriter};
@@ -846,6 +972,8 @@ mod tests {
     fn cut_image(vpid: u32, mem: &AddressSpace) -> Vec<u8> {
         let header = Header { pod: "p".into(), host: "node-0".into(), wall_ms: 0, flags: 0 };
         let mut w = ImageWriter::new(&header);
+        w.section(SectionTag::NetMeta, |r| MetaData::new("p").encode(r));
+        w.section_bytes(SectionTag::NetState, encode_records(&[]).bytes());
         w.section(SectionTag::MemoryDelta, |r| MemoryDeltaRecord::capture(vpid, 0, mem).encode(r));
         w.finish()
     }
@@ -912,10 +1040,10 @@ mod tests {
             ("record where the image belongs", base, "torn stream"),
         ];
         for (what, image, why) in cuts {
-            let err = apply_cut(&mut parts, &image).map(|_| ()).expect_err(what);
-            refused(&parts, what, err, why);
+            let err = apply_cut(&mut parts, &image, CutSource::Stream).map(|_| ()).expect_err(what);
+            refused(&parts, what, reason(&err), why);
         }
-        apply_cut(&mut parts, &good_cut).expect("the untouched cut applies");
+        apply_cut(&mut parts, &good_cut, CutSource::Stream).expect("the untouched cut applies");
     }
 
     #[test]
@@ -941,7 +1069,7 @@ mod tests {
             verdict.send(LiveCtl::Abort).unwrap();
             receiver.join().unwrap()
         });
-        assert_eq!(out.unwrap_err(), "aborted before commit");
+        assert!(matches!(out, Err(ZapcError::Aborted(why)) if why == "aborted before commit"));
         assert_eq!(stream.try_recv(), Ok(base), "the frame after the image was never read");
         assert!(cluster.pod("p").is_none());
     }

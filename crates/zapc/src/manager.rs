@@ -16,21 +16,17 @@
 //! dropped channel here) and the operation aborts gracefully — the
 //! application resumes execution (§4).
 
-use crate::agent::{
-    agent_checkpoint, agent_restart, AgentReply, CheckpointJob, CtlMsg, Finalize, RestartInputs,
-    SyncPolicy,
-};
+use crate::agent::{agent_checkpoint, AgentReply, CheckpointJob, CtlMsg, Finalize, SyncPolicy};
 use crate::cluster::Cluster;
 use crate::coord::Coord;
-use crate::live::{migrate_live_with, MigrateOptions};
+use crate::live::{migrate_live_with, restart_stored, MigrateOptions};
 use crate::retry::RetryPolicy;
 use crate::uri::Uri;
 use crate::{ZapcError, ZapcResult};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use zapc_netckpt::assign_roles;
-use zapc_proto::{ImageReader, MetaData, SectionTag};
+use zapc_proto::MetaData;
 
 /// Default Manager-side timeout for Agent replies.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -127,6 +123,17 @@ impl PhaseBreakdown {
     pub fn sum_ms(&self) -> f64 {
         self.phases.iter().map(|p| p.ms).sum()
     }
+
+    /// Phase `names[i]` is the slice `at[i] → at[i + 1]`.
+    pub(crate) fn tile(names: &[&'static str], at: &[Instant]) -> PhaseBreakdown {
+        let slice = |(&name, w): (_, &[Instant])| Phase { name, ms: ms(w[0], w[1]) };
+        PhaseBreakdown { phases: names.iter().zip(at.windows(2)).map(slice).collect() }
+    }
+}
+
+/// Milliseconds from `from` to `to`.
+pub(crate) fn ms(from: Instant, to: Instant) -> f64 {
+    (to - from).as_secs_f64() * 1000.0
 }
 
 /// Outcome of a coordinated checkpoint.
@@ -333,15 +340,9 @@ fn checkpoint_once(
         commit_span.end();
         let t_end = Instant::now();
         pods.sort_by(|a, b| a.pod.cmp(&b.pod));
-        let phases = PhaseBreakdown {
-            phases: vec![
-                Phase { name: "mgr.meta", ms: (t_meta - t0).as_secs_f64() * 1000.0 },
-                Phase { name: "mgr.sync", ms: (t_sync - t_meta).as_secs_f64() * 1000.0 },
-                Phase { name: "mgr.commit", ms: (t_end - t_sync).as_secs_f64() * 1000.0 },
-            ],
-        };
-        let wall_ms = (t_end - t0).as_secs_f64() * 1000.0;
-        Ok(CheckpointReport { pods, wall_ms, phases, late_replies: 0, meta })
+        let names = ["mgr.meta", "mgr.sync", "mgr.commit"];
+        let phases = PhaseBreakdown::tile(&names, &[t0, t_meta, t_sync, t_end]);
+        Ok(CheckpointReport { pods, wall_ms: ms(t0, t_end), phases, late_replies: 0, meta })
     });
     *late += co.late;
     result
@@ -352,7 +353,10 @@ pub fn restart(cluster: &Cluster, targets: &[RestartTarget]) -> ZapcResult<Resta
     restart_with(cluster, targets, DEFAULT_TIMEOUT)
 }
 
-/// Coordinated restart with an explicit timeout.
+/// Coordinated restart with an explicit timeout: validates the targets,
+/// fetches the images and runs [`crate::live`]'s receive half on each, so
+/// no pod is created before every image has verified. A damaged image is
+/// [`ZapcError::Decode`], one holding another pod [`ZapcError::NotFound`].
 ///
 /// Refused — before any image is fetched or Agent started — when a target
 /// names a pod that is still live (or names one pod twice): restarting
@@ -384,11 +388,10 @@ pub fn restart_with(
         }
     }
 
-    // Fetch images and lift each pod's meta-data out of its image.
+    // Fetch every image; the receivers verify and decode them.
     let mut images: Vec<Arc<Vec<u8>>> = Vec::with_capacity(targets.len());
-    let mut metas: Vec<MetaData> = Vec::with_capacity(targets.len());
     for t in targets {
-        let image: Arc<Vec<u8>> = match &t.uri {
+        images.push(match &t.uri {
             Uri::Mem(label) => cluster
                 .store
                 .get(label)
@@ -404,85 +407,9 @@ pub fn restart_with(
                 })?;
                 Arc::new(cluster.istore.fetch_verified(&entry.image_ref, entry.digest)?)
             }
-        };
-        let meta = extract_meta(&image)?;
-        if meta.pod != t.pod {
-            return Err(ZapcError::NotFound(format!(
-                "pod {:?} in the image at {:?} (it holds pod {:?})",
-                t.pod, t.uri, meta.pod
-            )));
-        }
-        metas.push(meta);
-        images.push(image);
+        });
     }
-
-    // `mgr.prepare` covers everything before the schedule: the image
-    // fetch.
-    let t_prepare = Instant::now();
-    let schedule_span = cluster.obs.span("manager", "mgr.schedule");
-    // Derive the connectivity map and the connect/accept schedule.
-    assign_roles(&mut metas);
-    schedule_span.end();
-    let t_schedule = Instant::now();
-
-    // 1. Send `restart` + modified meta-data to each Agent.
-    let restore_span = cluster.obs.span("manager", "mgr.restore");
-    // The Agents bound their own reconnection by `timeout`; the Manager
-    // leaves them room to report that failure themselves.
-    let mut co: Coord<'_, CtlMsg, AgentReply> =
-        Coord::new(cluster, timeout + Duration::from_secs(5));
-    std::thread::scope(|scope| {
-        for (i, t) in targets.iter().enumerate() {
-            let inputs = RestartInputs {
-                my_meta: &metas[i],
-                all_meta: &metas,
-                node: t.node,
-                records: None,
-                timeout,
-            };
-            let (image, (reply, ctl)) = (&images[i], co.register(&t.pod, Some(t.node)));
-            scope.spawn(move || agent_restart(cluster, image, inputs, &reply, &ctl));
-        }
-
-        // 2. Receive status from every Agent. On any failure the abort
-        // tells the Agents still at work to destroy what they created.
-        let mut got = Gathered::default();
-        while got.pods.len() < targets.len() {
-            got.file(co.recv("restart done")?).map_err(|why| co.abort(why))?;
-        }
-        let mut pods = got.pods;
-        pods.sort_by(|a, b| a.pod.cmp(&b.pod));
-        restore_span.end();
-        let t_end = Instant::now();
-        let phases = PhaseBreakdown {
-            phases: vec![
-                Phase { name: "mgr.prepare", ms: (t_prepare - t0).as_secs_f64() * 1000.0 },
-                Phase {
-                    name: "mgr.schedule",
-                    ms: (t_schedule - t_prepare).as_secs_f64() * 1000.0,
-                },
-                Phase { name: "mgr.restore", ms: (t_end - t_schedule).as_secs_f64() * 1000.0 },
-            ],
-        };
-        Ok(RestartReport {
-            pods,
-            wall_ms: (t_end - t0).as_secs_f64() * 1000.0,
-            phases,
-            late_replies: 0,
-        })
-    })
-}
-
-fn extract_meta(image: &[u8]) -> ZapcResult<MetaData> {
-    let mut rd = ImageReader::open(image)?;
-    while let Some(s) = rd.next_section()? {
-        if s.tag == SectionTag::NetMeta {
-            let mut r = zapc_proto::RecordReader::new(s.payload);
-            use zapc_proto::Decode;
-            return MetaData::decode(&mut r).map_err(ZapcError::Decode);
-        }
-    }
-    Err(ZapcError::NotFound("meta-data section".into()))
+    restart_stored(cluster, targets, &images, timeout, t0)
 }
 
 /// Direct migration: stop-and-copy every pod in `moves` to its destination

@@ -15,7 +15,9 @@ use zapc::{
     ChunkParams, ChunkingConfig, Cluster, FaultAction, FaultPlan, ImageStore, StoreError,
     ZapcError,
 };
-use zapc_proto::{ChunkIndex, ChunkRef, DecodeError, RecordReader, RecordWriter};
+use zapc_proto::{
+    ChunkIndex, ChunkRef, DecodeError, ImageReader, RecordReader, RecordWriter, SectionTag,
+};
 use zapc_sim::{Errno, ProcessCtx, Program, ProgramRegistry, StepOutcome};
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -542,4 +544,45 @@ fn bit_rot_is_caught_at_restart_which_falls_back() {
             c.destroy_pod(p);
         }
     }
+}
+
+/// Damage an Agent wrote into an image — the digest the manifest pins was
+/// taken over the damaged bytes — past the image's meta-data section is
+/// found only by the receiver that verifies the whole image before any pod
+/// exists. A named restart refuses it typed; a restart from the newest
+/// checkpoint rolls it back and lands on the previous one.
+#[test]
+fn image_damaged_past_its_meta_data_falls_back_to_the_previous_checkpoint() {
+    // w1's second image (nth 1) gets one byte flipped, 1000 bytes in.
+    let plan = FaultPlan::script()
+        .inject("agent.image", Some("w1"), 1, FaultAction::Corrupt { byte: 1_000 })
+        .build();
+    let c = cluster_with(plan);
+    let expected = launch(&c);
+    commit_twice(&c);
+    assert_eq!(c.faults.fired(), 1);
+
+    // The header and the meta-data section still read; the image does not.
+    let e = c.istore.manifest(2).unwrap().entry("w1").unwrap().clone();
+    let image = c.istore.fetch_verified(&e.image_ref, e.digest).unwrap();
+    let mut rd = ImageReader::open(&image).unwrap();
+    let mut read = Vec::new();
+    while let Ok(Some(s)) = rd.next_section() {
+        read.push(s.tag);
+    }
+    assert!(read.contains(&SectionTag::NetMeta), "damage inside the meta-data: {read:?}");
+    assert!(ImageReader::open(&image).and_then(ImageReader::sections).is_err());
+
+    let rec = recover(&c);
+    assert_eq!(rec.committed, vec![1, 2], "the digest holds over the damaged bytes");
+
+    c.destroy_pod("w0");
+    c.destroy_pod("w1");
+    let err = restart_from_manifest(&c, Some(2), WAIT).unwrap_err();
+    assert!(matches!(err, ZapcError::Decode(_)), "named restart: {err:?}");
+    assert!(c.pod("w0").is_none() && c.pod("w1").is_none(), "no pod before every image verifies");
+
+    restart_from_manifest(&c, None, WAIT).unwrap();
+    assert_eq!(c.istore.manifest_ids(), vec![1], "checkpoint 2 rolled back");
+    assert_eq!(wait_codes(&c), expected, "restart lands on checkpoint 1");
 }

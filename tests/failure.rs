@@ -64,6 +64,52 @@ fn restart_from_corrupted_image_fails_cleanly() {
 }
 
 #[test]
+fn no_pod_is_created_before_every_image_verifies() {
+    let (obs, ring) = zapc_obs::Observer::ring(4096);
+    let c = Cluster::builder().nodes(2).registry(full_registry()).observer(obs).build();
+    let app = launch_app(&c, "cpi", &small(AppKind::Cpi, 2));
+    std::thread::sleep(Duration::from_millis(10));
+    let targets: Vec<CheckpointTarget> = app
+        .pods
+        .iter()
+        .map(|p| CheckpointTarget {
+            pod: p.clone(),
+            uri: Uri::mem(format!("img/{p}")),
+            finalize: Finalize::Destroy,
+        })
+        .collect();
+    checkpoint(&c, &targets).unwrap();
+
+    // Flip the last payload byte of cpi-1's last section: everything but
+    // the tail of its image reads, and cpi-0's image is whole.
+    let mut bad = c.store.get("img/cpi-1").unwrap().as_ref().clone();
+    let end_len = 2 + 4 + 4; // empty End record framing
+    let at = bad.len() - end_len - 4 - 1; // before the section's CRC
+    bad[at] ^= 0xFF;
+    c.store.put("img/cpi-1", bad);
+    ring.reset();
+
+    let rts: Vec<RestartTarget> = app
+        .pods
+        .iter()
+        .enumerate()
+        .map(|(i, p)| RestartTarget { pod: p.clone(), uri: Uri::mem(format!("img/{p}")), node: i })
+        .collect();
+    let err = restart(&c, &rts).unwrap_err();
+    assert!(matches!(err, ZapcError::Decode(_)), "got {err:?}");
+    for p in &app.pods {
+        assert!(c.pod(p).is_none(), "{p} registered");
+    }
+    let created: u64 = ring
+        .phase_totals()
+        .iter()
+        .filter(|((_, phase), _)| *phase == "rst.create")
+        .map(|(_, (count, _))| *count)
+        .sum();
+    assert_eq!(created, 0, "a pod was created before every image verified");
+}
+
+#[test]
 fn restart_without_registered_loader_fails_cleanly() {
     // A cluster whose registry doesn't know the workload: the restart must
     // report the unknown program type, not crash.
