@@ -6,11 +6,13 @@
 //! operation; its reliable connection to the Manager is a pair of channels
 //! whose disconnection models a broken TCP connection — detected by both
 //! sides, triggering a graceful abort in which the application resumes
-//! execution.
+//! execution. Every Agent — a checkpoint's here, a migration's source and
+//! receiver in [`crate::live`] — speaks the coordination core's one
+//! vocabulary: it reads `Ctl` commands and answers with `Reply`s, the
+//! final one a `done` stamped with its epoch.
 
 use crate::cluster::Cluster;
-use crate::coord::{Ctl, Reply};
-use crate::live::LiveCtl;
+use crate::coord::{Ctl, Key, Reply, Role};
 use crate::manager::PodReport;
 use crate::uri::Uri;
 use crate::{ZapcError, ZapcResult};
@@ -52,54 +54,6 @@ pub enum SyncPolicy {
     GlobalBarrier,
 }
 
-/// Control messages from the Manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CtlMsg {
-    /// Proceed (the Manager has everyone's meta-data / everyone is done).
-    /// Carries the Manager epoch the operation runs under: an Agent that
-    /// has witnessed a newer epoch treats the message as stale and rolls
-    /// back instead of continuing on a dead incarnation's behalf.
-    Continue(u64),
-    /// Abort the operation; resume the application.
-    Abort,
-}
-
-impl Ctl for CtlMsg {
-    fn abort() -> Self {
-        CtlMsg::Abort
-    }
-}
-
-/// Messages from an Agent to the Manager.
-#[derive(Debug)]
-pub(crate) enum AgentReply {
-    /// Checkpoint step 2a: network state saved; here is the meta-data.
-    Meta {
-        /// The reporting pod's connection table.
-        meta: MetaData,
-    },
-    /// Operation finished (or failed) on this Agent.
-    Done {
-        /// Reporting pod.
-        pod: String,
-        /// Statistics, or the failure message.
-        result: Result<PodReport, String>,
-        /// Manager epoch the op ran under. A reply whose epoch trails the
-        /// cluster's current epoch is a stale Agent speaking across a
-        /// healed partition — the Manager counts it and ignores it.
-        epoch: u64,
-    },
-}
-
-impl Reply for AgentReply {
-    fn done(&self) -> Option<(&str, u64)> {
-        match self {
-            AgentReply::Done { pod, epoch, .. } => Some((pod, *epoch)),
-            AgentReply::Meta { .. } => None,
-        }
-    }
-}
-
 /// Sends one Agent→Manager control-path message unless a partition eats
 /// it. The scripted/seeded `ctl.partition` site fires first (keyed by
 /// pod; `Drop` eats the message, `Delay` postpones it), then the
@@ -110,8 +64,8 @@ pub(crate) fn ctl_reply(
     cluster: &Cluster,
     node: u32,
     pod_key: &str,
-    reply: &Sender<AgentReply>,
-    msg: AgentReply,
+    reply: &Sender<Reply>,
+    msg: Reply,
 ) -> Result<(), ()> {
     if matches!(cluster.faults.hit_and_sleep("ctl.partition", pod_key), Some(FaultAction::Drop)) {
         return Ok(());
@@ -145,9 +99,9 @@ pub(crate) struct CheckpointJob<'a> {
     /// Bound on the wait for the Manager's `continue`.
     pub ctl_timeout: Duration,
     /// Agent→Manager replies.
-    pub reply: Sender<AgentReply>,
+    pub reply: Sender<Reply>,
     /// Manager→Agent control messages.
-    pub ctl: Receiver<CtlMsg>,
+    pub ctl: Receiver<Ctl>,
 }
 
 /// Step 1 of Figure 1: suspend the pod, then block its network.
@@ -238,20 +192,20 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
         pod: pod_name, dest, finalize, policy, fs_snapshot, epoch, ctl_timeout, reply, ctl,
     } = job;
     let reply = &reply;
+    let done = |result: Result<PodReport, String>| Reply::Done {
+        key: Key::new(pod_name, Role::Checkpoint),
+        epoch,
+        result: result.map(|report| (Instant::now(), report)).map_err(ZapcError::Aborted),
+    };
     let Some(pod) = cluster.pod(pod_name) else {
         // No pod, no hosting node: this failure reply bypasses the
         // partition model (nothing node-local ever ran).
-        let _ = reply.send(AgentReply::Done {
-            pod: pod_name.to_owned(),
-            result: Err(format!("unknown pod {pod_name:?}")),
-            epoch,
-        });
+        let _ = reply.send(done(Err(format!("unknown pod {pod_name:?}"))));
         return;
     };
     let node_id = pod.node().id.0;
     let send_done = |result: Result<PodReport, String>| {
-        let done = AgentReply::Done { pod: pod_name.to_owned(), result, epoch };
-        let _ = ctl_reply(cluster, node_id, pod_name, reply, done);
+        let _ = ctl_reply(cluster, node_id, pod_name, reply, done(result));
     };
     // Epoch fence at entry: an op stamped by a Manager incarnation older
     // than the one this cluster has already recovered to must not touch
@@ -290,15 +244,15 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
         let waited = ctl.recv_timeout(ctl_timeout);
         sync_span.end();
         match waited {
-            Ok(CtlMsg::Continue(e)) if e >= cluster.epoch() => Ok(ms(tsync)),
+            Ok(Ctl::Continue(e)) if e >= cluster.epoch() => Ok(ms(tsync)),
             // The `continue` came from a Manager that has since been
             // superseded (a recovery bumped the epoch while this op was in
             // flight): finishing the op would let a dead incarnation
             // mutate post-recovery state.
-            Ok(CtlMsg::Continue(e)) => {
+            Ok(Ctl::Continue(e)) => {
                 Err(format!("fenced: stale continue epoch {e} (cluster at {})", cluster.epoch()))
             }
-            Ok(CtlMsg::Abort) => Err(format!("aborted {at}")),
+            Ok(_) => Err(format!("aborted {at}")),
             Err(RecvTimeoutError::Timeout) => Err(format!("timed out {at}")),
             Err(RecvTimeoutError::Disconnected) => Err(format!("manager connection broken {at}")),
         }
@@ -317,7 +271,11 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     let mut sync_ms = 0.0;
     let capacity = pod.total_mem_bytes() + 4096;
     let cut = checkpoint_cut(cluster, &pod, fs_snapshot, None, capacity, &mut report, |meta| {
-        let meta = AgentReply::Meta { meta: meta.clone() };
+        let meta = Reply::Meta {
+            pod: pod_name.to_owned(),
+            suspended_at: t0,
+            meta: Box::new(meta.clone()),
+        };
         if ctl_reply(cluster, node_id, pod_name, reply, meta).is_err() {
             // Manager gone: graceful abort (§4). (A *partitioned* meta send
             // is not an error here — the loss is invisible to the Agent, so
@@ -457,7 +415,7 @@ pub(crate) fn restart_tail(
     sections: &[Section<'_>],
     parts: DecodedPod,
     inputs: RestartInputs<'_>,
-    ctl: &Receiver<LiveCtl>,
+    ctl: &Receiver<Ctl>,
     spans: [&'static str; 4],
 ) -> ZapcResult<PodReport> {
     let RestartInputs { my_meta, all_meta, node, records, timeout } = inputs;
@@ -587,7 +545,7 @@ mod tests {
         // The Manager's abort is already waiting when the Agent first
         // looks at its control connection, right after creating the pod.
         let (abort, ctl) = bounded(1);
-        abort.send(LiveCtl::Abort).unwrap();
+        abort.send(Ctl::Abort).unwrap();
         let spans = ["rst.create", "rst.reconnect", "rst.restore", "rst.resume"];
         let err = restart_tail(&cluster, &sections, parts, inputs, &ctl, spans);
         assert!(matches!(&err, Err(ZapcError::Aborted(why)) if why.contains("aborted")), "{err:?}");

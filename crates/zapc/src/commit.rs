@@ -41,7 +41,7 @@
 
 use crate::agent::Finalize;
 use crate::cluster::Cluster;
-use crate::coord::node_alive;
+use crate::coord::{distinct, node_alive};
 use crate::manager::{
     checkpoint_at, restart_with, CheckpointOptions, CheckpointReport, CheckpointTarget,
     RestartReport, RestartTarget, DEFAULT_TIMEOUT,
@@ -121,12 +121,7 @@ pub fn checkpoint_commit(
     pods: &[&str],
     opts: &CommitOptions,
 ) -> ZapcResult<CommitReport> {
-    let mut seen = HashSet::new();
-    for p in pods {
-        if !seen.insert(*p) {
-            return Err(ZapcError::Aborted(format!("duplicate checkpoint target {p:?}")));
-        }
-    }
+    distinct("checkpoint", pods.iter().copied())?;
     // Placement at entry: snapshot targets resume in place, so this is
     // also the restart placement hint recorded in the manifest.
     let mut nodes: HashMap<String, u32> = HashMap::new();

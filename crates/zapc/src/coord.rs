@@ -6,8 +6,14 @@
 //! the application resumes. Checkpoint, migration and restart are all
 //! phase code over this one module, which owns:
 //!
-//! * the **participants**: key → hosting node, control sender, and
-//!   whether the participant still owes its final `done`;
+//! * the **vocabulary**: one Manager→Agent enum, [`Ctl`], and one
+//!   Agent→Manager enum, [`Reply`], that every operation speaks;
+//! * the **participants**: a [`Key`] — a pod and the [`Role`] it plays —
+//!   → hosting node, control sender, and whether the participant still
+//!   owes its final `done`;
+//! * the **reply book** ([`Book`]): [`Coord::step`] receives and files one
+//!   reply, and every phase of every operation waits on a predicate over
+//!   what has been filed;
 //! * the **single receive**: bounded by the operation's timeout, sliced
 //!   so the Manager looks at the lease table every few ms (a participant
 //!   on a dead node will never reply — waiting out the full timeout would
@@ -17,7 +23,10 @@
 //!   check;
 //! * the **abort path** (tell everyone, wait out exactly the replies
 //!   still owed by participants on live nodes, count them as late) and
-//!   its **Manager-died variant** (drop the control connections instead).
+//!   its **Manager-died variant** (drop the control connections instead);
+//! * the **target rules** every operation applies before and around its
+//!   attempts: a pod named twice is refused ([`distinct`]), and an aborted
+//!   attempt is retried while every pod still exists ([`retry_aborted`]).
 //!
 //! It is also where the lease [`heartbeat`] lives. A node's lease is
 //! renewed by whatever the Manager hears of it over an un-cut link: a
@@ -28,13 +37,17 @@
 //! poll ([`node_alive`]). Only a killed node or a cut `node → Manager`
 //! link lets a lease lapse; a slow Agent never does.
 
-use crate::agent::CtlMsg;
 use crate::cluster::Cluster;
+use crate::manager::PodReport;
+use crate::retry::RetryPolicy;
 use crate::{ZapcError, ZapcResult};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zapc_faults::{FaultAction, MANAGER};
+use zapc_netckpt::SockRecord;
+use zapc_proto::MetaData;
 
 /// How often a waiting Manager polls the node-health table.
 const HEALTH_POLL: Duration = Duration::from_millis(5);
@@ -43,42 +56,134 @@ const HEALTH_POLL: Duration = Duration::from_millis(5);
 /// that overtakes it.
 const CTL_DEPTH: usize = 2;
 
-/// A Manager→Agent message type. The core only ever originates one kind
-/// of message itself.
-pub(crate) trait Ctl {
-    /// "Abort the operation; resume the application."
-    fn abort() -> Self;
+/// What a participant does for its pod.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Role {
+    /// A checkpoint Agent: cuts the pod and delivers its image (Figure 1).
+    Checkpoint,
+    /// A migration source: pre-copies the pod, then cuts and ships it.
+    Source,
+    /// A receiver: verifies and decodes one cut, then restarts the pod
+    /// from it (Figure 3).
+    Receiver,
 }
 
-/// An Agent→Manager message type.
-pub(crate) trait Reply {
-    /// For a participant's *final* reply: its key and the Manager epoch
-    /// the reply is stamped with. `None` for progress reports.
-    fn done(&self) -> Option<(&str, u64)>;
-
-    /// The pod a participant key names. Operations that run several
-    /// participants per pod put more than the pod name into their keys.
-    fn pod_of(key: &str) -> &str {
-        key
+impl Role {
+    fn name(self) -> &'static str {
+        match self {
+            Role::Checkpoint => "checkpoint",
+            Role::Source => "source",
+            Role::Receiver => "receiver",
+        }
     }
 }
 
-struct Participant<C> {
+/// A participant: one pod in one role.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct Key {
+    pub(crate) pod: String,
+    pub(crate) role: Role,
+}
+
+impl Key {
+    pub(crate) fn new(pod: &str, role: Role) -> Key {
+        Key { pod: pod.to_owned(), role }
+    }
+}
+
+/// Manager→Agent control messages.
+pub(crate) enum Ctl {
+    /// To a checkpoint Agent: the single synchronization — the Manager has
+    /// everyone's meta-data. Carries the Manager epoch the operation runs
+    /// under: an Agent that has witnessed a newer epoch treats the message
+    /// as stale and rolls back instead of continuing on a dead
+    /// incarnation's behalf.
+    Continue(u64),
+    /// To a source: all pods finished pre-copy — suspend and take the
+    /// final cut.
+    Cutover,
+    /// To a source: commit — destroy the pod (the receiver has
+    /// everything).
+    CommitSource,
+    /// To a receiver: commit — create the pod from the accumulated state
+    /// and resume it.
+    CommitReceiver {
+        /// The merged cluster meta-data, with Manager-assigned
+        /// reconnection roles.
+        all_meta: Arc<Vec<MetaData>>,
+        /// Which of them is this pod's.
+        me: usize,
+        /// This pod's socket records, after the send-queue merge if any.
+        records: Vec<SockRecord>,
+    },
+    /// Abort the operation: a checkpoint Agent or source rolls back and
+    /// the application resumes (or keeps running), a receiver discards
+    /// everything; no pod is created.
+    Abort,
+}
+
+/// Agent→Manager replies.
+pub(crate) enum Reply {
+    /// Source: pre-copy loop finished; summary of the rounds.
+    Precopy { pod: String, rounds: u32, precopy_bytes: u64, residual_bytes: u64, converged: bool },
+    /// Checkpoint Agent or source (Figure 1 step 2a): the pod is suspended
+    /// and its network state cut — when it was suspended, and the cut's
+    /// meta-data.
+    Meta { pod: String, suspended_at: Instant, meta: Box<MetaData> },
+    /// Receiver: the whole cut verified and decoded; ready to commit.
+    /// Carries the cut's meta-data and socket records.
+    Applied { pod: String, meta: Box<MetaData>, records: Vec<SockRecord> },
+    /// A participant finished — when, and its Agent's report — or failed.
+    /// `epoch` is the Manager epoch it ran under: a reply whose epoch
+    /// trails the cluster's is a stale Agent speaking across a healed
+    /// partition, which the Manager counts and refuses.
+    Done { key: Key, epoch: u64, result: ZapcResult<(Instant, PodReport)> },
+}
+
+impl Reply {
+    /// For a participant's final reply: its key and epoch stamp.
+    fn done(&self) -> Option<(&Key, u64)> {
+        match self {
+            Reply::Done { key, epoch, .. } => Some((key, *epoch)),
+            _ => None,
+        }
+    }
+}
+
+/// What the participants of one operation have reported so far.
+#[derive(Default)]
+pub(crate) struct Book {
+    /// Sources' pre-copy summaries by pod: rounds, bytes, residual bytes,
+    /// converged.
+    pub(crate) precopy: HashMap<String, (u32, u64, u64, bool)>,
+    /// Pods cut by their checkpoint Agent or source: when each was
+    /// suspended, and the cut's meta-data.
+    pub(crate) cut: HashMap<String, (Instant, MetaData)>,
+    /// Receivers ready to commit, with the meta-data and socket records
+    /// of their cuts.
+    pub(crate) applied: HashMap<String, (MetaData, Vec<SockRecord>)>,
+    /// Finished participants.
+    pub(crate) done: HashMap<Key, (Instant, PodReport)>,
+}
+
+struct Participant {
     /// Node whose lease keeps this participant alive (`None`: the pod is
     /// unknown, nothing node-local ever runs).
     node: Option<u32>,
     /// `None` once the Manager "died" and dropped its connections.
-    ctl: Option<Sender<C>>,
+    ctl: Option<Sender<Ctl>>,
     owes_done: bool,
 }
 
 /// Manager-side state of one coordinated operation.
-pub(crate) struct Coord<'a, C, R> {
-    cluster: &'a Cluster,
+pub(crate) struct Coord<'a> {
+    pub(crate) cluster: &'a Cluster,
     timeout: Duration,
-    tx: Sender<R>,
-    rx: Receiver<R>,
-    parts: HashMap<String, Participant<C>>,
+    tx: Sender<Reply>,
+    rx: Receiver<Reply>,
+    parts: HashMap<Key, Participant>,
+    /// What the participants have reported.
+    pub(crate) got: Book,
     /// `done` replies that arrived only while draining an abort.
     pub(crate) late: u64,
 }
@@ -105,37 +210,115 @@ pub(crate) fn node_alive(cluster: &Cluster, node: u32) -> bool {
     cluster.health.is_alive(node)
 }
 
-impl<'a, C: Ctl, R: Reply> Coord<'a, C, R> {
+/// Refuses an operation that names one pod twice, before any Agent runs:
+/// two participants in one role would quiesce and cut (or restart) the
+/// same pod, and the second registration would hide the first.
+pub(crate) fn distinct<'p>(op: &str, pods: impl IntoIterator<Item = &'p str>) -> ZapcResult<()> {
+    let mut seen = HashSet::new();
+    for pod in pods {
+        if !seen.insert(pod) {
+            return Err(ZapcError::Aborted(format!("{op} refused: pod {pod:?} is targeted twice")));
+        }
+    }
+    Ok(())
+}
+
+/// The retry rule of every operation whose abort rolls back: runs
+/// `attempt` on a fresh [`Coord`] (bounded by `timeout`) under `policy`,
+/// retrying an [`ZapcError::Aborted`] attempt while every pod in `pods`
+/// still exists — the abort left them all running, so a retry starts from
+/// clean state; a pod gone means the attempt got past its point of no
+/// return, which is final. Returns the outcome and the replies every
+/// attempt drained.
+pub(crate) fn retry_aborted<T>(
+    cluster: &Cluster,
+    pods: &[&str],
+    policy: RetryPolicy,
+    timeout: Duration,
+    mut attempt: impl FnMut(&mut Coord<'_>) -> ZapcResult<T>,
+) -> ZapcResult<(T, u64)> {
+    let mut late = 0u64;
+    let out = policy.run(
+        |_| {
+            let mut co = Coord::new(cluster, timeout);
+            let out = attempt(&mut co);
+            late += co.late;
+            out
+        },
+        |e| matches!(e, ZapcError::Aborted(_)) && pods.iter().all(|p| cluster.pod(p).is_some()),
+    )?;
+    Ok((out, late))
+}
+
+/// What an error says, as an abort passes it on.
+pub(crate) fn reason(e: &ZapcError) -> String {
+    match e {
+        ZapcError::Aborted(why) => why.clone(),
+        e => e.to_string(),
+    }
+}
+
+impl<'a> Coord<'a> {
     /// A fresh operation; `timeout` bounds every wait between phases.
     pub(crate) fn new(cluster: &'a Cluster, timeout: Duration) -> Self {
         let (tx, rx) = unbounded();
-        Coord { cluster, timeout, tx, rx, parts: HashMap::new(), late: 0 }
+        let (parts, got) = (HashMap::new(), Book::default());
+        Coord { cluster, timeout, tx, rx, parts, got, late: 0 }
     }
 
-    /// Registers participant `key` hosted on `node` and returns the
-    /// Agent's ends of its connection. This is the command dispatch, so it
-    /// is the first heartbeat of the operation.
-    pub(crate) fn register(&mut self, key: &str, node: Option<usize>) -> (Sender<R>, Receiver<C>) {
+    /// Registers `pod`'s participant in `role`, hosted on `node`, and
+    /// returns the Agent's ends of its connection. This is the command
+    /// dispatch, so it is the first heartbeat of the operation.
+    pub(crate) fn register(
+        &mut self,
+        pod: &str,
+        role: Role,
+        node: Option<usize>,
+    ) -> (Sender<Reply>, Receiver<Ctl>) {
         let (ctl, ctl_rx) = bounded(CTL_DEPTH);
         let p = Participant { node: node.map(|n| n as u32), ctl: Some(ctl), owes_done: true };
-        self.accepted(&p);
-        self.parts.insert(key.to_owned(), p);
+        self.deliver(&p, None);
+        self.parts.insert(Key::new(pod, role), p);
         (self.tx.clone(), ctl_rx)
     }
 
-    /// A command reached `p`'s Agent: its node is heard from.
-    fn accepted(&self, p: &Participant<C>) {
+    /// A command reached `p`'s Agent: its node is heard from, and `msg`,
+    /// if any, is on its control connection.
+    fn deliver(&self, p: &Participant, msg: Option<Ctl>) {
         if let Some(n) = p.node {
             heartbeat(self.cluster, MANAGER, n);
         }
+        if let (Some(ctl), Some(msg)) = (&p.ctl, msg) {
+            let _ = ctl.send(msg);
+        }
     }
 
-    /// Sends one command to one participant.
-    pub(crate) fn send(&self, key: &str, msg: C) {
-        let Some(p) = self.parts.get(key) else { return };
-        self.accepted(p);
-        if let Some(ctl) = &p.ctl {
-            let _ = ctl.send(msg);
+    /// Sends one command to `pod`'s participant in `role`.
+    pub(crate) fn send(&self, pod: &str, role: Role, msg: Ctl) {
+        if let Some(p) = self.parts.get(&Key::new(pod, role)) {
+            self.deliver(p, Some(msg));
+        }
+    }
+
+    /// The single synchronization: `continue` (stamped with the operation
+    /// epoch) to every Agent, subject to the `ctl.continue` fault site
+    /// (keyed by pod; `Drop` loses the message, `Delay` postpones it),
+    /// then the seeded `ctl.partition` site, then the time-driven
+    /// partition schedule for the `MANAGER → hosting node` link. A lost
+    /// send is invisible to the Manager — the Agent's bounded wait turns
+    /// the loss into a rollback.
+    pub(crate) fn send_continue(&self, epoch: u64) {
+        for (key, p) in &self.parts {
+            let eaten = |site| {
+                matches!(self.cluster.faults.hit_and_sleep(site, &key.pod), Some(FaultAction::Drop))
+            };
+            if eaten("ctl.continue") || eaten("ctl.partition") {
+                continue;
+            }
+            if p.node.is_some_and(|n| self.cluster.partition.is_cut(MANAGER, n)) {
+                continue;
+            }
+            self.deliver(p, Some(Ctl::Continue(epoch)));
         }
     }
 
@@ -143,7 +326,7 @@ impl<'a, C: Ctl, R: Reply> Coord<'a, C, R> {
     /// reply is final. `Err(Some((key, node)))` as soon as a participant
     /// that still owes its `done` sits on a node found dead; `Err(None)`
     /// on a plain timeout.
-    fn next(&mut self, deadline: Instant) -> Result<R, Option<(String, u32)>> {
+    fn next(&mut self, deadline: Instant) -> Result<Reply, Option<(Key, u32)>> {
         loop {
             let slice = HEALTH_POLL.min(deadline.saturating_duration_since(Instant::now()));
             if let Ok(r) = self.rx.recv_timeout(slice) {
@@ -165,27 +348,50 @@ impl<'a, C: Ctl, R: Reply> Coord<'a, C, R> {
         }
     }
 
-    /// The wait between phases: one reply, or the typed abort. A dead
-    /// node, a timeout, and a `done` stamped with an epoch the cluster has
-    /// since moved past (a stale Agent speaking across a healed partition,
-    /// or a recovery that raced this operation — it must not count as
-    /// progress) all run the abort path before the error surfaces.
-    pub(crate) fn recv(&mut self, what: &str) -> ZapcResult<R> {
-        match self.next(Instant::now() + self.timeout) {
-            Ok(r) => match r.done().filter(|&(_, epoch)| epoch < self.cluster.epoch()) {
-                Some((key, epoch)) => {
-                    let pod = R::pod_of(key).to_owned();
-                    self.cluster.note_fenced_reply(&pod);
-                    Err(self.abort(format!("agent for {pod} replied at fenced epoch {epoch}")))
-                }
-                None => Ok(r),
-            },
-            Err(Some((key, node))) => Err(self.abort(format!(
-                "node {node} hosting pod {:?} died mid-operation",
-                R::pod_of(&key)
-            ))),
-            Err(None) => Err(self.abort(format!("timed out waiting for {what}"))),
+    /// The wait between phases: receives one reply and files it in
+    /// [`Coord::got`]. A dead node, a timeout (waiting for `what`), a
+    /// `done` stamped with an epoch the cluster has since moved past (a
+    /// stale Agent speaking across a healed partition, or a recovery that
+    /// raced this operation — it must not count as progress) and a failed
+    /// `done` all run the abort path before the typed error surfaces. The
+    /// error is [`ZapcError::Aborted`] unless a participant failed with a
+    /// typed error of its own — a stored cut that failed verification, or
+    /// holds another pod — which surfaces as itself.
+    pub(crate) fn step(&mut self, what: &str) -> ZapcResult<()> {
+        let reply = match self.next(Instant::now() + self.timeout) {
+            Ok(r) => r,
+            Err(Some((key, node))) => {
+                let why = format!("node {node} hosting pod {:?} died mid-operation", key.pod);
+                return Err(self.abort(why));
+            }
+            Err(None) => return Err(self.abort(format!("timed out waiting for {what}"))),
+        };
+        if let Some((key, epoch)) = reply.done().filter(|&(_, e)| e < self.cluster.epoch()) {
+            self.cluster.note_fenced_reply(&key.pod);
+            let why = format!("agent for {} replied at fenced epoch {epoch}", key.pod);
+            return Err(self.abort(why));
         }
+        let got = &mut self.got;
+        match reply {
+            Reply::Precopy { pod, rounds, precopy_bytes, residual_bytes, converged } => {
+                got.precopy.insert(pod, (rounds, precopy_bytes, residual_bytes, converged));
+            }
+            Reply::Meta { pod, suspended_at, meta } => {
+                got.cut.insert(pod, (suspended_at, *meta));
+            }
+            Reply::Applied { pod, meta, records } => {
+                got.applied.insert(pod, (*meta, records));
+            }
+            Reply::Done { key, result: Ok(out), .. } => {
+                got.done.insert(key, out);
+            }
+            Reply::Done { key, result: Err(e), .. } => {
+                let why = format!("{} agent for {}: {}", key.role.name(), key.pod, reason(&e));
+                let aborted = self.abort(why);
+                return Err(if matches!(e, ZapcError::Aborted(_)) { aborted } else { e });
+            }
+        }
+        Ok(())
     }
 
     /// Aborts the operation: tells every Agent to roll back and waits out
@@ -195,7 +401,7 @@ impl<'a, C: Ctl, R: Reply> Coord<'a, C, R> {
         // try_send: a control channel may still hold an unconsumed
         // command (the Agent died before reading it) — never block on it.
         for ctl in self.parts.values().filter_map(|p| p.ctl.as_ref()) {
-            let _ = ctl.try_send(C::abort());
+            let _ = ctl.try_send(Ctl::Abort);
         }
         self.drain();
         ZapcError::Aborted(why)
@@ -227,10 +433,10 @@ impl<'a, C: Ctl, R: Reply> Coord<'a, C, R> {
                         // bump (recovery raced the abort). Tally it so
                         // tests can assert stale Agents were heard but
                         // ignored.
-                        self.cluster.note_fenced_reply(R::pod_of(key));
+                        self.cluster.note_fenced_reply(&key.pod);
                     }
                     if self.cluster.obs.enabled() {
-                        self.cluster.obs.counter(R::pod_of(key), "mgr.late_reply", 1);
+                        self.cluster.obs.counter(&key.pod, "mgr.late_reply", 1);
                     }
                 }
                 // On a dead node: will never reply.
@@ -245,49 +451,27 @@ impl<'a, C: Ctl, R: Reply> Coord<'a, C, R> {
     }
 }
 
-impl<R: Reply> Coord<'_, CtlMsg, R> {
-    /// The single synchronization: `continue` (stamped with the operation
-    /// epoch) to every Agent, subject to the `ctl.continue` fault site
-    /// (keyed by pod; `Drop` loses the message, `Delay` postpones it),
-    /// then the seeded `ctl.partition` site, then the time-driven
-    /// partition schedule for the `MANAGER → hosting node` link. A lost
-    /// send is invisible to the Manager — the Agent's bounded wait turns
-    /// the loss into a rollback.
-    pub(crate) fn send_continue(&self, epoch: u64) {
-        for (pod, p) in &self.parts {
-            let eaten = |site| {
-                matches!(self.cluster.faults.hit_and_sleep(site, pod), Some(FaultAction::Drop))
-            };
-            if eaten("ctl.continue") || eaten("ctl.partition") {
-                continue;
-            }
-            if p.node.is_some_and(|n| self.cluster.partition.is_cut(MANAGER, n)) {
-                continue;
-            }
-            self.send(pod, CtlMsg::Continue(epoch));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::AgentReply;
 
-    fn done(pod: &str, epoch: u64) -> AgentReply {
-        AgentReply::Done { pod: pod.into(), result: Err("rolled back".into()), epoch }
+    fn done(pod: &str, epoch: u64) -> Reply {
+        let report = PodReport { pod: pod.into(), ..PodReport::default() };
+        let key = Key::new(pod, Role::Checkpoint);
+        Reply::Done { key, result: Ok((Instant::now(), report)), epoch }
     }
 
     #[test]
     fn abort_drains_only_participants_that_still_owe_a_reply_on_live_nodes() {
         let cluster = Cluster::builder().nodes(2).build();
-        let mut co: Coord<'_, CtlMsg, AgentReply> = Coord::new(&cluster, Duration::from_secs(5));
-        let (a, _a_ctl) = co.register("a", Some(0));
-        let (b, _b_ctl) = co.register("b", Some(0));
-        let (_c, c_ctl) = co.register("c", Some(1));
+        let mut co = Coord::new(&cluster, Duration::from_secs(5));
+        let (a, _a_ctl) = co.register("a", Role::Checkpoint, Some(0));
+        let (b, _b_ctl) = co.register("b", Role::Checkpoint, Some(0));
+        let (_c, c_ctl) = co.register("c", Role::Checkpoint, Some(1));
         a.send(done("a", cluster.epoch())).unwrap();
         b.send(done("b", cluster.epoch())).unwrap();
-        assert!(co.recv("done").is_ok() && co.recv("done").is_ok());
+        assert!(co.step("done").is_ok() && co.step("done").is_ok());
+        assert_eq!(co.got.done.len(), 2);
 
         // The third participant's node dies without a word.
         cluster.health.kill(1);
@@ -296,6 +480,6 @@ mod tests {
         assert!(matches!(err, ZapcError::Aborted(_)));
         assert!(t0.elapsed() < Duration::from_secs(1), "nobody left to wait for");
         assert_eq!(co.late, 0, "the two early dones were consumed in-phase, not drained");
-        assert_eq!(c_ctl.try_recv(), Ok(CtlMsg::Abort));
+        assert!(matches!(c_ctl.try_recv(), Ok(Ctl::Abort)));
     }
 }

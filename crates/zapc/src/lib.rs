@@ -28,8 +28,11 @@
 //!   its stop-and-copy case (no pre-copy rounds), `migrate_live` adds
 //!   iterative pre-copy, and `restart` runs its receive half on stored
 //!   images — every cut verified and decoded before any pod is created.
-//! * `coord` (crate-private) — the one wait/abort/drain loop every
-//!   coordinated operation shares between its phases.
+//! * `coord` (crate-private) — what every coordinated operation shares:
+//!   one Manager→Agent and one Agent→Manager message type, participants
+//!   keyed by pod and role, one reply book, the wait/abort/drain loop
+//!   between phases, and the target rules (a pod named twice is refused;
+//!   an aborted attempt is retried while every pod still exists).
 //!
 //! The crate-level API is intentionally the paper's: `checkpoint`,
 //! `restart`, and `migrate` over a set of pods, with per-pod reports of

@@ -54,6 +54,11 @@
 //! the decoded state to the Agent's restart tail (Figure 3,
 //! `agent::restart_tail`).
 //!
+//! The Manager half is phase code over the coordination core: sources and
+//! receivers are its participants, keyed by pod and role, speaking the
+//! same `Ctl`/`Reply` vocabulary as a checkpoint's Agents, and every phase
+//! waits on the core's one reply book.
+//!
 //! ## Commit point
 //!
 //! The point of no return is reached only when *every* source has cut
@@ -90,7 +95,7 @@
 
 use crate::agent::{checkpoint_cut, quiesce, restart_tail, unquiesce, RestartInputs};
 use crate::cluster::Cluster;
-use crate::coord::{Coord, Ctl, Reply};
+use crate::coord::{distinct, reason, retry_aborted, Book, Coord, Ctl, Key, Reply, Role};
 use crate::manager::{ms, PhaseBreakdown, PodReport, RestartReport, RestartTarget, DEFAULT_TIMEOUT};
 use crate::retry::RetryPolicy;
 use crate::{ZapcError, ZapcResult};
@@ -165,64 +170,9 @@ const MAX_PRECOPY_BYTES: u64 = 1 << 30;
 /// How often a blocked receiver polls its control channel.
 const CTL_POLL: Duration = Duration::from_millis(5);
 
-/// Control messages to the per-pod source and receiver Agents.
-pub(crate) enum LiveCtl {
-    /// To a source: all pods finished pre-copy — suspend and take the
-    /// final cut.
-    Cutover,
-    /// To a source: commit — destroy the pod (the receiver has
-    /// everything).
-    CommitSource,
-    /// To a receiver: commit — create the pod from the accumulated state
-    /// and resume it.
-    CommitReceiver {
-        /// The merged cluster meta-data, with Manager-assigned
-        /// reconnection roles.
-        all_meta: Arc<Vec<MetaData>>,
-        /// Which of them is this pod's.
-        me: usize,
-        /// This pod's socket records, after the send-queue merge if any.
-        records: Vec<SockRecord>,
-    },
-    /// Abort: a source resumes (or keeps running), a receiver discards
-    /// everything; no pod is created.
-    Abort,
-}
-
-impl Ctl for LiveCtl {
-    fn abort() -> Self {
-        LiveCtl::Abort
-    }
-}
-
-/// Replies from the per-pod source and receiver Agents to the Manager.
-enum LiveReply {
-    /// Source: pre-copy loop finished; summary of the rounds.
-    Precopy { pod: String, rounds: u32, precopy_bytes: u64, residual_bytes: u64, converged: bool },
-    /// Source: pod suspended and network state cut.
-    Meta { pod: String, suspended_at: Instant },
-    /// Receiver: the whole cut verified and decoded; ready to commit.
-    /// Carries the cut's meta-data and socket records.
-    Applied { pod: String, meta: Box<MetaData>, records: Vec<SockRecord> },
-    /// A participant finished — when, and its Agent's report (a source
-    /// has destroyed its pod and reports its cut; a receiver has resumed
-    /// its pod and reports its restart) — or failed. `key` is its
-    /// [`src_key`] / [`rcv_key`].
-    Done { key: String, epoch: u64, result: ZapcResult<(Instant, PodReport)> },
-}
-
-impl Reply for LiveReply {
-    fn done(&self) -> Option<(&str, u64)> {
-        match self {
-            LiveReply::Done { key, epoch, .. } => Some((key, *epoch)),
-            _ => None,
-        }
-    }
-
-    fn pod_of(key: &str) -> &str {
-        key.split(ROLE_SEP).next().unwrap_or(key)
-    }
-}
+/// What the Manager waits for between a migration's or a restart's
+/// phases, as a timeout names it.
+const REPLY: &str = "a live-migration reply";
 
 /// Per-pod outcome of a live migration.
 #[derive(Debug, Clone)]
@@ -289,6 +239,8 @@ pub fn migrate_live_with(
     opts: &MigrateOptions,
 ) -> ZapcResult<LiveMigrateReport> {
     let t0 = Instant::now();
+    let pods: Vec<&str> = moves.iter().map(|(pod, _)| pod.as_str()).collect();
+    distinct("migration", pods.iter().copied())?;
     for (pod, node) in moves {
         if cluster.pod(pod).is_none() {
             return Err(ZapcError::NotFound(format!("pod {pod:?}")));
@@ -297,17 +249,12 @@ pub fn migrate_live_with(
             return Err(ZapcError::NotFound(format!("node {node}")));
         }
     }
-    let mut late = 0u64;
+    // Every source pod still exists only before the commit point: past it
+    // the sources are destroyed and the failure is final.
     let policy = RetryPolicy::new(opts.retries, opts.backoff);
-    let mut report = policy.run(
-        |_| migrate_once(cluster, moves, opts, t0, &mut late),
-        // Every source pod still exists only before the commit point: past
-        // it the sources are destroyed and the failure is final.
-        |e| {
-            matches!(e, ZapcError::Aborted(_))
-                && moves.iter().all(|(pod, _)| cluster.pod(pod).is_some())
-        },
-    )?;
+    let (mut report, late) = retry_aborted(cluster, &pods, policy, opts.timeout, |co| {
+        migrate_once(co, moves, opts, t0)
+    })?;
     report.late_replies = late;
     Ok(report)
 }
@@ -315,44 +262,41 @@ pub fn migrate_live_with(
 /// One migration attempt; its report's times run from `t0`, the
 /// invocation.
 fn migrate_once(
-    cluster: &Cluster,
+    co: &mut Coord<'_>,
     moves: &[(String, usize)],
     opts: &MigrateOptions,
     t0: Instant,
-    late: &mut u64,
 ) -> ZapcResult<LiveMigrateReport> {
+    let cluster = co.cluster;
     // Every pod has two participants — its source and its receiver side —
     // each watched through the node whose lease keeps it alive until its
     // `done` arrives.
-    let mut co: Coord<'_, LiveCtl, LiveReply> = Coord::new(cluster, opts.timeout);
-
-    let result = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (pod, node) in moves {
             let (stream_tx, stream_rx) = bounded::<Vec<u8>>(STREAM_DEPTH);
-            let (src_reply, src_ctl) = co.register(&src_key(pod), cluster.pod_node(pod));
-            let (rcv_reply, rcv_ctl) = co.register(&rcv_key(pod), Some(*node));
+            let (src_reply, src_ctl) = co.register(pod, Role::Source, cluster.pod_node(pod));
+            let (rcv_reply, rcv_ctl) = co.register(pod, Role::Receiver, Some(*node));
             let node = *node;
             // Each side reports before its end of the stream closes, so the
             // peer's "stream gone" can never overtake the root cause.
             scope.spawn(move || {
                 let out = live_source(cluster, pod, node, opts, &stream_tx, &src_reply, src_ctl);
-                send_done(cluster, &src_reply, src_key(pod), out.map_err(ZapcError::Aborted));
+                send_done(cluster, &src_reply, pod, Role::Source, out.map_err(ZapcError::Aborted));
             });
             scope.spawn(move || {
                 let out = live_receiver(cluster, pod, node, &stream_rx, &rcv_reply, rcv_ctl, opts);
                 if let Some(out) = out.transpose() {
-                    send_done(cluster, &rcv_reply, rcv_key(pod), out);
+                    send_done(cluster, &rcv_reply, pod, Role::Receiver, out);
                 }
             });
         }
 
         let n = moves.len();
-        let mut st = LiveState::default();
 
         // Phase A: pre-copy. The application keeps running; wait until
         // every source reports that it converged or hit its cap.
-        while st.precopy.len() < n {
-            st.step(&mut co)?;
+        while co.got.precopy.len() < n {
+            co.step(REPLY)?;
         }
         let t_precopy = Instant::now();
 
@@ -360,15 +304,16 @@ fn migrate_once(
         // network state, ships the final delta; every receiver finishes
         // decoding and acknowledges. Nothing is destroyed or created yet.
         for (pod, _) in moves {
-            co.send(&src_key(pod), LiveCtl::Cutover);
+            co.send(pod, Role::Source, Ctl::Cutover);
         }
-        while st.suspended.len() < n || st.applied.len() < n {
-            st.step(&mut co)?;
+        while co.got.cut.len() < n || co.got.applied.len() < n {
+            co.step(REPLY)?;
         }
         let t_commit = Instant::now();
 
         // ── Commit point: every source cut, every stream applied. ──
-        let commits = st.commit_point(cluster, moves.iter().map(|(pod, _)| pod), opts.sendq_merge);
+        let pods = moves.iter().map(|(pod, _)| pod);
+        let commits = commit_point(&mut co.got, cluster, pods, opts.sendq_merge);
 
         // Commit the sources first: `destroy_pod` must complete before
         // any receiver registers the pod's new home, or the teardown
@@ -376,30 +321,33 @@ fn migrate_once(
         // failure still aborts the receivers (no pod was created yet),
         // but sources may already be gone — final.
         for (pod, _) in moves {
-            co.send(&src_key(pod), LiveCtl::CommitSource);
+            co.send(pod, Role::Source, Ctl::CommitSource);
         }
-        while st.done.len() < n {
-            st.step(&mut co)?;
+        while co.got.done.len() < n {
+            co.step(REPLY)?;
         }
 
         // Commit the receivers: create pods, reconnect, reinstate, resume.
         // Receiver failures after the commit point are final.
         for ((pod, _), commit) in moves.iter().zip(commits) {
-            co.send(&rcv_key(pod), commit);
+            co.send(pod, Role::Receiver, commit);
         }
-        while st.done.len() < 2 * n {
-            st.step(&mut co)?;
+        while co.got.done.len() < 2 * n {
+            co.step(REPLY)?;
         }
         let t_end = Instant::now();
 
         let mut pods = Vec::with_capacity(n);
         let mut max_downtime_ms = 0.0f64;
+        let got = &mut co.got;
         for (pod, _) in moves {
-            let suspended_at = st.suspended.get(pod).expect("source cut");
+            let (suspended_at, _) = got.cut.get(pod).expect("source cut");
             let (rounds, precopy_bytes, residual_bytes, converged) =
-                *st.precopy.get(pod).expect("precopy");
-            let cut_bytes = st.done.get(&src_key(pod)).expect("source outcome").1.image_bytes;
-            let (resumed_at, restart) = st.done.remove(&rcv_key(pod)).expect("receiver outcome");
+                *got.precopy.get(pod).expect("precopy");
+            let source = got.done.get(&Key::new(pod, Role::Source)).expect("source outcome");
+            let cut_bytes = source.1.image_bytes;
+            let receiver = got.done.remove(&Key::new(pod, Role::Receiver));
+            let (resumed_at, restart) = receiver.expect("receiver outcome");
             let downtime = resumed_at.saturating_duration_since(*suspended_at);
             let downtime_ms = downtime.as_secs_f64() * 1000.0;
             max_downtime_ms = max_downtime_ms.max(downtime_ms);
@@ -428,9 +376,7 @@ fn migrate_once(
             phases,
             late_replies: 0,
         })
-    });
-    *late += co.late;
-    result
+    })
 }
 
 /// Restart from stored images (Figure 3): one receive half per target, its
@@ -447,40 +393,39 @@ pub(crate) fn restart_stored(
 ) -> ZapcResult<RestartReport> {
     // The receivers bound their own reconnection by `timeout`; the Manager
     // leaves them room to report that failure themselves.
-    let mut co: Coord<'_, LiveCtl, LiveReply> =
-        Coord::new(cluster, timeout + Duration::from_secs(5));
+    let mut co = Coord::new(cluster, timeout + Duration::from_secs(5));
     std::thread::scope(|scope| {
         for (t, image) in targets.iter().zip(images) {
-            let (reply, ctl) = co.register(&rcv_key(&t.pod), Some(t.node));
+            let (reply, ctl) = co.register(&t.pod, Role::Receiver, Some(t.node));
             scope.spawn(move || {
                 let (from, parts) = (CutSource::Store, DecodedPod::new());
                 let out =
                     receive_cut(cluster, &t.pod, t.node, from, parts, image, &reply, &ctl, timeout);
-                send_done(cluster, &reply, rcv_key(&t.pod), out);
+                send_done(cluster, &reply, &t.pod, Role::Receiver, out);
             });
         }
         let n = targets.len();
-        let mut st = LiveState::default();
-        while st.applied.len() < n {
-            st.step(&mut co)?;
+        while co.got.applied.len() < n {
+            co.step(REPLY)?;
         }
         let t_prepare = Instant::now();
 
         let schedule_span = cluster.obs.span("manager", "mgr.schedule");
-        let commits = st.commit_point(cluster, targets.iter().map(|t| &t.pod), false);
+        let commits = commit_point(&mut co.got, cluster, targets.iter().map(|t| &t.pod), false);
         schedule_span.end();
         let t_schedule = Instant::now();
 
         let restore_span = cluster.obs.span("manager", "mgr.restore");
         for (t, commit) in targets.iter().zip(commits) {
-            co.send(&rcv_key(&t.pod), commit);
+            co.send(&t.pod, Role::Receiver, commit);
         }
-        while st.done.len() < n {
-            st.step(&mut co)?;
+        while co.got.done.len() < n {
+            co.step(REPLY)?;
         }
         restore_span.end();
         let t_end = Instant::now();
-        let mut pods: Vec<PodReport> = st.done.into_values().map(|(_, report)| report).collect();
+        let done = std::mem::take(&mut co.got.done);
+        let mut pods: Vec<PodReport> = done.into_values().map(|(_, report)| report).collect();
         pods.sort_by(|a, b| a.pod.cmp(&b.pod));
         let names = ["mgr.prepare", "mgr.schedule", "mgr.restore"];
         let phases = PhaseBreakdown::tile(&names, &[t0, t_prepare, t_schedule, t_end]);
@@ -490,103 +435,41 @@ pub(crate) fn restart_stored(
 
 /// A participant's final reply, stamped with the instant and the epoch it
 /// is sent under.
-fn send_done(cluster: &Cluster, to: &Sender<LiveReply>, key: String, out: ZapcResult<PodReport>) {
+fn send_done(
+    cluster: &Cluster,
+    to: &Sender<Reply>,
+    pod: &str,
+    role: Role,
+    out: ZapcResult<PodReport>,
+) {
     let result = out.map(|report| (Instant::now(), report));
-    let _ = to.send(LiveReply::Done { key, epoch: cluster.epoch(), result });
+    let _ = to.send(Reply::Done { key: Key::new(pod, role), epoch: cluster.epoch(), result });
 }
 
-/// Separates the pod name from the role in participant keys: every pod
-/// has a source and a receiver side.
-const ROLE_SEP: char = '\u{1}';
-
-fn src_key(pod: &str) -> String {
-    format!("{pod}{ROLE_SEP}source")
-}
-fn rcv_key(pod: &str) -> String {
-    format!("{pod}{ROLE_SEP}receiver")
-}
-
-/// Manager-side bookkeeping shared by every phase of the live-migration
-/// state machine: one `step()` consumes one reply and files it; phases
-/// just wait for their completion predicate.
-#[derive(Default)]
-struct LiveState {
-    precopy: HashMap<String, (u32, u64, u64, bool)>,
-    /// Sources that have cut, and when they suspended their pods.
-    suspended: HashMap<String, Instant>,
-    /// Receivers ready to commit, with the meta-data and socket records
-    /// of their cuts.
-    applied: HashMap<String, (MetaData, Vec<SockRecord>)>,
-    /// Committed participants by key.
-    done: HashMap<String, (Instant, PodReport)>,
-}
-
-impl LiveState {
-    /// Receives and files one reply. An error reply, a dead participant
-    /// node and a timeout all abort the operation (the core drains the
-    /// participants that still owe a `done`) and surface the typed error:
-    /// a receiver's own typed error — a stored cut that failed
-    /// verification, or holds another pod — as itself, every other failure
-    /// as [`ZapcError::Aborted`].
-    fn step(&mut self, co: &mut Coord<'_, LiveCtl, LiveReply>) -> ZapcResult<()> {
-        match co.recv("a live-migration reply")? {
-            LiveReply::Precopy { pod, rounds, precopy_bytes, residual_bytes, converged } => {
-                self.precopy.insert(pod, (rounds, precopy_bytes, residual_bytes, converged));
-            }
-            LiveReply::Meta { pod, suspended_at } => {
-                self.suspended.insert(pod, suspended_at);
-            }
-            LiveReply::Applied { pod, meta, records } => {
-                self.applied.insert(pod, (*meta, records));
-            }
-            LiveReply::Done { key, result, .. } => match result {
-                Ok(out) => {
-                    self.done.insert(key, out);
-                }
-                Err(e) => {
-                    let (pod, role) = key.split_once(ROLE_SEP).unwrap_or((&key, "live"));
-                    let aborted = co.abort(format!("{role} agent for {pod}: {}", reason(&e)));
-                    return Err(if matches!(e, ZapcError::Aborted(_)) { aborted } else { e });
-                }
-            },
+/// The commit point of a migration or restart, once every receiver in
+/// `pods` has applied its cut: derives the connectivity map and the
+/// connect/accept schedule from the meta-data the receivers reported —
+/// with `sendq_merge`, also runs the §5 send-queue merge over their socket
+/// records — and returns each receiver's commit, in `pods` order.
+fn commit_point<'p>(
+    got: &mut Book,
+    cluster: &Cluster,
+    pods: impl Iterator<Item = &'p String>,
+    sendq_merge: bool,
+) -> Vec<Ctl> {
+    let (mut metas, mut records): (Vec<MetaData>, Vec<_>) =
+        pods.map(|pod| got.applied.remove(pod).expect("cut applied")).unzip();
+    assign_roles(&mut metas);
+    if sendq_merge {
+        let moved = merge_send_queues(&mut records, &metas);
+        if cluster.obs.enabled() {
+            cluster.obs.counter("manager", "mig.merged_bytes", moved as u64);
         }
-        Ok(())
     }
-
-    /// The commit point, once every receiver in `pods` has applied its
-    /// cut: derives the connectivity map and the connect/accept schedule
-    /// from the meta-data the receivers reported — with `sendq_merge`, also
-    /// runs the §5 send-queue merge over their socket records — and returns
-    /// each receiver's commit, in `pods` order.
-    fn commit_point<'p>(
-        &mut self,
-        cluster: &Cluster,
-        pods: impl Iterator<Item = &'p String>,
-        sendq_merge: bool,
-    ) -> Vec<LiveCtl> {
-        let (mut metas, mut records): (Vec<MetaData>, Vec<_>) =
-            pods.map(|pod| self.applied.remove(pod).expect("cut applied")).unzip();
-        assign_roles(&mut metas);
-        if sendq_merge {
-            let moved = merge_send_queues(&mut records, &metas);
-            if cluster.obs.enabled() {
-                cluster.obs.counter("manager", "mig.merged_bytes", moved as u64);
-            }
-        }
-        let all_meta = Arc::new(metas);
-        let commit = |(me, records)| {
-            LiveCtl::CommitReceiver { all_meta: Arc::clone(&all_meta), me, records }
-        };
-        records.into_iter().enumerate().map(commit).collect()
-    }
-}
-
-/// What an error says, as an abort passes it on.
-fn reason(e: &ZapcError) -> String {
-    match e {
-        ZapcError::Aborted(why) => why.clone(),
-        e => e.to_string(),
-    }
+    let all_meta = Arc::new(metas);
+    let commit =
+        |(me, records)| Ctl::CommitReceiver { all_meta: Arc::clone(&all_meta), me, records };
+    records.into_iter().enumerate().map(commit).collect()
 }
 
 /// The source Agent of one migrated pod: pre-copy rounds while the pod
@@ -598,8 +481,8 @@ fn live_source(
     dst_node: usize,
     opts: &MigrateOptions,
     stream: &Sender<Vec<u8>>,
-    reply: &Sender<LiveReply>,
-    ctl: Receiver<LiveCtl>,
+    reply: &Sender<Reply>,
+    ctl: Receiver<Ctl>,
 ) -> Result<PodReport, String> {
     let pod = cluster.pod(pod_name).ok_or_else(|| format!("unknown pod {pod_name:?}"))?;
     // The Agent→Agent stream link this migration rides: consulted per
@@ -623,7 +506,7 @@ fn live_source(
             std::thread::sleep(opts.round_delay);
         }
         match ctl.try_recv() {
-            Ok(LiveCtl::Abort) => return Err("aborted during pre-copy".into()),
+            Ok(Ctl::Abort) => return Err("aborted during pre-copy".into()),
             Ok(_) => return Err("protocol error: cutover before precopy report".into()),
             Err(TryRecvError::Empty) => {}
             Err(TryRecvError::Disconnected) => {
@@ -662,7 +545,7 @@ fn live_source(
         converged = delta_round && shipped <= opts.residual_threshold;
     }
 
-    let _ = reply.send(LiveReply::Precopy {
+    let _ = reply.send(Reply::Precopy {
         pod: pod_name.to_owned(),
         rounds,
         precopy_bytes: total_bytes,
@@ -671,7 +554,7 @@ fn live_source(
     });
     // Abort, timeout, or a broken Manager connection: the pod is still
     // running untouched — just walk away.
-    if !matches!(ctl.recv_timeout(opts.timeout), Ok(LiveCtl::Cutover)) {
+    if !matches!(ctl.recv_timeout(opts.timeout), Ok(Ctl::Cutover)) {
         return Err("aborted awaiting cutover".into());
     }
     // Fault site: the Agent dies at the cutover command, before touching
@@ -692,9 +575,10 @@ fn live_source(
             Some(_) => last_shipped + 16 * 1024,
             None => pod.total_mem_bytes() + 4096,
         };
-        let image = checkpoint_cut(cluster, &pod, false, gens, capacity, &mut report, |_| {
+        let image = checkpoint_cut(cluster, &pod, false, gens, capacity, &mut report, |meta| {
+            let meta = Box::new(meta.clone());
             reply
-                .send(LiveReply::Meta { pod: pod_name.to_owned(), suspended_at })
+                .send(Reply::Meta { pod: pod_name.to_owned(), suspended_at, meta })
                 .map_err(|_| "manager connection broken at cutover".to_string())
         })?;
         // The finished image is the stream's last frame.
@@ -704,7 +588,7 @@ fn live_source(
         // Hold the pod suspended (vip still blocked) until the Manager's
         // commit point. An abort here rolls back: the receiver discards.
         match ctl.recv_timeout(opts.timeout) {
-            Ok(LiveCtl::CommitSource) => Ok(()),
+            Ok(Ctl::CommitSource) => Ok(()),
             Ok(_) | Err(_) => Err("aborted awaiting cutover commit".to_string()),
         }
     })();
@@ -774,8 +658,8 @@ fn live_receiver(
     pod_name: &str,
     node: usize,
     stream: &Receiver<Vec<u8>>,
-    reply: &Sender<LiveReply>,
-    ctl: Receiver<LiveCtl>,
+    reply: &Sender<Reply>,
+    ctl: Receiver<Ctl>,
     opts: &MigrateOptions,
 ) -> ZapcResult<Option<PodReport>> {
     let timeout = opts.timeout;
@@ -786,7 +670,7 @@ fn live_receiver(
     // Pre-copy records until the cut image, the stream's last frame.
     let cut = loop {
         match ctl.try_recv() {
-            Ok(LiveCtl::Abort) => return aborted("aborted"),
+            Ok(Ctl::Abort) => return aborted("aborted"),
             Ok(_) => return aborted("protocol error: commit before stream end"),
             Err(TryRecvError::Empty) => {}
             Err(TryRecvError::Disconnected) => return aborted("manager connection broken"),
@@ -865,8 +749,8 @@ fn receive_cut(
     from: CutSource,
     mut parts: DecodedPod,
     cut: &[u8],
-    reply: &Sender<LiveReply>,
-    ctl: &Receiver<LiveCtl>,
+    reply: &Sender<Reply>,
+    ctl: &Receiver<Ctl>,
     timeout: Duration,
 ) -> ZapcResult<PodReport> {
     let (sections, meta, records) = apply_cut(&mut parts, cut, from)?;
@@ -878,9 +762,9 @@ fn receive_cut(
     // Whole cut decoded and squashed; acknowledge and await the Manager's
     // verdict. Nothing exists on this node yet.
     let meta = Box::new(meta);
-    let _ = reply.send(LiveReply::Applied { pod: pod_name.to_owned(), meta, records });
+    let _ = reply.send(Reply::Applied { pod: pod_name.to_owned(), meta, records });
     match ctl.recv_timeout(timeout) {
-        Ok(LiveCtl::CommitReceiver { all_meta, me, records }) => {
+        Ok(Ctl::CommitReceiver { all_meta, me, records }) => {
             // Every section is already decoded, so reinstatement is a
             // straight move of materialized state into the new pod.
             let my_meta = &all_meta[me];
@@ -1065,8 +949,8 @@ mod tests {
             let receiver = s.spawn(move || {
                 (live_receiver(cluster, "p", 0, &stream, &reply, ctl, opts), stream)
             });
-            assert!(matches!(replies.recv_timeout(opts.timeout), Ok(LiveReply::Applied { .. })));
-            verdict.send(LiveCtl::Abort).unwrap();
+            assert!(matches!(replies.recv_timeout(opts.timeout), Ok(Reply::Applied { .. })));
+            verdict.send(Ctl::Abort).unwrap();
             receiver.join().unwrap()
         });
         assert!(matches!(out, Err(ZapcError::Aborted(why)) if why == "aborted before commit"));

@@ -16,17 +16,17 @@
 //! dropped channel here) and the operation aborts gracefully — the
 //! application resumes execution (§4).
 
-use crate::agent::{agent_checkpoint, AgentReply, CheckpointJob, CtlMsg, Finalize, SyncPolicy};
+use crate::agent::{agent_checkpoint, CheckpointJob, Finalize, SyncPolicy};
 use crate::cluster::Cluster;
-use crate::coord::Coord;
+use crate::coord::{distinct, retry_aborted, Book, Coord, Role};
 use crate::live::{migrate_live_with, restart_stored, MigrateOptions};
 use crate::retry::RetryPolicy;
 use crate::uri::Uri;
 use crate::{ZapcError, ZapcResult};
-use std::collections::HashSet;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use zapc_proto::MetaData;
+use zapc_proto::{Manifest, MetaData};
 
 /// Default Manager-side timeout for Agent replies.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -228,52 +228,29 @@ pub(crate) fn checkpoint_at(
     opts: &CheckpointOptions,
     epoch: Option<u64>,
 ) -> ZapcResult<CheckpointReport> {
-    let mut late = 0u64;
+    let pods: Vec<&str> = targets.iter().map(|t| t.pod.as_str()).collect();
+    distinct("checkpoint", pods.iter().copied())?;
+    // Retried only when the abort rolled every target back to running — a
+    // partially-committed destroy cannot be re-run.
     let policy = RetryPolicy::new(opts.retries, opts.backoff);
-    let mut report = policy.run(
-        |_| checkpoint_once(cluster, targets, opts, epoch, &mut late),
-        // Retry only when the abort rolled every target back to running — a
-        // partially-committed destroy cannot be re-run.
-        |e| {
-            matches!(e, ZapcError::Aborted(_))
-                && targets.iter().all(|t| cluster.pod(&t.pod).is_some())
-        },
-    )?;
+    let (mut report, late) = retry_aborted(cluster, &pods, policy, opts.timeout, |co| {
+        checkpoint_once(co, targets, opts, epoch)
+    })?;
     report.late_replies = late;
     Ok(report)
-}
-
-/// What a checkpoint's Agents have reported so far.
-#[derive(Default)]
-struct Gathered {
-    meta: Vec<MetaData>,
-    pods: Vec<PodReport>,
-}
-
-impl Gathered {
-    /// Files one reply; an Agent's failure report is the `Err`.
-    fn file(&mut self, reply: AgentReply) -> Result<(), String> {
-        match reply {
-            AgentReply::Meta { meta } => self.meta.push(meta),
-            AgentReply::Done { pod, result, .. } => {
-                self.pods.push(result.map_err(|why| format!("agent for {pod} failed: {why}"))?);
-            }
-        }
-        Ok(())
-    }
 }
 
 /// One coordinated-checkpoint attempt. Every error path aborts the
 /// surviving Agents and drains their rollback replies, so no pod is left
 /// suspended.
 fn checkpoint_once(
-    cluster: &Cluster,
+    co: &mut Coord<'_>,
     targets: &[CheckpointTarget],
     opts: &CheckpointOptions,
     epoch: Option<u64>,
-    late: &mut u64,
 ) -> ZapcResult<CheckpointReport> {
     let t0 = Instant::now();
+    let cluster = co.cluster;
     // The epoch every Agent op and the eventual `continue` are stamped
     // with. `checkpoint_commit` pins its entry snapshot here; ad-hoc
     // callers read the live epoch per attempt. A recovery bumping the
@@ -281,16 +258,15 @@ fn checkpoint_once(
     // fence and the attempt aborts instead of committing for a Manager
     // the cluster already declared dead.
     let op_epoch = epoch.unwrap_or_else(|| cluster.epoch());
-    let mut co: Coord<'_, CtlMsg, AgentReply> = Coord::new(cluster, opts.timeout);
 
-    let result = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // Manager-side phase partition: broadcast + meta collection, the
         // single sync, then done collection. The three slices tile
         // t0 → last `done`, so their sum reproduces `wall_ms`.
         let meta_span = cluster.obs.span("manager", "mgr.meta");
         // 1. Broadcast `checkpoint` to all participating Agents.
         for t in targets {
-            let (reply, ctl) = co.register(&t.pod, cluster.pod_node(&t.pod));
+            let (reply, ctl) = co.register(&t.pod, Role::Checkpoint, cluster.pod_node(&t.pod));
             let job = CheckpointJob {
                 pod: &t.pod,
                 dest: &t.uri,
@@ -306,9 +282,9 @@ fn checkpoint_once(
         }
 
         // 2. Receive meta-data from every Agent.
-        let mut got = Gathered::default();
-        while got.meta.len() < targets.len() {
-            got.file(co.recv("meta-data")?).map_err(|why| co.abort(why))?;
+        let n = targets.len();
+        while co.got.cut.len() < n {
+            co.step("meta-data")?;
         }
 
         // Fault site: the Manager dies here.
@@ -333,27 +309,22 @@ fn checkpoint_once(
         }
 
         // 4. Receive status from every Agent.
-        while got.pods.len() < targets.len() {
-            got.file(co.recv("done")?).map_err(|why| co.abort(why))?;
+        while co.got.done.len() < n {
+            co.step("done")?;
         }
-        let Gathered { meta, mut pods } = got;
         commit_span.end();
         let t_end = Instant::now();
+        let Book { mut cut, done, .. } = std::mem::take(&mut co.got);
+        let meta = targets.iter().map(|t| cut.remove(&t.pod).expect("pod cut").1).collect();
+        let mut pods: Vec<PodReport> = done.into_values().map(|(_, report)| report).collect();
         pods.sort_by(|a, b| a.pod.cmp(&b.pod));
         let names = ["mgr.meta", "mgr.sync", "mgr.commit"];
         let phases = PhaseBreakdown::tile(&names, &[t0, t_meta, t_sync, t_end]);
         Ok(CheckpointReport { pods, wall_ms: ms(t0, t_end), phases, late_replies: 0, meta })
-    });
-    *late += co.late;
-    result
+    })
 }
 
-/// Coordinated restart (Figure 3, Manager side) with the default timeout.
-pub fn restart(cluster: &Cluster, targets: &[RestartTarget]) -> ZapcResult<RestartReport> {
-    restart_with(cluster, targets, DEFAULT_TIMEOUT)
-}
-
-/// Coordinated restart with an explicit timeout: validates the targets,
+/// Coordinated restart (Figure 3, Manager side): validates the targets,
 /// fetches the images and runs [`crate::live`]'s receive half on each, so
 /// no pod is created before every image has verified. A damaged image is
 /// [`ZapcError::Decode`], one holding another pod [`ZapcError::NotFound`].
@@ -363,23 +334,22 @@ pub fn restart(cluster: &Cluster, targets: &[RestartTarget]) -> ZapcResult<Resta
 /// over a running pod would take its name and its virtual address's route
 /// and leave it running unreachable. Destroy or migrate it away first. A
 /// target node that does not exist is [`ZapcError::NotFound`].
-pub fn restart_with(
+pub fn restart(cluster: &Cluster, targets: &[RestartTarget]) -> ZapcResult<RestartReport> {
+    restart_with(cluster, targets, DEFAULT_TIMEOUT)
+}
+
+/// [`restart`] with an explicit timeout.
+pub(crate) fn restart_with(
     cluster: &Cluster,
     targets: &[RestartTarget],
     timeout: Duration,
 ) -> ZapcResult<RestartReport> {
     let t0 = Instant::now();
-    let mut names = HashSet::with_capacity(targets.len());
+    distinct("restart", targets.iter().map(|t| t.pod.as_str()))?;
     for t in targets {
         if let Some(node) = cluster.pod_node(&t.pod) {
             return Err(ZapcError::Aborted(format!(
                 "restart refused: pod {:?} is still live on node {node}",
-                t.pod
-            )));
-        }
-        if !names.insert(t.pod.as_str()) {
-            return Err(ZapcError::Aborted(format!(
-                "restart refused: pod {:?} is targeted twice",
                 t.pod
             )));
         }
@@ -388,8 +358,10 @@ pub fn restart_with(
         }
     }
 
-    // Fetch every image; the receivers verify and decode them.
+    // Fetch every image; the receivers verify and decode them. Each
+    // checkpoint's manifest is read once.
     let mut images: Vec<Arc<Vec<u8>>> = Vec::with_capacity(targets.len());
+    let mut manifests: HashMap<u64, Manifest> = HashMap::new();
     for t in targets {
         images.push(match &t.uri {
             Uri::Mem(label) => cluster
@@ -401,7 +373,10 @@ pub fn restart_with(
                 // manifest and re-verify the recorded digest — a torn or
                 // rotted image surfaces as an error here, never as a
                 // mis-restore.
-                let m = cluster.istore.manifest(*ckpt)?;
+                let m = match manifests.entry(*ckpt) {
+                    Entry::Occupied(m) => m.into_mut(),
+                    Entry::Vacant(slot) => slot.insert(cluster.istore.manifest(*ckpt)?),
+                };
                 let entry = m.entry(&t.pod).ok_or_else(|| {
                     ZapcError::NotFound(format!("pod {:?} in checkpoint {ckpt}", t.pod))
                 })?;

@@ -257,7 +257,7 @@ fn pod_reports_carry_agent_phases_without_an_observer() {
 #[test]
 fn late_replies_are_counted_and_surfaced() {
     use zapc::manager::{checkpoint_with, CheckpointOptions};
-    use zapc::{FaultAction, FaultPlan};
+    use zapc::{migrate_live_with, FaultAction, FaultPlan, MigrateOptions};
 
     // First attempt: agent w0 is delayed well past the Manager's timeout,
     // so the Manager aborts and drains the rollback replies; the retry
@@ -299,6 +299,48 @@ fn late_replies_are_counted_and_surfaced() {
     );
     for n in names {
         cluster.destroy_pod(&n);
+    }
+
+    // A migration files its replies in the same book. With no pre-copy
+    // the first frame on w0's stream is its cut; holding it past the
+    // timeout aborts the first attempt, and the retry runs clean once w0's
+    // source has woken, found its receiver gone and rolled back
+    // (timeout + backoff > delay).
+    let plan = FaultPlan::script()
+        .inject("net.partition", Some("w0"), 0, FaultAction::Delay { micros: 400_000 })
+        .build();
+    let (obs, ring) = Observer::ring(4096);
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .registry(registry())
+        .observer(obs)
+        .faults(plan)
+        .build();
+    let names = spawn_pods(&cluster, 2);
+    let moves: Vec<(String, usize)> =
+        names.iter().enumerate().map(|(i, p)| (p.clone(), (i + 1) % 2)).collect();
+    let opts = MigrateOptions {
+        max_rounds: 0,
+        timeout: Duration::from_millis(200),
+        retries: 2,
+        backoff: Duration::from_millis(300),
+        ..Default::default()
+    };
+
+    let report = migrate_live_with(&cluster, &moves, &opts).expect("retry succeeds");
+    assert_eq!(cluster.faults.fired(), 1);
+    assert!(
+        report.late_replies >= 1,
+        "aborted first attempt must surface its drained replies"
+    );
+    assert_eq!(
+        ring.counter_sum("mgr.late_reply"),
+        report.late_replies,
+        "one mgr.late_reply counter per drained reply"
+    );
+    for (pod, node) in &moves {
+        assert_eq!(cluster.pod_node(pod), Some(*node));
+        cluster.destroy_pod(pod);
     }
 }
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use zapc::agent::Finalize;
 use zapc::manager::{CheckpointTarget, RestartTarget};
-use zapc::{checkpoint, restart, Cluster, Uri, ZapcError};
+use zapc::{checkpoint, migrate, restart, Cluster, Uri, ZapcError};
 use zapc_apps::launch::{full_registry, launch_app, AppKind, AppParams};
 use zapc_ckpt::MemoryDeltaRecord;
 use zapc_proto::{Decode, Encode, ImageReader, ImageWriter, RecordReader, RecordWriter, SectionTag};
@@ -107,6 +107,38 @@ fn no_pod_is_created_before_every_image_verifies() {
         .map(|(_, (count, _))| *count)
         .sum();
     assert_eq!(created, 0, "a pod was created before every image verified");
+}
+
+#[test]
+fn a_pod_named_twice_is_refused_before_any_agent_runs() {
+    let wait = Duration::from_secs(60);
+    let reference = {
+        let c = Cluster::builder().nodes(2).registry(full_registry()).build();
+        let app = launch_app(&c, "dup", &small(AppKind::Cpi, 2));
+        let codes = app.wait(&c, wait).unwrap();
+        app.destroy(&c);
+        codes
+    };
+    let (obs, ring) = zapc_obs::Observer::ring(4096);
+    let c = Cluster::builder().nodes(2).registry(full_registry()).observer(obs).build();
+    let app = launch_app(&c, "dup", &small(AppKind::Cpi, 2));
+    std::thread::sleep(Duration::from_millis(5));
+    let twice = &app.pods[0];
+
+    let snapshot = CheckpointTarget::snapshot(twice);
+    let err = checkpoint(&c, &[snapshot.clone(), snapshot]).unwrap_err();
+    assert!(matches!(&err, ZapcError::Aborted(why) if why.contains("targeted twice")), "{err:?}");
+    let err = migrate(&c, &[(twice.clone(), 1), (twice.clone(), 1)]).unwrap_err();
+    assert!(matches!(&err, ZapcError::Aborted(why) if why.contains("targeted twice")), "{err:?}");
+
+    // No Agent ever touched the pod.
+    let phases = ring.phase_totals();
+    for span in ["ckpt.quiesce", "mig.cutover"] {
+        assert!(!phases.iter().any(|((_, phase), _)| *phase == span), "{span} ran");
+    }
+    let codes = app.wait(&c, wait).unwrap();
+    assert_eq!(codes, reference, "the refused operations must not perturb the app");
+    app.destroy(&c);
 }
 
 #[test]
