@@ -1,17 +1,25 @@
 //! CRC-32 (IEEE 802.3 polynomial, reflected) used to protect every record in
 //! a checkpoint image.
 //!
-//! Implemented with a lazily-built 256-entry lookup table; the table build is
-//! `const` so there is no runtime initialization cost.
+//! Implemented slice-by-8: eight 256-entry tables, all built by `const fn`
+//! at compile time. Table `k` maps a byte to its CRC contribution when `k`
+//! more bytes follow it, so one step folds eight input bytes (two
+//! little-endian `u32` reads) into the state with eight lookups and no
+//! carried dependency between them. The tail of fewer than eight bytes
+//! runs through table 0, the classic byte-at-a-time step. Output is the
+//! standard CRC-32 (check value `0xCBF43926`), identical to a byte-table
+//! or bitwise implementation.
 
 /// The reflected IEEE 802.3 polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, computed at compile time.
-const TABLE: [u32; 256] = build_table();
+/// Slice-by-8 lookup tables, computed at compile time. `TABLES[0]` is the
+/// byte-at-a-time table; `TABLES[k][b]` is `TABLES[k - 1][b]` advanced by
+/// one zero byte.
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -20,57 +28,43 @@ const fn build_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
-}
-
-/// Incremental CRC-32 hasher.
-///
-/// ```
-/// use zapc_proto::crc::Crc32;
-/// let mut h = Crc32::new();
-/// h.update(b"123456789");
-/// assert_eq!(h.finish(), 0xCBF4_3926); // standard check value
-/// ```
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// Creates a fresh hasher.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Feeds `bytes` into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut crc = self.state;
-        for &b in bytes {
-            crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
         }
-        self.state = crc;
+        k += 1;
     }
-
-    /// Returns the final checksum value.
-    pub fn finish(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
+    t
 }
 
 /// One-shot CRC-32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(bytes);
-    h.finish()
+    let t = &TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc ^ 0xFFFF_FFFF
 }
 
 /// One-shot FNV-1a 64-bit hash of `bytes` — the *image identity* digest.
@@ -95,6 +89,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Bit-at-a-time CRC-32: the definition, independent of the tables.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
 
     #[test]
     fn check_value() {
@@ -103,18 +110,39 @@ mod tests {
     }
 
     #[test]
+    fn known_answers() {
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
     fn empty_input() {
         assert_eq!(crc32(b""), 0);
     }
 
     #[test]
-    fn incremental_equals_oneshot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        let mut h = Crc32::new();
-        for chunk in data.chunks(7) {
-            h.update(chunk);
+    fn every_alignment_and_tail_matches_bitwise_reference() {
+        let buf: Vec<u8> = (0..48u32).map(|i| (i * 151 + 7) as u8).collect();
+        for off in 0..8 {
+            for len in 0..=40 {
+                let s = &buf[off..off + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "off {off} len {len}");
+            }
         }
-        assert_eq!(h.finish(), crc32(data));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        /// Random bytes at every start alignment (0..8), lengths up to 2 KiB.
+        #[test]
+        fn crc32_matches_bitwise_reference(
+            buf in proptest::collection::vec(any::<u8>(), 2048 + 8),
+            off in 0usize..8,
+            len in 0usize..=2048,
+        ) {
+            let s = &buf[off..off + len];
+            prop_assert_eq!(crc32(s), crc32_bitwise(s));
+        }
     }
 
     #[test]

@@ -1725,12 +1725,19 @@ fn checkpoint_cut_under_loss_driven_fast_recovery_restores_exactly_once() {
 
 #[test]
 fn checkpoint_cut_during_zero_window_stall_restores_exactly_once() {
-    // Every client is a dribbling reader with a receive buffer smaller
-    // than its outstanding responses: the server's send side runs into
-    // honest zero windows and persist-timer probes. Cut the application
-    // while streams are stalled against a closed window — the restored
-    // server must come back with the captured zero window, un-stick via
-    // probing once the restored receiver drains, and lose nothing.
+    // Every client is a dribbling reader whose receive buffer is smaller
+    // than one GET response: the server's send side runs into honest zero
+    // windows and persist-timer probes. Cut the application while streams
+    // are stalled against a closed window — the restored server must come
+    // back with the captured zero window, un-stick via probing once the
+    // restored receiver drains, and lose nothing.
+    //
+    // The buffer must be smaller than one response. A slow client sends
+    // and reads at the same 7 B per pump, and each PUT request carries as
+    // many bytes as the GET response before it, so the client drains one
+    // response while it dribbles out the next PUT. Its buffer never holds
+    // much more than one response (609 B), and a 700 B buffer never
+    // closes. A 256 B buffer is overfilled by every GET response.
     let (obs, ring) = zapc_obs::Observer::ring(1 << 16);
     let p = KvFleetParams {
         clients: 8,
@@ -1740,7 +1747,7 @@ fn checkpoint_cut_during_zero_window_stall_restores_exactly_once() {
         requests: 24,
         val_len: 600,
         window: 8,
-        slow_rcv_buf: 700,
+        slow_rcv_buf: 256,
         ..Default::default()
     };
     let c = Cluster::builder().nodes(2).registry(full_registry()).observer(obs).build();
@@ -1748,7 +1755,8 @@ fn checkpoint_cut_during_zero_window_stall_restores_exactly_once() {
     // Cut only once at least one flow has provably stalled against a
     // closed window — a fixed pre-checkpoint sleep races host
     // scheduling (the stall is structurally forced by the buffer math,
-    // but *when* it first fires depends on thread interleaving).
+    // but *when* it first fires depends on thread interleaving). A fleet
+    // that exits first can never stall, so stop waiting on it.
     let zero_enters = |ring: &zapc_obs::RingCollector| -> u64 {
         ring.counter_totals()
             .iter()
@@ -1757,9 +1765,11 @@ fn checkpoint_cut_during_zero_window_stall_restores_exactly_once() {
             .sum()
     };
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let fleet_exited =
+        || fleet.all_pods().iter().all(|n| c.pod(n).map(|p| p.all_exited()).unwrap_or(true));
     while zero_enters(&ring) == 0 {
         assert!(
-            std::time::Instant::now() < deadline,
+            std::time::Instant::now() < deadline && !fleet_exited(),
             "tiny receive buffers must have driven flows into zero-window stalls"
         );
         std::thread::sleep(Duration::from_millis(1));
