@@ -6,15 +6,15 @@
 //! "uses distributed arrays to partition the problem grid with a moderate
 //! level of communication".
 
-use crate::comm::{get_opt_coll, put_opt_coll, CollOp, Collective, MpiComm, Poll};
+use crate::comm::{block, Rank};
 use zapc_proto::{Decode, DecodeResult, Encode, RecordReader, RecordWriter};
 use zapc_sim::{ProcessCtx, Program, StepOutcome};
 
 /// Registry key.
 pub const BRATU_TYPE: &str = "apps.bratu";
 
-const TAG_UP: u32 = 0x20;
-const TAG_DOWN: u32 = 0x21;
+/// Message tags for halo rows: to rank−1 and to rank+1.
+const HALO_TAGS: (u32, u32) = (0x20, 0x21);
 
 /// Bratu parameters.
 #[derive(Debug, Clone)]
@@ -38,17 +38,13 @@ impl Default for BratuConfig {
 /// One Bratu rank (a block of grid rows).
 pub struct Bratu {
     cfg: BratuConfig,
-    comm: MpiComm,
-    phase: u8,
+    rank: Rank,
     sweep: u32,
     row: usize,
-    want_up: bool,
-    want_down: bool,
     u_base: u64,
     unew_base: u64,
     rows: usize,
     r0: usize,
-    coll: Option<Collective>,
     norm: f64,
 }
 
@@ -57,27 +53,15 @@ impl Bratu {
     pub fn new(cfg: BratuConfig, rank: u32, vips: Vec<u32>) -> Bratu {
         Bratu {
             cfg,
-            comm: MpiComm::new(rank, vips),
-            phase: 0,
+            rank: Rank::new(rank, vips),
             sweep: 0,
             row: 0,
-            want_up: false,
-            want_down: false,
             u_base: 0,
             unew_base: 0,
             rows: 0,
             r0: 0,
-            coll: None,
             norm: 0.0,
         }
-    }
-
-    fn block(rank: usize, size: usize, n: usize) -> (usize, usize) {
-        let base = n / size;
-        let rem = n % size;
-        let rows = base + usize::from(rank < rem);
-        let r0 = rank * base + rank.min(rem);
-        (r0, rows)
     }
 
     fn exit_code(&self) -> i32 {
@@ -92,9 +76,10 @@ impl Program for Bratu {
 
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> StepOutcome {
         let n = self.cfg.n;
-        match self.phase {
+        match self.rank.phase {
             0 => {
-                let (r0, rows) = Bratu::block(self.comm.rank as usize, self.comm.size as usize, n);
+                let (r0, rows) =
+                    block(self.rank.comm.rank as usize, self.rank.comm.size as usize, n);
                 self.r0 = r0;
                 self.rows = rows;
                 // Two arrays (u and u_new) with halo rows top and bottom.
@@ -110,64 +95,13 @@ impl Program for Bratu {
                         u[(r + 1) * n + c] = 4.0 * x * (1.0 - x) * y * (1.0 - y);
                     }
                 }
-                self.phase = 1;
+                self.rank.phase = 1;
                 StepOutcome::Ready
             }
-            1 => match self.comm.poll_init(ctx) {
-                Ok(Poll::Ready(())) => {
-                    self.phase = 2;
-                    StepOutcome::Ready
-                }
-                Ok(Poll::Pending) => StepOutcome::Blocked,
-                Err(e) => panic!("bratu rank {} init: {e}", self.comm.rank),
-            },
-            // Phase 2: halo-row exchange for this sweep.
-            2 => {
-                let rank = self.comm.rank;
-                let size = self.comm.size;
-                let (first, last) = {
-                    let u = ctx.mem.f64(self.u_base).expect("mapped");
-                    (u[n..2 * n].to_vec(), u[self.rows * n..(self.rows + 1) * n].to_vec())
-                };
-                if rank > 0 {
-                    self.comm.post_send(rank - 1, TAG_UP, &crate::comm::encode_f64s(&first));
-                    self.want_down = true;
-                }
-                if rank + 1 < size {
-                    self.comm.post_send(rank + 1, TAG_DOWN, &crate::comm::encode_f64s(&last));
-                    self.want_up = true;
-                }
-                let _ = self.comm.progress(ctx);
-                self.phase = 3;
-                StepOutcome::Ready
-            }
-            3 => {
-                let _ = self.comm.progress(ctx);
-                let rank = self.comm.rank;
-                if self.want_down {
-                    if let Some(d) = self.comm.try_recv(rank - 1, TAG_DOWN) {
-                        let v = crate::comm::decode_f64s(&d);
-                        let u = ctx.mem.f64_mut(self.u_base).expect("mapped");
-                        u[0..n].copy_from_slice(&v);
-                        self.want_down = false;
-                    }
-                }
-                if self.want_up {
-                    if let Some(d) = self.comm.try_recv(rank + 1, TAG_UP) {
-                        let v = crate::comm::decode_f64s(&d);
-                        let u = ctx.mem.f64_mut(self.u_base).expect("mapped");
-                        let lo = (self.rows + 1) * n;
-                        u[lo..lo + n].copy_from_slice(&v);
-                        self.want_up = false;
-                    }
-                }
-                if self.want_down || self.want_up {
-                    return StepOutcome::Blocked;
-                }
-                self.row = 0;
-                self.phase = 4;
-                StepOutcome::Ready
-            }
+            1 => self.rank.init(ctx, "bratu"),
+            // Phases 2 and 3: halo-row exchange for this sweep.
+            2 => self.rank.post_halos(ctx, self.u_base, (n, self.rows), HALO_TAGS),
+            3 => self.rank.collect_halos(ctx, self.u_base, (n, self.rows), HALO_TAGS),
             // Phase 4: damped Newton–Jacobi relaxation, bounded rows/step.
             4 => {
                 let h2 = 1.0 / ((n + 1) as f64 * (n + 1) as f64);
@@ -198,6 +132,7 @@ impl Program for Bratu {
                 ctx.consume_cpu((todo * n) as u64 * 18);
                 self.row += todo;
                 if self.row >= self.rows {
+                    self.row = 0;
                     // Swap: copy unew's interior back into u.
                     {
                         let (u, unew) =
@@ -213,41 +148,21 @@ impl Program for Bratu {
                                 local += u[r * n + c] * u[r * n + c];
                             }
                         }
-                        self.coll =
-                            Some(self.comm.start_collective(CollOp::AllReduceSum, vec![local]));
-                        self.phase = 5;
+                        self.rank.start_allreduce(local);
                     } else {
-                        self.phase = 2;
+                        self.rank.phase = 2;
                     }
                 }
                 StepOutcome::Ready
             }
-            5 => {
-                let coll = self.coll.as_mut().expect("collective started");
-                match coll.poll(&mut self.comm, ctx) {
-                    Ok(Poll::Ready(v)) => {
-                        self.norm = (v[0] / (n * n) as f64).sqrt();
-                        self.coll = None;
-                        self.phase = 6;
-                        StepOutcome::Ready
-                    }
-                    Ok(Poll::Pending) => StepOutcome::Blocked,
-                    Err(e) => panic!("bratu rank {} allreduce: {e}", self.comm.rank),
+            5 => match self.rank.allreduce(ctx, "bratu") {
+                Some(sum) => {
+                    self.norm = (sum / (n * n) as f64).sqrt();
+                    StepOutcome::Ready
                 }
-            }
-            6 => {
-                let _ = self.comm.progress(ctx);
-                if !self.comm.tx_idle() {
-                    return StepOutcome::Blocked;
-                }
-                if self.comm.rank == 0 {
-                    let fd = ctx.open("bratu-norm.txt", true, false).expect("open");
-                    ctx.file_write(fd, format!("{:.9}", self.norm).as_bytes()).expect("write");
-                    ctx.close(fd).expect("close");
-                }
-                self.phase = 7;
-                StepOutcome::Ready
-            }
+                None => StepOutcome::Blocked,
+            },
+            6 => self.rank.finish(ctx, "bratu-norm.txt", &format!("{:.9}", self.norm)),
             _ => StepOutcome::Exited(self.exit_code()),
         }
     }
@@ -257,17 +172,13 @@ impl Program for Bratu {
         w.put_f64(self.cfg.lambda);
         w.put_u32(self.cfg.sweeps);
         w.put_u64(self.cfg.rows_per_step as u64);
-        self.comm.encode(w);
-        w.put_u8(self.phase);
+        self.rank.encode(w);
         w.put_u32(self.sweep);
         w.put_u64(self.row as u64);
-        w.put_bool(self.want_up);
-        w.put_bool(self.want_down);
         w.put_u64(self.u_base);
         w.put_u64(self.unew_base);
         w.put_u64(self.rows as u64);
         w.put_u64(self.r0 as u64);
-        put_opt_coll(w, &self.coll);
         w.put_f64(self.norm);
     }
 }
@@ -280,38 +191,15 @@ pub fn load(r: &mut RecordReader<'_>) -> DecodeResult<Box<dyn Program>> {
         sweeps: r.get_u32()?,
         rows_per_step: r.get_u64()? as usize,
     };
-    let comm = MpiComm::decode(r)?;
     Ok(Box::new(Bratu {
         cfg,
-        comm,
-        phase: r.get_u8()?,
+        rank: Rank::decode(r)?,
         sweep: r.get_u32()?,
         row: r.get_u64()? as usize,
-        want_up: r.get_bool()?,
-        want_down: r.get_bool()?,
         u_base: r.get_u64()?,
         unew_base: r.get_u64()?,
         rows: r.get_u64()? as usize,
         r0: r.get_u64()? as usize,
-        coll: get_opt_coll(r)?,
         norm: r.get_f64()?,
     }))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn block_decomposition_covers_rows() {
-        for size in 1..=8 {
-            let mut next = 0;
-            for rank in 0..size {
-                let (r0, rows) = Bratu::block(rank, size, 48);
-                assert_eq!(r0, next);
-                next += rows;
-            }
-            assert_eq!(next, 48);
-        }
-    }
 }

@@ -12,16 +12,15 @@
 //! 1, 4, 9 and 16 nodes. This port only needs `G % size == 0`-ish slabs
 //! but the harness keeps the square-number configuration for fidelity.
 
-use crate::comm::{get_opt_coll, put_opt_coll, CollOp, Collective, MpiComm, Poll};
+use crate::comm::{block, Rank};
 use zapc_proto::{Decode, DecodeResult, Encode, RecordReader, RecordWriter};
 use zapc_sim::{ProcessCtx, Program, StepOutcome};
 
 /// Registry key.
 pub const BT_TYPE: &str = "apps.bt";
 
-/// Message tags for halo planes.
-const TAG_UP: u32 = 0x10;
-const TAG_DOWN: u32 = 0x11;
+/// Message tags for halo planes: to rank−1 and to rank+1.
+const HALO_TAGS: (u32, u32) = (0x10, 0x11);
 
 /// BT parameters.
 #[derive(Debug, Clone)]
@@ -43,18 +42,13 @@ impl Default for BtConfig {
 /// One BT rank (one Z-slab).
 pub struct Bt {
     cfg: BtConfig,
-    comm: MpiComm,
-    phase: u8,
+    rank: Rank,
     iter: u32,
     /// Sweep progress within the current iteration (line index).
     line: usize,
-    /// Halo receives still outstanding this iteration.
-    want_up: bool,
-    want_down: bool,
     grid_base: u64,
     nz: usize,
     z0: usize,
-    coll: Option<Collective>,
     residual: f64,
 }
 
@@ -63,35 +57,14 @@ impl Bt {
     pub fn new(cfg: BtConfig, rank: u32, vips: Vec<u32>) -> Bt {
         Bt {
             cfg,
-            comm: MpiComm::new(rank, vips),
-            phase: 0,
+            rank: Rank::new(rank, vips),
             iter: 0,
             line: 0,
-            want_up: false,
-            want_down: false,
             grid_base: 0,
             nz: 0,
             z0: 0,
-            coll: None,
             residual: 0.0,
         }
-    }
-
-    fn slab(rank: usize, size: usize, g: usize) -> (usize, usize) {
-        let base = g / size;
-        let rem = g % size;
-        let nz = base + usize::from(rank < rem);
-        let z0 = rank * base + rank.min(rem);
-        (z0, nz)
-    }
-
-    fn plane_len(&self) -> usize {
-        self.cfg.grid * self.cfg.grid
-    }
-
-    /// Index into the slab array (with halo planes at z=0 and z=nz+1).
-    fn at(&self, z: usize, y: usize, x: usize) -> usize {
-        (z * self.cfg.grid + y) * self.cfg.grid + x
     }
 
     fn exit_code(&self) -> i32 {
@@ -106,9 +79,9 @@ impl Program for Bt {
 
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> StepOutcome {
         let g = self.cfg.grid;
-        match self.phase {
+        match self.rank.phase {
             0 => {
-                let (z0, nz) = Bt::slab(self.comm.rank as usize, self.comm.size as usize, g);
+                let (z0, nz) = block(self.rank.comm.rank as usize, self.rank.comm.size as usize, g);
                 self.z0 = z0;
                 self.nz = nz;
                 self.grid_base = ctx.mem.map_f64("bt.grid", (nz + 2) * g * g);
@@ -124,70 +97,13 @@ impl Program for Bt {
                         }
                     }
                 }
-                self.phase = 1;
+                self.rank.phase = 1;
                 StepOutcome::Ready
             }
-            1 => match self.comm.poll_init(ctx) {
-                Ok(Poll::Ready(())) => {
-                    self.phase = 2;
-                    StepOutcome::Ready
-                }
-                Ok(Poll::Pending) => StepOutcome::Blocked,
-                Err(e) => panic!("bt rank {} init: {e}", self.comm.rank),
-            },
-            // Phase 2: post halo sends for this iteration.
-            2 => {
-                let rank = self.comm.rank;
-                let size = self.comm.size;
-                let plane = self.plane_len();
-                let (first, last) = {
-                    let u = ctx.mem.f64(self.grid_base).expect("mapped");
-                    (
-                        u[self.at(1, 0, 0)..self.at(1, 0, 0) + plane].to_vec(),
-                        u[self.at(self.nz, 0, 0)..self.at(self.nz, 0, 0) + plane].to_vec(),
-                    )
-                };
-                if rank > 0 {
-                    self.comm.post_send(rank - 1, TAG_UP, &crate::comm::encode_f64s(&first));
-                    self.want_down = true;
-                }
-                if rank + 1 < size {
-                    self.comm.post_send(rank + 1, TAG_DOWN, &crate::comm::encode_f64s(&last));
-                    self.want_up = true;
-                }
-                let _ = self.comm.progress(ctx);
-                self.phase = 3;
-                StepOutcome::Ready
-            }
-            // Phase 3: collect halo planes.
-            3 => {
-                let _ = self.comm.progress(ctx);
-                let rank = self.comm.rank;
-                if self.want_down {
-                    if let Some(d) = self.comm.try_recv(rank - 1, TAG_DOWN) {
-                        let v = crate::comm::decode_f64s(&d);
-                        let lo = self.at(0, 0, 0);
-                        let u = ctx.mem.f64_mut(self.grid_base).expect("mapped");
-                        u[lo..lo + v.len()].copy_from_slice(&v);
-                        self.want_down = false;
-                    }
-                }
-                if self.want_up {
-                    if let Some(d) = self.comm.try_recv(rank + 1, TAG_UP) {
-                        let v = crate::comm::decode_f64s(&d);
-                        let lo = self.at(self.nz + 1, 0, 0);
-                        let u = ctx.mem.f64_mut(self.grid_base).expect("mapped");
-                        u[lo..lo + v.len()].copy_from_slice(&v);
-                        self.want_up = false;
-                    }
-                }
-                if self.want_down || self.want_up {
-                    return StepOutcome::Blocked;
-                }
-                self.line = 0;
-                self.phase = 4;
-                StepOutcome::Ready
-            }
+            1 => self.rank.init(ctx, "bt"),
+            // Phases 2 and 3: exchange the G×G halo planes at z=0 and z=nz+1.
+            2 => self.rank.post_halos(ctx, self.grid_base, (g * g, self.nz), HALO_TAGS),
+            3 => self.rank.collect_halos(ctx, self.grid_base, (g * g, self.nz), HALO_TAGS),
             // Phase 4: relax the slab, a bounded number of lines per step.
             4 => {
                 let total_lines = self.nz * g;
@@ -209,12 +125,12 @@ impl Program for Bt {
                             let e = u[idx + 1];
                             u[idx] = 0.4 * u[idx] + 0.1 * (up + dn + n + s + w + e);
                         }
-                        let _ = z.min(nz);
                     }
                 }
                 ctx.consume_cpu((todo * g) as u64 * 8);
                 self.line += todo;
                 if self.line >= total_lines {
+                    self.line = 0;
                     self.iter += 1;
                     if self.iter >= self.cfg.iters {
                         // Final residual: sum of interior values.
@@ -227,41 +143,21 @@ impl Program for Bt {
                                 }
                             }
                         }
-                        self.coll =
-                            Some(self.comm.start_collective(CollOp::AllReduceSum, vec![local]));
-                        self.phase = 5;
+                        self.rank.start_allreduce(local);
                     } else {
-                        self.phase = 2;
+                        self.rank.phase = 2;
                     }
                 }
                 StepOutcome::Ready
             }
-            5 => {
-                let coll = self.coll.as_mut().expect("collective started");
-                match coll.poll(&mut self.comm, ctx) {
-                    Ok(Poll::Ready(v)) => {
-                        self.residual = v[0] / (g * g * g) as f64;
-                        self.coll = None;
-                        self.phase = 6;
-                        StepOutcome::Ready
-                    }
-                    Ok(Poll::Pending) => StepOutcome::Blocked,
-                    Err(e) => panic!("bt rank {} allreduce: {e}", self.comm.rank),
+            5 => match self.rank.allreduce(ctx, "bt") {
+                Some(sum) => {
+                    self.residual = sum / (g * g * g) as f64;
+                    StepOutcome::Ready
                 }
-            }
-            6 => {
-                let _ = self.comm.progress(ctx);
-                if !self.comm.tx_idle() {
-                    return StepOutcome::Blocked;
-                }
-                if self.comm.rank == 0 {
-                    let fd = ctx.open("bt-residual.txt", true, false).expect("open");
-                    ctx.file_write(fd, format!("{:.9}", self.residual).as_bytes()).expect("write");
-                    ctx.close(fd).expect("close");
-                }
-                self.phase = 7;
-                StepOutcome::Ready
-            }
+                None => StepOutcome::Blocked,
+            },
+            6 => self.rank.finish(ctx, "bt-residual.txt", &format!("{:.9}", self.residual)),
             _ => StepOutcome::Exited(self.exit_code()),
         }
     }
@@ -270,16 +166,12 @@ impl Program for Bt {
         w.put_u64(self.cfg.grid as u64);
         w.put_u32(self.cfg.iters);
         w.put_u64(self.cfg.lines_per_step as u64);
-        self.comm.encode(w);
-        w.put_u8(self.phase);
+        self.rank.encode(w);
         w.put_u32(self.iter);
         w.put_u64(self.line as u64);
-        w.put_bool(self.want_up);
-        w.put_bool(self.want_down);
         w.put_u64(self.grid_base);
         w.put_u64(self.nz as u64);
         w.put_u64(self.z0 as u64);
-        put_opt_coll(w, &self.coll);
         w.put_f64(self.residual);
     }
 }
@@ -291,39 +183,14 @@ pub fn load(r: &mut RecordReader<'_>) -> DecodeResult<Box<dyn Program>> {
         iters: r.get_u32()?,
         lines_per_step: r.get_u64()? as usize,
     };
-    let comm = MpiComm::decode(r)?;
     Ok(Box::new(Bt {
         cfg,
-        comm,
-        phase: r.get_u8()?,
+        rank: Rank::decode(r)?,
         iter: r.get_u32()?,
         line: r.get_u64()? as usize,
-        want_up: r.get_bool()?,
-        want_down: r.get_bool()?,
         grid_base: r.get_u64()?,
         nz: r.get_u64()? as usize,
         z0: r.get_u64()? as usize,
-        coll: get_opt_coll(r)?,
         residual: r.get_f64()?,
     }))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn slab_decomposition_covers_grid() {
-        for size in 1..=9 {
-            let mut total = 0;
-            let mut next = 0;
-            for rank in 0..size {
-                let (z0, nz) = Bt::slab(rank, size, 24);
-                assert_eq!(z0, next, "contiguous slabs");
-                next += nz;
-                total += nz;
-            }
-            assert_eq!(total, 24);
-        }
-    }
 }

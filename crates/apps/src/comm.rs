@@ -1,16 +1,29 @@
-//! minimpi: rank-mesh message passing over pod sockets.
+//! minimpi: rank-mesh message passing over pod sockets, and the one
+//! framed link every middleware connection uses.
 //!
 //! Stands in for MPICH-2 (§6): every rank owns one pod, listens on a
 //! well-known port, connects to all lower ranks and accepts from all
-//! higher ranks, then exchanges length-framed, tag-matched messages.
-//! Sends are *posted* (queued) and flushed by [`MpiComm::progress`];
-//! receives are matched from per-peer inboxes — so every operation is
+//! higher ranks. Each connection — here and in [`crate::pvm`] — is one
+//! framed link (`Link`): frames of a little-endian `u32` tag, a
+//! little-endian `u32` payload length and the payload. Sends are *posted*
+//! (queued) and flushed by the link's pump; received frames wait in the
+//! link's inbox until they are taken by tag (MPI) or in order (PVM). So every operation is
 //! non-blocking and the whole communicator state (including half-sent
 //! frames and half-parsed receive buffers) serializes into a checkpoint.
+//!
+//! What exists is a posted tagged send, a tag-matched receive and one
+//! collective, a linear sum all-reduce rooted at rank 0. `Rank` holds
+//! what CPI, BT and Bratu share — the communicator, the phase counter, the
+//! in-flight all-reduce and the outstanding halo receives — and writes the
+//! phases they share once: wiring, the halo exchange, the closing
+//! all-reduce and the drain after which rank 0 records its result.
 
 use std::collections::VecDeque;
-use zapc_proto::{Decode, DecodeResult, Encode, Endpoint, RecordReader, RecordWriter, Transport};
-use zapc_sim::{Errno, ProcessCtx, SysResult};
+use zapc_proto::{
+    seq_capacity, Decode, DecodeError, DecodeResult, Encode, Endpoint, RecordReader, RecordWriter,
+    Transport,
+};
+use zapc_sim::{Errno, ProcessCtx, StepOutcome, SysResult};
 
 /// Well-known rank port inside each pod.
 pub const MPI_PORT: u16 = 6100;
@@ -18,13 +31,140 @@ pub const MPI_PORT: u16 = 6100;
 /// Tag bit reserved for collective operations.
 const COLL_TAG: u32 = 0x8000_0000;
 
-/// `Poll`-style result for non-blocking operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Poll<T> {
-    /// The operation finished.
-    Ready(T),
-    /// Try again next step.
-    Pending,
+/// Tag bit of the all-reduce's fan-out leg (rank 0 back to the others).
+const FANOUT: u32 = 1 << 30;
+
+/// One framed message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Msg {
+    /// Message tag.
+    pub tag: u32,
+    /// Payload.
+    pub data: Vec<u8>,
+}
+
+impl Encode for Msg {
+    fn encode(&self, w: &mut RecordWriter) {
+        w.put_u32(self.tag);
+        w.put_bytes(&self.data);
+    }
+}
+
+impl Decode for Msg {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        Ok(Msg { tag: r.get_u32()?, data: r.get_bytes_owned()? })
+    }
+}
+
+/// One framed connection: the socket, the framed bytes not yet sent, a
+/// partial inbound frame and the parsed messages not yet taken.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Link {
+    pub(crate) fd: u32,
+    txq: VecDeque<u8>,
+    rxbuf: Vec<u8>,
+    inbox: VecDeque<Msg>,
+}
+
+impl Link {
+    /// A link over socket `fd`.
+    pub fn new(fd: u32) -> Link {
+        Link { fd, ..Link::default() }
+    }
+
+    /// Queues one frame (flushed by [`Link::pump`]).
+    pub fn post(&mut self, tag: u32, data: &[u8]) {
+        self.txq.extend(tag.to_le_bytes());
+        self.txq.extend((data.len() as u32).to_le_bytes());
+        self.txq.extend(data);
+    }
+
+    /// Sends queued bytes in 16 KiB chunks until the socket takes less
+    /// (or `EAGAIN`), then reads in 64 KiB chunks until `EAGAIN` or EOF,
+    /// parsing every complete frame into the inbox.
+    pub fn pump(&mut self, ctx: &mut ProcessCtx<'_>) -> SysResult<()> {
+        while !self.txq.is_empty() {
+            let chunk: Vec<u8> = self.txq.iter().take(16 * 1024).copied().collect();
+            match ctx.send(self.fd, &chunk) {
+                Ok(n) => {
+                    self.txq.drain(..n);
+                    if n < chunk.len() {
+                        break;
+                    }
+                }
+                Err(Errno::EAGAIN) => break,
+                Err(e) => return Err(e),
+            }
+        }
+        loop {
+            match ctx.recv(self.fd, 64 * 1024, zapc_net::RecvFlags::default()) {
+                Ok(d) if d.is_empty() => break, // EOF
+                Ok(d) => {
+                    self.rxbuf.extend(d);
+                    self.parse_frames();
+                }
+                Err(Errno::EAGAIN) => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    fn parse_frames(&mut self) {
+        loop {
+            if self.rxbuf.len() < 8 {
+                return;
+            }
+            let tag = u32::from_le_bytes(self.rxbuf[0..4].try_into().expect("4"));
+            let len = u32::from_le_bytes(self.rxbuf[4..8].try_into().expect("4")) as usize;
+            if self.rxbuf.len() < 8 + len {
+                return;
+            }
+            let data = self.rxbuf[8..8 + len].to_vec();
+            self.rxbuf.drain(..8 + len);
+            self.inbox.push_back(Msg { tag, data });
+        }
+    }
+
+    /// Takes the oldest message tagged exactly `tag` (MPI matching).
+    pub fn take(&mut self, tag: u32) -> Option<Vec<u8>> {
+        let pos = self.inbox.iter().position(|m| m.tag == tag)?;
+        Some(self.inbox.remove(pos).expect("position valid").data)
+    }
+
+    /// Takes the oldest message, whatever its tag (PVM order).
+    pub fn take_next(&mut self) -> Option<Msg> {
+        self.inbox.pop_front()
+    }
+
+    /// Whether every posted byte has been handed to the socket.
+    pub fn tx_idle(&self) -> bool {
+        self.txq.is_empty()
+    }
+}
+
+impl Encode for Link {
+    fn encode(&self, w: &mut RecordWriter) {
+        w.put_u32(self.fd);
+        let tx: Vec<u8> = self.txq.iter().copied().collect();
+        w.put_bytes(&tx);
+        w.put_bytes(&self.rxbuf);
+        w.put_u64(self.inbox.len() as u64);
+        for m in &self.inbox {
+            m.encode(w);
+        }
+    }
+}
+
+impl Decode for Link {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        Ok(Link {
+            fd: r.get_u32()?,
+            txq: r.get_bytes_owned()?.into(),
+            rxbuf: r.get_bytes_owned()?,
+            inbox: r.get_seq::<Msg>()?.into(),
+        })
+    }
 }
 
 /// Communicator setup progress.
@@ -33,28 +173,6 @@ enum Phase {
     Fresh,
     Wiring,
     Up,
-}
-
-/// One framed inbound message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Msg {
-    tag: u32,
-    data: Vec<u8>,
-}
-
-/// Per-peer link state.
-#[derive(Debug, Clone, Default)]
-struct Link {
-    fd: u32,
-    connected: bool,
-    /// Bytes queued for transmission (framed).
-    txq: VecDeque<u8>,
-    /// Partial inbound frame.
-    rxbuf: Vec<u8>,
-    /// Parsed inbound messages.
-    inbox: VecDeque<Msg>,
-    /// Handshake progress for accept-side links (peer rank header).
-    hello_sent: bool,
 }
 
 /// The communicator of one rank.
@@ -67,7 +185,10 @@ pub struct MpiComm {
     vips: Vec<u32>,
     phase: Phase,
     listen_fd: u32,
+    /// One link per rank; this rank's own slot stays unused.
     links: Vec<Link>,
+    /// Links that are up: introduced (active opens) or identified (accepts).
+    wired: Vec<bool>,
     /// Accepted-but-unidentified connections: `(fd, partial rank header)`.
     unidentified: Vec<(u32, Vec<u8>)>,
     coll_seq: u32,
@@ -84,16 +205,17 @@ impl MpiComm {
             vips,
             phase: Phase::Fresh,
             listen_fd: 0,
-            links: (0..size).map(|_| Link::default()).collect(),
+            links: vec![Link::default(); size as usize],
+            wired: vec![false; size as usize],
             unidentified: Vec::new(),
             coll_seq: 0,
         }
     }
 
-    /// Drives communicator setup; returns `Ready` once the mesh is wired.
-    pub fn poll_init(&mut self, ctx: &mut ProcessCtx<'_>) -> SysResult<Poll<()>> {
+    /// Drives communicator setup; `true` once the mesh is wired.
+    pub fn poll_init(&mut self, ctx: &mut ProcessCtx<'_>) -> SysResult<bool> {
         match self.phase {
-            Phase::Up => return Ok(Poll::Ready(())),
+            Phase::Up => return Ok(true),
             Phase::Fresh => {
                 self.listen_fd = ctx.socket(Transport::Tcp)?;
                 ctx.bind(self.listen_fd, Endpoint { ip: 0, port: MPI_PORT })?;
@@ -114,31 +236,23 @@ impl MpiComm {
         // yet (launch is not synchronized); retry like mpirun would.
         let my_rank = self.rank;
         for peer in 0..my_rank as usize {
-            if self.links[peer].connected {
+            if self.wired[peer] {
                 continue;
             }
-            if !self.links[peer].hello_sent {
-                match ctx.is_connected(self.links[peer].fd) {
-                    Ok(true) => {
-                        let fd = self.links[peer].fd;
-                        match ctx.send(fd, &my_rank.to_le_bytes()) {
-                            Ok(4) => self.links[peer].hello_sent = true,
-                            Ok(_) | Err(Errno::EAGAIN) => {}
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    Ok(false) => {}
-                    Err(_) => {
-                        let _ = ctx.close(self.links[peer].fd);
-                        let vip = self.vips[peer];
-                        let fd = ctx.socket(Transport::Tcp)?;
-                        ctx.connect(fd, Endpoint { ip: vip, port: MPI_PORT })?;
-                        self.links[peer].fd = fd;
-                    }
+            let fd = self.links[peer].fd;
+            match ctx.is_connected(fd) {
+                Ok(true) => match ctx.send(fd, &my_rank.to_le_bytes()) {
+                    Ok(4) => self.wired[peer] = true,
+                    Ok(_) | Err(Errno::EAGAIN) => {}
+                    Err(e) => return Err(e),
+                },
+                Ok(false) => {}
+                Err(_) => {
+                    let _ = ctx.close(fd);
+                    let fd = ctx.socket(Transport::Tcp)?;
+                    ctx.connect(fd, Endpoint { ip: self.vips[peer], port: MPI_PORT })?;
+                    self.links[peer].fd = fd;
                 }
-            }
-            if self.links[peer].hello_sent {
-                self.links[peer].connected = true;
             }
         }
 
@@ -167,108 +281,51 @@ impl MpiComm {
         for (idx, peer) in identified.into_iter().rev() {
             let (fd, _) = self.unidentified.remove(idx);
             if peer < self.size && peer > self.rank {
-                let link = &mut self.links[peer as usize];
-                link.fd = fd;
-                link.connected = true;
+                self.links[peer as usize].fd = fd;
+                self.wired[peer as usize] = true;
             }
         }
 
-        let wired = (0..self.size).filter(|&p| p != self.rank).all(|p| self.links[p as usize].connected);
-        if wired {
+        let up = (0..self.size).filter(|&p| p != self.rank).all(|p| self.wired[p as usize]);
+        if up {
             self.phase = Phase::Up;
-            Ok(Poll::Ready(()))
-        } else {
-            Ok(Poll::Pending)
         }
+        Ok(up)
     }
 
     /// Queues a tagged message to `to` (flushed by [`MpiComm::progress`]).
     pub fn post_send(&mut self, to: u32, tag: u32, data: &[u8]) {
-        let link = &mut self.links[to as usize];
-        link.txq.extend(tag.to_le_bytes());
-        link.txq.extend((data.len() as u32).to_le_bytes());
-        link.txq.extend(data);
+        self.links[to as usize].post(tag, data);
     }
 
-    /// Flushes transmit queues and drains inbound frames. Call once per
-    /// program step.
+    /// Pumps every wired link. Call once per program step.
     pub fn progress(&mut self, ctx: &mut ProcessCtx<'_>) -> SysResult<()> {
-        for peer in 0..self.size as usize {
-            if peer as u32 == self.rank {
-                continue;
-            }
-            let link = &mut self.links[peer];
-            if !link.connected {
-                continue;
-            }
-            // Transmit.
-            while !link.txq.is_empty() {
-                let chunk: Vec<u8> = link.txq.iter().take(16 * 1024).copied().collect();
-                match ctx.send(link.fd, &chunk) {
-                    Ok(n) => {
-                        link.txq.drain(..n);
-                        if n < chunk.len() {
-                            break;
-                        }
-                    }
-                    Err(Errno::EAGAIN) => break,
-                    Err(e) => return Err(e),
-                }
-            }
-            // Receive.
-            loop {
-                match ctx.recv(link.fd, 64 * 1024, zapc_net::RecvFlags::default()) {
-                    Ok(d) if d.is_empty() => break, // EOF
-                    Ok(d) => {
-                        link.rxbuf.extend(d);
-                        Self::parse_frames(&mut link.rxbuf, &mut link.inbox);
-                    }
-                    Err(Errno::EAGAIN) => break,
-                    Err(e) => return Err(e),
-                }
+        for (link, &wired) in self.links.iter_mut().zip(&self.wired) {
+            if wired {
+                link.pump(ctx)?;
             }
         }
         Ok(())
     }
 
-    fn parse_frames(rxbuf: &mut Vec<u8>, inbox: &mut VecDeque<Msg>) {
-        loop {
-            if rxbuf.len() < 8 {
-                return;
-            }
-            let tag = u32::from_le_bytes(rxbuf[0..4].try_into().expect("4"));
-            let len = u32::from_le_bytes(rxbuf[4..8].try_into().expect("4")) as usize;
-            if rxbuf.len() < 8 + len {
-                return;
-            }
-            let data = rxbuf[8..8 + len].to_vec();
-            rxbuf.drain(..8 + len);
-            inbox.push_back(Msg { tag, data });
-        }
-    }
-
     /// Takes the next queued message from `from` with exactly `tag`.
     pub fn try_recv(&mut self, from: u32, tag: u32) -> Option<Vec<u8>> {
-        let link = &mut self.links[from as usize];
-        let pos = link.inbox.iter().position(|m| m.tag == tag)?;
-        Some(link.inbox.remove(pos).expect("position valid").data)
+        self.links[from as usize].take(tag)
     }
 
     /// Whether all transmit queues have drained.
     pub fn tx_idle(&self) -> bool {
-        self.links.iter().all(|l| l.txq.is_empty())
+        self.links.iter().all(Link::tx_idle)
     }
 
-    /// Starts a new collective; returns its state machine.
-    pub fn start_collective(&mut self, op: CollOp, contrib: Vec<f64>) -> Collective {
+    /// Starts an all-reduce of `contrib` under the next collective tag.
+    fn start_allreduce(&mut self, contrib: f64) -> Collective {
         self.coll_seq += 1;
         Collective {
-            op,
             tag: COLL_TAG | (self.coll_seq & 0x7FFF_FFFF),
-            stage: 0,
+            sent: false,
             received: 0,
             acc: contrib,
-            done: false,
         }
     }
 }
@@ -287,20 +344,9 @@ impl Encode for MpiComm {
             Phase::Up => 2,
         });
         w.put_u32(self.listen_fd);
-        w.put_u64(self.links.len() as u64);
-        for l in &self.links {
-            w.put_u32(l.fd);
-            w.put_bool(l.connected);
-            let tx: Vec<u8> = l.txq.iter().copied().collect();
-            w.put_bytes(&tx);
-            w.put_bytes(&l.rxbuf);
-            w.put_u64(l.inbox.len() as u64);
-            for m in &l.inbox {
-                w.put_u32(m.tag);
-                w.put_bytes(&m.data);
-            }
-            w.put_bool(l.hello_sent);
-        }
+        w.put_seq(&self.links);
+        let wired: Vec<u8> = self.wired.iter().map(|&b| u8::from(b)).collect();
+        w.put_bytes(&wired);
         w.put_u64(self.unidentified.len() as u64);
         for (fd, hdr) in &self.unidentified {
             w.put_u32(*fd);
@@ -315,230 +361,283 @@ impl Decode for MpiComm {
         let rank = r.get_u32()?;
         let size = r.get_u32()?;
         let nv = r.get_u64()?;
-        let mut vips = Vec::with_capacity(nv as usize);
+        let mut vips = Vec::with_capacity(seq_capacity(nv, r.remaining() / 4, 4));
         for _ in 0..nv {
             vips.push(r.get_u32()?);
         }
         let phase = match r.get_u8()? {
             0 => Phase::Fresh,
             1 => Phase::Wiring,
-            _ => Phase::Up,
+            2 => Phase::Up,
+            v => return Err(DecodeError::InvalidEnum { what: "MpiComm phase", value: v as u64 }),
         };
         let listen_fd = r.get_u32()?;
-        let nl = r.get_u64()?;
-        let mut links = Vec::with_capacity(nl as usize);
-        for _ in 0..nl {
-            let fd = r.get_u32()?;
-            let connected = r.get_bool()?;
-            let txq: VecDeque<u8> = r.get_bytes_owned()?.into();
-            let rxbuf = r.get_bytes_owned()?;
-            let ni = r.get_u64()?;
-            let mut inbox = VecDeque::with_capacity(ni as usize);
-            for _ in 0..ni {
-                let tag = r.get_u32()?;
-                inbox.push_back(Msg { tag, data: r.get_bytes_owned()? });
-            }
-            let hello_sent = r.get_bool()?;
-            links.push(Link { fd, connected, txq, rxbuf, inbox, hello_sent });
-        }
+        let links = r.get_seq()?;
+        let wired = r.get_bytes()?.iter().map(|&b| b != 0).collect();
         let nu = r.get_u64()?;
-        let mut unidentified = Vec::with_capacity(nu as usize);
+        let mut unidentified = Vec::with_capacity(seq_capacity(
+            nu,
+            r.remaining() / 12,
+            std::mem::size_of::<(u32, Vec<u8>)>(),
+        ));
         for _ in 0..nu {
-            let fd = r.get_u32()?;
-            unidentified.push((fd, r.get_bytes_owned()?));
+            unidentified.push((r.get_u32()?, r.get_bytes_owned()?));
         }
         let coll_seq = r.get_u32()?;
-        Ok(MpiComm { rank, size, vips, phase, listen_fd, links, unidentified, coll_seq })
+        Ok(MpiComm { rank, size, vips, phase, listen_fd, links, wired, unidentified, coll_seq })
     }
 }
 
-/// Collective operations (linear algorithms rooted at rank 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollOp {
-    /// Synchronize all ranks.
-    Barrier,
-    /// Element-wise sum to rank 0.
-    ReduceSum,
-    /// Element-wise sum, result everywhere.
-    AllReduceSum,
-    /// Rank 0's vector to everyone.
-    Bcast,
-}
-
-/// An in-flight collective; fully serializable so a checkpoint can land
-/// mid-collective.
+/// An in-flight all-reduce (sum), linear at rank 0: ranks 1, 2, … send
+/// their contribution, rank 0 folds them in rank order and fans the sum
+/// back out. Fully serializable so a checkpoint can land mid-collective.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Collective {
-    op: CollOp,
+struct Collective {
     tag: u32,
-    stage: u8,
+    /// Whether this rank's first poll (which posts its contribution) ran.
+    sent: bool,
+    /// Contributions rank 0 has folded in.
     received: u32,
-    acc: Vec<f64>,
-    done: bool,
+    acc: f64,
 }
 
 impl Collective {
-    /// Drives the collective; `Ready(result)` carries the reduced/broadcast
-    /// vector (meaningful per [`CollOp`]).
-    pub fn poll(&mut self, comm: &mut MpiComm, ctx: &mut ProcessCtx<'_>) -> SysResult<Poll<Vec<f64>>> {
-        if self.done {
-            return Ok(Poll::Ready(self.acc.clone()));
-        }
+    /// Drives the all-reduce; `Some(sum)` once this rank has the sum.
+    /// Not polled again after that.
+    fn poll(&mut self, comm: &mut MpiComm, ctx: &mut ProcessCtx<'_>) -> SysResult<Option<f64>> {
         comm.progress(ctx)?;
-        let root = 0u32;
-        let me = comm.rank;
         let size = comm.size;
         if size == 1 {
-            self.done = true;
-            return Ok(Poll::Ready(self.acc.clone()));
+            return Ok(Some(self.acc));
         }
-        match self.op {
-            CollOp::ReduceSum | CollOp::AllReduceSum | CollOp::Barrier => {
-                // Stage 0: leaves send contributions to the root.
-                if self.stage == 0 {
-                    if me != root {
-                        comm.post_send(root, self.tag, &encode_f64s(&self.acc));
-                        self.stage = if self.op == CollOp::ReduceSum { 3 } else { 1 };
-                    } else {
-                        self.stage = 2;
-                    }
-                    comm.progress(ctx)?;
-                }
-                // Root gathers.
-                if self.stage == 2 {
-                    while self.received < size - 1 {
-                        let from = self.received + 1;
-                        match comm.try_recv(from, self.tag) {
-                            Some(d) => {
-                                let v = decode_f64s(&d);
-                                for (a, b) in self.acc.iter_mut().zip(v) {
-                                    *a += b;
-                                }
-                                self.received += 1;
-                            }
-                            None => return Ok(Poll::Pending),
-                        }
-                    }
-                    // Fan the result back out if needed.
-                    if matches!(self.op, CollOp::AllReduceSum | CollOp::Barrier) {
-                        let payload = encode_f64s(&self.acc);
-                        for peer in 1..size {
-                            comm.post_send(peer, self.tag | 1 << 30, &payload);
-                        }
-                        comm.progress(ctx)?;
-                    }
-                    self.done = true;
-                    return Ok(Poll::Ready(self.acc.clone()));
-                }
-                // Leaves await the fanned-back result.
-                if self.stage == 1 {
-                    match comm.try_recv(root, self.tag | 1 << 30) {
-                        Some(d) => {
-                            self.acc = decode_f64s(&d);
-                            self.done = true;
-                            return Ok(Poll::Ready(self.acc.clone()));
-                        }
-                        None => return Ok(Poll::Pending),
-                    }
-                }
-                // ReduceSum leaf: fire-and-forget, but wait for tx drain so
-                // the value is at least queued in the kernel.
-                if self.stage == 3 {
-                    self.done = true;
-                    return Ok(Poll::Ready(self.acc.clone()));
-                }
-                Ok(Poll::Pending)
+        if !self.sent {
+            if comm.rank != 0 {
+                comm.post_send(0, self.tag, &encode_f64s(&[self.acc]));
             }
-            CollOp::Bcast => {
-                if me == root {
-                    if self.stage == 0 {
-                        let payload = encode_f64s(&self.acc);
-                        for peer in 1..size {
-                            comm.post_send(peer, self.tag, &payload);
-                        }
-                        comm.progress(ctx)?;
-                        self.stage = 1;
-                    }
-                    self.done = true;
-                    Ok(Poll::Ready(self.acc.clone()))
-                } else {
-                    match comm.try_recv(root, self.tag) {
-                        Some(d) => {
-                            self.acc = decode_f64s(&d);
-                            self.done = true;
-                            Ok(Poll::Ready(self.acc.clone()))
-                        }
-                        None => Ok(Poll::Pending),
-                    }
-                }
-            }
+            self.sent = true;
+            comm.progress(ctx)?;
         }
+        if comm.rank != 0 {
+            return Ok(comm.try_recv(0, self.tag | FANOUT).map(|d| decode_f64s(&d)[0]));
+        }
+        while self.received < size - 1 {
+            let Some(d) = comm.try_recv(self.received + 1, self.tag) else {
+                return Ok(None);
+            };
+            self.acc += decode_f64s(&d)[0];
+            self.received += 1;
+        }
+        let payload = encode_f64s(&[self.acc]);
+        for peer in 1..size {
+            comm.post_send(peer, self.tag | FANOUT, &payload);
+        }
+        comm.progress(ctx)?;
+        Ok(Some(self.acc))
     }
 }
 
 impl Encode for Collective {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_u8(match self.op {
-            CollOp::Barrier => 0,
-            CollOp::ReduceSum => 1,
-            CollOp::AllReduceSum => 2,
-            CollOp::Bcast => 3,
-        });
         w.put_u32(self.tag);
-        w.put_u8(self.stage);
+        w.put_bool(self.sent);
         w.put_u32(self.received);
-        w.put_f64_slice(&self.acc);
-        w.put_bool(self.done);
+        w.put_f64(self.acc);
     }
 }
 
 impl Decode for Collective {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        let op = match r.get_u8()? {
-            0 => CollOp::Barrier,
-            1 => CollOp::ReduceSum,
-            2 => CollOp::AllReduceSum,
-            _ => CollOp::Bcast,
-        };
         Ok(Collective {
-            op,
             tag: r.get_u32()?,
-            stage: r.get_u8()?,
+            sent: r.get_bool()?,
             received: r.get_u32()?,
-            acc: r.get_f64_slice()?,
-            done: r.get_bool()?,
+            acc: r.get_f64()?,
         })
     }
 }
 
-/// Encodes an `f64` vector as little-endian bytes.
-pub fn encode_f64s(v: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend(x.to_le_bytes());
-    }
-    out
+fn encode_f64s(v: &[f64]) -> Vec<u8> {
+    v.iter().flat_map(|x| x.to_le_bytes()).collect()
 }
 
-/// Decodes little-endian bytes into an `f64` vector.
-pub fn decode_f64s(b: &[u8]) -> Vec<f64> {
+fn decode_f64s(b: &[u8]) -> Vec<f64> {
     b.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8"))).collect()
 }
 
-/// Serializes an optional in-flight collective.
-pub fn put_opt_coll(w: &mut RecordWriter, c: &Option<Collective>) {
-    match c {
-        Some(c) => {
-            w.put_bool(true);
-            c.encode(w);
+/// Block decomposition of `n` planes over `size` ranks: the first plane
+/// and the plane count of `rank`'s contiguous block.
+pub(crate) fn block(rank: usize, size: usize, n: usize) -> (usize, usize) {
+    let base = n / size;
+    let rem = n % size;
+    (rank * base + rank.min(rem), base + usize::from(rank < rem))
+}
+
+/// One SPMD rank of CPI, BT or Bratu: the state the three programs share,
+/// and the phases they share. Each phase method moves [`Rank::phase`] on
+/// by one when it finishes.
+#[derive(Debug, Clone)]
+pub(crate) struct Rank {
+    /// The communicator.
+    pub comm: MpiComm,
+    /// The program's phase.
+    pub phase: u8,
+    /// The closing all-reduce, once started.
+    coll: Option<Collective>,
+    /// Halo receives still outstanding: from rank+1 and from rank−1.
+    want_up: bool,
+    want_down: bool,
+}
+
+impl Rank {
+    /// Rank `rank` of the ranks at `vips`, at phase 0.
+    pub fn new(rank: u32, vips: Vec<u32>) -> Rank {
+        Rank {
+            comm: MpiComm::new(rank, vips),
+            phase: 0,
+            coll: None,
+            want_up: false,
+            want_down: false,
         }
-        None => w.put_bool(false),
+    }
+
+    /// Wires the communicator (`app` names the program in a panic).
+    pub fn init(&mut self, ctx: &mut ProcessCtx<'_>, app: &str) -> StepOutcome {
+        match self.comm.poll_init(ctx) {
+            Ok(true) => {
+                self.phase += 1;
+                StepOutcome::Ready
+            }
+            Ok(false) => StepOutcome::Blocked,
+            Err(e) => panic!("{app} rank {} init: {e}", self.comm.rank),
+        }
+    }
+
+    /// Halo exchange, first half. The `f64` region at `base` holds
+    /// `planes` interior planes of `plane` values between two halo planes;
+    /// posts the first interior plane to rank−1 (tagged `up`) and the last
+    /// to rank+1 (tagged `down`).
+    pub fn post_halos(
+        &mut self,
+        ctx: &mut ProcessCtx<'_>,
+        base: u64,
+        (plane, planes): (usize, usize),
+        (up, down): (u32, u32),
+    ) -> StepOutcome {
+        let (rank, size) = (self.comm.rank, self.comm.size);
+        let (first, last) = {
+            let u = ctx.mem.f64(base).expect("mapped");
+            (
+                encode_f64s(&u[plane..2 * plane]),
+                encode_f64s(&u[planes * plane..(planes + 1) * plane]),
+            )
+        };
+        if rank > 0 {
+            self.comm.post_send(rank - 1, up, &first);
+            self.want_down = true;
+        }
+        if rank + 1 < size {
+            self.comm.post_send(rank + 1, down, &last);
+            self.want_up = true;
+        }
+        let _ = self.comm.progress(ctx);
+        self.phase += 1;
+        StepOutcome::Ready
+    }
+
+    /// Halo exchange, second half: stores each neighbour's plane in its
+    /// halo plane as it arrives; blocked until both have.
+    pub fn collect_halos(
+        &mut self,
+        ctx: &mut ProcessCtx<'_>,
+        base: u64,
+        (plane, planes): (usize, usize),
+        (up, down): (u32, u32),
+    ) -> StepOutcome {
+        let _ = self.comm.progress(ctx);
+        let rank = self.comm.rank;
+        for (want, from, tag, lo) in [
+            (&mut self.want_down, rank.wrapping_sub(1), down, 0),
+            (&mut self.want_up, rank + 1, up, (planes + 1) * plane),
+        ] {
+            if *want {
+                if let Some(d) = self.comm.try_recv(from, tag) {
+                    let v = decode_f64s(&d);
+                    let u = ctx.mem.f64_mut(base).expect("mapped");
+                    u[lo..lo + v.len()].copy_from_slice(&v);
+                    *want = false;
+                }
+            }
+        }
+        if self.want_down || self.want_up {
+            return StepOutcome::Blocked;
+        }
+        self.phase += 1;
+        StepOutcome::Ready
+    }
+
+    /// Starts the closing all-reduce of this rank's `local` contribution.
+    pub fn start_allreduce(&mut self, local: f64) {
+        self.coll = Some(self.comm.start_allreduce(local));
+        self.phase += 1;
+    }
+
+    /// Polls the closing all-reduce: the sum over all ranks once it is in.
+    pub fn allreduce(&mut self, ctx: &mut ProcessCtx<'_>, app: &str) -> Option<f64> {
+        let coll = self.coll.as_mut().expect("all-reduce started");
+        match coll.poll(&mut self.comm, ctx) {
+            Ok(Some(sum)) => {
+                self.coll = None;
+                self.phase += 1;
+                Some(sum)
+            }
+            Ok(None) => None,
+            Err(e) => panic!("{app} rank {} allreduce: {e}", self.comm.rank),
+        }
+    }
+
+    /// Drains every transmit queue; then rank 0 writes `result` to `file`
+    /// on shared storage.
+    pub fn finish(&mut self, ctx: &mut ProcessCtx<'_>, file: &str, result: &str) -> StepOutcome {
+        let _ = self.comm.progress(ctx);
+        if !self.comm.tx_idle() {
+            return StepOutcome::Blocked;
+        }
+        if self.comm.rank == 0 {
+            let fd = ctx.open(file, true, false).expect("open result");
+            ctx.file_write(fd, result.as_bytes()).expect("write");
+            ctx.close(fd).expect("close");
+        }
+        self.phase += 1;
+        StepOutcome::Ready
     }
 }
 
-/// Deserializes an optional in-flight collective.
-pub fn get_opt_coll(r: &mut RecordReader<'_>) -> DecodeResult<Option<Collective>> {
-    Ok(if r.get_bool()? { Some(Collective::decode(r)?) } else { None })
+impl Encode for Rank {
+    fn encode(&self, w: &mut RecordWriter) {
+        self.comm.encode(w);
+        w.put_u8(self.phase);
+        w.put_bool(self.want_up);
+        w.put_bool(self.want_down);
+        match &self.coll {
+            Some(c) => {
+                w.put_bool(true);
+                c.encode(w);
+            }
+            None => w.put_bool(false),
+        }
+    }
+}
+
+impl Decode for Rank {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        Ok(Rank {
+            comm: MpiComm::decode(r)?,
+            phase: r.get_u8()?,
+            want_up: r.get_bool()?,
+            want_down: r.get_bool()?,
+            coll: if r.get_bool()? { Some(Collective::decode(r)?) } else { None },
+        })
+    }
 }
 
 #[cfg(test)]
@@ -546,20 +645,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_parsing_handles_partials() {
-        let mut buf = Vec::new();
-        let mut inbox = VecDeque::new();
-        // tag=7, len=4, payload "abcd", split across pushes.
-        buf.extend(7u32.to_le_bytes());
-        buf.extend(4u32.to_le_bytes());
-        buf.extend(b"ab");
-        MpiComm::parse_frames(&mut buf, &mut inbox);
-        assert!(inbox.is_empty());
-        buf.extend(b"cd");
-        MpiComm::parse_frames(&mut buf, &mut inbox);
-        assert_eq!(inbox.len(), 1);
-        assert_eq!(inbox[0], Msg { tag: 7, data: b"abcd".to_vec() });
-        assert!(buf.is_empty());
+    fn link_frames_pin_their_bytes_and_parse_across_a_split() {
+        let mut tx = Link::default();
+        tx.post(7, b"abcd");
+        tx.post(9, b"");
+        let wire: Vec<u8> = tx.txq.iter().copied().collect();
+        // Tag (LE u32), payload length (LE u32), payload.
+        assert_eq!(wire, [7, 0, 0, 0, 4, 0, 0, 0, b'a', b'b', b'c', b'd', 9, 0, 0, 0, 0, 0, 0, 0]);
+        for tag_matched in [true, false] {
+            let mut rx = Link::default();
+            rx.rxbuf.extend(&wire[..10]);
+            rx.parse_frames();
+            assert!(rx.inbox.is_empty(), "half a frame parses to nothing");
+            rx.rxbuf.extend(&wire[10..]);
+            rx.parse_frames();
+            assert!(rx.rxbuf.is_empty());
+            if tag_matched {
+                assert_eq!(rx.take(9), Some(Vec::new()), "matched past an older frame");
+                assert_eq!(rx.take(9), None);
+                assert_eq!(rx.take(7), Some(b"abcd".to_vec()));
+            } else {
+                assert_eq!(rx.take_next(), Some(Msg { tag: 7, data: b"abcd".to_vec() }));
+                assert_eq!(rx.take_next(), Some(Msg { tag: 9, data: Vec::new() }));
+            }
+            assert_eq!(rx.take_next(), None);
+        }
     }
 
     #[test]
@@ -574,6 +684,7 @@ mod tests {
         c.post_send(0, 5, b"hello");
         c.links[2].inbox.push_back(Msg { tag: 9, data: b"queued".to_vec() });
         c.links[2].rxbuf = vec![1, 2, 3];
+        c.wired[2] = true;
         c.unidentified.push((44, vec![7]));
         c.coll_seq = 3;
         let mut w = RecordWriter::new();
@@ -583,20 +694,24 @@ mod tests {
         let back = MpiComm::decode(&mut r).unwrap();
         assert!(r.is_empty());
         assert_eq!(back.rank, 1);
-        assert_eq!(back.links[0].txq, c.links[0].txq);
-        assert_eq!(back.links[2].inbox, c.links[2].inbox);
+        assert_eq!(back.links, c.links);
+        assert_eq!(back.wired, c.wired);
         assert_eq!(back.unidentified, c.unidentified);
     }
 
     #[test]
-    fn collective_serialization_round_trip() {
-        let mut comm = MpiComm::new(0, vec![10]);
-        let coll = comm.start_collective(CollOp::AllReduceSum, vec![2.5, 3.5]);
+    fn rank_serialization_round_trip_mid_allreduce() {
+        let mut rank = Rank::new(0, vec![10]);
+        rank.start_allreduce(2.5);
+        rank.want_up = true;
         let mut w = RecordWriter::new();
-        coll.encode(&mut w);
+        rank.encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = RecordReader::new(&bytes);
-        assert_eq!(Collective::decode(&mut r).unwrap(), coll);
+        let back = Rank::decode(&mut r).unwrap();
+        assert!(r.is_empty());
+        assert_eq!(back.coll, rank.coll);
+        assert_eq!((back.phase, back.want_up, back.want_down), (1, true, false));
     }
 
     #[test]
@@ -607,5 +722,18 @@ mod tests {
         assert_eq!(c.try_recv(1, 2).unwrap(), b"two");
         assert_eq!(c.try_recv(1, 2), None);
         assert_eq!(c.try_recv(1, 1).unwrap(), b"one");
+    }
+
+    #[test]
+    fn block_decomposition_covers_the_grid() {
+        for size in 1..=9 {
+            let mut next = 0;
+            for rank in 0..size {
+                let (first, count) = block(rank, size, 24);
+                assert_eq!(first, next, "contiguous blocks");
+                next += count;
+            }
+            assert_eq!(next, 24);
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! process footprint that dominates its checkpoint image (16 MB at 1 node
 //! → 7 MB at 16 nodes in the paper: a fixed part plus a `1/N` part).
 
-use crate::comm::{get_opt_coll, put_opt_coll, CollOp, Collective, MpiComm, Poll};
+use crate::comm::Rank;
 use zapc_proto::{Decode, DecodeResult, Encode, RecordReader, RecordWriter};
 use zapc_sim::{ProcessCtx, Program, StepOutcome};
 
@@ -36,11 +36,9 @@ impl Default for CpiConfig {
 /// One CPI rank.
 pub struct Cpi {
     cfg: CpiConfig,
-    comm: MpiComm,
-    phase: u8,
+    rank: Rank,
     idx: u64,
     local_sum: f64,
-    coll: Option<Collective>,
     ws: u64,
     pi: f64,
 }
@@ -48,16 +46,7 @@ pub struct Cpi {
 impl Cpi {
     /// Creates rank `rank` with the vip table of all ranks.
     pub fn new(cfg: CpiConfig, rank: u32, vips: Vec<u32>) -> Cpi {
-        Cpi {
-            cfg,
-            comm: MpiComm::new(rank, vips),
-            phase: 0,
-            idx: 0,
-            local_sum: 0.0,
-            coll: None,
-            ws: 0,
-            pi: 0.0,
-        }
+        Cpi { cfg, rank: Rank::new(rank, vips), idx: rank as u64, local_sum: 0.0, ws: 0, pi: 0.0 }
     }
 
     /// Deterministic exit code derived from the computed π.
@@ -83,32 +72,24 @@ impl Program for Cpi {
     }
 
     fn step(&mut self, ctx: &mut ProcessCtx<'_>) -> StepOutcome {
-        match self.phase {
+        match self.rank.phase {
             0 => {
                 let bytes =
-                    self.cfg.mem_fixed + self.cfg.mem_scaled / self.comm.size.max(1) as usize;
+                    self.cfg.mem_fixed + self.cfg.mem_scaled / self.rank.comm.size.max(1) as usize;
                 self.ws = ctx.mem.map_bytes("cpi.workspace", bytes);
                 // Touch the workspace so the image carries real content.
                 let ws = ctx.mem.bytes_mut(self.ws).expect("mapped");
                 for (i, b) in ws.iter_mut().enumerate() {
                     *b = (i % 251) as u8;
                 }
-                self.phase = 1;
+                self.rank.phase = 1;
                 StepOutcome::Ready
             }
-            1 => match self.comm.poll_init(ctx) {
-                Ok(Poll::Ready(())) => {
-                    self.idx = self.comm.rank as u64;
-                    self.phase = 2;
-                    StepOutcome::Ready
-                }
-                Ok(Poll::Pending) => StepOutcome::Blocked,
-                Err(e) => panic!("cpi rank {} init: {e}", self.comm.rank),
-            },
+            1 => self.rank.init(ctx, "cpi"),
             2 => {
                 let n = self.cfg.n_steps;
                 let h = 1.0 / n as f64;
-                let stride = self.comm.size as u64;
+                let stride = self.rank.comm.size as u64;
                 let mut done = 0;
                 while self.idx < n && done < self.cfg.chunk {
                     let x = h * (self.idx as f64 + 0.5);
@@ -118,43 +99,18 @@ impl Program for Cpi {
                 }
                 ctx.consume_cpu(done * 12);
                 if self.idx >= n {
-                    self.coll =
-                        Some(self.comm.start_collective(CollOp::AllReduceSum, vec![self.local_sum]));
-                    self.phase = 3;
+                    self.rank.start_allreduce(self.local_sum);
                 }
                 StepOutcome::Ready
             }
-            3 => {
-                let coll = self.coll.as_mut().expect("collective started");
-                match coll.poll(&mut self.comm, ctx) {
-                    Ok(Poll::Ready(v)) => {
-                        self.pi = v[0] / self.cfg.n_steps as f64;
-                        self.coll = None;
-                        self.phase = 4;
-                        StepOutcome::Ready
-                    }
-                    Ok(Poll::Pending) => {
-                        let _ = self.comm.progress(ctx);
-                        StepOutcome::Blocked
-                    }
-                    Err(e) => panic!("cpi rank {} allreduce: {e}", self.comm.rank),
+            3 => match self.rank.allreduce(ctx, "cpi") {
+                Some(sum) => {
+                    self.pi = sum / self.cfg.n_steps as f64;
+                    StepOutcome::Ready
                 }
-            }
-            4 => {
-                // Flush any residual traffic, then rank 0 records the result
-                // on shared storage.
-                let _ = self.comm.progress(ctx);
-                if !self.comm.tx_idle() {
-                    return StepOutcome::Blocked;
-                }
-                if self.comm.rank == 0 {
-                    let fd = ctx.open("pi.txt", true, false).expect("open result");
-                    ctx.file_write(fd, format!("{:.12}", self.pi).as_bytes()).expect("write");
-                    ctx.close(fd).expect("close");
-                }
-                self.phase = 5;
-                StepOutcome::Ready
-            }
+                None => StepOutcome::Blocked,
+            },
+            4 => self.rank.finish(ctx, "pi.txt", &format!("{:.12}", self.pi)),
             _ => StepOutcome::Exited(Cpi::exit_code_for(self.pi)),
         }
     }
@@ -164,11 +120,9 @@ impl Program for Cpi {
         w.put_u64(self.cfg.chunk);
         w.put_u64(self.cfg.mem_fixed as u64);
         w.put_u64(self.cfg.mem_scaled as u64);
-        self.comm.encode(w);
-        w.put_u8(self.phase);
+        self.rank.encode(w);
         w.put_u64(self.idx);
         w.put_f64(self.local_sum);
-        put_opt_coll(w, &self.coll);
         w.put_u64(self.ws);
         w.put_f64(self.pi);
     }
@@ -182,14 +136,11 @@ pub fn load(r: &mut RecordReader<'_>) -> DecodeResult<Box<dyn Program>> {
         mem_fixed: r.get_u64()? as usize,
         mem_scaled: r.get_u64()? as usize,
     };
-    let comm = MpiComm::decode(r)?;
     Ok(Box::new(Cpi {
         cfg,
-        comm,
-        phase: r.get_u8()?,
+        rank: Rank::decode(r)?,
         idx: r.get_u64()?,
         local_sum: r.get_f64()?,
-        coll: get_opt_coll(r)?,
         ws: r.get_u64()?,
         pi: r.get_f64()?,
     }))

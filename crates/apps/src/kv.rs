@@ -33,7 +33,9 @@
 //! number the §6-style "under fire" benchmarks want).
 
 use std::collections::{BTreeMap, VecDeque};
-use zapc_proto::{DecodeResult, Endpoint, RecordReader, RecordWriter, Transport};
+use zapc_proto::{
+    seq_capacity, DecodeError, DecodeResult, Endpoint, RecordReader, RecordWriter, Transport,
+};
 use zapc_sim::{Errno, ProcessCtx, Program, StepOutcome};
 
 /// Registry key for the server.
@@ -402,7 +404,9 @@ pub fn load_server(r: &mut RecordReader<'_>) -> DecodeResult<Box<dyn Program>> {
     let listening = r.get_bool()?;
     let listen_fd = r.get_u32()?;
     let n = r.get_u64()?;
-    let mut conns = Vec::with_capacity(n as usize);
+    // Each connection takes at least 28 bytes: fd, two lengths, a timestamp.
+    let mut conns =
+        Vec::with_capacity(seq_capacity(n, r.remaining() / 28, std::mem::size_of::<Conn>()));
     for _ in 0..n {
         let fd = r.get_u32()?;
         let rxbuf = r.get_bytes_owned()?;
@@ -453,11 +457,12 @@ impl ClientMode {
         }
     }
 
-    fn from_code(c: u8) -> ClientMode {
+    fn from_code(c: u32) -> DecodeResult<ClientMode> {
         match c {
-            1 => ClientMode::Slow,
-            2 => ClientMode::HalfOpen,
-            _ => ClientMode::Normal,
+            0 => Ok(ClientMode::Normal),
+            1 => Ok(ClientMode::Slow),
+            2 => Ok(ClientMode::HalfOpen),
+            v => Err(DecodeError::InvalidEnum { what: "ClientMode", value: v as u64 }),
         }
     }
 }
@@ -856,7 +861,7 @@ pub fn load_client(r: &mut RecordReader<'_>) -> DecodeResult<Box<dyn Program>> {
         requests: r.get_u32()?,
         val_len: r.get_u64()? as usize,
         window: r.get_u32()?,
-        mode: ClientMode::from_code(r.get_u32()? as u8),
+        mode: ClientMode::from_code(r.get_u32()?)?,
         chunk: r.get_u64()? as usize,
         slow_every: r.get_u64()?,
         halfopen_linger_ms: r.get_u64()?,

@@ -5,13 +5,16 @@
 //! applications", plus the middleware they run on:
 //!
 //! * [`comm`] — **minimpi**: rank-mesh message passing over pod sockets
-//!   (connect-to-lower/accept-from-higher wiring, framed messages, posted
-//!   sends, linear reduce/bcast/allreduce/barrier collectives), standing in
-//!   for MPICH-2. Fully serializable, so ranks checkpoint mid-collective.
+//!   (connect-to-lower/accept-from-higher wiring, posted tagged sends,
+//!   tag-matched receives, one linear sum all-reduce), standing in for
+//!   MPICH-2, and the one framed link every middleware connection uses.
+//!   Fully serializable, so ranks checkpoint mid-collective. It also
+//!   writes the phases CPI, BT and Bratu share once.
 //! * [`pvm`] — **minipvm**: a master/worker task-farming layer standing in
-//!   for PVM 3.4 (the POV-Ray port uses PVM in the paper).
-//! * [`cpi`] — parallel calculation of π (mostly computation-bound; basic
-//!   collectives only).
+//!   for PVM 3.4 (the POV-Ray port uses PVM in the paper), over the same
+//!   framed link, read in order.
+//! * [`cpi`] — parallel calculation of π (mostly computation-bound; one
+//!   all-reduce).
 //! * [`bt`] — a Block-Tridiagonal-flavoured 3-D solver with per-iteration
 //!   slab halo exchange ("substantial network communication along the
 //!   computation").

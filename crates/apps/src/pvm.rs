@@ -1,10 +1,11 @@
 //! minipvm: a master/worker task-farming layer (stands in for PVM 3.4).
 //!
 //! PVM's model differs from MPI's rank mesh: a master process farms tasks
-//! to workers over a star topology. Messages are framed the same way as
-//! minimpi's, with tags for task / result / shutdown.
+//! to workers over a star topology. Each master–worker connection is one
+//! framed link, the one minimpi uses ([`crate::comm`]), read in order,
+//! with tags for ready / task / result / shutdown.
 
-use std::collections::VecDeque;
+use crate::comm::{Link, Msg};
 use zapc_proto::{Decode, DecodeResult, Encode, Endpoint, RecordReader, RecordWriter, Transport};
 use zapc_sim::{Errno, ProcessCtx, SysResult};
 
@@ -23,88 +24,13 @@ pub mod tags {
     pub const DONE: u32 = 4;
 }
 
-/// A framed message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PvmMsg {
-    /// Message tag (see [`tags`]).
-    pub tag: u32,
-    /// Payload.
-    pub data: Vec<u8>,
-}
-
-/// Shared framing helpers.
-fn push_frame(txq: &mut VecDeque<u8>, tag: u32, data: &[u8]) {
-    txq.extend(tag.to_le_bytes());
-    txq.extend((data.len() as u32).to_le_bytes());
-    txq.extend(data);
-}
-
-fn parse_frames(rxbuf: &mut Vec<u8>, inbox: &mut VecDeque<PvmMsg>) {
-    loop {
-        if rxbuf.len() < 8 {
-            return;
-        }
-        let tag = u32::from_le_bytes(rxbuf[0..4].try_into().expect("4"));
-        let len = u32::from_le_bytes(rxbuf[4..8].try_into().expect("4")) as usize;
-        if rxbuf.len() < 8 + len {
-            return;
-        }
-        let data = rxbuf[8..8 + len].to_vec();
-        rxbuf.drain(..8 + len);
-        inbox.push_back(PvmMsg { tag, data });
-    }
-}
-
-fn pump(
-    ctx: &mut ProcessCtx<'_>,
-    fd: u32,
-    txq: &mut VecDeque<u8>,
-    rxbuf: &mut Vec<u8>,
-    inbox: &mut VecDeque<PvmMsg>,
-) -> SysResult<()> {
-    while !txq.is_empty() {
-        let chunk: Vec<u8> = txq.iter().take(16 * 1024).copied().collect();
-        match ctx.send(fd, &chunk) {
-            Ok(n) => {
-                txq.drain(..n);
-                if n < chunk.len() {
-                    break;
-                }
-            }
-            Err(Errno::EAGAIN) => break,
-            Err(e) => return Err(e),
-        }
-    }
-    loop {
-        match ctx.recv(fd, 64 * 1024, zapc_net::RecvFlags::default()) {
-            Ok(d) if d.is_empty() => break,
-            Ok(d) => {
-                rxbuf.extend(d);
-                parse_frames(rxbuf, inbox);
-            }
-            Err(Errno::EAGAIN) => break,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// One worker link as seen by the master.
-#[derive(Debug, Clone, Default)]
-struct WorkerLink {
-    fd: u32,
-    txq: VecDeque<u8>,
-    rxbuf: Vec<u8>,
-    inbox: VecDeque<PvmMsg>,
-}
-
 /// The master ("pvmd"-ish) endpoint.
 #[derive(Debug, Clone)]
 pub struct PvmMaster {
     expected_workers: u32,
     listen_fd: u32,
     listening: bool,
-    workers: Vec<WorkerLink>,
+    workers: Vec<Link>,
 }
 
 impl PvmMaster {
@@ -123,7 +49,7 @@ impl PvmMaster {
         }
         loop {
             match ctx.accept(self.listen_fd) {
-                Ok((fd, _)) => self.workers.push(WorkerLink { fd, ..Default::default() }),
+                Ok((fd, _)) => self.workers.push(Link::new(fd)),
                 Err(Errno::EAGAIN) => break,
                 Err(e) => return Err(e),
             }
@@ -143,25 +69,25 @@ impl PvmMaster {
 
     /// Queues a message to worker `w`.
     pub fn post(&mut self, w: usize, tag: u32, data: &[u8]) {
-        push_frame(&mut self.workers[w].txq, tag, data);
+        self.workers[w].post(tag, data);
     }
 
     /// Pumps every worker link.
     pub fn progress(&mut self, ctx: &mut ProcessCtx<'_>) -> SysResult<()> {
-        for wl in &mut self.workers {
-            pump(ctx, wl.fd, &mut wl.txq, &mut wl.rxbuf, &mut wl.inbox)?;
+        for link in &mut self.workers {
+            link.pump(ctx)?;
         }
         Ok(())
     }
 
     /// Takes the next message from worker `w`.
-    pub fn try_recv(&mut self, w: usize) -> Option<PvmMsg> {
-        self.workers[w].inbox.pop_front()
+    pub fn try_recv(&mut self, w: usize) -> Option<Msg> {
+        self.workers[w].take_next()
     }
 
     /// True when all transmit queues drained.
     pub fn tx_idle(&self) -> bool {
-        self.workers.iter().all(|w| w.txq.is_empty())
+        self.workers.iter().all(Link::tx_idle)
     }
 }
 
@@ -170,18 +96,7 @@ impl Encode for PvmMaster {
         w.put_u32(self.expected_workers);
         w.put_u32(self.listen_fd);
         w.put_bool(self.listening);
-        w.put_u64(self.workers.len() as u64);
-        for wl in &self.workers {
-            w.put_u32(wl.fd);
-            let tx: Vec<u8> = wl.txq.iter().copied().collect();
-            w.put_bytes(&tx);
-            w.put_bytes(&wl.rxbuf);
-            w.put_u64(wl.inbox.len() as u64);
-            for m in &wl.inbox {
-                w.put_u32(m.tag);
-                w.put_bytes(&m.data);
-            }
-        }
+        w.put_seq(&self.workers);
     }
 }
 
@@ -190,20 +105,7 @@ impl Decode for PvmMaster {
         let expected_workers = r.get_u32()?;
         let listen_fd = r.get_u32()?;
         let listening = r.get_bool()?;
-        let n = r.get_u64()?;
-        let mut workers = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let fd = r.get_u32()?;
-            let txq: VecDeque<u8> = r.get_bytes_owned()?.into();
-            let rxbuf = r.get_bytes_owned()?;
-            let ni = r.get_u64()?;
-            let mut inbox = VecDeque::with_capacity(ni as usize);
-            for _ in 0..ni {
-                let tag = r.get_u32()?;
-                inbox.push_back(PvmMsg { tag, data: r.get_bytes_owned()? });
-            }
-            workers.push(WorkerLink { fd, txq, rxbuf, inbox });
-        }
+        let workers = r.get_seq()?;
         Ok(PvmMaster { expected_workers, listen_fd, listening, workers })
     }
 }
@@ -212,44 +114,33 @@ impl Decode for PvmMaster {
 #[derive(Debug, Clone)]
 pub struct PvmWorker {
     master_vip: u32,
-    fd: u32,
     started: bool,
     connected: bool,
-    txq: VecDeque<u8>,
-    rxbuf: Vec<u8>,
-    inbox: VecDeque<PvmMsg>,
+    link: Link,
 }
 
 impl PvmWorker {
     /// A worker that will enroll with the master at `master_vip`.
     pub fn new(master_vip: u32) -> PvmWorker {
-        PvmWorker {
-            master_vip,
-            fd: 0,
-            started: false,
-            connected: false,
-            txq: VecDeque::new(),
-            rxbuf: Vec::new(),
-            inbox: VecDeque::new(),
-        }
+        PvmWorker { master_vip, started: false, connected: false, link: Link::default() }
     }
 
     /// Drives enrollment; `true` once connected.
     pub fn poll_init(&mut self, ctx: &mut ProcessCtx<'_>) -> SysResult<bool> {
         if !self.started {
-            self.fd = ctx.socket(Transport::Tcp)?;
-            ctx.connect(self.fd, Endpoint { ip: self.master_vip, port: PVM_PORT })?;
+            self.link.fd = ctx.socket(Transport::Tcp)?;
+            ctx.connect(self.link.fd, Endpoint { ip: self.master_vip, port: PVM_PORT })?;
             self.started = true;
         }
         if !self.connected {
-            match ctx.is_connected(self.fd) {
+            match ctx.is_connected(self.link.fd) {
                 Ok(true) => self.connected = true,
                 Ok(false) => {}
                 Err(_) => {
                     // Master not listening yet: retry the enrollment.
-                    let _ = ctx.close(self.fd);
-                    self.fd = ctx.socket(Transport::Tcp)?;
-                    ctx.connect(self.fd, Endpoint { ip: self.master_vip, port: PVM_PORT })?;
+                    let _ = ctx.close(self.link.fd);
+                    self.link.fd = ctx.socket(Transport::Tcp)?;
+                    ctx.connect(self.link.fd, Endpoint { ip: self.master_vip, port: PVM_PORT })?;
                 }
             }
         }
@@ -258,60 +149,45 @@ impl PvmWorker {
 
     /// Queues a message to the master.
     pub fn post(&mut self, tag: u32, data: &[u8]) {
-        push_frame(&mut self.txq, tag, data);
+        self.link.post(tag, data);
     }
 
     /// Pumps the master link.
     pub fn progress(&mut self, ctx: &mut ProcessCtx<'_>) -> SysResult<()> {
         if self.connected {
-            pump(ctx, self.fd, &mut self.txq, &mut self.rxbuf, &mut self.inbox)?;
+            self.link.pump(ctx)?;
         }
         Ok(())
     }
 
     /// Takes the next message from the master.
-    pub fn try_recv(&mut self) -> Option<PvmMsg> {
-        self.inbox.pop_front()
+    pub fn try_recv(&mut self) -> Option<Msg> {
+        self.link.take_next()
     }
 
     /// True when the transmit queue drained.
     pub fn tx_idle(&self) -> bool {
-        self.txq.is_empty()
+        self.link.tx_idle()
     }
 }
 
 impl Encode for PvmWorker {
     fn encode(&self, w: &mut RecordWriter) {
         w.put_u32(self.master_vip);
-        w.put_u32(self.fd);
         w.put_bool(self.started);
         w.put_bool(self.connected);
-        let tx: Vec<u8> = self.txq.iter().copied().collect();
-        w.put_bytes(&tx);
-        w.put_bytes(&self.rxbuf);
-        w.put_u64(self.inbox.len() as u64);
-        for m in &self.inbox {
-            w.put_u32(m.tag);
-            w.put_bytes(&m.data);
-        }
+        self.link.encode(w);
     }
 }
 
 impl Decode for PvmWorker {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        let master_vip = r.get_u32()?;
-        let fd = r.get_u32()?;
-        let started = r.get_bool()?;
-        let connected = r.get_bool()?;
-        let txq: VecDeque<u8> = r.get_bytes_owned()?.into();
-        let rxbuf = r.get_bytes_owned()?;
-        let n = r.get_u64()?;
-        let mut inbox = VecDeque::with_capacity(n as usize);
-        for _ in 0..n {
-            let tag = r.get_u32()?;
-            inbox.push_back(PvmMsg { tag, data: r.get_bytes_owned()? });
-        }
-        Ok(PvmWorker { master_vip, fd, started, connected, txq, rxbuf, inbox })
+        Ok(PvmWorker {
+            master_vip: r.get_u32()?,
+            started: r.get_bool()?,
+            connected: r.get_bool()?,
+            link: Link::decode(r)?,
+        })
     }
 }
 
@@ -320,32 +196,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frames_round_trip() {
-        let mut txq = VecDeque::new();
-        push_frame(&mut txq, tags::TASK, b"tile 3");
-        push_frame(&mut txq, tags::DONE, b"");
-        let mut rxbuf: Vec<u8> = txq.into_iter().collect();
-        let mut inbox = VecDeque::new();
-        parse_frames(&mut rxbuf, &mut inbox);
-        assert_eq!(inbox.len(), 2);
-        assert_eq!(inbox[0], PvmMsg { tag: tags::TASK, data: b"tile 3".to_vec() });
-        assert_eq!(inbox[1].tag, tags::DONE);
-    }
-
-    #[test]
     fn master_serialization_round_trip() {
         let mut m = PvmMaster::new(2);
         m.listening = true;
         m.listen_fd = 3;
-        m.workers.push(WorkerLink { fd: 4, ..Default::default() });
+        m.workers.push(Link::new(4));
         m.post(0, tags::TASK, b"payload");
         let mut w = RecordWriter::new();
         m.encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = RecordReader::new(&bytes);
         let back = PvmMaster::decode(&mut r).unwrap();
-        assert_eq!(back.workers.len(), 1);
-        assert_eq!(back.workers[0].txq, m.workers[0].txq);
+        assert!(r.is_empty());
+        assert_eq!(back.workers, m.workers);
     }
 
     #[test]
@@ -353,13 +216,13 @@ mod tests {
         let mut wk = PvmWorker::new(0x0A0A_0001);
         wk.started = true;
         wk.post(tags::READY, b"");
-        wk.inbox.push_back(PvmMsg { tag: tags::TASK, data: b"t".to_vec() });
         let mut w = RecordWriter::new();
         wk.encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = RecordReader::new(&bytes);
         let back = PvmWorker::decode(&mut r).unwrap();
-        assert_eq!(back.inbox, wk.inbox);
-        assert_eq!(back.txq, wk.txq);
+        assert!(r.is_empty());
+        assert_eq!((back.master_vip, back.started, back.connected), (0x0A0A_0001, true, false));
+        assert_eq!(back.link, wk.link);
     }
 }

@@ -47,36 +47,47 @@ fn disturbed_with_migration(kind: AppKind, ranks: usize, nodes: usize) -> (Vec<i
     (expected, got)
 }
 
+// Golden results: the result text and exit codes of `small_params` runs,
+// recomputed (and identical over two runs) on the code before the
+// middleware and the CPI/BT/Bratu rank phases were folded into `comm::Link`
+// and `comm::Rank`. Any change to the traffic or the arithmetic moves them.
+
+/// Runs `kind` on `ranks` ranks over `nodes` nodes; returns rank 0's result
+/// file and every rank's exit code.
+fn golden_run(kind: AppKind, ranks: usize, nodes: usize, file: &str) -> (String, Vec<i32>) {
+    let c = cluster(nodes);
+    let app = launch_app(&c, "g", &small_params(kind, ranks));
+    let codes = app.wait(&c, TIMEOUT).unwrap();
+    let text = String::from_utf8(c.fs.read(&format!("/pods/g-0/{file}")).unwrap()).unwrap();
+    app.destroy(&c);
+    (text, codes)
+}
+
 #[test]
 fn cpi_runs_and_converges() {
-    let c = cluster(2);
-    let app = launch_app(&c, "cpi", &small_params(AppKind::Cpi, 4));
-    let codes = app.wait(&c, TIMEOUT).unwrap();
+    let (pi_txt, codes) = golden_run(AppKind::Cpi, 4, 2, "pi.txt");
     // Every rank derives its code from the same all-reduced π.
-    assert!(codes.windows(2).all(|w| w[0] == w[1]), "ranks agree: {codes:?}");
+    assert_eq!(codes, [98; 4]);
+    assert_eq!(pi_txt, "3.141592653598");
     // And the recorded π is correct.
-    let pi_txt = c.fs.read("/pods/cpi-0/pi.txt").unwrap();
-    let pi: f64 = String::from_utf8(pi_txt).unwrap().parse().unwrap();
+    let pi: f64 = pi_txt.parse().unwrap();
     assert!((pi - std::f64::consts::PI).abs() < 1e-6, "π = {pi}");
-    app.destroy(&c);
 }
 
 #[test]
 fn bt_runs_with_heavy_halo_exchange() {
-    let c = cluster(2);
-    let app = launch_app(&c, "bt", &small_params(AppKind::Bt, 4));
-    let codes = app.wait(&c, TIMEOUT).unwrap();
-    assert!(codes.windows(2).all(|w| w[0] == w[1]), "ranks agree: {codes:?}");
-    assert!(c.fs.exists("/pods/bt-0/bt-residual.txt"));
-    app.destroy(&c);
+    let (residual, codes) = golden_run(AppKind::Bt, 4, 2, "bt-residual.txt");
+    assert_eq!(codes, [132; 4], "ranks agree");
+    assert_eq!(residual, "0.976773865");
 }
 
 #[test]
 fn bratu_result_is_partition_independent() {
     // Jacobi iteration: the same answer for any rank count.
-    let solo = reference(AppKind::Bratu, 1, 1);
-    let quad = reference(AppKind::Bratu, 4, 2);
-    assert_eq!(solo[0], quad[0], "Bratu is partition-independent");
+    let solo = golden_run(AppKind::Bratu, 1, 1, "bratu-norm.txt");
+    let quad = golden_run(AppKind::Bratu, 4, 2, "bratu-norm.txt");
+    assert_eq!(solo, ("0.137002043".to_string(), vec![62]));
+    assert_eq!(quad, ("0.137002043".to_string(), vec![62; 4]), "Bratu is partition-independent");
 }
 
 #[test]

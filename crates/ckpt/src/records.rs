@@ -1,6 +1,8 @@
 //! Serializable record types for the standalone checkpoint image sections.
 
-use zapc_proto::{Decode, DecodeError, DecodeResult, Encode, RecordReader, RecordWriter};
+use zapc_proto::{
+    seq_capacity, Decode, DecodeError, DecodeResult, Encode, RecordReader, RecordWriter,
+};
 use zapc_sim::clock::TimerSet;
 use zapc_sim::signals::PendingSignals;
 
@@ -145,7 +147,12 @@ impl Decode for ProcRecord {
         let program_type = r.get_str()?;
         let program_state = r.get_bytes_owned()?;
         let n = r.get_u64()?;
-        let mut fds = Vec::with_capacity(n as usize);
+        // Each descriptor takes at least 9 bytes: fd, kind, a socket ordinal.
+        let mut fds = Vec::with_capacity(seq_capacity(
+            n,
+            r.remaining() / 9,
+            std::mem::size_of::<(u32, FdRecord)>(),
+        ));
         for _ in 0..n {
             let fd = r.get_u32()?;
             fds.push((fd, FdRecord::decode(r)?));
@@ -177,7 +184,12 @@ impl Encode for PipeTable {
 impl Decode for PipeTable {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
         let n = r.get_u64()?;
-        let mut pipes = Vec::with_capacity(n as usize);
+        // Each pipe takes at least 18 bytes: id, buffer length, two flags.
+        let mut pipes = Vec::with_capacity(seq_capacity(
+            n,
+            r.remaining() / 18,
+            std::mem::size_of::<(u64, Vec<u8>, bool, bool)>(),
+        ));
         for _ in 0..n {
             pipes.push((r.get_u64()?, r.get_bytes_owned()?, r.get_bool()?, r.get_bool()?));
         }

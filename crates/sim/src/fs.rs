@@ -37,7 +37,7 @@
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use zapc_proto::{Decode, DecodeResult, Encode, RecordReader, RecordWriter};
+use zapc_proto::{seq_capacity, Decode, DecodeResult, Encode, RecordReader, RecordWriter};
 
 use crate::Errno;
 
@@ -254,7 +254,12 @@ impl Encode for FsSnapshot {
 impl Decode for FsSnapshot {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
         let n = r.get_u64()?;
-        let mut files = Vec::with_capacity(n as usize);
+        // Each file takes at least 16 bytes: two lengths.
+        let mut files = Vec::with_capacity(seq_capacity(
+            n,
+            r.remaining() / 16,
+            std::mem::size_of::<(String, Vec<u8>)>(),
+        ));
         for _ in 0..n {
             files.push((r.get_str()?, r.get_bytes_owned()?));
         }

@@ -96,12 +96,7 @@ impl Encode for PendingSignals {
 
 impl Decode for PendingSignals {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        let n = r.get_u64()?;
-        let mut queue = VecDeque::with_capacity(n as usize);
-        for _ in 0..n {
-            queue.push_back(Signal::decode(r)?);
-        }
-        Ok(PendingSignals { queue })
+        Ok(PendingSignals { queue: r.get_seq()?.into() })
     }
 }
 

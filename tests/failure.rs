@@ -378,3 +378,111 @@ fn restart_from_non_standalone_image_fails_typed_and_rolls_back() {
     app.wait(&c, Duration::from_secs(60)).unwrap();
     app.destroy(&c);
 }
+
+/// Little-endian bytes of `fields`, each given as `(value, width in bytes)`.
+fn le(fields: &[(u64, usize)]) -> Vec<u8> {
+    fields.iter().flat_map(|&(v, n)| v.to_le_bytes()[..n].to_vec()).collect()
+}
+
+/// `bytes` with the bytes from `at` on replaced by `new`.
+fn patched(mut bytes: Vec<u8>, at: usize, new: &[u8]) -> Vec<u8> {
+    bytes[at..at + new.len()].copy_from_slice(new);
+    bytes
+}
+
+#[test]
+fn hostile_counts_and_enum_codes_in_restored_state_are_typed_decode_errors() {
+    use zapc_apps::cpi::{Cpi, CpiConfig};
+    use zapc_apps::kv::{KvClient, KvClientConfig};
+    use zapc_ckpt::{records::ProcStateRecord, CkptError, DecodedPod, ProcRecord};
+    use zapc_proto::DecodeError;
+    use zapc_sim::{fs::FsSnapshot, Program};
+
+    const HUGE: u64 = u64::MAX;
+    const BIG: u64 = 1 << 36;
+    let section =
+        |tag: SectionTag, payload: &[u8]| match DecodedPod::new().apply_section(tag, payload) {
+            Err(CkptError::Decode(e)) => Err(e),
+            other => panic!("{tag:?}: expected a decode error, got {other:?}"),
+        };
+    let program =
+        |ty: &str, state: &[u8]| full_registry().load(ty, &mut RecordReader::new(state)).map(drop);
+    let saved = |p: &dyn Program| {
+        let mut w = RecordWriter::new();
+        p.save(&mut w);
+        w.into_bytes()
+    };
+    let process = ProcRecord {
+        vpid: 1,
+        name: "p".into(),
+        state: ProcStateRecord::Live,
+        signals: Default::default(),
+        timers: Default::default(),
+        vtime_ns: 0,
+        program_type: "t".into(),
+        program_state: Vec::new(),
+        fds: Vec::new(),
+    };
+    let mut w = RecordWriter::new();
+    process.encode(&mut w);
+    let process = w.into_bytes();
+    // The descriptor count closes a process record.
+    let fds = patched(process.clone(), process.len() - 8, &HUGE.to_le_bytes());
+    // vpid, name "p", Live, then the pending-signal count.
+    let signals = le(&[(1, 4), (1, 8), (b'p' as u64, 1), (0, 1), (BIG, 8)]);
+    // Rank and size, then the vip count that opens every MPI rank's state.
+    let cpi = [le(&[(1, 8), (1, 8), (0, 8), (0, 8)]), le(&[(0, 4), (1, 4), (HUGE, 8)])].concat();
+    let bt = [le(&[(4, 8), (1, 4), (1, 8)]), le(&[(0, 4), (1, 4), (BIG, 8)])].concat();
+    let bratu = [le(&[(4, 8), (0, 8), (1, 4), (1, 8)]), le(&[(0, 4), (1, 4), (HUGE, 8)])].concat();
+    let pov_cfg = le(&[(8, 4), (8, 4), (4, 4), (0, 8)]);
+    // Expected workers, listening socket, listening, then the worker count.
+    let master = [pov_cfg.clone(), le(&[(1, 4), (3, 4), (1, 1), (BIG, 8)])].concat();
+    // Master vip, started, connected, then the link: fd, empty send queue
+    // and receive buffer, inbox count.
+    let worker =
+        [pov_cfg, le(&[(9, 4), (1, 1), (1, 1), (3, 4), (0, 8), (0, 8), (HUGE, 8)])].concat();
+    // Config, listening, listening socket, then the connection count.
+    let server = le(&[(7100, 4), (1, 4), (0, 8), (64, 8), (1, 1), (3, 4), (HUGE, 8)]);
+
+    let counts = [
+        ("FdTable: pipe count", section(SectionTag::FdTable, &BIG.to_le_bytes())),
+        ("Process: descriptor count", section(SectionTag::Process, &fds)),
+        ("Process: pending-signal count", section(SectionTag::Process, &signals)),
+        (
+            "FsSnapshot: file count",
+            FsSnapshot::decode(&mut RecordReader::new(&BIG.to_le_bytes())).map(drop),
+        ),
+        ("CPI: vip count", program("apps.cpi", &cpi)),
+        ("BT: vip count", program("apps.bt", &bt)),
+        ("Bratu: vip count", program("apps.bratu", &bratu)),
+        ("POV-Ray master: worker count", program("apps.povray.master", &master)),
+        ("POV-Ray worker: inbox count", program("apps.povray.worker", &worker)),
+        ("KV server: connection count", program("apps.kv_server", &server)),
+    ];
+    for (what, got) in counts {
+        assert!(
+            matches!(
+                got,
+                Err(DecodeError::UnexpectedEof { .. } | DecodeError::LengthOverflow { .. })
+            ),
+            "{what}: got {got:?}"
+        );
+    }
+
+    // Well-formed states but for one enum code, which must be refused
+    // rather than read as some other value.
+    let cpi = saved(&Cpi::new(CpiConfig::default(), 0, vec![7]));
+    let client = saved(&KvClient::new(KvClientConfig::default()));
+    let enums = [
+        // Config (32 bytes), rank, size, one vip, then the phase byte.
+        ("MpiComm phase 3", program("apps.cpi", &patched(cpi, 52, &[3]))),
+        // Server vip, port, id, requests, value length, window, then the mode.
+        (
+            "KvClient mode 256",
+            program("apps.kv_client", &patched(client, 28, &256u32.to_le_bytes())),
+        ),
+    ];
+    for (what, got) in enums {
+        assert!(matches!(got, Err(DecodeError::InvalidEnum { .. })), "{what}: got {got:?}");
+    }
+}
