@@ -154,7 +154,7 @@ impl DecodedPod {
         self.procs.len()
     }
 
-    /// FNV-1a 64 digest over the accumulated memory state, encoded exactly
+    /// `digest64` over the accumulated memory state, encoded exactly
     /// as the `Memory` sections of a standalone checkpoint (vpid-prefixed,
     /// in vpid order). A squashed pre-copy chain and a stop-and-copy image
     /// of the same cutover state hash identically — the equivalence the
@@ -168,7 +168,7 @@ impl DecodedPod {
             w.put_u32(vpid);
             self.mems[&vpid].encode(&mut w);
         }
-        zapc_proto::crc::fnv1a64(w.bytes())
+        zapc_proto::crc::digest64(w.bytes())
     }
 
     /// Reinstates the accumulated state into `pod` (created beforehand

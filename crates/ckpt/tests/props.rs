@@ -7,7 +7,7 @@
 //! squash drifted from the ground truth by even one byte, the migrated
 //! pod would silently diverge. The property drives a randomized dirty-
 //! write workload (grow/rewrite/unmap interleaved with capture rounds)
-//! and compares FNV-1a digests of the canonical `Memory` encoding.
+//! and compares `digest64` digests of the canonical `Memory` encoding.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -17,7 +17,7 @@ use zapc_ckpt::{
 };
 use zapc_net::{Network, NetworkConfig};
 use zapc_pod::{Pod, PodConfig};
-use zapc_proto::crc::fnv1a64;
+use zapc_proto::crc::digest64;
 use zapc_proto::image::Header;
 use zapc_proto::rw::frame_record;
 use zapc_proto::{
@@ -149,7 +149,7 @@ proptest! {
             w.put_u32(*vpid);
             mem.encode(&mut w);
         }
-        let stop_and_copy = fnv1a64(w.bytes());
+        let stop_and_copy = digest64(w.bytes());
         // Squashed pre-copy chain must be byte-identical to the
         // stop-and-copy image.
         prop_assert_eq!(parts.memory_digest(), stop_and_copy);

@@ -10,10 +10,12 @@
 //! split yields many, which is where cross-checkpoint and cross-rank
 //! deduplication comes from.
 //!
-//! The recipe carries the whole-image FNV-1a 64 digest, the one the
-//! manifest records, so restore checks the recipe against the manifest and
-//! each chunk against its own digest — chunking is invisible above the
-//! store.
+//! The recipe carries the image digest the manifest records: the store's
+//! `recipe_digest`, the `digest64` of the recipe's own `(digest, len)`
+//! list. Restore recomputes it from the list, checks it against the
+//! manifest, and checks each chunk against its own digest — chunking is
+//! invisible above the store, and a recipe whose list was reordered or
+//! swapped is refused even with a valid CRC.
 //!
 //! The wire form mirrors [`crate::manifest`]: its own magic + version
 //! preamble followed by one CRC-framed record, version-gated so an older
@@ -29,7 +31,7 @@ use crate::rw::{preamble_decode, preamble_encode, Decode, Encode, RecordReader, 
 pub const CHUNK_INDEX_MAGIC: &[u8; 8] = b"ZAPCCHX\0";
 
 /// Current chunk-index format version.
-pub const CHUNK_INDEX_VERSION: u32 = 1;
+pub const CHUNK_INDEX_VERSION: u32 = 2;
 
 /// Record tag of the chunk-index body (disjoint from image and manifest
 /// tags).
@@ -42,7 +44,7 @@ pub const CHUNK_INDEX_TAG: u16 = 0x0200;
 /// by a byte-compare at store time (see the store's collision policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkRef {
-    /// FNV-1a 64 digest of the chunk's raw (uncompressed) bytes.
+    /// [`crate::crc::digest64`] of the chunk's raw (uncompressed) bytes.
     pub digest: u64,
     /// Raw (uncompressed) length of the chunk in bytes.
     pub len: u64,
@@ -66,8 +68,9 @@ impl Decode for ChunkRef {
 pub struct ChunkIndex {
     /// Total length of the logical image in bytes.
     pub logical_len: u64,
-    /// FNV-1a 64 digest of the whole logical image (what the manifest
-    /// records, and what restore verifies after reassembly).
+    /// The image digest: `digest64` of the `(digest, len)` list of
+    /// `chunks` (what the manifest records, and what restore recomputes
+    /// from `chunks` before it reads one).
     pub digest: u64,
     /// Chunks in image order; their raw bytes concatenate to the image.
     pub chunks: Vec<ChunkRef>,

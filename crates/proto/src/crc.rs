@@ -1,14 +1,16 @@
-//! CRC-32 (IEEE 802.3 polynomial, reflected) used to protect every record in
-//! a checkpoint image.
+//! The two checksums of the format: CRC-32 (IEEE 802.3 polynomial,
+//! reflected), which protects every record in a checkpoint image, and
+//! [`digest64`], which names stored content.
 //!
-//! Implemented slice-by-8: eight 256-entry tables, all built by `const fn`
-//! at compile time. Table `k` maps a byte to its CRC contribution when `k`
-//! more bytes follow it, so one step folds eight input bytes (two
-//! little-endian `u32` reads) into the state with eight lookups and no
-//! carried dependency between them. The tail of fewer than eight bytes
-//! runs through table 0, the classic byte-at-a-time step. Output is the
-//! standard CRC-32 (check value `0xCBF43926`), identical to a byte-table
-//! or bitwise implementation.
+//! CRC-32 is implemented slice-by-8: eight 256-entry tables, all built by
+//! `const fn` at compile time. Table `k` maps a byte to its CRC
+//! contribution when `k` more bytes follow it, so one step folds eight
+//! input bytes (two little-endian `u32` reads) into the state with eight
+//! lookups and no carried dependency between them. The tail of fewer than
+//! eight bytes runs through table 0, the classic byte-at-a-time step.
+//! Output is the standard CRC-32 (check value `0xCBF43926`), identical to
+//! a byte-table or bitwise implementation. [`digest64`] reads a 64-bit
+//! word at a time into four independent multiply lanes (see its docs).
 
 /// The reflected IEEE 802.3 polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -67,24 +69,72 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
-/// One-shot FNV-1a 64-bit hash of `bytes` — the *image identity* digest.
-///
-/// CRC-32 cannot identify a whole checkpoint image: CRC is linear over
-/// GF(2), and every record in an image embeds the CRC of its own payload,
-/// so the image-wide CRC of any correctly-framed image is independent of
-/// the payload contents (the embedded CRCs cancel the payload terms).
-/// Two images differing only in section payloads therefore share one
-/// CRC-32. FNV-1a multiplies by a prime each step, which is non-linear in
-/// GF(2) and has no such cancellation, making it a sound (non-adversarial)
-/// identity check for stored images and chunks.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Multipliers of the four [`digest64`] lanes (odd, dense in both halves).
+const K: [u64; 4] =
+    [0xa076_1d64_78bd_642f, 0xe703_7ed1_a0b4_28db, 0x8ebc_6af0_9c88_c6e3, 0x5899_65cc_7537_4cc3];
+
+/// Starting values of the four [`digest64`] lanes.
+const SEED: [u64; 4] =
+    [0x1d8e_4e27_c47d_124f, 0x9e37_79b9_7f4a_7c15, 0xbf58_476d_1ce4_e5b9, 0x94d0_49bb_1331_11eb];
+
+/// The 128-bit product of `a` and `b`, its two halves xored together.
+#[inline(always)]
+fn fold(a: u64, b: u64) -> u64 {
+    let p = (a as u128) * (b as u128);
+    (p as u64) ^ ((p >> 64) as u64)
 }
+
+/// The little-endian `u64` in the first eight bytes of `b`.
+#[inline(always)]
+fn word(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
+/// One-shot 64-bit digest of `bytes` — the store's *content identity*:
+/// chunk keys, fetch verification, the image digest chained over a recipe,
+/// and the memory digest of a decoded pod all use it.
+///
+/// CRC-32 cannot identify content: CRC is linear over GF(2), and every
+/// record in an image embeds the CRC of its own payload, so the image-wide
+/// CRC of any correctly-framed image is independent of the payload
+/// contents (the embedded CRCs cancel the payload terms). A multiply is
+/// not linear in GF(2), so this digest has no such cancellation. It is a
+/// sound non-adversarial identity check, not a cryptographic hash.
+///
+/// Word at a time: 32-byte blocks feed four independent lanes, lane `i`
+/// stepping `lane = fold(lane ^ w, K[i]) + w`, where `fold` xors the two
+/// halves of the 128-bit product. The lanes are chained into one state,
+/// which then takes the remaining whole words, a zero-padded final word
+/// and the length.
+pub fn digest64(bytes: &[u8]) -> u64 {
+    let mut lanes = SEED;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for ((lane, k), w) in lanes.iter_mut().zip(K).zip(block.chunks_exact(8)) {
+            let w = word(w);
+            *lane = fold(*lane ^ w, k).wrapping_add(w);
+        }
+    }
+    let mut h = 0;
+    for (lane, k) in lanes.into_iter().zip(K) {
+        h = fold(h ^ lane, k);
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for w in &mut words {
+        let w = word(w);
+        h = fold(h ^ w, K[0]).wrapping_add(w);
+    }
+    let tail = words.remainder();
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    h = fold(h ^ word(&last), K[1]);
+    fold(h ^ bytes.len() as u64, K[2] ^ K[3])
+}
+
+/// The benchmark's digest probe still names the retired byte-at-a-time
+/// digest; it measures [`digest64`], the one the store uses.
+#[doc(hidden)]
+pub use digest64 as fnv1a64;
 
 #[cfg(test)]
 mod tests {
@@ -159,10 +209,10 @@ mod tests {
     }
 
     #[test]
-    fn fnv_distinguishes_self_checksummed_streams() {
-        // The failure mode that rules CRC-32 out as an image digest:
+    fn digest64_distinguishes_self_checksummed_streams() {
+        // The failure mode that rules CRC-32 out as a content digest:
         // "payload || crc32(payload)" streams all share one CRC-32, but
-        // FNV-1a tells them apart.
+        // digest64 tells them apart.
         let framed = |payload: &[u8]| {
             let mut v = payload.to_vec();
             v.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -170,7 +220,93 @@ mod tests {
         };
         let a = framed(&[0u8; 16]);
         let b = framed(&[5u8; 16]);
-        assert_eq!(crc32(&a), crc32(&b), "CRC-32 cancellation (why fnv1a64 exists)");
-        assert_ne!(fnv1a64(&a), fnv1a64(&b));
+        assert_eq!(crc32(&a), crc32(&b), "CRC-32 cancellation (why digest64 exists)");
+        assert_ne!(digest64(&a), digest64(&b));
+    }
+
+    /// Deterministic filler: a 64-bit LCG, high byte of each step.
+    fn lcg(seed: u64, len: usize) -> Vec<u8> {
+        let mut s = seed;
+        (0..len)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (s >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn digest64_known_answers() {
+        assert_eq!(digest64(b""), 0x6649_22e5_33ae_a628);
+        assert_eq!(digest64(b"123456789"), 0xa50c_4e4b_4f62_a06a);
+        assert_eq!(digest64(&lcg(1, 1 << 20)), 0x9513_79c3_6238_80d4);
+    }
+
+    #[test]
+    fn digest64_is_independent_of_alignment() {
+        let src = lcg(7, 96);
+        let mut buf = [0u8; 96 + 8];
+        for len in 0..=96 {
+            let want = digest64(&src[..len]);
+            for off in 0..8 {
+                buf[off..off + len].copy_from_slice(&src[..len]);
+                assert_eq!(digest64(&buf[off..off + len]), want, "off {off} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn digest64_sees_every_single_bit_flip() {
+        let mut data = lcg(3, 1024);
+        let clean = digest64(&data);
+        for bit in 0..data.len() * 8 {
+            data[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(digest64(&data), clean, "bit {bit}");
+            data[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn digest64_sees_swapped_words() {
+        let data = lcg(5, 256);
+        let clean = digest64(&data);
+        // Pairs in one 32-byte block (different lanes), in one lane of two
+        // blocks, and in the word loop after the last block.
+        for (i, j) in [(0, 1), (0, 4), (3, 7), (28, 29), (29, 30), (0, 31)] {
+            let mut swapped = data.clone();
+            for k in 0..8 {
+                swapped.swap(8 * i + k, 8 * j + k);
+            }
+            assert_ne!(digest64(&swapped[..]), clean, "words {i} and {j}");
+            assert_ne!(digest64(&swapped[..248]), digest64(&data[..248]), "words {i} and {j}");
+        }
+    }
+
+    #[test]
+    fn digest64_pads_nothing_into_a_collision() {
+        let (a, b, c) = (digest64(b""), digest64(b"\0"), digest64(b"\0\0"));
+        assert!(a != b && b != c && a != c, "{a:#x} {b:#x} {c:#x}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+        /// Avalanche: flipping one input bit flips about half the output.
+        #[test]
+        fn digest64_flips_half_the_output_per_input_bit(
+            data in proptest::collection::vec(any::<u8>(), 1..160),
+        ) {
+            let clean = digest64(&data);
+            let mut flipped = data.clone();
+            let mut total = 0u32;
+            for bit in 0..data.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                total += (digest64(&flipped) ^ clean).count_ones();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            let mean = total as f64 / (data.len() * 8) as f64;
+            prop_assert!((28.0..=36.0).contains(&mean), "mean {mean} over {} bytes", data.len());
+        }
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! A coordinated checkpoint stages one image per pod into the durable
 //! store and then publishes exactly one [`Manifest`] naming every staged
-//! image with its FNV-1a 64 digest, byte count and placement. Until the
+//! image with its digest, byte count and placement. Until the
 //! manifest file lands at its final path the checkpoint does not exist: a
 //! crash leaves only unreferenced staged images, which recovery
 //! garbage-collects. After the rename the checkpoint is fully
@@ -26,7 +26,7 @@ use std::collections::HashSet;
 pub const MANIFEST_MAGIC: &[u8; 8] = b"ZAPCMAN\0";
 
 /// Current manifest format version.
-pub const MANIFEST_VERSION: u32 = 2;
+pub const MANIFEST_VERSION: u32 = 3;
 
 /// Record tag of the manifest body (disjoint from image section tags).
 pub const MANIFEST_TAG: u16 = 0x0100;
@@ -39,7 +39,9 @@ pub struct ManifestEntry {
     /// Store-relative reference of the committed image
     /// (e.g. `images/7/worker-0`).
     pub image_ref: String,
-    /// FNV-1a 64 digest of the image bytes, re-verified on every open.
+    /// The image digest: `digest64` over its recipe's `(digest, len)`
+    /// chunk list, each chunk keyed by the `digest64` of its bytes.
+    /// Re-verified on every open.
     pub digest: u64,
     /// Image size in bytes.
     pub bytes: u64,

@@ -33,14 +33,21 @@
 //! ## One format: a recipe over chunks
 //!
 //! An image path holds a [`zapc_proto::ChunkIndex`] *recipe*: the image's
-//! length, its FNV-1a 64 digest, and the chunks whose raw bytes concatenate
-//! to it, each stored once under `chunks/<digest>-<len>`. By default the
-//! whole image is one uncompressed chunk, keyed by the image digest itself.
-//! With [`ImageStore::set_chunking`] `put_image` splits it into
-//! content-defined chunks ([`chunk`]), optionally [`compress`]ed, and
-//! identical chunks across pods and checkpoints are stored once.
+//! length, its digest, and the chunks whose raw bytes concatenate to it,
+//! each stored once under `chunks/<digest>-<len>` and keyed by the
+//! [`digest64`] of its raw bytes. By default the whole image is one
+//! uncompressed chunk. With [`ImageStore::set_chunking`] `put_image` splits
+//! it into content-defined chunks ([`chunk`]), optionally [`compress`]ed,
+//! and identical chunks across pods and checkpoints are stored once.
 //!
-//! Every reader has one path. [`ImageStore::fetch_verified`] reassembles a
+//! The image digest — the one a manifest records — is [`recipe_digest`],
+//! the [`digest64`] of the recipe's `(digest, len)` list, so a put hashes
+//! every image byte exactly once, on either path. It pins the bytes
+//! through the list: each chunk's bytes are pinned by its key, and the
+//! keys, their order and their count are pinned by the manifest.
+//!
+//! Every reader has one path. [`ImageStore::fetch_verified`] recomputes the
+//! recipe's digest, checks it against the manifest's, and reassembles the
 //! recipe, verifying every chunk's digest as it decodes it, so everything
 //! above the store — manifests, recovery, restart — is oblivious to
 //! chunking. Chunks are keyed by the *(digest, length)* pair and
@@ -82,7 +89,7 @@ use std::sync::{Arc, Mutex};
 
 use zapc_faults::{FaultAction, FaultPlan};
 use zapc_obs::Observer;
-use zapc_proto::crc::fnv1a64;
+use zapc_proto::crc::digest64;
 use zapc_proto::{ChunkIndex, ChunkRef, DecodeError, Manifest, ManifestEntry};
 use zapc_sim::{Errno, SimFs};
 
@@ -232,6 +239,19 @@ impl GcReport {
     pub fn total(&self) -> usize {
         self.images_removed + self.tmp_removed + self.chunks_removed
     }
+}
+
+/// The image digest of a recipe over `chunks`: the [`digest64`] of their
+/// `(digest, len)` list, each pair as two little-endian `u64`s, in image
+/// order. What [`ImageStore::put_image`] returns for a manifest to record,
+/// and what every read recomputes from the recipe it finds.
+pub fn recipe_digest(chunks: &[ChunkRef]) -> u64 {
+    let mut list = Vec::with_capacity(16 * chunks.len());
+    for c in chunks {
+        list.extend_from_slice(&c.digest.to_le_bytes());
+        list.extend_from_slice(&c.len.to_le_bytes());
+    }
+    digest64(&list)
 }
 
 /// How `put_image` splits an image into chunks when it is not one chunk
@@ -452,27 +472,27 @@ impl ImageStore {
     }
 
     /// Stages one pod image into checkpoint `ckpt`. Returns the
-    /// store-relative reference and the FNV-1a 64 digest to record in the
-    /// manifest. The image is durable but *unreachable* until a manifest
-    /// naming it commits.
+    /// store-relative reference and the image digest ([`recipe_digest`])
+    /// to record in the manifest. The image is durable but *unreachable*
+    /// until a manifest naming it commits.
     ///
     /// The chunks are staged first, then the [`ChunkIndex`] recipe at the
     /// image path. Without chunking the image is one uncompressed chunk
-    /// keyed by the digest returned here, so it is hashed once; an empty
-    /// image gets a recipe with no chunks.
+    /// keyed by `digest64(bytes)`; an empty image gets a recipe with no
+    /// chunks. Either way each byte is hashed once, by its chunk key.
     pub fn put_image(&self, ckpt: u64, pod: &str, bytes: &[u8]) -> StoreResult<(String, u64)> {
         let span = self.obs.span("store", "store.put");
-        let digest = fnv1a64(bytes);
         let rel = Self::image_ref(ckpt, pod);
         let chunking = *self.chunking.lock().expect("chunking lock");
         let chunks = match chunking {
             None if bytes.is_empty() => Vec::new(),
-            None => vec![self.put_chunk(ckpt, bytes, digest, false, pod, fnv1a64)?],
+            None => vec![self.put_chunk_digested(ckpt, bytes, false, pod, digest64)?],
             Some(cfg) => chunk::split(bytes, &cfg.params)
                 .into_iter()
-                .map(|r| self.put_chunk_digested(ckpt, &bytes[r], cfg.compress, pod, fnv1a64))
+                .map(|r| self.put_chunk_digested(ckpt, &bytes[r], cfg.compress, pod, digest64))
                 .collect::<StoreResult<_>>()?,
         };
+        let digest = recipe_digest(&chunks);
         let ix = ChunkIndex { logical_len: bytes.len() as u64, digest, chunks };
         self.put_durable(&rel, &[&ix.to_bytes()], pod, None)?;
         self.obs.counter("store", "store.put_bytes", bytes.len() as u64);
@@ -495,9 +515,12 @@ impl ImageStore {
     ///   it is unlinked and the chunk is staged fresh, so damage is never
     ///   counted as a dedup hit.
     ///
+    /// The resident is compared where it lies: a raw one in place, a
+    /// compressed one after one decompression.
+    ///
     /// `digest_fn` is a seam for the collision path: `put_image` passes
-    /// FNV-1a 64; tests inject a colliding function because crafting real
-    /// equal-length FNV collisions is infeasible.
+    /// [`digest64`]; tests inject a colliding function because crafting
+    /// real equal-length collisions is out of reach.
     pub fn put_chunk_digested(
         &self,
         ckpt: u64,
@@ -506,29 +529,37 @@ impl ImageStore {
         site_key: &str,
         digest_fn: fn(&[u8]) -> u64,
     ) -> StoreResult<ChunkRef> {
-        self.put_chunk(ckpt, raw, digest_fn(raw), compress, site_key, digest_fn)
-    }
-
-    /// [`ImageStore::put_chunk_digested`] for a caller that already holds
-    /// `digest == digest_fn(raw)`: a whole image is keyed by the digest
-    /// `put_image` computed for the manifest, not hashed a second time.
-    fn put_chunk(
-        &self,
-        ckpt: u64,
-        raw: &[u8],
-        digest: u64,
-        compress: bool,
-        site_key: &str,
-        digest_fn: fn(&[u8]) -> u64,
-    ) -> StoreResult<ChunkRef> {
+        let digest = digest_fn(raw);
         let len = raw.len() as u64;
         let cref = ChunkRef { digest, len };
         let rel = Self::chunk_ref(digest, len);
         let abs = self.abs(&rel);
-        if let Ok(stored) = self.fs.read(&abs) {
-            let mut existing = Vec::with_capacity(raw.len());
-            let decoded = Self::decode_chunk_into(&stored, raw.len(), &mut existing);
-            if decoded && existing == raw {
+        enum Resident {
+            Hit,
+            Collision,
+            Damaged,
+        }
+        let resident = self.fs.read_with(&abs, |stored| {
+            let mut unpacked = Vec::new();
+            let existing: &[u8] = match stored.split_first() {
+                Some((0, payload)) if payload.len() == raw.len() => payload,
+                Some((1, payload))
+                    if compress::decompress_into(payload, raw.len(), &mut unpacked) =>
+                {
+                    &unpacked
+                }
+                _ => return Resident::Damaged,
+            };
+            if existing == raw {
+                Resident::Hit
+            } else if digest_fn(existing) == digest {
+                Resident::Collision
+            } else {
+                Resident::Damaged
+            }
+        });
+        match resident {
+            Ok(Resident::Hit) => {
                 // Dedup hit. Re-fsync: if the original writer's fsync
                 // was dropped, this hit must not launder the chunk
                 // into a committed manifest while it is still volatile.
@@ -538,12 +569,13 @@ impl ImageStore {
                 self.obs.counter("store", "store.dedup_saved_bytes", len);
                 return Ok(cref);
             }
-            if decoded && digest_fn(&existing) == digest {
-                return Err(StoreError::DigestCollision { digest, len });
-            }
+            Ok(Resident::Collision) => return Err(StoreError::DigestCollision { digest, len }),
             // Half-written or bit-rotted resident: evict and re-stage
             // rather than dedup against damage.
-            let _ = self.fs.unlink(&abs);
+            Ok(Resident::Damaged) => {
+                let _ = self.fs.unlink(&abs);
+            }
+            Err(_) => {}
         }
         let packed = compress.then(|| compress::compress(raw)).filter(|p| p.len() < raw.len());
         let (flag, payload): (u8, &[u8]) = match &packed {
@@ -585,7 +617,7 @@ impl ImageStore {
             Err(Errno::ENOENT) => return Err(StoreError::ChunkMissing { digest, len }),
             Err(e) => return Err(StoreError::Io(e)),
         }
-        let got = fnv1a64(&out[start..]);
+        let got = digest64(&out[start..]);
         if got != digest {
             return Err(StoreError::ChunkDigestMismatch { digest, len, got });
         }
@@ -634,19 +666,18 @@ impl ImageStore {
     /// committed manifest. Every restore path uses this: a partial or
     /// bit-rotted image is refused, never consumed.
     ///
-    /// The recipe pins its image: its (CRC-framed) digest must be the one
-    /// the manifest recorded, its chunk lengths sum to its logical length,
-    /// and every chunk is checked against its own digest as it is decoded
-    /// into place. For a one-chunk recipe that chunk digest *is* the image
-    /// digest, so the image is hashed exactly once.
+    /// The recipe pins its image: the digest it records and the
+    /// [`recipe_digest`] recomputed from its chunk list must both be the
+    /// one the manifest recorded, its chunk lengths sum to its logical
+    /// length, and every chunk is checked against its own digest as it is
+    /// decoded into place. So the image is hashed exactly once, by its
+    /// chunks, and a recipe that reorders, drops or swaps a chunk ref is
+    /// refused even when its CRC is valid.
     pub fn fetch_verified(&self, image_ref: &str, want: u64) -> StoreResult<Vec<u8>> {
         let ix = self.recipe(image_ref)?;
-        if ix.digest != want {
-            return Err(StoreError::DigestMismatch {
-                image_ref: image_ref.to_string(),
-                want,
-                got: ix.digest,
-            });
+        let got = Self::pinned_digest(&ix, want);
+        if got != want {
+            return Err(StoreError::DigestMismatch { image_ref: image_ref.to_string(), want, got });
         }
         let mut out =
             Vec::with_capacity((ix.logical_len as usize).min(zapc_proto::MAX_PREALLOC_BYTES));
@@ -656,18 +687,30 @@ impl ImageStore {
         Ok(out)
     }
 
+    /// The digest that stands against a manifest's `want` for recipe `ix`:
+    /// its recorded digest if that differs from `want`, else the digest
+    /// recomputed from its chunk list.
+    fn pinned_digest(ix: &ChunkIndex, want: u64) -> u64 {
+        if ix.digest != want {
+            ix.digest
+        } else {
+            recipe_digest(&ix.chunks)
+        }
+    }
+
     /// Whether a manifest entry's image is whole, answered from metadata
     /// alone: its recipe parses (it is CRC-framed), pins the recorded
-    /// length and digest, and names only chunks that exist. No chunk byte
-    /// is read. Under tmp → fsync → rename a torn write is a missing file,
-    /// which this sees — a crash truncates a file to its fsync watermark,
-    /// which the discipline leaves at the full length or at zero. Bit rot
+    /// length and digest (recorded and recomputed from its chunk list), and
+    /// names only chunks that exist. No chunk byte is read. Under tmp →
+    /// fsync → rename a torn write is a missing file, which this sees — a
+    /// crash truncates a file to its fsync watermark, which the discipline
+    /// leaves at the full length or at zero. Bit rot
     /// inside a whole file, a short chunk included, is left to the read
     /// that consumes it ([`ImageStore::fetch_verified`]).
     pub fn entry_is_whole(&self, entry: &ManifestEntry) -> bool {
         self.recipe(&entry.image_ref).is_ok_and(|ix| {
             ix.logical_len == entry.bytes
-                && ix.digest == entry.digest
+                && Self::pinned_digest(&ix, entry.digest) == entry.digest
                 && ix
                     .chunks
                     .iter()
@@ -933,11 +976,14 @@ mod tests {
         let bytes = payload(5000, 1);
         let (rel, digest) = st.put_image(1, "w0", &bytes).unwrap();
         let ix = st.recipe(&rel).unwrap();
-        assert_eq!(ix.chunks, vec![ChunkRef { digest, len: bytes.len() as u64 }]);
-        assert_eq!(st.chunk_refs(), vec![ImageStore::chunk_ref(digest, bytes.len() as u64)]);
+        let only = ChunkRef { digest: digest64(&bytes), len: bytes.len() as u64 };
+        assert_eq!(ix.chunks, vec![only]);
+        assert_eq!(digest, recipe_digest(&[only]));
+        assert_eq!(st.chunk_refs(), vec![ImageStore::chunk_ref(only.digest, only.len)]);
 
         // An empty image has a recipe and no chunk.
         let (rel, digest) = st.put_image(1, "w1", b"").unwrap();
+        assert_eq!(digest, recipe_digest(&[]));
         assert_eq!(st.recipe(&rel).unwrap(), ChunkIndex { logical_len: 0, digest, chunks: vec![] });
         assert_eq!(st.fetch_verified(&rel, digest).unwrap(), b"");
         assert_eq!(st.chunk_refs().len(), 1);
@@ -1108,8 +1154,8 @@ mod tests {
             st.set_chunking(cfg);
             let bytes = payload(20_000, 3);
             let (rel, digest) = st.put_image(1, "w0", &bytes).unwrap();
-            assert_eq!(digest, fnv1a64(&bytes));
             let ix = st.recipe(&rel).unwrap();
+            assert_eq!(digest, recipe_digest(&ix.chunks), "{cfg:?}");
             assert_eq!((ix.logical_len, ix.digest), (bytes.len() as u64, digest), "{cfg:?}");
             assert_eq!(st.fetch_verified(&rel, digest).unwrap(), bytes);
             assert_eq!(st.chunk_refs().len(), ix.chunks.len(), "{cfg:?}");
@@ -1140,9 +1186,9 @@ mod tests {
 
     #[test]
     fn crafted_collision_is_typed_not_aliased() {
-        // Equal-length FNV-1a 64 collisions are computationally out of
-        // reach, so the digest function is the seam: both inputs map to
-        // one key, and the byte-compare must catch the lie.
+        // Equal-length digest64 collisions are out of reach to craft, so
+        // the digest function is the seam: both inputs map to one key, and
+        // the byte-compare must catch the lie.
         fn colliding(_: &[u8]) -> u64 {
             0xC011_1DED_C011_1DED
         }
@@ -1314,6 +1360,47 @@ mod tests {
             // Tear it away: no longer whole.
             fs.unlink(&path).unwrap();
             assert!(!st.entry_is_whole(e), "chunked={chunked}");
+        }
+    }
+
+    #[test]
+    fn recipe_chunk_list_is_pinned_by_the_manifest_digest() {
+        // Fixed 256-byte chunks: any two refs of an image are
+        // interchangeable as far as the recipe's length checks can tell.
+        let fixed = ChunkParams { min: 256, mask_bits: 7, max: 256 };
+        type Rewrite = fn(&mut Vec<ChunkRef>, ChunkRef);
+        let cases: [(&str, Rewrite); 2] = [
+            ("two refs swapped", |chunks, _| chunks.swap(0, 1)),
+            ("a ref replaced by another resident chunk", |chunks, other| chunks[2] = other),
+        ];
+        for (name, rewrite) in cases {
+            let (fs, st) = store();
+            st.set_chunking(Some(ChunkingConfig { compress: false, params: fixed }));
+            let bytes = payload(1024, 4);
+            let m = manifest_for(&st, 1, &[("w0", &bytes), ("w1", &payload(256, 5))]);
+            st.commit_manifest(&m).unwrap();
+            let (e, other) = (&m.entries[0], st.recipe(&m.entries[1].image_ref).unwrap());
+            assert_eq!(st.fetch_verified(&e.image_ref, e.digest).unwrap(), bytes);
+
+            // Rewrite w0's recipe with a valid CRC and its recorded digest.
+            let mut ix = st.recipe(&e.image_ref).unwrap();
+            assert_eq!(ix.chunks.len(), 4);
+            rewrite(&mut ix.chunks, other.chunks[0]);
+            let abs = st.abs(&e.image_ref);
+            fs.write(&abs, &ix.to_bytes());
+            fs.fsync(&abs).unwrap();
+            assert_eq!(st.recipe(&e.image_ref).unwrap(), ix, "{name}: the recipe parses");
+
+            assert_eq!(
+                st.fetch_verified(&e.image_ref, e.digest),
+                Err(StoreError::DigestMismatch {
+                    image_ref: e.image_ref.clone(),
+                    want: e.digest,
+                    got: recipe_digest(&ix.chunks),
+                }),
+                "{name}"
+            );
+            assert!(!st.entry_is_whole(e), "{name}");
         }
     }
 

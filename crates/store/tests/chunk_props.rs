@@ -11,11 +11,11 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use zapc_faults::FaultPlan;
 use zapc_obs::Observer;
-use zapc_proto::crc::fnv1a64;
+use zapc_proto::crc::digest64;
 use zapc_sim::SimFs;
 use zapc_store::chunk::{split, ChunkParams};
 use zapc_store::compress::{compress, decompress};
-use zapc_store::{ChunkingConfig, ImageStore};
+use zapc_store::{recipe_digest, ChunkingConfig, ImageStore};
 
 fn store(cfg: Option<ChunkingConfig>) -> ImageStore {
     let st = ImageStore::new(
@@ -83,13 +83,20 @@ proptest! {
     ) {
         // Several images through one store, so later ones dedup against
         // earlier residents — the hit path is exercised, not just stage.
-        // Layout 0 keeps each image whole, as one chunk.
+        // Layout 0 keeps each image whole, as one chunk keyed by the
+        // digest of its bytes. Every layout returns the digest chained
+        // over the recipe's chunk list.
         let cfg = (layout > 0).then_some(ChunkingConfig { compress: layout == 2, params: p });
         let st = store(cfg);
         let mut staged = Vec::new();
         for (i, bytes) in images.iter().enumerate() {
             let (rel, digest) = st.put_image(1, &format!("w{i}"), bytes).unwrap();
-            prop_assert_eq!(digest, fnv1a64(bytes));
+            let ix = st.recipe(&rel).unwrap();
+            prop_assert_eq!(digest, recipe_digest(&ix.chunks));
+            if layout == 0 && !bytes.is_empty() {
+                prop_assert_eq!(ix.chunks.len(), 1);
+                prop_assert_eq!(ix.chunks[0].digest, digest64(bytes));
+            }
             staged.push((rel, digest));
         }
         for ((rel, digest), bytes) in staged.iter().zip(&images) {

@@ -95,7 +95,7 @@ pub struct PodReport {
     /// Store-relative reference of the staged image (durable-store
     /// checkpoints only; empty otherwise).
     pub image_ref: String,
-    /// FNV-1a 64 digest of the image (durable-store checkpoints only).
+    /// Store digest of the image (durable-store checkpoints only).
     pub digest: u64,
 }
 

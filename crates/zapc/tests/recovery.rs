@@ -586,3 +586,51 @@ fn image_damaged_past_its_meta_data_falls_back_to_the_previous_checkpoint() {
     assert_eq!(c.istore.manifest_ids(), vec![1], "checkpoint 2 rolled back");
     assert_eq!(wait_codes(&c), expected, "restart lands on checkpoint 1");
 }
+
+/// A recipe rewritten with a valid CRC and its recorded digest — its chunk
+/// refs reordered, or one swapped for another resident chunk of the same
+/// length — still parses and names only chunks that exist, so every length
+/// check passes. The manifest's digest is chained over the chunk list, so
+/// the store refuses it, `recover` rolls it back from metadata alone, and
+/// a restart from the newest checkpoint lands on the previous one.
+#[test]
+fn recipe_chunk_list_is_pinned_by_the_manifest_digest() {
+    type Rewrite = fn(&Cluster, &mut ChunkIndex);
+    let cases: [(&str, bool, Rewrite); 2] = [
+        ("two refs swapped", true, |_, ix| ix.chunks.swap(0, 1)),
+        ("a ref replaced by a same-length resident", false, |c, ix| {
+            // Unchunked, each image is one chunk: checkpoint 1's chunk of
+            // the same pod has the same length and stays resident.
+            let older = recipe(c, 1, "w0").chunks[0];
+            assert_eq!(older.len, ix.chunks[0].len, "same-length resident");
+            assert_ne!(older, ix.chunks[0]);
+            ix.chunks[0] = older;
+        }),
+    ];
+    for (name, chunked, rewrite) in cases {
+        let c = store_cluster(chunked);
+        let expected = launch(&c);
+        commit_twice(&c);
+        let e = c.istore.manifest(2).unwrap().entry("w0").unwrap().clone();
+        let mut ix = recipe(&c, 2, "w0");
+        rewrite(&c, &mut ix);
+        overwrite(&c, &e.image_ref, &ix.to_bytes());
+        assert_eq!(recipe(&c, 2, "w0"), ix, "{name}: the rewritten recipe parses");
+
+        assert!(
+            matches!(
+                c.istore.fetch_verified(&e.image_ref, e.digest),
+                Err(StoreError::DigestMismatch { .. })
+            ),
+            "{name}"
+        );
+        assert!(!c.istore.entry_is_whole(&e), "{name}");
+
+        c.destroy_pod("w0");
+        c.destroy_pod("w1");
+        restart_from_manifest(&c, None, WAIT).unwrap();
+        assert_eq!(c.istore.manifest_ids(), vec![1], "{name}: checkpoint 2 rolled back");
+        assert_eq!(wait_codes(&c), expected, "{name}: restart lands on checkpoint 1");
+        assert_eq!(c.istore.audit(&live(&c)), Vec::<String>::new(), "{name}");
+    }
+}

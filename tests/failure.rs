@@ -342,7 +342,7 @@ fn restart_from_non_standalone_image_fails_typed_and_rolls_back() {
         // The retired payload layout: parent label, its digest, depth.
         w.section(SectionTag::ParentRef, |p| {
             p.put_str("img/good#g0");
-            p.put_u64(zapc_proto::crc::fnv1a64(&good));
+            p.put_u64(zapc_proto::crc::digest64(&good));
             p.put_u32(1);
         });
         for s in rd.sections().unwrap() {
