@@ -12,7 +12,10 @@
 //! and one table add per byte, with the 256-entry random table generated
 //! at compile time from splitmix64. Boundaries are declared when
 //! `hash & mask == 0` after at least `min` bytes, and forced at `max`
-//! bytes so a pathological stream cannot produce unbounded chunks.
+//! bytes so a pathological stream cannot produce unbounded chunks. The
+//! hash forgets a byte 64 bytes after it, so [`split`] starts hashing 64
+//! bytes before `min` rather than at the chunk start: the boundaries are
+//! the same, and the first `min - 64` bytes of each chunk are skipped.
 
 use std::ops::Range;
 
@@ -25,7 +28,8 @@ pub struct ChunkParams {
     /// Minimum chunk size in bytes (boundaries before this are ignored).
     pub min: usize,
     /// Number of low hash bits that must be zero at a boundary; the
-    /// expected chunk size is `min + 2^mask_bits` bytes.
+    /// expected chunk size is `min + 2^mask_bits` bytes. From 64 up no
+    /// content boundary exists and every chunk but the last is `max`.
     pub mask_bits: u32,
     /// Maximum chunk size in bytes (a boundary is forced here).
     pub max: usize,
@@ -38,9 +42,11 @@ impl Default for ChunkParams {
 }
 
 impl ChunkParams {
-    /// The boundary mask derived from `mask_bits`.
-    fn mask(&self) -> u64 {
-        (1u64 << self.mask_bits) - 1
+    /// The boundary mask derived from `mask_bits`; `None` when the mask is
+    /// wider than the hash, so no content boundary exists and only `max`
+    /// cuts.
+    fn mask(&self) -> Option<u64> {
+        1u64.checked_shl(self.mask_bits).map(|bit| bit - 1)
     }
 }
 
@@ -69,29 +75,50 @@ static GEAR: [u64; 256] = gear_table();
 /// Splits `data` into content-defined chunk ranges. The ranges are
 /// contiguous, non-empty, and cover `data` exactly; an empty input yields
 /// no chunks. Deterministic: the same bytes always split the same way,
-/// which the dedup layer depends on.
+/// which the dedup layer depends on. Total over every [`ChunkParams`].
 pub fn split(data: &[u8], p: &ChunkParams) -> Vec<Range<usize>> {
     let min = p.min.max(1);
     let max = p.max.max(min);
     let mask = p.mask();
-    let mut out = Vec::with_capacity(data.len() / (min + (1 << p.mask_bits)).max(1) + 1);
+    let mut out = Vec::new();
     let mut start = 0usize;
-    let mut h: u64 = 0;
-    let mut i = 0usize;
-    while i < data.len() {
-        h = (h << 1).wrapping_add(GEAR[data[i] as usize]);
-        i += 1;
-        let len = i - start;
-        if (len >= min && (h & mask) == 0) || len >= max {
-            out.push(start..i);
-            start = i;
-            h = 0;
-        }
-    }
-    if start < data.len() {
-        out.push(start..data.len());
+    while start < data.len() {
+        let len = first_chunk_len(&data[start..], min, max, mask);
+        out.push(start..start + len);
+        start += len;
     }
     out
+}
+
+/// The length of the first chunk of non-empty `data`: the first position
+/// at least `min` bytes in where `hash & mask == 0`, else `max`, else all
+/// of `data`.
+///
+/// Each step shifts the hash left by one, so a byte's table entry has left
+/// the 64-bit hash 64 bytes later: the hash at any position is a function
+/// of the last 64 bytes alone. Hashing therefore starts 64 bytes before
+/// the first position that can cut (or at the chunk start, when `min` is
+/// shorter), and every boundary falls where hashing from the chunk start
+/// puts it, without touching the `min - 64` bytes before.
+fn first_chunk_len(data: &[u8], min: usize, max: usize, mask: Option<u64>) -> usize {
+    if data.len() <= min {
+        return data.len();
+    }
+    let window = &data[..data.len().min(max)];
+    let Some(mask) = mask else {
+        return window.len();
+    };
+    let mut h: u64 = 0;
+    for &b in &window[min.saturating_sub(64)..min - 1] {
+        h = (h << 1).wrapping_add(GEAR[b as usize]);
+    }
+    for (at, &b) in window[min - 1..].iter().enumerate() {
+        h = (h << 1).wrapping_add(GEAR[b as usize]);
+        if h & mask == 0 {
+            return min + at;
+        }
+    }
+    window.len()
 }
 
 #[cfg(test)]

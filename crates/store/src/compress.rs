@@ -2,7 +2,11 @@
 //!
 //! The registry is offline, so the store carries its own codec: a small
 //! LZ77 variant in the LZ4 spirit — greedy matching against a hash table
-//! of recent 4-byte sequences, byte-aligned output, no entropy stage.
+//! of recent 4-byte sequences, byte-aligned output, no entropy stage. Like
+//! LZ4 it accelerates through data that does not match: each run of 64
+//! consecutive misses widens the search stride by one byte, and the first
+//! match narrows it back to one, so an incompressible chunk costs a few
+//! hundred probes per 4 KiB rather than a probe per byte.
 //! Checkpoint images are full of zero pages, repeated headers, and
 //! rank-symmetric ballast, which this shape compresses well at a cost of
 //! a few instructions per byte. Run-length encoding falls out for free as
@@ -28,9 +32,38 @@ const MAX_LITERALS: usize = 128;
 const MAX_OFFSET: usize = 65535;
 const HASH_BITS: u32 = 13;
 
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+/// LZ4's skip strength: after `n` misses in a row the search steps
+/// `1 + (n >> SKIP_SHIFT)` bytes.
+const SKIP_SHIFT: u32 = 6;
+
+fn read4(input: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(input[at..at + 4].try_into().expect("4 bytes"))
+}
+
+fn read8(input: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(input[at..at + 8].try_into().expect("8 bytes"))
+}
+
+fn hash4(v: u32) -> usize {
     (v.wrapping_mul(2_654_435_761) >> (32 - HASH_BITS)) as usize
+}
+
+/// How far the bytes at `cand` and `at` (> `cand`) agree, up to `cap`,
+/// given that the first [`MIN_MATCH`] already do. Eight bytes per step:
+/// the lowest differing byte is the xor's trailing zeros over eight.
+fn match_len(input: &[u8], cand: usize, at: usize, cap: usize) -> usize {
+    let mut len = MIN_MATCH;
+    while len + 8 <= cap {
+        let diff = read8(input, cand + len) ^ read8(input, at + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < cap && input[cand + len] == input[at + len] {
+        len += 1;
+    }
+    len
 }
 
 fn flush_literals(input: &[u8], from: usize, to: usize, out: &mut Vec<u8>) {
@@ -45,31 +78,38 @@ fn flush_literals(input: &[u8], from: usize, to: usize, out: &mut Vec<u8>) {
 
 /// Compresses `input`. The output is never assumed smaller — the caller
 /// compares lengths and stores raw when compression does not pay.
+///
+/// The table holds positions modulo 2^32. Past 4 GiB a stale entry can
+/// alias a recent position; that only yields a wrong candidate, which the
+/// byte comparison refuses, so any input length compresses correctly.
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
+    // Every slot starts at position 0: a real position, checked like any
+    // other candidate.
+    let mut table = [0u32; 1 << HASH_BITS];
     let mut i = 0usize;
     let mut lit_start = 0usize;
+    let mut misses = 0usize;
     while i + MIN_MATCH <= input.len() {
-        let h = hash4(&input[i..]);
-        let cand = table[h];
-        table[h] = i;
-        if cand != usize::MAX
-            && i - cand <= MAX_OFFSET
-            && input[cand..cand + MIN_MATCH] == input[i..i + MIN_MATCH]
-        {
-            let mut len = MIN_MATCH;
-            let cap = (input.len() - i).min(MAX_MATCH);
-            while len < cap && input[cand + len] == input[i + len] {
-                len += 1;
-            }
+        let word = read4(input, i);
+        let slot = &mut table[hash4(word)];
+        // An offset that passes the `MAX_OFFSET` test is at most `i`: below
+        // 4 GiB every slot holds a position up to `i`, above it `i` is far
+        // past `MAX_OFFSET`.
+        let offset = (i as u32).wrapping_sub(*slot) as usize;
+        *slot = i as u32;
+        if offset != 0 && offset <= MAX_OFFSET && read4(input, i - offset) == word {
+            let cand = i - offset;
+            let len = match_len(input, cand, i, (input.len() - i).min(MAX_MATCH));
             flush_literals(input, lit_start, i, &mut out);
             out.push(0x80 | (len - MIN_MATCH) as u8);
-            out.extend_from_slice(&((i - cand) as u16).to_le_bytes());
+            out.extend_from_slice(&(offset as u16).to_le_bytes());
             i += len;
             lit_start = i;
+            misses = 0;
         } else {
-            i += 1;
+            i += 1 + (misses >> SKIP_SHIFT);
+            misses += 1;
         }
     }
     flush_literals(input, lit_start, input.len(), &mut out);
