@@ -132,7 +132,13 @@ fn bt_survives_migration_with_sendq_merge() {
     // application: identical results. Whether an established connection
     // holds unacked bytes at the cut is host timing, so attempts repeat
     // until one catches queued data and the merge moves it; the result is
-    // asserted on every attempt.
+    // asserted on every attempt. On that attempt no byte travels twice:
+    // what the restore re-sends plus what rode in the peers' images is at
+    // most the send queues saved at the cut (a merge that appended to the
+    // peer but left the sender's queue would count those bytes twice).
+    // The counters are final once the migration returns, so the byte
+    // count is checked before the run ends: a double transfer then fails
+    // as one, not as the corrupted result or hung rank it goes on to cause.
     let params = AppParams { work: 8.0, ..small_params(AppKind::Bt, 4) };
     let expected = {
         let c = cluster(4);
@@ -151,10 +157,18 @@ fn bt_survives_migration_with_sendq_merge() {
         let moves: Vec<(String, usize)> =
             app.pods.iter().enumerate().map(|(i, p)| (p.clone(), (i + 1) % 4)).collect();
         migrate_live_with(&c, &moves, &opts).unwrap();
+        moved = ring.counter_sum("mig.merged_bytes");
+        if moved > 0 {
+            let (resent, saved) =
+                (ring.counter_sum("netckpt.resend_bytes"), ring.counter_sum("netckpt.send_bytes"));
+            assert!(
+                resent + moved <= saved,
+                "{resent} B re-sent + {moved} B merged > {saved} B saved in send queues"
+            );
+        }
         let got = app.wait(&c, TIMEOUT).unwrap();
         app.destroy(&c);
         assert_eq!(got, expected);
-        moved = ring.counter_sum("mig.merged_bytes");
         if moved > 0 {
             break;
         }

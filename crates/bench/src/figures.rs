@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 use zapc::agent::Finalize;
-use zapc::manager::{CheckpointReport, CheckpointTarget, RestartTarget};
+use zapc::manager::{CheckpointTarget, RestartTarget};
 use zapc::{checkpoint, restart, Cluster, Uri};
 use zapc_apps::launch::{full_registry, launch_app, AppKind, AppParams, Launched};
 
@@ -12,8 +12,8 @@ pub const NODE_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 pub const BT_NODE_COUNTS: [usize; 4] = [1, 4, 9, 16];
 
 /// Per-syscall pod virtualization overhead (virtual-time ns) used for the
-/// ZapC configuration; the `fig5_virtualization` Criterion bench measures
-/// the real interposition cost this models.
+/// ZapC configuration; the benchmark's `pod.syscall_ns` tile measures the
+/// real per-syscall cost this models.
 pub const ZAPC_OVERHEAD_NS: u64 = 150;
 
 /// Measurement sizing.
@@ -47,20 +47,10 @@ pub fn node_counts(kind: AppKind) -> &'static [usize] {
     }
 }
 
-/// Mean network-blocked time across pods, in milliseconds — the quantity
-/// the paper's single synchronization minimizes and the `ablation_sync`
-/// bench compares against the global-barrier strawman (§4).
-pub fn mean_blocked_ms(report: &CheckpointReport) -> f64 {
-    if report.pods.is_empty() {
-        return 0.0;
-    }
-    report.pods.iter().map(|p| p.blocked_ms).sum::<f64>() / report.pods.len() as f64
-}
-
 /// Builds the cluster for a given endpoint count: up to 8 uniprocessor
 /// blades; 16 endpoints run as 8 dual-CPU blades with two pods per node
 /// (the paper's sixteen-node configuration); 9 uses 9 blades (BT).
-pub fn cluster_for(ranks: usize, virt_overhead_ns: u64) -> Cluster {
+fn cluster_for(ranks: usize, virt_overhead_ns: u64) -> Cluster {
     let (nodes, cpus) = match ranks {
         0..=8 => (ranks.max(1), 1),
         9 => (9, 1),
@@ -129,7 +119,8 @@ pub struct CheckpointSample {
     pub ckpt_ms_avg: f64,
     /// Worst checkpoint latency (ms).
     pub ckpt_ms_max: f64,
-    /// Mean per-Agent network-state checkpoint latency (ms).
+    /// Mean per-Agent network-state checkpoint latency (ms): Figure 6a's
+    /// network-state share of each checkpoint.
     pub net_ms_avg: f64,
     /// Mean size of the *largest* pod image (bytes) — Figure 6c.
     pub image_bytes_max_pod: f64,

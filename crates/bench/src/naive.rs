@@ -4,8 +4,8 @@
 //! queue by `read`ing in `MSG_PEEK` mode is incomplete: "this technique …
 //! will fail to capture all of the data in the network queues with TCP,
 //! including crucial out-of-band, urgent, and backlog queue data." This
-//! module implements exactly that broken capture so tests and benchmarks
-//! can demonstrate the data loss the real mechanism avoids.
+//! module implements exactly that broken capture so its test can
+//! demonstrate the data loss the real mechanism avoids.
 
 use zapc_pod::Pod;
 use zapc_proto::Transport;

@@ -266,15 +266,18 @@ pub struct SendSnapshot {
 }
 
 impl SendSnapshot {
-    /// Splits the snapshot into `(normal, urgent)` byte runs after
-    /// discarding the first `discard` bytes (the receive-queue overlap fix
-    /// of §5, Figure 4), preserving stream order of the normal data.
+    /// The queue left after discarding its first `discard` bytes (the
+    /// receive-queue overlap fix of §5, Figure 4), as `(urgent, bytes)`
+    /// runs in stream order: replaying them in turn — `send_oob` for an
+    /// urgent run, `send` otherwise — rebuilds the stream byte for byte.
+    /// Adjacent runs differ in urgency; a queue without urgent data is at
+    /// most one normal run.
     ///
     /// Total for *any* input: restore feeds this sequence numbers and
     /// urgent marks decoded from a checkpoint image, so marks are clamped
     /// into the data span and all arithmetic is done in offset space —
     /// a hostile image degrades to a shorter plan, never to a panic.
-    pub fn resend_plan(&self, discard: u64) -> (Vec<u8>, Vec<u8>) {
+    pub fn resend_plan(&self, discard: u64) -> Vec<(bool, Vec<u8>)> {
         let len = self.data.len() as u64;
         // Offsets relative to `una`, clamped to the actual data; empty or
         // inverted marks vanish.
@@ -285,8 +288,7 @@ impl SendSnapshot {
             .filter(|&(s, e)| s < e)
             .collect();
         marks.sort_unstable();
-        let mut normal = Vec::new();
-        let mut urgent = Vec::new();
+        let mut runs: Vec<(bool, Vec<u8>)> = Vec::new();
         let mut pos = discard.min(len);
         while pos < len {
             let mut stop = len;
@@ -303,14 +305,13 @@ impl SendSnapshot {
                 }
             }
             let run = &self.data[pos as usize..stop as usize];
-            if urg {
-                urgent.extend_from_slice(run);
-            } else {
-                normal.extend_from_slice(run);
+            match runs.last_mut() {
+                Some((u, bytes)) if *u == urg => bytes.extend_from_slice(run),
+                _ => runs.push((urg, run.to_vec())),
             }
             pos = stop;
         }
-        (normal, urgent)
+        runs
     }
 }
 
@@ -685,17 +686,16 @@ mod tests {
         let snap = b.snapshot();
         assert_eq!(snap.una, 1000);
         assert_eq!(snap.data, b"abcde!fgh");
-        // Peer already received 3 bytes more than our acked pointer shows.
-        let (normal, urgent) = snap.resend_plan(3);
-        assert_eq!(normal, b"defgh");
-        assert_eq!(urgent, b"!");
+        // Peer already received 3 bytes more than our acked pointer shows;
+        // the urgent byte stays at its place in the stream.
+        assert_eq!(
+            snap.resend_plan(3),
+            [(false, b"de".to_vec()), (true, b"!".to_vec()), (false, b"fgh".to_vec())]
+        );
         // Discard beyond the urgent mark removes urgent data too.
-        let (normal, urgent) = snap.resend_plan(6);
-        assert_eq!(normal, b"fgh");
-        assert!(urgent.is_empty());
+        assert_eq!(snap.resend_plan(6), [(false, b"fgh".to_vec())]);
         // Discard everything.
-        let (normal, urgent) = snap.resend_plan(100);
-        assert!(normal.is_empty() && urgent.is_empty());
+        assert!(snap.resend_plan(100).is_empty());
     }
 
     fn rb() -> RecvBuf {

@@ -342,8 +342,9 @@ proptest! {
         // ---- restore: fresh connection, new ISNs ----
         // The overlap discard (Figure 4): the peer holds `recv₂ − acked₁`
         // bytes beyond our acked pointer; don't resend those.
-        let (resend, urgent) = snap.resend_plan(peer_recv - snap.una);
-        prop_assert!(urgent.is_empty());
+        let runs = snap.resend_plan(peer_recv - snap.una);
+        prop_assert!(runs.len() <= 1 && runs.iter().all(|(urgent, _)| !urgent));
+        let resend = runs.into_iter().next().map(|(_, b)| b).unwrap_or_default();
         prop_assert_eq!(resend.as_slice(), &stream[peer_off..written]);
 
         let mut h2 = Harness::established(2048, rcv_buf);
@@ -476,8 +477,9 @@ proptest! {
         let snap = sb.snapshot();
         // The peer may have accepted `discard_extra` bytes beyond our
         // acked pointer (acks still in flight at the cut).
-        let (normal, urgent) = snap.resend_plan(discard_extra);
-        prop_assert!(urgent.is_empty());
+        let plan = snap.resend_plan(discard_extra);
+        prop_assert!(plan.len() <= 1 && plan.iter().all(|(urgent, _)| !urgent));
+        let normal = plan.into_iter().next().map(|(_, b)| b).unwrap_or_default();
         let start = ((ack_to - BASE) + discard_extra).min(len as u64) as usize;
         prop_assert_eq!(normal.as_slice(), &stream[start..]);
     }

@@ -51,34 +51,26 @@ pub fn merge_send_queues(records: &mut [Vec<SockRecord>], metas: &[MetaData]) ->
         let (sp, si) = index[&key];
         let Some(&(rp, ri)) = index.get(&(key.1, key.0)) else { continue };
 
-        // Compute the sender's post-overlap resend plan.
-        let (plan, had_urgent) = {
+        // Compute the sender's post-overlap remainder; without urgent
+        // marks its resend plan is at most one normal run.
+        let normal: Vec<u8> = {
             let s = &records[sp][si];
-            if s.send_data.is_empty() {
+            if s.send_data.is_empty() || !s.send_urgent_marks.is_empty() {
                 continue;
             }
-            if !s.send_urgent_marks.is_empty() {
-                (None, true)
-            } else {
-                // The index only holds records with PCBs, but the records
-                // come off the wire — skip rather than trust that.
-                let Some(pcb) = s.pcb else { continue };
-                let Some(peer_pcb) = records[rp][ri].pcb else { continue };
-                let peer_recv = peer_pcb.recv;
-                let snap = SendSnapshot {
-                    una: pcb.acked,
-                    nxt: pcb.sent,
-                    data: s.send_data.clone(),
-                    urgent_marks: Vec::new(),
-                };
-                let discard = peer_recv.saturating_sub(pcb.acked);
-                (Some(snap.resend_plan(discard).0), false)
-            }
+            // The index only holds records with PCBs, but the records
+            // come off the wire — skip rather than trust that.
+            let Some(pcb) = s.pcb else { continue };
+            let Some(peer_pcb) = records[rp][ri].pcb else { continue };
+            let snap = SendSnapshot {
+                una: pcb.acked,
+                nxt: pcb.sent,
+                data: s.send_data.clone(),
+                urgent_marks: Vec::new(),
+            };
+            let discard = peer_pcb.recv.saturating_sub(pcb.acked);
+            snap.resend_plan(discard).into_iter().flat_map(|(_, bytes)| bytes).collect()
         };
-        if had_urgent {
-            continue;
-        }
-        let Some(normal) = plan else { continue };
 
         // Append to the receiver's stream; clear the sender's queue. The
         // receiver's stream ends exactly at its `recv` pointer and the

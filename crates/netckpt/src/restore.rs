@@ -13,9 +13,10 @@
 //! 1. socket parameters via `setsockopt` (the full set),
 //! 2. the saved receive stream into the **alternate receive queue** (with
 //!    dispatch-vector interposition) and urgent data into the OOB queue,
-//! 3. the saved send queue re-sent with ordinary `write`s, after
+//! 3. the saved send queue re-sent in stream order with ordinary `write`s
+//!    (`send_oob` for urgent runs) before the restore deadline, after
 //!    discarding the overlap `recv₂ − acked₁` that the peer's receive
-//!    queue already covers (Figure 4) — urgent marks are preserved,
+//!    queue already covers (Figure 4),
 //! 4. `shutdown` replayed for half-duplex/closed connections (after the
 //!    data, as the paper specifies),
 //! 5. datagram queues refilled and `MSG_PEEK` observability restored.
@@ -42,7 +43,7 @@ pub struct NetworkRestorePlan<'a> {
     pub all_meta: &'a [MetaData],
     /// This pod's per-socket records, ordinal-indexed.
     pub records: &'a [SockRecord],
-    /// Overall deadline for reconnection.
+    /// Overall deadline for reconnection and the send-queue replay.
     pub timeout: Duration,
     /// Event observer; per-socket `netckpt.sock_restore` spans and
     /// resend-byte counters flow through it.
@@ -341,41 +342,27 @@ pub fn restore_network(
                 .map(|&(a, b)| (a.saturating_add(pcb.acked), b.saturating_add(pcb.acked)))
                 .collect(),
         };
-        let (normal, urgent) = snap.resend_plan(discard);
+        let runs = snap.resend_plan(discard);
         if obs.enabled() {
-            obs.counter(key, "netckpt.resend_bytes", (normal.len() + urgent.len()) as u64);
+            let bytes: usize = runs.iter().map(|(_, b)| b.len()).sum();
+            obs.counter(key, "netckpt.resend_bytes", bytes as u64);
         }
         // A connection saved in the Closed state was already dead; if its
         // replay hits a reset (e.g. the peer pod has no matching half —
-        // the handshake had failed asymmetrically), the application will
-        // observe ECONNRESET exactly as it would have originally.
-        let dead_ok = |e: NetError| -> NetCkptResult<()> {
-            if entry.state == ConnState::Closed
-                && matches!(e, NetError::ConnReset | NetError::Pipe | NetError::TimedOut)
-            {
-                Ok(())
-            } else {
-                Err(e.into())
-            }
-        };
-        if !normal.is_empty() {
-            if let Err(e) =
-                s.write_all_wait(&normal, deadline.saturating_duration_since(Instant::now()))
-            {
-                dead_ok(e)?;
-            }
-        }
-        if !urgent.is_empty() {
-            let mut off = 0;
-            while off < urgent.len() {
-                match s.send_oob(&urgent[off..]) {
-                    Ok(n) => off += n,
-                    Err(NetError::WouldBlock) => std::thread::sleep(Duration::from_micros(100)),
-                    Err(e) => {
-                        dead_ok(e)?;
-                        break;
-                    }
-                }
+        // the handshake had failed asymmetrically) or never drains, the
+        // application will observe the failure exactly as it would have
+        // originally.
+        if let Err(e) = replay_send_queue(s, &runs, deadline) {
+            let dead = entry.state == ConnState::Closed
+                && matches!(
+                    e,
+                    NetCkptError::Timeout(_)
+                        | NetCkptError::Net(
+                            NetError::ConnReset | NetError::Pipe | NetError::TimedOut
+                        )
+                );
+            if !dead {
+                return Err(e);
             }
         }
 
@@ -407,6 +394,36 @@ pub fn restore_network(
     }
 
     Ok(out)
+}
+
+/// Re-sends a saved send queue over its restored connection, run by run in
+/// stream order — `send_oob` for urgent runs — so a receiver with
+/// `SO_OOBINLINE` reads the urgent bytes where they were written. Bounded
+/// by the restore deadline: the peer's application resumes only after
+/// every restore finishes, so a span larger than the send buffer plus the
+/// peer's window can never drain and must end in a typed timeout.
+fn replay_send_queue(
+    s: &Arc<Socket>,
+    runs: &[(bool, Vec<u8>)],
+    deadline: Instant,
+) -> NetCkptResult<()> {
+    for (urgent, bytes) in runs {
+        let mut off = 0;
+        while off < bytes.len() {
+            let rest = &bytes[off..];
+            match if *urgent { s.send_oob(rest) } else { s.send(rest) } {
+                Ok(n) => off += n,
+                Err(NetError::WouldBlock) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_micros(100))
+                }
+                Err(NetError::WouldBlock) => {
+                    return Err(NetCkptError::Timeout("send-queue replay did not drain"))
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+    Ok(())
 }
 
 fn to_dgrams(raw: &[(Endpoint, Vec<u8>)]) -> Vec<Datagram> {

@@ -207,17 +207,15 @@ fn resend_plan_clamps_hostile_marks_byte_exactly() {
             (u64::MAX.wrapping_add(2), 3) // wrapped garbage: vanishes or clamps
         ],
     };
-    let (normal, urgent) = snap.resend_plan(0);
-    // Every saved byte appears exactly once across the two runs.
-    let mut all = normal.clone();
-    all.extend_from_slice(&urgent);
-    let mut sorted = all.clone();
-    sorted.sort_unstable();
-    assert_eq!(sorted, b"abcdefgh".to_vec(), "bytes lost or duplicated: n={normal:?} u={urgent:?}");
+    let plan = snap.resend_plan(0);
+    // Every saved byte appears exactly once across the runs, in stream
+    // order, and no two adjacent runs share an urgency.
+    let all: Vec<u8> = plan.iter().flat_map(|(_, b)| b.iter().copied()).collect();
+    assert_eq!(all, b"abcdefgh".to_vec(), "bytes lost, duplicated or reordered: {plan:?}");
+    assert!(plan.windows(2).all(|w| w[0].0 != w[1].0), "unmerged runs: {plan:?}");
 
     // Discard beyond the data: empty plan, no underflow.
-    let (n2, u2) = snap.resend_plan(u64::MAX);
-    assert!(n2.is_empty() && u2.is_empty());
+    assert!(snap.resend_plan(u64::MAX).is_empty());
 
     // A clean snapshot for comparison: marks honored byte-exactly.
     let clean = SendSnapshot {
@@ -226,7 +224,7 @@ fn resend_plan_clamps_hostile_marks_byte_exactly() {
         data: b"abcdefgh".to_vec(),
         urgent_marks: vec![(102, 104)],
     };
-    let (n3, u3) = clean.resend_plan(0);
-    assert_eq!(n3, b"abefgh");
-    assert_eq!(u3, b"cd");
+    let plan = clean.resend_plan(0);
+    let runs: Vec<(bool, &[u8])> = plan.iter().map(|(u, b)| (*u, &b[..])).collect();
+    assert_eq!(runs, [(false, &b"ab"[..]), (true, &b"cd"[..]), (false, &b"efgh"[..])]);
 }

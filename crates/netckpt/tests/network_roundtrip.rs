@@ -8,7 +8,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 use zapc_net::{Network, NetworkConfig, RecvFlags, Shutdown, Socket};
-use zapc_netckpt::{assign_roles, checkpoint_network, restore_network, NetworkRestorePlan};
+use zapc_netckpt::{
+    assign_roles, checkpoint_network, restore_network, NetCkptError, NetCkptResult,
+    NetworkRestorePlan, SockRecord,
+};
 use zapc_pod::{pod_vip, Pod, PodConfig};
 use zapc_proto::{Endpoint, MetaData, Transport};
 use zapc_sim::{ClusterClock, Node, NodeConfig, SimFs};
@@ -61,77 +64,98 @@ fn connect_pods(a: &Pod, b: &Pod, port: u16) -> (Arc<Socket>, Arc<Socket>, Arc<S
     (client, listener, child)
 }
 
-/// Freezes both pods (netfilter), checkpoints their network state,
-/// destroys them, rebuilds them on `dst_nodes`, reroutes, restores
-/// concurrently, and returns the restored socket vectors.
+/// [`connect_pods`] with `SO_OOBINLINE` set on the listener and the
+/// accepted child. The restored listener carries the option, so the
+/// re-accepted child reads urgent bytes inline from its first segment:
+/// the restore applies a child's own options only once it is accepted,
+/// and replayed data can arrive before that.
+fn connect_oob_inline(a: &Pod, b: &Pod, port: u16) -> (Arc<Socket>, Arc<Socket>, Arc<Socket>) {
+    use zapc_net::{OptValue, SockOpt};
+    let (client, listener, child) = connect_pods(a, b, port);
+    for s in [&listener, &child] {
+        s.setsockopt(SockOpt::OobInline, OptValue::Bool(true)).unwrap();
+    }
+    (client, listener, child)
+}
+
+/// What a checkpoint leaves once its pods are gone: each pod's meta-data
+/// (reconnection roles assigned), socket records and configuration.
+struct Cut {
+    metas: Vec<MetaData>,
+    recs: Vec<Vec<SockRecord>>,
+    cfgs: Vec<PodConfig>,
+}
+
+/// Freezes the pods (netfilter; Agent step 1), checkpoints their network
+/// state (step 2), destroys them and drops their routes (the migration
+/// case, step 4), and assigns the reconnection schedule (the Manager).
+fn cut(r: &Rig, pods: Vec<Arc<Pod>>) -> Cut {
+    for p in &pods {
+        r.net.filter().block_ip(p.vip());
+    }
+    let (mut metas, recs): (Vec<MetaData>, Vec<_>) =
+        pods.iter().map(|p| checkpoint_network(p)).unzip();
+    let cfgs = pods.iter().map(|p| PodConfig::new(p.name(), p.vip())).collect();
+    for p in pods {
+        p.destroy();
+        r.net.clear_route(p.vip());
+    }
+    assign_roles(&mut metas);
+    zapc_netckpt::schedule::validate_schedule(&metas).unwrap();
+    Cut { metas, recs, cfgs }
+}
+
+/// Creates a pod from `cfg` on node `node` and routes its virtual IP there.
+fn recreate(r: &Rig, cfg: PodConfig, node: usize) -> Arc<Pod> {
+    let pod = Pod::create(cfg, &r.nodes[node], &r.clock);
+    r.net.set_route(pod.vip(), &r.nodes[node].stack);
+    pod
+}
+
+/// Recreates a cut's pods on `nodes` and thaws the network, including any
+/// directional link rules a test added to construct its scenario.
+fn rebuild(r: &Rig, cfgs: Vec<PodConfig>, nodes: &[usize]) -> Vec<Arc<Pod>> {
+    let pods = cfgs.into_iter().zip(nodes).map(|(cfg, &n)| recreate(r, cfg, n)).collect();
+    r.net.filter().clear();
+    pods
+}
+
+/// Restores pod `me` of a cut within `timeout`.
+fn restore(
+    pod: &Arc<Pod>,
+    metas: &[MetaData],
+    me: usize,
+    records: &[SockRecord],
+    timeout: Duration,
+) -> NetCkptResult<Vec<Option<Arc<Socket>>>> {
+    let plan = NetworkRestorePlan {
+        my_meta: &metas[me],
+        all_meta: metas,
+        records,
+        timeout,
+        obs: zapc_obs::Observer::disabled(),
+    };
+    restore_network(pod, &plan)
+}
+
+/// Cuts the pods, rebuilds them on `dst_nodes`, restores concurrently
+/// (each Agent runs its own), and returns the restored socket vectors.
 #[allow(clippy::type_complexity)]
 fn migrate_network(
     r: &Rig,
     pods: Vec<Arc<Pod>>,
     dst_nodes: Vec<usize>,
 ) -> (Vec<Arc<Pod>>, Vec<Vec<Option<Arc<Socket>>>>) {
-    // Freeze: block each pod's vip (Agent step 1).
-    for p in &pods {
-        r.net.filter().block_ip(p.vip());
-    }
-    // Checkpoint network state (Agent step 2).
-    let mut metas: Vec<MetaData> = Vec::new();
-    let mut recs = Vec::new();
-    for p in &pods {
-        let (m, rcs) = checkpoint_network(p);
-        metas.push(m);
-        recs.push(rcs);
-    }
-    // Destroy sources (migration case, Agent step 4).
-    let names: Vec<String> = pods.iter().map(|p| p.name()).collect();
-    let vips: Vec<u32> = pods.iter().map(|p| p.vip()).collect();
-    let cfgs: Vec<PodConfig> = pods
-        .iter()
-        .map(|p| PodConfig::new(p.name(), p.vip()))
-        .collect();
-    for p in &pods {
-        p.destroy();
-    }
-    drop(pods);
-
-    // Manager: assign the reconnection schedule.
-    assign_roles(&mut metas);
-    zapc_netckpt::schedule::validate_schedule(&metas).unwrap();
-
-    // Rebuild pods at the destinations; reroute the virtual IPs; unblock.
-    let new_pods: Vec<Arc<Pod>> = cfgs
-        .into_iter()
-        .zip(&dst_nodes)
-        .map(|(cfg, &n)| {
-            let pod = Pod::create(cfg, &r.nodes[n], &r.clock);
-            r.net.set_route(pod.vip(), &r.nodes[n].stack);
-            pod
-        })
-        .collect();
-    // Thaw everything, including any directional link rules a test added
-    // to construct its scenario.
-    let _ = vips;
-    r.net.filter().clear();
-    let _ = names;
-
-    // Restore network state concurrently (each Agent runs its own).
-    let results: Vec<Vec<Option<Arc<Socket>>>> = std::thread::scope(|s| {
+    let Cut { metas, recs, cfgs } = cut(r, pods);
+    let new_pods = rebuild(r, cfgs, &dst_nodes);
+    let results = std::thread::scope(|s| {
         let handles: Vec<_> = new_pods
             .iter()
-            .zip(metas.iter())
-            .zip(recs.iter())
-            .map(|((pod, my), rcs)| {
-                let all = &metas;
-                s.spawn(move || {
-                    let plan = NetworkRestorePlan {
-                        my_meta: my,
-                        all_meta: all,
-                        records: rcs,
-                        timeout: TIMEOUT,
-                        obs: zapc_obs::Observer::disabled(),
-                    };
-                    restore_network(pod, &plan).unwrap()
-                })
+            .zip(&recs)
+            .enumerate()
+            .map(|(i, (pod, rcs))| {
+                let metas = &metas;
+                s.spawn(move || restore(pod, metas, i, rcs, TIMEOUT).unwrap())
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -345,6 +369,35 @@ fn urgent_data_byte_exact_under_both_oob_inline_settings() {
     }
 }
 
+/// A send queue with urgent data in its middle, none of it acked or
+/// delivered at the cut, replays in stream order: a receiver with
+/// `SO_OOBINLINE` reads the urgent bytes where they were written, not
+/// after every normal byte (`pre--postXY`).
+#[test]
+fn unacked_urgent_send_queue_replays_in_stream_order() {
+    let r = rig(4);
+    let a = make_pod(&r, "A", 25, 0);
+    let b = make_pod(&r, "B", 26, 1);
+    let (client, _l, _server) = connect_oob_inline(&a, &b, 5410);
+    r.net.filter().block_ip(a.vip());
+    r.net.filter().block_ip(b.vip());
+    client.write_all_wait(b"pre-", TIMEOUT).unwrap();
+    client.send_oob(b"XY").unwrap();
+    client.write_all_wait(b"-post", TIMEOUT).unwrap();
+
+    let (pods, socks) = migrate_network(&r, vec![a, b], vec![2, 3]);
+    let server2 = socks[1][1].clone().unwrap();
+    let stream = drain(&server2, 11);
+    assert_eq!(
+        String::from_utf8_lossy(&stream),
+        "pre-XY-post",
+        "urgent bytes replayed out of order"
+    );
+    for p in pods {
+        p.destroy();
+    }
+}
+
 #[test]
 fn closed_connection_with_unread_data() {
     let r = rig(4);
@@ -410,16 +463,7 @@ fn closed_connection_restore_tolerates_late_acceptor() {
 
     // Checkpoint + destroy, as migrate_network does, but restore with the
     // accept-role pod starting late.
-    for p in [&a, &b] {
-        r.net.filter().block_ip(p.vip());
-    }
-    let (ma, ra) = checkpoint_network(&a);
-    let (mb, rb) = checkpoint_network(&b);
-    let cfgs = [PodConfig::new(a.name(), a.vip()), PodConfig::new(b.name(), b.vip())];
-    a.destroy();
-    b.destroy();
-    let mut metas = vec![ma, mb];
-    assign_roles(&mut metas);
+    let Cut { metas, recs, cfgs } = cut(&r, vec![a, b]);
     let accept_side = metas
         .iter()
         .position(|m| {
@@ -431,39 +475,22 @@ fn closed_connection_restore_tolerates_late_acceptor() {
         })
         .expect("one side must re-accept the closed connection");
 
-    let new_pods: Vec<Arc<Pod>> = cfgs
-        .into_iter()
-        .zip([2usize, 3])
-        .map(|(cfg, n)| {
-            let pod = Pod::create(cfg, &r.nodes[n], &r.clock);
-            r.net.set_route(pod.vip(), &r.nodes[n].stack);
-            pod
-        })
-        .collect();
-    r.net.filter().clear();
+    let new_pods = rebuild(&r, cfgs, &[2, 3]);
 
-    let recs = [ra, rb];
     let socks: Vec<Vec<Option<Arc<Socket>>>> = std::thread::scope(|s| {
         let handles: Vec<_> = new_pods
             .iter()
+            .zip(&recs)
             .enumerate()
-            .map(|(i, pod)| {
-                let all = &metas;
-                let rcs = &recs[i];
+            .map(|(i, (pod, rcs))| {
+                let metas = &metas;
                 s.spawn(move || {
                     if i == accept_side {
                         // Give the connector a head start so its first
                         // dials are refused (no listener yet).
                         std::thread::sleep(Duration::from_millis(100));
                     }
-                    let plan = NetworkRestorePlan {
-                        my_meta: &all[i],
-                        all_meta: all,
-                        records: rcs,
-                        timeout: TIMEOUT,
-                        obs: zapc_obs::Observer::disabled(),
-                    };
-                    restore_network(pod, &plan).unwrap()
+                    restore(pod, metas, i, rcs, TIMEOUT).unwrap()
                 })
             })
             .collect();
@@ -490,48 +517,29 @@ fn restore_connector_does_not_wait_out_the_rto_for_a_late_peer_pod() {
     let (client, _l, _server) = connect_pods(&a, &b, 5008);
     client.write_all_wait(b"in flight", TIMEOUT).unwrap();
 
-    for p in [&a, &b] {
-        r.net.filter().block_ip(p.vip());
-    }
-    let (ma, ra) = checkpoint_network(&a);
-    let (mb, rb) = checkpoint_network(&b);
-    let cfgs = [PodConfig::new(a.name(), a.vip()), PodConfig::new(b.name(), b.vip())];
-    for p in [a, b] {
-        p.destroy();
-        r.net.clear_route(p.vip());
-    }
-    let mut metas = vec![ma, mb];
-    assign_roles(&mut metas);
+    let Cut { metas, recs, cfgs } = cut(&r, vec![a, b]);
     let accept_side = metas
         .iter()
         .position(|m| m.entries.iter().any(|e| !e.listening && e.role == RestartRole::Accept))
         .expect("one side must re-accept the connection");
     r.net.filter().clear();
 
-    let recs = [ra, rb];
     let t0 = std::time::Instant::now();
     let pods: Vec<Arc<Pod>> = std::thread::scope(|s| {
         let handles: Vec<_> = cfgs
             .into_iter()
+            .zip(&recs)
             .enumerate()
-            .map(|(i, cfg)| {
-                let (r, all, rcs) = (&r, &metas, &recs[i]);
+            .map(|(i, (cfg, rcs))| {
+                let (r, metas) = (&r, &metas);
                 s.spawn(move || {
                     if i == accept_side {
                         // The peer Agent is merely slower: its pod exists,
                         // routed and listening, 5 ms late.
                         std::thread::sleep(Duration::from_millis(5));
                     }
-                    let pod = Pod::create(cfg, &r.nodes[i + 2], &r.clock);
-                    r.net.set_route(pod.vip(), &r.nodes[i + 2].stack);
-                    let plan = NetworkRestorePlan {
-                        my_meta: &all[i],
-                        all_meta: all,
-                        records: rcs,
-                        timeout: TIMEOUT,
-                        obs: zapc_obs::Observer::disabled(),
-                    };
-                    restore_network(&pod, &plan).unwrap();
+                    let pod = recreate(r, cfg, i + 2);
+                    restore(&pod, metas, i, rcs, TIMEOUT).unwrap();
                     pod
                 })
             })
@@ -672,6 +680,58 @@ fn double_checkpoint_saves_alternate_queue() {
     client_final.write_all_wait(b"after", TIMEOUT).unwrap();
     assert_eq!(drain(&server_final, 5), b"after");
     for p in pods2 {
+        p.destroy();
+    }
+}
+
+/// A hostile image whose saved send queue is one 4 MiB urgent span: more
+/// than the sender's buffer plus the window of a peer that reads urgent
+/// data inline, and the peer's application resumes only after every
+/// restore finishes, so it can never drain. The restore must give up at
+/// its deadline with a typed timeout instead of spinning; a watchdog
+/// catches a wedged restore.
+#[test]
+fn hostile_urgent_send_span_times_out_instead_of_wedging_the_restore() {
+    const SPAN: usize = 4 << 20;
+    let r = rig(4);
+    let a = make_pod(&r, "A", 27, 0);
+    let b = make_pod(&r, "B", 28, 1);
+    let (_client, _l, _server) = connect_oob_inline(&a, &b, 5420);
+    let Cut { metas, mut recs, cfgs } = cut(&r, vec![a, b]);
+    let client_rec = &mut recs[0][0];
+    assert!(client_rec.pcb.is_some(), "the client's connection record");
+    client_rec.send_data = vec![b'!'; SPAN];
+    client_rec.send_urgent_marks = vec![(0, SPAN as u64)];
+
+    let pods = rebuild(&r, cfgs, &[2, 3]);
+    let metas = Arc::new(metas);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let restores: Vec<_> = pods
+        .iter()
+        .zip(recs)
+        .enumerate()
+        .map(|(i, (pod, rcs))| {
+            let (pod, metas, tx) = (Arc::clone(pod), Arc::clone(&metas), tx.clone());
+            std::thread::spawn(move || {
+                let out = restore(&pod, &metas, i, &rcs, Duration::from_secs(2)).map(drop);
+                let _ = tx.send(());
+                out
+            })
+        })
+        .collect();
+    // A wedged restore never returns: the watchdog fails the test rather
+    // than join its thread.
+    for _ in &restores {
+        rx.recv_timeout(Duration::from_secs(30)).expect("watchdog: restore wedged");
+    }
+    let outs: Vec<NetCkptResult<()>> = restores.into_iter().map(|h| h.join().unwrap()).collect();
+    assert!(
+        matches!(outs[0], Err(NetCkptError::Timeout(_))),
+        "hostile span restored as {:?}, want a typed timeout",
+        outs[0]
+    );
+    assert!(outs[1].is_ok(), "the peer's restore: {:?}", outs[1]);
+    for p in pods {
         p.destroy();
     }
 }

@@ -40,7 +40,8 @@ pub enum Finalize {
 /// Image header flag: the image carries a file-system snapshot.
 pub const FLAG_FS_SNAPSHOT: u32 = 1;
 
-/// Coordination policy (the `ablation_sync` benchmark compares these).
+/// Coordination policy (`barrier_blocks_network_at_least_as_long_as_single_sync`
+/// in `tests/policies.rs` compares the two).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// The paper's design: each Agent proceeds with its standalone

@@ -191,8 +191,9 @@ proptest! {
 
         let snap = send.snapshot();
         let discard = peer_recv - snap.una;
-        let (normal, urgent) = snap.resend_plan(discard);
-        prop_assert!(urgent.is_empty());
+        let plan = snap.resend_plan(discard);
+        prop_assert!(plan.len() <= 1 && plan.iter().all(|(urgent, _)| !urgent));
+        let normal = plan.into_iter().next().map(|(_, b)| b).unwrap_or_default();
         // Receiver state (first `consumed` bytes) + resent bytes == data.
         let mut reconstructed = data[..consumed].to_vec();
         reconstructed.extend(&normal);
