@@ -33,9 +33,9 @@
 //!   protocols), plus raw-IP datagram sockets.
 //! * [`socket`] — the socket layer: `bind`/`listen`/`connect`/`accept`/
 //!   `send`/`recv`/`shutdown`/`close`, `getsockopt`/`setsockopt`
-//!   ([`opts`]), poll, and the per-socket **dispatch vector** that ZapC
-//!   interposes on (`recvmsg`, `poll`, `release`) to serve restored data
-//!   from an *alternate receive queue* before any new network data.
+//!   ([`opts`]), poll, and the *alternate receive queue* that ZapC's
+//!   restore fills: `recv` and `poll` serve its restored data before any
+//!   new network data, and `close` drops what is left of it.
 //! * [`stack`] — one per node: port tables, demultiplexing, ephemeral port
 //!   allocation, listener child sockets inheriting the listening port.
 //!

@@ -8,13 +8,11 @@
 //! ([`crate::tcp::Tcb`]) — behind `bind`/`listen`/`connect`/`accept`/
 //! `send`/`recv`/`shutdown`/`close`.
 //!
-//! Every socket carries a **dispatch vector** ([`SockVtable`]): function
-//! pointers for the operations that may touch the receive queue (`recvmsg`,
-//! `poll`, `release`). The network-state restore interposes on this vector
-//! so that an *alternate receive queue* holding restored data is consumed
-//! before any new network data; when the alternate queue drains, the
-//! original methods are reinstalled so regular operation pays no overhead
-//! (§5).
+//! The network-state restore interposes on the operations that touch the
+//! receive queue (`recv`, `poll`, `close`): it installs an *alternate
+//! receive queue* holding restored data, which they consume before any
+//! new network data (§5). Once the alternate queue drains, the only cost
+//! left on the regular path is one `is_empty` check.
 
 use crate::opts::{OptValue, SockOpt, SockOpts};
 use crate::seg::Segment;
@@ -93,46 +91,6 @@ pub struct PollMask {
     pub err: bool,
 }
 
-/// `recvmsg` entry of the dispatch vector.
-pub type RecvMsgFn = fn(&mut SocketInner, usize, RecvFlags) -> NetResult<(Vec<u8>, Option<Endpoint>)>;
-/// `poll` entry of the dispatch vector.
-pub type PollFn = fn(&SocketInner) -> PollMask;
-/// `release` entry of the dispatch vector.
-pub type ReleaseFn = fn(&mut SocketInner);
-
-/// The per-socket dispatch vector (§5). Restore swaps it for
-/// [`interposed_vtable`]; draining the alternate queue swaps it back.
-#[derive(Clone, Copy)]
-pub struct SockVtable {
-    /// Reads data from the socket.
-    pub recvmsg: RecvMsgFn,
-    /// Queries readiness.
-    pub poll: PollFn,
-    /// Cleans up on close.
-    pub release: ReleaseFn,
-}
-
-impl std::fmt::Debug for SockVtable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = if std::ptr::fn_addr_eq(self.recvmsg, interposed_recvmsg as RecvMsgFn) {
-            "interposed"
-        } else {
-            "default"
-        };
-        write!(f, "SockVtable({kind})")
-    }
-}
-
-/// The original (non-interposed) dispatch vector.
-pub fn default_vtable() -> SockVtable {
-    SockVtable { recvmsg: default_recvmsg, poll: default_poll, release: default_release }
-}
-
-/// The restore-time dispatch vector serving the alternate receive queue.
-pub fn interposed_vtable() -> SockVtable {
-    SockVtable { recvmsg: interposed_recvmsg, poll: interposed_poll, release: interposed_release }
-}
-
 /// TCP listener state.
 #[derive(Debug, Default)]
 pub struct ListenState {
@@ -162,9 +120,8 @@ pub struct SocketInner {
     pub listen: Option<ListenState>,
     /// Listener that spawned this socket (accept notification).
     pub parent: Option<Weak<Socket>>,
-    /// The dispatch vector.
-    pub vtable: SockVtable,
-    /// Alternate receive queue installed by network-state restore.
+    /// Alternate receive queue installed by network-state restore; served
+    /// before the network queues while non-empty.
     pub alt_recv: VecDeque<u8>,
     /// Pending asynchronous error (connection refused/reset).
     pub err: Option<NetError>,
@@ -224,11 +181,24 @@ impl SocketInner {
     }
 }
 
-fn default_recvmsg(
+/// Reads from the socket: the alternate receive queue first while it
+/// holds restored data (§5), then the network queues. Urgent reads bypass
+/// the alternate queue (it holds stream data only); a peek leaves it in
+/// place.
+fn recvmsg(
     inner: &mut SocketInner,
     n: usize,
     flags: RecvFlags,
 ) -> NetResult<(Vec<u8>, Option<Endpoint>)> {
+    if !flags.oob && !inner.alt_recv.is_empty() {
+        let take = n.min(inner.alt_recv.len());
+        let data: Vec<u8> = if flags.peek {
+            inner.alt_recv.iter().take(take).copied().collect()
+        } else {
+            inner.alt_recv.drain(..take).collect()
+        };
+        return Ok((data, None));
+    }
     if let Some(e) = inner.err.take() {
         return Err(e);
     }
@@ -268,7 +238,9 @@ fn default_recvmsg(
     }
 }
 
-fn default_poll(inner: &SocketInner) -> PollMask {
+/// Readiness of the network queues (the alternate queue is added by
+/// [`Socket::poll`]).
+fn poll_mask(inner: &SocketInner) -> PollMask {
     let mut m = PollMask { err: inner.err.is_some(), ..Default::default() };
     match inner.transport {
         Transport::Tcp => {
@@ -294,47 +266,6 @@ fn default_poll(inner: &SocketInner) -> PollMask {
         }
     }
     m
-}
-
-fn default_release(inner: &mut SocketInner) {
-    inner.alt_recv.clear();
-}
-
-fn interposed_recvmsg(
-    inner: &mut SocketInner,
-    n: usize,
-    flags: RecvFlags,
-) -> NetResult<(Vec<u8>, Option<Endpoint>)> {
-    // Urgent reads bypass the alternate queue (it holds stream data only).
-    if !flags.oob && !inner.alt_recv.is_empty() {
-        let take = n.min(inner.alt_recv.len());
-        let data: Vec<u8> = if flags.peek {
-            inner.alt_recv.iter().take(take).copied().collect()
-        } else {
-            inner.alt_recv.drain(..take).collect()
-        };
-        if inner.alt_recv.is_empty() && !flags.peek {
-            // Queue depleted: reinstall the original methods so regular
-            // operation incurs no further overhead (§5).
-            inner.vtable = default_vtable();
-        }
-        return Ok((data, None));
-    }
-    default_recvmsg(inner, n, flags)
-}
-
-fn interposed_poll(inner: &SocketInner) -> PollMask {
-    let mut m = default_poll(inner);
-    if !inner.alt_recv.is_empty() {
-        m.readable = true;
-    }
-    m
-}
-
-fn interposed_release(inner: &mut SocketInner) {
-    // Restored-but-unconsumed data is dropped with the socket.
-    inner.alt_recv.clear();
-    default_release(inner);
 }
 
 /// A communication endpoint. Shared (`Arc`) between the owning process's
@@ -377,7 +308,6 @@ impl Socket {
                 dgram,
                 listen: None,
                 parent: None,
-                vtable: default_vtable(),
                 alt_recv: VecDeque::new(),
                 err: None,
                 rd_shutdown: false,
@@ -635,26 +565,24 @@ impl Socket {
         Ok(data.len())
     }
 
-    /// Receives via the dispatch vector; returns the data read. An empty
-    /// vector means EOF (TCP). `WouldBlock` means no data yet.
+    /// Receives data, restored data first; returns the data read. An
+    /// empty vector means EOF (TCP). `WouldBlock` means no data yet.
     pub fn recv(&self, n: usize, flags: RecvFlags) -> NetResult<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        let f = inner.vtable.recvmsg;
-        f(&mut inner, n, flags).map(|(d, _)| d)
+        recvmsg(&mut self.inner.lock(), n, flags).map(|(d, _)| d)
     }
 
     /// Receives one datagram with its source address (UDP / raw IP).
     pub fn recvfrom(&self, n: usize, flags: RecvFlags) -> NetResult<(Vec<u8>, Endpoint)> {
-        let mut inner = self.inner.lock();
-        let f = inner.vtable.recvmsg;
-        let (d, src) = f(&mut inner, n, flags)?;
+        let (d, src) = recvmsg(&mut self.inner.lock(), n, flags)?;
         Ok((d, src.unwrap_or(Endpoint::ANY)))
     }
 
-    /// Polls readiness via the dispatch vector.
+    /// Polls readiness; restored data still queued counts as readable.
     pub fn poll(&self) -> PollMask {
         let inner = self.inner.lock();
-        (inner.vtable.poll)(&inner)
+        let mut m = poll_mask(&inner);
+        m.readable |= !inner.alt_recv.is_empty();
+        m
     }
 
     /// Shuts down one or both directions.
@@ -677,13 +605,12 @@ impl Socket {
         Ok(())
     }
 
-    /// Graceful close: releases via the dispatch vector, emits FIN on TCP,
-    /// and deregisters listener/bind entries. The socket is detached: once
-    /// its TCB (if any) finishes closing, the stack reaps it.
+    /// Graceful close: drops restored-but-unconsumed data, emits FIN on
+    /// TCP, and deregisters listener/bind entries. The socket is detached:
+    /// once its TCB (if any) finishes closing, the stack reaps it.
     pub fn close(self: &Arc<Self>) {
         let mut inner = self.inner.lock();
-        let f = inner.vtable.release;
-        f(&mut inner);
+        inner.alt_recv.clear();
         inner.detached = true;
         let mut out = Vec::new();
         let mut pending = None;
@@ -733,16 +660,11 @@ impl Socket {
         }
     }
 
-    /// Installs the alternate receive queue with restored stream data and
-    /// swaps in the interposed dispatch vector (§5 restore path). May be
+    /// Appends restored stream data to the alternate receive queue, which
+    /// reads then serve before any network data (§5 restore path). May be
     /// called with more data appended later (send-queue merge optimization).
     pub fn install_alt_queue(&self, data: Vec<u8>) {
-        if data.is_empty() {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.alt_recv.extend(data);
-        inner.vtable = interposed_vtable();
+        self.inner.lock().alt_recv.extend(data);
     }
 
     /// Restore path: reinstates urgent (out-of-band) data into the receive
@@ -793,9 +715,9 @@ impl Socket {
         }
     }
 
-    /// Whether the interposed dispatch vector is currently installed.
+    /// Whether reads are still served from the alternate receive queue.
     pub fn is_interposed(&self) -> bool {
-        std::ptr::fn_addr_eq(self.inner.lock().vtable.recvmsg, interposed_recvmsg as RecvMsgFn)
+        !self.inner.lock().alt_recv.is_empty()
     }
 
     /// Arms the retransmission timer if the TCB needs one (stack-internal).
@@ -1066,12 +988,6 @@ impl Socket {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vtable_debug_distinguishes() {
-        assert_eq!(format!("{:?}", default_vtable()), "SockVtable(default)");
-        assert_eq!(format!("{:?}", interposed_vtable()), "SockVtable(interposed)");
-    }
 
     #[test]
     fn recv_flags_default_is_plain_read() {

@@ -11,10 +11,9 @@
 //!   ([`zapc_net::SockOpts::all`]).
 //! * The **receive queue** is captured by the paper's read-and-reinject
 //!   technique: data is consumed with the standard `read` path and
-//!   immediately deposited into an *alternate receive queue*; interposition
-//!   on the socket's dispatch vector (`recvmsg`, `poll`, `release`)
-//!   guarantees the application consumes it before any new network data,
-//!   and the original methods are reinstalled once the queue drains.
+//!   immediately deposited into an *alternate receive queue*, which the
+//!   socket's `recv`, `poll` and `close` serve before any new network
+//!   data; once it drains, reads pay one `is_empty` check.
 //!   A later checkpoint saves the alternate queue too, so back-to-back
 //!   checkpoints compose.
 //! * The **send queue** is read directly from the socket buffers (simple

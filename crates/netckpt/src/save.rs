@@ -86,10 +86,7 @@ pub fn checkpoint_network_obs(
                         rec.recv_urgent = urgent;
 
                         // Reinject so the socket is externally unchanged.
-                        if !rec.recv_stream.is_empty() {
-                            inner.alt_recv.extend(rec.recv_stream.iter().copied());
-                            inner.vtable = zapc_net::socket::interposed_vtable();
-                        }
+                        inner.alt_recv.extend(rec.recv_stream.iter().copied());
                         if !rec.recv_urgent.is_empty() {
                             tcb.recv.restore_urgent(&rec.recv_urgent);
                         }

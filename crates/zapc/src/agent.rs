@@ -16,8 +16,8 @@ use crate::coord::{Ctl, Key, Reply, Role};
 use crate::manager::PodReport;
 use crate::uri::Uri;
 use crate::{ZapcError, ZapcResult};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::HashMap;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zapc_ckpt::{checkpoint_standalone_with, DecodedPod, RestoredSockets, SaveOpts};
@@ -518,7 +518,7 @@ fn create_pod(
 mod tests {
     use super::*;
     use crate::manager::{checkpoint, CheckpointTarget};
-    use crossbeam::channel::bounded;
+    use std::sync::mpsc::sync_channel;
     use zapc_proto::ImageReader;
 
     #[test]
@@ -545,7 +545,7 @@ mod tests {
 
         // The Manager's abort is already waiting when the Agent first
         // looks at its control connection, right after creating the pod.
-        let (abort, ctl) = bounded(1);
+        let (abort, ctl) = sync_channel(1);
         abort.send(Ctl::Abort).unwrap();
         let spans = ["rst.create", "rst.reconnect", "rst.restore", "rst.resume"];
         let err = restart_tail(&cluster, &sections, parts, inputs, &ctl, spans);

@@ -41,8 +41,8 @@ use crate::cluster::Cluster;
 use crate::manager::PodReport;
 use crate::retry::RetryPolicy;
 use crate::{ZapcError, ZapcResult};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::collections::{HashMap, HashSet};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zapc_faults::{FaultAction, MANAGER};
@@ -171,7 +171,7 @@ struct Participant {
     /// unknown, nothing node-local ever runs).
     node: Option<u32>,
     /// `None` once the Manager "died" and dropped its connections.
-    ctl: Option<Sender<Ctl>>,
+    ctl: Option<SyncSender<Ctl>>,
     owes_done: bool,
 }
 
@@ -261,7 +261,7 @@ pub(crate) fn reason(e: &ZapcError) -> String {
 impl<'a> Coord<'a> {
     /// A fresh operation; `timeout` bounds every wait between phases.
     pub(crate) fn new(cluster: &'a Cluster, timeout: Duration) -> Self {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let (parts, got) = (HashMap::new(), Book::default());
         Coord { cluster, timeout, tx, rx, parts, got, late: 0 }
     }
@@ -275,7 +275,7 @@ impl<'a> Coord<'a> {
         role: Role,
         node: Option<usize>,
     ) -> (Sender<Reply>, Receiver<Ctl>) {
-        let (ctl, ctl_rx) = bounded(CTL_DEPTH);
+        let (ctl, ctl_rx) = sync_channel(CTL_DEPTH);
         let p = Participant { node: node.map(|n| n as u32), ctl: Some(ctl), owes_done: true };
         self.deliver(&p, None);
         self.parts.insert(Key::new(pod, role), p);
@@ -481,5 +481,33 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(1), "nobody left to wait for");
         assert_eq!(co.late, 0, "the two early dones were consumed in-phase, not drained");
         assert!(matches!(c_ctl.try_recv(), Ok(Ctl::Abort)));
+    }
+
+    #[test]
+    fn abort_never_blocks_on_a_full_control_channel() {
+        // The Agent's node dies with its control channel full of commands
+        // it never read: the abort finds no room and must not wait for
+        // any. A blocked abort can never be joined, only timed out.
+        let (report, watchdog) = channel();
+        std::thread::spawn(move || {
+            let cluster = Cluster::builder().nodes(1).build();
+            let mut co = Coord::new(&cluster, Duration::from_secs(5));
+            let (_reply, ctl) = co.register("p", Role::Checkpoint, Some(0));
+            for _ in 0..CTL_DEPTH {
+                co.send("p", Role::Checkpoint, Ctl::Continue(cluster.epoch()));
+            }
+            cluster.health.kill(0);
+            let t0 = Instant::now();
+            let aborted = matches!(co.abort("test".into()), ZapcError::Aborted(_));
+            let elapsed = t0.elapsed();
+            let queued: Vec<Ctl> = ctl.try_iter().collect();
+            let continues = queued.iter().filter(|c| matches!(c, Ctl::Continue(_))).count();
+            let _ = report.send((aborted, elapsed, queued.len(), continues));
+        });
+        let (aborted, elapsed, queued, continues) =
+            watchdog.recv_timeout(Duration::from_secs(10)).expect("watchdog: abort blocked");
+        assert!(aborted);
+        assert!(elapsed < Duration::from_secs(1), "abort took {elapsed:?}");
+        assert_eq!((queued, continues), (CTL_DEPTH, CTL_DEPTH), "the queued commands, untouched");
     }
 }

@@ -99,8 +99,8 @@ use crate::coord::{distinct, reason, retry_aborted, Book, Coord, Ctl, Key, Reply
 use crate::manager::{ms, PhaseBreakdown, PodReport, RestartReport, RestartTarget, DEFAULT_TIMEOUT};
 use crate::retry::RetryPolicy;
 use crate::{ZapcError, ZapcResult};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zapc_ckpt::{capture_memory_round, CkptError, DecodedPod};
@@ -273,7 +273,7 @@ fn migrate_once(
     // `done` arrives.
     std::thread::scope(|scope| {
         for (pod, node) in moves {
-            let (stream_tx, stream_rx) = bounded::<Vec<u8>>(STREAM_DEPTH);
+            let (stream_tx, stream_rx) = sync_channel::<Vec<u8>>(STREAM_DEPTH);
             let (src_reply, src_ctl) = co.register(pod, Role::Source, cluster.pod_node(pod));
             let (rcv_reply, rcv_ctl) = co.register(pod, Role::Receiver, Some(*node));
             let node = *node;
@@ -480,7 +480,7 @@ fn live_source(
     pod_name: &str,
     dst_node: usize,
     opts: &MigrateOptions,
-    stream: &Sender<Vec<u8>>,
+    stream: &SyncSender<Vec<u8>>,
     reply: &Sender<Reply>,
     ctl: Receiver<Ctl>,
 ) -> Result<PodReport, String> {
@@ -619,7 +619,7 @@ fn send_frame(
     cluster: &Cluster,
     pod_name: &str,
     link: (u32, u32),
-    stream: &Sender<Vec<u8>>,
+    stream: &SyncSender<Vec<u8>>,
     mut frame: Vec<u8>,
 ) -> Result<(), String> {
     if let Some(a) = cluster.faults.hit("net.stream_torn", pod_name) {
@@ -937,12 +937,12 @@ mod tests {
         // acknowledges and never reads past it.
         let cluster = Cluster::builder().nodes(1).build();
         let (mem, base) = memory_record(3);
-        let (frames, stream) = bounded(STREAM_DEPTH);
+        let (frames, stream) = sync_channel(STREAM_DEPTH);
         for frame in [base.clone(), cut_image(3, &mem), base.clone()] {
             frames.send(frame).unwrap();
         }
-        let (reply, replies) = bounded(4);
-        let (verdict, ctl) = bounded(1);
+        let (reply, replies) = std::sync::mpsc::channel();
+        let (verdict, ctl) = sync_channel(1);
         let opts = MigrateOptions { timeout: Duration::from_secs(5), ..Default::default() };
         let (out, stream) = std::thread::scope(|s| {
             let (cluster, opts) = (&cluster, &opts);
