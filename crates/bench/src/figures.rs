@@ -104,7 +104,7 @@ pub fn max_vtime_ms(cluster: &Cluster, app: &Launched) -> f64 {
         if let Some(pod) = cluster.pod(name) {
             for (_, pid) in pod.vpid_pids() {
                 if let Some(p) = pod.node().process(pid) {
-                    max_ns = max_ns.max(p.lock().vtime_ns);
+                    max_ns = max_ns.max(p.lock().unwrap().vtime_ns);
                 }
             }
         }

@@ -85,8 +85,6 @@ impl DecodedPod {
     /// address space; `MemoryDelta` squashes onto the vpid's base (which
     /// must have arrived first); `Process` records replace earlier ones
     /// for the same vpid (later rounds carry fresher control state).
-    /// `ParentRef` (the retired parent-chain tag) is rejected — a stream
-    /// carries its deltas inline, never by storage reference.
     /// Unknown/network sections are ignored, as in [`restore_standalone`].
     pub fn apply_section(&mut self, tag: SectionTag, payload: &[u8]) -> CkptResult<()> {
         match tag {
@@ -123,11 +121,6 @@ impl DecodedPod {
                     .ok_or(CkptError::Inconsistent("memory delta without its base"))?;
                 delta.apply(mem);
             }
-            SectionTag::ParentRef => {
-                return Err(CkptError::Inconsistent(
-                    "parent reference in a streamed section sequence",
-                ))
-            }
             _ => {} // namespace handled by the caller; network by netckpt
         }
         Ok(())
@@ -135,13 +128,12 @@ impl DecodedPod {
 
     /// Applies the sections of a stored image, which stands alone: a
     /// `MemoryDelta` means something only after its base on the same
-    /// stream (here it would silently lose every clean region), and no
-    /// writer emits `ParentRef`, the retired parent-chain tag.
+    /// stream (here it would silently lose every clean region).
     pub fn apply_standalone(&mut self, sections: &[Section<'_>]) -> CkptResult<()> {
         for s in sections {
-            if matches!(s.tag, SectionTag::ParentRef | SectionTag::MemoryDelta) {
+            if s.tag == SectionTag::MemoryDelta {
                 return Err(CkptError::Inconsistent(
-                    "stored image is not standalone (parent reference or memory delta)",
+                    "stored image is not standalone (memory delta)",
                 ));
             }
             self.apply_section(s.tag, s.payload)?;

@@ -79,7 +79,8 @@ pub fn checkpoint_standalone_with(
             .node()
             .process(pid)
             .ok_or(CkptError::Inconsistent("process vanished during checkpoint"))?;
-        let rec = proc_record(vpid, &parc.lock(), &ordinals, &mut pipe_table, &mut seen_pipes)?;
+        let rec =
+            proc_record(vpid, &parc.lock().unwrap(), &ordinals, &mut pipe_table, &mut seen_pipes)?;
         procs.push((rec, parc));
     }
     w.section(SectionTag::FdTable, |r| pipe_table.encode(r));
@@ -91,7 +92,7 @@ pub fn checkpoint_standalone_with(
         let mut payload_bytes = 0;
         w.section(memory_tag(base_gen), |r| {
             let at = r.len();
-            encode_memory(rec.vpid, &parc.lock().mem, base_gen, r);
+            encode_memory(rec.vpid, &parc.lock().unwrap().mem, base_gen, r);
             payload_bytes = r.len() - at;
         });
         if obs.enabled() {
@@ -148,7 +149,7 @@ pub fn capture_memory_round(
             .node()
             .process(pid)
             .ok_or(CkptError::Inconsistent("process vanished during pre-copy round"))?;
-        let proc = parc.lock();
+        let proc = parc.lock().unwrap();
         let gen = proc.mem.generation();
         let base_gen = base_gen_of(base_gens, vpid);
         let tag = memory_tag(base_gen);

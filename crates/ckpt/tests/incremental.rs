@@ -13,8 +13,8 @@ use zapc_net::{Network, NetworkConfig};
 use zapc_obs::Observer;
 use zapc_pod::{Pod, PodConfig};
 use zapc_proto::image::Header;
-use zapc_proto::rw::RecordStream;
-use zapc_proto::{ImageReader, ImageWriter, RecordWriter, SectionTag};
+use zapc_proto::rw::{frame_record, RecordStream};
+use zapc_proto::{DecodeError, ImageReader, ImageWriter, RecordWriter, SectionTag};
 use zapc_sim::{
     ClusterClock, Node, NodeConfig, ProcessCtx, Program, ProgramRegistry, SimFs, StepOutcome,
 };
@@ -148,7 +148,8 @@ fn restore_rejects_unsquashed_incremental() {
     // Both shapes a non-standalone stored image can take, hand-built: a
     // `MemoryDelta` where the `Memory` section belongs (what the live
     // cutover's final cut looks like off its stream), and a well-formed
-    // full image prefixed with the retired `ParentRef` section.
+    // full image with a section under the retired `ParentRef` tag
+    // (0x0002) spliced in after its header.
     let r = rig();
     let pod = Pod::create(PodConfig::new("inc3", zapc_pod::pod_vip(33)), &r.node, &r.clock);
     pod.spawn("w", Box::new(SkewWriter::fresh(100_000)));
@@ -163,21 +164,19 @@ fn restore_rejects_unsquashed_incremental() {
     let bare_delta = w.finish();
 
     let mut w = ImageWriter::new(&header(&pod));
-    // The retired `ParentRef` payload layout: label, FNV-1a 64 digest of
-    // the parent image, chain depth.
-    w.section(SectionTag::ParentRef, |p| {
-        p.put_str("inc3#base");
-        p.put_u64(0x9e37_79b9_7f4a_7c15);
-        p.put_u32(1);
-    });
     checkpoint_standalone(&pod, &mut w).unwrap();
-    let stale_parent_tag = w.finish();
+    let mut stale_parent_tag = w.finish();
     pod.destroy();
+    // Preamble (12 bytes), then the header record: tag, length, payload, CRC.
+    let len = u32::from_le_bytes(stale_parent_tag[14..18].try_into().unwrap()) as usize;
+    let at = 12 + 2 + 4 + len + 4;
+    stale_parent_tag.splice(at..at, frame_record(0x0002, b"inc3#base"));
 
-    for (what, image) in [("memory delta", bare_delta), ("parent reference", stale_parent_tag)] {
-        let err = try_restore(&image, &r).unwrap_err();
-        assert!(matches!(err, CkptError::Inconsistent(_)), "{what}: got {err:?}");
-    }
+    let err = try_restore(&bare_delta, &r).unwrap_err();
+    assert!(matches!(err, CkptError::Inconsistent(_)), "memory delta: got {err:?}");
+    // No section tag is 0x0002 any more: the image is refused as it is read.
+    let err = ImageReader::open(&stale_parent_tag).unwrap().sections().unwrap_err();
+    assert_eq!(err, DecodeError::InvalidEnum { what: "SectionTag", value: 2 });
 }
 
 #[test]

@@ -298,7 +298,7 @@ proptest! {
                 .into_iter()
                 .map(|(vpid, pid)| {
                     let parc = pod.node().process(pid).unwrap();
-                    let mem = &parc.lock().mem;
+                    let mem = &parc.lock().unwrap().mem;
                     match base_gens {
                         None => full_payload(vpid, mem),
                         Some(gens) => {

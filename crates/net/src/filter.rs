@@ -10,9 +10,8 @@
 //! Reliable transports recover the dropped bytes by retransmission once the
 //! pod is unblocked.
 
-use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use zapc_faults::Partition;
 
 /// Packet filter shared by the whole cluster wire.
@@ -43,35 +42,35 @@ impl Netfilter {
 
     /// Blocks all traffic to and from the given virtual IP (pod freeze).
     pub fn block_ip(&self, ip: u32) {
-        self.inner.write().blocked_ips.insert(ip);
+        self.inner.write().unwrap().blocked_ips.insert(ip);
     }
 
     /// Unblocks a previously blocked virtual IP.
     pub fn unblock_ip(&self, ip: u32) {
-        self.inner.write().blocked_ips.remove(&ip);
+        self.inner.write().unwrap().blocked_ips.remove(&ip);
     }
 
     /// Blocks one directed link.
     pub fn block_link(&self, src_ip: u32, dst_ip: u32) {
-        self.inner.write().blocked_links.insert((src_ip, dst_ip));
+        self.inner.write().unwrap().blocked_links.insert((src_ip, dst_ip));
     }
 
     /// Unblocks one directed link.
     pub fn unblock_link(&self, src_ip: u32, dst_ip: u32) {
-        self.inner.write().blocked_links.remove(&(src_ip, dst_ip));
+        self.inner.write().unwrap().blocked_links.remove(&(src_ip, dst_ip));
     }
 
     /// Installs a node-level partition schedule. Every delivery whose
     /// source and destination IPs map to known nodes (see
     /// [`Netfilter::set_node_of`]) is checked against it.
     pub fn set_partition(&self, partition: Arc<Partition>) {
-        self.inner.write().partition = Some(partition);
+        self.inner.write().unwrap().partition = Some(partition);
     }
 
     /// Records which node currently hosts virtual IP `ip` (pod placement /
     /// migration; mirrors the wire's route table).
     pub fn set_node_of(&self, ip: u32, node: u32) {
-        self.inner.write().node_of.insert(ip, node);
+        self.inner.write().unwrap().node_of.insert(ip, node);
     }
 
     /// Whether a segment from `src_ip` to `dst_ip` must be dropped.
@@ -79,7 +78,7 @@ impl Netfilter {
     pub fn check_drop(&self, src_ip: u32, dst_ip: u32) -> bool {
         // Fast path: read lock only when no rule matches.
         {
-            let r = self.inner.read();
+            let r = self.inner.read().unwrap();
             let blocked = r.blocked_ips.contains(&src_ip)
                 || r.blocked_ips.contains(&dst_ip)
                 || r.blocked_links.contains(&(src_ip, dst_ip));
@@ -96,23 +95,23 @@ impl Netfilter {
                 }
             }
         }
-        self.inner.write().dropped += 1;
+        self.inner.write().unwrap().dropped += 1;
         true
     }
 
     /// Whether the given IP is currently blocked.
     pub fn is_blocked(&self, ip: u32) -> bool {
-        self.inner.read().blocked_ips.contains(&ip)
+        self.inner.read().unwrap().blocked_ips.contains(&ip)
     }
 
     /// Total segments dropped by the filter so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.read().dropped
+        self.inner.read().unwrap().dropped
     }
 
     /// Removes every rule.
     pub fn clear(&self) {
-        let mut w = self.inner.write();
+        let mut w = self.inner.write().unwrap();
         w.blocked_ips.clear();
         w.blocked_links.clear();
     }

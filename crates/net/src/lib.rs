@@ -40,7 +40,7 @@
 //!   allocation, listener child sockets inheriting the listening port.
 //!
 //! Everything is plain safe Rust; sockets are shared-state objects protected
-//! by `parking_lot` mutexes, and the pump thread plays the role of softirq
+//! by `std::sync::Mutex`es, and the pump thread plays the role of softirq
 //! context in a real kernel.
 //!
 //! ```

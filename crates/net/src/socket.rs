@@ -21,10 +21,9 @@ use crate::tcp::{Tcb, TcpState};
 use crate::udp::{Datagram, DgramState};
 use crate::wire::NetShared;
 use crate::{NetError, NetResult};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 use zapc_proto::{ConnState, Endpoint, Transport};
 
@@ -326,32 +325,32 @@ impl Socket {
 
     /// Runs `f` with the locked interior (checkpoint extraction path).
     pub fn with_inner<R>(&self, f: impl FnOnce(&mut SocketInner) -> R) -> R {
-        f(&mut self.inner.lock())
+        f(&mut self.inner.lock().unwrap())
     }
 
     /// Transport protocol.
     pub fn transport(&self) -> Transport {
-        self.inner.lock().transport
+        self.inner.lock().unwrap().transport
     }
 
     /// Current lifecycle state.
     pub fn state(&self) -> SocketState {
-        self.inner.lock().state()
+        self.inner.lock().unwrap().state()
     }
 
     /// Local endpoint, if bound.
     pub fn local_addr(&self) -> Option<Endpoint> {
-        self.inner.lock().local
+        self.inner.lock().unwrap().local
     }
 
     /// Remote endpoint, if connected.
     pub fn peer_addr(&self) -> Option<Endpoint> {
-        self.inner.lock().peer()
+        self.inner.lock().unwrap().peer()
     }
 
     /// Takes a pending asynchronous error, if any.
     pub fn take_error(&self) -> Option<NetError> {
-        self.inner.lock().err.take()
+        self.inner.lock().unwrap().err.take()
     }
 
     /// True once a TCP connection is established (or UDP has a peer).
@@ -361,7 +360,7 @@ impl Socket {
 
     /// Sets the virtual clock attached to subsequent sends (timing model).
     pub fn set_tx_vt(&self, vt: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         inner.tx_vt = vt;
         if let Some(tcb) = &mut inner.tcb {
             tcb.tx_vt = vt;
@@ -370,17 +369,17 @@ impl Socket {
 
     /// Merged virtual clock of data received so far (timing model).
     pub fn rx_vt(&self) -> u64 {
-        self.inner.lock().rx_vt
+        self.inner.lock().unwrap().rx_vt
     }
 
     /// `getsockopt`.
     pub fn getsockopt(&self, opt: SockOpt) -> OptValue {
-        self.inner.lock().opts.get(opt)
+        self.inner.lock().unwrap().opts.get(opt)
     }
 
     /// `setsockopt`, with live side effects where applicable.
     pub fn setsockopt(&self, opt: SockOpt, value: OptValue) -> NetResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         if !inner.opts.set(opt, value) {
             return Err(NetError::Invalid);
         }
@@ -395,7 +394,7 @@ impl Socket {
     /// Binds to a local endpoint. Port 0 selects an ephemeral port.
     pub fn bind(&self, addr: Endpoint) -> NetResult<Endpoint> {
         let stack = self.stack()?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         if inner.local.is_some() {
             return Err(NetError::Invalid);
         }
@@ -410,7 +409,7 @@ impl Socket {
 
     /// Marks a bound TCP socket as listening.
     pub fn listen(&self, backlog: usize) -> NetResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         if inner.transport != Transport::Tcp || inner.local.is_none() {
             return Err(NetError::Invalid);
         }
@@ -424,7 +423,7 @@ impl Socket {
 
     /// Accepts one pending connection; `WouldBlock` when none is ready.
     pub fn accept(&self) -> NetResult<Arc<Socket>> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let l = inner.listen.as_mut().ok_or(NetError::Invalid)?;
         l.pending.pop_front().ok_or(NetError::WouldBlock)
     }
@@ -434,7 +433,7 @@ impl Socket {
     /// sets the default peer.
     pub fn connect(self: &Arc<Self>, dst: Endpoint) -> NetResult<()> {
         let stack = self.stack()?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         match inner.transport {
             Transport::Udp => {
                 inner.dgram.as_mut().ok_or(NetError::Invalid)?.peer = Some(dst);
@@ -442,7 +441,7 @@ impl Socket {
                     let ip = inner.default_ip;
                     drop(inner);
                     self.bind(Endpoint { ip, port: 0 })?;
-                    self.inner.lock().phase = SocketState::Connected;
+                    self.inner.lock().unwrap().phase = SocketState::Connected;
                 } else {
                     inner.phase = SocketState::Connected;
                 }
@@ -490,7 +489,7 @@ impl Socket {
     /// a restore connector whose peer pod is merely created later re-sends
     /// instead of waiting out the RTO. No-op once out of `SynSent`.
     pub fn resend_syn(&self) {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap();
         let Some(tcb) = inner.tcb.as_ref().filter(|t| t.state == TcpState::SynSent) else { return };
         let mut syn = tcb.make_syn();
         syn.vt = inner.tx_vt;
@@ -510,7 +509,7 @@ impl Socket {
     }
 
     fn send_impl(self: &Arc<Self>, data: &[u8], urgent: bool) -> NetResult<usize> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         if let Some(e) = inner.err.take() {
             return Err(e);
         }
@@ -538,7 +537,7 @@ impl Socket {
 
     /// Sends a datagram to `dst` (UDP / raw IP).
     pub fn sendto(self: &Arc<Self>, dst: Endpoint, data: &[u8]) -> NetResult<usize> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let ip_proto = inner.dgram.as_ref().ok_or(NetError::Unsupported)?.ip_proto;
         if inner.local.is_none() {
             let ip = inner.default_ip;
@@ -568,18 +567,18 @@ impl Socket {
     /// Receives data, restored data first; returns the data read. An
     /// empty vector means EOF (TCP). `WouldBlock` means no data yet.
     pub fn recv(&self, n: usize, flags: RecvFlags) -> NetResult<Vec<u8>> {
-        recvmsg(&mut self.inner.lock(), n, flags).map(|(d, _)| d)
+        recvmsg(&mut self.inner.lock().unwrap(), n, flags).map(|(d, _)| d)
     }
 
     /// Receives one datagram with its source address (UDP / raw IP).
     pub fn recvfrom(&self, n: usize, flags: RecvFlags) -> NetResult<(Vec<u8>, Endpoint)> {
-        let (d, src) = recvmsg(&mut self.inner.lock(), n, flags)?;
+        let (d, src) = recvmsg(&mut self.inner.lock().unwrap(), n, flags)?;
         Ok((d, src.unwrap_or(Endpoint::ANY)))
     }
 
     /// Polls readiness; restored data still queued counts as readable.
     pub fn poll(&self) -> PollMask {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap();
         let mut m = poll_mask(&inner);
         m.readable |= !inner.alt_recv.is_empty();
         m
@@ -587,7 +586,7 @@ impl Socket {
 
     /// Shuts down one or both directions.
     pub fn shutdown(self: &Arc<Self>, how: Shutdown) -> NetResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let mut out = Vec::new();
         if matches!(how, Shutdown::Read | Shutdown::Both) {
             inner.rd_shutdown = true;
@@ -609,7 +608,7 @@ impl Socket {
     /// TCP, and deregisters listener/bind entries. The socket is detached:
     /// once its TCB (if any) finishes closing, the stack reaps it.
     pub fn close(self: &Arc<Self>) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         inner.alt_recv.clear();
         inner.detached = true;
         let mut out = Vec::new();
@@ -648,7 +647,7 @@ impl Socket {
 
     /// Hard abort: RST and immediate teardown.
     pub fn abort(self: &Arc<Self>) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let mut out = Vec::new();
         if let Some(tcb) = &mut inner.tcb {
             tcb.abort(&mut out);
@@ -664,7 +663,7 @@ impl Socket {
     /// reads then serve before any network data (§5 restore path). May be
     /// called with more data appended later (send-queue merge optimization).
     pub fn install_alt_queue(&self, data: Vec<u8>) {
-        self.inner.lock().alt_recv.extend(data);
+        self.inner.lock().unwrap().alt_recv.extend(data);
     }
 
     /// Restore path: reinstates urgent (out-of-band) data into the receive
@@ -674,7 +673,7 @@ impl Socket {
         if data.is_empty() {
             return;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         if let Some(tcb) = &mut inner.tcb {
             tcb.recv.restore_urgent(data);
         }
@@ -683,7 +682,7 @@ impl Socket {
     /// Restore path: marks the receive queue as having been peeked at
     /// (observable application state, §5).
     pub fn set_recv_peeked(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         match inner.transport {
             Transport::Tcp => {
                 if let Some(tcb) = &mut inner.tcb {
@@ -702,7 +701,7 @@ impl Socket {
     /// queue (the original connection had not been `accept`ed by the
     /// application when the checkpoint was taken).
     pub fn return_to_pending(&self, child: Arc<Socket>) -> NetResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let l = inner.listen.as_mut().ok_or(NetError::Invalid)?;
         l.pending.push_back(child);
         Ok(())
@@ -710,14 +709,14 @@ impl Socket {
 
     /// Restore path: refills a datagram receive queue (UDP / raw IP).
     pub fn restore_datagrams(&self, dgrams: Vec<Datagram>, peeked: bool) {
-        if let Some(d) = &mut self.inner.lock().dgram {
+        if let Some(d) = &mut self.inner.lock().unwrap().dgram {
             d.queue.restore(dgrams, peeked);
         }
     }
 
     /// Whether reads are still served from the alternate receive queue.
     pub fn is_interposed(&self) -> bool {
-        !self.inner.lock().alt_recv.is_empty()
+        !self.inner.lock().unwrap().alt_recv.is_empty()
     }
 
     /// Arms the retransmission timer if the TCB needs one (stack-internal).
@@ -726,7 +725,7 @@ impl Socket {
     }
 
     fn ensure_rtx(self: &Arc<Self>) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let needs = inner.tcb.as_ref().map(|t| t.needs_rtx()).unwrap_or(false);
         if needs && !inner.rtx_scheduled {
             inner.rtx_scheduled = true;
@@ -738,7 +737,7 @@ impl Socket {
 
     /// Retransmission timer callback (pump-thread context).
     pub(crate) fn on_rtx_timer(self: &Arc<Self>) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         inner.rtx_scheduled = false;
         let Some(tcb) = &mut inner.tcb else { return };
         // Abandon handshakes that never complete.
@@ -801,7 +800,7 @@ impl Socket {
     /// Handles one incoming TCP segment (pump-thread context, via the
     /// stack's demultiplexer).
     pub(crate) fn handle_segment(self: &Arc<Self>, seg: Segment) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let vt_lat = self.net.cfg.vt_latency_ns;
         inner.rx_vt = inner.rx_vt.max(seg.vt + vt_lat);
         let Some(tcb) = &mut inner.tcb else { return };
@@ -865,7 +864,7 @@ impl Socket {
         }
         // Completed child handshake: hand ourselves to the listener.
         if let Some(parent) = parent.and_then(|w| w.upgrade()) {
-            let mut p = parent.inner.lock();
+            let mut p = parent.inner.lock().unwrap();
             if let Some(l) = &mut p.listen {
                 if l.pending.len() < l.backlog {
                     l.pending.push_back(Arc::clone(self));
@@ -883,7 +882,7 @@ impl Socket {
     /// Delivers a datagram (UDP / raw) into the receive queue. The stack has
     /// already matched a raw segment's protocol number to this socket.
     pub(crate) fn handle_datagram(self: &Arc<Self>, seg: Segment) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         inner.rx_vt = inner.rx_vt.max(seg.vt + self.net.cfg.vt_latency_ns);
         if let Some(d) = inner.dgram.as_mut().filter(|d| d.accepts_from(seg.src)) {
             d.queue.push(Datagram { src: seg.src, data: seg.payload });

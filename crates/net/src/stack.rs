@@ -13,9 +13,8 @@ use crate::socket::{Socket, SocketId};
 use crate::tcp::Tcb;
 use crate::wire::NetShared;
 use crate::{NetError, NetResult};
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use zapc_proto::{Endpoint, Transport};
 
 /// Lowest ephemeral port.
@@ -72,13 +71,13 @@ impl NetStack {
             default_ip,
             ip_proto,
         );
-        self.inner.write().sockets.insert(s.id, Arc::clone(&s));
+        self.inner.write().unwrap().sockets.insert(s.id, Arc::clone(&s));
         s
     }
 
     /// Number of sockets registered on this stack.
     pub fn socket_count(&self) -> usize {
-        self.inner.read().sockets.len()
+        self.inner.read().unwrap().sockets.len()
     }
 
     /// All sockets whose local address (or default IP) is `vip` — the set a
@@ -87,7 +86,8 @@ impl NetStack {
         // Lock order is socket → stack (`Socket::connect` binds its port
         // while holding the socket lock), so no socket may be locked under
         // the stack lock: copy the list out first, then look inside.
-        let mut out: Vec<Arc<Socket>> = self.inner.read().sockets.values().cloned().collect();
+        let mut out: Vec<Arc<Socket>> =
+            self.inner.read().unwrap().sockets.values().cloned().collect();
         out.retain(|s| {
             s.with_inner(|i| i.local.map(|l| l.ip == vip).unwrap_or(i.default_ip == vip))
         });
@@ -106,7 +106,7 @@ impl NetStack {
         _reuse: bool,
         ip_proto: Option<u8>,
     ) -> NetResult<Endpoint> {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap();
         let port = if transport == Transport::RawIp {
             ip_proto.ok_or(NetError::Invalid)? as u16
         } else if addr.port == 0 {
@@ -135,17 +135,17 @@ impl NetStack {
 
     /// Releases the port binding `sock` holds, if any.
     pub(crate) fn unbind_port(&self, sock: SocketId) {
-        self.inner.write().ports.retain(|_, &mut v| v != sock);
+        self.inner.write().unwrap().ports.retain(|_, &mut v| v != sock);
     }
 
     /// Registers a connection four-tuple for demultiplexing.
     pub(crate) fn register_connection(&self, local: Endpoint, remote: Endpoint, sock: &Arc<Socket>) {
-        self.inner.write().est.insert((local, remote), sock.id);
+        self.inner.write().unwrap().est.insert((local, remote), sock.id);
     }
 
     /// Fully removes a socket from every table (pod teardown).
     pub fn remove_socket(&self, id: SocketId) {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap();
         inner.sockets.remove(&id);
         inner.ports.retain(|_, &mut v| v != id);
         inner.est.retain(|_, &mut v| v != id);
@@ -154,7 +154,7 @@ impl NetStack {
     /// One-line diagnostic dump of the demux tables, for restore-path
     /// timeout reports.
     pub fn debug_tables(&self) -> String {
-        let inner = self.inner.read();
+        let inner = self.inner.read().unwrap();
         let mut s = String::new();
         use std::fmt::Write;
         for ((l, r), id) in &inner.est {
@@ -193,7 +193,7 @@ impl NetStack {
                 let t = seg.transport;
                 let port = if t == Transport::RawIp { seg.ip_proto as u16 } else { seg.dst.port };
                 let sock = {
-                    let inner = self.inner.read();
+                    let inner = self.inner.read().unwrap();
                     inner
                         .ports
                         .get(&(seg.dst.ip, port, t))
@@ -211,7 +211,7 @@ impl NetStack {
     fn deliver_tcp(self: &Arc<Self>, seg: Segment) {
         // Established / in-handshake connection?
         let est = {
-            let inner = self.inner.read();
+            let inner = self.inner.read().unwrap();
             inner.est.get(&(seg.dst, seg.src)).and_then(|id| inner.sockets.get(id)).cloned()
         };
         if let Some(sock) = est {
@@ -220,7 +220,7 @@ impl NetStack {
         }
         // Listener?
         let listener = {
-            let inner = self.inner.read();
+            let inner = self.inner.read().unwrap();
             inner
                 .ports
                 .get(&(seg.dst.ip, seg.dst.port, Transport::Tcp))
@@ -283,7 +283,7 @@ impl NetStack {
         });
         // Register, guarding against a duplicate SYN racing us.
         {
-            let mut inner = self.inner.write();
+            let mut inner = self.inner.write().unwrap();
             if inner.est.contains_key(&(seg.dst, seg.src)) {
                 // A child already exists; it will re-answer on its own
                 // retransmission timer. Drop ours.

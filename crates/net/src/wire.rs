@@ -19,11 +19,10 @@ use crate::filter::Netfilter;
 use crate::seg::Segment;
 use crate::socket::Socket;
 use crate::stack::NetStack;
-use parking_lot::{Condvar, Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
 use zapc_faults::{FaultAction, FaultPlan};
 
@@ -142,7 +141,7 @@ impl NetShared {
     /// runs only when an observer is attached, so the disabled path pays
     /// one lock-read and a branch — no string formatting.
     pub fn obs_counter_with(&self, name: &'static str, delta: u64, key: impl FnOnce() -> String) {
-        let obs = self.obs.read();
+        let obs = self.obs.read().unwrap();
         if obs.enabled() {
             obs.counter(&key(), name, delta);
         }
@@ -150,7 +149,7 @@ impl NetShared {
 
     fn push(&self, at: Instant, ev: Event) {
         let seq = self.seqno.fetch_add(1, Ordering::Relaxed);
-        self.queue.lock().push(Reverse(Entry { at, seq, ev }));
+        self.queue.lock().unwrap().push(Reverse(Entry { at, seq, ev }));
         self.cond.notify_one();
     }
 
@@ -158,7 +157,7 @@ impl NetShared {
     pub fn send(&self, seg: Segment) {
         let mut delay = self.cfg.latency;
         if self.cfg.loss > 0.0 || self.cfg.jitter > Duration::ZERO {
-            let mut rng = self.rng.lock();
+            let mut rng = self.rng.lock().unwrap();
             if self.cfg.loss > 0.0 && rng.uniform() < self.cfg.loss {
                 self.stats.lost.fetch_add(1, Ordering::Relaxed);
                 return;
@@ -168,7 +167,7 @@ impl NetShared {
                 delay += Duration::from_nanos((self.cfg.jitter.as_nanos() as f64 * j) as u64);
             }
         }
-        let faults = Arc::clone(&self.faults.read());
+        let faults = Arc::clone(&self.faults.read().unwrap());
         if !faults.is_inert() {
             let key = format!("{:08x}->{:08x}", seg.src.ip, seg.dst.ip);
             match faults.hit("net.segment", &key) {
@@ -198,13 +197,13 @@ impl NetShared {
 
     /// Resolves the stack currently hosting virtual IP `vip`.
     pub fn route(&self, vip: u32) -> Option<Arc<NetStack>> {
-        self.routes.read().get(&vip).and_then(Weak::upgrade)
+        self.routes.read().unwrap().get(&vip).and_then(Weak::upgrade)
     }
 
     fn run_pump(self: &Arc<Self>) {
         loop {
             let ev = {
-                let mut q = self.queue.lock();
+                let mut q = self.queue.lock().unwrap();
                 loop {
                     if self.stopped.load(Ordering::Acquire) {
                         return;
@@ -214,11 +213,11 @@ impl NetShared {
                             break q.pop().expect("peeked").0.ev;
                         }
                         Some(Reverse(e)) => {
-                            let at = e.at;
-                            self.cond.wait_until(&mut q, at);
+                            let wait = e.at.saturating_duration_since(Instant::now());
+                            q = self.cond.wait_timeout(q, wait).unwrap().0;
                         }
                         None => {
-                            self.cond.wait_for(&mut q, Duration::from_millis(50));
+                            q = self.cond.wait_timeout(q, Duration::from_millis(50)).unwrap().0;
                         }
                     }
                 }
@@ -301,12 +300,12 @@ impl Network {
 
     /// Routes virtual IP `vip` to `stack` (pod placement / migration).
     pub fn set_route(&self, vip: u32, stack: &Arc<NetStack>) {
-        self.shared.routes.write().insert(vip, Arc::downgrade(stack));
+        self.shared.routes.write().unwrap().insert(vip, Arc::downgrade(stack));
     }
 
     /// Removes the route for `vip` (pod destroyed).
     pub fn clear_route(&self, vip: u32) {
-        self.shared.routes.write().remove(&vip);
+        self.shared.routes.write().unwrap().remove(&vip);
     }
 
     /// Wire statistics.
@@ -317,13 +316,13 @@ impl Network {
     /// Installs a fault plan consulted at site `net.segment` (key
     /// `src->dst`) for every segment entering the wire.
     pub fn set_faults(&self, plan: Arc<FaultPlan>) {
-        *self.shared.faults.write() = plan;
+        *self.shared.faults.write().unwrap() = plan;
     }
 
     /// Installs an event observer; sockets emit `net.*` counters through
     /// it. Disabled observers cost one branch per emission site.
     pub fn set_observer(&self, obs: zapc_obs::Observer) {
-        *self.shared.obs.write() = obs;
+        *self.shared.obs.write().unwrap() = obs;
     }
 }
 

@@ -26,9 +26,8 @@
 
 use crate::records::SockRecord;
 use crate::{NetCkptError, NetCkptResult};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use zapc_net::udp::Datagram;
 use zapc_net::{buf::SendSnapshot, NetError, Shutdown, Socket};
@@ -92,7 +91,7 @@ pub fn restore_network(
                     s.connect(peer)?;
                 }
                 s.restore_datagrams(to_dgrams(&rec.dgrams), rec.recv_peeked);
-                out.lock()[i] = Some(s);
+                out.lock().unwrap()[i] = Some(s);
             }
             Transport::Tcp => {
                 if rec.listening {
@@ -110,7 +109,7 @@ pub fn restore_network(
                         .count();
                     s.listen(rec.backlog as usize + expected)?;
                     listeners.insert(local, Arc::clone(&s));
-                    out.lock()[i] = Some(s);
+                    out.lock().unwrap()[i] = Some(s);
                 } else if rec.pcb.is_some() && rec.peer.is_some() {
                     if entries[i].state == ConnState::Connecting
                         && entries[i].role == RestartRole::Accept
@@ -135,7 +134,7 @@ pub fn restore_network(
                         apply_opts(&s, rec);
                         s.abort();
                         s.with_inner(|inner| inner.err = rec.err);
-                        out.lock()[i] = Some(s);
+                        out.lock().unwrap()[i] = Some(s);
                         continue;
                     }
                     match entries[i].role {
@@ -152,7 +151,7 @@ pub fn restore_network(
                     if let Some(local) = rec.local {
                         s.bind(local)?;
                     }
-                    out.lock()[i] = Some(s);
+                    out.lock().unwrap()[i] = Some(s);
                 }
             }
         }
@@ -179,9 +178,9 @@ pub fn restore_network(
         let connector = scope.spawn(|| {
             for &i in &connects {
                 match establish_outgoing(&stack, vip, &records[i], deadline) {
-                    Ok(s) => out.lock()[i] = Some(s),
+                    Ok(s) => out.lock().unwrap()[i] = Some(s),
                     Err(e) => {
-                        *conn_err.lock() = Some(e);
+                        *conn_err.lock().unwrap() = Some(e);
                         return;
                     }
                 }
@@ -208,7 +207,7 @@ pub fn restore_network(
                     );
                 }
                 eprint!("[netckpt] local tables:\n{}", stack.debug_tables());
-                *conn_err.lock() =
+                *conn_err.lock().unwrap() =
                     Some(NetCkptError::Timeout("inbound connections missing"));
                 break;
             }
@@ -225,13 +224,13 @@ pub fn restore_network(
                         let target = waiting.iter().position(|&j| {
                             records[j].local == Some(local)
                                 && records[j].peer == peer
-                                && out.lock()[j].is_none()
+                                && out.lock().unwrap()[j].is_none()
                         });
                         match target {
                             Some(pos) => {
                                 let j = waiting[pos];
                                 apply_opts(&child, &records[j]);
-                                out.lock()[j] = Some(child);
+                                out.lock().unwrap()[j] = Some(child);
                                 matched = Some(pos);
                             }
                             None => sidelined.push((local, child)),
@@ -262,7 +261,7 @@ pub fn restore_network(
             }
         }
     });
-    if let Some(e) = conn_err.into_inner() {
+    if let Some(e) = conn_err.into_inner().unwrap() {
         return Err(e);
     }
 
@@ -274,7 +273,7 @@ pub fn restore_network(
     // ---- Phase 4/5: reinstate queue + protocol state ---------------------
     let obs = &plan.obs;
     let key = &pod.name();
-    let mut out = out.into_inner();
+    let mut out = out.into_inner().unwrap();
     for (i, rec) in records.iter().enumerate() {
         if rec.transport != Transport::Tcp || rec.pcb.is_none() {
             continue;

@@ -1,9 +1,8 @@
 //! The pod itself: namespace + process group + Agent-facing operations.
 
 use crate::namespace::{Namespace, VpidMap};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use zapc_net::Socket;
 use zapc_sim::{
@@ -100,12 +99,12 @@ impl Pod {
 
     /// Pod name.
     pub fn name(&self) -> String {
-        self.ns.lock().name.clone()
+        self.ns.lock().unwrap().name.clone()
     }
 
     /// The pod's virtual IP.
     pub fn vip(&self) -> u32 {
-        self.ns.lock().vip
+        self.ns.lock().unwrap().vip
     }
 
     /// The hosting node of this incarnation.
@@ -115,15 +114,15 @@ impl Pod {
 
     /// A snapshot of the namespace (checkpoint path).
     pub fn namespace(&self) -> Namespace {
-        self.ns.lock().clone()
+        self.ns.lock().unwrap().clone()
     }
 
     /// Spawns a program inside the pod; returns its virtual PID.
     pub fn spawn(&self, proc_name: &str, program: Box<dyn Program>) -> u32 {
-        let vpid = self.ns.lock().alloc_vpid(proc_name);
+        let vpid = self.ns.lock().unwrap().alloc_vpid(proc_name);
         let proc = Process::new(proc_name, vpid, program, Arc::clone(&self.env));
         let pid = self.node.add_process(proc);
-        self.vpids.lock().bind(vpid, pid);
+        self.vpids.lock().unwrap().bind(vpid, pid);
         vpid
     }
 
@@ -131,29 +130,29 @@ impl Pod {
     /// virtual PID (identifiers must come back exactly as saved).
     pub fn adopt(&self, vpid: u32, proc: Process) {
         let pid = self.node.add_process(proc);
-        self.vpids.lock().bind(vpid, pid);
-        let mut ns = self.ns.lock();
+        self.vpids.lock().unwrap().bind(vpid, pid);
+        let mut ns = self.ns.lock().unwrap();
         ns.next_vpid = ns.next_vpid.max(vpid + 1);
     }
 
     /// Host PIDs of the pod's processes, in vpid order.
     pub fn pids(&self) -> Vec<Pid> {
-        self.vpids.lock().iter().map(|(_, p)| p).collect()
+        self.vpids.lock().unwrap().iter().map(|(_, p)| p).collect()
     }
 
     /// `(vpid, pid)` pairs, in vpid order.
     pub fn vpid_pids(&self) -> Vec<(u32, Pid)> {
-        self.vpids.lock().iter().collect()
+        self.vpids.lock().unwrap().iter().collect()
     }
 
     /// Host PID of a virtual PID.
     pub fn pid_of(&self, vpid: u32) -> Option<Pid> {
-        self.vpids.lock().pid(vpid)
+        self.vpids.lock().unwrap().pid(vpid)
     }
 
     /// Number of processes.
     pub fn process_count(&self) -> usize {
-        self.vpids.lock().len()
+        self.vpids.lock().unwrap().len()
     }
 
     /// Total mapped memory across all processes — the dominant term of the
@@ -162,7 +161,7 @@ impl Pod {
         self.pids()
             .into_iter()
             .filter_map(|pid| self.node.process(pid))
-            .map(|p| p.lock().mem.total_bytes())
+            .map(|p| p.lock().unwrap().mem.total_bytes())
             .sum()
     }
 
@@ -204,7 +203,7 @@ impl Pod {
             let _ = self.node.signal(pid, zapc_sim::signals::Signal::Kill);
             self.node.remove_process(pid);
         }
-        self.vpids.lock().clear();
+        self.vpids.lock().unwrap().clear();
         self.node.stack.remove_sockets_for_ip(self.vip());
     }
 

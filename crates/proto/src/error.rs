@@ -53,15 +53,6 @@ pub enum DecodeError {
         /// The repeated tag.
         tag: u16,
     },
-    /// A section tag that only exists in a newer format version appeared
-    /// in an image declaring an older version — a forged or corrupted
-    /// preamble; refusing prevents a silent misparse.
-    TagVersionMismatch {
-        /// The offending tag.
-        tag: u16,
-        /// The version the image preamble declared.
-        version: u32,
-    },
     /// The decoder finished a record with unconsumed payload bytes,
     /// indicating a reader/writer schema mismatch.
     TrailingBytes {
@@ -112,9 +103,6 @@ impl fmt::Display for DecodeError {
             DecodeError::InvalidUtf8 => write!(f, "invalid UTF-8 in string field"),
             DecodeError::DuplicateSection { tag } => {
                 write!(f, "section {tag:#06x} appeared more than once")
-            }
-            DecodeError::TagVersionMismatch { tag, version } => {
-                write!(f, "section {tag:#06x} is not defined in format version {version}")
             }
             DecodeError::TrailingBytes { tag, remaining } => {
                 write!(f, "record {tag:#06x} has {remaining} unread payload bytes")

@@ -19,26 +19,18 @@ use crate::rw::{decode_exact, RecordStream, RecordWriter};
 /// Magic bytes that start every ZapC checkpoint image.
 pub const MAGIC: &[u8; 8] = b"ZAPCIMG\0";
 
-/// Current image format version. Version 2 adds
-/// [`SectionTag::MemoryDelta`] sections carrying only dirty regions; they
-/// travel on live-migration streams, after the base they apply to, and
-/// never appear in a stored image. (v2 also introduced the since-retired
-/// [`SectionTag::ParentRef`].)
+/// The image format version: the only one written and the only one read.
+/// Version 2 added [`SectionTag::MemoryDelta`] sections carrying only
+/// dirty regions; they travel on live-migration streams, after the base
+/// they apply to, and never appear in a stored image.
 pub const FORMAT_VERSION: u32 = 2;
 
-/// Oldest format version this reader still restores.
-pub const MIN_FORMAT_VERSION: u32 = 1;
-
-/// Section tags. Values are stable across format versions.
+/// Section tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum SectionTag {
     /// Image header: pod name, source host, wall-clock time, flags.
     Header = 0x0001,
-    /// Retired (v2): named the stored parent image of a delta image. No
-    /// writer emits it; the tag stays recognised so an image carrying one
-    /// is refused as non-standalone rather than as an unknown tag.
-    ParentRef = 0x0002,
     /// Network meta-data table (`zapc_proto::meta::MetaData`).
     NetMeta = 0x0010,
     /// Per-socket network state (parameters, queues, PCB extract).
@@ -53,7 +45,7 @@ pub enum SectionTag {
     FdTable = 0x0032,
     /// Pending timers and the virtual clock bias.
     Timers = 0x0033,
-    /// Delta replacement for [`SectionTag::Memory`] (v2): only the
+    /// Delta replacement for [`SectionTag::Memory`]: only the
     /// regions dirtied since the base the same stream delivered earlier,
     /// plus the live-region set.
     MemoryDelta = 0x0034,
@@ -69,7 +61,6 @@ impl SectionTag {
     pub fn from_u16(v: u16) -> Option<SectionTag> {
         Some(match v {
             0x0001 => SectionTag::Header,
-            0x0002 => SectionTag::ParentRef,
             0x0010 => SectionTag::NetMeta,
             0x0011 => SectionTag::NetState,
             0x0020 => SectionTag::Namespace,
@@ -82,16 +73,6 @@ impl SectionTag {
             0x00FF => SectionTag::End,
             _ => return None,
         })
-    }
-
-    /// Format version that introduced this tag. A tag appearing in an
-    /// image declaring an older version is rejected rather than
-    /// misparsed.
-    pub fn introduced_in(self) -> u32 {
-        match self {
-            SectionTag::ParentRef | SectionTag::MemoryDelta => 2,
-            _ => 1,
-        }
     }
 }
 
@@ -176,21 +157,19 @@ pub struct Section<'a> {
 #[derive(Debug, Clone)]
 pub struct ImageReader<'a> {
     header: Header,
-    version: u32,
     stream: RecordStream<'a>,
     done: bool,
 }
 
 impl<'a> ImageReader<'a> {
-    /// Opens an image, validating magic, version, CRCs of the header.
-    /// Every version in `MIN_FORMAT_VERSION..=FORMAT_VERSION` is
-    /// accepted; v1 images (no delta sections) still restore.
+    /// Opens an image, validating magic, version ([`FORMAT_VERSION`]
+    /// only) and the header's CRC.
     pub fn open(bytes: &'a [u8]) -> DecodeResult<Self> {
         if bytes.len() < MAGIC.len() + 4 || &bytes[..MAGIC.len()] != MAGIC {
             return Err(DecodeError::BadMagic);
         }
         let ver = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&ver) {
+        if ver != FORMAT_VERSION {
             return Err(DecodeError::UnsupportedVersion { found: ver });
         }
         let mut stream = RecordStream::new(&bytes[12..]);
@@ -203,17 +182,12 @@ impl<'a> ImageReader<'a> {
                 flags: r.get_u32()?,
             })
         })?;
-        Ok(ImageReader { header, version: ver, stream, done: false })
+        Ok(ImageReader { header, stream, done: false })
     }
 
     /// The image header.
     pub fn header(&self) -> &Header {
         &self.header
-    }
-
-    /// The format version the image preamble declared.
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Returns the next section, or `None` at the end marker.
@@ -231,9 +205,6 @@ impl<'a> ImageReader<'a> {
         if tag == SectionTag::Header {
             // The header is read by `open`; a second one is a forgery.
             return Err(DecodeError::DuplicateSection { tag: raw });
-        }
-        if tag.introduced_in() > self.version {
-            return Err(DecodeError::TagVersionMismatch { tag: raw, version: self.version });
         }
         Ok(Some(Section { tag, payload }))
     }
@@ -284,15 +255,18 @@ mod tests {
     }
 
     #[test]
-    fn bad_version_rejected() {
+    fn every_other_version_rejected() {
         let mut w = ImageWriter::new(&header());
         w.section(SectionTag::NetMeta, |r| r.put_u8(0));
         let mut bytes = w.finish();
-        bytes[8] = 0xFE; // clobber version
-        assert!(matches!(
-            ImageReader::open(&bytes),
-            Err(DecodeError::UnsupportedVersion { .. })
-        ));
+        // v1 (the pre-delta format) is no more readable than a future one.
+        for found in [0, 1, 3, 0xFE] {
+            bytes[8..12].copy_from_slice(&u32::to_le_bytes(found));
+            assert_eq!(
+                ImageReader::open(&bytes).unwrap_err(),
+                DecodeError::UnsupportedVersion { found }
+            );
+        }
     }
 
     #[test]
@@ -338,49 +312,6 @@ mod tests {
         w.section(SectionTag::Header, |_| {});
     }
 
-    /// Builds a version-1 image by hand (the writer always emits the
-    /// current version): preamble + framed records.
-    fn v1_image(body_tags: &[(u16, &[u8])]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&1u32.to_le_bytes());
-        let mut hw = RecordWriter::new();
-        hw.put_str("pod-v1");
-        hw.put_str("node-z");
-        hw.put_u64(7);
-        hw.put_u32(0);
-        out.extend(frame_record(SectionTag::Header as u16, hw.bytes()));
-        for (tag, payload) in body_tags {
-            out.extend(frame_record(*tag, payload));
-        }
-        out.extend(frame_record(SectionTag::End as u16, &[]));
-        out
-    }
-
-    #[test]
-    fn v1_images_still_restore() {
-        let mut pw = RecordWriter::new();
-        pw.put_bytes(&[3u8; 40]);
-        let bytes = v1_image(&[(SectionTag::Memory as u16, pw.bytes())]);
-        let mut rd = ImageReader::open(&bytes).unwrap();
-        assert_eq!(rd.version(), 1);
-        assert_eq!(rd.header().pod, "pod-v1");
-        let s = rd.next_section().unwrap().unwrap();
-        assert_eq!(s.tag, SectionTag::Memory);
-        assert!(rd.next_section().unwrap().is_none());
-    }
-
-    #[test]
-    fn v2_tags_rejected_in_v1_image() {
-        // A v1 preamble carrying a v2-only section must not misparse.
-        let bytes = v1_image(&[(SectionTag::MemoryDelta as u16, &[0u8; 4])]);
-        let mut rd = ImageReader::open(&bytes).unwrap();
-        assert!(matches!(
-            rd.next_section(),
-            Err(DecodeError::TagVersionMismatch { tag: 0x0034, version: 1 })
-        ));
-    }
-
     #[test]
     fn duplicate_header_rejected() {
         let mut w = ImageWriter::new(&header());
@@ -416,8 +347,8 @@ mod tests {
     #[test]
     fn writer_emits_current_version() {
         let bytes = ImageWriter::new(&header()).finish();
+        assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes());
         let mut rd = ImageReader::open(&bytes).unwrap();
-        assert_eq!(rd.version(), FORMAT_VERSION);
         assert!(rd.next_section().unwrap().is_none());
     }
 }

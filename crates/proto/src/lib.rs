@@ -33,7 +33,7 @@ pub mod rw;
 
 pub use chunkindex::{ChunkIndex, ChunkRef, CHUNK_INDEX_MAGIC, CHUNK_INDEX_TAG, CHUNK_INDEX_VERSION};
 pub use error::{DecodeError, DecodeResult};
-pub use image::{ImageReader, ImageWriter, SectionTag, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION};
+pub use image::{ImageReader, ImageWriter, SectionTag, FORMAT_VERSION, MAGIC};
 pub use manifest::{Manifest, ManifestEntry, MANIFEST_MAGIC, MANIFEST_TAG, MANIFEST_VERSION};
 pub use meta::{ConnEntry, ConnState, Endpoint, MetaData, RestartRole, Transport};
 pub use rw::{seq_capacity, Decode, Encode, RecordReader, RecordWriter, MAX_PREALLOC_BYTES};

@@ -34,9 +34,8 @@
 //! grown/overwritten suffix is unsynced). Restoring an [`FsSnapshot`]
 //! marks the restored bytes durable.
 
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use zapc_proto::{seq_capacity, Decode, DecodeResult, Encode, RecordReader, RecordWriter};
 
 use crate::Errno;
@@ -75,7 +74,7 @@ impl SimFs {
     /// volatile until [`SimFs::fsync`] — see the module docs.
     pub fn write(&self, path: &str, data: &[u8]) {
         self.files
-            .write()
+            .write().unwrap()
             .insert(Self::norm(path), FileEnt { data: data.to_vec(), synced: 0 });
     }
 
@@ -83,7 +82,7 @@ impl SimFs {
     /// volatile (watermark unchanged).
     pub fn append(&self, path: &str, data: &[u8]) {
         self.files
-            .write()
+            .write().unwrap()
             .entry(Self::norm(path))
             .or_default()
             .data
@@ -99,12 +98,12 @@ impl SimFs {
     /// them elsewhere copies them once, not twice. Writers wait until `f`
     /// returns.
     pub fn read_with<R>(&self, path: &str, f: impl FnOnce(&[u8]) -> R) -> Result<R, Errno> {
-        self.files.read().get(&Self::norm(path)).map(|e| f(&e.data)).ok_or(Errno::ENOENT)
+        self.files.read().unwrap().get(&Self::norm(path)).map(|e| f(&e.data)).ok_or(Errno::ENOENT)
     }
 
     /// Reads `len` bytes at `offset`; short reads at EOF.
     pub fn read_at(&self, path: &str, offset: u64, len: usize) -> Result<Vec<u8>, Errno> {
-        let files = self.files.read();
+        let files = self.files.read().unwrap();
         let f = files.get(&Self::norm(path)).ok_or(Errno::ENOENT)?;
         let start = (offset as usize).min(f.data.len());
         let end = (start + len).min(f.data.len());
@@ -115,7 +114,7 @@ impl SimFs {
     /// range is volatile; the watermark never moves backwards past it
     /// (overwritten synced bytes stay claimable only up to `offset`).
     pub fn write_at(&self, path: &str, offset: u64, data: &[u8]) {
-        let mut files = self.files.write();
+        let mut files = self.files.write().unwrap();
         let f = files.entry(Self::norm(path)).or_default();
         let end = offset as usize + data.len();
         if f.data.len() < end {
@@ -127,7 +126,7 @@ impl SimFs {
 
     /// Flushes a file to stable storage: its current bytes survive a crash.
     pub fn fsync(&self, path: &str) -> Result<(), Errno> {
-        let mut files = self.files.write();
+        let mut files = self.files.write().unwrap();
         let f = files.get_mut(&Self::norm(path)).ok_or(Errno::ENOENT)?;
         f.synced = f.data.len();
         Ok(())
@@ -138,7 +137,7 @@ impl SimFs {
     /// rename is only as crash-safe as the fsync that preceded it.
     pub fn rename(&self, from: &str, to: &str) -> Result<(), Errno> {
         let (from, to) = (Self::norm(from), Self::norm(to));
-        let mut files = self.files.write();
+        let mut files = self.files.write().unwrap();
         let ent = files.remove(&from).ok_or(Errno::ENOENT)?;
         files.insert(to, ent);
         Ok(())
@@ -154,7 +153,7 @@ impl SimFs {
             p.push('/');
             p
         };
-        let mut files = self.files.write();
+        let mut files = self.files.write().unwrap();
         let mut affected = 0;
         files.retain(|k, f| {
             if !k.starts_with(&prefix) {
@@ -172,7 +171,7 @@ impl SimFs {
     /// File size, if it exists.
     pub fn size(&self, path: &str) -> Result<u64, Errno> {
         self.files
-            .read()
+            .read().unwrap()
             .get(&Self::norm(path))
             .map(|f| f.data.len() as u64)
             .ok_or(Errno::ENOENT)
@@ -180,12 +179,12 @@ impl SimFs {
 
     /// Whether the file exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.files.read().contains_key(&Self::norm(path))
+        self.files.read().unwrap().contains_key(&Self::norm(path))
     }
 
     /// Removes a file.
     pub fn unlink(&self, path: &str) -> Result<(), Errno> {
-        self.files.write().remove(&Self::norm(path)).map(|_| ()).ok_or(Errno::ENOENT)
+        self.files.write().unwrap().remove(&Self::norm(path)).map(|_| ()).ok_or(Errno::ENOENT)
     }
 
     /// Lists files under a directory prefix.
@@ -198,7 +197,7 @@ impl SimFs {
             p
         };
         self.files
-            .read()
+            .read().unwrap()
             .keys()
             .filter(|k| k.starts_with(&prefix) || prefix == "//")
             .cloned()
@@ -207,14 +206,14 @@ impl SimFs {
 
     /// Total stored bytes.
     pub fn total_bytes(&self) -> usize {
-        self.files.read().values().map(|f| f.data.len()).sum()
+        self.files.read().unwrap().values().map(|f| f.data.len()).sum()
     }
 
     /// Snapshot of the subtree under `prefix` (the optional file-system
     /// snapshot of §3/§4).
     pub fn snapshot(&self, prefix: &str) -> FsSnapshot {
         let prefix = Self::norm(prefix);
-        let files = self.files.read();
+        let files = self.files.read().unwrap();
         FsSnapshot {
             files: files
                 .iter()
@@ -227,7 +226,7 @@ impl SimFs {
     /// Restores a snapshot (overwrites matching paths). Restored bytes are
     /// durable — a snapshot restore models recovery from stable storage.
     pub fn restore(&self, snap: &FsSnapshot) {
-        let mut files = self.files.write();
+        let mut files = self.files.write().unwrap();
         for (k, v) in &snap.files {
             files.insert(k.clone(), FileEnt { data: v.clone(), synced: v.len() });
         }

@@ -14,10 +14,9 @@ use crate::ids::{NodeId, Pid};
 use crate::process::{ProcState, Process, StepOutcome};
 use crate::signals::Signal;
 use crate::{Errno, SimFs, SysResult};
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock, TryLockError};
 use std::time::{Duration, Instant};
 use zapc_faults::FaultPlan;
 use zapc_net::NetStack;
@@ -79,7 +78,7 @@ impl Node {
             threads: Mutex::new(Vec::new()),
             faults: Arc::clone(&faults),
         });
-        let mut threads = node.threads.lock();
+        let mut threads = node.threads.lock().unwrap();
         for cpu in 0..node.cpus {
             let procs = Arc::clone(&procs);
             let stop = Arc::clone(&stop);
@@ -100,26 +99,26 @@ impl Node {
     /// Installs a process on this node; returns its PID.
     pub fn add_process(&self, proc: Process) -> Pid {
         let pid = proc.pid;
-        self.procs.write().insert(pid, Arc::new(Mutex::new(proc)));
+        self.procs.write().unwrap().insert(pid, Arc::new(Mutex::new(proc)));
         pid
     }
 
     /// The process table entry for `pid`.
     pub fn process(&self, pid: Pid) -> Option<Arc<Mutex<Process>>> {
-        self.procs.read().get(&pid).cloned()
+        self.procs.read().unwrap().get(&pid).cloned()
     }
 
     /// All PIDs on this node.
     pub fn pids(&self) -> Vec<Pid> {
-        let mut v: Vec<Pid> = self.procs.read().keys().copied().collect();
+        let mut v: Vec<Pid> = self.procs.read().unwrap().keys().copied().collect();
         v.sort();
         v
     }
 
     /// Removes a process from the table (pod destroy); closes its fds.
     pub fn remove_process(&self, pid: Pid) -> Option<Arc<Mutex<Process>>> {
-        let p = self.procs.write().remove(&pid)?;
-        p.lock().close_all_fds();
+        let p = self.procs.write().unwrap().remove(&pid)?;
+        p.lock().unwrap().close_all_fds();
         Some(p)
     }
 
@@ -127,14 +126,14 @@ impl Node {
     /// is not mid-step when Stop/Cont/Kill take effect.
     pub fn signal(&self, pid: Pid, s: Signal) -> SysResult<()> {
         let p = self.process(pid).ok_or(Errno::ESRCH)?;
-        p.lock().deliver_signal(s);
+        p.lock().unwrap().deliver_signal(s);
         Ok(())
     }
 
     /// Current state of a process.
     pub fn proc_state(&self, pid: Pid) -> SysResult<ProcState> {
         let p = self.process(pid).ok_or(Errno::ESRCH)?;
-        let st = p.lock().state;
+        let st = p.lock().unwrap().state;
         Ok(st)
     }
 
@@ -157,20 +156,20 @@ impl Node {
 
     /// Number of processes on the node.
     pub fn process_count(&self) -> usize {
-        self.procs.read().len()
+        self.procs.read().unwrap().len()
     }
 
     /// Installs a fault plan consulted at site `node.sched` (key
     /// `node<N>`) once per scheduler sweep — a firing `Delay` models a
     /// slow node.
     pub fn set_faults(&self, plan: Arc<FaultPlan>) {
-        *self.faults.write() = plan;
+        *self.faults.write().unwrap() = plan;
     }
 
     /// Stops the scheduler threads (idempotent; also runs on drop).
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
-        let mut threads = self.threads.lock();
+        let mut threads = self.threads.lock().unwrap();
         for t in threads.drain(..) {
             let _ = t.join();
         }
@@ -191,10 +190,10 @@ fn scheduler_loop(
 ) {
     while !stop.load(Ordering::Acquire) {
         {
-            let plan = Arc::clone(&faults.read());
+            let plan = Arc::clone(&faults.read().unwrap());
             plan.hit_and_sleep("node.sched", &fault_key);
         }
-        let snapshot: Vec<Arc<Mutex<Process>>> = procs.read().values().cloned().collect();
+        let snapshot: Vec<Arc<Mutex<Process>>> = procs.read().unwrap().values().cloned().collect();
         let mut progressed = false;
         if snapshot.is_empty() {
             std::thread::sleep(Duration::from_millis(1));
@@ -204,8 +203,14 @@ fn scheduler_loop(
             if stop.load(Ordering::Acquire) {
                 return;
             }
-            // try_lock: if another CPU is running this process, skip it.
-            let Some(mut guard) = p.try_lock() else { continue };
+            // If another CPU is running this process, skip it. A poisoned
+            // process (its program panicked mid-step) is not skipped
+            // forever: the scheduler panics too.
+            let mut guard = match p.try_lock() {
+                Ok(guard) => guard,
+                Err(TryLockError::WouldBlock) => continue,
+                Err(TryLockError::Poisoned(e)) => panic!("{e}"),
+            };
             if guard.state != ProcState::Runnable {
                 continue;
             }
@@ -291,18 +296,18 @@ mod tests {
         assert_eq!(node.proc_state(pid).unwrap(), ProcState::Stopped);
         let frozen_at = {
             let p = node.process(pid).unwrap();
-            let steps = p.lock().steps;
+            let steps = p.lock().unwrap().steps;
             steps
         };
         std::thread::sleep(Duration::from_millis(10));
         {
             let p = node.process(pid).unwrap();
-            assert_eq!(p.lock().steps, frozen_at, "no steps while stopped");
+            assert_eq!(p.lock().unwrap().steps, frozen_at, "no steps while stopped");
         }
         node.signal(pid, Signal::Cont).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         let p = node.process(pid).unwrap();
-        assert!(p.lock().steps > frozen_at, "resumed after SIGCONT");
+        assert!(p.lock().unwrap().steps > frozen_at, "resumed after SIGCONT");
         node.signal(pid, Signal::Kill).unwrap();
     }
 

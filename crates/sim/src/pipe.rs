@@ -5,9 +5,8 @@
 //! pipe buffers wholesale. Pipes never cross pod boundaries (processes in a
 //! pod migrate as a group, §3), so no coordination is needed for them.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::{Errno, SysResult};
 
@@ -49,7 +48,7 @@ impl Pipe {
     /// Writes into the pipe; returns bytes accepted, `EAGAIN` when full,
     /// `EPIPE` when the read end is closed.
     pub fn write(&self, data: &[u8]) -> SysResult<usize> {
-        let mut p = self.inner.lock();
+        let mut p = self.inner.lock().unwrap();
         if p.read_closed {
             return Err(Errno::EPIPE);
         }
@@ -65,7 +64,7 @@ impl Pipe {
     /// Reads up to `n` bytes; empty result means EOF (write end closed),
     /// `EAGAIN` means no data yet.
     pub fn read(&self, n: usize) -> SysResult<Vec<u8>> {
-        let mut p = self.inner.lock();
+        let mut p = self.inner.lock().unwrap();
         if p.buf.is_empty() {
             return if p.write_closed { Ok(Vec::new()) } else { Err(Errno::EAGAIN) };
         }
@@ -75,33 +74,33 @@ impl Pipe {
 
     /// Bytes currently buffered.
     pub fn buffered(&self) -> usize {
-        self.inner.lock().buf.len()
+        self.inner.lock().unwrap().buf.len()
     }
 
     /// Closes the read end.
     pub fn close_read(&self) {
-        self.inner.lock().read_closed = true;
+        self.inner.lock().unwrap().read_closed = true;
     }
 
     /// Closes the write end.
     pub fn close_write(&self) {
-        self.inner.lock().write_closed = true;
+        self.inner.lock().unwrap().write_closed = true;
     }
 
     /// Whether the write end is closed.
     pub fn write_closed(&self) -> bool {
-        self.inner.lock().write_closed
+        self.inner.lock().unwrap().write_closed
     }
 
     /// Checkpoint extraction: `(buffered bytes, read_closed, write_closed)`.
     pub fn snapshot(&self) -> (Vec<u8>, bool, bool) {
-        let p = self.inner.lock();
+        let p = self.inner.lock().unwrap();
         (p.buf.iter().copied().collect(), p.read_closed, p.write_closed)
     }
 
     /// Restore path: reinstates buffered data and end states.
     pub fn restore(&self, data: Vec<u8>, read_closed: bool, write_closed: bool) {
-        let mut p = self.inner.lock();
+        let mut p = self.inner.lock().unwrap();
         p.buf = data.into();
         p.read_closed = read_closed;
         p.write_closed = write_closed;

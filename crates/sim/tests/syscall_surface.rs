@@ -166,7 +166,7 @@ fn vtime_charges_syscalls_and_compute() {
     ));
     r.node.wait_exit(pid, Duration::from_secs(5)).unwrap();
     let p = r.node.process(pid).unwrap();
-    let vt = p.lock().vtime_ns;
+    let vt = p.lock().unwrap().vtime_ns;
     // 10_000 compute + base (300) + pod overhead (150).
     assert_eq!(vt, 10_450);
 }

@@ -324,7 +324,7 @@ impl ImageStore {
     /// compressed chunks. Either way the image path holds a recipe, so
     /// images stored under any setting stay readable.
     pub fn set_chunking(&self, cfg: Option<ChunkingConfig>) {
-        *self.chunking.lock().expect("chunking lock") = cfg;
+        *self.chunking.lock().unwrap() = cfg;
     }
 
     /// Raises the fencing token to `epoch` (monotonic; a lower value is
@@ -335,7 +335,7 @@ impl ImageStore {
     pub fn set_fence(&self, epoch: u64) {
         self.fence.fetch_max(epoch, Ordering::SeqCst);
         let fence = self.fence();
-        self.inflight.lock().expect("inflight lock").retain(|_, f| f.epoch >= fence);
+        self.inflight.lock().unwrap().retain(|_, f| f.epoch >= fence);
     }
 
     /// Registers checkpoint `ckpt` (staged by a Manager at `epoch`) as in
@@ -347,7 +347,7 @@ impl ImageStore {
     /// commit. The grace dies with the fence: once a newer epoch recovers,
     /// the registration is pruned and the litter is collectable.
     pub fn begin_stage(&self, ckpt: u64, epoch: u64) {
-        let mut inflight = self.inflight.lock().expect("inflight lock");
+        let mut inflight = self.inflight.lock().unwrap();
         let entry = inflight.entry(ckpt).or_default();
         if epoch >= entry.epoch {
             entry.epoch = epoch;
@@ -359,14 +359,14 @@ impl ImageStore {
     /// Manager re-registered the same checkpoint id must not strip the
     /// winner's grace.
     pub fn end_stage(&self, ckpt: u64, epoch: u64) {
-        let mut inflight = self.inflight.lock().expect("inflight lock");
+        let mut inflight = self.inflight.lock().unwrap();
         if inflight.get(&ckpt).is_some_and(|f| f.epoch == epoch) {
             inflight.remove(&ckpt);
         }
     }
 
     fn note_staged_chunk(&self, ckpt: u64, key: (u64, u64)) {
-        let mut inflight = self.inflight.lock().expect("inflight lock");
+        let mut inflight = self.inflight.lock().unwrap();
         if let Some(f) = inflight.get_mut(&ckpt) {
             f.chunks.insert(key);
         }
@@ -433,10 +433,15 @@ impl ImageStore {
         let tmp = self.abs(&format!("tmp/{seq}-{name}"));
 
         // Torn-manifest modeling: mangle *before* the write so the damaged
-        // bytes are what becomes durable. Only a manifest is ever mangled,
-        // so only a manifest is ever copied here.
-        match self.faults.hit_and_sleep("store.manifest", site_key) {
-            Some(a) if final_rel.starts_with("manifests/") => {
+        // bytes are what becomes durable. Only a manifest write consults the
+        // site, so only a manifest is ever mangled or copied here.
+        let tear = if final_rel.starts_with("manifests/") {
+            self.faults.hit_and_sleep("store.manifest", site_key)
+        } else {
+            None
+        };
+        match tear {
+            Some(a) => {
                 let mut torn = parts.concat();
                 FaultPlan::mangle(a, &mut torn);
                 self.fs.write(&tmp, &torn);
@@ -483,7 +488,7 @@ impl ImageStore {
     pub fn put_image(&self, ckpt: u64, pod: &str, bytes: &[u8]) -> StoreResult<(String, u64)> {
         let span = self.obs.span("store", "store.put");
         let rel = Self::image_ref(ckpt, pod);
-        let chunking = *self.chunking.lock().expect("chunking lock");
+        let chunking = *self.chunking.lock().unwrap();
         let chunks = match chunking {
             None if bytes.is_empty() => Vec::new(),
             None => vec![self.put_chunk_digested(ckpt, bytes, false, pod, digest64)?],
@@ -794,7 +799,7 @@ impl ImageStore {
     /// GC must leave alone, plus whether anything is in flight at all.
     fn grace(&self) -> (Vec<String>, HashSet<(u64, u64)>, bool) {
         let fence = self.fence();
-        let inflight = self.inflight.lock().expect("inflight lock");
+        let inflight = self.inflight.lock().unwrap();
         let mut prefixes = Vec::new();
         let mut chunks = HashSet::new();
         for (ckpt, f) in inflight.iter() {
@@ -1038,6 +1043,22 @@ mod tests {
         let m = manifest_for(&st, 1, &[("w0", b"payload")]);
         st.commit_manifest(&m).unwrap();
         assert!(matches!(st.manifest(1), Err(StoreError::Decode(_))));
+    }
+
+    #[test]
+    fn manifest_site_is_consulted_by_manifest_writes_only() {
+        let plan = Arc::new(
+            FaultPlan::script()
+                .always("store.manifest", None, FaultAction::Truncate { keep_permille: 500 })
+                .build(),
+        );
+        let (_fs, st) = store_with(Arc::clone(&plan));
+        st.set_chunking(Some(small_chunks(true)));
+        let m = manifest_for(&st, 1, &[("w0", &payload(20_000, 5))]);
+        assert_eq!(plan.trace().len(), 0, "chunk and recipe writes fired the manifest site");
+        st.commit_manifest(&m).unwrap();
+        assert!(matches!(st.manifest(1), Err(StoreError::Decode(_))));
+        assert_eq!(plan.trace().len(), 1);
     }
 
     #[test]

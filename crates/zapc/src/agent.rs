@@ -504,7 +504,7 @@ fn create_pod(
     }
     let pod =
         Pod::from_namespace(ns, cluster.node(node), &cluster.clock, cluster.virt_overhead_ns);
-    cluster.register_restarted_pod(&pod, node);
+    cluster.register_pod(&pod, node);
     cluster.filter().unblock_ip(pod.vip());
     if let Some(payload) = fs_snapshot {
         let mut r = zapc_proto::RecordReader::new(payload);

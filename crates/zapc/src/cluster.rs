@@ -7,10 +7,10 @@
 
 use crate::health::{HealthMonitor, DEFAULT_LEASE_MS};
 use crate::uri::MemStore;
-use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use zapc_faults::{FaultPlan, Partition};
 use zapc_store::ImageStore;
 use zapc_net::{Netfilter, Network, NetworkConfig};
@@ -250,47 +250,46 @@ impl Cluster {
     /// Creates a pod with an explicit configuration.
     pub fn create_pod_with(&self, cfg: PodConfig, node: usize) -> Arc<Pod> {
         let pod = Pod::create(cfg, &self.nodes[node], &self.clock);
-        self.net.set_route(pod.vip(), &self.nodes[node].stack);
-        self.filter().set_node_of(pod.vip(), node as u32);
-        let prev = self
-            .pods
-            .lock()
-            .insert(pod.name(), PodEntry { node, pod: Arc::clone(&pod) });
-        assert!(prev.is_none(), "pod name {:?} already in use", pod.name());
+        self.register_pod(&pod, node);
         pod
     }
 
-    /// Registers a restarted pod and routes its virtual address to `node`:
-    /// the first step of the restart tail every [`crate::restart`] and
-    /// [`crate::migrate`] ends in. The name must be free — a migration
-    /// destroys its source first, a restart refuses a target or image that
-    /// names a live pod — because replacing a live entry would steal its
-    /// route and leave it running unreachable by name; a taken name panics.
-    pub fn register_restarted_pod(&self, pod: &Arc<Pod>, node: usize) {
-        let prev = self
-            .pods
-            .lock()
-            .insert(pod.name(), PodEntry { node, pod: Arc::clone(pod) });
-        assert!(prev.is_none(), "pod name {:?} already in use", pod.name());
+    /// Registers a pod and routes its virtual address to `node`: the one
+    /// registration body behind [`Cluster::create_pod_with`] and the restart
+    /// tail every [`crate::restart`] and [`crate::migrate`] ends in. The name
+    /// must be free — a migration destroys its source first, a restart
+    /// refuses a target or image that names a live pod — because replacing
+    /// a live entry would steal its route and leave it running unreachable
+    /// by name. A taken name panics before anything changed, and with the
+    /// pod table unlocked.
+    pub fn register_pod(&self, pod: &Arc<Pod>, node: usize) {
+        let fresh = match self.pods.lock().unwrap().entry(pod.name()) {
+            Entry::Vacant(slot) => {
+                slot.insert(PodEntry { node, pod: Arc::clone(pod) });
+                true
+            }
+            Entry::Occupied(_) => false,
+        };
+        assert!(fresh, "pod name {:?} already in use", pod.name());
         self.net.set_route(pod.vip(), &self.nodes[node].stack);
         self.filter().set_node_of(pod.vip(), node as u32);
     }
 
     /// Looks a pod up by name.
     pub fn pod(&self, name: &str) -> Option<Arc<Pod>> {
-        self.pods.lock().get(name).map(|e| Arc::clone(&e.pod))
+        self.pods.lock().unwrap().get(name).map(|e| Arc::clone(&e.pod))
     }
 
     /// The node currently hosting a pod.
     pub fn pod_node(&self, name: &str) -> Option<usize> {
-        self.pods.lock().get(name).map(|e| e.node)
+        self.pods.lock().unwrap().get(name).map(|e| e.node)
     }
 
     /// Destroys a pod, forgets it and clears its address's route — the
     /// one teardown. A pod that moves is torn down at its source *before*
     /// its destination registers it, or this would clear the new route.
     pub fn destroy_pod(&self, name: &str) {
-        if let Some(entry) = self.pods.lock().remove(name) {
+        if let Some(entry) = self.pods.lock().unwrap().remove(name) {
             self.net.clear_route(entry.pod.vip());
             entry.pod.destroy();
         }
@@ -310,7 +309,7 @@ impl Cluster {
     /// Records that `node`'s Agent served an op stamped with `epoch`
     /// (monotonic per node).
     pub(crate) fn witness_epoch(&self, node: u32, epoch: u64) {
-        let mut map = self.agent_epochs.lock();
+        let mut map = self.agent_epochs.lock().unwrap();
         let e = map.entry(node).or_insert(0);
         *e = (*e).max(epoch);
     }
@@ -318,7 +317,7 @@ impl Cluster {
     /// The highest Manager epoch `node`'s Agent has witnessed (0 = never
     /// served an epoch-stamped op).
     pub fn agent_epoch(&self, node: u32) -> u64 {
-        self.agent_epochs.lock().get(&node).copied().unwrap_or(0)
+        self.agent_epochs.lock().unwrap().get(&node).copied().unwrap_or(0)
     }
 
     /// Counts one Agent reply refused for carrying a stale epoch.
@@ -340,7 +339,7 @@ impl Cluster {
 
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Cluster({} nodes, {} pods)", self.nodes.len(), self.pods.lock().len())
+        write!(f, "Cluster({} nodes, {} pods)", self.nodes.len(), self.pods.lock().unwrap().len())
     }
 }
 
@@ -363,10 +362,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already in use")]
-    fn duplicate_pod_names_rejected() {
-        let c = Cluster::builder().nodes(1).build();
-        c.create_pod("dup", 0);
-        c.create_pod("dup", 0);
+    fn a_duplicate_pod_name_panics_before_it_changes_anything() {
+        let c = Cluster::builder().nodes(2).build();
+        let first = c.create_pod("dup", 0);
+        let second_vip = pod_vip(2);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.create_pod("dup", 1);
+        }))
+        .expect_err("a taken name panics");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("already in use"), "{msg}");
+        assert!(!c.pods.is_poisoned());
+        assert_eq!(c.pod("dup").map(|p| p.vip()), Some(first.vip()));
+        assert_eq!(c.pod_node("dup"), Some(0));
+        let route = c.net.handle().route(first.vip()).expect("first pod still routed");
+        assert!(Arc::ptr_eq(&route, &c.node(0).stack));
+        assert!(c.net.handle().route(second_vip).is_none(), "the refused pod was routed");
     }
 }

@@ -17,9 +17,8 @@
 //! Nodes that have never beaten are presumed alive: leases are a liveness
 //! *refinement*, not a boot-time gate.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use zapc_sim::ClusterClock;
 
 /// Default lease duration (ms of cluster wall-clock).
@@ -77,7 +76,7 @@ impl HealthMonitor {
     /// up on.
     pub fn beat(&self, node: u32) {
         let now = self.clock.now_ms();
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap();
         match state.get(&node) {
             Some(NodeHealth::Dead) => {}
             _ => {
@@ -88,13 +87,13 @@ impl HealthMonitor {
 
     /// Marks `node` dead immediately.
     pub fn kill(&self, node: u32) {
-        self.state.lock().insert(node, NodeHealth::Dead);
+        self.state.lock().unwrap().insert(node, NodeHealth::Dead);
     }
 
     /// Brings `node` back (fresh lease from now).
     pub fn revive(&self, node: u32) {
         let now = self.clock.now_ms();
-        self.state.lock().insert(node, NodeHealth::Alive { last_beat_ms: now });
+        self.state.lock().unwrap().insert(node, NodeHealth::Alive { last_beat_ms: now });
     }
 
     /// Whether `node` is currently considered alive. Unknown nodes are
@@ -105,7 +104,7 @@ impl HealthMonitor {
 
     /// The three-way status of `node` (see [`NodeStatus`]).
     pub fn status(&self, node: u32) -> NodeStatus {
-        match self.state.lock().get(&node) {
+        match self.state.lock().unwrap().get(&node) {
             None => NodeStatus::Alive,
             Some(NodeHealth::Dead) => NodeStatus::Dead,
             Some(NodeHealth::Alive { last_beat_ms }) => {
@@ -121,7 +120,7 @@ impl HealthMonitor {
 
 impl std::fmt::Debug for HealthMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.lock();
+        let state = self.state.lock().unwrap();
         write!(f, "HealthMonitor({} tracked, lease {} ms)", state.len(), self.lease_ms)
     }
 }

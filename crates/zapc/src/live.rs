@@ -895,7 +895,7 @@ mod tests {
         let records: [(&str, Vec<u8>, &str); 10] = [
             ("header", frame_record(SectionTag::Header as u16, b"x"), "torn stream"),
             ("end", frame_record(SectionTag::End as u16, &[]), "torn stream"),
-            ("parent ref", frame_record(SectionTag::ParentRef as u16, b"x"), "stream apply"),
+            ("retired parent ref", frame_record(0x0002, b"x"), "torn stream: unknown frame kind"),
             ("unassigned tag", frame_record(0x0077, b"x"), "torn stream: unknown frame kind"),
             ("retired round start", frame_record(0x0101, b"x"), "torn stream: unknown frame kind"),
             ("retired envelope", frame_record(0x0102, b"x"), "torn stream: unknown frame kind"),

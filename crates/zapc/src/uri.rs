@@ -4,9 +4,8 @@
 //! requiring that the checkpoint data first be written to some
 //! intermediary storage."
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Where a pod's checkpoint image goes (or comes from).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,32 +48,32 @@ impl MemStore {
     /// Stores an image: an owned `Vec<u8>`, or an already-shared
     /// `Arc<Vec<u8>>` without copying.
     pub fn put(&self, label: &str, image: impl Into<Arc<Vec<u8>>>) {
-        self.slots.lock().insert(label.to_owned(), image.into());
+        self.slots.lock().unwrap().insert(label.to_owned(), image.into());
     }
 
     /// Fetches an image.
     pub fn get(&self, label: &str) -> Option<Arc<Vec<u8>>> {
-        self.slots.lock().get(label).cloned()
+        self.slots.lock().unwrap().get(label).cloned()
     }
 
     /// Removes an image; returns whether it existed.
     pub fn remove(&self, label: &str) -> bool {
-        self.slots.lock().remove(label).is_some()
+        self.slots.lock().unwrap().remove(label).is_some()
     }
 
     /// Number of stored images.
     pub fn len(&self) -> usize {
-        self.slots.lock().len()
+        self.slots.lock().unwrap().len()
     }
 
     /// True when the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.slots.lock().is_empty()
+        self.slots.lock().unwrap().is_empty()
     }
 
     /// Total stored bytes.
     pub fn total_bytes(&self) -> usize {
-        self.slots.lock().values().map(|v| v.len()).sum()
+        self.slots.lock().unwrap().values().map(|v| v.len()).sum()
     }
 }
 

@@ -9,7 +9,10 @@ use zapc::manager::{CheckpointTarget, RestartTarget};
 use zapc::{checkpoint, migrate, restart, Cluster, Uri, ZapcError};
 use zapc_apps::launch::{full_registry, launch_app, AppKind, AppParams};
 use zapc_ckpt::MemoryDeltaRecord;
-use zapc_proto::{Decode, Encode, ImageReader, ImageWriter, RecordReader, RecordWriter, SectionTag};
+use zapc_proto::rw::frame_record;
+use zapc_proto::{
+    Decode, DecodeError, Encode, ImageReader, ImageWriter, RecordReader, RecordWriter, SectionTag,
+};
 use zapc_sim::memory::AddressSpace;
 use zapc_sim::ProgramRegistry;
 
@@ -321,9 +324,9 @@ fn restart_over_a_live_pod_is_refused_and_leaves_it_running() {
 #[test]
 fn restart_from_non_standalone_image_fails_typed_and_rolls_back() {
     // A `Uri::Mem` slot is outside input. Two images no writer produces —
-    // one carrying the retired `ParentRef` section, one whose only memory
-    // section is a `MemoryDelta` — must fail typed, and the Agent's
-    // create-then-destroy rollback must leave nothing behind.
+    // one carrying a section under the retired `ParentRef` tag (0x0002, no
+    // section tag any more), one whose only memory section is a
+    // `MemoryDelta` — must fail typed, and nothing may be left behind.
     let c = Cluster::builder().nodes(2).registry(full_registry()).build();
     let app = launch_app(&c, "cpi", &small(AppKind::Cpi, 1));
     std::thread::sleep(Duration::from_millis(10));
@@ -337,18 +340,13 @@ fn restart_from_non_standalone_image_fails_typed_and_rolls_back() {
     let good = c.store.get("img/good").unwrap();
 
     let stale_parent_tag = {
-        let rd = ImageReader::open(&good).unwrap();
-        let mut w = ImageWriter::new(rd.header());
-        // The retired payload layout: parent label, its digest, depth.
-        w.section(SectionTag::ParentRef, |p| {
-            p.put_str("img/good#g0");
-            p.put_u64(zapc_proto::crc::digest64(&good));
-            p.put_u32(1);
-        });
-        for s in rd.sections().unwrap() {
-            w.section_bytes(s.tag, s.payload);
-        }
-        w.finish()
+        // Preamble (12 bytes), then the header record: tag, length,
+        // payload, CRC. The retired section goes right after it.
+        let len = u32::from_le_bytes(good[14..18].try_into().unwrap()) as usize;
+        let at = 12 + 2 + 4 + len + 4;
+        let mut image = good.to_vec();
+        image.splice(at..at, frame_record(0x0002, b"img/good#g0"));
+        image
     };
     let bare_delta = rewrite_sections(&good, |tag, payload| {
         (tag == SectionTag::Memory).then(|| {
@@ -361,14 +359,19 @@ fn restart_from_non_standalone_image_fails_typed_and_rolls_back() {
         })
     });
 
-    for (what, image) in [("parent reference", stale_parent_tag), ("bare memory delta", bare_delta)] {
+    let retired_tag: fn(&ZapcError) -> bool = |e| {
+        matches!(e, ZapcError::Decode(DecodeError::InvalidEnum { what: "SectionTag", value: 2 }))
+    };
+    let not_standalone: fn(&ZapcError) -> bool =
+        |e| matches!(e, ZapcError::Aborted(why) if why.contains("not standalone"));
+    for (what, image, refused) in [
+        ("parent reference", stale_parent_tag, retired_tag),
+        ("bare memory delta", bare_delta, not_standalone),
+    ] {
         c.store.put("img/hostile", image);
         let rt = RestartTarget { pod: name.clone(), uri: Uri::mem("img/hostile"), node: 1 };
         let err = restart(&c, &[rt]).unwrap_err();
-        assert!(
-            matches!(&err, ZapcError::Aborted(why) if why.contains("not standalone")),
-            "{what}: got {err:?}"
-        );
+        assert!(refused(&err), "{what}: got {err:?}");
         assert!(c.pod(&name).is_none(), "{what}: half-restored pod left registered");
         assert!(c.net.handle().route(vip).is_none(), "{what}: route left behind");
     }
