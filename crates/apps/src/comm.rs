@@ -19,10 +19,7 @@
 //! all-reduce and the drain after which rank 0 records its result.
 
 use std::collections::VecDeque;
-use zapc_proto::{
-    seq_capacity, Decode, DecodeError, DecodeResult, Encode, Endpoint, RecordReader, RecordWriter,
-    Transport,
-};
+use zapc_proto::{Decode, DecodeResult, Encode, Endpoint, RecordReader, RecordWriter, Transport};
 use zapc_sim::{Errno, ProcessCtx, StepOutcome, SysResult};
 
 /// Well-known rank port inside each pod.
@@ -45,14 +42,14 @@ pub struct Msg {
 
 impl Encode for Msg {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_u32(self.tag);
-        w.put_bytes(&self.data);
+        w.put(&self.tag);
+        w.put(&self.data);
     }
 }
 
 impl Decode for Msg {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        Ok(Msg { tag: r.get_u32()?, data: r.get_bytes_owned()? })
+        Ok(Msg { tag: r.get()?, data: r.get()? })
     }
 }
 
@@ -145,25 +142,16 @@ impl Link {
 
 impl Encode for Link {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_u32(self.fd);
-        let tx: Vec<u8> = self.txq.iter().copied().collect();
-        w.put_bytes(&tx);
-        w.put_bytes(&self.rxbuf);
-        w.put_u64(self.inbox.len() as u64);
-        for m in &self.inbox {
-            m.encode(w);
-        }
+        w.put(&self.fd);
+        w.put(&self.txq);
+        w.put(&self.rxbuf);
+        w.put(&self.inbox);
     }
 }
 
 impl Decode for Link {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        Ok(Link {
-            fd: r.get_u32()?,
-            txq: r.get_bytes_owned()?.into(),
-            rxbuf: r.get_bytes_owned()?,
-            inbox: r.get_seq::<Msg>()?.into(),
-        })
+        Ok(Link { fd: r.get()?, txq: r.get()?, rxbuf: r.get()?, inbox: r.get()? })
     }
 }
 
@@ -174,6 +162,13 @@ enum Phase {
     Wiring,
     Up,
 }
+
+impl Phase {
+    /// Every phase, in code order.
+    const ALL: [Phase; 3] = [Phase::Fresh, Phase::Wiring, Phase::Up];
+}
+
+zapc_proto::table_codec!(Phase, "MpiComm phase", Phase::ALL);
 
 /// The communicator of one rank.
 #[derive(Debug, Clone)]
@@ -332,59 +327,31 @@ impl MpiComm {
 
 impl Encode for MpiComm {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_u32(self.rank);
-        w.put_u32(self.size);
-        w.put_u64(self.vips.len() as u64);
-        for &v in &self.vips {
-            w.put_u32(v);
-        }
-        w.put_u8(match self.phase {
-            Phase::Fresh => 0,
-            Phase::Wiring => 1,
-            Phase::Up => 2,
-        });
-        w.put_u32(self.listen_fd);
-        w.put_seq(&self.links);
-        let wired: Vec<u8> = self.wired.iter().map(|&b| u8::from(b)).collect();
-        w.put_bytes(&wired);
-        w.put_u64(self.unidentified.len() as u64);
-        for (fd, hdr) in &self.unidentified {
-            w.put_u32(*fd);
-            w.put_bytes(hdr);
-        }
-        w.put_u32(self.coll_seq);
+        w.put(&self.rank);
+        w.put(&self.size);
+        w.put(&self.vips);
+        w.put(&self.phase);
+        w.put(&self.listen_fd);
+        w.put(&self.links);
+        w.put(&self.wired);
+        w.put(&self.unidentified);
+        w.put(&self.coll_seq);
     }
 }
 
 impl Decode for MpiComm {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        let rank = r.get_u32()?;
-        let size = r.get_u32()?;
-        let nv = r.get_u64()?;
-        let mut vips = Vec::with_capacity(seq_capacity(nv, r.remaining() / 4, 4));
-        for _ in 0..nv {
-            vips.push(r.get_u32()?);
-        }
-        let phase = match r.get_u8()? {
-            0 => Phase::Fresh,
-            1 => Phase::Wiring,
-            2 => Phase::Up,
-            v => return Err(DecodeError::InvalidEnum { what: "MpiComm phase", value: v as u64 }),
-        };
-        let listen_fd = r.get_u32()?;
-        let links = r.get_seq()?;
-        let wired = r.get_bytes()?.iter().map(|&b| b != 0).collect();
-        let nu = r.get_u64()?;
-        let mut unidentified = Vec::with_capacity(seq_capacity(
-            nu,
-            r.remaining() / 12,
-            std::mem::size_of::<(u32, Vec<u8>)>(),
-        ));
-        for _ in 0..nu {
-            unidentified.push((r.get_u32()?, r.get_bytes_owned()?));
-        }
-        let coll_seq = r.get_u32()?;
-        Ok(MpiComm { rank, size, vips, phase, listen_fd, links, wired, unidentified, coll_seq })
+        Ok(MpiComm {
+            rank: r.get()?,
+            size: r.get()?,
+            vips: r.get()?,
+            phase: r.get()?,
+            listen_fd: r.get()?,
+            links: r.get()?,
+            wired: r.get()?,
+            unidentified: r.get()?,
+            coll_seq: r.get()?,
+        })
     }
 }
 
@@ -438,21 +405,16 @@ impl Collective {
 
 impl Encode for Collective {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_u32(self.tag);
-        w.put_bool(self.sent);
-        w.put_u32(self.received);
-        w.put_f64(self.acc);
+        w.put(&self.tag);
+        w.put(&self.sent);
+        w.put(&self.received);
+        w.put(&self.acc);
     }
 }
 
 impl Decode for Collective {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        Ok(Collective {
-            tag: r.get_u32()?,
-            sent: r.get_bool()?,
-            received: r.get_u32()?,
-            acc: r.get_f64()?,
-        })
+        Ok(Collective { tag: r.get()?, sent: r.get()?, received: r.get()?, acc: r.get()? })
     }
 }
 
@@ -614,28 +576,22 @@ impl Rank {
 
 impl Encode for Rank {
     fn encode(&self, w: &mut RecordWriter) {
-        self.comm.encode(w);
-        w.put_u8(self.phase);
-        w.put_bool(self.want_up);
-        w.put_bool(self.want_down);
-        match &self.coll {
-            Some(c) => {
-                w.put_bool(true);
-                c.encode(w);
-            }
-            None => w.put_bool(false),
-        }
+        w.put(&self.comm);
+        w.put(&self.phase);
+        w.put(&self.want_up);
+        w.put(&self.want_down);
+        w.put(&self.coll);
     }
 }
 
 impl Decode for Rank {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
         Ok(Rank {
-            comm: MpiComm::decode(r)?,
-            phase: r.get_u8()?,
-            want_up: r.get_bool()?,
-            want_down: r.get_bool()?,
-            coll: if r.get_bool()? { Some(Collective::decode(r)?) } else { None },
+            comm: r.get()?,
+            phase: r.get()?,
+            want_up: r.get()?,
+            want_down: r.get()?,
+            coll: r.get()?,
         })
     }
 }
@@ -712,6 +668,20 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(back.coll, rank.coll);
         assert_eq!((back.phase, back.want_up, back.want_down), (1, true, false));
+    }
+
+    #[test]
+    fn phase_codes_are_table_positions() {
+        for (code, phase) in Phase::ALL.into_iter().enumerate() {
+            let mut w = RecordWriter::new();
+            w.put(&phase);
+            assert_eq!(w.bytes(), [code as u8]);
+            assert_eq!(RecordReader::new(w.bytes()).get::<Phase>().unwrap(), phase);
+        }
+        assert_eq!(
+            RecordReader::new(&[3]).get::<Phase>(),
+            Err(zapc_proto::DecodeError::InvalidEnum { what: "MpiComm phase", value: 3 })
+        );
     }
 
     #[test]

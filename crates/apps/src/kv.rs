@@ -34,7 +34,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use zapc_proto::{
-    seq_capacity, DecodeError, DecodeResult, Endpoint, RecordReader, RecordWriter, Transport,
+    Decode, DecodeError, DecodeResult, Encode, Endpoint, RecordReader, RecordWriter, Transport,
 };
 use zapc_sim::{Errno, ProcessCtx, Program, StepOutcome};
 
@@ -190,6 +190,33 @@ struct Conn {
     txq: VecDeque<u8>,
     last_active_ms: u64,
     dead: bool,
+}
+
+impl Encode for Conn {
+    fn encode(&self, w: &mut RecordWriter) {
+        w.put(&self.fd);
+        w.put(&self.rxbuf);
+        w.put(&self.txq);
+        w.put(&self.last_active_ms);
+    }
+}
+
+impl Decode for Conn {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        Ok(Conn {
+            fd: r.get()?,
+            rxbuf: r.get()?,
+            txq: r.get()?,
+            last_active_ms: r.get()?,
+            dead: false,
+        })
+    }
+}
+
+/// Reads a port saved as a `u32`, refusing one that does not fit a `u16`.
+fn get_port(r: &mut RecordReader<'_>) -> DecodeResult<u16> {
+    let port = r.get_u32()?;
+    u16::try_from(port).map_err(|_| DecodeError::InvalidEnum { what: "port", value: port as u64 })
 }
 
 /// The key-value server process.
@@ -374,19 +401,8 @@ impl Program for KvServer {
         w.put_u64(self.cfg.max_frame as u64);
         w.put_bool(self.listening);
         w.put_u32(self.listen_fd);
-        w.put_u64(self.conns.len() as u64);
-        for c in &self.conns {
-            w.put_u32(c.fd);
-            w.put_bytes(&c.rxbuf);
-            let tx: Vec<u8> = c.txq.iter().copied().collect();
-            w.put_bytes(&tx);
-            w.put_u64(c.last_active_ms);
-        }
-        w.put_u64(self.store.len() as u64);
-        for (k, v) in &self.store {
-            w.put_bytes(k);
-            w.put_bytes(v);
-        }
+        w.put(&self.conns);
+        w.put(&self.store);
         w.put_u32(self.byes);
         w.put_u64(self.served);
         w.put_u64(self.reaped);
@@ -396,37 +412,17 @@ impl Program for KvServer {
 /// Server loader.
 pub fn load_server(r: &mut RecordReader<'_>) -> DecodeResult<Box<dyn Program>> {
     let cfg = KvServerConfig {
-        port: r.get_u32()? as u16,
+        port: get_port(r)?,
         expected_byes: r.get_u32()?,
         idle_timeout_ms: r.get_u64()?,
         max_frame: r.get_u64()? as usize,
     };
-    let listening = r.get_bool()?;
-    let listen_fd = r.get_u32()?;
-    let n = r.get_u64()?;
-    // Each connection takes at least 28 bytes: fd, two lengths, a timestamp.
-    let mut conns =
-        Vec::with_capacity(seq_capacity(n, r.remaining() / 28, std::mem::size_of::<Conn>()));
-    for _ in 0..n {
-        let fd = r.get_u32()?;
-        let rxbuf = r.get_bytes_owned()?;
-        let txq: VecDeque<u8> = r.get_bytes_owned()?.into();
-        let last_active_ms = r.get_u64()?;
-        conns.push(Conn { fd, rxbuf, txq, last_active_ms, dead: false });
-    }
-    let ns = r.get_u64()?;
-    let mut store = BTreeMap::new();
-    for _ in 0..ns {
-        let k = r.get_bytes_owned()?;
-        let v = r.get_bytes_owned()?;
-        store.insert(k, v);
-    }
     Ok(Box::new(KvServer {
         cfg,
-        listening,
-        listen_fd,
-        conns,
-        store,
+        listening: r.get_bool()?,
+        listen_fd: r.get_u32()?,
+        conns: r.get()?,
+        store: r.get()?,
         byes: r.get_u32()?,
         served: r.get_u64()?,
         reaped: r.get_u64()?,
@@ -449,23 +445,11 @@ pub enum ClientMode {
 }
 
 impl ClientMode {
-    fn code(self) -> u8 {
-        match self {
-            ClientMode::Normal => 0,
-            ClientMode::Slow => 1,
-            ClientMode::HalfOpen => 2,
-        }
-    }
-
-    fn from_code(c: u32) -> DecodeResult<ClientMode> {
-        match c {
-            0 => Ok(ClientMode::Normal),
-            1 => Ok(ClientMode::Slow),
-            2 => Ok(ClientMode::HalfOpen),
-            v => Err(DecodeError::InvalidEnum { what: "ClientMode", value: v as u64 }),
-        }
-    }
+    /// Every mode, in code order.
+    pub const ALL: [ClientMode; 3] = [ClientMode::Normal, ClientMode::Slow, ClientMode::HalfOpen];
 }
+
+zapc_proto::table_codec!(ClientMode, "ClientMode", ClientMode::ALL, u32);
 
 /// Client parameters.
 #[derive(Debug, Clone)]
@@ -827,7 +811,7 @@ impl Program for KvClient {
         w.put_u32(self.cfg.requests);
         w.put_u64(self.cfg.val_len as u64);
         w.put_u32(self.cfg.window);
-        w.put_u32(self.cfg.mode.code() as u32);
+        w.put(&self.cfg.mode);
         w.put_u64(self.cfg.chunk as u64);
         w.put_u64(self.cfg.slow_every);
         w.put_u64(self.cfg.halfopen_linger_ms);
@@ -838,9 +822,8 @@ impl Program for KvClient {
         w.put_u64(self.step_no);
         w.put_u32(self.next_seq);
         w.put_u32(self.acked);
-        let tx: Vec<u8> = self.txq.iter().copied().collect();
-        w.put_bytes(&tx);
-        w.put_bytes(&self.rxbuf);
+        w.put(&self.txq);
+        w.put(&self.rxbuf);
         w.put_u64(self.expect_digest);
         w.put_u64(self.got_digest);
         w.put_u64(self.resp_bytes);
@@ -856,27 +839,32 @@ impl Program for KvClient {
 pub fn load_client(r: &mut RecordReader<'_>) -> DecodeResult<Box<dyn Program>> {
     let cfg = KvClientConfig {
         server_vip: r.get_u32()?,
-        port: r.get_u32()? as u16,
+        port: get_port(r)?,
         id: r.get_u32()?,
         requests: r.get_u32()?,
         val_len: r.get_u64()? as usize,
         window: r.get_u32()?,
-        mode: ClientMode::from_code(r.get_u32()?)?,
+        mode: r.get()?,
         chunk: r.get_u64()? as usize,
         slow_every: r.get_u64()?,
         halfopen_linger_ms: r.get_u64()?,
         report_stall: r.get_bool()?,
         rcv_buf: r.get_u32()?,
     };
+    let phase = r.get_u32()?;
+    let phase = match u8::try_from(phase) {
+        Ok(p) if p <= PH_HALFOPEN => p,
+        _ => return Err(DecodeError::InvalidEnum { what: "KvClient phase", value: phase as u64 }),
+    };
     Ok(Box::new(KvClient {
         cfg,
-        phase: r.get_u32()? as u8,
+        phase,
         fd: r.get_u32()?,
         step_no: r.get_u64()?,
         next_seq: r.get_u32()?,
         acked: r.get_u32()?,
-        txq: r.get_bytes_owned()?.into(),
-        rxbuf: r.get_bytes_owned()?,
+        txq: r.get()?,
+        rxbuf: r.get()?,
         expect_digest: r.get_u64()?,
         got_digest: r.get_u64()?,
         resp_bytes: r.get_u64()?,

@@ -359,33 +359,29 @@ impl Program for PovMaster {
     }
 
     fn save(&self, w: &mut RecordWriter) {
-        self.cfg.encode(w);
-        self.pvm.encode(w);
+        w.put(&self.cfg);
+        w.put(&self.pvm);
         w.put_u8(self.phase);
         w.put_u32(self.next_tile);
         w.put_u32(self.tiles_done);
         w.put_u64(self.acc);
-        let bits: Vec<u8> = self.enrolled.iter().map(|&b| b as u8).collect();
-        w.put_bytes(&bits);
-        let bits: Vec<u8> = self.dismissed.iter().map(|&b| b as u8).collect();
-        w.put_bytes(&bits);
+        w.put(&self.enrolled);
+        w.put(&self.dismissed);
         w.put_u64(self.scene_base);
     }
 }
 
 /// Master loader.
 pub fn load_master(r: &mut RecordReader<'_>) -> DecodeResult<Box<dyn Program>> {
-    let cfg = PovConfig::decode(r)?;
-    let pvm = PvmMaster::decode(r)?;
     Ok(Box::new(PovMaster {
-        cfg,
-        pvm,
+        cfg: r.get()?,
+        pvm: r.get()?,
         phase: r.get_u8()?,
         next_tile: r.get_u32()?,
         tiles_done: r.get_u32()?,
         acc: r.get_u64()?,
-        enrolled: r.get_bytes_owned()?.iter().map(|&b| b != 0).collect(),
-        dismissed: r.get_bytes_owned()?.iter().map(|&b| b != 0).collect(),
+        enrolled: r.get()?,
+        dismissed: r.get()?,
         scene_base: r.get_u64()?,
     }))
 }
@@ -492,17 +488,11 @@ impl Program for PovWorker {
     }
 
     fn save(&self, w: &mut RecordWriter) {
-        self.cfg.encode(w);
-        self.pvm.encode(w);
+        w.put(&self.cfg);
+        w.put(&self.pvm);
         w.put_u8(self.phase);
         w.put_u64(self.scene_base);
-        match self.current {
-            Some(t) => {
-                w.put_bool(true);
-                w.put_u32(t);
-            }
-            None => w.put_bool(false),
-        }
+        w.put(&self.current);
         w.put_u32(self.rows_done);
         w.put_u64(self.partial);
         w.put_u32(self.rendered);
@@ -511,14 +501,12 @@ impl Program for PovWorker {
 
 /// Worker loader.
 pub fn load_worker(r: &mut RecordReader<'_>) -> DecodeResult<Box<dyn Program>> {
-    let cfg = PovConfig::decode(r)?;
-    let pvm = PvmWorker::decode(r)?;
     Ok(Box::new(PovWorker {
-        cfg,
-        pvm,
+        cfg: r.get()?,
+        pvm: r.get()?,
         phase: r.get_u8()?,
         scene_base: r.get_u64()?,
-        current: if r.get_bool()? { Some(r.get_u32()?) } else { None },
+        current: r.get()?,
         rows_done: r.get_u32()?,
         partial: r.get_u64()?,
         rendered: r.get_u32()?,

@@ -96,17 +96,18 @@ impl Encode for PvmMaster {
         w.put_u32(self.expected_workers);
         w.put_u32(self.listen_fd);
         w.put_bool(self.listening);
-        w.put_seq(&self.workers);
+        w.put(&self.workers);
     }
 }
 
 impl Decode for PvmMaster {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        let expected_workers = r.get_u32()?;
-        let listen_fd = r.get_u32()?;
-        let listening = r.get_bool()?;
-        let workers = r.get_seq()?;
-        Ok(PvmMaster { expected_workers, listen_fd, listening, workers })
+        Ok(PvmMaster {
+            expected_workers: r.get_u32()?,
+            listen_fd: r.get_u32()?,
+            listening: r.get_bool()?,
+            workers: r.get()?,
+        })
     }
 }
 
@@ -176,7 +177,7 @@ impl Encode for PvmWorker {
         w.put_u32(self.master_vip);
         w.put_bool(self.started);
         w.put_bool(self.connected);
-        self.link.encode(w);
+        w.put(&self.link);
     }
 }
 
@@ -186,7 +187,7 @@ impl Decode for PvmWorker {
             master_vip: r.get_u32()?,
             started: r.get_bool()?,
             connected: r.get_bool()?,
-            link: Link::decode(r)?,
+            link: r.get()?,
         })
     }
 }

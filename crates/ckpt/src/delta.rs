@@ -56,8 +56,8 @@ impl Encode for MemoryDeltaRecord {
         w.put_u64(self.base_gen);
         w.put_u64(self.new_gen);
         w.put_u64(self.next_base);
-        w.put_u64_slice(&self.live);
-        w.put_seq(&self.dirty);
+        w.put(&self.live);
+        w.put(&self.dirty);
     }
 }
 
@@ -68,8 +68,8 @@ impl Decode for MemoryDeltaRecord {
             base_gen: r.get_u64()?,
             new_gen: r.get_u64()?,
             next_base: r.get_u64()?,
-            live: r.get_u64_slice()?,
-            dirty: r.get_seq()?,
+            live: r.get()?,
+            dirty: r.get()?,
         })
     }
 }

@@ -1,8 +1,6 @@
 //! Serializable record types for the standalone checkpoint image sections.
 
-use zapc_proto::{
-    seq_capacity, Decode, DecodeError, DecodeResult, Encode, RecordReader, RecordWriter,
-};
+use zapc_proto::{Decode, DecodeError, DecodeResult, Encode, RecordReader, RecordWriter};
 use zapc_sim::clock::TimerSet;
 use zapc_sim::signals::PendingSignals;
 
@@ -83,6 +81,33 @@ pub enum ProcStateRecord {
     Exited(i32),
 }
 
+impl Encode for ProcStateRecord {
+    fn encode(&self, w: &mut RecordWriter) {
+        match self {
+            ProcStateRecord::Live => w.put_u8(0),
+            ProcStateRecord::Exited(code) => {
+                w.put_u8(1);
+                w.put_i64(*code as i64);
+            }
+        }
+    }
+}
+
+impl Decode for ProcStateRecord {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        match r.get_u8()? {
+            0 => Ok(ProcStateRecord::Live),
+            1 => {
+                let code = r.get_i64()?;
+                i32::try_from(code).map(ProcStateRecord::Exited).map_err(|_| {
+                    DecodeError::InvalidEnum { what: "exit code", value: code as u64 }
+                })
+            }
+            v => Err(DecodeError::InvalidEnum { what: "ProcStateRecord", value: v as u64 }),
+        }
+    }
+}
+
 /// One process's control block in the image (everything except its memory,
 /// which goes into its own `Memory` section so image statistics can
 /// attribute bytes the way Figure 6c does).
@@ -110,54 +135,31 @@ pub struct ProcRecord {
 
 impl Encode for ProcRecord {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_u32(self.vpid);
-        w.put_str(&self.name);
-        match self.state {
-            ProcStateRecord::Live => w.put_u8(0),
-            ProcStateRecord::Exited(code) => {
-                w.put_u8(1);
-                w.put_i64(code as i64);
-            }
-        }
+        w.put(&self.vpid);
+        w.put(&self.name);
+        w.put(&self.state);
         w.put(&self.signals);
         w.put(&self.timers);
-        w.put_u64(self.vtime_ns);
-        w.put_str(&self.program_type);
-        w.put_bytes(&self.program_state);
-        w.put_u64(self.fds.len() as u64);
-        for (fd, rec) in &self.fds {
-            w.put_u32(*fd);
-            rec.encode(w);
-        }
+        w.put(&self.vtime_ns);
+        w.put(&self.program_type);
+        w.put(&self.program_state);
+        w.put(&self.fds);
     }
 }
 
 impl Decode for ProcRecord {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        let vpid = r.get_u32()?;
-        let name = r.get_str()?;
-        let state = match r.get_u8()? {
-            0 => ProcStateRecord::Live,
-            1 => ProcStateRecord::Exited(r.get_i64()? as i32),
-            v => return Err(DecodeError::InvalidEnum { what: "ProcStateRecord", value: v as u64 }),
-        };
-        let signals = r.get()?;
-        let timers = r.get()?;
-        let vtime_ns = r.get_u64()?;
-        let program_type = r.get_str()?;
-        let program_state = r.get_bytes_owned()?;
-        let n = r.get_u64()?;
-        // Each descriptor takes at least 9 bytes: fd, kind, a socket ordinal.
-        let mut fds = Vec::with_capacity(seq_capacity(
-            n,
-            r.remaining() / 9,
-            std::mem::size_of::<(u32, FdRecord)>(),
-        ));
-        for _ in 0..n {
-            let fd = r.get_u32()?;
-            fds.push((fd, FdRecord::decode(r)?));
-        }
-        Ok(ProcRecord { vpid, name, state, signals, timers, vtime_ns, program_type, program_state, fds })
+        Ok(ProcRecord {
+            vpid: r.get()?,
+            name: r.get()?,
+            state: r.get()?,
+            signals: r.get()?,
+            timers: r.get()?,
+            vtime_ns: r.get()?,
+            program_type: r.get()?,
+            program_state: r.get()?,
+            fds: r.get()?,
+        })
     }
 }
 
@@ -171,29 +173,13 @@ pub struct PipeTable {
 
 impl Encode for PipeTable {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_u64(self.pipes.len() as u64);
-        for (id, data, rc, wc) in &self.pipes {
-            w.put_u64(*id);
-            w.put_bytes(data);
-            w.put_bool(*rc);
-            w.put_bool(*wc);
-        }
+        w.put(&self.pipes);
     }
 }
 
 impl Decode for PipeTable {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        let n = r.get_u64()?;
-        // Each pipe takes at least 18 bytes: id, buffer length, two flags.
-        let mut pipes = Vec::with_capacity(seq_capacity(
-            n,
-            r.remaining() / 18,
-            std::mem::size_of::<(u64, Vec<u8>, bool, bool)>(),
-        ));
-        for _ in 0..n {
-            pipes.push((r.get_u64()?, r.get_bytes_owned()?, r.get_bool()?, r.get_bool()?));
-        }
-        Ok(PipeTable { pipes })
+        Ok(PipeTable { pipes: r.get()? })
     }
 }
 

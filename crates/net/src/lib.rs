@@ -148,45 +148,26 @@ impl std::fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 impl NetError {
-    /// Stable wire code (checkpointing pending socket errors).
-    pub fn code(self) -> u8 {
-        match self {
-            NetError::WouldBlock => 0,
-            NetError::NotConnected => 1,
-            NetError::AlreadyConnected => 2,
-            NetError::AddrInUse => 3,
-            NetError::ConnRefused => 4,
-            NetError::ConnReset => 5,
-            NetError::Pipe => 6,
-            NetError::Invalid => 7,
-            NetError::Closed => 8,
-            NetError::Unsupported => 9,
-            NetError::Unreachable => 10,
-            NetError::MsgSize => 11,
-            NetError::TimedOut => 12,
-        }
-    }
-
-    /// Inverse of [`NetError::code`].
-    pub fn from_code(c: u8) -> Option<NetError> {
-        Some(match c {
-            0 => NetError::WouldBlock,
-            1 => NetError::NotConnected,
-            2 => NetError::AlreadyConnected,
-            3 => NetError::AddrInUse,
-            4 => NetError::ConnRefused,
-            5 => NetError::ConnReset,
-            6 => NetError::Pipe,
-            7 => NetError::Invalid,
-            8 => NetError::Closed,
-            9 => NetError::Unsupported,
-            10 => NetError::Unreachable,
-            11 => NetError::MsgSize,
-            12 => NetError::TimedOut,
-            _ => return None,
-        })
-    }
+    /// Every error, in wire-code order (checkpointing pending socket
+    /// errors).
+    pub const ALL: [NetError; 13] = [
+        NetError::WouldBlock,
+        NetError::NotConnected,
+        NetError::AlreadyConnected,
+        NetError::AddrInUse,
+        NetError::ConnRefused,
+        NetError::ConnReset,
+        NetError::Pipe,
+        NetError::Invalid,
+        NetError::Closed,
+        NetError::Unsupported,
+        NetError::Unreachable,
+        NetError::MsgSize,
+        NetError::TimedOut,
+    ];
 }
+
+zapc_proto::table_codec!(NetError, "NetError", NetError::ALL);
 
 /// Result alias for socket operations.
 pub type NetResult<T> = Result<T, NetError>;

@@ -196,70 +196,55 @@ impl SockOpts {
     }
 }
 
-impl Encode for SockOpts {
+zapc_proto::table_codec!(SockOpt, "SockOpt", ALL_OPTS);
+
+impl Encode for OptValue {
     fn encode(&self, w: &mut RecordWriter) {
-        let all = self.all();
-        w.put_u64(all.len() as u64);
-        for (opt, val) in all {
-            w.put_u8(opt_code(opt));
-            match val {
-                OptValue::Bool(b) => {
-                    w.put_u8(0);
-                    w.put_bool(b);
-                }
-                OptValue::Int(i) => {
-                    w.put_u8(1);
-                    w.put_u32(i);
-                }
-                OptValue::Linger(l) => {
-                    w.put_u8(2);
-                    match l {
-                        Some(s) => {
-                            w.put_bool(true);
-                            w.put_u32(s);
-                        }
-                        None => w.put_bool(false),
-                    }
-                }
+        match self {
+            OptValue::Bool(b) => {
+                w.put_u8(0);
+                w.put(b);
+            }
+            OptValue::Int(i) => {
+                w.put_u8(1);
+                w.put(i);
+            }
+            OptValue::Linger(l) => {
+                w.put_u8(2);
+                w.put(l);
             }
         }
+    }
+}
+
+impl Decode for OptValue {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        match r.get_u8()? {
+            0 => Ok(OptValue::Bool(r.get()?)),
+            1 => Ok(OptValue::Int(r.get()?)),
+            2 => Ok(OptValue::Linger(r.get()?)),
+            v => Err(DecodeError::InvalidEnum { what: "OptValue", value: v as u64 }),
+        }
+    }
+}
+
+impl Encode for SockOpts {
+    fn encode(&self, w: &mut RecordWriter) {
+        w.put(&self.all());
     }
 }
 
 impl Decode for SockOpts {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
         let mut opts = SockOpts::default();
-        let n = r.get_u64()?;
-        for _ in 0..n {
-            let code = r.get_u8()?;
-            let opt = opt_from_code(code)
-                .ok_or(DecodeError::InvalidEnum { what: "SockOpt", value: code as u64 })?;
-            let val = match r.get_u8()? {
-                0 => OptValue::Bool(r.get_bool()?),
-                1 => OptValue::Int(r.get_u32()?),
-                2 => {
-                    if r.get_bool()? {
-                        OptValue::Linger(Some(r.get_u32()?))
-                    } else {
-                        OptValue::Linger(None)
-                    }
-                }
-                v => return Err(DecodeError::InvalidEnum { what: "OptValue", value: v as u64 }),
-            };
+        for (opt, val) in r.get::<Vec<(SockOpt, OptValue)>>()? {
             if !opts.set(opt, val) {
-                return Err(DecodeError::InvalidEnum { what: "OptValue kind", value: code as u64 });
+                let code = zapc_proto::rw::table_code(&ALL_OPTS, &opt);
+                return Err(DecodeError::InvalidEnum { what: "OptValue kind", value: code });
             }
         }
         Ok(opts)
     }
-}
-
-fn opt_code(o: SockOpt) -> u8 {
-    ALL_OPTS.iter().position(|&x| x == o).expect("option in table") as u8
-}
-
-fn opt_from_code(c: u8) -> Option<SockOpt> {
-    ALL_OPTS.get(c as usize).copied()
 }
 
 #[cfg(test)]

@@ -15,7 +15,9 @@ use crate::congestion::{CcAction, CongestionCtl};
 use crate::flow::FlowCtl;
 use crate::seg::{SegFlags, Segment};
 use crate::NetError;
-use zapc_proto::{ConnState, Endpoint, Transport};
+use zapc_proto::{
+    ConnState, Decode, DecodeResult, Encode, Endpoint, RecordReader, RecordWriter, Transport,
+};
 
 /// Connection phase of a TCB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,6 +73,52 @@ pub struct CcExtract {
     pub zero_window_events: u64,
     /// Zero-window probes sent.
     pub zero_window_probes: u64,
+}
+
+impl Encode for PcbExtract {
+    fn encode(&self, w: &mut RecordWriter) {
+        w.put_u64(self.sent);
+        w.put_u64(self.recv);
+        w.put_u64(self.acked);
+    }
+}
+
+impl Decode for PcbExtract {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        Ok(PcbExtract { sent: r.get_u64()?, recv: r.get_u64()?, acked: r.get_u64()? })
+    }
+}
+
+impl Encode for CcExtract {
+    fn encode(&self, w: &mut RecordWriter) {
+        w.put_u64(self.cwnd);
+        w.put_u64(self.ssthresh);
+        w.put_u32(self.dup_acks);
+        w.put(&self.recover_off);
+        w.put_u64(self.peer_window);
+        w.put_u32(self.rtx_backoff);
+        w.put_u64(self.fast_retransmits);
+        w.put_u64(self.rto_events);
+        w.put_u64(self.zero_window_events);
+        w.put_u64(self.zero_window_probes);
+    }
+}
+
+impl Decode for CcExtract {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        Ok(CcExtract {
+            cwnd: r.get_u64()?,
+            ssthresh: r.get_u64()?,
+            dup_acks: r.get_u32()?,
+            recover_off: r.get()?,
+            peer_window: r.get_u64()?,
+            rtx_backoff: r.get_u32()?,
+            fast_retransmits: r.get_u64()?,
+            rto_events: r.get_u64()?,
+            zero_window_events: r.get_u64()?,
+            zero_window_probes: r.get_u64()?,
+        })
+    }
 }
 
 /// Events a segment-processing step reports up to the socket layer.

@@ -1,8 +1,8 @@
 //! Per-socket network-state records (the `NetState` image section).
 
+use zapc_proto::rw::decode_exact;
 use zapc_proto::{
-    seq_capacity, Decode, DecodeError, DecodeResult, Encode, Endpoint, RecordReader, RecordWriter,
-    Transport,
+    Decode, DecodeResult, Encode, Endpoint, RecordReader, RecordWriter, SectionTag, Transport,
 };
 use zapc_net::tcp::{CcExtract, PcbExtract};
 use zapc_net::SockOpts;
@@ -132,184 +132,54 @@ impl SockRecord {
     }
 }
 
-fn put_opt_ep(w: &mut RecordWriter, ep: &Option<Endpoint>) {
-    match ep {
-        Some(e) => {
-            w.put_bool(true);
-            w.put(e);
-        }
-        None => w.put_bool(false),
-    }
-}
-
-fn get_opt_ep(r: &mut RecordReader<'_>) -> DecodeResult<Option<Endpoint>> {
-    Ok(if r.get_bool()? { Some(r.get()?) } else { None })
-}
-
 impl Encode for SockRecord {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_u32(self.ordinal);
+        w.put(&self.ordinal);
         w.put(&self.transport);
         w.put(&self.opts);
-        put_opt_ep(w, &self.local);
-        put_opt_ep(w, &self.peer);
-        w.put_bool(self.listening);
-        w.put_u32(self.backlog);
-        w.put_bool(self.rd_shutdown);
-        match self.pending_of {
-            Some(o) => {
-                w.put_bool(true);
-                w.put_u32(o);
-            }
-            None => w.put_bool(false),
-        }
-        match &self.pcb {
-            Some(p) => {
-                w.put_bool(true);
-                w.put_u64(p.sent);
-                w.put_u64(p.recv);
-                w.put_u64(p.acked);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_bytes(&self.recv_stream);
-        w.put_bytes(&self.recv_urgent);
-        w.put_u64(self.recv_backlog_bytes);
-        w.put_bool(self.recv_peeked);
-        w.put_bytes(&self.send_data);
-        w.put_u64(self.send_urgent_marks.len() as u64);
-        for (a, b) in &self.send_urgent_marks {
-            w.put_u64(*a);
-            w.put_u64(*b);
-        }
-        w.put_u64(self.dgrams.len() as u64);
-        for (src, data) in &self.dgrams {
-            w.put(src);
-            w.put_bytes(data);
-        }
-        w.put_u8(self.ip_proto);
-        match self.err {
-            Some(e) => {
-                w.put_bool(true);
-                w.put_u8(e.code());
-            }
-            None => w.put_bool(false),
-        }
-        match &self.cc {
-            Some(c) => {
-                w.put_bool(true);
-                w.put_u64(c.cwnd);
-                w.put_u64(c.ssthresh);
-                w.put_u32(c.dup_acks);
-                match c.recover_off {
-                    Some(off) => {
-                        w.put_bool(true);
-                        w.put_u64(off);
-                    }
-                    None => w.put_bool(false),
-                }
-                w.put_u64(c.peer_window);
-                w.put_u32(c.rtx_backoff);
-                w.put_u64(c.fast_retransmits);
-                w.put_u64(c.rto_events);
-                w.put_u64(c.zero_window_events);
-                w.put_u64(c.zero_window_probes);
-            }
-            None => w.put_bool(false),
-        }
+        w.put(&self.local);
+        w.put(&self.peer);
+        w.put(&self.listening);
+        w.put(&self.backlog);
+        w.put(&self.rd_shutdown);
+        w.put(&self.pending_of);
+        w.put(&self.pcb);
+        w.put(&self.recv_stream);
+        w.put(&self.recv_urgent);
+        w.put(&self.recv_backlog_bytes);
+        w.put(&self.recv_peeked);
+        w.put(&self.send_data);
+        w.put(&self.send_urgent_marks);
+        w.put(&self.dgrams);
+        w.put(&self.ip_proto);
+        w.put(&self.err);
+        w.put(&self.cc);
     }
 }
 
 impl Decode for SockRecord {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        let ordinal = r.get_u32()?;
-        let transport = r.get()?;
-        let opts = r.get()?;
-        let local = get_opt_ep(r)?;
-        let peer = get_opt_ep(r)?;
-        let listening = r.get_bool()?;
-        let backlog = r.get_u32()?;
-        let rd_shutdown = r.get_bool()?;
-        let pending_of = if r.get_bool()? { Some(r.get_u32()?) } else { None };
-        let pcb = if r.get_bool()? {
-            Some(PcbExtract { sent: r.get_u64()?, recv: r.get_u64()?, acked: r.get_u64()? })
-        } else {
-            None
-        };
-        let recv_stream = r.get_bytes_owned()?;
-        let recv_urgent = r.get_bytes_owned()?;
-        let recv_backlog_bytes = r.get_u64()?;
-        let recv_peeked = r.get_bool()?;
-        let send_data = r.get_bytes_owned()?;
-        let nmarks = r.get_u64()?;
-        if nmarks > (r.remaining() as u64) {
-            return Err(DecodeError::LengthOverflow { declared: nmarks });
-        }
-        let mut send_urgent_marks =
-            Vec::with_capacity(seq_capacity(nmarks, r.remaining() / 16, 16));
-        for _ in 0..nmarks {
-            send_urgent_marks.push((r.get_u64()?, r.get_u64()?));
-        }
-        let nd = r.get_u64()?;
-        if nd > (r.remaining() as u64) {
-            return Err(DecodeError::LengthOverflow { declared: nd });
-        }
-        let mut dgrams: Vec<(Endpoint, Vec<u8>)> = Vec::with_capacity(seq_capacity(
-            nd,
-            r.remaining(),
-            std::mem::size_of::<(Endpoint, Vec<u8>)>(),
-        ));
-        for _ in 0..nd {
-            let src = r.get()?;
-            dgrams.push((src, r.get_bytes_owned()?));
-        }
-        let ip_proto = r.get_u8()?;
-        let err = if r.get_bool()? {
-            let c = r.get_u8()?;
-            Some(zapc_net::NetError::from_code(c).ok_or(DecodeError::InvalidEnum {
-                what: "NetError",
-                value: c as u64,
-            })?)
-        } else {
-            None
-        };
-        let cc = if r.get_bool()? {
-            Some(CcExtract {
-                cwnd: r.get_u64()?,
-                ssthresh: r.get_u64()?,
-                dup_acks: r.get_u32()?,
-                recover_off: if r.get_bool()? { Some(r.get_u64()?) } else { None },
-                peer_window: r.get_u64()?,
-                rtx_backoff: r.get_u32()?,
-                fast_retransmits: r.get_u64()?,
-                rto_events: r.get_u64()?,
-                zero_window_events: r.get_u64()?,
-                zero_window_probes: r.get_u64()?,
-            })
-        } else {
-            None
-        };
         Ok(SockRecord {
-            ordinal,
-            transport,
-            opts,
-            local,
-            peer,
-            listening,
-            backlog,
-            rd_shutdown,
-            pending_of,
-            pcb,
-            recv_stream,
-            recv_urgent,
-            recv_backlog_bytes,
-            recv_peeked,
-            send_data,
-            send_urgent_marks,
-            dgrams,
-            ip_proto,
-            err,
-            cc,
+            ordinal: r.get()?,
+            transport: r.get()?,
+            opts: r.get()?,
+            local: r.get()?,
+            peer: r.get()?,
+            listening: r.get()?,
+            backlog: r.get()?,
+            rd_shutdown: r.get()?,
+            pending_of: r.get()?,
+            pcb: r.get()?,
+            recv_stream: r.get()?,
+            recv_urgent: r.get()?,
+            recv_backlog_bytes: r.get()?,
+            recv_peeked: r.get()?,
+            send_data: r.get()?,
+            send_urgent_marks: r.get()?,
+            dgrams: r.get()?,
+            ip_proto: r.get()?,
+            err: r.get()?,
+            cc: r.get()?,
         })
     }
 }
@@ -317,29 +187,13 @@ impl Decode for SockRecord {
 /// Encodes a whole record list as one `NetState` section payload.
 pub fn encode_records(records: &[SockRecord]) -> RecordWriter {
     let mut w = RecordWriter::new();
-    w.put_u64(records.len() as u64);
-    for rec in records {
-        rec.encode(&mut w);
-    }
+    w.put(records);
     w
 }
 
 /// Decodes a `NetState` section payload.
 pub fn decode_records(payload: &[u8]) -> DecodeResult<Vec<SockRecord>> {
-    let mut r = RecordReader::new(payload);
-    let n = r.get_u64()?;
-    if n > payload.len() as u64 {
-        return Err(DecodeError::LengthOverflow { declared: n });
-    }
-    let mut out =
-        Vec::with_capacity(seq_capacity(n, payload.len(), std::mem::size_of::<SockRecord>()));
-    for _ in 0..n {
-        out.push(SockRecord::decode(&mut r)?);
-    }
-    if !r.is_empty() {
-        return Err(DecodeError::TrailingBytes { tag: 0x0011, remaining: r.remaining() });
-    }
-    Ok(out)
+    decode_exact(SectionTag::NetState as u16, payload, RecordReader::get)
 }
 
 #[cfg(test)]

@@ -59,33 +59,25 @@ impl Namespace {
 
 impl Encode for Namespace {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_str(&self.name);
-        w.put_u32(self.vip);
-        w.put_str(&self.fs_root);
-        w.put_bool(self.virtualize_time);
-        w.put_u32(self.next_vpid);
-        w.put_u64(self.vpids.len() as u64);
-        for (&vpid, pname) in &self.vpids {
-            w.put_u32(vpid);
-            w.put_str(pname);
-        }
+        w.put(&self.name);
+        w.put(&self.vip);
+        w.put(&self.fs_root);
+        w.put(&self.virtualize_time);
+        w.put(&self.next_vpid);
+        w.put(&self.vpids);
     }
 }
 
 impl Decode for Namespace {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        let name = r.get_str()?;
-        let vip = r.get_u32()?;
-        let fs_root = r.get_str()?;
-        let virtualize_time = r.get_bool()?;
-        let next_vpid = r.get_u32()?;
-        let n = r.get_u64()?;
-        let mut vpids = BTreeMap::new();
-        for _ in 0..n {
-            let vpid = r.get_u32()?;
-            vpids.insert(vpid, r.get_str()?);
-        }
-        Ok(Namespace { name, vip, fs_root, virtualize_time, next_vpid, vpids })
+        Ok(Namespace {
+            name: r.get()?,
+            vip: r.get()?,
+            fs_root: r.get()?,
+            virtualize_time: r.get()?,
+            next_vpid: r.get()?,
+            vpids: r.get()?,
+        })
     }
 }
 

@@ -112,7 +112,7 @@ impl Encode for ChunkIndex {
     fn encode(&self, w: &mut RecordWriter) {
         w.put_u64(self.logical_len);
         w.put_u64(self.digest);
-        w.put_seq(&self.chunks);
+        w.put(&self.chunks);
     }
 }
 
@@ -121,7 +121,7 @@ impl Decode for ChunkIndex {
         Ok(ChunkIndex {
             logical_len: r.get_u64()?,
             digest: r.get_u64()?,
-            chunks: r.get_seq()?,
+            chunks: r.get()?,
         })
     }
 }

@@ -38,9 +38,11 @@ pub enum DecodeError {
         /// The offending declared length.
         declared: u64,
     },
-    /// An enumeration discriminant had no defined meaning.
+    /// An enumeration discriminant had no defined meaning, or a field
+    /// held a value its type cannot (a port past `u16`, an exit code past
+    /// `i32`, a flag byte other than 0 or 1).
     InvalidEnum {
-        /// Name of the enumeration being decoded.
+        /// Name of the enumeration or field being decoded.
         what: &'static str,
         /// The invalid raw value.
         value: u64,

@@ -8,7 +8,9 @@
 //!
 //! * [`crc`] — CRC-32 (IEEE 802.3) integrity checksums,
 //! * [`rw`] — self-describing, length-prefixed, CRC-protected records with a
-//!   typed primitive layer ([`rw::RecordWriter`] / [`rw::RecordReader`]),
+//!   typed primitive layer ([`rw::RecordWriter`] / [`rw::RecordReader`])
+//!   and the one encoding of each composite value (sequences, options,
+//!   tuples, maps, table-coded enums) that every record codec is built on,
 //! * [`image`] — the section layout of a pod checkpoint image
 //!   (header, network meta-data, network state, processes, memory, …),
 //! * [`meta`] — the network meta-data table exchanged between Agents and the

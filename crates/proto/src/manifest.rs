@@ -116,7 +116,7 @@ impl Encode for Manifest {
         w.put_u64(self.ckpt_id);
         w.put_u64(self.epoch);
         w.put_u64(self.wall_ms);
-        w.put_seq(&self.entries);
+        w.put(&self.entries);
     }
 }
 
@@ -126,7 +126,7 @@ impl Decode for Manifest {
             ckpt_id: r.get_u64()?,
             epoch: r.get_u64()?,
             wall_ms: r.get_u64()?,
-            entries: r.get_seq()?,
+            entries: r.get()?,
         })
     }
 }

@@ -11,7 +11,7 @@
 //! recreated the way they were originally created (accepted connections
 //! inherit the listener's port), which the Manager's scheduler enforces.
 
-use crate::error::{DecodeError, DecodeResult};
+use crate::error::DecodeResult;
 use crate::rw::{Decode, Encode, RecordReader, RecordWriter};
 use std::fmt;
 
@@ -74,26 +74,12 @@ pub enum Transport {
     RawIp,
 }
 
-impl Encode for Transport {
-    fn encode(&self, w: &mut RecordWriter) {
-        w.put_u8(match self {
-            Transport::Tcp => 0,
-            Transport::Udp => 1,
-            Transport::RawIp => 2,
-        });
-    }
+impl Transport {
+    /// Every transport, in code order.
+    pub const ALL: [Transport; 3] = [Transport::Tcp, Transport::Udp, Transport::RawIp];
 }
 
-impl Decode for Transport {
-    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        match r.get_u8()? {
-            0 => Ok(Transport::Tcp),
-            1 => Ok(Transport::Udp),
-            2 => Ok(Transport::RawIp),
-            v => Err(DecodeError::InvalidEnum { what: "Transport", value: v as u64 }),
-        }
-    }
-}
+crate::table_codec!(Transport, "Transport", Transport::ALL);
 
 /// Connection state recorded in the meta-data (paper §4).
 ///
@@ -113,30 +99,18 @@ pub enum ConnState {
     Connecting,
 }
 
-impl Encode for ConnState {
-    fn encode(&self, w: &mut RecordWriter) {
-        w.put_u8(match self {
-            ConnState::FullDuplex => 0,
-            ConnState::HalfDuplexLocal => 1,
-            ConnState::HalfDuplexRemote => 2,
-            ConnState::Closed => 3,
-            ConnState::Connecting => 4,
-        });
-    }
+impl ConnState {
+    /// Every state, in code order.
+    pub const ALL: [ConnState; 5] = [
+        ConnState::FullDuplex,
+        ConnState::HalfDuplexLocal,
+        ConnState::HalfDuplexRemote,
+        ConnState::Closed,
+        ConnState::Connecting,
+    ];
 }
 
-impl Decode for ConnState {
-    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        match r.get_u8()? {
-            0 => Ok(ConnState::FullDuplex),
-            1 => Ok(ConnState::HalfDuplexLocal),
-            2 => Ok(ConnState::HalfDuplexRemote),
-            3 => Ok(ConnState::Closed),
-            4 => Ok(ConnState::Connecting),
-            v => Err(DecodeError::InvalidEnum { what: "ConnState", value: v as u64 }),
-        }
-    }
-}
+crate::table_codec!(ConnState, "ConnState", ConnState::ALL);
 
 /// Which side re-establishes a connection at restart.
 ///
@@ -153,26 +127,13 @@ pub enum RestartRole {
     Unassigned,
 }
 
-impl Encode for RestartRole {
-    fn encode(&self, w: &mut RecordWriter) {
-        w.put_u8(match self {
-            RestartRole::Connect => 0,
-            RestartRole::Accept => 1,
-            RestartRole::Unassigned => 2,
-        });
-    }
+impl RestartRole {
+    /// Every role, in code order.
+    pub const ALL: [RestartRole; 3] =
+        [RestartRole::Connect, RestartRole::Accept, RestartRole::Unassigned];
 }
 
-impl Decode for RestartRole {
-    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        match r.get_u8()? {
-            0 => Ok(RestartRole::Connect),
-            1 => Ok(RestartRole::Accept),
-            2 => Ok(RestartRole::Unassigned),
-            v => Err(DecodeError::InvalidEnum { what: "RestartRole", value: v as u64 }),
-        }
-    }
-}
+crate::table_codec!(RestartRole, "RestartRole", RestartRole::ALL);
 
 /// One entry of the network meta-data table: a single communication endpoint
 /// of the pod.
@@ -225,32 +186,27 @@ impl Encode for ConnEntry {
     fn encode(&self, w: &mut RecordWriter) {
         w.put(&self.transport);
         w.put(&self.src);
-        match self.dst {
-            Some(d) => {
-                w.put_bool(true);
-                w.put(&d);
-            }
-            None => w.put_bool(false),
-        }
+        w.put(&self.dst);
         w.put(&self.state);
         w.put(&self.role);
-        w.put_bool(self.listening);
-        w.put_u64(self.pcb_recv);
-        w.put_u64(self.pcb_acked);
+        w.put(&self.listening);
+        w.put(&self.pcb_recv);
+        w.put(&self.pcb_acked);
     }
 }
 
 impl Decode for ConnEntry {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        let transport = r.get()?;
-        let src = r.get()?;
-        let dst = if r.get_bool()? { Some(r.get()?) } else { None };
-        let state = r.get()?;
-        let role = r.get()?;
-        let listening = r.get_bool()?;
-        let pcb_recv = r.get_u64()?;
-        let pcb_acked = r.get_u64()?;
-        Ok(ConnEntry { transport, src, dst, state, role, listening, pcb_recv, pcb_acked })
+        Ok(ConnEntry {
+            transport: r.get()?,
+            src: r.get()?,
+            dst: r.get()?,
+            state: r.get()?,
+            role: r.get()?,
+            listening: r.get()?,
+            pcb_recv: r.get()?,
+            pcb_acked: r.get()?,
+        })
     }
 }
 
@@ -280,14 +236,14 @@ impl MetaData {
 
 impl Encode for MetaData {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_str(&self.pod);
-        w.put_seq(&self.entries);
+        w.put(&self.pod);
+        w.put(&self.entries);
     }
 }
 
 impl Decode for MetaData {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        Ok(MetaData { pod: r.get_str()?, entries: r.get_seq()? })
+        Ok(MetaData { pod: r.get()?, entries: r.get()? })
     }
 }
 
@@ -378,13 +334,7 @@ mod tests {
 
     #[test]
     fn conn_state_all_variants_round_trip() {
-        for s in [
-            ConnState::FullDuplex,
-            ConnState::HalfDuplexLocal,
-            ConnState::HalfDuplexRemote,
-            ConnState::Closed,
-            ConnState::Connecting,
-        ] {
+        for s in ConnState::ALL {
             let mut w = RecordWriter::new();
             s.encode(&mut w);
             let bytes = w.into_bytes();

@@ -20,20 +20,64 @@
 //! and [`RecordWriter::end_record`] closes it around whatever was encoded
 //! in between. Nothing stages a payload in a second buffer in order to
 //! frame it, and nothing re-frames bytes that are already framed.
+//!
+//! # One encoding per kind of value
+//!
+//! Every record codec is one [`RecordWriter::put`] / [`RecordReader::get`]
+//! per field, over the [`Encode`] / [`Decode`] impls of this module, which
+//! give each kind of value its one encoding:
+//!
+//! * `u8`, `u16`, `u32`, `u64`, `i64` and `f64` are little-endian, `bool`
+//!   is one byte that decodes only from 0 or 1, and `String` is a `u64`
+//!   byte count then UTF-8.
+//! * `Vec<T>`, `VecDeque<T>` and `[T]` are a `u64` count then the items.
+//!   For `u8` the items are the bytes themselves, written and read with
+//!   one copy (`VecDeque<u8>` straight from its two ring halves).
+//! * `Option<T>` is a `bool` then, if set, the value.
+//! * A tuple is its fields in order, and `BTreeMap<K, V>` is a sequence of
+//!   `(K, V)` pairs in key order.
+//! * A fieldless enum is its position in one `const` table of its
+//!   variants ([`table_codec!`](crate::table_codec)), one byte unless the
+//!   format has always written it wider.
+//!
+//! A decoder checks a hostile count in two places only:
+//! [`RecordReader::get_seq`], for every sequence, and the bytes reader
+//! [`RecordReader::get_bytes`], for byte strings. Both refuse a count
+//! above the bytes left as [`DecodeError::LengthOverflow`], and
+//! `get_seq` reserves no more than [`seq_capacity`] allows before the
+//! items are read.
 
 use crate::crc::crc32;
 use crate::error::{DecodeError, DecodeResult};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Types that can serialize themselves into a record payload.
 pub trait Encode {
     /// Appends this value to the writer.
     fn encode(&self, w: &mut RecordWriter);
+
+    /// Appends `items` back to back, with no count: the body of a
+    /// sequence. `u8` overrides this with one copy of the bytes.
+    fn encode_slice(items: &[Self], w: &mut RecordWriter)
+    where
+        Self: Sized,
+    {
+        for it in items {
+            it.encode(w);
+        }
+    }
 }
 
 /// Types that can deserialize themselves from a record payload.
 pub trait Decode: Sized {
     /// Reads one value from the reader.
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self>;
+
+    /// Reads a counted sequence of values: [`RecordReader::get_seq`].
+    /// `u8` overrides this with the bytes reader and one copy.
+    fn decode_vec(r: &mut RecordReader<'_>) -> DecodeResult<Vec<Self>> {
+        r.get_seq()
+    }
 }
 
 /// Field widths of the record layout in the module docs.
@@ -125,8 +169,7 @@ impl RecordWriter {
 
     /// Writes a length-prefixed byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
+        self.put(v);
     }
 
     /// Writes a length-prefixed UTF-8 string.
@@ -137,33 +180,17 @@ impl RecordWriter {
     /// Writes a length-prefixed `f64` slice (bulk numeric state of the
     /// scientific workloads).
     pub fn put_f64_slice(&mut self, v: &[f64]) {
-        self.put_u64(v.len() as u64);
-        self.buf.reserve(v.len() * 8);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
+        self.put(v);
     }
 
     /// Writes a length-prefixed `u64` slice.
     pub fn put_u64_slice(&mut self, v: &[u64]) {
-        self.put_u64(v.len() as u64);
-        self.buf.reserve(v.len() * 8);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
+        self.put(v);
     }
 
     /// Writes any [`Encode`] value.
-    pub fn put<T: Encode>(&mut self, v: &T) {
+    pub fn put<T: Encode + ?Sized>(&mut self, v: &T) {
         v.encode(self);
-    }
-
-    /// Writes a length-prefixed sequence of [`Encode`] values.
-    pub fn put_seq<T: Encode>(&mut self, items: &[T]) {
-        self.put_u64(items.len() as u64);
-        for it in items {
-            it.encode(self);
-        }
     }
 
     /// Opens a record with `tag` where the writer stands: writes the tag
@@ -301,28 +328,12 @@ impl<'a> RecordReader<'a> {
 
     /// Reads a length-prefixed `f64` slice.
     pub fn get_f64_slice(&mut self) -> DecodeResult<Vec<f64>> {
-        let len = self.get_u64()?;
-        if len.checked_mul(8).is_none_or(|b| b > self.remaining() as u64) {
-            return Err(DecodeError::LengthOverflow { declared: len });
-        }
-        let mut out = Vec::with_capacity(seq_capacity(len, self.remaining() / 8, 8));
-        for _ in 0..len {
-            out.push(self.get_f64()?);
-        }
-        Ok(out)
+        self.get_seq()
     }
 
     /// Reads a length-prefixed `u64` slice.
     pub fn get_u64_slice(&mut self) -> DecodeResult<Vec<u64>> {
-        let len = self.get_u64()?;
-        if len.checked_mul(8).is_none_or(|b| b > self.remaining() as u64) {
-            return Err(DecodeError::LengthOverflow { declared: len });
-        }
-        let mut out = Vec::with_capacity(seq_capacity(len, self.remaining() / 8, 8));
-        for _ in 0..len {
-            out.push(self.get_u64()?);
-        }
-        Ok(out)
+        self.get_seq()
     }
 
     /// Reads any [`Decode`] value.
@@ -330,7 +341,8 @@ impl<'a> RecordReader<'a> {
         T::decode(self)
     }
 
-    /// Reads a length-prefixed sequence of [`Decode`] values.
+    /// Reads a length-prefixed sequence of [`Decode`] values: the one
+    /// place a hostile sequence count is refused and the reserve clamped.
     pub fn get_seq<T: Decode>(&mut self) -> DecodeResult<Vec<T>> {
         let len = self.get_u64()?;
         // Each element takes at least one byte; reject absurd counts early.
@@ -344,6 +356,212 @@ impl<'a> RecordReader<'a> {
         }
         Ok(out)
     }
+}
+
+macro_rules! primitive_codec {
+    ($($t:ty: $put:ident, $get:ident;)*) => {$(
+        impl Encode for $t {
+            fn encode(&self, w: &mut RecordWriter) {
+                w.$put(*self);
+            }
+        }
+
+        impl Decode for $t {
+            fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+primitive_codec! {
+    bool: put_bool, get_bool;
+    u16: put_u16, get_u16;
+    u32: put_u32, get_u32;
+    u64: put_u64, get_u64;
+    i64: put_i64, get_i64;
+    f64: put_f64, get_f64;
+}
+
+impl Encode for u8 {
+    fn encode(&self, w: &mut RecordWriter) {
+        w.put_u8(*self);
+    }
+
+    fn encode_slice(items: &[u8], w: &mut RecordWriter) {
+        w.put_raw(items);
+    }
+}
+
+impl Decode for u8 {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        r.get_u8()
+    }
+
+    fn decode_vec(r: &mut RecordReader<'_>) -> DecodeResult<Vec<u8>> {
+        r.get_bytes_owned()
+    }
+}
+
+impl Encode for String {
+    fn encode(&self, w: &mut RecordWriter) {
+        w.put_str(self);
+    }
+}
+
+impl Decode for String {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        r.get_str()
+    }
+}
+
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, w: &mut RecordWriter) {
+        (**self).encode(w);
+    }
+}
+
+impl<T: Encode> Encode for [T] {
+    fn encode(&self, w: &mut RecordWriter) {
+        w.put_u64(self.len() as u64);
+        T::encode_slice(self, w);
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, w: &mut RecordWriter) {
+        w.put(self.as_slice());
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        T::decode_vec(r)
+    }
+}
+
+impl<T: Encode> Encode for VecDeque<T> {
+    fn encode(&self, w: &mut RecordWriter) {
+        let (front, back) = self.as_slices();
+        w.put_u64(self.len() as u64);
+        T::encode_slice(front, w);
+        T::encode_slice(back, w);
+    }
+}
+
+impl<T: Decode> Decode for VecDeque<T> {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        Ok(T::decode_vec(r)?.into())
+    }
+}
+
+impl<T: Encode> Encode for Option<T> {
+    fn encode(&self, w: &mut RecordWriter) {
+        match self {
+            Some(v) => {
+                w.put_bool(true);
+                v.encode(w);
+            }
+            None => w.put_bool(false),
+        }
+    }
+}
+
+impl<T: Decode> Decode for Option<T> {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        Ok(if r.get_bool()? { Some(T::decode(r)?) } else { None })
+    }
+}
+
+macro_rules! tuple_codec {
+    ($($name:ident)+) => {
+        impl<$($name: Encode),+> Encode for ($($name,)+) {
+            #[allow(non_snake_case)]
+            fn encode(&self, w: &mut RecordWriter) {
+                let ($($name,)+) = self;
+                $($name.encode(w);)+
+            }
+        }
+
+        impl<$($name: Decode),+> Decode for ($($name,)+) {
+            fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+                Ok(($($name::decode(r)?,)+))
+            }
+        }
+    };
+}
+
+tuple_codec!(A B);
+tuple_codec!(A B C D);
+
+impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
+    fn encode(&self, w: &mut RecordWriter) {
+        w.put_u64(self.len() as u64);
+        for pair in self {
+            w.put(&pair);
+        }
+    }
+}
+
+impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
+    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
+        Ok(r.get_seq::<(K, V)>()?.into_iter().collect())
+    }
+}
+
+/// The code of `v`: its position in `all`, the `const` table of its
+/// enum's variants. Used by [`table_codec!`](crate::table_codec).
+///
+/// # Panics
+/// If `v` is missing from `all` (a table that omits a variant).
+pub fn table_code<T: PartialEq>(all: &[T], v: &T) -> u64 {
+    all.iter().position(|x| x == v).expect("every variant is in its code table") as u64
+}
+
+/// The variant at position `code` of `all`, or
+/// [`DecodeError::InvalidEnum`] naming `what`. Used by
+/// [`table_codec!`](crate::table_codec).
+pub fn table_entry<T: Copy>(all: &[T], what: &'static str, code: u64) -> DecodeResult<T> {
+    usize::try_from(code)
+        .ok()
+        .and_then(|i| all.get(i).copied())
+        .ok_or(DecodeError::InvalidEnum { what, value: code })
+}
+
+/// Implements [`Encode`] and [`Decode`] for a fieldless enum from one
+/// `const` table of its variants: a variant's code is its position in
+/// the table, written as a `u8` unless a wider unsigned type is named.
+/// A code past the end of the table decodes as
+/// [`DecodeError::InvalidEnum`] naming the enum.
+///
+/// ```
+/// #[derive(Debug, Clone, Copy, PartialEq)]
+/// enum Mode { Fast, Slow }
+/// const MODES: [Mode; 2] = [Mode::Fast, Mode::Slow];
+/// zapc_proto::table_codec!(Mode, "Mode", MODES);
+///
+/// let mut w = zapc_proto::RecordWriter::new();
+/// w.put(&Mode::Slow);
+/// assert_eq!(w.bytes(), [1]);
+/// ```
+#[macro_export]
+macro_rules! table_codec {
+    ($ty:ty, $what:literal, $all:expr) => {
+        $crate::table_codec!($ty, $what, $all, u8);
+    };
+    ($ty:ty, $what:literal, $all:expr, $width:ty) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, w: &mut $crate::RecordWriter) {
+                w.put(&($crate::rw::table_code(&$all, self) as $width));
+            }
+        }
+
+        impl $crate::Decode for $ty {
+            fn decode(r: &mut $crate::RecordReader<'_>) -> $crate::DecodeResult<Self> {
+                $crate::rw::table_entry(&$all, $what, r.get::<$width>()?.into())
+            }
+        }
+    };
 }
 
 /// Upper bound on what a decoder reserves ahead of validation.

@@ -7,9 +7,11 @@
 use proptest::prelude::*;
 use zapc_proto::image::Header;
 use zapc_proto::rw::frame_record;
+use std::collections::{BTreeMap, VecDeque};
 use zapc_proto::{
-    seq_capacity, Decode, DecodeError, DecodeResult, ImageReader, ImageWriter, RecordReader,
-    RecordWriter, SectionTag, FORMAT_VERSION, MAGIC, MAX_PREALLOC_BYTES,
+    seq_capacity, ConnState, Decode, DecodeError, DecodeResult, Encode, ImageReader, ImageWriter,
+    RecordReader, RecordWriter, RestartRole, SectionTag, Transport, FORMAT_VERSION, MAGIC,
+    MAX_PREALLOC_BYTES,
 };
 
 /// Builds a well-formed image with `n` body sections of the given sizes.
@@ -269,6 +271,109 @@ fn fat_element_amplification_is_clamped() {
         "hostile fat-element count must fail typed: {:?}",
         out.map(|v| v.len())
     );
+}
+
+/// Encodes `v` and decodes it back, requiring every byte consumed.
+fn round_trip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: &T) -> Vec<u8> {
+    let mut w = RecordWriter::new();
+    w.put(v);
+    let bytes = w.into_bytes();
+    let mut r = RecordReader::new(&bytes);
+    assert_eq!(&r.get::<T>().unwrap(), v);
+    assert!(r.is_empty(), "{} bytes left over", r.remaining());
+    bytes
+}
+
+#[test]
+fn nested_composites_round_trip_in_their_one_encoding() {
+    let nested: Vec<(u32, Option<Vec<u8>>)> =
+        vec![(7, Some(b"abc".to_vec())), (9, None), (1, Some(Vec::new()))];
+    let bytes = round_trip(&nested);
+    let mut want = RecordWriter::new();
+    want.put_u64(3);
+    for (n, v) in &nested {
+        want.put_u32(*n);
+        want.put_bool(v.is_some());
+        if let Some(v) = v {
+            want.put_bytes(v);
+        }
+    }
+    assert_eq!(bytes, want.into_bytes());
+
+    let map: BTreeMap<String, Vec<u64>> =
+        [("b".to_string(), vec![2, 3]), ("a".to_string(), Vec::new())].into_iter().collect();
+    let bytes = round_trip(&map);
+    let mut want = RecordWriter::new();
+    want.put_u64(2);
+    want.put_str("a");
+    want.put_u64_slice(&[]);
+    want.put_str("b");
+    want.put_u64_slice(&[2, 3]);
+    assert_eq!(bytes, want.into_bytes());
+
+    // A ring whose contents wrap: both halves are non-empty.
+    let mut ring: VecDeque<u8> = VecDeque::with_capacity(8);
+    ring.extend(0..6);
+    ring.drain(..4);
+    ring.extend(6..11);
+    let (front, back) = ring.as_slices();
+    assert!(!front.is_empty() && !back.is_empty(), "the ring must wrap");
+    let bytes = round_trip(&ring);
+    let mut want = RecordWriter::new();
+    want.put_bytes(&[4, 5, 6, 7, 8, 9, 10]);
+    assert_eq!(bytes, want.into_bytes());
+}
+
+#[test]
+fn hostile_counts_on_composites_are_length_overflow() {
+    for tail in [&[][..], &[1, 2, 3][..]] {
+        for declared in [u64::MAX, tail.len() as u64 + 1] {
+            let mut w = RecordWriter::new();
+            w.put_u64(declared);
+            let mut buf = w.into_bytes();
+            buf.extend_from_slice(tail);
+            let overflow = |res: Result<(), DecodeError>| {
+                assert_eq!(res, Err(DecodeError::LengthOverflow { declared }), "count {declared}");
+            };
+            overflow(RecordReader::new(&buf).get::<Vec<(u64, String)>>().map(drop));
+            overflow(RecordReader::new(&buf).get::<Vec<u8>>().map(drop));
+            overflow(RecordReader::new(&buf).get::<VecDeque<u8>>().map(drop));
+            overflow(RecordReader::new(&buf).get::<BTreeMap<u32, Vec<u8>>>().map(drop));
+            overflow(RecordReader::new(&buf).get::<Vec<FatElem>>().map(drop));
+        }
+    }
+}
+
+#[test]
+fn option_tag_other_than_zero_or_one_is_invalid() {
+    let got = RecordReader::new(&[2, 0, 0, 0, 0]).get::<Option<u32>>();
+    assert_eq!(got, Err(DecodeError::InvalidEnum { what: "bool", value: 2 }));
+}
+
+/// Every variant of a table-coded enum writes its position in `all` and
+/// reads back as itself; the first code past the table is refused,
+/// naming the enum.
+fn table_round_trips<T>(all: &[T], what: &str)
+where
+    T: Encode + Decode + PartialEq + Copy + std::fmt::Debug,
+{
+    for (code, v) in all.iter().enumerate() {
+        assert_eq!(round_trip(v), [code as u8], "{what}");
+    }
+    let past_end = [all.len() as u8];
+    match RecordReader::new(&past_end).get::<T>() {
+        Err(DecodeError::InvalidEnum { what: w, value }) => {
+            assert_eq!((w, value), (what, all.len() as u64));
+        }
+        other => panic!("{what} code {}: got {other:?}", all.len()),
+    }
+}
+
+#[test]
+fn table_coded_enums_round_trip_and_refuse_the_code_past_their_table() {
+    table_round_trips(&Transport::ALL, "Transport");
+    table_round_trips(&ConnState::ALL, "ConnState");
+    table_round_trips(&RestartRole::ALL, "RestartRole");
 }
 
 #[test]

@@ -110,13 +110,7 @@ impl Encode for Timer {
     fn encode(&self, w: &mut RecordWriter) {
         w.put_u64(self.id);
         w.put_u64(self.expires_at_ms);
-        match self.interval_ms {
-            Some(i) => {
-                w.put_bool(true);
-                w.put_u64(i);
-            }
-            None => w.put_bool(false),
-        }
+        w.put(&self.interval_ms);
         w.put_u64(self.fired);
     }
 }
@@ -126,7 +120,7 @@ impl Decode for Timer {
         Ok(Timer {
             id: r.get_u64()?,
             expires_at_ms: r.get_u64()?,
-            interval_ms: if r.get_bool()? { Some(r.get_u64()?) } else { None },
+            interval_ms: r.get()?,
             fired: r.get_u64()?,
         })
     }
@@ -206,14 +200,14 @@ impl TimerSet {
 
 impl Encode for TimerSet {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_seq(&self.timers);
+        w.put(&self.timers);
         w.put_u64(self.next_id);
     }
 }
 
 impl Decode for TimerSet {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        Ok(TimerSet { timers: r.get_seq()?, next_id: r.get_u64()? })
+        Ok(TimerSet { timers: r.get()?, next_id: r.get_u64()? })
     }
 }
 

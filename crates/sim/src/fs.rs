@@ -36,7 +36,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
-use zapc_proto::{seq_capacity, Decode, DecodeResult, Encode, RecordReader, RecordWriter};
+use zapc_proto::{Decode, DecodeResult, Encode, RecordReader, RecordWriter};
 
 use crate::Errno;
 
@@ -242,27 +242,13 @@ pub struct FsSnapshot {
 
 impl Encode for FsSnapshot {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_u64(self.files.len() as u64);
-        for (k, v) in &self.files {
-            w.put_str(k);
-            w.put_bytes(v);
-        }
+        w.put(&self.files);
     }
 }
 
 impl Decode for FsSnapshot {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        let n = r.get_u64()?;
-        // Each file takes at least 16 bytes: two lengths.
-        let mut files = Vec::with_capacity(seq_capacity(
-            n,
-            r.remaining() / 16,
-            std::mem::size_of::<(String, Vec<u8>)>(),
-        ));
-        for _ in 0..n {
-            files.push((r.get_str()?, r.get_bytes_owned()?));
-        }
-        Ok(FsSnapshot { files })
+        Ok(FsSnapshot { files: r.get()? })
     }
 }
 

@@ -299,22 +299,14 @@ fn to_name(s: &str) -> String {
 
 impl Encode for AddressSpace {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_u64(self.regions.len() as u64);
-        for r in self.regions.values() {
-            r.encode(w);
-        }
+        w.put(&self.regions.values().collect::<Vec<_>>());
         w.put_u64(self.next_base);
     }
 }
 
 impl Decode for AddressSpace {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        let n = r.get_u64()?;
-        let mut regions = BTreeMap::new();
-        for _ in 0..n {
-            let reg = Region::decode(r)?;
-            regions.insert(reg.base, reg);
-        }
+        let regions = r.get::<Vec<Region>>()?.into_iter().map(|reg| (reg.base, reg)).collect();
         let next_base = r.get_u64()?;
         // Generation bookkeeping is runtime-only: a decoded space starts a
         // fresh lineage (every region clean at generation 0).

@@ -6,7 +6,7 @@
 //! delivered) signals are part of the process state a checkpoint captures.
 
 use std::collections::VecDeque;
-use zapc_proto::{Decode, DecodeError, DecodeResult, Encode, RecordReader, RecordWriter};
+use zapc_proto::{Decode, DecodeResult, Encode, RecordReader, RecordWriter};
 
 /// Simulated POSIX signals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,34 +28,20 @@ pub enum Signal {
     Alrm,
 }
 
-impl Encode for Signal {
-    fn encode(&self, w: &mut RecordWriter) {
-        w.put_u8(match self {
-            Signal::Stop => 0,
-            Signal::Cont => 1,
-            Signal::Kill => 2,
-            Signal::Term => 3,
-            Signal::Usr1 => 4,
-            Signal::Usr2 => 5,
-            Signal::Alrm => 6,
-        });
-    }
+impl Signal {
+    /// Every signal, in code order.
+    pub const ALL: [Signal; 7] = [
+        Signal::Stop,
+        Signal::Cont,
+        Signal::Kill,
+        Signal::Term,
+        Signal::Usr1,
+        Signal::Usr2,
+        Signal::Alrm,
+    ];
 }
 
-impl Decode for Signal {
-    fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        Ok(match r.get_u8()? {
-            0 => Signal::Stop,
-            1 => Signal::Cont,
-            2 => Signal::Kill,
-            3 => Signal::Term,
-            4 => Signal::Usr1,
-            5 => Signal::Usr2,
-            6 => Signal::Alrm,
-            v => return Err(DecodeError::InvalidEnum { what: "Signal", value: v as u64 }),
-        })
-    }
-}
+zapc_proto::table_codec!(Signal, "Signal", Signal::ALL);
 
 /// Queued-but-undelivered signals of one process.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -87,16 +73,13 @@ impl PendingSignals {
 
 impl Encode for PendingSignals {
     fn encode(&self, w: &mut RecordWriter) {
-        w.put_u64(self.queue.len() as u64);
-        for s in &self.queue {
-            s.encode(w);
-        }
+        w.put(&self.queue);
     }
 }
 
 impl Decode for PendingSignals {
     fn decode(r: &mut RecordReader<'_>) -> DecodeResult<Self> {
-        Ok(PendingSignals { queue: r.get_seq()?.into() })
+        Ok(PendingSignals { queue: r.get()? })
     }
 }
 
@@ -128,20 +111,10 @@ mod tests {
 
     #[test]
     fn all_signal_variants_round_trip() {
-        for s in [
-            Signal::Stop,
-            Signal::Cont,
-            Signal::Kill,
-            Signal::Term,
-            Signal::Usr1,
-            Signal::Usr2,
-            Signal::Alrm,
-        ] {
+        for s in Signal::ALL {
             let mut w = RecordWriter::new();
             s.encode(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = RecordReader::new(&bytes);
-            assert_eq!(Signal::decode(&mut r).unwrap(), s);
+            assert_eq!(Signal::decode(&mut RecordReader::new(w.bytes())).unwrap(), s);
         }
     }
 }

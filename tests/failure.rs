@@ -426,6 +426,7 @@ fn hostile_counts_and_enum_codes_in_restored_state_are_typed_decode_errors() {
         program_state: Vec::new(),
         fds: Vec::new(),
     };
+    let exited = ProcRecord { state: ProcStateRecord::Exited(0), ..process.clone() };
     let mut w = RecordWriter::new();
     process.encode(&mut w);
     let process = w.into_bytes();
@@ -476,13 +477,50 @@ fn hostile_counts_and_enum_codes_in_restored_state_are_typed_decode_errors() {
     // rather than read as some other value.
     let cpi = saved(&Cpi::new(CpiConfig::default(), 0, vec![7]));
     let client = saved(&KvClient::new(KvClientConfig::default()));
+    let server = saved(&zapc_apps::kv::KvServer::new(Default::default()));
+    let mut w = RecordWriter::new();
+    exited.encode(&mut w);
+    let exited = w.into_bytes();
+    // vpid, name "p", the Exited tag, then the exit code.
+    assert_eq!(exited[13..22], [1, 0, 0, 0, 0, 0, 0, 0, 0]);
+    // Config, rank, size, one vip, phase, listening socket, one link of 28
+    // bytes, then the count and the one byte of the wired flags.
+    assert_eq!(cpi[93..102], [1, 0, 0, 0, 0, 0, 0, 0, 0]);
+    // Config, a PVM master with no workers, phase, next tile, tiles done,
+    // hash, one enrolled flag of 2, no dismissed flags, scene base.
+    let master = le(&[(8, 4), (8, 4), (4, 4), (0, 8), (1, 4), (3, 4), (1, 1), (0, 8)]);
+    let master = [master, le(&[(0, 1), (0, 4), (0, 4), (0, 8), (1, 8), (2, 1), (0, 8), (0, 8)])];
     let enums = [
         // Config (32 bytes), rank, size, one vip, then the phase byte.
-        ("MpiComm phase 3", program("apps.cpi", &patched(cpi, 52, &[3]))),
+        ("MpiComm phase 3", program("apps.cpi", &patched(cpi.clone(), 52, &[3]))),
         // Server vip, port, id, requests, value length, window, then the mode.
         (
             "KvClient mode 256",
-            program("apps.kv_client", &patched(client, 28, &256u32.to_le_bytes())),
+            program("apps.kv_client", &patched(client.clone(), 28, &256u32.to_le_bytes())),
+        ),
+        ("MpiComm wired flag 2", program("apps.cpi", &patched(cpi, 101, &[2]))),
+        ("POV-Ray master enrolled flag 2", program("apps.povray.master", &master.concat())),
+        // The port opens the server's state and follows the client's server vip.
+        (
+            "KvServer port 65536",
+            program("apps.kv_server", &patched(server, 0, &65_536u32.to_le_bytes())),
+        ),
+        (
+            "KvClient port 70000",
+            program("apps.kv_client", &patched(client.clone(), 4, &70_000u32.to_le_bytes())),
+        ),
+        // The phase follows the 61 bytes of the client's config.
+        ("KvClient phase 4", program("apps.kv_client", &patched(client.clone(), 61, &[4]))),
+        ("KvClient phase 259", program("apps.kv_client", &patched(client, 61, &[3, 1]))),
+        (
+            "Process: exit code above i32::MAX",
+            section(SectionTag::Process, &patched(exited.clone(), 14, &(1i64 << 31).to_le_bytes()))
+                .map(drop),
+        ),
+        (
+            "Process: exit code below i32::MIN",
+            section(SectionTag::Process, &patched(exited, 14, &(-1i64 << 32).to_le_bytes()))
+                .map(drop),
         ),
     ];
     for (what, got) in enums {
