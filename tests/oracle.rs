@@ -1,0 +1,231 @@
+//! Transparency oracle: a restored application cannot tell it was
+//! checkpointed (DMTCP's transparency property, PAPERS.md).
+//!
+//! A seed picks a workload (CPI, BT or Bratu), a node count, a rank count
+//! and one to three cuts at seed-chosen points of the run. A cut is a
+//! checkpoint that destroys the pods followed by a restart on seed-chosen
+//! nodes, a stop-and-copy `migrate`, or a `migrate_live` with zero to three
+//! pre-copy rounds. The disturbed run must end with the exit codes and the
+//! result file of the undisturbed run of the same seed: CPI, BT and Bratu
+//! exchange a fixed message sequence on every connection, so one lost,
+//! duplicated or reordered byte changes the result or wedges a rank.
+//!
+//! A failure names its seed, and the seed is the repro. Seeds
+//! `base..base + SEEDS` run, with `base` from `ZAPC_ORACLE_SEED_BASE`
+//! (default 0) so a CI matrix can widen the sweep.
+
+use std::time::{Duration, Instant};
+use zapc::agent::Finalize;
+use zapc::manager::{checkpoint, restart, CheckpointTarget, RestartTarget};
+use zapc::{migrate, migrate_live_with, Cluster, MigrateOptions, Uri};
+use zapc_apps::launch::{full_registry, launch_app, AppKind, AppParams};
+
+const WAIT: Duration = Duration::from_secs(60);
+const SEEDS: u64 = 10;
+
+/// splitmix64: a seed-stable stream of choices.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.next() % (hi - lo + 1)
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum CutKind {
+    /// Checkpoint with `Finalize::Destroy`, then `restart`.
+    Restart,
+    /// Stop-and-copy `migrate`.
+    Migrate,
+    /// `migrate_live` with this many pre-copy rounds.
+    Live(u32),
+}
+
+#[derive(Debug)]
+struct Cut {
+    kind: CutKind,
+    /// Where the cut falls, in thousandths of the undisturbed run's wall
+    /// time, measured from the end of the previous cut.
+    at_permille: u64,
+    /// Drawn afresh for every pod: its destination node.
+    node_seed: u64,
+}
+
+#[derive(Debug)]
+struct Case {
+    kind: AppKind,
+    nodes: usize,
+    ranks: usize,
+    cuts: Vec<Cut>,
+}
+
+fn case(seed: u64) -> Case {
+    let mut rng = Rng(seed);
+    let kind = [AppKind::Cpi, AppKind::Bt, AppKind::Bratu][rng.range(0, 2) as usize];
+    let nodes = rng.range(2, 4) as usize;
+    let ranks = rng.range(2, 4) as usize;
+    let cuts = (0..rng.range(1, 3))
+        .map(|_| Cut {
+            kind: match rng.range(0, 2) {
+                0 => CutKind::Restart,
+                1 => CutKind::Migrate,
+                _ => CutKind::Live(rng.range(0, 3) as u32),
+            },
+            at_permille: rng.range(20, 250),
+            node_seed: rng.next(),
+        })
+        .collect();
+    Case { kind, nodes, ranks, cuts }
+}
+
+fn params(case: &Case) -> AppParams {
+    AppParams { kind: case.kind, ranks: case.ranks, scale: 0.02, work: 100.0 }
+}
+
+/// Rank 0's result file for each workload.
+fn result_file(kind: AppKind) -> &'static str {
+    match kind {
+        AppKind::Cpi => "pi.txt",
+        AppKind::Bt => "bt-residual.txt",
+        AppKind::Bratu => "bratu-norm.txt",
+        AppKind::Povray => unreachable!("not drawn"),
+    }
+}
+
+/// What the application leaves behind: every rank's exit code and rank 0's
+/// result file.
+#[derive(Debug, PartialEq, Eq)]
+struct Outcome {
+    codes: Vec<i32>,
+    result: String,
+}
+
+fn finish(c: &Cluster, app: &zapc_apps::launch::Launched, case: &Case) -> Result<Outcome, String> {
+    let codes = app.wait(c, WAIT).map_err(|e| format!("wait: {e:?}"))?;
+    let path = format!("/pods/{}/{}", app.pods[0], result_file(case.kind));
+    let result = c.fs.read(&path).map_err(|e| format!("read {path}: {e:?}"))?;
+    app.destroy(c);
+    Ok(Outcome { codes, result: String::from_utf8_lossy(&result).into_owned() })
+}
+
+fn cluster(case: &Case) -> Cluster {
+    Cluster::builder().nodes(case.nodes).registry(full_registry()).build()
+}
+
+/// The undisturbed run and its wall time.
+fn reference(case: &Case) -> Result<(Outcome, Duration), String> {
+    let c = cluster(case);
+    let t0 = Instant::now();
+    let app = launch_app(&c, "orc", &params(case));
+    let out = finish(&c, &app, case)?;
+    Ok((out, t0.elapsed()))
+}
+
+/// A destination for `pod` other than the node it is on.
+fn elsewhere(c: &Cluster, case: &Case, pod: &str, draw: u64) -> usize {
+    let here = c.pod_node(pod).unwrap_or(0);
+    (here + 1 + (draw as usize % (case.nodes - 1))) % case.nodes
+}
+
+fn apply(c: &Cluster, case: &Case, pods: &[String], cut: &Cut, n: usize) -> Result<(), String> {
+    let mut draw = Rng(cut.node_seed);
+    let moves: Vec<(String, usize)> =
+        pods.iter().map(|p| (p.clone(), elsewhere(c, case, p, draw.next()))).collect();
+    match cut.kind {
+        CutKind::Restart => {
+            let uri = |p: &str| Uri::mem(format!("oracle/{p}/{n}"));
+            let finalize = Finalize::Destroy;
+            let targets: Vec<CheckpointTarget> = pods
+                .iter()
+                .map(|p| CheckpointTarget { pod: p.clone(), uri: uri(p), finalize })
+                .collect();
+            checkpoint(c, &targets).map_err(|e| format!("checkpoint: {e}"))?;
+            let targets: Vec<RestartTarget> = moves
+                .iter()
+                .map(|(p, node)| RestartTarget { pod: p.clone(), uri: uri(p), node: *node })
+                .collect();
+            restart(c, &targets).map_err(|e| format!("restart: {e}"))?;
+        }
+        CutKind::Migrate => {
+            migrate(c, &moves).map_err(|e| format!("migrate: {e}"))?;
+        }
+        CutKind::Live(rounds) => {
+            let opts = MigrateOptions { max_rounds: rounds, ..MigrateOptions::default() };
+            migrate_live_with(c, &moves, &opts).map_err(|e| format!("migrate_live: {e}"))?;
+        }
+    }
+    Ok(())
+}
+
+/// The same run with the case's cuts applied; also returns how many cuts
+/// found a rank still running.
+fn disturbed(case: &Case, wall: Duration) -> Result<(Outcome, usize), String> {
+    let c = cluster(case);
+    let app = launch_app(&c, "orc", &params(case));
+    let mut live = 0;
+    for (n, cut) in case.cuts.iter().enumerate() {
+        std::thread::sleep(wall * cut.at_permille as u32 / 1000);
+        live += usize::from(!app.all_exited(&c));
+        apply(&c, case, &app.pods, cut, n)?;
+    }
+    Ok((finish(&c, &app, case)?, live))
+}
+
+/// Runs one seed; returns how many of its cuts landed mid-run.
+fn check(seed: u64) -> Result<usize, String> {
+    let case = case(seed);
+    let (want, wall) = reference(&case).map_err(|e| format!("seed {seed}: reference: {e}"))?;
+    let (got, live) = disturbed(&case, wall).map_err(|e| format!("seed {seed}: {case:?}: {e}"))?;
+    if got != want {
+        return Err(format!("seed {seed}: {case:?}: got {got:?}, undisturbed run gave {want:?}"));
+    }
+    Ok(live)
+}
+
+#[test]
+fn cuts_are_invisible_to_the_application() {
+    let base: u64 =
+        std::env::var("ZAPC_ORACLE_SEED_BASE").ok().and_then(|s| s.parse().ok()).unwrap_or(0);
+    let seeds = base..base + SEEDS;
+    let cuts: usize = seeds.clone().map(|s| case(s).cuts.len()).sum();
+    let (mut live, mut failures) = (0, Vec::new());
+    for seed in seeds {
+        match check(seed) {
+            Ok(n) => live += n,
+            Err(e) => failures.push(e),
+        }
+    }
+    let n = failures.len();
+    assert!(failures.is_empty(), "{n} of {SEEDS} seeds failed:\n{}", failures.join("\n"));
+    // A cut after the application exited proves nothing; the cut points
+    // scale with the undisturbed wall time, so most land mid-run on any host.
+    assert!(2 * live >= cuts, "only {live} of {cuts} cuts found the application running");
+}
+
+#[test]
+fn seeds_cover_every_workload_and_cut_kind() {
+    // The sweep is only as good as its draws: the first seeds between them
+    // reach every workload, every node count and every kind of cut.
+    let cases: Vec<Case> = (0..SEEDS).map(case).collect();
+    for kind in [AppKind::Cpi, AppKind::Bt, AppKind::Bratu] {
+        assert!(cases.iter().any(|c| c.kind == kind), "{kind:?} never drawn");
+    }
+    for nodes in 2..=4 {
+        assert!(cases.iter().any(|c| c.nodes == nodes), "{nodes} nodes never drawn");
+    }
+    let cuts = || cases.iter().flat_map(|c| &c.cuts);
+    assert!(cuts().any(|c| matches!(c.kind, CutKind::Restart)));
+    assert!(cuts().any(|c| matches!(c.kind, CutKind::Migrate)));
+    assert!(cuts().any(|c| matches!(c.kind, CutKind::Live(_))));
+    assert!(cases.iter().any(|c| c.cuts.len() > 1), "never more than one cut");
+}
