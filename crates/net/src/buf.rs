@@ -243,10 +243,11 @@ impl SendBuf {
     /// well organized … reading its contents directly from the socket
     /// buffers remains a simple and portable operation").
     pub fn snapshot(&self) -> SendSnapshot {
+        let (head, tail) = self.buf.as_slices();
         SendSnapshot {
             una: self.una,
             nxt: self.nxt,
-            data: self.buf.iter().copied().collect(),
+            data: [head, tail].concat(),
             urgent_marks: self.urgent_marks.iter().copied().collect(),
         }
     }
@@ -674,6 +675,18 @@ mod tests {
         assert_eq!((b.una(), b.nxt()), (1001, 1001));
         let (seq, data, _) = b.next_segment(100, 1 << 20).unwrap();
         assert_eq!((seq, data.as_slice()), (1001, &b"bc"[..]));
+    }
+
+    #[test]
+    fn snapshot_of_a_wrapped_queue_is_the_logical_stream() {
+        let mut b = sb();
+        b.write(&[1; 40]);
+        b.next_segment(100, 1 << 20);
+        b.on_ack(1030);
+        b.write(&(0..20).collect::<Vec<u8>>());
+        assert!(!b.buf.as_slices().1.is_empty(), "the ring buffer must wrap");
+        let want: Vec<u8> = [vec![1; 10], (0..20).collect()].concat();
+        assert_eq!(b.snapshot().data, want);
     }
 
     #[test]

@@ -95,7 +95,8 @@ impl Pipe {
     /// Checkpoint extraction: `(buffered bytes, read_closed, write_closed)`.
     pub fn snapshot(&self) -> (Vec<u8>, bool, bool) {
         let p = self.inner.lock().unwrap();
-        (p.buf.iter().copied().collect(), p.read_closed, p.write_closed)
+        let (head, tail) = p.buf.as_slices();
+        ([head, tail].concat(), p.read_closed, p.write_closed)
     }
 
     /// Restore path: reinstates buffered data and end states.
@@ -144,6 +145,17 @@ mod tests {
         assert_eq!(p.write(b"x"), Err(Errno::EAGAIN));
         p.read(100).unwrap();
         assert_eq!(p.write(b"x").unwrap(), 1);
+    }
+
+    #[test]
+    fn snapshot_of_a_wrapped_queue_is_the_logical_stream() {
+        let p = Pipe::new();
+        p.write(&[1; 40]).unwrap();
+        p.read(30).unwrap();
+        p.write(&(0..20).collect::<Vec<u8>>()).unwrap();
+        assert!(!p.inner.lock().unwrap().buf.as_slices().1.is_empty(), "the ring buffer must wrap");
+        let want: Vec<u8> = [vec![1; 10], (0..20).collect()].concat();
+        assert_eq!(p.snapshot().0, want);
     }
 
     #[test]
