@@ -7,6 +7,7 @@ use std::sync::Arc;
 use zapc_net::Socket;
 use zapc_pod::{Namespace, Pod};
 use zapc_proto::image::Section;
+use zapc_proto::rw::decode_exact;
 use zapc_proto::{Decode, Encode, RecordReader, SectionTag};
 use zapc_sim::fdtable::{FdKind, FileDesc};
 use zapc_sim::memory::AddressSpace;
@@ -87,14 +88,15 @@ impl DecodedPod {
     /// for the same vpid (later rounds carry fresher control state).
     /// Unknown/network sections are ignored, as in [`restore_standalone`].
     pub fn apply_section(&mut self, tag: SectionTag, payload: &[u8]) -> CkptResult<()> {
+        // Every payload is one record: bytes it leaves unread are
+        // `TrailingBytes`, never ignored.
+        let t = tag as u16;
         match tag {
             SectionTag::Timers => {
-                let mut r = RecordReader::new(payload);
-                self.clock = Some(ClockRecord::decode(&mut r)?);
+                self.clock = Some(decode_exact(t, payload, ClockRecord::decode)?);
             }
             SectionTag::FdTable => {
-                let mut r = RecordReader::new(payload);
-                let table = PipeTable::decode(&mut r)?;
+                let table = decode_exact(t, payload, PipeTable::decode)?;
                 for (id, data, rc, wc) in table.pipes {
                     let p = Pipe::new();
                     p.restore(data, rc, wc);
@@ -102,19 +104,17 @@ impl DecodedPod {
                 }
             }
             SectionTag::Process => {
-                let mut r = RecordReader::new(payload);
-                let rec = ProcRecord::decode(&mut r)?;
+                let rec = decode_exact(t, payload, ProcRecord::decode)?;
                 self.procs.retain(|p| p.vpid != rec.vpid);
                 self.procs.push(rec);
             }
             SectionTag::Memory => {
-                let mut r = RecordReader::new(payload);
-                let vpid = r.get_u32()?;
-                self.mems.insert(vpid, AddressSpace::decode(&mut r)?);
+                let (vpid, mem) =
+                    decode_exact(t, payload, |r| Ok((r.get_u32()?, AddressSpace::decode(r)?)))?;
+                self.mems.insert(vpid, mem);
             }
             SectionTag::MemoryDelta => {
-                let mut r = RecordReader::new(payload);
-                let delta = crate::delta::MemoryDeltaRecord::decode(&mut r)?;
+                let delta = decode_exact(t, payload, crate::delta::MemoryDeltaRecord::decode)?;
                 let mem = self
                     .mems
                     .get_mut(&delta.vpid)
@@ -201,10 +201,14 @@ impl DecodedPod {
             let (program, state): (Option<Box<dyn zapc_sim::Program>>, _) = match rec.state {
                 ProcStateRecord::Exited(code) => (None, ProcState::Exited(code)),
                 ProcStateRecord::Live => {
-                    let mut pr = RecordReader::new(&rec.program_state);
-                    let prog = registry
-                        .load(&rec.program_type, &mut pr)
-                        .map_err(|_| CkptError::UnknownProgram(rec.program_type.clone()))?;
+                    if !registry.knows(&rec.program_type) {
+                        return Err(CkptError::UnknownProgram(rec.program_type.clone()));
+                    }
+                    // A known type whose state does not decode, or leaves
+                    // bytes unread, is a corrupt image, not a missing loader.
+                    let prog = decode_exact(SectionTag::Process as u16, &rec.program_state, |r| {
+                        registry.load(&rec.program_type, r)
+                    })?;
                     (Some(prog), ProcState::Stopped)
                 }
             };

@@ -527,3 +527,74 @@ fn hostile_counts_and_enum_codes_in_restored_state_are_typed_decode_errors() {
         assert!(matches!(got, Err(DecodeError::InvalidEnum { .. })), "{what}: got {got:?}");
     }
 }
+
+#[test]
+fn corrupt_program_state_is_a_decode_error_not_a_missing_loader() {
+    // Restarted through the cluster: a program type the registry knows,
+    // whose saved state is hostile or leaves bytes unread, is a corrupt
+    // image. Only a type with no loader is `UnknownProgram`.
+    use zapc_apps::kv::{KvClient, KvClientConfig};
+    use zapc_ckpt::{records::ProcStateRecord, ProcRecord};
+    let c = Cluster::builder().nodes(2).registry(full_registry()).build();
+    // Long-running, so the image holds a live process that needs a loader.
+    let app = launch_app(&c, "cpi", &AppParams { work: 2000.0, ..small(AppKind::Cpi, 1) });
+    std::thread::sleep(Duration::from_millis(5));
+    let name = app.pods[0].clone();
+    let finalize = Finalize::Destroy;
+    checkpoint(&c, &[CheckpointTarget { pod: name.clone(), uri: Uri::mem("img/good"), finalize }])
+        .unwrap();
+    let good = c.store.get("img/good").unwrap();
+    let with_process = |edit: &dyn Fn(&mut ProcRecord)| {
+        rewrite_sections(&good, |tag, payload| {
+            (tag == SectionTag::Process).then(|| {
+                let mut rec = ProcRecord::decode(&mut RecordReader::new(payload)).unwrap();
+                assert_eq!(rec.state, ProcStateRecord::Live, "the cut must catch a live rank");
+                edit(&mut rec);
+                let mut w = RecordWriter::new();
+                rec.encode(&mut w);
+                (tag, w.into_bytes())
+            })
+        })
+    };
+    let mut client = {
+        let mut w = RecordWriter::new();
+        zapc_sim::Program::save(&KvClient::new(KvClientConfig::default()), &mut w);
+        w.into_bytes()
+    };
+    // The phase byte follows the 61 bytes of the client's config.
+    client[61] = 4;
+    let hostile_client = with_process(&|rec| {
+        rec.program_type = "apps.kv_client".into();
+        rec.program_state = client.clone();
+    });
+    let trailing_byte = with_process(&|rec| rec.program_state.push(0));
+
+    for (what, image, want) in [
+        ("KvClient phase 4", hostile_client, "invalid"),
+        ("one trailing byte", trailing_byte, "1 unread payload bytes"),
+    ] {
+        c.store.put("img/hostile", image);
+        let rt = RestartTarget { pod: name.clone(), uri: Uri::mem("img/hostile"), node: 1 };
+        match restart(&c, &[rt]).unwrap_err() {
+            ZapcError::Aborted(why) => assert!(
+                why.contains("image decode error") && why.contains(want) && !why.contains("no loader"),
+                "{what}: why = {why}"
+            ),
+            other => panic!("{what}: expected a typed abort, got {other:?}"),
+        }
+        assert!(c.pod(&name).is_none(), "{what}: half-restored pod left registered");
+    }
+}
+
+#[test]
+fn a_section_with_bytes_past_its_record_is_a_typed_error() {
+    use zapc_ckpt::{records::ClockRecord, CkptError, DecodedPod};
+    let mut w = RecordWriter::new();
+    ClockRecord { bias_ms: 0, real_ms: 1 }.encode(&mut w);
+    w.put_u64(7);
+    let got = DecodedPod::new().apply_section(SectionTag::Timers, &w.into_bytes());
+    assert!(
+        matches!(got, Err(CkptError::Decode(DecodeError::TrailingBytes { remaining: 8, .. }))),
+        "got {got:?}"
+    );
+}
