@@ -89,7 +89,7 @@ pub use filter::Netfilter;
 pub use flow::FlowCtl;
 pub use opts::{OptValue, SockOpt, SockOpts};
 pub use seg::{SegFlags, Segment};
-pub use socket::{RecvFlags, Shutdown, Socket, SocketId, SocketState};
+pub use socket::{EventWatch, RecvFlags, Shutdown, Socket, SocketId, SocketState};
 pub use stack::NetStack;
 pub use wire::{Network, NetworkConfig};
 

@@ -64,17 +64,14 @@ fn connect_pods(a: &Pod, b: &Pod, port: u16) -> (Arc<Socket>, Arc<Socket>, Arc<S
     (client, listener, child)
 }
 
-/// [`connect_pods`] with `SO_OOBINLINE` set on the listener and the
-/// accepted child. The restored listener carries the option, so the
-/// re-accepted child reads urgent bytes inline from its first segment:
-/// the restore applies a child's own options only once it is accepted,
-/// and replayed data can arrive before that.
+/// [`connect_pods`] with `SO_OOBINLINE` set on the accepted child only.
+/// The restored listener builds the re-accepted child with the child's
+/// own saved options, so it reads urgent bytes inline from its first
+/// segment, even when the peer replays its send queue before the accept.
 fn connect_oob_inline(a: &Pod, b: &Pod, port: u16) -> (Arc<Socket>, Arc<Socket>, Arc<Socket>) {
     use zapc_net::{OptValue, SockOpt};
     let (client, listener, child) = connect_pods(a, b, port);
-    for s in [&listener, &child] {
-        s.setsockopt(SockOpt::OobInline, OptValue::Bool(true)).unwrap();
-    }
+    child.setsockopt(SockOpt::OobInline, OptValue::Bool(true)).unwrap();
     (client, listener, child)
 }
 
