@@ -377,6 +377,12 @@ impl Tcb {
             // connection — mirroring RFC 793's window check.
             let valid = match self.state {
                 TcpState::SynSent => seg.flags.ack && seg.ack == self.iss + 1,
+                // A half-open child has received nothing past the SYN, so
+                // its peer's reset names exactly `rcv.nxt`. One that merely
+                // falls in the window reflects a stale incarnation's
+                // sequence numbers (a dialer in SYN-SENT answering a
+                // segment of the old connection still in flight).
+                TcpState::SynRcvd => seg.seq == self.recv.nxt(),
                 TcpState::Closed => false,
                 _ => {
                     let lo = self.recv.nxt().saturating_sub(1);
@@ -423,7 +429,9 @@ impl Tcb {
                     out.push(self.make_syn_ack());
                     return ev;
                 }
-                if seg.flags.ack && seg.ack > self.iss {
+                // Only our SYN is outstanding: any other ACK is a stale
+                // incarnation's, and must not complete the handshake.
+                if seg.flags.ack && seg.ack == self.iss + 1 {
                     self.send.on_ack(seg.ack.min(self.send.end()));
                     self.flow.update(seg.window as u64);
                     self.state = TcpState::Established;
@@ -923,6 +931,26 @@ mod tests {
         let ev = child.input(&rst, &mut out);
         assert!(ev.reset);
         assert_eq!(child.state, TcpState::Closed);
+    }
+
+    #[test]
+    fn stale_incarnation_segments_leave_a_half_open_child_alone() {
+        let ea = Endpoint::new(10, 10, 0, 1, 1000);
+        let eb = Endpoint::new(10, 10, 0, 2, 2000);
+        let mut child = Tcb::accept(eb, ea, 900, 100, 1 << 16, 1 << 16, 1460, false);
+        let mut out = Vec::new();
+        // A reset inside the window but not at rcv.nxt, and an ACK of
+        // bytes the child never sent: both sequence numbers of an older
+        // connection on the same 4-tuple.
+        let mut rst = Segment::tcp(ea, eb, SegFlags::rst(), 101 + 500, 0);
+        rst.flags.ack = true;
+        assert!(!child.input(&rst, &mut out).reset);
+        let stale_ack = Segment::tcp(ea, eb, SegFlags::ack(), 101, 901 + 777);
+        assert!(!child.input(&stale_ack, &mut out).established);
+        assert_eq!(child.state, TcpState::SynRcvd);
+        // The live handshake still completes.
+        let ack = Segment::tcp(ea, eb, SegFlags::ack(), 101, 901);
+        assert!(child.input(&ack, &mut out).established);
     }
 
     #[test]
