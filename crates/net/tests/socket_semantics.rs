@@ -281,3 +281,32 @@ fn connect_does_not_deadlock_against_sockets_for_ip() {
         t.join().unwrap();
     }
 }
+
+/// Several threads may block on one socket: each waiter is woken by the
+/// socket's events, not only the one that started waiting last.
+#[test]
+fn two_threads_blocked_in_accept_on_one_listener_both_return() {
+    let r = rig();
+    let l = r.s2.socket(Transport::Tcp, ep(2, 0).ip, 6);
+    l.bind(ep(2, 5200)).unwrap();
+    l.listen(4).unwrap();
+    std::thread::scope(|s| {
+        let waiters: Vec<_> = (0..2).map(|_| s.spawn(|| l.accept_wait(TIMEOUT))).collect();
+        // Both waiters are blocked before the first connection queues.
+        std::thread::sleep(Duration::from_millis(20));
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                let c = r.s1.socket(Transport::Tcp, ep(1, 0).ip, 6);
+                c.connect(ep(2, 5200)).unwrap();
+                c.connect_wait(TIMEOUT).unwrap();
+                c
+            })
+            .collect();
+        let mut peers: Vec<_> =
+            waiters.into_iter().map(|w| w.join().unwrap().unwrap().peer_addr()).collect();
+        let mut want: Vec<_> = clients.iter().map(|c| c.local_addr()).collect();
+        peers.sort();
+        want.sort();
+        assert_eq!(peers, want);
+    });
+}
