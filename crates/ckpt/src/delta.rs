@@ -2,7 +2,9 @@
 //! earlier capture of the same process.
 //!
 //! A [`MemoryDeltaRecord`] ([`zapc_proto::SectionTag::MemoryDelta`])
-//! carries only the regions dirtied since its base generation. It is only
+//! carries only what was written since its base generation: the pages a
+//! byte region's ranged writes touched, and whole regions for the rest
+//! (mapped or borrowed whole since, and `f64` regions). It is only
 //! ever resolved against a base that arrived earlier on the same stream:
 //! live migration's pre-copy rounds and cutover feed
 //! [`crate::DecodedPod::apply_section`], which applies each delta onto the
@@ -10,7 +12,7 @@
 //! stand alone — [`crate::restore_standalone`] refuses a `MemoryDelta`.
 
 use zapc_proto::{Decode, DecodeResult, Encode, RecordReader, RecordWriter};
-use zapc_sim::memory::{AddressSpace, Region};
+use zapc_sim::memory::{AddressSpace, DeltaError, Dirty, PageDelta, Region};
 
 /// Payload of a [`zapc_proto::SectionTag::MemoryDelta`] section: one
 /// process's address-space changes since its base capture.
@@ -27,26 +29,44 @@ pub struct MemoryDeltaRecord {
     /// Bases of *all* live regions — regions of the base absent from this
     /// set were unmapped and must be dropped when the delta is applied.
     pub live: Vec<u64>,
-    /// Full contents of every region written since `base_gen`.
-    pub dirty: Vec<Region>,
+    /// Full contents of every region mapped or written whole since
+    /// `base_gen`.
+    pub whole: Vec<Region>,
+    /// The pages of byte regions written through ranged accesses since
+    /// `base_gen`.
+    pub pages: Vec<PageDelta>,
 }
 
 impl MemoryDeltaRecord {
     /// Captures the delta of `mem` since `base_gen`.
     pub fn capture(vpid: u32, base_gen: u64, mem: &AddressSpace) -> Self {
+        let (mut whole, mut pages) = (Vec::new(), Vec::new());
+        for dirty in mem.dirty_since(base_gen) {
+            match dirty {
+                Dirty::Whole(r) => whole.push(r.clone()),
+                Dirty::Pages(r, idx) => pages.push(PageDelta::capture(r, &idx)),
+            }
+        }
         MemoryDeltaRecord {
             vpid,
             base_gen,
             new_gen: mem.generation(),
             next_base: mem.next_base(),
             live: mem.regions().map(|r| r.base).collect(),
-            dirty: mem.dirty_regions(base_gen).cloned().collect(),
+            whole,
+            pages,
         }
     }
 
+    /// Region-content bytes the delta carries.
+    pub fn byte_len(&self) -> usize {
+        self.whole.iter().map(|r| r.data.byte_len()).sum::<usize>()
+            + self.pages.iter().map(PageDelta::byte_len).sum::<usize>()
+    }
+
     /// Applies this delta on top of the base address space.
-    pub fn apply(self, mem: &mut AddressSpace) {
-        mem.apply_delta(&self.live, self.dirty, self.next_base);
+    pub fn apply(self, mem: &mut AddressSpace) -> Result<(), DeltaError> {
+        mem.apply_delta(&self.live, self.whole, self.pages, self.next_base)
     }
 }
 
@@ -57,7 +77,8 @@ impl Encode for MemoryDeltaRecord {
         w.put_u64(self.new_gen);
         w.put_u64(self.next_base);
         w.put(&self.live);
-        w.put(&self.dirty);
+        w.put(&self.whole);
+        w.put(&self.pages);
     }
 }
 
@@ -69,7 +90,8 @@ impl Decode for MemoryDeltaRecord {
             new_gen: r.get_u64()?,
             next_base: r.get_u64()?,
             live: r.get()?,
-            dirty: r.get()?,
+            whole: r.get()?,
+            pages: r.get()?,
         })
     }
 }
@@ -82,10 +104,14 @@ mod tests {
     fn record_round_trips() {
         let mut mem = AddressSpace::new();
         let hot = mem.map_bytes("hot", 16);
+        let table = mem.map_bytes("table", 3 * zapc_sim::memory::PAGE);
         let snap = mem.generation();
         mem.bytes_mut(hot).unwrap()[0] = 9;
+        mem.bytes_range_mut(table, 5000..5001).unwrap()[0] = 1;
         let d = MemoryDeltaRecord::capture(7, snap, &mem);
-        assert_eq!(d.dirty.len(), 1);
+        assert_eq!(d.whole.len(), 1);
+        assert_eq!(d.pages.len(), 1);
+        assert_eq!(d.byte_len(), 16 + zapc_sim::memory::PAGE);
         let mut w = RecordWriter::new();
         d.encode(&mut w);
         let bytes = w.into_bytes();

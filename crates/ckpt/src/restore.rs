@@ -119,7 +119,9 @@ impl DecodedPod {
                     .mems
                     .get_mut(&delta.vpid)
                     .ok_or(CkptError::Inconsistent("memory delta without its base"))?;
-                delta.apply(mem);
+                delta
+                    .apply(mem)
+                    .map_err(|_| CkptError::Inconsistent("memory delta does not fit its base"))?;
             }
             _ => {} // namespace handled by the caller; network by netckpt
         }

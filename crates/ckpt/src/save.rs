@@ -192,7 +192,7 @@ fn encode_memory(
         Some(base_gen) => {
             let delta = MemoryDeltaRecord::capture(vpid, base_gen, mem);
             delta.encode(w);
-            delta.dirty.iter().map(|r| r.data.byte_len()).sum()
+            delta.byte_len()
         }
         None => {
             w.put_u32(vpid);
