@@ -928,21 +928,26 @@ impl Socket {
         let mut inner = self.inner.lock().unwrap();
         let vt_lat = self.net.cfg.vt_latency_ns;
         inner.rx_vt = inner.rx_vt.max(seg.vt + vt_lat);
+        // Only a watched socket has anyone to wake: one that nobody
+        // watches skips the event bookkeeping.
+        let watched = !inner.watch.is_empty();
         let Some(tcb) = &mut inner.tcb else { return };
         let mut out = Vec::new();
         let pre_backlog = tcb.recv.backlog_segments();
         let fast_rtx_before = tcb.cc.fast_retransmits;
         let zero_enter_before = tcb.flow.zero_window_events;
         let trimmed_before = tcb.rx_window_trimmed;
-        let (room_before, open_before) = (tcb.send.room(), tcb.state != TcpState::Closed);
+        let before = watched.then(|| (tcb.send.room(), tcb.state != TcpState::Closed));
         let ev = tcb.input(&seg, &mut out);
         // Established, reset or closed, or half the send buffer free again:
         // a blocked writer wakes to a batch's worth of room, not per ack.
-        let half = (tcb.send.room() + tcb.send.len()).div_ceil(2);
-        let event = ev.established
-            || ev.reset
-            || (room_before < half && tcb.send.room() >= half)
-            || (open_before && tcb.state == TcpState::Closed);
+        let event = before.is_some_and(|(room_before, open_before)| {
+            let half = (tcb.send.room() + tcb.send.len()).div_ceil(2);
+            ev.established
+                || ev.reset
+                || (room_before < half && tcb.send.room() >= half)
+                || (open_before && tcb.state == TcpState::Closed)
+        });
         let ooo_grew = tcb.recv.backlog_segments() > pre_backlog;
         let fast_rtx = tcb.cc.fast_retransmits - fast_rtx_before;
         let zero_enters = tcb.flow.zero_window_events - zero_enter_before;
