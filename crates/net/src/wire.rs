@@ -4,7 +4,9 @@
 //! segments by a configurable latency (plus jitter), optionally drops them
 //! (loss injection), consults the [`Netfilter`] at delivery time — so
 //! segments in flight when a pod is frozen are dropped, as §5 requires —
-//! and hands survivors to the destination node's [`NetStack`].
+//! and hands survivors to the destination node's [`NetStack`]. A frozen
+//! pod's own segments are dropped already at send, so none of them can be
+//! delivered after the freeze lifts to a new incarnation of its peer.
 //!
 //! Routing is by **virtual address**: [`Network::set_route`] maps a pod's
 //! virtual IP to the stack of the node currently hosting it. Migrating a pod
@@ -155,6 +157,10 @@ impl NetShared {
 
     /// Injects a segment into the wire (called from socket context).
     pub fn send(&self, seg: Segment) {
+        if self.filter.check_drop_source(seg.src.ip) {
+            self.stats.filtered.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
         let mut delay = self.cfg.latency;
         if self.cfg.loss > 0.0 || self.cfg.jitter > Duration::ZERO {
             let mut rng = self.rng.lock().unwrap();

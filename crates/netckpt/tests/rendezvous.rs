@@ -222,3 +222,47 @@ fn a_syn_at_the_first_moment_a_restored_listener_listens_gets_the_childs_options
         p.destroy();
     }
 }
+
+/// A pod frozen for a checkpoint can still emit a segment (a teardown FIN,
+/// a retransmission) before it is destroyed. Had that segment entered the
+/// wire, the freeze could lift and the destination address move to a new
+/// incarnation of the peer while it was in flight, and the delivery check
+/// would then let it in. The filter drops a blocked source's segments when
+/// they are sent.
+#[test]
+fn a_segment_sent_while_its_source_is_blocked_never_reaches_a_new_incarnation() {
+    // A latency long enough that unblocking and rerouting always come
+    // before the pump's delivery.
+    let net = Network::new(NetworkConfig {
+        latency: Duration::from_millis(50),
+        jitter: Duration::ZERO,
+        ..Default::default()
+    });
+    let stacks: Vec<_> = (0..3).map(|n| zapc_net::NetStack::new(n, net.handle())).collect();
+    let (src_ip, dst_ip) = (pod_vip(35), pod_vip(36));
+    let dst = Endpoint { ip: dst_ip, port: 5000 };
+    net.set_route(src_ip, &stacks[0]);
+    net.set_route(dst_ip, &stacks[1]);
+    let bind = |stack: &Arc<zapc_net::NetStack>, ep: Endpoint| {
+        let s = stack.socket(Transport::Udp, ep.ip, 17);
+        s.bind(ep).unwrap();
+        s
+    };
+    let src = bind(&stacks[0], Endpoint { ip: src_ip, port: 4000 });
+    let _old = bind(&stacks[1], dst);
+
+    net.filter().block_ip(src_ip);
+    src.sendto(dst, b"stale").unwrap();
+    // The peer's new incarnation takes over its address, and the source's
+    // freeze lifts, while the datagram would still be in flight.
+    let new = bind(&stacks[2], dst);
+    net.set_route(dst_ip, &stacks[2]);
+    net.filter().unblock_ip(src_ip);
+
+    let got = new.read_datagram_wait(Duration::from_millis(300));
+    assert!(got.is_err(), "a frozen source's datagram reached the new incarnation: {got:?}");
+    assert_eq!(net.stats().delivered.load(std::sync::atomic::Ordering::Relaxed), 0);
+    // Once unblocked, the source reaches the new incarnation as usual.
+    src.sendto(dst, b"fresh").unwrap();
+    assert_eq!(new.read_datagram_wait(TIMEOUT).unwrap().0, b"fresh");
+}
