@@ -111,7 +111,7 @@ pub struct RoundPayload {
     /// [`SectionTag::Memory`] (base round, or a process new since the
     /// base) or [`SectionTag::MemoryDelta`].
     pub tag: SectionTag,
-    /// The section as the framed, CRC'd record an image would hold —
+    /// The section as the framed, checked record an image would hold —
     /// what goes down the migration stream as it is.
     pub record: Vec<u8>,
     /// Address-space generation at capture time — the next round's base.
@@ -157,7 +157,7 @@ pub fn capture_memory_round(
         let mut w = RecordWriter::with_capacity(hint);
         let mark = w.begin_record(tag as u16);
         let region_bytes = encode_memory(vpid, &proc.mem, base_gen, &mut w);
-        // The running process waits on this lock: CRC after letting go.
+        // The running process waits on this lock: check after letting go.
         drop(proc);
         w.end_record(mark);
         out.push(RoundPayload { vpid, tag, record: w.into_bytes(), gen, region_bytes });

@@ -167,7 +167,7 @@ fn restore_rejects_unsquashed_incremental() {
     checkpoint_standalone(&pod, &mut w).unwrap();
     let mut stale_parent_tag = w.finish();
     pod.destroy();
-    // Preamble (12 bytes), then the header record: tag, length, payload, CRC.
+    // Preamble (12 bytes), then the header record: tag, length, payload, check.
     let len = u32::from_le_bytes(stale_parent_tag[14..18].try_into().unwrap()) as usize;
     let at = 12 + 2 + 4 + len + 4;
     stale_parent_tag.splice(at..at, frame_record(0x0002, b"inc3#base"));

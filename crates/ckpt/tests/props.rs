@@ -269,7 +269,7 @@ fn sections(bytes: &[u8]) -> Vec<(SectionTag, Vec<u8>)> {
     rd.sections().unwrap().iter().map(|s| (s.tag, s.payload.to_vec())).collect()
 }
 
-/// The framing reference: `MAGIC ‖ version ‖` the copy-then-CRC
+/// The framing reference: `MAGIC ‖ version ‖` the copy-then-check
 /// `frame_record` of the header, of each section, and of the end marker.
 fn reference_image(header: &Header, sections: &[(SectionTag, Vec<u8>)]) -> Vec<u8> {
     let mut hw = RecordWriter::new();

@@ -15,12 +15,12 @@
 //! list. Restore recomputes it from the list, checks it against the
 //! manifest, and checks each chunk against its own digest — chunking is
 //! invisible above the store, and a recipe whose list was reordered or
-//! swapped is refused even with a valid CRC.
+//! swapped is refused even with a valid record check.
 //!
 //! The wire form mirrors [`crate::manifest`]: its own magic + version
-//! preamble followed by one CRC-framed record, version-gated so an older
+//! preamble followed by one framed record, version-gated so an older
 //! reader refuses a newer recipe with a typed error instead of misparsing
-//! it. Structural invariants the CRC cannot see (zero-length chunks, chunk
+//! it. Structural invariants the record check cannot see (zero-length chunks, chunk
 //! lengths not summing to the logical length) are validated on parse and
 //! surface as [`DecodeError::Inconsistent`].
 
@@ -30,8 +30,9 @@ use crate::rw::{preamble_decode, preamble_encode, Decode, Encode, RecordReader, 
 /// Magic bytes that start every serialized chunk index.
 pub const CHUNK_INDEX_MAGIC: &[u8; 8] = b"ZAPCCHX\0";
 
-/// Current chunk-index format version.
-pub const CHUNK_INDEX_VERSION: u32 = 2;
+/// Current chunk-index format version. Version 3 checks its record with
+/// the low 32 bits of `digest64`.
+pub const CHUNK_INDEX_VERSION: u32 = 3;
 
 /// Record tag of the chunk-index body (disjoint from image and manifest
 /// tags).
@@ -77,13 +78,13 @@ pub struct ChunkIndex {
 }
 
 impl ChunkIndex {
-    /// Serializes the index: magic, version, one CRC-framed record.
+    /// Serializes the index: magic, version, one framed record.
     pub fn to_bytes(&self) -> Vec<u8> {
         preamble_encode(CHUNK_INDEX_MAGIC, CHUNK_INDEX_VERSION, CHUNK_INDEX_TAG, self)
     }
 
     /// Parses and validates a serialized chunk index: magic, version,
-    /// record CRC, full payload consumption, and the structural invariants
+    /// record check, full payload consumption, and the structural invariants
     /// (no zero-length chunk, chunk lengths sum to `logical_len`). Every
     /// way a recipe can be torn, truncated, or forged surfaces as a typed
     /// [`DecodeError`].
@@ -179,11 +180,14 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_caught_by_crc() {
+    fn corruption_is_caught_by_the_record_check() {
         let mut bad = sample().to_bytes();
         let idx = 12 + 6 + 3;
         bad[idx] ^= 0xA5;
-        assert!(ChunkIndex::from_bytes(&bad).is_err());
+        assert!(matches!(
+            ChunkIndex::from_bytes(&bad),
+            Err(DecodeError::ChecksumMismatch { tag: CHUNK_INDEX_TAG, .. })
+        ));
     }
 
     #[test]

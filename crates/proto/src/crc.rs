@@ -1,73 +1,8 @@
-//! The two checksums of the format: CRC-32 (IEEE 802.3 polynomial,
-//! reflected), which protects every record in a checkpoint image, and
-//! [`digest64`], which names stored content.
-//!
-//! CRC-32 is implemented slice-by-8: eight 256-entry tables, all built by
-//! `const fn` at compile time. Table `k` maps a byte to its CRC
-//! contribution when `k` more bytes follow it, so one step folds eight
-//! input bytes (two little-endian `u32` reads) into the state with eight
-//! lookups and no carried dependency between them. The tail of fewer than
-//! eight bytes runs through table 0, the classic byte-at-a-time step.
-//! Output is the standard CRC-32 (check value `0xCBF43926`), identical to
-//! a byte-table or bitwise implementation. [`digest64`] reads a 64-bit
-//! word at a time into four independent multiply lanes (see its docs).
-
-/// The reflected IEEE 802.3 polynomial.
-const POLY: u32 = 0xEDB8_8320;
-
-/// Slice-by-8 lookup tables, computed at compile time. `TABLES[0]` is the
-/// byte-at-a-time table; `TABLES[k][b]` is `TABLES[k - 1][b]` advanced by
-/// one zero byte.
-const TABLES: [[u32; 256]; 8] = build_tables();
-
-const fn build_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
-            bit += 1;
-        }
-        t[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-/// One-shot CRC-32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &TABLES;
-    let mut crc: u32 = 0xFFFF_FFFF;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
-}
+//! The one checksum of the format: [`digest64`]. It names stored content
+//! (chunk keys, fetch verification, image digests), and its low 32 bits,
+//! xored with the record's tag, check every record of an image, manifest,
+//! recipe and migration frame (`rw::record_check`). It reads a 64-bit word
+//! at a time into four independent multiply lanes (see its docs).
 
 /// Multipliers of the four [`digest64`] lanes (odd, dense in both halves).
 const K: [u64; 4] =
@@ -92,14 +27,13 @@ fn word(b: &[u8]) -> u64 {
 
 /// One-shot 64-bit digest of `bytes` — the store's *content identity*:
 /// chunk keys, fetch verification, the image digest chained over a recipe,
-/// and the memory digest of a decoded pod all use it.
+/// and the memory digest of a decoded pod all use it. Its low 32 bits,
+/// xored with the tag, are every record's check.
 ///
-/// CRC-32 cannot identify content: CRC is linear over GF(2), and every
-/// record in an image embeds the CRC of its own payload, so the image-wide
-/// CRC of any correctly-framed image is independent of the payload
-/// contents (the embedded CRCs cancel the payload terms). A multiply is
-/// not linear in GF(2), so this digest has no such cancellation. It is a
-/// sound non-adversarial identity check, not a cryptographic hash.
+/// A multiply is not linear over GF(2), so an image-wide digest of records
+/// that each embed the check of their own payload does not cancel the
+/// payload terms, as a linear check such as a CRC would. It is a sound
+/// non-adversarial identity check, not a cryptographic hash.
 ///
 /// Word at a time: 32-byte blocks feed four independent lanes, lane `i`
 /// stepping `lane = fold(lane ^ w, K[i]) + w`, where `fold` xors the two
@@ -141,86 +75,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Bit-at-a-time CRC-32: the definition, independent of the tables.
-    fn crc32_bitwise(bytes: &[u8]) -> u32 {
-        let mut crc: u32 = 0xFFFF_FFFF;
-        for &b in bytes {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
-            }
-        }
-        !crc
-    }
-
-    #[test]
-    fn check_value() {
-        // The canonical CRC-32 check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
-    fn known_answers() {
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
-    fn empty_input() {
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn every_alignment_and_tail_matches_bitwise_reference() {
-        let buf: Vec<u8> = (0..48u32).map(|i| (i * 151 + 7) as u8).collect();
-        for off in 0..8 {
-            for len in 0..=40 {
-                let s = &buf[off..off + len];
-                assert_eq!(crc32(s), crc32_bitwise(s), "off {off} len {len}");
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-        /// Random bytes at every start alignment (0..8), lengths up to 2 KiB.
-        #[test]
-        fn crc32_matches_bitwise_reference(
-            buf in proptest::collection::vec(any::<u8>(), 2048 + 8),
-            off in 0usize..8,
-            len in 0usize..=2048,
-        ) {
-            let s = &buf[off..off + len];
-            prop_assert_eq!(crc32(s), crc32_bitwise(s));
-        }
-    }
-
-    #[test]
-    fn detects_single_bit_flip() {
-        let mut data = vec![0xA5u8; 1024];
-        let clean = crc32(&data);
-        data[513] ^= 0x04;
-        assert_ne!(crc32(&data), clean);
-    }
-
-    #[test]
-    fn distinct_inputs_distinct_crcs() {
-        assert_ne!(crc32(b"pod-0"), crc32(b"pod-1"));
-    }
-
     #[test]
     fn digest64_distinguishes_self_checksummed_streams() {
-        // The failure mode that rules CRC-32 out as a content digest:
-        // "payload || crc32(payload)" streams all share one CRC-32, but
-        // digest64 tells them apart.
-        let framed = |payload: &[u8]| {
-            let mut v = payload.to_vec();
-            v.extend_from_slice(&crc32(payload).to_le_bytes());
-            v
-        };
-        let a = framed(&[0u8; 16]);
-        let b = framed(&[5u8; 16]);
-        assert_eq!(crc32(&a), crc32(&b), "CRC-32 cancellation (why digest64 exists)");
+        // Records embed the check of their own payload. A linear check
+        // such as CRC-32 gives every "payload || check(payload)" stream
+        // one value, so it could not name content; digest64 tells framed
+        // records apart.
+        let a = crate::rw::frame_record(1, &[0u8; 16]);
+        let b = crate::rw::frame_record(1, &[5u8; 16]);
         assert_ne!(digest64(&a), digest64(&b));
     }
 

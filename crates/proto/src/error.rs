@@ -10,13 +10,13 @@ pub enum DecodeError {
         /// What the decoder was trying to read.
         wanted: &'static str,
     },
-    /// A record's stored CRC does not match its payload.
-    CrcMismatch {
+    /// A record's stored check does not match its payload.
+    ChecksumMismatch {
         /// Record tag whose payload failed verification.
         tag: u16,
-        /// CRC stored in the stream.
+        /// Check stored in the stream.
         stored: u32,
-        /// CRC computed over the payload actually read.
+        /// Check computed over the payload actually read.
         computed: u32,
     },
     /// A record with an unexpected tag was encountered.
@@ -71,8 +71,8 @@ pub enum DecodeError {
     },
     /// A record decoded cleanly but its fields are mutually inconsistent
     /// (e.g. a chunk index whose per-chunk lengths do not sum to the
-    /// recorded logical length) — a forgery or corruption the CRC alone
-    /// cannot catch.
+    /// recorded logical length) — a forgery or corruption the record check
+    /// alone cannot catch.
     Inconsistent {
         /// Which structural invariant failed.
         what: &'static str,
@@ -85,9 +85,9 @@ impl fmt::Display for DecodeError {
             DecodeError::UnexpectedEof { wanted } => {
                 write!(f, "unexpected end of input while reading {wanted}")
             }
-            DecodeError::CrcMismatch { tag, stored, computed } => write!(
+            DecodeError::ChecksumMismatch { tag, stored, computed } => write!(
                 f,
-                "CRC mismatch in record {tag:#06x}: stored {stored:#010x}, computed {computed:#010x}"
+                "checksum mismatch in record {tag:#06x}: stored {stored:#010x}, computed {computed:#010x}"
             ),
             DecodeError::UnexpectedTag { found, expected } => {
                 write!(f, "unexpected record tag {found:#06x} (expected {expected:#06x})")

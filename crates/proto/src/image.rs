@@ -1,5 +1,5 @@
 //! Checkpoint image layout: a magic/version preamble followed by framed,
-//! CRC-protected sections.
+//! checked sections.
 //!
 //! ```text
 //! +--------+---------+--------+-----------+-----------+-----+-------+
@@ -22,8 +22,9 @@ pub const MAGIC: &[u8; 8] = b"ZAPCIMG\0";
 /// The image format version: the only one written and the only one read.
 /// Version 2 added [`SectionTag::MemoryDelta`] sections carrying only
 /// dirty regions; they travel on live-migration streams, after the base
-/// they apply to, and never appear in a stored image.
-pub const FORMAT_VERSION: u32 = 2;
+/// they apply to, and never appear in a stored image. Version 3 checks
+/// every record with the low 32 bits of `digest64`.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Section tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,7 +149,7 @@ impl ImageWriter {
 pub struct Section<'a> {
     /// Section tag.
     pub tag: SectionTag,
-    /// CRC-verified payload.
+    /// Checked payload.
     pub payload: &'a [u8],
 }
 
@@ -163,7 +164,7 @@ pub struct ImageReader<'a> {
 
 impl<'a> ImageReader<'a> {
     /// Opens an image, validating magic, version ([`FORMAT_VERSION`]
-    /// only) and the header's CRC.
+    /// only) and the header's record check.
     pub fn open(bytes: &'a [u8]) -> DecodeResult<Self> {
         if bytes.len() < MAGIC.len() + 4 || &bytes[..MAGIC.len()] != MAGIC {
             return Err(DecodeError::BadMagic);
@@ -259,8 +260,9 @@ mod tests {
         let mut w = ImageWriter::new(&header());
         w.section(SectionTag::NetMeta, |r| r.put_u8(0));
         let mut bytes = w.finish();
-        // v1 (the pre-delta format) is no more readable than a future one.
-        for found in [0, 1, 3, 0xFE] {
+        // v1 (the pre-delta format) and v2 (the previous record check) are no
+        // more readable than a future one.
+        for found in [0, 1, 2, 4, 0xFE] {
             bytes[8..12].copy_from_slice(&u32::to_le_bytes(found));
             assert_eq!(
                 ImageReader::open(&bytes).unwrap_err(),

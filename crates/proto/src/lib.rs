@@ -6,8 +6,9 @@
 //!
 //! This crate implements that format from scratch:
 //!
-//! * [`crc`] — CRC-32 (IEEE 802.3) integrity checksums,
-//! * [`rw`] — self-describing, length-prefixed, CRC-protected records with a
+//! * [`crc`] — `digest64`, the one checksum: content identity, and (its
+//!   low 32 bits) every record's check,
+//! * [`rw`] — self-describing, length-prefixed, checked records with a
 //!   typed primitive layer ([`rw::RecordWriter`] / [`rw::RecordReader`])
 //!   and the one encoding of each composite value (sequences, options,
 //!   tuples, maps, table-coded enums) that every record codec is built on,

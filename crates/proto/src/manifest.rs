@@ -15,7 +15,7 @@
 //! all-or-nothing).
 //!
 //! The wire form is deliberately boring: its own magic + version preamble
-//! followed by one CRC-framed record, so a torn or corrupted manifest is a
+//! followed by one framed record, so a torn or corrupted manifest is a
 //! typed [`DecodeError`] — exactly like a damaged image — never a misparse.
 
 use crate::error::{DecodeError, DecodeResult};
@@ -25,8 +25,9 @@ use std::collections::HashSet;
 /// Magic bytes that start every serialized manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"ZAPCMAN\0";
 
-/// Current manifest format version.
-pub const MANIFEST_VERSION: u32 = 3;
+/// Current manifest format version. Version 4 checks its record with the
+/// low 32 bits of `digest64`.
+pub const MANIFEST_VERSION: u32 = 4;
 
 /// Record tag of the manifest body (disjoint from image section tags).
 pub const MANIFEST_TAG: u16 = 0x0100;
@@ -90,13 +91,13 @@ impl Manifest {
         self.entries.iter().find(|e| e.pod == pod)
     }
 
-    /// Serializes the manifest: magic, version, one CRC-framed record.
+    /// Serializes the manifest: magic, version, one framed record.
     pub fn to_bytes(&self) -> Vec<u8> {
         preamble_encode(MANIFEST_MAGIC, MANIFEST_VERSION, MANIFEST_TAG, self)
     }
 
     /// Parses and validates a serialized manifest: magic, version, record
-    /// CRC, full payload consumption, and pod-reference uniqueness. Every
+    /// check, full payload consumption, and pod-reference uniqueness. Every
     /// way a manifest can be torn, truncated, or forged surfaces as a
     /// typed [`DecodeError`].
     pub fn from_bytes(bytes: &[u8]) -> DecodeResult<Manifest> {
@@ -196,14 +197,17 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_caught_by_crc() {
+    fn corruption_is_caught_by_the_record_check() {
         let bytes = sample().to_bytes();
         // Flip one payload byte (past the 12-byte preamble and the 6-byte
         // record framing prefix).
         let mut bad = bytes.clone();
         let idx = 12 + 6 + 3;
         bad[idx] ^= 0xA5;
-        assert!(Manifest::from_bytes(&bad).is_err());
+        assert!(matches!(
+            Manifest::from_bytes(&bad),
+            Err(DecodeError::ChecksumMismatch { tag: MANIFEST_TAG, .. })
+        ));
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //!
 //! ```text
 //! +---------+----------+------------------+-----------+
-//! | tag u16 | len u32  | payload (len B)  | crc32 u32 |
+//! | tag u16 | len u32  | payload (len B)  | check u32 |
 //! +---------+----------+------------------+-----------+
 //! ```
 //!
-//! All integers are little-endian. The CRC covers the payload only; tag and
-//! length corruption is caught indirectly (a wrong length almost certainly
-//! shifts the CRC check out of alignment). Inside a payload, values are
+//! All integers are little-endian. The check is the low 32 bits of
+//! [`digest64`] over the payload, xored with the tag, so a damaged tag
+//! always fails it even where it reads as another known tag. Length
+//! corruption is caught indirectly (a wrong length almost certainly shifts
+//! the check out of alignment). Inside a payload, values are
 //! written with the typed primitives of [`RecordWriter`] and read back with
 //! the mirror-image [`RecordReader`]; a record must be consumed exactly,
 //! otherwise [`DecodeError::TrailingBytes`] flags a schema mismatch.
@@ -47,7 +49,7 @@
 //! `get_seq` reserves no more than [`seq_capacity`] allows before the
 //! items are read.
 
-use crate::crc::crc32;
+use crate::crc::digest64;
 use crate::error::{DecodeError, DecodeResult};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -83,7 +85,7 @@ pub trait Decode: Sized {
 /// Field widths of the record layout in the module docs.
 const TAG_BYTES: usize = 2;
 const LEN_BYTES: usize = 4;
-const CRC_BYTES: usize = 4;
+const CHECK_BYTES: usize = 4;
 /// Bytes before the payload: tag, then length.
 const HEAD_BYTES: usize = TAG_BYTES + LEN_BYTES;
 
@@ -205,9 +207,9 @@ impl RecordWriter {
     }
 
     /// Closes the record opened at `mark`: patches the length, computes
-    /// the CRC over the payload where it lies, and appends it. With
+    /// the check over the payload where it lies, and appends it. With
     /// [`RecordWriter::begin_record`] this is the single definition of the
-    /// tag/len/payload/crc wire layout on the write side.
+    /// tag/len/payload/check wire layout on the write side.
     ///
     /// # Panics
     /// If the payload exceeds the format's `u32` length field (a silently
@@ -216,15 +218,22 @@ impl RecordWriter {
         let payload_at = mark + HEAD_BYTES;
         let len = u32::try_from(self.buf.len() - payload_at).expect("record payload over 4 GiB");
         self.buf[mark + TAG_BYTES..payload_at].copy_from_slice(&len.to_le_bytes());
-        let crc = crc32(&self.buf[payload_at..]);
-        self.buf.extend_from_slice(&crc.to_le_bytes());
+        let tag = u16::from_le_bytes([self.buf[mark], self.buf[mark + 1]]);
+        let check = record_check(tag, &self.buf[payload_at..]);
+        self.buf.extend_from_slice(&check.to_le_bytes());
     }
 }
 
+/// A record's check: the low 32 bits of [`digest64`] over its payload,
+/// xored with its tag.
+fn record_check(tag: u16, payload: &[u8]) -> u32 {
+    digest64(payload) as u32 ^ u32::from(tag)
+}
+
 /// Frames `payload`, which the caller already holds encoded, as a single
-/// record. The copy-then-CRC form tests use as their reference.
+/// record. The copy-then-check form tests use as their reference.
 pub fn frame_record(tag: u16, payload: &[u8]) -> Vec<u8> {
-    let mut w = RecordWriter::with_capacity(HEAD_BYTES + payload.len() + CRC_BYTES);
+    let mut w = RecordWriter::with_capacity(HEAD_BYTES + payload.len() + CHECK_BYTES);
     let mark = w.begin_record(tag);
     w.put_raw(payload);
     w.end_record(mark);
@@ -606,7 +615,7 @@ impl<'a> RecordStream<'a> {
         self.pos >= self.buf.len()
     }
 
-    /// Reads the next record, verifying its CRC; returns `(tag, payload)`.
+    /// Reads the next record, verifying its check; returns `(tag, payload)`.
     pub fn next_record(&mut self) -> DecodeResult<(u16, &'a [u8])> {
         let rem = &self.buf[self.pos..];
         if rem.len() < HEAD_BYTES {
@@ -614,14 +623,14 @@ impl<'a> RecordStream<'a> {
         }
         let tag = u16::from_le_bytes([rem[0], rem[1]]);
         let len = u32::from_le_bytes([rem[2], rem[3], rem[4], rem[5]]) as usize;
-        let Some(body) = rem.get(HEAD_BYTES..HEAD_BYTES + len + CRC_BYTES) else {
+        let Some(body) = rem.get(HEAD_BYTES..HEAD_BYTES + len + CHECK_BYTES) else {
             return Err(DecodeError::LengthOverflow { declared: len as u64 });
         };
-        let (payload, crc) = body.split_at(len);
-        let stored = u32::from_le_bytes(crc.try_into().expect("4 CRC bytes"));
-        let computed = crc32(payload);
+        let (payload, check) = body.split_at(len);
+        let stored = u32::from_le_bytes(check.try_into().expect("4 check bytes"));
+        let computed = record_check(tag, payload);
         if stored != computed {
-            return Err(DecodeError::CrcMismatch { tag, stored, computed });
+            return Err(DecodeError::ChecksumMismatch { tag, stored, computed });
         }
         self.pos += HEAD_BYTES + body.len();
         Ok((tag, payload))
@@ -638,7 +647,7 @@ impl<'a> RecordStream<'a> {
 }
 
 /// Frames `body` as a small standalone file — `magic`, a little-endian
-/// `u32` `version`, then exactly one CRC-framed record tagged `tag` — the
+/// `u32` `version`, then exactly one framed record tagged `tag` — the
 /// shape of a checkpoint manifest and of a chunk recipe.
 pub(crate) fn preamble_encode(
     magic: &[u8; 8],
@@ -655,7 +664,7 @@ pub(crate) fn preamble_encode(
     w.into_bytes()
 }
 
-/// Parses what [`preamble_encode`] wrote: magic, version, record CRC,
+/// Parses what [`preamble_encode`] wrote: magic, version, record check,
 /// full payload consumption, no trailing bytes. Each format keeps only its
 /// own structural checks on top.
 pub(crate) fn preamble_decode<T: Decode>(
@@ -771,7 +780,7 @@ mod tests {
             want.extend_from_slice(&tag.to_le_bytes());
             want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             want.extend_from_slice(&payload);
-            want.extend_from_slice(&crc32(&payload).to_le_bytes());
+            want.extend_from_slice(&record_check(tag, &payload).to_le_bytes());
         }
         assert_eq!(out, want);
 
@@ -784,14 +793,14 @@ mod tests {
     }
 
     #[test]
-    fn crc_corruption_detected() {
+    fn payload_corruption_detected() {
         let mut out = framed(1, |w| w.put_str("payload"));
         // Flip a payload bit.
         out[8] ^= 0x01;
         let mut s = RecordStream::new(&out);
         match s.next_record() {
-            Err(DecodeError::CrcMismatch { .. }) => {}
-            other => panic!("expected CrcMismatch, got {other:?}"),
+            Err(DecodeError::ChecksumMismatch { .. }) => {}
+            other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
         assert_eq!(s.position(), 0, "a refused record is not consumed");
     }

@@ -2,14 +2,14 @@
 //! formats: a checkpoint image, a manifest and a chunk-index recipe.
 //!
 //! The framing property tests compare an image against a reference framed
-//! with the same `crc32`, so a checksum kernel that changed its output
+//! with the same record check, so a checksum kernel that changed its output
 //! would move both sides together and pass. These tests pin the bytes
-//! against constants instead. All three were first computed with the
-//! byte-table CRC-32 kernel, before the slice-by-8 kernel replaced it. The
-//! manifest and chunk-index constants were recomputed when
-//! `MANIFEST_VERSION` became 3 and `CHUNK_INDEX_VERSION` 2, a change that
-//! moved only their version words. Each must hold unchanged for as long as
-//! `FORMAT_VERSION`, `MANIFEST_VERSION` and `CHUNK_INDEX_VERSION` do.
+//! against constants instead. All three were recomputed when the record
+//! check became the low 32 bits of `digest64` xored with the tag, and
+//! `FORMAT_VERSION` became 3, `MANIFEST_VERSION` 4 and
+//! `CHUNK_INDEX_VERSION` 3: that change moved only the check words and the
+//! version words, never a length or a payload byte. Each must hold
+//! unchanged for as long as those three versions do.
 //!
 //! The fingerprint is a byte-at-a-time FNV-1a 64 private to this file, so
 //! a change to the store's digest cannot move these pins either.
@@ -89,19 +89,19 @@ fn golden_chunk_index() -> ChunkIndex {
 #[test]
 fn image_bytes_are_golden() {
     let img = golden_image();
-    assert_eq!((img.len(), fnv1a64(&img)), (4_811, 0x18d8_9355_53e3_7e7f));
+    assert_eq!((img.len(), fnv1a64(&img)), (4_811, 0xe172_3905_dd7a_14ff));
 }
 
 #[test]
 fn manifest_bytes_are_golden() {
     let bytes = golden_manifest().to_bytes();
-    assert_eq!((bytes.len(), fnv1a64(&bytes)), (228, 0xee89_57e6_2908_568c));
+    assert_eq!((bytes.len(), fnv1a64(&bytes)), (228, 0xb7c9_eb12_bfbf_a6de));
     assert_eq!(Manifest::from_bytes(&bytes).unwrap(), golden_manifest());
 }
 
 #[test]
 fn chunk_index_bytes_are_golden() {
     let bytes = golden_chunk_index().to_bytes();
-    assert_eq!((bytes.len(), fnv1a64(&bytes)), (94, 0x2430_9974_7fb9_ca8f));
+    assert_eq!((bytes.len(), fnv1a64(&bytes)), (94, 0x9eb1_6274_7283_6405));
     assert_eq!(ChunkIndex::from_bytes(&bytes).unwrap(), golden_chunk_index());
 }

@@ -68,7 +68,7 @@ proptest! {
         sizes in proptest::collection::vec(1u16..256, 1..4),
     ) {
         let bytes = build_image(&sizes);
-        // Strip the empty End record exactly: 2 (tag) + 4 (len) + 4 (crc).
+        // Strip the empty End record exactly: 2 (tag) + 4 (len) + 4 (check).
         let stripped = &bytes[..bytes.len() - 10];
         let out = drain(stripped);
         prop_assert!(out.is_err(), "end-marker-less image drained as complete");
@@ -169,14 +169,62 @@ proptest! {
         let at = at % bytes.len();
         bytes[at] ^= xor;
         // Whatever happens must be a typed outcome, not a panic. A flip in
-        // a payload byte is caught by the section CRC; flips in framing
-        // surface as magic/version/length/tag errors. (A flip could in
-        // principle collide CRC-32, but not from a single byte.)
+        // a payload byte is caught by the record check; flips in framing
+        // surface as magic/version/length/tag errors. A damaged payload
+        // passes the 32-bit check with probability 2^-32; for single-byte
+        // and single-bit damage to the fixed image of
+        // `fault_plan_damage_at_every_offset_is_a_typed_error` it never does.
         let out = drain(&bytes);
         if at >= MAGIC.len() + 4 {
             prop_assert!(out.is_err(), "corrupt byte {at} accepted: {out:?}");
         }
     }
+}
+
+/// The fault plan's `Corrupt` damage (`FaultPlan::mangle`: one byte xored
+/// with 0xA5) at every byte offset of a fixed image, and every single-bit
+/// flip: each ends in a typed error. Damage inside a record's tag, payload
+/// or check is a `ChecksumMismatch`; damage to the preamble or a length is
+/// some other typed error, or a `ChecksumMismatch` when a wrong length
+/// moves the check. Single-bit flips turn the tag of a `Memory`, `Process`
+/// or `NetState` section into that of another known section, which only
+/// the tag's share of the check can catch.
+#[test]
+fn fault_plan_damage_at_every_offset_is_a_typed_error() {
+    let clean = build_image(&[1, 200, 512]);
+    // The tag bytes and the payload-and-check bytes of every record.
+    let mut records = Vec::new();
+    let mut pos = MAGIC.len() + 4;
+    while pos < clean.len() {
+        let len = u32::from_le_bytes(clean[pos + 2..pos + 6].try_into().unwrap()) as usize;
+        records.push((pos..pos + 2, pos + 6..pos + 6 + len + 4));
+        pos += 6 + len + 4;
+    }
+    assert_eq!(records.len(), 5, "header, three sections, end");
+    let xors: Vec<u8> = (0..8).map(|b| 1 << b).chain([0xA5]).collect();
+    let mut cases = 0;
+    for at in 0..clean.len() {
+        for &xor in &xors {
+            let mut bytes = clean.clone();
+            bytes[at] ^= xor;
+            let out = std::panic::catch_unwind(|| drain(&bytes))
+                .unwrap_or_else(|_| panic!("byte {at} xor {xor:#04x} panicked"));
+            let checked =
+                records.iter().find(|(tag, body)| tag.contains(&at) || body.contains(&at));
+            match (checked, out) {
+                (Some((tag, _)), Err(DecodeError::ChecksumMismatch { tag: t, .. })) => {
+                    // The tag reported is the tag read, damaged or not.
+                    let read = u16::from_le_bytes([bytes[tag.start], bytes[tag.start + 1]]);
+                    assert_eq!(t, read, "byte {at} xor {xor:#04x}");
+                }
+                (Some(_), other) => panic!("byte {at} xor {xor:#04x}: {other:?}"),
+                (None, Ok(n)) => panic!("framing byte {at} xor {xor:#04x} read {n} sections"),
+                (None, Err(_)) => {}
+            }
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, clean.len() * 9);
 }
 
 /// A decode target whose in-memory footprint (4 KiB) vastly exceeds its

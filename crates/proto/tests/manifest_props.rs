@@ -68,7 +68,7 @@ proptest! {
         );
     }
 
-    /// Any single-byte flip past the preamble is caught (record CRC); a
+    /// Any single-byte flip past the preamble is caught (record check); a
     /// flip inside the preamble is a magic/version error. Either way the
     /// outcome is typed, never a panic or a silently different manifest.
     #[test]
@@ -83,7 +83,7 @@ proptest! {
         match Manifest::from_bytes(&bytes) {
             Err(_) => {}
             // A flip in the length prefix could in principle re-frame to a
-            // valid CRC only by 1-in-2^32 collision — treat success as the
+            // valid check only by 1-in-2^32 collision — treat success as the
             // bug it would be.
             Ok(got) => prop_assert!(
                 false,
@@ -163,7 +163,7 @@ proptest! {
     }
 
     /// Pure noise never parses: random bytes that happen to start with
-    /// the right magic still die on version, framing, or CRC.
+    /// the right magic still die on version, framing, or record check.
     #[test]
     fn random_noise_never_parses(
         noise in proptest::collection::vec(any::<u8>(), 0..256),
@@ -175,7 +175,7 @@ proptest! {
             bytes.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
         }
         bytes.extend_from_slice(&noise);
-        // A 4-byte CRC over noise passes with p = 2^-32; below the
+        // A 4-byte check over noise passes with p = 2^-32; below the
         // proptest case count this is "never".
         prop_assert!(Manifest::from_bytes(&bytes).is_err());
     }

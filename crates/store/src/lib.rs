@@ -662,7 +662,7 @@ impl ImageStore {
     }
 
     /// The recipe stored at `image_ref`: parsed and structurally validated
-    /// (CRC, chunk lengths summing to the image length), chunks unread.
+    /// (record check, chunk lengths summing to the image length), chunks unread.
     pub fn recipe(&self, image_ref: &str) -> StoreResult<ChunkIndex> {
         Ok(ChunkIndex::from_bytes(&self.fs.read(&self.abs(image_ref))?)?)
     }
@@ -677,7 +677,7 @@ impl ImageStore {
     /// length, and every chunk is checked against its own digest as it is
     /// decoded into place. So the image is hashed exactly once, by its
     /// chunks, and a recipe that reorders, drops or swaps a chunk ref is
-    /// refused even when its CRC is valid.
+    /// refused even when its record check is valid.
     pub fn fetch_verified(&self, image_ref: &str, want: u64) -> StoreResult<Vec<u8>> {
         let ix = self.recipe(image_ref)?;
         let got = Self::pinned_digest(&ix, want);
@@ -704,7 +704,7 @@ impl ImageStore {
     }
 
     /// Whether a manifest entry's image is whole, answered from metadata
-    /// alone: its recipe parses (it is CRC-framed), pins the recorded
+    /// alone: its recipe parses (its record is checked), pins the recorded
     /// length and digest (recorded and recomputed from its chunk list), and
     /// names only chunks that exist. No chunk byte is read. Under tmp →
     /// fsync → rename a torn write is a missing file, which this sees — a
@@ -1403,7 +1403,7 @@ mod tests {
             let (e, other) = (&m.entries[0], st.recipe(&m.entries[1].image_ref).unwrap());
             assert_eq!(st.fetch_verified(&e.image_ref, e.digest).unwrap(), bytes);
 
-            // Rewrite w0's recipe with a valid CRC and its recorded digest.
+            // Rewrite w0's recipe with a valid record check and its recorded digest.
             let mut ix = st.recipe(&e.image_ref).unwrap();
             assert_eq!(ix.chunks.len(), 4);
             rewrite(&mut ix.chunks, other.chunks[0]);

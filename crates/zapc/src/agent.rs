@@ -297,7 +297,7 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
         Err(why) => return rollback(&why),
     };
     // Fault site: image bytes damaged on their way out (bad disk, torn
-    // write). Sections are CRC-framed, so the damage surfaces as a typed
+    // write). Sections are checked records, so the damage surfaces as a typed
     // decode error at restart, never a silent mis-restore.
     if let Some(a) = cluster.faults.hit("agent.image", pod_name) {
         zapc_faults::FaultPlan::mangle(a, &mut image);

@@ -40,16 +40,16 @@
 //! ```
 //!
 //! A frame is one of two things. A pre-copy `Section` travels as the
-//! image's own record — tag, length, payload and CRC exactly as
+//! image's own record — tag, length, payload and check exactly as
 //! [`ImageWriter`](zapc_proto::ImageWriter) frames them — not inside an
-//! envelope. A pre-copy payload is encoded and CRC'd once, in the buffer
+//! envelope. A pre-copy payload is encoded and checked once, in the buffer
 //! that goes down the channel. The cutover is the Agent's own checkpoint
 //! cut (Figure 1 steps 2–3, `agent::checkpoint_cut`) taken as a delta
 //! against the last round — or whole, when there was none — and the
 //! finished image goes down the stream whole, as the last frame: it starts
 //! with the image magic, which read as a record tag is no section, and its
 //! `End` record is the end of the stream. The receive half walks the cut
-//! with the ordinary CRC-verifying [`ImageReader`], decodes every section
+//! with the ordinary verifying [`ImageReader`], decodes every section
 //! and reports the cut's meta-data and socket records; at commit it hands
 //! the decoded state to the Agent's restart tail (Figure 3,
 //! `agent::restart_tail`).
@@ -607,8 +607,8 @@ fn live_source(
 }
 
 /// Applies the stream-path fault sites to a frame and sends it. The
-/// seeded `net.stream_torn` site mangles bytes (the receiver's CRC
-/// framing catches it), the seeded `net.partition` site eats (`Drop`) or
+/// seeded `net.stream_torn` site mangles bytes (the receiver's record
+/// check catches it), the seeded `net.partition` site eats (`Drop`) or
 /// postpones (`Delay`) the frame — an eaten frame is invisible to the
 /// sender, exactly like a real one-way cut, and surfaces as the
 /// receiver's stream timeout — and the time-driven partition schedule
@@ -779,7 +779,7 @@ fn receive_cut(
 }
 
 /// Decodes one pre-copy frame onto the accumulated state. A frame is one
-/// CRC-framed section record: a torn or corrupted frame fails here with a
+/// framed section record: a torn or corrupted frame fails here with a
 /// typed decode error, never a misparse, and so does a record that has no
 /// place on a stream.
 fn apply_frame(parts: &mut DecodedPod, frame: &[u8]) -> Result<(), String> {
@@ -793,7 +793,7 @@ fn apply_frame(parts: &mut DecodedPod, frame: &[u8]) -> Result<(), String> {
     parts.apply_section(tag, payload).map_err(|e| format!("stream apply failed: {e}"))
 }
 
-/// Verifies the cut image — every record's CRC, the preamble, the `End`
+/// Verifies the cut image — every record's check, the preamble, the `End`
 /// marker — then applies its sections onto the accumulated state: a
 /// stream's cut squashes onto the rounds before it, a stored image must
 /// stand alone. Returns the sections for the commit, and the meta-data and

@@ -300,7 +300,7 @@ fn torn_manifest_falls_back_to_previous_checkpoint() {
 #[test]
 fn corrupted_manifest_is_never_consumed() {
     // Bit-rot the second manifest on its way to disk: recovery must
-    // refuse it (CRC) and fall back to checkpoint 1.
+    // refuse it (record check) and fall back to checkpoint 1.
     let plan = FaultPlan::script()
         .inject("store.manifest", Some("2"), 0, FaultAction::Corrupt { byte: 31 })
         .build();
@@ -445,7 +445,7 @@ fn live(c: &Cluster) -> HashSet<String> {
 /// Every torn shape a write can leave is rolled back by `recover` from
 /// metadata alone, on the unchunked and the chunked store alike: a missing
 /// recipe or chunk, a recipe that disagrees with its manifest entry, a
-/// manifest that fails its CRC.
+/// manifest that fails its record check.
 #[test]
 fn torn_shapes_are_rolled_back_from_metadata_alone() {
     type Tear = fn(&Cluster);
@@ -460,16 +460,16 @@ fn torn_shapes_are_rolled_back_from_metadata_alone() {
             ix.digest ^= 1;
             overwrite(c, "images/2/w0", &ix.to_bytes());
         }),
-        ("manifest fails its CRC", |c| {
+        ("manifest fails its record check", |c| {
             let rel = ImageStore::manifest_ref(2);
             let mut bytes = c.fs.read(&abs(c, &rel)).unwrap();
-            // The last payload byte: just before the record's CRC.
+            // The last payload byte: just before the record's check.
             let at = bytes.len() - 5;
             bytes[at] ^= 0xFF;
             overwrite(c, &rel, &bytes);
             assert!(matches!(
                 c.istore.manifest(2),
-                Err(StoreError::Decode(DecodeError::CrcMismatch { .. }))
+                Err(StoreError::Decode(DecodeError::ChecksumMismatch { .. }))
             ));
         }),
     ];
@@ -587,7 +587,7 @@ fn image_damaged_past_its_meta_data_falls_back_to_the_previous_checkpoint() {
     assert_eq!(wait_codes(&c), expected, "restart lands on checkpoint 1");
 }
 
-/// A recipe rewritten with a valid CRC and its recorded digest — its chunk
+/// A recipe rewritten with a valid record check and its recorded digest — its chunk
 /// refs reordered, or one swapped for another resident chunk of the same
 /// length — still parses and names only chunks that exist, so every length
 /// check passes. The manifest's digest is chained over the chunk list, so

@@ -65,7 +65,7 @@ fn main() {
     cluster.istore.crash();
 
     // A fresh Manager scans the store, validates every manifest (magic,
-    // version, CRC, per-image digest), rolls the in-flight checkpoint
+    // version, record check, per-image digest), rolls the in-flight checkpoint
     // back, and collects orphans.
     let rec = recover(&cluster);
     println!(

@@ -161,7 +161,7 @@ fn mangled_images_fail_restart_with_typed_error() {
     // The mangling is silent at checkpoint time (a crashed disk lies)…
     checkpoint(&c, &targets).unwrap();
     assert_eq!(c.faults.fired(), 2);
-    // …but the CRC-framed sections catch it at restart: typed error,
+    // …but the checked sections catch it at restart: typed error,
     // never a silent mis-restore.
     let rts: Vec<RestartTarget> = app
         .pods
@@ -926,7 +926,7 @@ fn live_receiver_node_death_aborts_via_lease_and_source_survives() {
 #[test]
 fn live_torn_stream_is_typed_decode_error_and_source_survives() {
     // Chaos case 3: a streamed frame is corrupted / truncated on the
-    // wire. The CRC framing must surface a typed decode failure — never a
+    // wire. The record check must surface a typed decode failure — never a
     // misparsed restore — and the source rolls forward untouched.
     let reference = reference_codes(AppKind::Cpi, "lms", 2);
     for action in [FaultAction::Corrupt { byte: 7 }, FaultAction::Truncate { keep_permille: 500 }]

@@ -87,7 +87,7 @@ fn no_pod_is_created_before_every_image_verifies() {
     // the tail of its image reads, and cpi-0's image is whole.
     let mut bad = c.store.get("img/cpi-1").unwrap().as_ref().clone();
     let end_len = 2 + 4 + 4; // empty End record framing
-    let at = bad.len() - end_len - 4 - 1; // before the section's CRC
+    let at = bad.len() - end_len - 4 - 1; // before the section's check
     bad[at] ^= 0xFF;
     c.store.put("img/cpi-1", bad);
     ring.reset();
@@ -341,7 +341,7 @@ fn restart_from_non_standalone_image_fails_typed_and_rolls_back() {
 
     let stale_parent_tag = {
         // Preamble (12 bytes), then the header record: tag, length,
-        // payload, CRC. The retired section goes right after it.
+        // payload, check. The retired section goes right after it.
         let len = u32::from_le_bytes(good[14..18].try_into().unwrap()) as usize;
         let at = 12 + 2 + 4 + len + 4;
         let mut image = good.to_vec();

@@ -63,7 +63,7 @@ proptest! {
         let idx = 6 + flip % payload.len(); // inside the payload
         corrupted[idx] ^= 0x01;
         let mut s = zapc_proto::rw::RecordStream::new(&corrupted);
-        prop_assert!(s.next_record().is_err(), "bit flip must be caught by CRC");
+        prop_assert!(s.next_record().is_err(), "bit flip must be caught by the record check");
     }
 }
 

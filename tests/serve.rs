@@ -11,12 +11,17 @@
 //! (corruption), connection failure, or premature EOF. The server's exit
 //! code encodes how many operations it served — deterministic for a given
 //! fleet — so a disturbed run must match the fault-free count exactly.
+//! A client reads each key right after writing it and never again, so a
+//! write the server dropped after answering would leave every exit code
+//! right: the exited server's store must also hold exactly the key-value
+//! pairs the clients wrote.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 use zapc::agent::Finalize;
 use zapc::manager::{checkpoint, migrate, restart, CheckpointTarget, RestartTarget};
 use zapc::{migrate_live_with, Cluster, MigrateOptions, Uri};
-use zapc_apps::kv::{launch_kv, KvFleet, KvFleetParams};
+use zapc_apps::kv::{key_bytes, launch_kv, store_entries, val_bytes, KvFleet, KvFleetParams};
 use zapc_apps::launch::full_registry;
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -32,9 +37,32 @@ fn fleet_codes(c: &Cluster, fleet: &KvFleet) -> Vec<i32> {
     codes
 }
 
-/// The deterministic expected code set: server = ops served mod 251,
-/// every client (including half-open ones) = 0.
-fn assert_zero_loss(codes: &[i32], p: &KvFleetParams) {
+/// Every key and value the fleet's clients write: client `id` PUTs slot
+/// `k` on each even sequence number `2k`; half-open clients write nothing.
+fn written(p: &KvFleetParams) -> BTreeMap<Vec<u8>, Vec<u8>> {
+    let slots = p.requests.div_ceil(2);
+    (0..p.clients as u32)
+        .flat_map(|id| (0..slots).map(move |k| (id, k)))
+        .map(|(id, k)| (key_bytes(id, k), val_bytes(id, k, p.val_len)))
+        .collect()
+}
+
+/// The key-value pairs the exited server's store holds, read from its
+/// address space.
+fn server_store(c: &Cluster, fleet: &KvFleet) -> BTreeMap<Vec<u8>, Vec<u8>> {
+    let server = c.pod(&fleet.server_pod).expect("server pod missing");
+    let &(_, pid) = server.vpid_pids().first().expect("no server process");
+    let proc = server.node().process(pid).expect("server process reaped");
+    let entries = store_entries(&proc.lock().unwrap().mem);
+    entries.expect("server store unreadable")
+}
+
+/// Waits for the fleet, then checks the deterministic expected code set
+/// (server = ops served mod 251, every client including the half-open
+/// ones = 0) and that the server's store holds every write, and nothing
+/// else.
+fn assert_zero_loss(c: &Cluster, fleet: &KvFleet, p: &KvFleetParams) {
+    let codes = fleet_codes(c, fleet);
     let served = (p.clients as u64) * (p.requests as u64);
     assert_eq!(codes[0], (served % 251) as i32, "server must serve every operation");
     for (i, &code) in codes[1..].iter().enumerate() {
@@ -45,6 +73,14 @@ fn assert_zero_loss(codes: &[i32], p: &KvFleetParams) {
         );
         assert_eq!(code, 0, "client #{i}: nonzero success code without report_stall");
     }
+    let (store, want) = (server_store(c, fleet), written(p));
+    let wrong = want.iter().filter(|&(k, v)| store.get(k) != Some(v)).count();
+    assert!(
+        wrong == 0 && store.len() == want.len(),
+        "the server's store lost or changed {wrong} of {} writes and holds {} keys",
+        want.len(),
+        store.len()
+    );
 }
 
 fn small_fleet() -> KvFleetParams {
@@ -84,8 +120,7 @@ fn kv_fleet_clean_run_is_zero_loss() {
     let p = small_fleet();
     let c = Cluster::builder().nodes(2).registry(full_registry()).build();
     let fleet = launch_kv(&c, "kv", &p);
-    let codes = fleet_codes(&c, &fleet);
-    assert_zero_loss(&codes, &p);
+    assert_zero_loss(&c, &fleet, &p);
     for pod in fleet.all_pods() {
         c.destroy_pod(&pod);
     }
@@ -100,9 +135,8 @@ fn kv_fleet_halfopen_connections_are_reaped_not_waited_out() {
     let c = Cluster::builder().nodes(2).registry(full_registry()).build();
     let fleet = launch_kv(&c, "reap", &p);
     let start = std::time::Instant::now();
-    let codes = fleet_codes(&c, &fleet);
+    assert_zero_loss(&c, &fleet, &p);
     let elapsed = start.elapsed();
-    assert_zero_loss(&codes, &p);
     assert!(
         elapsed < Duration::from_secs(8),
         "half-open clients must be reaped by the server, not ride out their \
@@ -151,8 +185,7 @@ fn checkpoint_restart_under_load_loses_nothing() {
         .collect();
     restart(&c, &rts).unwrap();
 
-    let codes = fleet_codes(&c, &fleet);
-    assert_zero_loss(&codes, &p);
+    assert_zero_loss(&c, &fleet, &p);
     for pod in pods {
         c.destroy_pod(&pod);
     }
@@ -170,8 +203,7 @@ fn snapshot_under_load_loses_nothing() {
     let targets: Vec<CheckpointTarget> =
         fleet.all_pods().iter().map(|pod| CheckpointTarget::snapshot(pod)).collect();
     checkpoint(&c, &targets).unwrap();
-    let codes = fleet_codes(&c, &fleet);
-    assert_zero_loss(&codes, &p);
+    assert_zero_loss(&c, &fleet, &p);
     for pod in fleet.all_pods() {
         c.destroy_pod(&pod);
     }
@@ -194,8 +226,7 @@ fn live_migrating_the_fleet_under_load_loses_nothing() {
     let opts = MigrateOptions { timeout: Duration::from_secs(30), ..Default::default() };
     migrate_live_with(&c, &moves, &opts).unwrap();
     assert_eq!(c.pod_node(&fleet.server_pod), Some(2), "server must land on node 2");
-    let codes = fleet_codes(&c, &fleet);
-    assert_zero_loss(&codes, &p);
+    assert_zero_loss(&c, &fleet, &p);
     for pod in fleet.all_pods() {
         c.destroy_pod(&pod);
     }
@@ -213,8 +244,7 @@ fn stop_and_copy_migrating_the_fleet_under_load_loses_nothing() {
         fleet.all_pods().into_iter().map(|pod| (pod, 2)).collect();
     migrate(&c, &moves).unwrap();
     assert_eq!(c.pod_node(&fleet.server_pod), Some(2));
-    let codes = fleet_codes(&c, &fleet);
-    assert_zero_loss(&codes, &p);
+    assert_zero_loss(&c, &fleet, &p);
     for pod in fleet.all_pods() {
         c.destroy_pod(&pod);
     }
@@ -235,8 +265,7 @@ fn repeated_snapshots_under_load_lose_nothing() {
         checkpoint(&c, &targets).unwrap();
         std::thread::sleep(Duration::from_millis(5));
     }
-    let codes = fleet_codes(&c, &fleet);
-    assert_zero_loss(&codes, &p);
+    assert_zero_loss(&c, &fleet, &p);
     for pod in fleet.all_pods() {
         c.destroy_pod(&pod);
     }
