@@ -105,11 +105,12 @@ fn store_cluster(chunked: bool) -> Cluster {
     if !chunked {
         return b.build();
     }
-    b.store_chunking(ChunkingConfig {
-        compress: true,
-        params: ChunkParams { min: 64, mask_bits: 7, max: 1024 },
-    })
-    .build()
+    b.store_chunking(small_chunks()).build()
+}
+
+/// Small content-defined chunks, compressed: many per pod image.
+fn small_chunks() -> ChunkingConfig {
+    ChunkingConfig { compress: true, params: ChunkParams { min: 64, mask_bits: 7, max: 1024 } }
 }
 
 const LIMIT: u64 = 150_000;
@@ -544,6 +545,55 @@ fn bit_rot_is_caught_at_restart_which_falls_back() {
             c.destroy_pod(p);
         }
     }
+}
+
+/// A rotted chunk that only w1's stored image holds keeps both pods from
+/// being created, w0 (whose image is whole) included: a named restart
+/// refuses it typed, and no `rst.create` span runs.
+#[test]
+fn no_pod_is_created_before_every_stored_image_verifies() {
+    let (obs, ring) = zapc_obs::Observer::ring(4096);
+    let c = Cluster::builder()
+        .nodes(2)
+        .registry(registry())
+        .observer(obs)
+        .store_chunking(small_chunks())
+        .build();
+    spawn_pods(&c);
+    let id = checkpoint_commit(&c, &["w0", "w1"], &CommitOptions::default()).unwrap().ckpt_id;
+    let w0: HashSet<ChunkRef> = recipe(&c, id, "w0").chunks.into_iter().collect();
+    let k = recipe(&c, id, "w1")
+        .chunks
+        .into_iter()
+        .find(|k| !w0.contains(k))
+        .expect("w1's image holds a chunk of its own");
+    let rel = ImageStore::chunk_ref(k.digest, k.len);
+    let mut bytes = c.fs.read(&abs(&c, &rel)).unwrap();
+    let at = bytes.len() / 2;
+    bytes[at] ^= 0x01;
+    overwrite(&c, &rel, &bytes);
+    ring.reset();
+
+    let err = restart_from_manifest(&c, Some(id), WAIT).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ZapcError::Store(
+                StoreError::ChunkCorrupt { .. } | StoreError::ChunkDigestMismatch { .. }
+            )
+        ),
+        "named restart refuses the rotted image typed: {err:?}"
+    );
+    for p in ["w0", "w1"] {
+        assert!(c.pod(p).is_none(), "{p} registered");
+    }
+    let created: u64 = ring
+        .phase_totals()
+        .iter()
+        .filter(|((_, phase), _)| *phase == "rst.create")
+        .map(|(_, (count, _))| *count)
+        .sum();
+    assert_eq!(created, 0, "a pod was created before every stored image verified");
 }
 
 /// Damage an Agent wrote into an image — the digest the manifest pins was
