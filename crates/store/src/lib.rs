@@ -1309,6 +1309,52 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_fetches_each_get_their_own_result() {
+        // Four images over one shared prefix; a chunk only the last one
+        // holds is rotted. Four threads fetch one image each, at once and
+        // repeatedly, from the one store.
+        let (fs, st) = chunked_store(false);
+        let shared = payload(6000, 1);
+        let images: Vec<Vec<u8>> =
+            (0..4).map(|i| [shared.as_slice(), &payload(3000, 10 + i)].concat()).collect();
+        let refs: Vec<(String, u64)> = images
+            .iter()
+            .enumerate()
+            .map(|(i, bytes)| st.put_image(1, &format!("w{i}"), bytes).unwrap())
+            .collect();
+        let recipes: Vec<ChunkIndex> = refs.iter().map(|(r, _)| st.recipe(r).unwrap()).collect();
+        let others: HashSet<ChunkRef> =
+            recipes[..3].iter().flat_map(|ix| ix.chunks.iter().copied()).collect();
+        assert!(recipes[3].chunks.iter().any(|c| others.contains(c)), "images share chunks");
+        let rotted = *recipes[3].chunks.iter().find(|c| !others.contains(c)).unwrap();
+        let path = st.abs(&ImageStore::chunk_ref(rotted.digest, rotted.len));
+        let mut bytes = fs.read(&path).unwrap();
+        let at = bytes.len() / 2;
+        bytes[at] ^= 0xFF;
+        fs.write(&path, &bytes);
+        fs.fsync(&path).unwrap();
+
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for (i, ((image_ref, digest), want)) in refs.iter().zip(&images).enumerate() {
+                let (st, start) = (&st, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..20 {
+                        match st.fetch_verified(image_ref, *digest) {
+                            Ok(got) => assert!(i < 3 && got == *want, "w{i} fetched wrong bytes"),
+                            Err(StoreError::ChunkDigestMismatch { digest, .. }) => {
+                                assert!(i == 3 && digest == rotted.digest, "w{i}: wrong chunk")
+                            }
+                            Err(e) => panic!("w{i}: {e}"),
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
     fn power_loss_on_chunks_dir_recovers_by_restage() {
         // Chunk fsyncs are dropped: the files land but their durability
         // watermark is zero, so the crash vanishes them.

@@ -324,13 +324,14 @@ pub fn recover(cluster: &Cluster) -> RecoveryReport {
 /// pods are torn down and placement is recomputed for one retry — safe
 /// because committed images are immutable.
 ///
-/// Every image is verified by the read that consumes it. With `None`, an
-/// integrity error — a digest mismatch, a missing, corrupt or mis-hashed
-/// chunk, an undecodable manifest, recipe or image, a missing file — rolls
-/// the failing checkpoint back (manifest deleted, store collected) and the
-/// restart falls back to the next-newest one; the first such error
-/// surfaces only when no checkpoint is left. A named `ckpt` surfaces it at
-/// once.
+/// Each pod's receiver fetches and verifies its own image; when several are
+/// damaged, the first receiver to fail decides which error surfaces. With
+/// `None`, an integrity error — a digest mismatch, a missing, corrupt or
+/// mis-hashed chunk, an undecodable manifest, recipe or image, a missing
+/// file — rolls the failing checkpoint back (manifest deleted, store
+/// collected) and the restart falls back to the next-newest one; the first
+/// such error surfaces only when no checkpoint is left. A named `ckpt`
+/// surfaces it at once.
 pub fn restart_from_manifest(
     cluster: &Cluster,
     ckpt: Option<u64>,

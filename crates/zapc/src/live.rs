@@ -16,7 +16,7 @@
 //! frames arrive and squashing each delta onto the accumulated base
 //! ([`zapc_ckpt::DecodedPod`]) instead of buffering the whole chain. A
 //! restart from stored images is the receive half alone: no source, no
-//! stream, its fetched image as the cut.
+//! stream, and each receiver fetches and verifies its own image as the cut.
 //!
 //! ## Protocol (per pod)
 //!
@@ -379,15 +379,23 @@ fn migrate_once(
     })
 }
 
-/// Restart from stored images (Figure 3): one receive half per target, its
-/// image the cut, which [`crate::manager::restart_with`] has fetched after
-/// its invocation at `t0`. Phases: `mgr.prepare` (fetch and every
-/// receiver's verification), `mgr.schedule` (the roles), `mgr.restore`
-/// (commit → last resume).
+/// What one restart receiver reads: an in-memory image the Manager looked
+/// up, or a committed manifest entry's image and the digest it must hash to.
+pub(crate) enum StoredCut {
+    Mem(Arc<Vec<u8>>),
+    Store { image_ref: String, digest: u64 },
+}
+
+/// Restart from stored images (Figure 3): one receive half per target,
+/// which fetches and checks its own stored image, so the receivers fetch
+/// in parallel. [`crate::manager::restart_with`] has resolved the cuts
+/// after its invocation at `t0`. Phases: `mgr.prepare` (the slowest
+/// receiver's fetch, verification and decode), `mgr.schedule` (the
+/// roles), `mgr.restore` (commit → last resume).
 pub(crate) fn restart_stored(
     cluster: &Cluster,
     targets: &[RestartTarget],
-    images: &[Arc<Vec<u8>>],
+    cuts: Vec<StoredCut>,
     timeout: Duration,
     t0: Instant,
 ) -> ZapcResult<RestartReport> {
@@ -395,12 +403,19 @@ pub(crate) fn restart_stored(
     // leaves them room to report that failure themselves.
     let mut co = Coord::new(cluster, timeout + Duration::from_secs(5));
     std::thread::scope(|scope| {
-        for (t, image) in targets.iter().zip(images) {
+        for (t, cut) in targets.iter().zip(cuts) {
             let (reply, ctl) = co.register(&t.pod, Role::Receiver, Some(t.node));
             scope.spawn(move || {
-                let (from, parts) = (CutSource::Store, DecodedPod::new());
-                let out =
-                    receive_cut(cluster, &t.pod, t.node, from, parts, image, &reply, &ctl, timeout);
+                let cut = match cut {
+                    StoredCut::Mem(image) => Ok(image),
+                    StoredCut::Store { image_ref, digest } => {
+                        cluster.istore.fetch_verified(&image_ref, digest).map(Arc::new)
+                    }
+                };
+                let out = cut.map_err(ZapcError::Store).and_then(|cut| {
+                    let (from, parts) = (CutSource::Store, DecodedPod::new());
+                    receive_cut(cluster, &t.pod, t.node, from, parts, &cut, &reply, &ctl, timeout)
+                });
                 send_done(cluster, &reply, &t.pod, Role::Receiver, out);
             });
         }

@@ -19,12 +19,11 @@
 use crate::agent::{agent_checkpoint, CheckpointJob, Finalize, SyncPolicy};
 use crate::cluster::Cluster;
 use crate::coord::{distinct, retry_aborted, Book, Coord, Role};
-use crate::live::{migrate_live_with, restart_stored, MigrateOptions};
+use crate::live::{migrate_live_with, restart_stored, MigrateOptions, StoredCut};
 use crate::retry::RetryPolicy;
 use crate::uri::Uri;
 use crate::{ZapcError, ZapcResult};
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zapc_proto::{Manifest, MetaData};
 
@@ -325,15 +324,18 @@ fn checkpoint_once(
 }
 
 /// Coordinated restart (Figure 3, Manager side): validates the targets,
-/// fetches the images and runs [`crate::live`]'s receive half on each, so
-/// no pod is created before every image has verified. A damaged image is
-/// [`ZapcError::Decode`], one holding another pod [`ZapcError::NotFound`].
+/// resolves each image and runs [`crate::live`]'s receive half on each.
+/// A receiver fetches its own stored image, verifies and decodes it, and
+/// creates nothing before the commit, so no pod exists before every image
+/// has verified. A damaged image is [`ZapcError::Decode`] or
+/// [`ZapcError::Store`], one holding another pod [`ZapcError::NotFound`].
 ///
-/// Refused — before any image is fetched or Agent started — when a target
-/// names a pod that is still live (or names one pod twice): restarting
-/// over a running pod would take its name and its virtual address's route
-/// and leave it running unreachable. Destroy or migrate it away first. A
-/// target node that does not exist is [`ZapcError::NotFound`].
+/// Refused — before any Agent runs — when a target names a pod that is
+/// still live (or names one pod twice): restarting over a running pod
+/// would take its name and its virtual address's route and leave it
+/// running unreachable. Destroy or migrate it away first. A target node
+/// that does not exist, a missing in-memory image and a pod its
+/// checkpoint's manifest does not name are [`ZapcError::NotFound`].
 pub fn restart(cluster: &Cluster, targets: &[RestartTarget]) -> ZapcResult<RestartReport> {
     restart_with(cluster, targets, DEFAULT_TIMEOUT)
 }
@@ -358,21 +360,19 @@ pub(crate) fn restart_with(
         }
     }
 
-    // Fetch every image; the receivers verify and decode them. Each
-    // checkpoint's manifest is read once.
-    let mut images: Vec<Arc<Vec<u8>>> = Vec::with_capacity(targets.len());
+    // Resolve what each receiver reads: an in-memory image, or the
+    // manifest entry of a stored one, which its receiver fetches and
+    // checks against the recorded digest. Each checkpoint's manifest is
+    // read once.
+    let mut cuts = Vec::with_capacity(targets.len());
     let mut manifests: HashMap<u64, Manifest> = HashMap::new();
     for t in targets {
-        images.push(match &t.uri {
-            Uri::Mem(label) => cluster
-                .store
-                .get(label)
-                .ok_or_else(|| ZapcError::NotFound(format!("image {label:?}")))?,
+        cuts.push(match &t.uri {
+            Uri::Mem(label) => {
+                let missing = || ZapcError::NotFound(format!("image {label:?}"));
+                StoredCut::Mem(cluster.store.get(label).ok_or_else(missing)?)
+            }
             Uri::Store { ckpt } => {
-                // Durable source: resolve the pod through the committed
-                // manifest and re-verify the recorded digest — a torn or
-                // rotted image surfaces as an error here, never as a
-                // mis-restore.
                 let m = match manifests.entry(*ckpt) {
                     Entry::Occupied(m) => m.into_mut(),
                     Entry::Vacant(slot) => slot.insert(cluster.istore.manifest(*ckpt)?),
@@ -380,11 +380,11 @@ pub(crate) fn restart_with(
                 let entry = m.entry(&t.pod).ok_or_else(|| {
                     ZapcError::NotFound(format!("pod {:?} in checkpoint {ckpt}", t.pod))
                 })?;
-                Arc::new(cluster.istore.fetch_verified(&entry.image_ref, entry.digest)?)
+                StoredCut::Store { image_ref: entry.image_ref.clone(), digest: entry.digest }
             }
         });
     }
-    restart_stored(cluster, targets, &images, timeout, t0)
+    restart_stored(cluster, targets, cuts, timeout, t0)
 }
 
 /// Direct migration: stop-and-copy every pod in `moves` to its destination

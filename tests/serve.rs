@@ -17,7 +17,7 @@
 //! pairs the clients wrote.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use zapc::agent::Finalize;
 use zapc::manager::{checkpoint, migrate, restart, CheckpointTarget, RestartTarget};
 use zapc::{migrate_live_with, Cluster, MigrateOptions, Uri};
@@ -47,14 +47,23 @@ fn written(p: &KvFleetParams) -> BTreeMap<Vec<u8>, Vec<u8>> {
         .collect()
 }
 
-/// The key-value pairs the exited server's store holds, read from its
-/// address space.
-fn server_store(c: &Cluster, fleet: &KvFleet) -> BTreeMap<Vec<u8>, Vec<u8>> {
+/// The key-value pairs the server's store holds, read from its address
+/// space: `None` before the server has mapped its store.
+fn server_store(c: &Cluster, fleet: &KvFleet) -> Option<BTreeMap<Vec<u8>, Vec<u8>>> {
     let server = c.pod(&fleet.server_pod).expect("server pod missing");
     let &(_, pid) = server.vpid_pids().first().expect("no server process");
     let proc = server.node().process(pid).expect("server process reaped");
     let entries = store_entries(&proc.lock().unwrap().mem);
-    entries.expect("server store unreadable")
+    entries.ok()
+}
+
+/// Waits until the running server's store holds at least `keys` keys.
+fn wait_for_writes(c: &Cluster, fleet: &KvFleet, keys: usize) {
+    let deadline = Instant::now() + WAIT;
+    while server_store(c, fleet).map_or(0, |s| s.len()) < keys {
+        assert!(Instant::now() < deadline, "the server never stored {keys} keys");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Waits for the fleet, then checks the deterministic expected code set
@@ -73,7 +82,8 @@ fn assert_zero_loss(c: &Cluster, fleet: &KvFleet, p: &KvFleetParams) {
         );
         assert_eq!(code, 0, "client #{i}: nonzero success code without report_stall");
     }
-    let (store, want) = (server_store(c, fleet), written(p));
+    let store = server_store(c, fleet).expect("server store unreadable");
+    let want = written(p);
     let wrong = want.iter().filter(|&(k, v)| store.get(k) != Some(v)).count();
     assert!(
         wrong == 0 && store.len() == want.len(),
@@ -217,15 +227,33 @@ fn live_migrating_the_fleet_under_load_loses_nothing() {
     // application, not the pod, is the migration unit), the virtual
     // addresses move with the pods (§3), and the streams must stay
     // exactly-once.
+    //
+    // The migration starts by progress, not after a sleep: once the
+    // server holds a quarter of the writes, the clients are still
+    // writing. Pre-copy runs the base round and one delta round 100 ms
+    // later, which ships the store pages written in between; the
+    // quiesced cut ships the pages written after it.
     let p = big_fleet();
     let c = Cluster::builder().nodes(3).registry(full_registry()).build();
     let fleet = launch_kv(&c, "lmig", &p);
-    std::thread::sleep(Duration::from_millis(25));
+    wait_for_writes(&c, &fleet, written(&p).len() / 4);
     let moves: Vec<(String, usize)> =
         fleet.all_pods().into_iter().map(|pod| (pod, 2)).collect();
-    let opts = MigrateOptions { timeout: Duration::from_secs(30), ..Default::default() };
-    migrate_live_with(&c, &moves, &opts).unwrap();
+    let opts = MigrateOptions {
+        timeout: Duration::from_secs(30),
+        round_delay: Duration::from_millis(100),
+        max_rounds: 2,
+        ..Default::default()
+    };
+    let report = migrate_live_with(&c, &moves, &opts).unwrap();
     assert_eq!(c.pod_node(&fleet.server_pod), Some(2), "server must land on node 2");
+    let server = report.pods.iter().find(|r| r.pod == fleet.server_pod).expect("server report");
+    assert!(
+        server.rounds >= 2 && server.residual_bytes > 0,
+        "no page delta reached the server: {} rounds, {} residual bytes",
+        server.rounds,
+        server.residual_bytes
+    );
     assert_zero_loss(&c, &fleet, &p);
     for pod in fleet.all_pods() {
         c.destroy_pod(&pod);
