@@ -19,7 +19,7 @@
 
 use std::ops::Range;
 
-/// Chunking parameters. The defaults target ~8 KiB average chunks, small
+/// Chunking parameters. The defaults target ~10 KiB average chunks, small
 /// enough that a pod's hot dirty region does not drag its cold neighbours
 /// into new chunks, large enough that per-chunk overhead (a file plus a
 /// 16-byte recipe entry) stays negligible.
@@ -77,13 +77,10 @@ static GEAR: [u64; 256] = gear_table();
 /// no chunks. Deterministic: the same bytes always split the same way,
 /// which the dedup layer depends on. Total over every [`ChunkParams`].
 pub fn split(data: &[u8], p: &ChunkParams) -> Vec<Range<usize>> {
-    let min = p.min.max(1);
-    let max = p.max.max(min);
-    let mask = p.mask();
     let mut out = Vec::new();
     let mut start = 0usize;
     while start < data.len() {
-        let len = first_chunk_len(&data[start..], min, max, mask);
+        let len = first_chunk_len(&data[start..], p);
         out.push(start..start + len);
         start += len;
     }
@@ -92,7 +89,9 @@ pub fn split(data: &[u8], p: &ChunkParams) -> Vec<Range<usize>> {
 
 /// The length of the first chunk of non-empty `data`: the first position
 /// at least `min` bytes in where `hash & mask == 0`, else `max`, else all
-/// of `data`.
+/// of `data`. It reads only the bytes up to the cut (all of `data` when
+/// it returns `data.len()`), so a chunk that ends before `data` does cuts
+/// at the same length wherever its bytes sit.
 ///
 /// Each step shifts the hash left by one, so a byte's table entry has left
 /// the 64-bit hash 64 bytes later: the hash at any position is a function
@@ -100,12 +99,14 @@ pub fn split(data: &[u8], p: &ChunkParams) -> Vec<Range<usize>> {
 /// the first position that can cut (or at the chunk start, when `min` is
 /// shorter), and every boundary falls where hashing from the chunk start
 /// puts it, without touching the `min - 64` bytes before.
-fn first_chunk_len(data: &[u8], min: usize, max: usize, mask: Option<u64>) -> usize {
+pub(crate) fn first_chunk_len(data: &[u8], p: &ChunkParams) -> usize {
+    let min = p.min.max(1);
+    let max = p.max.max(min);
     if data.len() <= min {
         return data.len();
     }
     let window = &data[..data.len().min(max)];
-    let Some(mask) = mask else {
+    let Some(mask) = p.mask() else {
         return window.len();
     };
     let mut h: u64 = 0;

@@ -40,9 +40,17 @@
 //! it into content-defined chunks ([`chunk`]), optionally [`compress`]ed,
 //! and identical chunks across pods and checkpoints are stored once.
 //!
+//! A chunked put runs the Gear scan only where the image changed: at each
+//! chunk start it first tries the chunk after the last match in the pod's
+//! previous recipe, a dedup hit without a scan if its bytes hash to its key
+//! and equal the resident's. A cut depends only on the bytes from the chunk
+//! start to the cut, so a chunk equal to a non-final chunk of the old
+//! recipe ends where a scan would end it: the recipe is [`chunk::split`]'s.
+//!
 //! The image digest — the one a manifest records — is [`recipe_digest`],
 //! the [`digest64`] of the recipe's `(digest, len)` list, so a put hashes
-//! every image byte exactly once, on either path. It pins the bytes
+//! each image byte for its chunk key only (twice where a chunk prediction
+//! fails), on either path. It pins the bytes
 //! through the list: each chunk's bytes are pinned by its key, and the
 //! keys, their order and their count are pinned by the manifest.
 //!
@@ -272,6 +280,16 @@ impl Default for ChunkingConfig {
     }
 }
 
+/// What the chunk resident under a key holds against the bytes staged: the
+/// same bytes, other bytes of the same digest, a damaged file, or nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Resident {
+    Hit,
+    Collision,
+    Damaged,
+    Missing,
+}
+
 /// One registered in-flight checkpoint: its Manager epoch (for the fence
 /// guard) and every chunk key it has staged or dedup-hit so far. GC
 /// grace-lists both the checkpoint's `images/<id>/` prefix and these
@@ -301,6 +319,9 @@ pub struct ImageStore {
     /// In-flight checkpoint registry: staged-but-uncommitted work that GC
     /// must grace-list (keyed by checkpoint id).
     inflight: Mutex<HashMap<u64, InFlight>>,
+    /// Per pod, the last recipe a chunked `put_image` staged and the
+    /// parameters it was split under: the next put's chunk predictions.
+    last_recipes: Mutex<HashMap<String, (ChunkParams, Vec<ChunkRef>)>>,
 }
 
 impl ImageStore {
@@ -315,6 +336,7 @@ impl ImageStore {
             fence: AtomicU64::new(0),
             chunking: Mutex::new(None),
             inflight: Mutex::new(HashMap::new()),
+            last_recipes: Mutex::new(HashMap::new()),
         }
     }
 
@@ -484,7 +506,11 @@ impl ImageStore {
     /// The chunks are staged first, then the [`ChunkIndex`] recipe at the
     /// image path. Without chunking the image is one uncompressed chunk
     /// keyed by `digest64(bytes)`; an empty image gets a recipe with no
-    /// chunks. Either way each byte is hashed once, by its chunk key.
+    /// chunks. Either way each byte is hashed once, by its chunk key, except
+    /// where a chunk prediction fails: a chunked put predicts each chunk
+    /// from the pod's last recipe and runs the Gear scan only where the
+    /// image changed, and still stages [`chunk::split`]'s chunks (see the
+    /// module docs).
     pub fn put_image(&self, ckpt: u64, pod: &str, bytes: &[u8]) -> StoreResult<(String, u64)> {
         let span = self.obs.span("store", "store.put");
         let rel = Self::image_ref(ckpt, pod);
@@ -492,10 +518,7 @@ impl ImageStore {
         let chunks = match chunking {
             None if bytes.is_empty() => Vec::new(),
             None => vec![self.put_chunk_digested(ckpt, bytes, false, pod, digest64)?],
-            Some(cfg) => chunk::split(bytes, &cfg.params)
-                .into_iter()
-                .map(|r| self.put_chunk_digested(ckpt, &bytes[r], cfg.compress, pod, digest64))
-                .collect::<StoreResult<_>>()?,
+            Some(cfg) => self.put_chunked(ckpt, pod, bytes, cfg)?,
         };
         let digest = recipe_digest(&chunks);
         let ix = ChunkIndex { logical_len: bytes.len() as u64, digest, chunks };
@@ -503,6 +526,96 @@ impl ImageStore {
         self.obs.counter("store", "store.put_bytes", bytes.len() as u64);
         span.end();
         Ok((rel, digest))
+    }
+
+    /// Stages [`chunk::split`]'s chunks of `bytes`. At each chunk start the
+    /// chunk after the last match in `pod`'s old recipe is taken if it fits,
+    /// is not the old last chunk unless it ends `bytes` too, hashes to its
+    /// key here, and is a dedup hit. Otherwise one chunk is scanned and
+    /// staged, and the chunk after its place in the old recipe is next.
+    fn put_chunked(
+        &self,
+        ckpt: u64,
+        pod: &str,
+        bytes: &[u8],
+        cfg: ChunkingConfig,
+    ) -> StoreResult<Vec<ChunkRef>> {
+        let old = match self.last_recipes.lock().unwrap().remove(pod) {
+            Some((params, old)) if params == cfg.params => old,
+            _ => Vec::new(),
+        };
+        let after: HashMap<ChunkRef, usize> =
+            old.iter().enumerate().rev().map(|(i, c)| (*c, i + 1)).collect();
+        let (mut chunks, mut at, mut next) = (Vec::new(), 0, 0);
+        while at < bytes.len() {
+            let rest = &bytes[at..];
+            let predicted = old.get(next).copied().filter(|c| {
+                let len = c.len as usize;
+                len <= rest.len()
+                    && (next + 1 < old.len() || len == rest.len())
+                    && digest64(&rest[..len]) == c.digest
+            });
+            let resident = |c: ChunkRef| self.resident(ckpt, &rest[..c.len as usize], c, digest64);
+            let cref = match predicted {
+                Some(c) if resident(c)? == Resident::Hit => {
+                    self.obs.counter("store", "store.chunks_predicted", 1);
+                    next += 1;
+                    c
+                }
+                _ => {
+                    let raw = &rest[..chunk::first_chunk_len(rest, &cfg.params)];
+                    let c = self.put_chunk_digested(ckpt, raw, cfg.compress, pod, digest64)?;
+                    next = after.get(&c).copied().unwrap_or(old.len());
+                    c
+                }
+            };
+            at += cref.len as usize;
+            chunks.push(cref);
+        }
+        self.last_recipes.lock().unwrap().insert(pod.to_string(), (cfg.params, chunks.clone()));
+        Ok(chunks)
+    }
+
+    /// Compares the chunk resident under `c` with `raw`, where it lies: a
+    /// raw one in place, a compressed one after one decompression. On a
+    /// [`Resident::Hit`] the resident is re-fsynced, so a committed
+    /// manifest can never end up referencing a chunk whose original fsync
+    /// was dropped by a fault, and it is grace-listed for `ckpt`.
+    fn resident(
+        &self,
+        ckpt: u64,
+        raw: &[u8],
+        c: ChunkRef,
+        digest_fn: fn(&[u8]) -> u64,
+    ) -> StoreResult<Resident> {
+        let abs = self.abs(&Self::chunk_ref(c.digest, c.len));
+        let resident = self.fs.read_with(&abs, |stored| {
+            let mut unpacked = Vec::new();
+            let existing: &[u8] = match stored.split_first() {
+                Some((0, payload)) if payload.len() == raw.len() => payload,
+                Some((1, payload))
+                    if compress::decompress_into(payload, raw.len(), &mut unpacked) =>
+                {
+                    &unpacked
+                }
+                _ => return Resident::Damaged,
+            };
+            if existing == raw {
+                Resident::Hit
+            } else if digest_fn(existing) == c.digest {
+                Resident::Collision
+            } else {
+                Resident::Damaged
+            }
+        });
+        let resident = resident.unwrap_or(Resident::Missing);
+        if resident == Resident::Hit {
+            self.fs.fsync(&abs)?;
+            self.note_staged_chunk(ckpt, (c.digest, c.len));
+            self.obs.counter("store", "store.chunks_hit", 1);
+            self.obs.counter("store", "store.dedup_saved_bytes", c.len);
+        }
+        Ok(resident)
     }
 
     /// Stages one chunk, keyed by `(digest_fn(raw), raw.len())`, with the
@@ -520,9 +633,6 @@ impl ImageStore {
     ///   it is unlinked and the chunk is staged fresh, so damage is never
     ///   counted as a dedup hit.
     ///
-    /// The resident is compared where it lies: a raw one in place, a
-    /// compressed one after one decompression.
-    ///
     /// `digest_fn` is a seam for the collision path: `put_image` passes
     /// [`digest64`]; tests inject a colliding function because crafting
     /// real equal-length collisions is out of reach.
@@ -538,49 +648,15 @@ impl ImageStore {
         let len = raw.len() as u64;
         let cref = ChunkRef { digest, len };
         let rel = Self::chunk_ref(digest, len);
-        let abs = self.abs(&rel);
-        enum Resident {
-            Hit,
-            Collision,
-            Damaged,
-        }
-        let resident = self.fs.read_with(&abs, |stored| {
-            let mut unpacked = Vec::new();
-            let existing: &[u8] = match stored.split_first() {
-                Some((0, payload)) if payload.len() == raw.len() => payload,
-                Some((1, payload))
-                    if compress::decompress_into(payload, raw.len(), &mut unpacked) =>
-                {
-                    &unpacked
-                }
-                _ => return Resident::Damaged,
-            };
-            if existing == raw {
-                Resident::Hit
-            } else if digest_fn(existing) == digest {
-                Resident::Collision
-            } else {
-                Resident::Damaged
-            }
-        });
-        match resident {
-            Ok(Resident::Hit) => {
-                // Dedup hit. Re-fsync: if the original writer's fsync
-                // was dropped, this hit must not launder the chunk
-                // into a committed manifest while it is still volatile.
-                self.fs.fsync(&abs)?;
-                self.note_staged_chunk(ckpt, (digest, len));
-                self.obs.counter("store", "store.chunks_hit", 1);
-                self.obs.counter("store", "store.dedup_saved_bytes", len);
-                return Ok(cref);
-            }
-            Ok(Resident::Collision) => return Err(StoreError::DigestCollision { digest, len }),
+        match self.resident(ckpt, raw, cref, digest_fn)? {
+            Resident::Hit => return Ok(cref),
+            Resident::Collision => return Err(StoreError::DigestCollision { digest, len }),
             // Half-written or bit-rotted resident: evict and re-stage
             // rather than dedup against damage.
-            Ok(Resident::Damaged) => {
-                let _ = self.fs.unlink(&abs);
+            Resident::Damaged => {
+                let _ = self.fs.unlink(&self.abs(&rel));
             }
-            Err(_) => {}
+            Resident::Missing => {}
         }
         let packed = compress.then(|| compress::compress(raw)).filter(|p| p.len() < raw.len());
         let (flag, payload): (u8, &[u8]) = match &packed {
@@ -912,6 +988,7 @@ impl ImageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zapc_obs::RingCollector;
 
     fn store_with(faults: Arc<FaultPlan>) -> (Arc<SimFs>, ImageStore) {
         let fs = SimFs::new();
@@ -1225,6 +1302,48 @@ mod tests {
         st.put_chunk_digested(1, &a, false, "w0", colliding).unwrap();
     }
 
+    fn observed_store(cfg: ChunkingConfig, faults: FaultPlan) -> (ImageStore, Arc<RingCollector>) {
+        let (obs, ring) = Observer::ring(64);
+        let st = ImageStore::new(SimFs::new(), "/zapc/store", Arc::new(faults), obs);
+        st.set_chunking(Some(cfg));
+        (st, ring)
+    }
+
+    /// Puts `bytes` as `pod` in `ckpt` and checks the recipe is `split`'s.
+    /// Returns the chunks predicted and scanned by this put.
+    fn put_counted(
+        st: &ImageStore,
+        ring: &RingCollector,
+        ckpt: u64,
+        pod: &str,
+        bytes: &[u8],
+    ) -> (u64, u64) {
+        let predicted = ring.counter_sum("store.chunks_predicted");
+        let (rel, digest) = st.put_image(ckpt, pod, bytes).unwrap();
+        let ix = st.recipe(&rel).unwrap();
+        let params = st.chunking.lock().unwrap().unwrap().params;
+        let lens: Vec<u64> = chunk::split(bytes, &params).iter().map(|r| r.len() as u64).collect();
+        assert_eq!(ix.chunks.iter().map(|c| c.len).collect::<Vec<_>>(), lens);
+        assert_eq!(st.fetch_verified(&rel, digest).unwrap(), bytes);
+        let predicted = ring.counter_sum("store.chunks_predicted") - predicted;
+        (predicted, ix.chunks.len() as u64 - predicted)
+    }
+
+    #[test]
+    fn an_unchanged_reput_predicts_every_chunk_and_a_page_edit_rescans_few() {
+        let (st, ring) = observed_store(ChunkingConfig::default(), FaultPlan::none());
+        let mut bytes = payload(256 * 1024, 11);
+        let (none, n) = put_counted(&st, &ring, 1, "w0", &bytes);
+        assert_eq!((none, put_counted(&st, &ring, 2, "w0", &bytes)), (0, (n, 0)));
+        for page in [0, 17, 40, 63] {
+            bytes[page * 4096..(page + 1) * 4096].copy_from_slice(&payload(4096, page as u8));
+            let (predicted, scanned) = put_counted(&st, &ring, 3 + page as u64, "w0", &bytes);
+            assert!(predicted > 0 && scanned <= 3, "page {page}: {scanned} chunks rescanned");
+        }
+        // Another pod has no recipe to predict from.
+        assert_eq!(put_counted(&st, &ring, 9, "w1", &bytes).0, 0);
+    }
+
     #[test]
     fn same_digest_different_lengths_never_meet() {
         fn colliding(_: &[u8]) -> u64 {
@@ -1401,6 +1520,66 @@ mod tests {
             bytes,
             "dedup hit must have made the shared chunks durable"
         );
+    }
+
+    #[test]
+    fn a_predicted_chunk_that_gc_reaped_is_scanned_and_restaged() {
+        let (st, ring) = observed_store(small_chunks(true), FaultPlan::none());
+        let bytes = payload(6000, 12);
+        let (_, n) = put_counted(&st, &ring, 1, "w0", &bytes);
+        assert_eq!(st.gc(&HashSet::new()).chunks_removed as u64, n);
+        assert_eq!(put_counted(&st, &ring, 2, "w0", &bytes), (0, n));
+        assert_eq!(ring.counter_sum("store.chunks_new"), 2 * n);
+    }
+
+    #[test]
+    fn a_predicted_resident_with_a_flipped_byte_is_evicted_not_hit() {
+        let (st, ring) = observed_store(small_chunks(false), FaultPlan::none());
+        let bytes = payload(3000, 13);
+        let (_, n) = put_counted(&st, &ring, 1, "w0", &bytes);
+        let abs = st.abs(&st.chunk_refs()[0]);
+        let mut stored = st.fs.read(&abs).unwrap();
+        stored[1] ^= 0x01;
+        st.fs.write(&abs, &stored);
+        st.fs.fsync(&abs).unwrap();
+
+        // Every other chunk is predicted; the flipped one is scanned, its
+        // resident evicted and the chunk written afresh, never a hit.
+        assert_eq!(put_counted(&st, &ring, 2, "w0", &bytes), (n - 1, 1));
+        assert_eq!(ring.counter_sum("store.chunks_hit"), n - 1);
+        assert_eq!(ring.counter_sum("store.chunks_new"), n + 1);
+        let (rel, digest) = st.put_image(3, "w1", &bytes).unwrap();
+        assert_eq!(st.fetch_verified(&rel, digest).unwrap(), bytes, "resident repaired");
+    }
+
+    #[test]
+    fn a_predicted_hit_refsyncs_a_volatile_resident() {
+        // Every fsync of the first put (its chunks, then its recipe) is
+        // dropped; the second put's predicted hits must re-sync the chunks.
+        let bytes = payload(6000, 14);
+        let n = chunk::split(&bytes, &small_chunks(false).params).len() as u64;
+        let plan = FaultPlan::script()
+            .inject_range("store.fsync", Some("w0"), 0, n + 1, FaultAction::Drop)
+            .build();
+        let (st, ring) = observed_store(small_chunks(false), plan);
+        st.put_image(1, "w0", &bytes).unwrap();
+        let (rel, digest) = st.put_image(2, "w0", &bytes).unwrap();
+        assert_eq!(ring.counter_sum("store.chunks_predicted"), n);
+        st.crash();
+        assert_eq!(st.fetch_verified(&rel, digest).unwrap(), bytes);
+    }
+
+    #[test]
+    fn other_chunk_params_between_puts_mean_no_prediction() {
+        let (st, ring) = observed_store(small_chunks(true), FaultPlan::none());
+        let bytes = payload(8000, 15);
+        put_counted(&st, &ring, 1, "w0", &bytes);
+        let params = ChunkParams { min: 128, ..small_chunks(true).params };
+        st.set_chunking(Some(ChunkingConfig { compress: true, params }));
+        assert_eq!(put_counted(&st, &ring, 2, "w0", &bytes).0, 0);
+        // Compression is not a split parameter: it keeps the prediction.
+        st.set_chunking(Some(ChunkingConfig { compress: false, params }));
+        assert_eq!(put_counted(&st, &ring, 3, "w0", &bytes).1, 0);
     }
 
     #[test]

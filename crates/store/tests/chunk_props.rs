@@ -7,6 +7,10 @@
 //! property everything above the store leans on: if it held only for
 //! "nice" images, a single odd pod would restore corrupt.
 //!
+//! A chunked put predicts each chunk from the pod's previous recipe and
+//! scans only where the image changed; it is held to `split` itself: after
+//! any edits, the recipe's chunks are the ones a scan from scratch cuts.
+//!
 //! The chunker and the codec are also held to their earlier byte-at-a-time
 //! forms, kept here as `split_reference` and `compress_reference`: every
 //! boundary must come out where the reference puts it (a store's chunk keys
@@ -238,8 +242,68 @@ fn low_entropy_lines_compress_as_well_as_the_reference() {
     assert_eq!(decompress(&compress(&data), data.len()), Some(data));
 }
 
+/// One edit of an image: `(kind, at, len, seed)`, where `at` is scaled to
+/// the image and `kind` is overwrite, insert, delete, append or truncate.
+type Edit = (u8, u32, usize, u64);
+
+fn edits() -> impl Strategy<Value = Edit> {
+    (0u8..5, any::<u32>(), 0usize..9000, any::<u64>())
+}
+
+fn edit(image: &mut Vec<u8>, (kind, at, len, seed): Edit) {
+    let at = (at as usize) % (image.len() + 1);
+    let bytes = shaped(len, seed, 2);
+    match kind {
+        0 => {
+            let end = (at + len).min(image.len());
+            image[at..end].copy_from_slice(&bytes[..end - at]);
+        }
+        1 => drop(image.splice(at..at, bytes)),
+        2 => drop(image.drain(at..(at + len).min(image.len()))),
+        3 => image.extend(bytes),
+        _ => image.truncate(at),
+    }
+}
+
+/// The parameters the predicted put is held to: the defaults, a `min`
+/// under the hash horizon, `max == min`, one-byte chunks, and a mask wider
+/// than the hash (no content boundary).
+const EDIT_PARAMS: [ChunkParams; 5] = [
+    ChunkParams { min: 2048, mask_bits: 13, max: 65536 },
+    ChunkParams { min: 16, mask_bits: 6, max: 200 },
+    ChunkParams { min: 256, mask_bits: 7, max: 256 },
+    ChunkParams { min: 1, mask_bits: 1, max: 1 },
+    ChunkParams { min: 512, mask_bits: 64, max: 4096 },
+];
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn predicted_put_after_edits_is_split(
+        which in 0usize..EDIT_PARAMS.len(),
+        compress in any::<bool>(),
+        len in 0usize..=120 * 1024,
+        seed in any::<u64>(),
+        shape in 0u8..4,
+        edits in proptest::collection::vec(edits(), 1..4),
+    ) {
+        let params = EDIT_PARAMS[which];
+        let mut image = match shape {
+            3 => low_entropy(len, seed),
+            _ => shaped(len, seed, shape),
+        };
+        let st = store(Some(ChunkingConfig { compress, params }));
+        st.put_image(1, "p", &image).unwrap();
+        for e in edits {
+            edit(&mut image, e);
+        }
+        let (rel, digest) = st.put_image(2, "p", &image).unwrap();
+        let lens: Vec<u64> = st.recipe(&rel).unwrap().chunks.iter().map(|c| c.len).collect();
+        let want: Vec<u64> = split(&image, &params).iter().map(|r| r.len() as u64).collect();
+        prop_assert_eq!(lens, want);
+        prop_assert_eq!(st.fetch_verified(&rel, digest).unwrap(), image);
+    }
 
     #[test]
     fn split_matches_the_reference(data in corpora(), p in params_with_short_min()) {

@@ -13,7 +13,8 @@ use zapc::{
 };
 use zapc_apps::launch::{full_registry, launch_writers};
 use zapc_apps::writer::WriterConfig;
-use zapc_proto::ChunkRef;
+use zapc_obs::Observer;
+use zapc_proto::{ChunkRef, Manifest};
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -90,6 +91,54 @@ fn full_cycle_checkpoint_crash_recover_restart_is_byte_identical() {
     // Zero orphans after the whole cycle: nothing staged, nothing leaked.
     let rec2 = recover(&c);
     assert_eq!(rec2.orphans_removed, 0, "gc+audit must find a clean store");
+}
+
+/// A pod's second commit predicts its chunks from its first recipe: the
+/// ballast the writers never touch again is put without a Gear scan, the
+/// two recipes share it chunk for chunk, and the restart from the second
+/// manifest is byte-identical.
+#[test]
+fn second_commit_predicts_the_unchanged_ballast_and_restarts_byte_identical() {
+    let expected = control_code();
+    let (obs, ring) = Observer::ring(4096);
+    let c = Cluster::builder()
+        .nodes(2)
+        .registry(full_registry())
+        .observer(obs)
+        .store_chunking(ChunkingConfig { compress: true, params: ChunkParams::default() })
+        .build();
+    let cfg = writer_cfg();
+    let pods = launch_writers(&c, "dw", 4, &cfg);
+    let names: Vec<&str> = pods.iter().map(String::as_str).collect();
+    std::thread::sleep(Duration::from_millis(20));
+
+    let r1 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
+    assert_eq!(ring.counter_sum("store.chunks_predicted"), 0, "no recipe to predict from yet");
+    std::thread::sleep(Duration::from_millis(10));
+    let r2 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
+
+    let (m1, m2) = (c.istore.manifest(r1.ckpt_id).unwrap(), c.istore.manifest(r2.ckpt_id).unwrap());
+    for p in &pods {
+        let recipe = |m: &Manifest| c.istore.recipe(&m.entry(p).unwrap().image_ref).unwrap().chunks;
+        let first: HashSet<ChunkRef> = recipe(&m1).into_iter().collect();
+        let shared: u64 = recipe(&m2).iter().filter(|ch| first.contains(ch)).map(|ch| ch.len).sum();
+        // Only the chunks at the ballast's two edges may hold changed bytes.
+        let edges = 2 * ChunkParams::default().max as u64;
+        assert!(
+            shared + edges >= cfg.ballast_bytes as u64,
+            "{p}: the second recipe shares {shared} bytes with the first"
+        );
+    }
+    let predicted = ring.counter_sum("store.chunks_predicted");
+    assert!(predicted >= pods.len() as u64, "{predicted} chunks predicted on the second commit");
+
+    for p in &pods {
+        c.destroy_pod(p);
+    }
+    restart_from_manifest(&c, Some(r2.ckpt_id), WAIT).unwrap();
+    for p in &pods {
+        assert_eq!(wait_code(&c, p), expected, "restored {p} must be byte-identical");
+    }
 }
 
 /// The satellite GC bug: a GC pass computing liveness from committed
