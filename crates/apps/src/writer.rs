@@ -7,11 +7,11 @@
 //!
 //! * a large **ballast** region written once at startup and never again —
 //!   the cold state iterative pre-copy ships for free while the pod runs;
-//! * `hot_regions` equally-sized **hot** regions, of which a fixed
+//! * `hot_regions` equally-sized **hot** `f64` regions, of which a fixed
 //!   `dirty_rate` fraction (the first `k` regions) is rewritten every
-//!   scheduler step. Dirty tracking is region-granular, so the rate maps
-//!   directly onto the delta bytes each pre-copy round re-ships,
-//!   independent of how many steps elapse between rounds.
+//!   scheduler step. The writer borrows each one whole, which dirties all
+//!   of it, so the rate maps directly onto the delta bytes each pre-copy
+//!   round re-ships, independent of how many steps elapse between rounds.
 //!
 //! `dirty_rate = 0` converges after the base copy; `dirty_rate = 1`
 //! re-dirties every hot byte faster than any round can drain it and

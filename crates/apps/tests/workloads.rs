@@ -1,9 +1,13 @@
-//! End-to-end workload runs with mid-flight coordinated checkpoint,
-//! restart, and migration — the §6.2 methodology at test scale.
+//! End-to-end workload runs — the §6.2 methodology at test scale: golden
+//! results, image sizes, clock virtualization, and what a cut must get
+//! right beyond the result (the send-queue merge's byte accounting, UDP,
+//! snapshots racing POV-Ray's endgame). That a cut at a random point leaves
+//! each workload's result unchanged is the transparency oracle's check
+//! (`tests/oracle.rs` at the repository root).
 
 use std::time::Duration;
-use zapc::manager::{CheckpointTarget, RestartTarget};
-use zapc::{checkpoint, migrate, migrate_live_with, restart, Cluster, MigrateOptions, Uri};
+use zapc::manager::CheckpointTarget;
+use zapc::{checkpoint, migrate, migrate_live_with, Cluster, MigrateOptions};
 use zapc_apps::launch::{full_registry, launch_app, AppKind, AppParams};
 use zapc_apps::udpapps;
 use zapc_obs::Observer;
@@ -16,35 +20,6 @@ fn cluster(nodes: usize) -> Cluster {
 
 fn small_params(kind: AppKind, ranks: usize) -> AppParams {
     AppParams { kind, ranks, scale: 0.02, work: 0.25 }
-}
-
-/// Undisturbed reference run.
-fn reference(kind: AppKind, ranks: usize, nodes: usize) -> Vec<i32> {
-    let c = cluster(nodes);
-    let app = launch_app(&c, "ref", &small_params(kind, ranks));
-    let codes = app.wait(&c, TIMEOUT).unwrap();
-    app.destroy(&c);
-    codes
-}
-
-fn disturbed_with_migration(kind: AppKind, ranks: usize, nodes: usize) -> (Vec<i32>, Vec<i32>) {
-    let expected = reference(kind, ranks, nodes);
-    let c = cluster(nodes);
-    let app = launch_app(&c, "app", &small_params(kind, ranks));
-    std::thread::sleep(Duration::from_millis(30)); // mid-run
-
-    // Rotate every pod one node to the right.
-    let moves: Vec<(String, usize)> = app
-        .pods
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.clone(), (i + 1) % nodes))
-        .collect();
-    migrate(&c, &moves).unwrap();
-
-    let got = app.wait(&c, TIMEOUT).unwrap();
-    app.destroy(&c);
-    (expected, got)
 }
 
 // Golden results: the result text and exit codes of `small_params` runs,
@@ -103,30 +78,6 @@ fn povray_hash_matches_serial_render() {
 }
 
 #[test]
-fn cpi_survives_migration_mid_run() {
-    let (expected, got) = disturbed_with_migration(AppKind::Cpi, 3, 3);
-    assert_eq!(got, expected);
-}
-
-#[test]
-fn bt_survives_migration_mid_run() {
-    let (expected, got) = disturbed_with_migration(AppKind::Bt, 4, 4);
-    assert_eq!(got, expected);
-}
-
-#[test]
-fn bratu_survives_migration_mid_run() {
-    let (expected, got) = disturbed_with_migration(AppKind::Bratu, 3, 3);
-    assert_eq!(got, expected);
-}
-
-#[test]
-fn povray_survives_migration_mid_run() {
-    let (expected, got) = disturbed_with_migration(AppKind::Povray, 3, 3);
-    assert_eq!(got[0], expected[0], "master hash preserved");
-}
-
-#[test]
 fn bt_survives_migration_with_sendq_merge() {
     // The §5 send-queue merge optimization must be invisible to the
     // application: identical results. Whether an established connection
@@ -174,63 +125,6 @@ fn bt_survives_migration_with_sendq_merge() {
         }
     }
     assert!(moved > 0, "no attempt caught a send queue to merge");
-}
-
-#[test]
-fn bt_checkpoint_destroy_restart_later() {
-    // Fault-recovery flow: image in the store, original torn down,
-    // restarted from the image.
-    let expected = reference(AppKind::Bt, 4, 2);
-    let c = cluster(2);
-    let app = launch_app(&c, "bt", &small_params(AppKind::Bt, 4));
-    std::thread::sleep(Duration::from_millis(30));
-
-    let targets: Vec<CheckpointTarget> = app
-        .pods
-        .iter()
-        .map(|p| CheckpointTarget {
-            pod: p.clone(),
-            uri: Uri::mem(format!("later/{p}")),
-            finalize: zapc::agent::Finalize::Destroy,
-        })
-        .collect();
-    checkpoint(&c, &targets).unwrap();
-
-    // "Crash": nothing left of the pods. Restart from the images, swapped
-    // across the two nodes.
-    let rts: Vec<RestartTarget> = app
-        .pods
-        .iter()
-        .enumerate()
-        .map(|(i, p)| RestartTarget {
-            pod: p.clone(),
-            uri: Uri::mem(format!("later/{p}")),
-            node: (i + 1) % 2,
-        })
-        .collect();
-    restart(&c, &rts).unwrap();
-
-    let got = app.wait(&c, TIMEOUT).unwrap();
-    assert_eq!(got, expected);
-    app.destroy(&c);
-}
-
-#[test]
-fn repeated_snapshots_during_bratu() {
-    let expected = reference(AppKind::Bratu, 2, 2);
-    let c = cluster(2);
-    let app = launch_app(&c, "bra", &small_params(AppKind::Bratu, 2));
-    let targets: Vec<CheckpointTarget> =
-        app.pods.iter().map(|p| CheckpointTarget::snapshot(p)).collect();
-    for _ in 0..5 {
-        std::thread::sleep(Duration::from_millis(10));
-        if app.all_exited(&c) {
-            break;
-        }
-        checkpoint(&c, &targets).unwrap();
-    }
-    assert_eq!(app.wait(&c, TIMEOUT).unwrap(), expected);
-    app.destroy(&c);
 }
 
 #[test]
@@ -321,24 +215,6 @@ fn rudp_transfer_survives_migration() {
     assert_eq!(code, expected, "byte-exact transfer across migration");
     c.destroy_pod("rudp-tx");
     c.destroy_pod("rudp-rx");
-}
-
-#[test]
-fn repeated_snapshots_during_povray() {
-    let expected = reference(AppKind::Povray, 3, 3);
-    let c = cluster(3);
-    let app = launch_app(&c, "povs", &small_params(AppKind::Povray, 3));
-    let targets: Vec<CheckpointTarget> =
-        app.pods.iter().map(|p| CheckpointTarget::snapshot(p)).collect();
-    for _ in 0..6 {
-        std::thread::sleep(Duration::from_millis(5));
-        if app.all_exited(&c) {
-            break;
-        }
-        checkpoint(&c, &targets).unwrap();
-    }
-    assert_eq!(app.wait(&c, TIMEOUT).unwrap()[0], expected[0]);
-    app.destroy(&c);
 }
 
 #[test]

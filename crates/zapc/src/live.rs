@@ -6,9 +6,9 @@
 //! downtime scales with image size. This module runs it, and adds the
 //! classic fix (iterative pre-copy, as in VM live migration): the source
 //! Agent streams a full base image over a bounded frame channel *while the
-//! pod keeps running*, then iterates dirty-region delta rounds (the v2
-//! delta engine's per-region generation counters) until the residual dirty
-//! set drops under a threshold — or a round/byte cap forces the issue —
+//! pod keeps running*, then iterates delta rounds (the address space's dirty
+//! pages of byte regions and whole `f64` regions since the last capture)
+//! until the residual drops under a threshold — or a round/byte cap forces it —
 //! and only then quiesces for one final delta plus the network-state cut.
 //! Stop-and-copy is the same protocol with zero pre-copy rounds
 //! ([`MigrateOptions::max_rounds`] `= 0`): the quiesced cut is the whole

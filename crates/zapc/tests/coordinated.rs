@@ -3,9 +3,12 @@
 //!
 //! The workload is a token ring (each pod connects to its successor and
 //! accepts from its predecessor — the §4 deadlock example) of compute
-//! ranks that accumulate a deterministic checksum. Every test compares the
-//! checksum of a disturbed run (checkpoint / restart / migrate / abort
-//! mid-flight) against an undisturbed reference.
+//! ranks that accumulate a deterministic checksum. The tests compare the
+//! checksum of a disturbed run (migrate / abort / refused restart
+//! mid-flight) against an undisturbed reference and check the shape of the
+//! operations' reports. That a plain snapshot, restart or migration cut is
+//! invisible to a real workload is the transparency oracle's check
+//! (`tests/oracle.rs` at the repository root).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -223,69 +226,6 @@ fn reference_codes(n: usize, rounds: u64) -> Vec<i32> {
 }
 
 #[test]
-fn snapshot_checkpoint_does_not_perturb_the_application() {
-    let expected = reference_codes(3, 300);
-    let (cluster, names) = launch_ring(3, 3, 300);
-    std::thread::sleep(Duration::from_millis(20)); // mid-run
-
-    let targets: Vec<CheckpointTarget> =
-        names.iter().map(|n| CheckpointTarget::snapshot(n)).collect();
-    let report = checkpoint(&cluster, &targets).unwrap();
-    assert_eq!(report.pods.len(), 3);
-    for p in &report.pods {
-        assert!(p.image_bytes > 0);
-        assert!(p.network_bytes > 0, "ring pods have live connections");
-        // (Memory-dominance of the image — §6.2 — is asserted by the
-        // scientific workloads in zapc-apps; ring ranks are deliberately
-        // tiny.)
-        assert!(p.network_bytes < p.image_bytes);
-        assert!(p.net_ms <= p.total_ms);
-    }
-    assert_eq!(report.meta.len(), 3);
-
-    // The application continues and computes the same answer.
-    assert_eq!(wait_codes(&cluster, &names), expected);
-}
-
-#[test]
-fn restart_from_snapshot_reproduces_the_result() {
-    let expected = reference_codes(3, 300);
-    let (cluster, names) = launch_ring(3, 3, 300);
-    std::thread::sleep(Duration::from_millis(25));
-
-    // Checkpoint with Destroy: the migration-source case.
-    let targets: Vec<CheckpointTarget> = names
-        .iter()
-        .map(|n| CheckpointTarget {
-            pod: n.clone(),
-            uri: Uri::mem(format!("img/{n}")),
-            finalize: Finalize::Destroy,
-        })
-        .collect();
-    checkpoint(&cluster, &targets).unwrap();
-    for n in &names {
-        assert!(cluster.pod(n).is_none(), "source pods destroyed");
-    }
-
-    // Restart on a rotated node mapping.
-    let restart_targets: Vec<RestartTarget> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| RestartTarget {
-            pod: n.clone(),
-            uri: Uri::mem(format!("img/{n}")),
-            node: (i + 1) % 3,
-        })
-        .collect();
-    let report = restart(&cluster, &restart_targets).unwrap();
-    assert_eq!(report.pods.len(), 3);
-    for p in &report.pods {
-        assert!(p.net_ms <= p.total_ms);
-    }
-    assert_eq!(wait_codes(&cluster, &names), expected);
-}
-
-#[test]
 fn direct_migration_streams_without_storage() {
     let expected = reference_codes(4, 250);
     let (cluster, names) = launch_ring(4, 4, 250);
@@ -298,24 +238,6 @@ fn direct_migration_streams_without_storage() {
     migrate(&cluster, &moves).unwrap();
     assert_eq!(cluster.store.len(), before, "no image touched the store");
     assert_eq!(cluster.pod_node("ring-2"), Some(0));
-    assert_eq!(wait_codes(&cluster, &names), expected);
-}
-
-#[test]
-fn repeated_checkpoints_during_execution() {
-    // The paper's measurement methodology: 10 checkpoints evenly spread
-    // over the run (§6.2).
-    let expected = reference_codes(2, 600);
-    let (cluster, names) = launch_ring(2, 2, 600);
-    let targets: Vec<CheckpointTarget> =
-        names.iter().map(|n| CheckpointTarget::snapshot(n)).collect();
-    for _ in 0..10 {
-        std::thread::sleep(Duration::from_millis(4));
-        if names.iter().all(|n| cluster.pod(n).map(|p| p.all_exited()).unwrap_or(true)) {
-            break;
-        }
-        checkpoint(&cluster, &targets).unwrap();
-    }
     assert_eq!(wait_codes(&cluster, &names), expected);
 }
 
@@ -469,6 +391,9 @@ fn restart_to_a_missing_node_is_refused_before_anything_runs() {
         })
         .collect();
     checkpoint(&cluster, &to_images).unwrap();
+    for n in &names {
+        assert!(cluster.pod(n).is_none(), "{n}: a migration source is destroyed");
+    }
     let onto = |nodes: [usize; 2]| -> Vec<RestartTarget> {
         names
             .iter()
@@ -489,7 +414,11 @@ fn restart_to_a_missing_node_is_refused_before_anything_runs() {
         assert!(cluster.pod(n).is_none(), "{n} was created by the refused restart");
     }
     // The stored images are untouched: a restart onto real nodes runs.
-    restart(&cluster, &onto([1, 0])).unwrap();
+    let report = restart(&cluster, &onto([1, 0])).unwrap();
+    assert_eq!(report.pods.len(), 2);
+    for p in &report.pods {
+        assert!(p.net_ms <= p.total_ms);
+    }
     assert_eq!(wait_codes(&cluster, &names), expected);
 }
 
@@ -503,7 +432,15 @@ fn network_checkpoint_is_a_small_fraction_of_total() {
     let targets: Vec<CheckpointTarget> =
         names.iter().map(|n| CheckpointTarget::snapshot(n)).collect();
     let report = checkpoint(&cluster, &targets).unwrap();
+    assert_eq!(report.pods.len(), 2);
+    assert_eq!(report.meta.len(), 2);
     for p in &report.pods {
+        assert!(p.network_bytes > 0, "ring pods have sockets");
+        // (Memory-dominance of the image — §6.2 — is asserted by the
+        // scientific workloads in zapc-apps; ring ranks are deliberately
+        // tiny.)
+        assert!(p.network_bytes < p.image_bytes);
+        assert!(p.net_ms <= p.total_ms);
         assert!(p.net_ms < 10.0, "network checkpoint took {} ms", p.net_ms);
         assert!(p.network_bytes < 4096, "network state is {} B", p.network_bytes);
     }

@@ -22,12 +22,20 @@ fn writer_cfg() -> WriterConfig {
     WriterConfig { steps: 1500, ..WriterConfig::default() }
 }
 
+/// The chunking of every store here. Under the default mask a writer's
+/// image is cut only at `max`: no 13-byte window of the ballast's
+/// period-251 bytes reaches a Gear boundary. Then a ballast that moves by a
+/// few bytes (its pod checkpointed running, then exited) shares no chunk
+/// with its earlier copy. A 6-bit mask cuts the ballast by content
+/// ([`assert_content_defined_cut`]), and by its period those chunks repeat.
+const PARAMS: ChunkParams = ChunkParams { min: 2048, mask_bits: 6, max: 65536 };
+
 fn chunked_cluster(nodes: usize, compress: bool, faults: FaultPlan) -> Cluster {
     Cluster::builder()
         .nodes(nodes)
         .registry(full_registry())
         .faults(faults)
-        .store_chunking(ChunkingConfig { compress, params: ChunkParams::default() })
+        .store_chunking(ChunkingConfig { compress, params: PARAMS })
         .build()
 }
 
@@ -44,6 +52,21 @@ fn wait_code(c: &Cluster, pod: &str) -> i32 {
     c.pod(pod).unwrap().wait_all(WAIT).unwrap()[0]
 }
 
+/// Every image of checkpoint `ckpt` was cut by content at least once: its
+/// recipe holds a chunk that is not the last one and is shorter than `max`.
+fn assert_content_defined_cut(c: &Cluster, ckpt: u64) {
+    for e in c.istore.manifest(ckpt).unwrap().entries {
+        let chunks = c.istore.recipe(&e.image_ref).unwrap().chunks;
+        let inner = &chunks[..chunks.len() - 1];
+        assert!(
+            inner.iter().any(|ch| (ch.len as usize) < PARAMS.max),
+            "{}: no content-defined cut in {:?}",
+            e.pod,
+            chunks.iter().map(|ch| ch.len).collect::<Vec<_>>()
+        );
+    }
+}
+
 #[test]
 fn full_cycle_checkpoint_crash_recover_restart_is_byte_identical() {
     let expected = control_code();
@@ -56,6 +79,7 @@ fn full_cycle_checkpoint_crash_recover_restart_is_byte_identical() {
     checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
     std::thread::sleep(Duration::from_millis(10));
     let r2 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
+    assert_content_defined_cut(&c, r2.ckpt_id);
 
     // Rank symmetry pays: the four pods' images share their ballast, so
     // both generations together take at most 0.6× the logical bytes of one.
@@ -105,7 +129,7 @@ fn second_commit_predicts_the_unchanged_ballast_and_restarts_byte_identical() {
         .nodes(2)
         .registry(full_registry())
         .observer(obs)
-        .store_chunking(ChunkingConfig { compress: true, params: ChunkParams::default() })
+        .store_chunking(ChunkingConfig { compress: true, params: PARAMS })
         .build();
     let cfg = writer_cfg();
     let pods = launch_writers(&c, "dw", 4, &cfg);
@@ -117,13 +141,15 @@ fn second_commit_predicts_the_unchanged_ballast_and_restarts_byte_identical() {
     std::thread::sleep(Duration::from_millis(10));
     let r2 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
 
+    assert_content_defined_cut(&c, r1.ckpt_id);
+    assert_content_defined_cut(&c, r2.ckpt_id);
     let (m1, m2) = (c.istore.manifest(r1.ckpt_id).unwrap(), c.istore.manifest(r2.ckpt_id).unwrap());
     for p in &pods {
         let recipe = |m: &Manifest| c.istore.recipe(&m.entry(p).unwrap().image_ref).unwrap().chunks;
         let first: HashSet<ChunkRef> = recipe(&m1).into_iter().collect();
         let shared: u64 = recipe(&m2).iter().filter(|ch| first.contains(ch)).map(|ch| ch.len).sum();
         // Only the chunks at the ballast's two edges may hold changed bytes.
-        let edges = 2 * ChunkParams::default().max as u64;
+        let edges = 2 * PARAMS.max as u64;
         assert!(
             shared + edges >= cfg.ballast_bytes as u64,
             "{p}: the second recipe shares {shared} bytes with the first"
@@ -174,6 +200,7 @@ fn gc_between_stage_and_manifest_commit_spares_the_inflight_checkpoint() {
         h.join().expect("commit thread")
     });
     let r = commit.expect("commit must survive the concurrent gc");
+    assert_content_defined_cut(&c, r.ckpt_id);
 
     // The committed checkpoint is sound: every image verifies.
     let m = c.istore.manifest(r.ckpt_id).unwrap();
@@ -241,6 +268,7 @@ fn chunk_bit_rot_is_caught_at_restart_which_falls_back() {
     let r1 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
     std::thread::sleep(Duration::from_millis(10));
     let r2 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
+    assert_content_defined_cut(&c, r2.ckpt_id);
 
     // Flip one byte of a chunk checkpoint 2 introduced.
     let recipe_chunks = |ckpt: u64| -> HashSet<ChunkRef> {

@@ -1,14 +1,18 @@
 //! Transparency oracle: a restored application cannot tell it was
 //! checkpointed (DMTCP's transparency property, PAPERS.md).
 //!
-//! A seed picks a workload (CPI, BT or Bratu), a node count, a rank count
-//! and one to three cuts at seed-chosen points of the run. A cut is a
-//! checkpoint that destroys the pods followed by a restart on seed-chosen
+//! A seed picks a workload (CPI, BT, Bratu or POV-Ray), a node count, a
+//! rank count and one to three cuts at seed-chosen points of the run. A cut
+//! is a snapshot (a checkpoint after which the pods run on where they are),
+//! a checkpoint that destroys the pods followed by a restart on seed-chosen
 //! nodes, a stop-and-copy `migrate`, or a `migrate_live` with zero to three
-//! pre-copy rounds. The disturbed run must end with the exit codes and the
-//! result file of the undisturbed run of the same seed: CPI, BT and Bratu
-//! exchange a fixed message sequence on every connection, so one lost,
-//! duplicated or reordered byte changes the result or wedges a rank.
+//! pre-copy rounds and the §5 send-queue merge on or off. The disturbed run
+//! must end with the exit codes and the result file of the undisturbed run
+//! of the same seed: CPI, BT and Bratu exchange a fixed message sequence on
+//! every connection, so one lost, duplicated or reordered byte changes the
+//! result or wedges a rank. POV-Ray's master hands out tiles in arrival
+//! order, so how many tiles each worker renders is timing; only the
+//! master's exit code and its image hash file count.
 //!
 //! The KV half draws a small key-value fleet instead (server, a few normal
 //! and slow clients, maybe a half-open one) under the same kinds of cuts.
@@ -53,12 +57,15 @@ impl Rng {
 
 #[derive(Debug, Clone, Copy)]
 enum CutKind {
+    /// Checkpoint with `Finalize::Resume`: the pods run on where they are.
+    Snapshot,
     /// Checkpoint with `Finalize::Destroy`, then `restart`.
     Restart,
     /// Stop-and-copy `migrate`.
     Migrate,
-    /// `migrate_live` with this many pre-copy rounds.
-    Live(u32),
+    /// `migrate_live` with this many pre-copy rounds (`0` is stop-and-copy),
+    /// with or without the send-queue merge.
+    Live { rounds: u32, merge: bool },
 }
 
 #[derive(Debug)]
@@ -83,10 +90,11 @@ struct Case {
 fn cuts(rng: &mut Rng) -> Vec<Cut> {
     (0..rng.range(1, 3))
         .map(|_| Cut {
-            kind: match rng.range(0, 2) {
-                0 => CutKind::Restart,
-                1 => CutKind::Migrate,
-                _ => CutKind::Live(rng.range(0, 3) as u32),
+            kind: match rng.range(0, 3) {
+                0 => CutKind::Snapshot,
+                1 => CutKind::Restart,
+                2 => CutKind::Migrate,
+                _ => CutKind::Live { rounds: rng.range(0, 3) as u32, merge: rng.range(0, 1) == 1 },
             },
             at_permille: rng.range(20, 250),
             node_seed: rng.next(),
@@ -96,7 +104,7 @@ fn cuts(rng: &mut Rng) -> Vec<Cut> {
 
 fn case(seed: u64) -> Case {
     let mut rng = Rng(seed);
-    let kind = [AppKind::Cpi, AppKind::Bt, AppKind::Bratu][rng.range(0, 2) as usize];
+    let kind = AppKind::ALL[rng.range(0, 3) as usize];
     let nodes = rng.range(2, 4) as usize;
     let ranks = rng.range(2, 4) as usize;
     let cuts = cuts(&mut rng);
@@ -138,12 +146,12 @@ fn result_file(kind: AppKind) -> &'static str {
         AppKind::Cpi => "pi.txt",
         AppKind::Bt => "bt-residual.txt",
         AppKind::Bratu => "bratu-norm.txt",
-        AppKind::Povray => unreachable!("not drawn"),
+        AppKind::Povray => "render-hash.txt",
     }
 }
 
-/// What the application leaves behind: every rank's exit code and rank 0's
-/// result file.
+/// What the application leaves behind: every rank's exit code (POV-Ray:
+/// the master's alone) and rank 0's result file.
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
     codes: Vec<i32>,
@@ -151,7 +159,11 @@ struct Outcome {
 }
 
 fn finish(c: &Cluster, app: &zapc_apps::launch::Launched, case: &Case) -> Result<Outcome, String> {
-    let codes = app.wait(c, WAIT).map_err(|e| format!("wait: {e:?}"))?;
+    let mut codes = app.wait(c, WAIT).map_err(|e| format!("wait: {e:?}"))?;
+    if case.kind == AppKind::Povray {
+        // A worker's code counts the tiles it rendered.
+        codes.truncate(1);
+    }
     let path = format!("/pods/{}/{}", app.pods[0], result_file(case.kind));
     let result = c.fs.read(&path).map_err(|e| format!("read {path}: {e:?}"))?;
     app.destroy(c);
@@ -182,6 +194,11 @@ fn apply(c: &Cluster, nodes: usize, pods: &[String], cut: &Cut, n: usize) -> Res
     let moves: Vec<(String, usize)> =
         pods.iter().map(|p| (p.clone(), elsewhere(c, nodes, p, draw.next()))).collect();
     match cut.kind {
+        CutKind::Snapshot => {
+            let targets: Vec<CheckpointTarget> =
+                pods.iter().map(|p| CheckpointTarget::snapshot(p)).collect();
+            checkpoint(c, &targets).map_err(|e| format!("snapshot: {e}"))?;
+        }
         CutKind::Restart => {
             let uri = |p: &str| Uri::mem(format!("oracle/{p}/{n}"));
             let finalize = Finalize::Destroy;
@@ -199,8 +216,12 @@ fn apply(c: &Cluster, nodes: usize, pods: &[String], cut: &Cut, n: usize) -> Res
         CutKind::Migrate => {
             migrate(c, &moves).map_err(|e| format!("migrate: {e}"))?;
         }
-        CutKind::Live(rounds) => {
-            let opts = MigrateOptions { max_rounds: rounds, ..MigrateOptions::default() };
+        CutKind::Live { rounds, merge } => {
+            let opts = MigrateOptions {
+                max_rounds: rounds,
+                sendq_merge: merge,
+                ..MigrateOptions::default()
+            };
             migrate_live_with(c, &moves, &opts).map_err(|e| format!("migrate_live: {e}"))?;
         }
     }
@@ -320,26 +341,33 @@ fn cuts_are_invisible_to_the_kv_fleet() {
 #[test]
 fn seeds_cover_every_workload_and_cut_kind() {
     // The sweep is only as good as its draws: the first seeds between them
-    // reach every workload, every node count and every kind of cut.
+    // reach every workload, every node count and every kind of cut, in
+    // both halves.
     let cases: Vec<Case> = (0..SEEDS).map(case).collect();
-    for kind in [AppKind::Cpi, AppKind::Bt, AppKind::Bratu] {
+    for kind in AppKind::ALL {
         assert!(cases.iter().any(|c| c.kind == kind), "{kind:?} never drawn");
     }
     for nodes in 2..=4 {
         assert!(cases.iter().any(|c| c.nodes == nodes), "{nodes} nodes never drawn");
     }
     let cuts = || cases.iter().flat_map(|c| &c.cuts);
-    assert!(cuts().any(|c| matches!(c.kind, CutKind::Restart)));
-    assert!(cuts().any(|c| matches!(c.kind, CutKind::Migrate)));
-    assert!(cuts().any(|c| matches!(c.kind, CutKind::Live(_))));
+    assert!(cuts().any(|c| matches!(c.kind, CutKind::Snapshot)), "no snapshot");
+    assert!(cuts().any(|c| matches!(c.kind, CutKind::Restart)), "no restart");
+    assert!(cuts().any(|c| matches!(c.kind, CutKind::Migrate)), "no migrate");
+    for merge in [false, true] {
+        let live = |c: &Cut| matches!(c.kind, CutKind::Live { merge: m, .. } if m == merge);
+        assert!(cuts().any(live), "no live cut with merge {merge}");
+    }
     assert!(cases.iter().any(|c| c.cuts.len() > 1), "never more than one cut");
     let kv: Vec<KvCase> = (0..SEEDS).map(kv_case).collect();
     for nodes in 2..=4 {
         assert!(kv.iter().any(|c| c.nodes == nodes), "KV: {nodes} nodes never drawn");
     }
     let kv_cuts = || kv.iter().flat_map(|c| &c.cuts);
+    assert!(kv_cuts().any(|c| matches!(c.kind, CutKind::Snapshot)), "KV: no snapshot");
     assert!(kv_cuts().any(|c| matches!(c.kind, CutKind::Restart)), "KV: no restart");
     assert!(kv_cuts().any(|c| matches!(c.kind, CutKind::Migrate)), "KV: no migrate");
-    assert!(kv_cuts().any(|c| matches!(c.kind, CutKind::Live(r) if r > 0)), "KV: no pre-copy");
+    let precopy = |c: &Cut| matches!(c.kind, CutKind::Live { rounds, .. } if rounds > 0);
+    assert!(kv_cuts().any(precopy), "KV: no pre-copy");
     assert!(kv.iter().any(|c| c.fleet.halfopen > 0), "KV: no half-open client");
 }
