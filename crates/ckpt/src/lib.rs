@@ -30,8 +30,8 @@ pub use delta::MemoryDeltaRecord;
 pub use records::{FdRecord, ProcRecord};
 pub use restore::{restore_standalone, DecodedPod, RestoredPod, RestoredSockets};
 pub use save::{
-    capture_memory_round, checkpoint_standalone, checkpoint_standalone_with, RoundPayload,
-    SaveOpts,
+    capture_memory_round, capture_standalone, checkpoint_standalone, checkpoint_standalone_with,
+    RoundPayload, SaveOpts, StandaloneCapture,
 };
 
 /// Errors of the standalone checkpoint-restart paths.

@@ -12,7 +12,8 @@ use zapc_sim::memory::AddressSpace;
 use zapc_sim::process::Process;
 use zapc_sim::ProcState;
 
-/// Options for [`checkpoint_standalone_with`].
+/// Options for [`checkpoint_standalone_with`] and
+/// [`StandaloneCapture::encode`].
 #[derive(Debug, Clone, Default)]
 pub struct SaveOpts {
     /// Per-vpid address-space generation of the last pre-copy round the
@@ -31,7 +32,8 @@ pub struct SaveOpts {
 ///
 /// Preconditions (enforced): the pod is suspended — every live process is
 /// `Stopped` — and quiescent (no in-flight system call). This is Agent step
-/// 3 of Figure 1; the caller has already written the network sections.
+/// 3 of Figure 1 done whole, capture and encode, while the pod stays
+/// suspended; the caller has already written the network sections.
 ///
 /// Full-image wrapper around [`checkpoint_standalone_with`].
 pub fn checkpoint_standalone(pod: &Pod, w: &mut ImageWriter) -> CkptResult<()> {
@@ -39,38 +41,55 @@ pub fn checkpoint_standalone(pod: &Pod, w: &mut ImageWriter) -> CkptResult<()> {
 }
 
 /// Serializes a pod's non-network state into `w`, optionally as deltas
-/// against an earlier round of the same stream (`opts.base_gens`).
-/// Section order is deterministic: Namespace, Timers, FdTable, then per
-/// process (in vpid order) Process followed by its Memory/MemoryDelta.
-///
-/// The pod-wide pipe table precedes the first process section, so this
-/// makes two passes over the suspended (hence stable) processes: the first
-/// builds each small process record and collects the pipes, the second
-/// encodes each record and its memory straight into the image.
+/// against an earlier round of the same stream (`opts.base_gens`): a
+/// [`capture_standalone`] followed at once by its
+/// [`StandaloneCapture::encode`]. A caller that can let the pod run before
+/// the image is needed calls the two halves apart, and resumes the pod
+/// between them.
 pub fn checkpoint_standalone_with(
     pod: &Pod,
     w: &mut ImageWriter,
     opts: &SaveOpts,
 ) -> CkptResult<()> {
+    capture_standalone(pod)?.encode(w, opts);
+    Ok(())
+}
+
+/// A suspended pod's non-network state as of one instant: what
+/// [`capture_standalone`] takes in the freeze, and all
+/// [`StandaloneCapture::encode`] needs, so the pod may run again between
+/// the two. Each process's memory is a clone of its address space, which
+/// shares every region with the live process until one of them writes it
+/// (`zapc_sim::memory` is copy-on-write), and so does a clone of the
+/// capture.
+#[derive(Debug, Clone)]
+pub struct StandaloneCapture {
+    /// Pod name: the observer key of the encode.
+    key: String,
+    ns: zapc_pod::Namespace,
+    clock: ClockRecord,
+    /// The pipes every process references, deduplicated pod-wide in vpid
+    /// order.
+    pipe_table: PipeTable,
+    /// Each process's record and memory, in vpid order.
+    procs: Vec<(ProcRecord, AddressSpace)>,
+}
+
+/// Captures a suspended pod's non-network state (Agent step 3 of
+/// Figure 1, the part that needs the pod frozen).
+///
+/// Preconditions (enforced): the pod is suspended and quiescent, as for
+/// [`checkpoint_standalone`]. A process still runnable is
+/// [`CkptError::NotSuspended`]; one that vanished mid-capture is
+/// [`CkptError::Inconsistent`]. The capture copies the small state (each
+/// process's record, pipe contents, the clock) and clones each address
+/// space, which costs O(regions), not O(bytes).
+pub fn capture_standalone(pod: &Pod) -> CkptResult<StandaloneCapture> {
     let ordinals = socket_ordinals(pod);
-
-    // Namespace.
-    let ns = pod.namespace();
-    w.section(SectionTag::Namespace, |r| ns.encode(r));
-
-    // Clock state (Timers section): bias + real checkpoint time.
     let clock = ClockRecord {
         bias_ms: pod.env.vclock.bias_ms(),
         real_ms: pod.env.clock.now_ms(),
     };
-    w.section(SectionTag::Timers, |r| clock.encode(r));
-
-    let obs = &opts.obs;
-    let key = pod.name();
-    let _span = obs.span(&key, "ckpt.encode");
-
-    // Pass 1: process records, and the pipe table deduplicated pod-wide
-    // in vpid order.
     let mut pipe_table = PipeTable::default();
     let mut seen_pipes: HashSet<u64> = HashSet::new();
     let mut procs = Vec::new();
@@ -79,28 +98,44 @@ pub fn checkpoint_standalone_with(
             .node()
             .process(pid)
             .ok_or(CkptError::Inconsistent("process vanished during checkpoint"))?;
-        let rec =
-            proc_record(vpid, &parc.lock().unwrap(), &ordinals, &mut pipe_table, &mut seen_pipes)?;
-        procs.push((rec, parc));
+        let proc = parc.lock().unwrap();
+        let rec = proc_record(vpid, &proc, &ordinals, &mut pipe_table, &mut seen_pipes)?;
+        procs.push((rec, proc.mem.clone()));
     }
-    w.section(SectionTag::FdTable, |r| pipe_table.encode(r));
+    Ok(StandaloneCapture { key: pod.name(), ns: pod.namespace(), clock, pipe_table, procs })
+}
 
-    // Pass 2: each process record, then its memory under the process lock.
-    for (rec, parc) in procs {
-        w.section(SectionTag::Process, |r| rec.encode(r));
-        let base_gen = base_gen_of(opts.base_gens.as_ref(), rec.vpid);
-        let mut payload_bytes = 0;
-        w.section(memory_tag(base_gen), |r| {
-            let at = r.len();
-            encode_memory(rec.vpid, &parc.lock().unwrap().mem, base_gen, r);
-            payload_bytes = r.len() - at;
-        });
-        if obs.enabled() {
-            let name = if base_gen.is_some() { "ckpt.delta_bytes" } else { "ckpt.full_bytes" };
-            obs.counter(&key, name, payload_bytes as u64);
+impl StandaloneCapture {
+    /// Encodes the capture into `w`, in full or as deltas against
+    /// `opts.base_gens`. Section order is deterministic: Namespace, Timers,
+    /// FdTable, then per process (in vpid order) Process followed by its
+    /// Memory/MemoryDelta. The bytes are those the pod would have given at
+    /// the capture, whatever it has done since. Consuming the capture
+    /// drops its address-space clones as soon as they are written out, so
+    /// the pod's later writes copy nothing.
+    pub fn encode(self, w: &mut ImageWriter, opts: &SaveOpts) {
+        let StandaloneCapture { key, ns, clock, pipe_table, procs } = self;
+        w.section(SectionTag::Namespace, |r| ns.encode(r));
+        w.section(SectionTag::Timers, |r| clock.encode(r));
+
+        let obs = &opts.obs;
+        let _span = obs.span(&key, "ckpt.encode");
+        w.section(SectionTag::FdTable, |r| pipe_table.encode(r));
+        for (rec, mem) in procs {
+            w.section(SectionTag::Process, |r| rec.encode(r));
+            let base_gen = base_gen_of(opts.base_gens.as_ref(), rec.vpid);
+            let mut payload_bytes = 0;
+            w.section(memory_tag(base_gen), |r| {
+                let at = r.len();
+                encode_memory(rec.vpid, &mem, base_gen, r);
+                payload_bytes = r.len() - at;
+            });
+            if obs.enabled() {
+                let name = if base_gen.is_some() { "ckpt.delta_bytes" } else { "ckpt.full_bytes" };
+                obs.counter(&key, name, payload_bytes as u64);
+            }
         }
     }
-    Ok(())
 }
 
 /// One process's memory section captured by a live pre-copy round.

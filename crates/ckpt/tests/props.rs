@@ -9,12 +9,18 @@
 //! write workload (map/rewrite/unmap, and ranged writes and appends that
 //! ship as dirty pages, interleaved with capture rounds) and compares
 //! `digest64` digests of the canonical `Memory` encoding.
+//!
+//! Property: a standalone capture is the pod as of the capture. The
+//! image encoded from it after the live processes were written again is
+//! section for section the image encoded at the capture.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 use zapc_ckpt::{
-    capture_memory_round, checkpoint_standalone_with, DecodedPod, MemoryDeltaRecord, SaveOpts,
+    capture_memory_round, capture_standalone, checkpoint_standalone_with, DecodedPod,
+    MemoryDeltaRecord, SaveOpts, StandaloneCapture,
 };
 use zapc_net::{Network, NetworkConfig};
 use zapc_pod::{Pod, PodConfig};
@@ -263,6 +269,38 @@ impl Program for PropWriter {
     }
 }
 
+/// A suspended pod of `procs` [`PropWriter`]s on a node of its own, and
+/// the generations of a memory round taken while it ran: a base that a
+/// delta cut of the pod is a delta against.
+fn writer_pod(
+    procs: usize,
+    regions: u32,
+    len: u32,
+    seed: u64,
+) -> (Network, Arc<Node>, Arc<Pod>, HashMap<u32, u64>) {
+    let net = Network::new(NetworkConfig::default());
+    let node = Node::new(NodeConfig { id: 0, cpus: 2 }, net.handle(), SimFs::new());
+    let clock = ClusterClock::new();
+    let pod = Pod::create(PodConfig::new("prop-img", zapc_pod::pod_vip(41)), &node, &clock);
+    for i in 0..procs {
+        pod.spawn(
+            &format!("pw{i}"),
+            Box::new(PropWriter {
+                phase: 0,
+                regions,
+                len,
+                seed: seed.wrapping_add(i as u64),
+                bases: Vec::new(),
+            }),
+        );
+    }
+    std::thread::sleep(Duration::from_millis(15));
+    let base_gens =
+        capture_memory_round(&pod, None).unwrap().iter().map(|p| (p.vpid, p.gen)).collect();
+    pod.suspend().unwrap();
+    (net, node, pod, base_gens)
+}
+
 /// Every section of an image as `(tag, payload)`, in order.
 fn sections(bytes: &[u8]) -> Vec<(SectionTag, Vec<u8>)> {
     let rd = ImageReader::open(bytes).unwrap();
@@ -303,32 +341,7 @@ proptest! {
         len in 1u32..64,
         seed in any::<u64>(),
     ) {
-        let net = Network::new(NetworkConfig::default());
-        let fs = SimFs::new();
-        let node = Node::new(NodeConfig { id: 0, cpus: 2 }, net.handle(), fs);
-        let clock = ClusterClock::new();
-        let pod = Pod::create(PodConfig::new("prop-img", zapc_pod::pod_vip(41)), &node, &clock);
-        for i in 0..procs {
-            pod.spawn(
-                &format!("pw{i}"),
-                Box::new(PropWriter {
-                    phase: 0,
-                    regions,
-                    len,
-                    seed: seed.wrapping_add(i as u64),
-                    bases: Vec::new(),
-                }),
-            );
-        }
-        std::thread::sleep(Duration::from_millis(15));
-        // A base round taken while the pod runs: what the delta cut below
-        // is a delta against.
-        let base_gens: HashMap<u32, u64> = capture_memory_round(&pod, None)
-            .unwrap()
-            .iter()
-            .map(|p| (p.vpid, p.gen))
-            .collect();
-        pod.suspend().unwrap();
+        let (_net, node, pod, base_gens) = writer_pod(procs, regions, len, seed);
 
         let header =
             Header { pod: pod.name(), host: "prop-node".into(), wall_ms: 0, flags: 0 };
@@ -382,6 +395,58 @@ proptest! {
             secs.into_iter().filter(|s| s.0 != SectionTag::Timers).collect()
         };
         prop_assert!(stable(full_secs) == stable(sections(&checkpoint(None))));
+
+        pod.destroy();
+        node.shutdown();
+    }
+
+    /// Property: writes to a suspended pod's processes after a capture
+    /// (ranged writes, appends, whole-region borrows, unmaps, new maps)
+    /// change no section of the image encoded from it, full or delta: each
+    /// equals the section of the image encoded at the capture.
+    #[test]
+    fn encode_after_writes_equals_encode_at_capture(
+        procs in 1usize..4,
+        regions in 1u32..4,
+        len in 1u32..64,
+        seed in any::<u64>(),
+        // Byte regions mapped before the capture, so ranged writes and
+        // appends after it find one.
+        maps in proptest::collection::vec((1usize..12, any::<u64>()), 1..3),
+        writes in proptest::collection::vec(proptest::collection::vec(write_ops(), 1..12), 3),
+    ) {
+        let (_net, node, pod, base_gens) = writer_pod(procs, regions, len, seed);
+        let header =
+            Header { pod: pod.name(), host: "prop-node".into(), wall_ms: 0, flags: 0 };
+        let mut uniq = 0u32;
+        let procs = pod.vpid_pids();
+        for &(_, pid) in &procs {
+            let parc = pod.node().process(pid).unwrap();
+            let mem = &mut parc.lock().unwrap().mem;
+            for &(pages, v) in &maps {
+                apply_op(mem, &WriteOp::MapBytes { len: pages * 700, v }, &mut uniq);
+            }
+        }
+
+        let capture = capture_standalone(&pod).unwrap();
+        let encode = |capture: StandaloneCapture, base_gens: Option<&HashMap<u32, u64>>| {
+            let mut w = ImageWriter::new(&header);
+            let opts = SaveOpts { base_gens: base_gens.cloned(), ..Default::default() };
+            capture.encode(&mut w, &opts);
+            sections(&w.finish())
+        };
+        let at_capture = encode(capture.clone(), None);
+        let delta_at_capture = encode(capture.clone(), Some(&base_gens));
+
+        for (i, &(_, pid)) in procs.iter().enumerate() {
+            let parc = pod.node().process(pid).unwrap();
+            let mem = &mut parc.lock().unwrap().mem;
+            for op in &writes[i % writes.len()] {
+                apply_op(mem, op, &mut uniq);
+            }
+        }
+        prop_assert_eq!(encode(capture.clone(), Some(&base_gens)), delta_at_capture);
+        prop_assert_eq!(encode(capture, None), at_capture);
 
         pod.destroy();
         node.shutdown();

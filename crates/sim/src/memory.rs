@@ -18,18 +18,28 @@
 //! region once, in O(1), and the capture ships it whole, as it does every
 //! `f64` region written since. Stored images are unaffected: they always
 //! carry every region in full.
+//!
+//! Region contents are copy-on-write: each region's vector sits behind an
+//! [`Arc`], so cloning an [`AddressSpace`] costs O(regions), and every
+//! mutating accessor goes through `Arc::make_mut`. A checkpoint captures a
+//! suspended process's memory by cloning it and encodes the clone after
+//! the process resumes; the first write to a region the clone still
+//! shares copies that region once, and a write after the clone is dropped
+//! copies nothing.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Arc;
 use zapc_proto::{Decode, DecodeError, DecodeResult, Encode, RecordReader, RecordWriter};
 
-/// Backing data of one region.
+/// Backing data of one region, shared with any clone of its address space
+/// until one side writes it (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RegionData {
     /// Raw bytes.
-    Bytes(Vec<u8>),
+    Bytes(Arc<Vec<u8>>),
     /// 64-bit floats (grid/array state of the scientific workloads).
-    F64(Vec<f64>),
+    F64(Arc<Vec<f64>>),
 }
 
 impl RegionData {
@@ -75,8 +85,8 @@ impl Decode for Region {
         let base = r.get_u64()?;
         let name = r.get_str()?;
         let data = match r.get_u8()? {
-            0 => RegionData::Bytes(r.get_bytes_owned()?),
-            1 => RegionData::F64(r.get_f64_slice()?),
+            0 => RegionData::Bytes(Arc::new(r.get_bytes_owned()?)),
+            1 => RegionData::F64(Arc::new(r.get_f64_slice()?)),
             v => return Err(DecodeError::InvalidEnum { what: "RegionData", value: v as u64 }),
         };
         Ok(Region { base, name, data })
@@ -249,14 +259,16 @@ impl AddressSpace {
     /// Maps a zero-filled byte region; returns its base.
     pub fn map_bytes(&mut self, name: &str, len: usize) -> u64 {
         let base = self.alloc_base(len);
-        self.insert(Region { base, name: to_name(name), data: RegionData::Bytes(vec![0; len]) });
+        let data = RegionData::Bytes(Arc::new(vec![0; len]));
+        self.insert(Region { base, name: to_name(name), data });
         base
     }
 
     /// Maps a zero-filled `f64` region of `len` words; returns its base.
     pub fn map_f64(&mut self, name: &str, len: usize) -> u64 {
         let base = self.alloc_base(len * 8);
-        self.insert(Region { base, name: to_name(name), data: RegionData::F64(vec![0.0; len]) });
+        let data = RegionData::F64(Arc::new(vec![0.0; len]));
+        self.insert(Region { base, name: to_name(name), data });
         base
     }
 
@@ -272,7 +284,7 @@ impl AddressSpace {
     /// Borrows a byte region.
     pub fn bytes(&self, base: u64) -> Option<&[u8]> {
         match &self.regions.get(&base)?.region.data {
-            RegionData::Bytes(b) => Some(b),
+            RegionData::Bytes(b) => Some(b.as_slice()),
             _ => None,
         }
     }
@@ -284,7 +296,7 @@ impl AddressSpace {
         }
         self.touch(base);
         match &mut self.regions.get_mut(&base)?.region.data {
-            RegionData::Bytes(b) => Some(b),
+            RegionData::Bytes(b) => Some(Arc::make_mut(b)),
             _ => unreachable!("type checked above"),
         }
     }
@@ -302,7 +314,7 @@ impl AddressSpace {
         let m = self.regions.get_mut(&base)?;
         m.stamps.stamp_pages(&range, gen);
         match &mut m.region.data {
-            RegionData::Bytes(b) => Some(&mut b[range]),
+            RegionData::Bytes(b) => Some(&mut Arc::make_mut(b)[range]),
             _ => unreachable!("type checked above"),
         }
     }
@@ -316,6 +328,7 @@ impl AddressSpace {
         let gen = self.bump();
         let m = self.regions.get_mut(&base)?;
         let RegionData::Bytes(b) = &mut m.region.data else { unreachable!("type checked above") };
+        let b = Arc::make_mut(b);
         let at = b.len();
         b.extend_from_slice(data);
         m.stamps.stamp_pages(&(at..at + data.len()), gen);
@@ -325,7 +338,7 @@ impl AddressSpace {
     /// Borrows an `f64` region.
     pub fn f64(&self, base: u64) -> Option<&[f64]> {
         match &self.regions.get(&base)?.region.data {
-            RegionData::F64(v) => Some(v),
+            RegionData::F64(v) => Some(v.as_slice()),
             _ => None,
         }
     }
@@ -337,7 +350,7 @@ impl AddressSpace {
         }
         self.touch(base);
         match &mut self.regions.get_mut(&base)?.region.data {
-            RegionData::F64(v) => Some(v),
+            RegionData::F64(v) => Some(Arc::make_mut(v)),
             _ => unreachable!("type checked above"),
         }
     }
@@ -366,7 +379,9 @@ impl AddressSpace {
         }
         let (ra, rb) = if a < b { (rl, rh) } else { (rh, rl) };
         match (&mut ra.data, &mut rb.data) {
-            (RegionData::F64(va), RegionData::F64(vb)) => Some((va, vb)),
+            (RegionData::F64(va), RegionData::F64(vb)) => {
+                Some((Arc::make_mut(va), Arc::make_mut(vb)))
+            }
             _ => None,
         }
     }
@@ -445,7 +460,7 @@ impl AddressSpace {
         }
         for delta in pages {
             let bytes = match self.regions.get_mut(&delta.base).map(|m| &mut m.region.data) {
-                Some(RegionData::Bytes(b)) => b,
+                Some(RegionData::Bytes(b)) => Arc::make_mut(b),
                 _ => return Err(DeltaError::MissingRegion(delta.base)),
             };
             // A region grows only by appends, and every page an append
@@ -754,7 +769,11 @@ mod tests {
         let nb = a.next_base();
         a.apply_delta(
             &[b1],
-            vec![Region { base: b2 + 0x10000, name: "new".into(), data: RegionData::Bytes(vec![9]) }],
+            vec![Region {
+                base: b2 + 0x10000,
+                name: "new".into(),
+                data: RegionData::Bytes(Arc::new(vec![9])),
+            }],
             vec![],
             nb + 0x20000,
         )
@@ -797,12 +816,58 @@ mod tests {
     }
 
     #[test]
+    fn a_held_clone_keeps_the_bytes_it_was_taken_with() {
+        let mut a = AddressSpace::new();
+        let b = a.map_bytes("arena", 2 * PAGE);
+        let f = a.map_f64("grid", 4);
+        let g = a.map_f64("next", 4);
+        a.bytes_range_mut(b, 0..1).unwrap()[0] = 1;
+        let snap = a.clone();
+        let before = a.clone();
+        // Every mutating accessor leaves the clone alone.
+        a.bytes_mut(b).unwrap()[1] = 2;
+        a.bytes_range_mut(b, PAGE..PAGE + 1).unwrap()[0] = 3;
+        a.bytes_extend(b, &[4; 10]).unwrap();
+        a.f64_mut(f).unwrap()[0] = 5.0;
+        a.f64_pair_mut(f, g).unwrap().1[0] = 6.0;
+        let nb = a.next_base();
+        let page = PageDelta { base: b, len: 2 * PAGE as u64, pages: vec![(0, vec![7; 8])] };
+        a.apply_delta(&[b, f, g], vec![], vec![page], nb).unwrap();
+        assert_eq!(snap, before, "the clone still holds what it was taken with");
+        assert_eq!(snap.bytes(b).unwrap()[..2], [1, 0]);
+        assert_eq!(snap.f64(f).unwrap()[0], 0.0);
+        assert_ne!(a, snap);
+    }
+
+    #[test]
+    fn a_write_after_the_clone_is_dropped_copies_nothing() {
+        let mut a = AddressSpace::new();
+        let b = a.map_bytes("arena", 4 * PAGE);
+        let f = a.map_f64("grid", 512);
+        let at = |a: &AddressSpace| (a.bytes(b).unwrap().as_ptr(), a.f64(f).unwrap().as_ptr());
+        let unshared = at(&a);
+        let snap = a.clone();
+        assert_eq!(at(&snap), unshared, "a clone shares every region");
+        a.bytes_range_mut(b, 0..1).unwrap()[0] = 1;
+        a.f64_mut(f).unwrap()[0] = 1.0;
+        let copied = at(&a);
+        assert_ne!(copied.0, unshared.0, "the first write to a shared region copies it");
+        assert_ne!(copied.1, unshared.1);
+        drop(snap);
+        // Sole owner again: no write, whole or ranged, copies.
+        a.bytes_range_mut(b, PAGE..PAGE + 1).unwrap()[0] = 2;
+        a.bytes_mut(b).unwrap()[2] = 3;
+        a.f64_mut(f).unwrap()[1] = 2.0;
+        assert_eq!(at(&a), copied);
+    }
+
+    #[test]
     fn restore_region_bumps_allocator() {
         let mut a = AddressSpace::new();
         a.restore_region(Region {
             base: MAP_BASE + (1 << 20),
             name: "restored".into(),
-            data: RegionData::Bytes(vec![1, 2, 3]),
+            data: RegionData::Bytes(Arc::new(vec![1, 2, 3])),
         });
         let fresh = a.map_bytes("fresh", 16);
         assert!(a.bytes(fresh).is_some());

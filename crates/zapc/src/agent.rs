@@ -20,12 +20,13 @@ use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use zapc_ckpt::{checkpoint_standalone_with, DecodedPod, RestoredSockets, SaveOpts};
+use zapc_ckpt::{capture_standalone, DecodedPod, RestoredSockets, SaveOpts, StandaloneCapture};
 use zapc_faults::{FaultAction, MANAGER};
 use zapc_netckpt::{checkpoint_network_obs, restore_network, NetworkRestorePlan, SockRecord};
 use zapc_pod::Pod;
 use zapc_proto::image::{Header, Section};
 use zapc_proto::{Decode, Encode, ImageWriter, MetaData, SectionTag};
+use zapc_sim::fs::FsSnapshot;
 
 /// What happens to the pod after its checkpoint completes (§4 step 4):
 /// resume locally (snapshot) or destroy (the pod migrates away).
@@ -45,9 +46,10 @@ pub const FLAG_FS_SNAPSHOT: u32 = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// The paper's design: each Agent proceeds with its standalone
-    /// checkpoint immediately after reporting meta-data and only *waits*
-    /// for the Manager's `continue` before unblocking its network — one
-    /// synchronization, overlapped with useful work.
+    /// capture immediately after reporting meta-data and only *waits* for
+    /// the Manager's `continue` before unblocking its network and resuming
+    /// the pod — one synchronization, overlapped with useful work. The
+    /// image is encoded from the capture after the resume.
     SingleSync,
     /// Strawman: Agents hold their network blocked and *idle* until every
     /// other Agent has finished its standalone checkpoint (a global
@@ -124,23 +126,29 @@ fn ms(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1000.0
 }
 
-/// Figure 1, steps 2–3, on a pod its caller has quiesced: the
-/// network-state checkpoint, the meta-data report, then the standalone
-/// checkpoint — everything into one image. `report_meta` is step 2a,
-/// whatever the caller owes its Manager between the two; its `Err`
-/// abandons the cut (rolling the pod back is the caller's). `base_gens`
-/// makes the memory sections deltas against a base the image's consumer
-/// already holds, and `capacity` sizes the writer for what that leaves.
-/// The cut fills in the phase times and sizes of `report` it alone knows.
-pub(crate) fn checkpoint_cut(
+/// Figure 1, steps 2–3, as far as they need the pod frozen: the
+/// network-state checkpoint, the meta-data report, the file-system
+/// snapshot and the standalone capture. [`Cut::encode`] turns it into the
+/// image, before or after the pod runs again.
+pub(crate) struct Cut {
+    header: Header,
+    meta: MetaData,
+    fs: Option<FsSnapshot>,
+    records: Vec<SockRecord>,
+    standalone: StandaloneCapture,
+}
+
+/// Takes the [`Cut`] of a pod its caller has quiesced. `report_meta` is
+/// step 2a, whatever the caller owes its Manager between the network save
+/// and the standalone capture; its `Err` abandons the cut (rolling the pod
+/// back is the caller's). Fills in `report`'s network and standalone times.
+pub(crate) fn capture_cut(
     cluster: &Cluster,
     pod: &Arc<Pod>,
     fs_snapshot: bool,
-    base_gens: Option<HashMap<u32, u64>>,
-    capacity: usize,
     report: &mut PodReport,
     report_meta: impl FnOnce(&MetaData) -> Result<(), String>,
-) -> Result<Vec<u8>, String> {
+) -> Result<Cut, String> {
     let obs = &cluster.obs;
     let pod_name = pod.name();
 
@@ -152,8 +160,8 @@ pub(crate) fn checkpoint_cut(
     report.net_ms = ms(tnet);
     report_meta(&meta)?;
 
-    // Step 3: standalone checkpoint (concurrent with the Manager sync in
-    // the paper's policy).
+    // Step 3: standalone capture (concurrent with the Manager sync in the
+    // paper's policy).
     let tsa = Instant::now();
     let dump_span = obs.span(&pod_name, "ckpt.dump");
     let header = Header {
@@ -162,32 +170,52 @@ pub(crate) fn checkpoint_cut(
         flags: if fs_snapshot { FLAG_FS_SNAPSHOT } else { 0 },
         pod: pod_name,
     };
-    let mut w = ImageWriter::with_capacity(&header, capacity);
-    w.section(SectionTag::NetMeta, |r| meta.encode(r));
-    if fs_snapshot {
-        // Snapshot the pod's chroot subtree on shared storage.
-        let snap = cluster.fs.snapshot(&pod.env.fs_root);
-        w.section(SectionTag::FsSnapshot, |r| snap.encode(r));
-    }
-    let net_payload = zapc_netckpt::records::encode_records(&records);
-    w.section_bytes(SectionTag::NetState, net_payload.bytes());
-    report.network_bytes = net_payload.len() + meta.encoded_len();
-    let save_opts = SaveOpts { base_gens, obs: obs.clone() };
-    checkpoint_standalone_with(pod, &mut w, &save_opts)
+    // The pod's chroot subtree on shared storage.
+    let fs = fs_snapshot.then(|| cluster.fs.snapshot(&pod.env.fs_root));
+    let standalone = capture_standalone(pod)
         .map_err(|e| format!("standalone checkpoint failed: {e}"))?;
-    let image = w.finish();
     dump_span.end();
     report.standalone_ms = ms(tsa);
-    report.image_bytes = image.len();
-    Ok(image)
+    Ok(Cut { header, meta, fs, records, standalone })
+}
+
+impl Cut {
+    /// Encodes the cut into one image. `base_gens` makes the memory
+    /// sections deltas against a base the image's consumer already holds,
+    /// and `capacity` sizes the writer for what that leaves. Fills in
+    /// `report`'s sizes.
+    pub(crate) fn encode(
+        self,
+        base_gens: Option<HashMap<u32, u64>>,
+        capacity: usize,
+        obs: &zapc_obs::Observer,
+        report: &mut PodReport,
+    ) -> Vec<u8> {
+        let Cut { header, meta, fs, records, standalone } = self;
+        let mut w = ImageWriter::with_capacity(&header, capacity);
+        w.section(SectionTag::NetMeta, |r| meta.encode(r));
+        if let Some(snap) = fs {
+            w.section(SectionTag::FsSnapshot, |r| snap.encode(r));
+        }
+        let net_payload = zapc_netckpt::records::encode_records(&records);
+        w.section_bytes(SectionTag::NetState, net_payload.bytes());
+        report.network_bytes = net_payload.len() + meta.encoded_len();
+        standalone.encode(&mut w, &SaveOpts { base_gens, obs: obs.clone() });
+        let image = w.finish();
+        report.image_bytes = image.len();
+        image
+    }
 }
 
 /// Runs the local checkpoint procedure of Figure 1 for one pod.
 ///
 /// Steps: suspend + block network → network checkpoint → report meta-data →
-/// standalone checkpoint → wait `continue` → unblock network → finalize →
-/// report done. A broken Manager connection (channel disconnect) or an
-/// `Abort` rolls everything back and resumes the pod.
+/// standalone capture → wait `continue` → unblock network → finalize →
+/// encode and deliver the image → report done. The pod is frozen only up
+/// to the finalize; the image is encoded from the capture while the pod
+/// runs (or after it is destroyed). A broken Manager connection (channel
+/// disconnect) or an `Abort` before the finalize rolls everything back and
+/// resumes the pod.
 pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     let CheckpointJob {
         pod: pod_name, dest, finalize, policy, fs_snapshot, epoch, ctl_timeout, reply, ctl,
@@ -271,7 +299,7 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     // Steps 2–3: the cut, with what this Agent owes its Manager at 2a.
     let mut sync_ms = 0.0;
     let capacity = pod.total_mem_bytes() + 4096;
-    let cut = checkpoint_cut(cluster, &pod, fs_snapshot, None, capacity, &mut report, |meta| {
+    let cut = capture_cut(cluster, &pod, fs_snapshot, &mut report, |meta| {
         let meta = Reply::Meta {
             pod: pod_name.to_owned(),
             suspended_at: t0,
@@ -292,17 +320,15 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
         }
         Ok(())
     });
-    let mut image = match cut {
-        Ok(image) => image,
+    let cut = match cut {
+        Ok(cut) => cut,
         Err(why) => return rollback(&why),
     };
     // Fault site: image bytes damaged on their way out (bad disk, torn
-    // write). Sections are checked records, so the damage surfaces as a typed
-    // decode error at restart, never a silent mis-restore.
-    if let Some(a) = cluster.faults.hit("agent.image", pod_name) {
-        zapc_faults::FaultPlan::mangle(a, &mut image);
-        report.image_bytes = image.len();
-    }
+    // write), applied once the image is encoded. Sections are checked
+    // records, so the damage surfaces as a typed decode error at restart,
+    // never a silent mis-restore.
+    let mangle = cluster.faults.hit("agent.image", pod_name);
 
     if cluster.faults.hit("agent.pre_continue", pod_name).is_some() {
         rollback("fault: agent crashed awaiting continue");
@@ -336,10 +362,16 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     }
     resume_span.end();
     report.resume_ms = ms(tresume);
+    report.total_ms = ms(t0);
 
-    // Deliver the image to its destination.
+    // Encode the image from the capture, then deliver it.
     let tcommit = Instant::now();
     let commit_span = obs.span(pod_name, "ckpt.commit");
+    let mut image = cut.encode(None, capacity, obs, &mut report);
+    if let Some(a) = mangle {
+        zapc_faults::FaultPlan::mangle(a, &mut image);
+        report.image_bytes = image.len();
+    }
     match dest {
         Uri::Mem(label) => cluster.store.put(label, image),
         Uri::Store { ckpt: ckpt_id } => {
@@ -386,7 +418,6 @@ pub(crate) fn agent_checkpoint(cluster: &Cluster, job: CheckpointJob<'_>) {
     }
     commit_span.end();
     report.commit_ms = ms(tcommit);
-    report.total_ms = ms(t0);
     send_done(Ok(report));
 }
 

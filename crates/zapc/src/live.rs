@@ -44,7 +44,7 @@
 //! [`ImageWriter`](zapc_proto::ImageWriter) frames them — not inside an
 //! envelope. A pre-copy payload is encoded and checked once, in the buffer
 //! that goes down the channel. The cutover is the Agent's own checkpoint
-//! cut (Figure 1 steps 2–3, `agent::checkpoint_cut`) taken as a delta
+//! cut (Figure 1 steps 2–3, `agent::capture_cut`) encoded as a delta
 //! against the last round — or whole, when there was none — and the
 //! finished image goes down the stream whole, as the last frame: it starts
 //! with the image magic, which read as a record tag is no section, and its
@@ -93,7 +93,7 @@
 //! cutover whose downtime is at worst the stop-and-copy downtime (one
 //! working-set-sized delta) plus round bookkeeping.
 
-use crate::agent::{checkpoint_cut, quiesce, restart_tail, unquiesce, RestartInputs};
+use crate::agent::{capture_cut, quiesce, restart_tail, unquiesce, RestartInputs};
 use crate::cluster::Cluster;
 use crate::coord::{distinct, reason, retry_aborted, Book, Coord, Ctl, Key, Reply, Role};
 use crate::manager::{ms, PhaseBreakdown, PodReport, RestartReport, RestartTarget, DEFAULT_TIMEOUT};
@@ -590,12 +590,17 @@ fn live_source(
             Some(_) => last_shipped + 16 * 1024,
             None => pod.total_mem_bytes() + 4096,
         };
-        let image = checkpoint_cut(cluster, &pod, false, gens, capacity, &mut report, |meta| {
+        let cut = capture_cut(cluster, &pod, false, &mut report, |meta| {
             let meta = Box::new(meta.clone());
             reply
                 .send(Reply::Meta { pod: pod_name.to_owned(), suspended_at, meta })
                 .map_err(|_| "manager connection broken at cutover".to_string())
         })?;
+        // The receiver needs the delta to restore: encode in the freeze,
+        // as part of the standalone phase.
+        let tenc = Instant::now();
+        let image = cut.encode(gens, capacity, &cluster.obs, &mut report);
+        report.standalone_ms += ms(tenc, Instant::now());
         // The finished image is the stream's last frame.
         ship(image, "at cutover")?;
         cut_span.end();

@@ -71,11 +71,16 @@ pub struct RestartTarget {
 pub struct PodReport {
     /// Pod name.
     pub pod: String,
-    /// Local total latency (ms).
+    /// Local total latency (ms). For a checkpoint, the pod's freeze:
+    /// suspend → resume (or → destroy), which holds the quiesce, network,
+    /// standalone, sync and resume phases; the image's encode and delivery
+    /// (`commit_ms`) follow it. For a restart, creation → resume.
     pub total_ms: f64,
     /// Network-state phase latency (ms).
     pub net_ms: f64,
-    /// Standalone phase latency (ms).
+    /// Standalone phase latency (ms): for a checkpoint, the in-freeze
+    /// capture of the pod's non-network state; a live cutover also
+    /// encodes its image here.
     pub standalone_ms: f64,
     /// How long the pod's network stayed blocked (ms; checkpoint only).
     pub blocked_ms: f64,
@@ -83,7 +88,8 @@ pub struct PodReport {
     pub quiesce_ms: f64,
     /// Time the Agent waited on the Manager's `continue` (ms).
     pub sync_ms: f64,
-    /// Image-delivery (commit) phase (ms).
+    /// Commit phase (ms). For a checkpoint, the image's encode from the
+    /// capture plus its delivery, after the pod resumed (or was destroyed).
     pub commit_ms: f64,
     /// Resume phase (ms).
     pub resume_ms: f64,

@@ -3,9 +3,14 @@
 //! half-written-chunk fix, and typed refusal of damaged chunks — all
 //! exercised through the public checkpoint → crash → recover → restart
 //! surface rather than the store API alone.
+//!
+//! Every commit is placed by the writers' own progress and must find each
+//! of them still running, so a restore resumes a computation rather than
+//! replaying a saved exit code; the image of such a commit is encoded
+//! after its writers resumed.
 
 use std::collections::HashSet;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use zapc::commit::{checkpoint_commit, recover, restart_from_manifest, CommitOptions};
 use zapc::{
     ChunkParams, ChunkingConfig, Cluster, FaultAction, FaultPlan, ImageStore, StoreError,
@@ -13,13 +18,74 @@ use zapc::{
 };
 use zapc_apps::launch::{full_registry, launch_writers};
 use zapc_apps::writer::WriterConfig;
+use zapc_ckpt::records::ProcStateRecord;
+use zapc_ckpt::ProcRecord;
 use zapc_obs::Observer;
-use zapc_proto::{ChunkRef, Manifest};
+use zapc_proto::{ChunkRef, Decode, ImageReader, Manifest, RecordReader, SectionTag};
 
 const WAIT: Duration = Duration::from_secs(60);
 
 fn writer_cfg() -> WriterConfig {
-    WriterConfig { steps: 1500, ..WriterConfig::default() }
+    WriterConfig { steps: STEPS, ..WriterConfig::default() }
+}
+
+/// Steps of every writer here. A writer takes at most about 5,000 steps
+/// while one commit runs (debug build, loaded 2-core box), so one
+/// committed at step [`FIRST`] is still running when a second commit
+/// right after the first cuts it.
+const STEPS: u64 = 40_000;
+
+/// The step every writer has passed before a test's first commit.
+const FIRST: u64 = 200;
+
+/// The last step `pod`'s writer has taken: each step writes its number
+/// into the first word of the writer's first hot region.
+fn writer_step(c: &Cluster, pod: &str) -> u64 {
+    let pod = c.pod(pod).unwrap();
+    let (_, pid) = pod.vpid_pids()[0];
+    let proc = pod.node().process(pid).unwrap();
+    let mem = &proc.lock().unwrap().mem;
+    let hot = mem.regions().find(|r| r.name == "writer.hot0").map(|r| r.base);
+    hot.and_then(|base| mem.f64(base)).map_or(0, |words| words[0] as u64)
+}
+
+/// Waits until every writer of `pods` has passed step `step`.
+fn await_step(c: &Cluster, pods: &[String], step: u64) {
+    let t0 = Instant::now();
+    while pods.iter().any(|p| writer_step(c, p) < step) {
+        assert!(t0.elapsed() < WAIT, "writers stalled short of step {step}");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+/// Every process in every image of checkpoint `ckpt` was running when the
+/// checkpoint cut it.
+fn assert_cut_running(c: &Cluster, ckpt: u64) {
+    for e in c.istore.manifest(ckpt).unwrap().entries {
+        let image = c.istore.fetch_verified(&e.image_ref, e.digest).unwrap();
+        let rd = ImageReader::open(&image).unwrap();
+        let sections = rd.sections().unwrap();
+        let procs: Vec<ProcRecord> = sections
+            .iter()
+            .filter(|s| s.tag == SectionTag::Process)
+            .map(|s| ProcRecord::decode(&mut RecordReader::new(s.payload)).unwrap())
+            .collect();
+        assert!(!procs.is_empty(), "{}: no process in checkpoint {ckpt}", e.pod);
+        for p in procs {
+            let running = p.state == ProcStateRecord::Live;
+            assert!(running, "{}: vpid {} had exited at checkpoint {ckpt}", e.pod, p.vpid);
+        }
+    }
+}
+
+/// A commit of `pods` once each writer has passed step `step`; every
+/// writer must have been running at the cut.
+fn commit_at(c: &Cluster, pods: &[String], step: u64) -> zapc::commit::CommitReport {
+    await_step(c, pods, step);
+    let names: Vec<&str> = pods.iter().map(String::as_str).collect();
+    let r = checkpoint_commit(c, &names, &CommitOptions::default()).unwrap();
+    assert_cut_running(c, r.ckpt_id);
+    r
 }
 
 /// The chunking of every store here. Under the default mask a writer's
@@ -72,13 +138,10 @@ fn full_cycle_checkpoint_crash_recover_restart_is_byte_identical() {
     let expected = control_code();
     let c = chunked_cluster(2, true, FaultPlan::none());
     let pods = launch_writers(&c, "dw", 4, &writer_cfg());
-    let names: Vec<&str> = pods.iter().map(String::as_str).collect();
-    std::thread::sleep(Duration::from_millis(20));
 
     // Two generations, so the second dedups against the first.
-    checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
-    std::thread::sleep(Duration::from_millis(10));
-    let r2 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
+    commit_at(&c, &pods, FIRST);
+    let r2 = commit_at(&c, &pods, 2 * FIRST);
     assert_content_defined_cut(&c, r2.ckpt_id);
 
     // Rank symmetry pays: the four pods' images share their ballast, so
@@ -133,13 +196,10 @@ fn second_commit_predicts_the_unchanged_ballast_and_restarts_byte_identical() {
         .build();
     let cfg = writer_cfg();
     let pods = launch_writers(&c, "dw", 4, &cfg);
-    let names: Vec<&str> = pods.iter().map(String::as_str).collect();
-    std::thread::sleep(Duration::from_millis(20));
 
-    let r1 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
+    let r1 = commit_at(&c, &pods, FIRST);
     assert_eq!(ring.counter_sum("store.chunks_predicted"), 0, "no recipe to predict from yet");
-    std::thread::sleep(Duration::from_millis(10));
-    let r2 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
+    let r2 = commit_at(&c, &pods, 2 * FIRST);
 
     assert_content_defined_cut(&c, r1.ckpt_id);
     assert_content_defined_cut(&c, r2.ckpt_id);
@@ -185,11 +245,9 @@ fn gc_between_stage_and_manifest_commit_spares_the_inflight_checkpoint() {
         .build();
     let c = chunked_cluster(2, false, plan);
     let pods = launch_writers(&c, "dw", 2, &writer_cfg());
-    let names: Vec<&str> = pods.iter().map(String::as_str).collect();
-    std::thread::sleep(Duration::from_millis(20));
 
     let commit = std::thread::scope(|s| {
-        let h = s.spawn(|| checkpoint_commit(&c, &names, &CommitOptions::default()));
+        let h = s.spawn(|| commit_at(&c, &pods, FIRST));
         // Let staging finish and the Manager park in its pre-manifest
         // delay, then GC against committed-only liveness (there are no
         // committed manifests, so the naive live set is empty).
@@ -199,7 +257,7 @@ fn gc_between_stage_and_manifest_commit_spares_the_inflight_checkpoint() {
         assert_eq!(gc.chunks_removed, 0, "staged chunks must be graced: {gc:?}");
         h.join().expect("commit thread")
     });
-    let r = commit.expect("commit must survive the concurrent gc");
+    let r = commit;
     assert_content_defined_cut(&c, r.ckpt_id);
 
     // The committed checkpoint is sound: every image verifies.
@@ -226,10 +284,8 @@ fn dropped_chunk_fsync_plus_power_loss_rolls_back_and_restages() {
         .build();
     let c = chunked_cluster(2, false, plan);
     let pods = launch_writers(&c, "dw", 2, &writer_cfg());
-    let names: Vec<&str> = pods.iter().map(String::as_str).collect();
-    std::thread::sleep(Duration::from_millis(20));
 
-    let r1 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
+    let r1 = commit_at(&c, &pods, FIRST);
     c.istore.crash();
     let rec = recover(&c);
     assert_eq!(
@@ -242,7 +298,7 @@ fn dropped_chunk_fsync_plus_power_loss_rolls_back_and_restages() {
 
     // The app never stopped; the next checkpoint (fault exhausted) is
     // whole and restartable.
-    let r2 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
+    let r2 = commit_at(&c, &pods, 2 * FIRST);
     for p in &pods {
         c.destroy_pod(p);
     }
@@ -263,11 +319,8 @@ fn chunk_bit_rot_is_caught_at_restart_which_falls_back() {
     // chunk it may land in a match offset that decodes to the same bytes.
     let c = chunked_cluster(2, false, FaultPlan::none());
     let pods = launch_writers(&c, "dw", 2, &writer_cfg());
-    let names: Vec<&str> = pods.iter().map(String::as_str).collect();
-    std::thread::sleep(Duration::from_millis(20));
-    let r1 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
-    std::thread::sleep(Duration::from_millis(10));
-    let r2 = checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
+    let r1 = commit_at(&c, &pods, FIRST);
+    let r2 = commit_at(&c, &pods, 2 * FIRST);
     assert_content_defined_cut(&c, r2.ckpt_id);
 
     // Flip one byte of a chunk checkpoint 2 introduced.
@@ -314,9 +367,7 @@ fn chunk_bit_rot_is_caught_at_restart_which_falls_back() {
 fn restart_refuses_a_truncated_chunk_with_a_typed_error() {
     let c = chunked_cluster(2, true, FaultPlan::none());
     let pods = launch_writers(&c, "dw", 2, &writer_cfg());
-    let names: Vec<&str> = pods.iter().map(String::as_str).collect();
-    std::thread::sleep(Duration::from_millis(20));
-    checkpoint_commit(&c, &names, &CommitOptions::default()).unwrap();
+    commit_at(&c, &pods, FIRST);
 
     // Truncate the largest chunk behind the store's back.
     let victim = c

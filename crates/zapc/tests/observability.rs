@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use zapc::agent::Finalize;
-use zapc::manager::{CheckpointTarget, RestartTarget};
+use zapc::manager::{CheckpointTarget, PodReport, RestartTarget};
 use zapc::{checkpoint, migrate, migrate_live, restart, Cluster, Uri};
 use zapc_obs::{Observer, RingCollector};
 use zapc_proto::{RecordReader, RecordWriter};
@@ -68,6 +68,12 @@ fn spawn_pods(cluster: &Cluster, n: usize) -> Vec<String> {
     names
 }
 
+/// A checkpoint's phases that lie in the pod's freeze (suspend → resume,
+/// or → destroy): the image's encode and delivery (`commit_ms`) come after.
+fn freeze_tiles(p: &PodReport) -> f64 {
+    p.quiesce_ms + p.net_ms + p.standalone_ms + p.sync_ms + p.resume_ms
+}
+
 #[test]
 fn checkpoint_phases_tile_wall_and_spans_flow() {
     let (cluster, ring) = observed_cluster(2);
@@ -90,12 +96,18 @@ fn checkpoint_phases_tile_wall_and_spans_flow() {
     assert_eq!(phase_names, ["mgr.meta", "mgr.sync", "mgr.commit"]);
     assert_eq!(report.late_replies, 0, "healthy run discarded replies");
 
-    // Per-pod phase fields are populated and bounded by the pod total.
+    // A pod's total is its freeze, and the phases that lie in it are
+    // bounded by it; the image is encoded and delivered after it, but
+    // before the Manager's `done`.
     for p in &report.pods {
+        assert!(freeze_tiles(p) <= p.total_ms + 1.0, "freeze phases exceed total for {}", p.pod);
         assert!(
-            p.quiesce_ms + p.sync_ms + p.commit_ms + p.resume_ms <= p.total_ms + 1.0,
-            "per-pod phases exceed total for {}",
-            p.pod
+            report.wall_ms >= p.total_ms + p.commit_ms,
+            "{}: wall {} < total {} + commit {}",
+            p.pod,
+            report.wall_ms,
+            p.total_ms,
+            p.commit_ms
         );
     }
 
@@ -244,7 +256,11 @@ fn pod_reports_carry_agent_phases_without_an_observer() {
     for p in &ckpt.pods {
         assert!(p.sync_ms > 0.0, "{}: no wait for `continue` reported", p.pod);
     }
-    for p in ckpt.pods.iter().chain(&rst.pods) {
+    for p in &ckpt.pods {
+        assert!(freeze_tiles(p) > 0.0, "{}: agent phases all read zero", p.pod);
+        assert!(freeze_tiles(p) <= p.total_ms + 1.0, "freeze phases exceed total for {}", p.pod);
+    }
+    for p in &rst.pods {
         let phases = p.quiesce_ms + p.sync_ms + p.commit_ms + p.resume_ms;
         assert!(phases > 0.0, "{}: agent phases all read zero", p.pod);
         assert!(phases <= p.total_ms + 1.0, "per-pod phases exceed total for {}", p.pod);

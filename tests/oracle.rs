@@ -5,8 +5,12 @@
 //! rank count and one to three cuts at seed-chosen points of the run. A cut
 //! is a snapshot (a checkpoint after which the pods run on where they are),
 //! a checkpoint that destroys the pods followed by a restart on seed-chosen
-//! nodes, a stop-and-copy `migrate`, or a `migrate_live` with zero to three
-//! pre-copy rounds and the §5 send-queue merge on or off. The disturbed run
+//! nodes, a stop-and-copy `migrate`, a `migrate_live` with zero to three
+//! pre-copy rounds and the §5 send-queue merge on or off, or a rollback: a
+//! snapshot, a seed-chosen stretch of running on, then every pod destroyed
+//! and restarted from the snapshot's images. A snapshot's image is encoded
+//! after its pods resume, so the rollback is the cut that restores what a
+//! pod looked like at the freeze, not what it did since. The disturbed run
 //! must end with the exit codes and the result file of the undisturbed run
 //! of the same seed: CPI, BT and Bratu exchange a fixed message sequence on
 //! every connection, so one lost, duplicated or reordered byte changes the
@@ -63,6 +67,10 @@ enum CutKind {
     Restart,
     /// Stop-and-copy `migrate`.
     Migrate,
+    /// Checkpoint with `Finalize::Resume`, run on for `run_permille`
+    /// thousandths of the undisturbed wall time, destroy every pod, then
+    /// `restart` each from the checkpoint's image.
+    Rollback { run_permille: u64 },
     /// `migrate_live` with this many pre-copy rounds (`0` is stop-and-copy),
     /// with or without the send-queue merge.
     Live { rounds: u32, merge: bool },
@@ -86,14 +94,16 @@ struct Case {
     cuts: Vec<Cut>,
 }
 
-/// One to three cuts of any kind.
+/// One to three cuts of any kind; a live cut, which has the most variants,
+/// is drawn twice as often as each other kind.
 fn cuts(rng: &mut Rng) -> Vec<Cut> {
     (0..rng.range(1, 3))
         .map(|_| Cut {
-            kind: match rng.range(0, 3) {
+            kind: match rng.range(0, 5) {
                 0 => CutKind::Snapshot,
                 1 => CutKind::Restart,
                 2 => CutKind::Migrate,
+                3 => CutKind::Rollback { run_permille: rng.range(20, 250) },
                 _ => CutKind::Live { rounds: rng.range(0, 3) as u32, merge: rng.range(0, 1) == 1 },
             },
             at_permille: rng.range(20, 250),
@@ -189,29 +199,45 @@ fn elsewhere(c: &Cluster, nodes: usize, pod: &str, draw: u64) -> usize {
     (here + 1 + (draw as usize % (nodes - 1))) % nodes
 }
 
-fn apply(c: &Cluster, nodes: usize, pods: &[String], cut: &Cut, n: usize) -> Result<(), String> {
+fn apply(
+    c: &Cluster,
+    nodes: usize,
+    pods: &[String],
+    cut: &Cut,
+    n: usize,
+    wall: Duration,
+) -> Result<(), String> {
     let mut draw = Rng(cut.node_seed);
     let moves: Vec<(String, usize)> =
         pods.iter().map(|p| (p.clone(), elsewhere(c, nodes, p, draw.next()))).collect();
+    let uri = |p: &str| Uri::mem(format!("oracle/{p}/{n}"));
+    let checkpoint_all = |finalize| {
+        let targets: Vec<CheckpointTarget> = pods
+            .iter()
+            .map(|p| CheckpointTarget { pod: p.clone(), uri: uri(p), finalize })
+            .collect();
+        checkpoint(c, &targets).map(|_| ()).map_err(|e| format!("checkpoint: {e}"))
+    };
+    let restart_all = || {
+        let targets: Vec<RestartTarget> = moves
+            .iter()
+            .map(|(p, node)| RestartTarget { pod: p.clone(), uri: uri(p), node: *node })
+            .collect();
+        restart(c, &targets).map(|_| ()).map_err(|e| format!("restart: {e}"))
+    };
     match cut.kind {
-        CutKind::Snapshot => {
-            let targets: Vec<CheckpointTarget> =
-                pods.iter().map(|p| CheckpointTarget::snapshot(p)).collect();
-            checkpoint(c, &targets).map_err(|e| format!("snapshot: {e}"))?;
-        }
+        CutKind::Snapshot => checkpoint_all(Finalize::Resume)?,
         CutKind::Restart => {
-            let uri = |p: &str| Uri::mem(format!("oracle/{p}/{n}"));
-            let finalize = Finalize::Destroy;
-            let targets: Vec<CheckpointTarget> = pods
-                .iter()
-                .map(|p| CheckpointTarget { pod: p.clone(), uri: uri(p), finalize })
-                .collect();
-            checkpoint(c, &targets).map_err(|e| format!("checkpoint: {e}"))?;
-            let targets: Vec<RestartTarget> = moves
-                .iter()
-                .map(|(p, node)| RestartTarget { pod: p.clone(), uri: uri(p), node: *node })
-                .collect();
-            restart(c, &targets).map_err(|e| format!("restart: {e}"))?;
+            checkpoint_all(Finalize::Destroy)?;
+            restart_all()?;
+        }
+        CutKind::Rollback { run_permille } => {
+            checkpoint_all(Finalize::Resume)?;
+            std::thread::sleep(wall * run_permille as u32 / 1000);
+            for p in pods {
+                c.destroy_pod(p);
+            }
+            restart_all()?;
         }
         CutKind::Migrate => {
             migrate(c, &moves).map_err(|e| format!("migrate: {e}"))?;
@@ -237,7 +263,7 @@ fn disturbed(case: &Case, wall: Duration) -> Result<(Outcome, usize), String> {
     for (n, cut) in case.cuts.iter().enumerate() {
         std::thread::sleep(wall * cut.at_permille as u32 / 1000);
         live += usize::from(!app.all_exited(&c));
-        apply(&c, case.nodes, &app.pods, cut, n)?;
+        apply(&c, case.nodes, &app.pods, cut, n, wall)?;
     }
     Ok((finish(&c, &app, case)?, live))
 }
@@ -298,7 +324,8 @@ fn kv_check(seed: u64) -> Result<usize, String> {
     for (n, cut) in case.cuts.iter().enumerate() {
         std::thread::sleep(wall * cut.at_permille as u32 / 1000);
         live += usize::from(pods.iter().any(|p| c.pod(p).is_some_and(|p| !p.all_exited())));
-        apply(&c, case.nodes, &pods, cut, n).map_err(|e| format!("seed {seed}: {case:?}: {e}"))?;
+        apply(&c, case.nodes, &pods, cut, n, wall)
+            .map_err(|e| format!("seed {seed}: {case:?}: {e}"))?;
     }
     let got = kv_finish(&c, &fleet).map_err(|e| format!("seed {seed}: {case:?}: {e}"))?;
     if got != want {
@@ -354,6 +381,7 @@ fn seeds_cover_every_workload_and_cut_kind() {
     assert!(cuts().any(|c| matches!(c.kind, CutKind::Snapshot)), "no snapshot");
     assert!(cuts().any(|c| matches!(c.kind, CutKind::Restart)), "no restart");
     assert!(cuts().any(|c| matches!(c.kind, CutKind::Migrate)), "no migrate");
+    assert!(cuts().any(|c| matches!(c.kind, CutKind::Rollback { .. })), "no rollback");
     for merge in [false, true] {
         let live = |c: &Cut| matches!(c.kind, CutKind::Live { merge: m, .. } if m == merge);
         assert!(cuts().any(live), "no live cut with merge {merge}");
@@ -367,6 +395,7 @@ fn seeds_cover_every_workload_and_cut_kind() {
     assert!(kv_cuts().any(|c| matches!(c.kind, CutKind::Snapshot)), "KV: no snapshot");
     assert!(kv_cuts().any(|c| matches!(c.kind, CutKind::Restart)), "KV: no restart");
     assert!(kv_cuts().any(|c| matches!(c.kind, CutKind::Migrate)), "KV: no migrate");
+    assert!(kv_cuts().any(|c| matches!(c.kind, CutKind::Rollback { .. })), "KV: no rollback");
     let precopy = |c: &Cut| matches!(c.kind, CutKind::Live { rounds, .. } if rounds > 0);
     assert!(kv_cuts().any(precopy), "KV: no pre-copy");
     assert!(kv.iter().any(|c| c.fleet.halfopen > 0), "KV: no half-open client");
